@@ -11,7 +11,7 @@ FUZZ_TARGETS := \
 	./internal/schedule:FuzzPlanEquivalence \
 	./internal/session:FuzzSessionFrame
 
-.PHONY: all build test race chaos chaos-net fuzz-short vet bench bench-smoke staticcheck govulncheck
+.PHONY: all build test race chaos chaos-net fuzz-short vet bench bench-smoke bench-check staticcheck govulncheck
 
 all: build test
 
@@ -62,6 +62,20 @@ bench:
 # CI-sized smoke run of the same report (fixed iteration count).
 bench-smoke:
 	$(GO) run ./cmd/redistbench -short -out BENCH_redist.json
+
+# The coupling benchmark (bench/, BENCHMARK.json) is a Go module of its own
+# that `go test ./...` at the root does not see, so a product signature
+# change that breaks it would otherwise surface only when the benchmark is
+# next run. Vet and test it against this checkout, then run the prmi_tcp
+# workload for three seconds: the result must be correct and every pooled
+# buffer must be back at the end.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+	@out=$$(bash bench/run.sh --workload prmi_tcp --seconds 3 --trace 1 | tail -n 1); \
+	for want in '"correct":true' '"bufpool.outstanding_end":{"value":0,'; do \
+		echo "$$out" | grep -qF "$$want" || { echo "bench-check: result lacks $$want: $$out"; exit 1; }; \
+	done; \
+	echo "bench-check: prmi_tcp correct, no pooled buffer outstanding"
 
 # Lint/vuln targets degrade to a notice when the tool isn't on PATH, so
 # offline checkouts aren't forced to install anything; CI installs both.

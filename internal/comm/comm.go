@@ -52,6 +52,21 @@ type message struct {
 	payload any
 }
 
+// Releaser is implemented by payloads that own pooled buffers (PRMI
+// messages). Sends transfer ownership to the receiver; when comm discards
+// a message instead of delivering it — an end of the pair is dead, the
+// remote binding is torn down, or Kill empties a mailbox — it calls
+// Release so the buffers go back to their pool rather than to the GC.
+type Releaser interface{ Release() }
+
+// drop discards an undeliverable payload.
+func drop(payload any) {
+	mDroppedDead.Inc()
+	if r, ok := payload.(Releaser); ok {
+		r.Release()
+	}
+}
+
 // mailbox is the receive queue of one world rank.
 type mailbox struct {
 	mu   sync.Mutex
@@ -247,9 +262,15 @@ func (w *World) Kill(rank int) {
 	// A crashed process loses its unreceived messages with it.
 	b := st.boxes[rank]
 	b.mu.Lock()
-	mQueueDepth.Add(-int64(len(b.msgs)))
+	lost := b.msgs
+	mQueueDepth.Add(-int64(len(lost)))
 	b.msgs = nil
 	b.mu.Unlock()
+	for _, m := range lost {
+		if r, ok := m.payload.(Releaser); ok {
+			r.Release()
+		}
+	}
 	b.cond.Broadcast()
 }
 
@@ -368,7 +389,7 @@ func (c *Comm) send(to, tag int, payload any) {
 	// A dead rank neither produces nor consumes traffic: messages to or
 	// from it vanish, exactly as they would with a crashed MPI process.
 	if st.dead[wr].Load() || st.dead[wme].Load() {
-		mDroppedDead.Inc()
+		drop(payload)
 		return
 	}
 	if rp := st.remote[wr]; rp != nil {

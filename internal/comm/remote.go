@@ -291,7 +291,7 @@ func (rp *RemotePeer) fail(cause error) {
 // No payload byte is copied between the pack buffer and the socket.
 func (rp *RemotePeer) forward(from, to, tag int, gid uint64, payload any) {
 	if rp.closed.Load() {
-		mDroppedDead.Inc()
+		drop(payload)
 		return
 	}
 	var e *wire.Encoder

@@ -394,24 +394,19 @@ func newMappedLink(c *comm.Comm, peers []int, tag int) *mappedLink {
 	return &mappedLink{c: c, peers: peers, back: back, tag: tag}
 }
 
-func (l *mappedLink) Send(peerRank int, msg []byte) error {
+func (l *mappedLink) Send(peerRank int, m *prmi.Msg) error {
 	if peerRank < 0 || peerRank >= len(l.peers) {
+		m.Release()
 		return fmt.Errorf("scirun: peer rank %d outside cohort of %d", peerRank, len(l.peers))
 	}
-	cp := make([]byte, len(msg))
-	copy(cp, msg)
-	l.c.Send(l.peers[peerRank], l.tag, cp)
+	l.c.Send(l.peers[peerRank], l.tag, m)
 	return nil
 }
 
-func (l *mappedLink) Recv() (int, []byte, error) {
-	payload, src := l.c.Recv(comm.AnySource, l.tag)
-	return l.attribute(payload, src)
-}
-
-func (l *mappedLink) RecvTimeout(d time.Duration) (int, []byte, error) {
+func (l *mappedLink) Recv(d time.Duration) (int, *prmi.Msg, error) {
 	if d <= 0 {
-		return l.Recv()
+		payload, src := l.c.Recv(comm.AnySource, l.tag)
+		return l.attribute(payload, src)
 	}
 	payload, src, ok := l.c.RecvTimeout(comm.AnySource, l.tag, d)
 	if !ok {
@@ -420,14 +415,15 @@ func (l *mappedLink) RecvTimeout(d time.Duration) (int, []byte, error) {
 	return l.attribute(payload, src)
 }
 
-func (l *mappedLink) attribute(payload any, src int) (int, []byte, error) {
-	msg, ok := payload.([]byte)
-	if !ok {
-		return 0, nil, fmt.Errorf("scirun: link received %T", payload)
+func (l *mappedLink) attribute(payload any, src int) (int, *prmi.Msg, error) {
+	m, err := prmi.AsMsg(payload)
+	if err != nil {
+		return 0, nil, err
 	}
 	peer, ok := l.back[src]
 	if !ok {
+		m.Release()
 		return 0, nil, fmt.Errorf("scirun: message from world rank %d outside the peer cohort", src)
 	}
-	return peer, msg, nil
+	return peer, m, nil
 }

@@ -3,8 +3,9 @@ package prmi
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"mxn/internal/comm"
@@ -83,13 +84,26 @@ type Participation struct {
 }
 
 // FullParticipation declares that every rank of the caller cohort
-// participates, with the cohort communicator as the barrier group.
+// participates, with the cohort communicator as the barrier group. The
+// rank list is shared and read-only.
 func FullParticipation(cohort *comm.Comm) Participation {
-	ranks := make([]int, cohort.Size())
-	for i := range ranks {
-		ranks[i] = i
+	return Participation{Ranks: identityRanks(cohort.Size()), Group: cohort}
+}
+
+// identity holds 0..n-1 for the largest n asked so far; every shorter
+// list is a prefix of it, so full participation allocates nothing per call.
+var identity atomic.Pointer[[]int]
+
+func identityRanks(n int) []int {
+	if s := identity.Load(); s != nil && len(*s) >= n {
+		return (*s)[:n:n]
 	}
-	return Participation{Ranks: ranks, Group: cohort}
+	s := make([]int, max(n, 64))
+	for i := range s {
+		s[i] = i
+	}
+	identity.Store(&s)
+	return s[:n:n]
 }
 
 // ParallelData is a caller-side parallel argument: the rank's fragment of
@@ -120,7 +134,8 @@ func Parallel(name string, t *dad.Template, local []float64) Arg {
 	return Arg{Name: name, Par: &ParallelData{Template: t, Local: local}}
 }
 
-// Result is what a non-oneway invocation returns.
+// Result is what a non-oneway invocation returns. SimpleOut is nil when
+// the method produced no simple out values.
 type Result struct {
 	Return    any
 	SimpleOut map[string]any
@@ -141,13 +156,19 @@ type CallerPort struct {
 
 	scheds  *schedule.Cache
 	layouts map[string]*dad.Template // method\x00param -> callee-side template
-	encs    map[string][]byte        // template key -> wire encoding
-	pending map[int][]*replyMsg
+	plans   []*plan                  // see planFor
 	stash   map[stashKey]*stashEntry // referenced buffers of in-flight calls
-	tcache  *templateCache           // callee layouts arriving in pull requests
+	tcache  map[string]*dad.Template // callee layouts arriving in pull requests
 	seq     uint64
 	policy  RetryPolicy
 	mu      sync.Mutex
+
+	// Per-call scratch, reused from call to call: the head and
+	// simple-section encoders, the bound parallel arguments, and one reply
+	// slot per callee rank (filled by collect, emptied by releaseReplies).
+	enc, senc wire.Encoder
+	par       []*ParallelData
+	replies   []reply
 
 	// Exactly-once / liveness state. nextCallID numbers logical calls
 	// (every retry attempt of one call shares its callID); watermarks
@@ -188,10 +209,9 @@ func NewCallerPort(iface *sidl.Interface, link Link, rank, nCallee int, mode Del
 		mode:    mode,
 		scheds:  schedule.NewCache(),
 		layouts: map[string]*dad.Template{},
-		encs:    map[string][]byte{},
-		pending: map[int][]*replyMsg{},
 		stash:   map[stashKey]*stashEntry{},
-		tcache:  newTemplateCache(),
+		tcache:  map[string]*dad.Template{},
+		replies: make([]reply, nCallee),
 
 		watermarks: map[int]uint64{},
 	}
@@ -236,10 +256,11 @@ func (p *CallerPort) SetCalleeLayout(method, param string, t *dad.Template) erro
 	if !ok {
 		return fmt.Errorf("prmi: no method %q", method)
 	}
-	if !hasParallelParam(m, param) {
+	if pr, ok := paramNamed(m, param); !ok || !pr.Parallel {
 		return fmt.Errorf("prmi: %s has no parallel parameter %q", method, param)
 	}
 	p.layouts[method+"\x00"+param] = t
+	p.plans = nil // planned against the previous layout
 	return nil
 }
 
@@ -262,20 +283,14 @@ func (p *CallerPort) ApplyLayouts(data []byte) error {
 	return d.Err()
 }
 
-func hasParallelParam(m *sidl.Method, param string) bool {
-	for _, pr := range m.Params {
-		if pr.Name == param && pr.Parallel {
-			return true
-		}
-	}
-	return false
-}
-
 // Close tells the callee cohort this caller rank is done. Every caller
 // rank must Close for the endpoints' Serve loops to return.
-func (p *CallerPort) Close() error {
+func (p *CallerPort) Close() error { return p.broadcast(msgShutdown) }
+
+// broadcast sends a bare message of the given kind to every callee rank.
+func (p *CallerPort) broadcast(kind byte) error {
 	for j := 0; j < p.nCallee; j++ {
-		if err := p.link.Send(j, []byte{msgShutdown}); err != nil {
+		if err := p.link.Send(j, newMsg([]byte{kind}, nil)); err != nil {
 			return err
 		}
 	}
@@ -290,10 +305,8 @@ func (p *CallerPort) Close() error {
 // history, not protection. The port must not be used after Depart; the
 // endpoints' Serve loops keep running for the remaining callers.
 func (p *CallerPort) Depart() error {
-	for j := 0; j < p.nCallee; j++ {
-		if err := p.link.Send(j, []byte{msgDetach}); err != nil {
-			return err
-		}
+	if err := p.broadcast(msgDetach); err != nil {
+		return err
 	}
 	// Local retry state is dead with the departure: a departed rank never
 	// retries, and dropping the stash frees referenced argument buffers.
@@ -318,18 +331,18 @@ func (p *CallerPort) CallIndependent(target int, method string, args ...Arg) (*R
 	if target < 0 || target >= p.nCallee {
 		return nil, fmt.Errorf("prmi: callee rank %d outside cohort of %d", target, p.nCallee)
 	}
-	simple, err := checkSimpleArgs(m, args)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	pl, err := p.planFor(m, false, nil, args)
 	if err != nil {
 		return nil, err
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
 
 	// Every attempt of one logical call shares a callID and gets a fresh
 	// sequence number: the callee deduplicates by callID (replaying the
 	// cached reply for a completed call instead of re-running the
 	// handler) while stale replies from superseded attempts are discarded
-	// by sequence in recvReplyFrom. Together this upgrades the retry loop
+	// by sequence in collect. Together this upgrades the retry loop
 	// from at-least-once to exactly-once, so it is safe even for
 	// non-idempotent methods.
 	mCallsIndependent.Inc()
@@ -338,6 +351,7 @@ func (p *CallerPort) CallIndependent(target int, method string, args ...Arg) (*R
 	}
 	callStart := time.Now()
 	defer mCallNS.ObserveSince(callStart)
+	defer p.releaseReplies()
 	p.nextCallID++
 	callID := p.nextCallID
 	attempts := p.policy.MaxAttempts
@@ -345,6 +359,7 @@ func (p *CallerPort) CallIndependent(target int, method string, args ...Arg) (*R
 		attempts = 1
 	}
 	backoff := p.policy.Backoff
+	want := [1]int{target}
 	var lastErr error
 	for attempt := 0; attempt < attempts; attempt++ {
 		if attempt > 0 {
@@ -369,18 +384,13 @@ func (p *CallerPort) CallIndependent(target int, method string, args ...Arg) (*R
 			return nil, &DedupEvictedError{Target: target, CallID: callID, Watermark: wm}
 		}
 		p.seq++
-		hdr := &callMsg{method: method, seq: p.seq, callerRank: p.rank, simple: simple, callID: callID, epoch: p.epochNow()}
-		if err := mapLinkErr(p.link.Send(target, encodeCall(hdr))); err != nil {
-			if retryableErr(err) {
-				lastErr = err
-				continue
-			}
-			return nil, err
-		}
-		if m.OneWay {
+		err := mapLinkErr(p.link.Send(target, p.callMsg(pl, target, callID)))
+		if err == nil && m.OneWay {
 			return nil, nil
 		}
-		rep, err := p.recvReplyFrom(target, p.seq, p.policy.Timeout)
+		if err == nil {
+			err = p.collect(p.seq, want[:], p.policy.Timeout)
+		}
 		if err != nil {
 			if retryableErr(err) {
 				lastErr = err
@@ -388,6 +398,7 @@ func (p *CallerPort) CallIndependent(target int, method string, args ...Arg) (*R
 			}
 			return nil, err
 		}
+		rep := &p.replies[target]
 		if rep.watermark > p.watermarks[target] {
 			p.watermarks[target] = rep.watermark
 		}
@@ -402,7 +413,11 @@ func (p *CallerPort) CallIndependent(target int, method string, args ...Arg) (*R
 // the logical invocation (ghost invocations when the callee cohort is
 // wider than the participant set) and every participant receives a return
 // (ghost returns when it is narrower).
-func (p *CallerPort) CallCollective(method string, part Participation, args ...Arg) (*Result, error) {
+//
+// The call consumes a reply from every callee it expects one from before
+// it returns, error or not, so a failure on some callee ranks leaves no
+// message behind; the error reported is that of the lowest such rank.
+func (p *CallerPort) CallCollective(method string, part Participation, args ...Arg) (res *Result, err error) {
 	m, ok := p.iface.Method(method)
 	if !ok {
 		return nil, fmt.Errorf("prmi: no method %q", method)
@@ -410,24 +425,18 @@ func (p *CallerPort) CallCollective(method string, part Participation, args ...A
 	if m.Invocation != sidl.Collective {
 		return nil, fmt.Errorf("prmi: %s is independent; use CallIndependent", method)
 	}
-	parts := append([]int(nil), part.Ranks...)
-	sort.Ints(parts)
-	pos := -1
-	for k, r := range parts {
-		if r == p.rank {
-			pos = k
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	pl, err := p.planFor(m, true, part.Ranks, args)
+	if err != nil {
+		return nil, err
+	}
+	for i := range pl.params {
+		pp, data := &pl.params[i], p.par[i]
+		if want := pp.tpl.LocalCount(pl.pos); len(data.Local) != want {
+			return nil, fmt.Errorf("prmi: %s(%s): fragment has %d elements, template says %d for participant %d",
+				method, pp.spec.Name, len(data.Local), want, pl.pos)
 		}
-	}
-	if pos < 0 {
-		return nil, fmt.Errorf("prmi: caller rank %d not in participation set %v", p.rank, parts)
-	}
-	simple, err := checkSimpleArgs(m, args)
-	if err != nil {
-		return nil, err
-	}
-	parArgs, err := p.checkParallelArgs(m, args, len(parts))
-	if err != nil {
-		return nil, err
 	}
 
 	// The DCA synchronization rule: delay delivery until every participant
@@ -439,8 +448,6 @@ func (p *CallerPort) CallCollective(method string, part Participation, args ...A
 		part.Group.Barrier()
 	}
 
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	p.seq++
 	p.nextCallID++
 	mCallsCollective.Inc()
@@ -450,360 +457,217 @@ func (p *CallerPort) CallCollective(method string, part Participation, args ...A
 	callStart := time.Now()
 	defer mCallNS.ObserveSince(callStart)
 
-	// Compute per-callee fragments of every parallel in/inout argument.
 	// Deferred (by-reference) arguments send no data: they are stashed
 	// locally and served on pull while this call waits for its replies.
-	type paramPlan struct {
-		arg   parArg
-		sched *schedule.Schedule // nil for deferred arguments
-	}
-	plans := make([]paramPlan, 0, len(parArgs))
-	for _, pa := range parArgs {
-		if want := pa.data.Template.LocalCount(pos); pa.spec.Mode != sidl.Out && len(pa.data.Local) != want {
-			return nil, fmt.Errorf("prmi: %s(%s): fragment has %d elements, template says %d for participant %d",
-				method, pa.spec.Name, len(pa.data.Local), want, pos)
+	for i := range pl.params {
+		if pp := &pl.params[i]; pp.deferred {
+			p.stash[stashKey{p.seq, pp.spec.Name}] = &stashEntry{tpl: pp.tpl, local: p.par[i].Local, pos: pl.pos}
 		}
-		if pa.data.deferred {
-			if pa.spec.Mode != sidl.In {
-				return nil, fmt.Errorf("prmi: %s(%s): deferred arguments must be in-parameters", method, pa.spec.Name)
-			}
-			if m.OneWay {
-				return nil, fmt.Errorf("prmi: %s(%s): deferred arguments need a blocking call (the caller serves pulls while waiting)", method, pa.spec.Name)
-			}
-			p.stash[stashKey{p.seq, pa.spec.Name}] = &stashEntry{tpl: pa.data.Template, local: pa.data.Local, pos: pos}
-			plans = append(plans, paramPlan{arg: pa})
-			continue
-		}
-		calleeTpl := p.layouts[method+"\x00"+pa.spec.Name]
-		if calleeTpl == nil {
-			return nil, fmt.Errorf("prmi: no callee layout registered for %s(%s) (register one, or pass ParallelRef for the delayed-transfer strategy)", method, pa.spec.Name)
-		}
-		s, err := p.scheds.Get(pa.data.Template, calleeTpl)
-		if err != nil {
-			return nil, fmt.Errorf("prmi: %s(%s): %w", method, pa.spec.Name, err)
-		}
-		plans = append(plans, paramPlan{arg: pa, sched: s})
 	}
 	defer func() {
-		for _, pp := range plans {
-			if pp.arg.data.deferred {
-				delete(p.stash, stashKey{p.seq, pp.arg.spec.Name})
+		for i := range pl.params {
+			if pp := &pl.params[i]; pp.deferred {
+				delete(p.stash, stashKey{p.seq, pp.spec.Name})
 			}
+		}
+		p.releaseReplies()
+		if err != nil {
+			// The callee may not have kept a template sent with a call
+			// that failed; send the encodings again next time.
+			clear(pl.encSent)
 		}
 	}()
 
 	for j := 0; j < p.nCallee; j++ {
-		hdr := &callMsg{method: method, seq: p.seq, callerRank: p.rank, collective: true, participants: parts,
-			simple: simple, callID: p.nextCallID, epoch: p.epochNow()}
-		for _, pp := range plans {
-			frag := parallelFrag{
-				name:        pp.arg.spec.Name,
-				templateKey: pp.arg.data.Template.Key(),
-				templateEnc: p.encodingOf(pp.arg.data.Template),
-				deferred:    pp.arg.data.deferred,
-			}
-			if !pp.arg.data.deferred && pp.arg.spec.Mode != sidl.Out {
-				for _, plan := range pp.sched.OutgoingFor(pos) {
-					if plan.DstRank == j {
-						frag.data = make([]float64, plan.Elems)
-						schedule.Pack(plan, pp.arg.data.Local, frag.data)
-						break
-					}
-				}
-			}
-			hdr.parallel = append(hdr.parallel, frag)
-		}
-		if err := mapLinkErr(p.link.Send(j, encodeCall(hdr))); err != nil {
+		if err := mapLinkErr(p.link.Send(j, p.callMsg(pl, j, p.nextCallID))); err != nil {
 			return nil, err
 		}
 	}
 	if m.OneWay {
 		return nil, nil
 	}
-
-	// Expected repliers: the designated callee for ghost-return routing,
-	// plus every callee holding outbound data of an out/inout parallel
-	// parameter destined for this participant.
-	designated := pos % p.nCallee
-	expect := map[int]bool{designated: true}
-	type revPlan struct {
-		arg   parArg
-		sched *schedule.Schedule
+	if err := p.collect(p.seq, pl.peers, p.policy.Timeout); err != nil {
+		return nil, err
 	}
-	var revs []revPlan
-	for _, pa := range parArgs {
-		if pa.spec.Mode == sidl.In {
-			continue
-		}
-		calleeTpl := p.layouts[method+"\x00"+pa.spec.Name]
-		rs, err := p.scheds.Get(calleeTpl, pa.data.Template)
-		if err != nil {
-			return nil, err
-		}
-		revs = append(revs, revPlan{arg: pa, sched: rs})
-		for _, plan := range rs.IncomingFor(pos) {
-			expect[plan.SrcRank] = true
+	for _, j := range pl.peers {
+		if rep := &p.replies[j]; rep.errText != "" {
+			return nil, fmt.Errorf("prmi: %s on callee rank %d: %s", method, j, rep.errText)
 		}
 	}
 
-	var designatedReply *replyMsg
-	replies := map[int]*replyMsg{}
-	for len(replies) < len(expect) {
-		var from int
-		for j := range expect {
-			if replies[j] == nil {
-				from = j
-				break
-			}
+	// Unpack returned parallel data straight from each reply's payload
+	// into the caller's buffers.
+	for _, j := range pl.peers {
+		rep := p.replies[j].msg
+		if want := payloadBytes(pl.params, j, false); len(rep.payload) != want {
+			return nil, fmt.Errorf("prmi: %s: callee %d returned %d bytes of parallel data, schedules say %d", method, j, len(rep.payload), want)
 		}
-		rep, err := p.recvReplyFrom(from, p.seq, p.policy.Timeout)
-		if err != nil {
-			return nil, err
-		}
-		replies[from] = rep
-		if rep.errText != "" {
-			return nil, fmt.Errorf("prmi: %s on callee rank %d: %s", method, rep.calleeRank, rep.errText)
-		}
-		if from == designated {
-			designatedReply = rep
-		}
+		unpack(pl.params, j, rep, func(i int) []float64 { return p.par[i].Local })
 	}
-
-	// Unpack returned parallel data into the caller's buffers.
-	for _, rv := range revs {
-		if len(rv.arg.data.Local) != rv.arg.data.Template.LocalCount(pos) {
-			return nil, fmt.Errorf("prmi: %s(%s): out buffer has %d elements, template says %d",
-				method, rv.arg.spec.Name, len(rv.arg.data.Local), rv.arg.data.Template.LocalCount(pos))
-		}
-		for _, plan := range rv.sched.IncomingFor(pos) {
-			rep := replies[plan.SrcRank]
-			frag, ok := findFrag(rep.parallelOut, rv.arg.spec.Name)
-			if !ok {
-				return nil, fmt.Errorf("prmi: callee %d reply missing parallel out %q", plan.SrcRank, rv.arg.spec.Name)
-			}
-			if len(frag.data) != plan.Elems {
-				return nil, fmt.Errorf("prmi: %s(%s): callee %d sent %d elements, schedule says %d",
-					method, rv.arg.spec.Name, plan.SrcRank, len(frag.data), plan.Elems)
-			}
-			schedule.Unpack(plan, rv.arg.data.Local, frag.data)
-		}
-	}
-	return replyToResult(m, designatedReply)
+	return replyToResult(m, &p.replies[pl.pos%p.nCallee])
 }
 
-// parArg pairs a parallel argument with its spec.
-type parArg struct {
-	spec sidl.Param
-	data *ParallelData
+// callMsg builds this call's message for callee j under sequence p.seq:
+// the head around the plan's constant key, and one payload holding the
+// fragment of every parallel in/inout argument packed for j.
+func (p *CallerPort) callMsg(pl *plan, j int, callID uint64) *Msg {
+	putCallHead(&p.enc, p.seq, callID, p.epochNow(), pl.key)
+	for i := range pl.params {
+		pp := &pl.params[i]
+		// The template encoding rides only the first message to each
+		// callee; after that its key (in the plan key) is enough.
+		if pl.encSent[j] {
+			p.enc.PutBytes(nil)
+		} else {
+			p.enc.PutBytes(pp.enc)
+		}
+		n := 0
+		if pp.send != nil {
+			n = pp.send[j].Elems
+		}
+		p.enc.PutUvarint(uint64(8 * n))
+	}
+	pl.encSent[j] = true
+	p.enc.PutBytes(p.senc.Bytes())
+	return newMsg(p.enc.Bytes(), pack(pl.params, j, func(i int) []float64 { return p.par[i].Local }))
 }
 
-// checkSimpleArgs validates and orders the simple (non-parallel) in/inout
-// arguments against the method spec.
-func checkSimpleArgs(m *sidl.Method, args []Arg) ([]namedValue, error) {
-	byName := map[string]Arg{}
-	for _, a := range args {
-		if _, dup := byName[a.Name]; dup {
-			return nil, fmt.Errorf("prmi: duplicate argument %q", a.Name)
+// bindArgs validates args against m, encodes the simple in/inout
+// arguments into p.senc in parameter order and, for collective calls,
+// collects the parallel arguments into p.par.
+func (p *CallerPort) bindArgs(m *sidl.Method, args []Arg, collective bool) error {
+	for i, a := range args {
+		if _, ok := paramNamed(m, a.Name); !ok {
+			return fmt.Errorf("prmi: %s has no parameter %q", m.Name, a.Name)
 		}
-		byName[a.Name] = a
-	}
-	for _, a := range args {
-		found := false
-		for _, pr := range m.Params {
-			if pr.Name == a.Name {
-				found = true
+		for _, b := range args[:i] {
+			if b.Name == a.Name {
+				return fmt.Errorf("prmi: duplicate argument %q", a.Name)
 			}
 		}
-		if !found {
-			return nil, fmt.Errorf("prmi: %s has no parameter %q", m.Name, a.Name)
-		}
 	}
-	var out []namedValue
+	p.par = p.par[:0]
+	p.senc.Reset()
+	nSimple := 0
 	for _, pr := range m.Params {
-		a, present := byName[pr.Name]
-		if pr.Parallel {
-			if present && a.Par == nil {
-				return nil, fmt.Errorf("prmi: parameter %q is parallel; pass Parallel(...)", pr.Name)
-			}
-			continue
-		}
-		switch pr.Mode {
-		case sidl.In, sidl.InOut:
-			if !present {
-				return nil, fmt.Errorf("prmi: missing argument %q", pr.Name)
-			}
-			if a.Par != nil {
-				return nil, fmt.Errorf("prmi: parameter %q is simple; pass Simple(...)", pr.Name)
-			}
-			out = append(out, namedValue{name: pr.Name, value: a.Value})
-		case sidl.Out:
-			// Out simple values come back in the result; nothing to send.
+		if !pr.Parallel && pr.Mode != sidl.Out {
+			nSimple++
 		}
 	}
-	return out, nil
-}
-
-// checkParallelArgs validates the parallel arguments: each must carry a
-// template decomposed over exactly the participants.
-func (p *CallerPort) checkParallelArgs(m *sidl.Method, args []Arg, nParts int) ([]parArg, error) {
-	byName := map[string]Arg{}
-	for _, a := range args {
-		byName[a.Name] = a
-	}
-	var out []parArg
+	p.senc.PutUvarint(uint64(nSimple))
 	for _, pr := range m.Params {
-		if !pr.Parallel {
-			continue
+		var a *Arg
+		for i := range args {
+			if args[i].Name == pr.Name {
+				a = &args[i]
+			}
 		}
-		if pr.Type != sidl.DoubleArray {
-			return nil, fmt.Errorf("prmi: parallel parameter %q has type %s; the runtime moves array<double> only", pr.Name, pr.Type)
-		}
-		a, present := byName[pr.Name]
-		if !present {
-			return nil, fmt.Errorf("prmi: missing parallel argument %q", pr.Name)
-		}
-		if a.Par == nil || a.Par.Template == nil {
-			return nil, fmt.Errorf("prmi: parallel argument %q needs a template", pr.Name)
-		}
-		if a.Par.Template.NumProcs() != nParts {
-			return nil, fmt.Errorf("prmi: parallel argument %q decomposed over %d ranks but %d participate (the participation communicator defines the scope of parallel arguments)",
-				pr.Name, a.Par.Template.NumProcs(), nParts)
-		}
-		out = append(out, parArg{spec: pr, data: a.Par})
-	}
-	return out, nil
-}
-
-// encodingOf memoizes template wire encodings by key.
-func (p *CallerPort) encodingOf(t *dad.Template) []byte {
-	key := t.Key()
-	if enc, ok := p.encs[key]; ok {
-		return enc
-	}
-	e := wire.NewEncoder(nil)
-	t.Encode(e)
-	p.encs[key] = e.Bytes()
-	return e.Bytes()
-}
-
-// recvReplyFrom blocks until a reply from callee rank src with sequence
-// number seq arrives, queueing replies from other callees and serving pull
-// requests for referenced arguments along the way (the caller is the data
-// server while its deferred call is in flight). Replies carrying a
-// different sequence number are stale — leftovers of a timed-out attempt
-// that was retried — and are silently discarded from every queue they
-// appear in. timeout > 0 bounds the total wait; expiry reports ErrTimeout.
-func (p *CallerPort) recvReplyFrom(src int, seq uint64, timeout time.Duration) (*replyMsg, error) {
-	q := p.pending[src][:0]
-	var found *replyMsg
-	for _, rep := range p.pending[src] {
 		switch {
-		case found == nil && rep.seq == seq:
-			found = rep
-		case rep.seq == seq:
-			q = append(q, rep)
+		case pr.Parallel && a != nil && a.Par == nil:
+			return fmt.Errorf("prmi: parameter %q is parallel; pass Parallel(...)", pr.Name)
+		case pr.Parallel && !collective:
+			// Independent calls transfer no parallel data.
+		case pr.Parallel && pr.Type != sidl.DoubleArray:
+			return fmt.Errorf("prmi: parallel parameter %q has type %s; the runtime moves array<double> only", pr.Name, pr.Type)
+		case pr.Parallel && a == nil:
+			return fmt.Errorf("prmi: missing parallel argument %q", pr.Name)
+		case pr.Parallel && a.Par.Template == nil:
+			return fmt.Errorf("prmi: parallel argument %q needs a template", pr.Name)
+		case pr.Parallel:
+			p.par = append(p.par, a.Par)
+		case pr.Mode == sidl.Out:
+			// Out simple values come back in the result; nothing to send.
+		case a == nil:
+			return fmt.Errorf("prmi: missing argument %q", pr.Name)
+		case a.Par != nil:
+			return fmt.Errorf("prmi: parameter %q is simple; pass Simple(...)", pr.Name)
 		default:
-			// stale attempt; drop
-			mStaleDropped.Inc()
+			p.senc.PutString(pr.Name)
+			p.senc.PutValue(a.Value)
 		}
 	}
-	p.pending[src] = q
-	if found != nil {
-		return found, nil
+	return nil
+}
+
+// releaseReplies returns every reply collect filed.
+func (p *CallerPort) releaseReplies() {
+	for j := range p.replies {
+		p.replies[j].msg.Release()
+		p.replies[j] = reply{}
 	}
+}
+
+// collect receives until the reply with sequence number seq from every
+// callee rank in want is filed in p.replies, serving pull requests for
+// referenced arguments along the way (the caller is the data server while
+// its deferred call is in flight). Replies carrying a different sequence
+// number are stale — leftovers of a timed-out attempt that was retried —
+// and are silently discarded, as are replies nobody waits for. timeout > 0
+// bounds the wait for each next reply; expiry reports ErrTimeout.
+func (p *CallerPort) collect(seq uint64, want []int, timeout time.Duration) error {
 	deadline := time.Time{}
-	if timeout > 0 {
-		deadline = time.Now().Add(timeout)
-	}
-	for {
+	for missing := len(want); missing > 0; {
+		if timeout > 0 && deadline.IsZero() {
+			deadline = time.Now().Add(timeout)
+		}
 		// With a liveness view installed, a wait on a callee marked down
 		// fails fast — its reply is never coming, and burning the full
 		// timeout per attempt would multiply the failure's latency by the
 		// retry budget.
-		if mb := p.members; mb != nil && !mb.IsAlive(src) {
-			mRankdownErrors.Inc()
-			return nil, &core.ErrRankDown{Rank: src, Epoch: mb.Epoch()}
-		}
-		var from int
-		var raw []byte
-		var err error
-		remain := time.Duration(0)
-		if timeout > 0 {
-			remain = time.Until(deadline)
-			if remain <= 0 {
-				mTimeouts.Inc()
-				return nil, fmt.Errorf("%w: no reply from callee %d within %v", ErrTimeout, src, timeout)
+		for _, j := range want {
+			if mb := p.members; mb != nil && p.replies[j].msg == nil && !mb.IsAlive(j) {
+				mRankdownErrors.Inc()
+				return &core.ErrRankDown{Rank: j, Epoch: mb.Epoch()}
 			}
 		}
-		slice := remain
-		if p.members != nil && (slice <= 0 || slice > livenessPoll) {
-			slice = livenessPoll
+		from, m, again, err := recvPoll(p.link, deadline, p.members != nil)
+		if again {
+			continue
 		}
-		if slice > 0 {
-			from, raw, err = p.link.RecvTimeout(slice)
-		} else {
-			from, raw, err = p.link.Recv()
+		if err = mapLinkErr(err); errors.Is(err, ErrTimeout) {
+			mTimeouts.Inc()
+			return fmt.Errorf("%w: no reply from %d of callees %v within %v", err, missing, want, timeout)
+		} else if err != nil {
+			return err
 		}
-		if err != nil {
-			err = mapLinkErr(err)
-			if errors.Is(err, ErrTimeout) {
-				if slice != remain {
-					continue // a liveness poll slice expired, not the deadline
-				}
-				mTimeouts.Inc()
-			}
-			return nil, err
-		}
-		if len(raw) == 0 {
-			return nil, fmt.Errorf("prmi: caller received empty message")
-		}
-		switch raw[0] {
+		switch kind := m.kind(); kind {
 		case msgPull:
-			req, err := decodePull(wire.NewDecoder(raw[1:]))
+			err := p.servePull(m)
+			m.Release()
 			if err != nil {
-				return nil, err
-			}
-			if err := p.servePull(req); err != nil {
-				return nil, err
+				return err
 			}
 		case msgReply:
-			rep, err := decodeReply(wire.NewDecoder(raw[1:]))
-			if err != nil {
-				return nil, err
+			var rep reply
+			if err := decodeReply(m, &rep); err != nil || from < 0 || from >= p.nCallee {
+				m.Release()
+				return fmt.Errorf("prmi: corrupt reply from callee %d: %w", from, wire.ErrCorrupt)
 			}
-			if rep.seq != seq {
+			if rep.seq != seq || p.replies[from].msg != nil || !slices.Contains(want, from) {
 				mStaleDropped.Inc()
-				continue // stale reply from a superseded attempt
+				m.Release()
+				continue
 			}
-			if from == src {
-				return rep, nil
-			}
-			p.pending[from] = append(p.pending[from], rep)
+			p.replies[from] = rep
+			missing--
+			deadline = time.Time{}
 		default:
-			return nil, fmt.Errorf("prmi: caller received unexpected message kind %d", raw[0])
+			m.Release()
+			return fmt.Errorf("prmi: caller received unexpected message kind %d", kind)
 		}
 	}
-}
-
-// findFrag locates a named fragment in a reply.
-func findFrag(frags []parallelFrag, name string) (parallelFrag, bool) {
-	for _, f := range frags {
-		if f.name == name {
-			return f, true
-		}
-	}
-	return parallelFrag{}, false
+	return nil
 }
 
 // replyToResult converts a reply into the caller-facing result, checking
 // the handler error.
-func replyToResult(m *sidl.Method, rep *replyMsg) (*Result, error) {
+func replyToResult(m *sidl.Method, rep *reply) (*Result, error) {
 	if rep.errText != "" {
 		return nil, fmt.Errorf("prmi: %s: %s", m.Name, rep.errText)
 	}
-	res := &Result{Return: rep.ret, SimpleOut: map[string]any{}}
-	for _, nv := range rep.simpleOut {
-		res.SimpleOut[nv.name] = nv.value
+	out, err := getSimple(rep.simpleOut, m)
+	if err != nil {
+		return nil, fmt.Errorf("prmi: %s: corrupt simple-out values: %w", m.Name, err)
 	}
-	return res, nil
+	return &Result{Return: rep.ret, SimpleOut: out}, nil
 }

@@ -95,24 +95,41 @@ func TestExactlyOnceNonIdempotentUnderDrops(t *testing.T) {
 }
 
 // recvReplyRaw reads one reply frame off the raw caller-side conn of a
-// connLink mesh: 4 bytes of sender-rank prefix, one kind byte, payload.
-func recvReplyRaw(t *testing.T, c transport.Conn) *replyMsg {
+// connLink mesh and decodes its head.
+func recvReplyRaw(t *testing.T, c transport.Conn) reply {
 	t.Helper()
 	raw, err := c.Recv()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(raw) < 5 || raw[4] != msgReply {
-		t.Fatalf("expected a reply frame, got % x", raw)
+	_, m, err := parseFrame(raw)
+	if err != nil || m.kind() != msgReply {
+		t.Fatalf("expected a reply frame, got % x (%v)", raw, err)
 	}
-	rep, err := decodeReply(wire.NewDecoder(raw[5:]))
-	if err != nil {
+	var rep reply
+	if err := decodeReply(m, &rep); err != nil {
 		t.Fatal(err)
 	}
 	return rep
 }
 
-// TestDedupReplaySkipsHandler drives serveIndependent directly with two
+// testCall builds the message of an independent call with one simple
+// argument x the way callMsg does, with every header field under the
+// test's control.
+func testCall(method string, seq, callID, epoch uint64, x float64) *Msg {
+	key := wire.NewEncoder(nil)
+	key.PutString(method)
+	key.PutUvarint(0) // no participants: independent
+	var e, simple wire.Encoder
+	simple.PutUvarint(1)
+	simple.PutString("x")
+	simple.PutValue(x)
+	putCallHead(&e, seq, callID, epoch, key.Bytes())
+	e.PutBytes(simple.Bytes())
+	return newMsg(e.Bytes(), nil)
+}
+
+// TestDedupReplaySkipsHandler drives dispatch directly with two
 // attempts of the same logical call: the second must replay the cached
 // reply (re-sequenced for the retry) without running the handler, and a
 // duplicated oneway invocation must be swallowed.
@@ -131,12 +148,11 @@ func TestDedupReplaySkipsHandler(t *testing.T) {
 		return nil
 	})
 
-	args := []namedValue{{name: "x", value: 1.0}}
-	if err := ep.serveIndependent(&callMsg{method: "f", seq: 1, callerRank: 0, callID: 7, simple: args}); err != nil {
+	if _, err := ep.dispatch(0, testCall("f", 1, 7, 0, 1.0)); err != nil {
 		t.Fatal(err)
 	}
 	r1 := recvReplyRaw(t, b)
-	if err := ep.serveIndependent(&callMsg{method: "f", seq: 9, callerRank: 0, callID: 7, simple: args}); err != nil {
+	if _, err := ep.dispatch(0, testCall("f", 9, 7, 0, 1.0)); err != nil {
 		t.Fatal(err)
 	}
 	r2 := recvReplyRaw(t, b)
@@ -153,7 +169,7 @@ func TestDedupReplaySkipsHandler(t *testing.T) {
 	// Oneway duplicate: no reply exists to replay; the duplicate is
 	// swallowed and the handler still runs once.
 	for _, seq := range []uint64{10, 11} {
-		if err := ep.serveIndependent(&callMsg{method: "h", seq: seq, callerRank: 0, callID: 8, simple: args}); err != nil {
+		if _, err := ep.dispatch(0, testCall("h", seq, 8, 0, 1.0)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -177,11 +193,10 @@ func TestDedupEvictionWatermark(t *testing.T) {
 		return nil
 	})
 
-	args := []namedValue{{name: "x", value: 1.0}}
 	before := mDedupEvictions.Value()
-	ep.serveIndependent(&callMsg{method: "f", seq: 1, callerRank: 0, callID: 1, simple: args})
+	ep.dispatch(0, testCall("f", 1, 1, 0, 1.0))
 	recvReplyRaw(t, b)
-	ep.serveIndependent(&callMsg{method: "f", seq: 2, callerRank: 0, callID: 2, simple: args})
+	ep.dispatch(0, testCall("f", 2, 2, 0, 1.0))
 	r2 := recvReplyRaw(t, b)
 	if r2.watermark != 2 {
 		t.Fatalf("reply watermark = %d after evicting callID 1, want 2", r2.watermark)
@@ -190,7 +205,7 @@ func TestDedupEvictionWatermark(t *testing.T) {
 		t.Fatalf("eviction counter advanced by %d, want 1", mDedupEvictions.Value()-before)
 	}
 
-	ep.serveIndependent(&callMsg{method: "f", seq: 3, callerRank: 0, callID: 1, simple: args})
+	ep.dispatch(0, testCall("f", 3, 1, 0, 1.0))
 	r3 := recvReplyRaw(t, b)
 	if !strings.Contains(r3.errText, "watermark") {
 		t.Fatalf("retry of evicted call got %q, want a watermark refusal", r3.errText)
@@ -226,15 +241,16 @@ func TestPendingLimitDropsOldest(t *testing.T) {
 	ep.PendingLimit = 4
 	before := mDeferredDropped.Value()
 	for i := 0; i < 6; i++ {
-		ep.enqueue(2, []byte{byte(i)})
+		ep.enqueue(2, newMsg([]byte{byte(i)}, nil))
 	}
-	q := ep.pendingRaw[2]
+	q := ep.pending[2]
 	if len(q) != 4 {
 		t.Fatalf("queue holds %d messages, limit is 4", len(q))
 	}
-	if q[0][0] != 2 || q[3][0] != 5 {
-		t.Fatalf("queue kept wrong messages: first=%d last=%d, want 2 and 5", q[0][0], q[3][0])
+	if q[0].head[0] != 2 || q[3].head[0] != 5 {
+		t.Fatalf("queue kept wrong messages: first=%d last=%d, want 2 and 5", q[0].head[0], q[3].head[0])
 	}
+	ep.dropPending(2)
 	if got := mDeferredDropped.Value() - before; got != 2 {
 		t.Fatalf("drop counter advanced by %d, want 2", got)
 	}
@@ -257,9 +273,8 @@ func TestStaleEpochCallRejected(t *testing.T) {
 	mem.MarkDown(1) // epoch 1 -> 2
 	ep.SetMembership(mem)
 
-	args := []namedValue{{name: "x", value: 1.0}}
 	before := mStaleEpochCalls.Value()
-	if _, err := ep.dispatch(0, encodeCall(&callMsg{method: "f", seq: 1, callerRank: 0, callID: 1, epoch: 1, simple: args})); err != nil {
+	if _, err := ep.dispatch(0, testCall("f", 1, 1, 1, 1.0)); err != nil {
 		t.Fatal(err)
 	}
 	rep := recvReplyRaw(t, b)
@@ -273,7 +288,7 @@ func TestStaleEpochCallRejected(t *testing.T) {
 		t.Fatal("stale-epoch counter did not advance")
 	}
 
-	if _, err := ep.dispatch(0, encodeCall(&callMsg{method: "f", seq: 2, callerRank: 0, callID: 2, epoch: 2, simple: args})); err != nil {
+	if _, err := ep.dispatch(0, testCall("f", 2, 2, 2, 1.0)); err != nil {
 		t.Fatal(err)
 	}
 	if rep := recvReplyRaw(t, b); rep.errText != "" || runs.Load() != 1 {
@@ -284,12 +299,12 @@ func TestStaleEpochCallRejected(t *testing.T) {
 // silentLink never delivers anything: every bounded receive expires.
 type silentLink struct{}
 
-func (silentLink) Send(int, []byte) error     { return nil }
-func (silentLink) Recv() (int, []byte, error) { select {} }
-func (silentLink) RecvTimeout(d time.Duration) (int, []byte, error) {
-	if d > 0 {
-		time.Sleep(d)
+func (silentLink) Send(_ int, m *Msg) error { m.Release(); return nil }
+func (silentLink) Recv(d time.Duration) (int, *Msg, error) {
+	if d <= 0 {
+		select {}
 	}
+	time.Sleep(d)
 	return 0, nil, fmt.Errorf("%w: silent link", ErrTimeout)
 }
 

@@ -17,81 +17,23 @@ package prmi
 import (
 	"fmt"
 
+	"mxn/internal/bufpool"
 	"mxn/internal/dad"
 	"mxn/internal/schedule"
 	"mxn/internal/wire"
 )
 
 // Additional wire message kinds for the pull protocol.
+//
+//	msgPull head:     seq u64 · argument name · callee rank uvarint ·
+//	                  layout template key · layout template encoding,
+//	                  unprefixed, to the end of the head
+//	msgPullData head: seq u64 · argument name · byte length uvarint;
+//	                  the payload is the served piece
 const (
 	msgPull byte = iota + 10
 	msgPullData
 )
-
-// pullMsg is a callee's request for its piece of a referenced argument.
-type pullMsg struct {
-	method      string
-	seq         uint64
-	argName     string
-	calleeRank  int
-	templateKey string
-	templateEnc []byte
-}
-
-// pullDataMsg carries the served piece back.
-type pullDataMsg struct {
-	seq     uint64
-	argName string
-	data    []float64
-}
-
-func encodePull(m *pullMsg) []byte {
-	e := wire.NewEncoder(nil)
-	e.PutByte(msgPull)
-	e.PutString(m.method)
-	e.PutUint64(m.seq)
-	e.PutString(m.argName)
-	e.PutInt(m.calleeRank)
-	e.PutString(m.templateKey)
-	e.PutBytes(m.templateEnc)
-	return e.Bytes()
-}
-
-func decodePull(d *wire.Decoder) (*pullMsg, error) {
-	m := &pullMsg{
-		method:      d.String(),
-		seq:         d.Uint64(),
-		argName:     d.String(),
-		calleeRank:  d.Int(),
-		templateKey: d.String(),
-		templateEnc: d.Bytes(),
-	}
-	if d.Err() != nil {
-		return nil, d.Err()
-	}
-	return m, nil
-}
-
-func encodePullData(m *pullDataMsg) []byte {
-	e := wire.NewEncoder(nil)
-	e.PutByte(msgPullData)
-	e.PutUint64(m.seq)
-	e.PutString(m.argName)
-	e.PutFloat64s(m.data)
-	return e.Bytes()
-}
-
-func decodePullData(d *wire.Decoder) (*pullDataMsg, error) {
-	m := &pullDataMsg{
-		seq:     d.Uint64(),
-		argName: d.String(),
-		data:    d.Float64s(),
-	}
-	if d.Err() != nil {
-		return nil, d.Err()
-	}
-	return m, nil
-}
 
 // ParallelRef builds a parallel in-argument passed by reference: the data
 // stays on the caller until the callee specifies its layout and pulls.
@@ -115,12 +57,18 @@ type stashEntry struct {
 // servePull answers one pull request from a referenced buffer: it decodes
 // the callee's (late) layout, computes the schedule on demand, packs this
 // caller's piece for the requesting callee rank and sends it back.
-func (p *CallerPort) servePull(req *pullMsg) error {
-	ent, ok := p.stash[stashKey{req.seq, req.argName}]
-	if !ok {
-		return fmt.Errorf("prmi: pull for unknown reference %s/%d", req.argName, req.seq)
+func (p *CallerPort) servePull(req *Msg) error {
+	d := wire.NewDecoder(req.head[1:])
+	seq, name, callee := d.Uint64(), d.String(), int(d.Uvarint())
+	key, enc := d.String(), req.head[len(req.head)-d.Remaining():]
+	if d.Err() != nil {
+		return fmt.Errorf("prmi: corrupt pull request: %w", d.Err())
 	}
-	calleeTpl, err := p.tcache.get(req.templateKey, req.templateEnc)
+	ent, ok := p.stash[stashKey{seq, name}]
+	if !ok {
+		return fmt.Errorf("prmi: pull for unknown reference %s/%d", name, seq)
+	}
+	calleeTpl, err := cachedTemplate(p.tcache, key, enc)
 	if err != nil {
 		return err
 	}
@@ -128,25 +76,29 @@ func (p *CallerPort) servePull(req *pullMsg) error {
 	if err != nil {
 		return err
 	}
-	var data []float64
-	for _, plan := range s.OutgoingFor(ent.pos) {
-		if plan.DstRank == req.calleeRank {
-			data = make([]float64, plan.Elems)
-			schedule.Pack(plan, ent.local, data)
+	var payload []byte
+	for _, pair := range s.OutgoingFor(ent.pos) {
+		if pair.DstRank == callee {
+			payload = bufpool.Get(8 * pair.Elems)
+			schedule.Pack(pair, ent.local, float64sOf(payload))
+			mFragElemsPacked.Add(uint64(pair.Elems))
 			break
 		}
 	}
 	mPullsServed.Inc()
-	return p.link.Send(req.calleeRank, encodePullData(&pullDataMsg{
-		seq: req.seq, argName: req.argName, data: data,
-	}))
+	p.enc.Reset()
+	p.enc.PutByte(msgPullData)
+	p.enc.PutUint64(seq)
+	p.enc.PutString(name)
+	p.enc.PutUvarint(uint64(len(payload)))
+	return p.link.Send(callee, newMsg(p.enc.Bytes(), payload))
 }
 
 // Pull fetches a referenced parallel argument into the given callee-side
 // layout. It is only valid on collective invocations whose caller passed
 // ParallelRef for name, and embodies the delayed-transfer strategy: the
 // layout is chosen here, at service time, possibly from the call's other
-// arguments.
+// arguments. The returned slice is the handler's to keep.
 func (in *Incoming) Pull(name string, layout *dad.Template) ([]float64, error) {
 	if in.pull == nil {
 		return nil, fmt.Errorf("prmi: no deferred arguments on this invocation")
@@ -162,57 +114,55 @@ func (in *Incoming) HasDeferred(name string) bool {
 }
 
 // pullDeferred is the endpoint-side implementation bound into Incoming.
-func (ep *Endpoint) pullDeferred(first *callMsg, hdrs map[int]*callMsg) func(string, *dad.Template) ([]float64, error) {
+func (ep *Endpoint) pullDeferred(pl *plan, hdrs []callHdr) func(string, *dad.Template) ([]float64, error) {
 	return func(name string, layout *dad.Template) ([]float64, error) {
-		frag, ok := findFrag(first.parallel, name)
-		if !ok || !frag.deferred {
-			return nil, fmt.Errorf("prmi: %s(%s) was not passed by reference", first.method, name)
+		var pp *planParam
+		for i := range pl.params {
+			if pl.params[i].spec.Name == name && pl.params[i].deferred {
+				pp = &pl.params[i]
+			}
+		}
+		if pp == nil {
+			return nil, fmt.Errorf("prmi: %s(%s) was not passed by reference", pl.method.Name, name)
 		}
 		if layout == nil || layout.NumProcs() != ep.nCallee {
 			return nil, fmt.Errorf("prmi: pull layout must span the callee cohort of %d", ep.nCallee)
 		}
-		callerTpl, err := ep.tcache.get(frag.templateKey, frag.templateEnc)
-		if err != nil {
-			return nil, err
-		}
-		s, err := ep.scheds.Get(callerTpl, layout)
+		s, err := ep.scheds.Get(pp.tpl, layout)
 		if err != nil {
 			return nil, err
 		}
 		// Request this rank's pieces from the callers that hold them.
-		e := wire.NewEncoder(nil)
-		layout.Encode(e)
-		layoutEnc := e.Bytes()
-		plans := s.IncomingFor(ep.rank)
-		for _, plan := range plans {
-			callerRank := first.participants[plan.SrcRank]
-			req := &pullMsg{
-				method: first.method, seq: hdrs[callerRank].seq, argName: name,
-				calleeRank: ep.rank, templateKey: layout.Key(), templateEnc: layoutEnc,
-			}
-			if err := ep.link.Send(callerRank, encodePull(req)); err != nil {
+		pairs := s.IncomingFor(ep.rank)
+		for _, pair := range pairs {
+			ep.enc.Reset()
+			ep.enc.PutByte(msgPull)
+			ep.enc.PutUint64(hdrs[pair.SrcRank].seq)
+			ep.enc.PutString(name)
+			ep.enc.PutUvarint(uint64(ep.rank))
+			ep.enc.PutString(layout.Key())
+			layout.Encode(&ep.enc)
+			if err := ep.link.Send(pl.participants[pair.SrcRank], newMsg(ep.enc.Bytes(), nil)); err != nil {
 				return nil, err
 			}
 		}
 		local := make([]float64, layout.LocalCount(ep.rank))
-		for _, plan := range plans {
-			callerRank := first.participants[plan.SrcRank]
-			raw, err := ep.nextFrom(callerRank, ep.StallTimeout)
+		for _, pair := range pairs {
+			callerRank := pl.participants[pair.SrcRank]
+			m, err := ep.nextFrom(callerRank, ep.StallTimeout)
 			if err != nil {
 				return nil, err
 			}
-			if len(raw) == 0 || raw[0] != msgPullData {
-				return nil, fmt.Errorf("prmi: expected pulled data from caller %d, got kind %d", callerRank, raw[0])
+			d := wire.NewDecoder(m.head)
+			kind, _, arg, n := d.Byte(), d.Uint64(), d.String(), d.Uvarint()
+			if d.Err() != nil || kind != msgPullData || arg != name || n != uint64(8*pair.Elems) || n != uint64(len(m.payload)) {
+				m.Release()
+				return nil, fmt.Errorf("prmi: pulled fragment mismatch from caller %d (kind %d, %q, %d bytes, want %d elements)",
+					callerRank, kind, arg, n, pair.Elems)
 			}
-			msg, err := decodePullData(wire.NewDecoder(raw[1:]))
-			if err != nil {
-				return nil, err
-			}
-			if msg.argName != name || len(msg.data) != plan.Elems {
-				return nil, fmt.Errorf("prmi: pulled fragment mismatch from caller %d (%q, %d elements, want %d)",
-					callerRank, msg.argName, len(msg.data), plan.Elems)
-			}
-			schedule.Unpack(plan, local, msg.data)
+			schedule.Unpack(pair, local, m.elems(0, pair.Elems))
+			mFragElemsUnpacked.Add(uint64(pair.Elems))
+			m.Release()
 		}
 		return local, nil
 	}

@@ -75,7 +75,7 @@ func TestCallerDepart(t *testing.T) {
 		if _, still := ep.dedup[leaver]; still {
 			t.Errorf("callee %d still holds dedup state for departed caller", j)
 		}
-		if _, still := ep.pendingRaw[leaver]; still {
+		if _, still := ep.pending[leaver]; still {
 			t.Errorf("callee %d still queues deferred messages for departed caller", j)
 		}
 		if ep.dedup[0] == nil || len(ep.dedup[0].entries) == 0 {

@@ -1,11 +1,15 @@
 package prmi
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"reflect"
+	"slices"
+	"strings"
 	"time"
 
+	"mxn/internal/bufpool"
 	"mxn/internal/core"
 	"mxn/internal/dad"
 	"mxn/internal/schedule"
@@ -58,6 +62,10 @@ type Incoming struct {
 // assembled buffer is pre-installed in Parallel so handlers may mutate it
 // in place; for out parallel parameters a zeroed buffer of the registered
 // layout's local size is pre-installed.
+//
+// The slices pre-installed in Incoming.Parallel and Outgoing.Parallel are
+// pooled and valid until the handler returns; a handler that wants to keep
+// data copies it. It may replace Parallel[name] with a slice of its own.
 type Outgoing struct {
 	Return    any
 	SimpleOut map[string]any
@@ -80,8 +88,7 @@ type Endpoint struct {
 	handlers map[string]Handler
 	layouts  map[string]*dad.Template
 	scheds   *schedule.Cache
-	tcache   *templateCache
-	encs     map[string][]byte
+	tcache   map[string]*dad.Template
 
 	// CheckSimpleArgs enables verification that simple arguments carry
 	// the same value on every participant — the consistency policy the
@@ -110,10 +117,18 @@ type Endpoint struct {
 	// limit. Zero means defaultPendingLimit.
 	PendingLimit int
 
-	pendingRaw map[int][][]byte
-	closed     map[int]bool
-	dedup      map[int]*dedupTable // caller rank -> exactly-once state
-	members    *core.Membership    // caller-cohort view; nil disables fencing
+	plans   map[string]*plan // by plan key, see planFor
+	pending map[int][]*Msg   // held-back messages by caller rank
+	closed  map[int]bool
+	dedup   map[int]*dedupTable // caller rank -> exactly-once state
+	members *core.Membership    // caller-cohort view; nil disables fencing
+
+	// Per-invocation scratch: the head encoder, the collected headers by
+	// participant position, and the pooled assembled arrays by parallel
+	// parameter.
+	enc    wire.Encoder
+	hdrs   []callHdr
+	arrays [][]byte
 }
 
 // Queue and table bounds when the knobs are left zero.
@@ -136,19 +151,19 @@ type dedupTable struct {
 // rank, nCallee the callee cohort size, nCaller the caller cohort size.
 func NewEndpoint(iface *sidl.Interface, link Link, rank, nCallee, nCaller int) *Endpoint {
 	return &Endpoint{
-		iface:      iface,
-		link:       link,
-		rank:       rank,
-		nCallee:    nCallee,
-		nCaller:    nCaller,
-		handlers:   map[string]Handler{},
-		layouts:    map[string]*dad.Template{},
-		scheds:     schedule.NewCache(),
-		tcache:     newTemplateCache(),
-		encs:       map[string][]byte{},
-		pendingRaw: map[int][][]byte{},
-		closed:     map[int]bool{},
-		dedup:      map[int]*dedupTable{},
+		iface:    iface,
+		link:     link,
+		rank:     rank,
+		nCallee:  nCallee,
+		nCaller:  nCaller,
+		handlers: map[string]Handler{},
+		layouts:  map[string]*dad.Template{},
+		scheds:   schedule.NewCache(),
+		tcache:   map[string]*dad.Template{},
+		plans:    map[string]*plan{},
+		pending:  map[int][]*Msg{},
+		closed:   map[int]bool{},
+		dedup:    map[int]*dedupTable{},
 	}
 }
 
@@ -178,7 +193,7 @@ func (ep *Endpoint) RegisterArgLayout(method, param string, t *dad.Template) err
 	if !ok {
 		return fmt.Errorf("prmi: no method %q", method)
 	}
-	if !hasParallelParam(m, param) {
+	if pr, ok := paramNamed(m, param); !ok || !pr.Parallel {
 		return fmt.Errorf("prmi: %s has no parallel parameter %q", method, param)
 	}
 	if t.NumProcs() != ep.nCallee {
@@ -186,6 +201,7 @@ func (ep *Endpoint) RegisterArgLayout(method, param string, t *dad.Template) err
 			method, param, t.NumProcs(), ep.nCallee)
 	}
 	ep.layouts[method+"\x00"+param] = t
+	clear(ep.plans) // planned against the previous layout
 	return nil
 }
 
@@ -195,12 +211,7 @@ func (ep *Endpoint) EncodeLayouts() []byte {
 	e := wire.NewEncoder(nil)
 	e.PutUvarint(uint64(len(ep.layouts)))
 	for key, t := range ep.layouts {
-		var method, param string
-		for i := 0; i < len(key); i++ {
-			if key[i] == 0 {
-				method, param = key[:i], key[i+1:]
-			}
-		}
+		method, param, _ := strings.Cut(key, "\x00")
 		e.PutString(method)
 		e.PutString(param)
 		t.Encode(e)
@@ -212,14 +223,30 @@ func (ep *Endpoint) EncodeLayouts() []byte {
 // port, servicing calls strictly in arrival order at this rank. It
 // returns nil on clean shutdown, ErrStalled if a collective invocation
 // exceeded StallTimeout, or an *OrderViolationError if participants
-// delivered inconsistent calls.
+// delivered inconsistent calls. Messages still held back when it returns
+// are released.
 func (ep *Endpoint) Serve() error {
+	defer func() {
+		for src := range ep.pending {
+			ep.dropPending(src)
+		}
+	}()
 	for {
-		src, raw, err := ep.nextAny(0)
+		// Held-back messages first, then the link.
+		src, m, err := -1, (*Msg)(nil), error(nil)
+		for from, q := range ep.pending {
+			if len(q) > 0 {
+				src, m, ep.pending[from] = from, q[0], q[1:]
+				break
+			}
+		}
+		if m == nil {
+			src, m, err = ep.link.Recv(0)
+		}
 		if err != nil {
 			return err
 		}
-		done, err := ep.dispatch(src, raw)
+		done, err := ep.dispatch(src, m)
 		if err != nil {
 			return err
 		}
@@ -229,38 +256,85 @@ func (ep *Endpoint) Serve() error {
 	}
 }
 
-// dispatch handles one raw message; done reports clean shutdown.
-func (ep *Endpoint) dispatch(src int, raw []byte) (done bool, err error) {
-	if len(raw) == 0 {
-		return false, fmt.Errorf("prmi: empty message from caller %d", src)
-	}
-	switch raw[0] {
+// dispatch handles one message, which it takes over; done reports clean
+// shutdown.
+func (ep *Endpoint) dispatch(src int, m *Msg) (done bool, err error) {
+	switch kind := m.kind(); kind {
 	case msgShutdown:
+		m.Release()
 		ep.closed[src] = true
 		return len(ep.closed) == ep.nCaller, nil
 	case msgDetach:
+		m.Release()
 		ep.detach(src)
 		return len(ep.closed) == ep.nCaller, nil
 	case msgCall:
-		hdr, err := decodeCall(wire.NewDecoder(raw[1:]))
-		if err != nil {
-			return false, err
-		}
-		if ep.members != nil && hdr.epoch != 0 && hdr.epoch < ep.members.Epoch() {
+		var hdr callHdr
+		err := ep.decodeCall(src, m, &hdr)
+		switch {
+		case err != nil:
+		case ep.members != nil && hdr.epoch != 0 && hdr.epoch < ep.members.Epoch():
 			// The caller planned this invocation against a membership view
 			// that has since changed; executing it could mix pre- and
 			// post-failure data. Refuse it and let the caller re-plan.
 			mStaleEpochCalls.Inc()
-			m, _ := ep.iface.Method(hdr.method)
-			return false, ep.replyError(hdr, fmt.Sprintf("stale epoch %d (view is at %d)", hdr.epoch, ep.members.Epoch()), m)
+			err = ep.replyError(&hdr, fmt.Sprintf("stale epoch %d (view is at %d)", hdr.epoch, ep.members.Epoch()))
+		case hdr.pos < 0:
+			err = ep.serveIndependent(&hdr)
+		default:
+			return false, ep.serveCollective(&hdr) // releases m with the rest
 		}
-		if !hdr.collective {
-			return false, ep.serveIndependent(hdr)
-		}
-		return false, ep.serveCollective(hdr)
+		m.Release()
+		return false, err
 	default:
-		return false, fmt.Errorf("prmi: endpoint received unexpected message kind %d", raw[0])
+		m.Release()
+		return false, fmt.Errorf("prmi: endpoint received unexpected message kind %d from caller %d", kind, src)
 	}
+}
+
+// decodeCall decodes a call head (layout at putCallHead), resolves its
+// plan and checks every fragment length and the payload against it, so
+// the unpack loops can trust the plan alone.
+func (ep *Endpoint) decodeCall(src int, m *Msg, hdr *callHdr) error {
+	d := wire.NewDecoder(m.head[1:])
+	*hdr = callHdr{msg: m, seq: d.Uint64(), callerRank: src, callID: d.Uint64(), epoch: d.Uint64(), pos: -1}
+	key := d.BorrowBytes()
+	if d.Err() != nil {
+		return fmt.Errorf("prmi: corrupt call head: %w", d.Err())
+	}
+	pl, err := ep.planFor(key, *d)
+	if err != nil {
+		return err
+	}
+	hdr.plan = pl
+	if len(pl.participants) > 0 {
+		for k, r := range pl.participants {
+			if r == hdr.callerRank {
+				hdr.pos = k
+			}
+		}
+		if hdr.pos < 0 {
+			return fmt.Errorf("prmi: caller %d sent collective %q but is not among its participants %v", hdr.callerRank, pl.method.Name, pl.participants)
+		}
+	}
+	total := 0
+	for i := range pl.params {
+		_ = d.BorrowBytes() // template encoding; planFor read it if it was new
+		want := 0
+		if recv := pl.params[i].recv; recv != nil {
+			want = 8 * recv[hdr.pos].Elems
+		}
+		if got := d.Uvarint(); got != uint64(want) {
+			return fmt.Errorf("prmi: %s(%s): caller %d fragment has %d bytes, schedule says %d elements",
+				pl.method.Name, pl.params[i].spec.Name, hdr.callerRank, got, want/8)
+		}
+		total += want
+	}
+	hdr.simple = d.BorrowBytes()
+	if d.Err() != nil || total != len(m.payload) {
+		return fmt.Errorf("prmi: corrupt call from caller %d: %w", hdr.callerRank, wire.ErrCorrupt)
+	}
+	return nil
 }
 
 // detach retires a departing caller rank (an online shrink): its
@@ -280,7 +354,15 @@ func (ep *Endpoint) detach(src int) {
 		mDetachDedupDrained.Add(uint64(len(dt.entries)))
 		delete(ep.dedup, src)
 	}
-	delete(ep.pendingRaw, src)
+	ep.dropPending(src)
+}
+
+// dropPending releases and forgets the messages held back for one caller.
+func (ep *Endpoint) dropPending(src int) {
+	for _, m := range ep.pending[src] {
+		m.Release()
+	}
+	delete(ep.pending, src)
 }
 
 // dedupFor returns (creating if needed) the exactly-once table for one
@@ -321,16 +403,13 @@ func (ep *Endpoint) dedupStore(t *dedupTable, callID uint64, rep *replyMsg) {
 // call replays the cached reply (re-sequenced for the retry) instead of
 // re-running the handler, and an attempt whose callID fell below the
 // eviction watermark is refused because its original outcome is unknown.
-func (ep *Endpoint) serveIndependent(hdr *callMsg) error {
-	m, ok := ep.iface.Method(hdr.method)
-	if !ok {
-		return ep.replyError(hdr, fmt.Sprintf("no method %q", hdr.method), m)
-	}
+func (ep *Endpoint) serveIndependent(hdr *callHdr) error {
+	m := hdr.plan.method
 	var dt *dedupTable
 	if hdr.callID != 0 {
 		dt = ep.dedupFor(hdr.callerRank)
 		if hdr.callID < dt.watermark {
-			return ep.replyError(hdr, fmt.Sprintf("callID %d below eviction watermark %d; outcome unknown", hdr.callID, dt.watermark), m)
+			return ep.replyError(hdr, fmt.Sprintf("callID %d below eviction watermark %d; outcome unknown", hdr.callID, dt.watermark))
 		}
 		if rep, done := dt.entries[hdr.callID]; done {
 			mDedupHits.Inc()
@@ -338,309 +417,258 @@ func (ep *Endpoint) serveIndependent(hdr *callMsg) error {
 				return nil
 			}
 			mDedupReplays.Inc()
-			cp := *rep
-			cp.seq = hdr.seq
-			cp.watermark = dt.watermark
-			return ep.link.Send(hdr.callerRank, encodeReply(&cp))
+			return ep.sendReply(hdr, rep, dt.watermark, nil)
 		}
 	}
+	simple, err := getSimple(hdr.simple, m)
+	if err != nil {
+		return fmt.Errorf("prmi: corrupt simple arguments from caller %d: %w", hdr.callerRank, err)
+	}
 	in := &Incoming{
-		Method:     hdr.method,
+		Method:     m.Name,
 		CalleeRank: ep.rank,
 		CallerRank: hdr.callerRank,
-		Simple:     simpleMap(hdr.simple),
+		Simple:     simple,
 		Parallel:   map[string][]float64{},
 	}
 	mEndpointInvokes.Inc()
 	out := &Outgoing{SimpleOut: map[string]any{}, Parallel: map[string][]float64{}}
-	h := ep.handlers[hdr.method]
+	h := ep.handlers[m.Name]
 	if h == nil {
-		return ep.replyError(hdr, fmt.Sprintf("no handler for %q", hdr.method), m)
+		return ep.replyError(hdr, fmt.Sprintf("no handler for %q", m.Name))
 	}
 	herr := h(in, out)
 	var rep *replyMsg
 	if !m.OneWay {
-		rep = &replyMsg{method: hdr.method, seq: hdr.seq, calleeRank: ep.rank}
 		if herr != nil {
-			rep.errText = herr.Error()
+			rep = &replyMsg{errText: herr.Error()}
 		} else {
-			rep.ret = out.Return
-			rep.simpleOut = simpleOutList(m, out)
+			rep = &replyMsg{ret: out.Return, simpleOut: simpleOutSection(m, out)}
 		}
 	}
+	watermark := uint64(0)
 	if dt != nil {
 		ep.dedupStore(dt, hdr.callID, rep)
-		if rep != nil {
-			rep.watermark = dt.watermark
-		}
+		watermark = dt.watermark
 	}
 	if m.OneWay {
 		return nil
 	}
-	return ep.link.Send(hdr.callerRank, encodeReply(rep))
+	return ep.sendReply(hdr, rep, watermark, nil)
 }
 
-// serveCollective collects the all-to-all invocation this rank committed
-// to by receiving hdr, assembles parallel arguments, runs the handler and
-// distributes returns.
-func (ep *Endpoint) serveCollective(first *callMsg) error {
-	m, ok := ep.iface.Method(first.method)
-	if !ok {
-		return fmt.Errorf("prmi: callee received unknown method %q", first.method)
+// sendReply answers hdr with rep. With out set (a collective invocation
+// that succeeded) the reply also carries the fragment of every out/inout
+// parallel parameter, packed from the handler's arrays for hdr's caller.
+func (ep *Endpoint) sendReply(hdr *callHdr, rep *replyMsg, watermark uint64, out *Outgoing) error {
+	putReplyHead(&ep.enc, hdr.seq, watermark, rep)
+	var payload []byte
+	if out != nil {
+		params := hdr.plan.params
+		payload = pack(params, hdr.pos, func(i int) []float64 { return out.Parallel[params[i].spec.Name] })
 	}
-	mEndpointInvokes.Inc()
-	hdrs := map[int]*callMsg{first.callerRank: first}
-	type heldMsg struct {
-		src int
-		raw []byte
-	}
-	var held []heldMsg
-	for _, p := range first.participants {
-		if p == first.callerRank {
-			continue
-		}
-		for {
-			raw, err := ep.nextFrom(p, ep.StallTimeout)
-			if err != nil {
-				var rd *core.ErrRankDown
-				if errors.As(err, &rd) {
-					// Not a stall: the missing participant is dead and its
-					// invocation is never coming. Surface the typed error.
-					return fmt.Errorf("prmi: collecting %q: %w", first.method, err)
-				}
-				return fmt.Errorf("%w: committed to %q, missing caller %d", ErrStalled, first.method, p)
-			}
-			if len(raw) == 0 || raw[0] != msgCall {
-				return fmt.Errorf("prmi: caller %d sent kind %d during collective %q", p, raw[0], first.method)
-			}
-			hdr, err := decodeCall(wire.NewDecoder(raw[1:]))
-			if err != nil {
-				return err
-			}
-			if hdr.method == first.method && equalInts(hdr.participants, first.participants) {
-				hdrs[p] = hdr
-				break
-			}
-			if ep.StrictMatching {
-				return &OrderViolationError{
-					Committed: first.method, CommittedParts: first.participants,
-					Received: hdr.method, ReceivedParts: hdr.participants,
-					From: p,
-				}
-			}
-			// Faithful mode: hold the foreign call back and keep waiting
-			// for the committed one — if it can never arrive, this is the
-			// Figure 5 deadlock.
-			held = append(held, heldMsg{src: p, raw: raw})
-		}
-	}
-	// Re-queue held calls in arrival order so they are serviced after this
-	// invocation completes.
-	for i := len(held) - 1; i >= 0; i-- {
-		ep.pendingRaw[held[i].src] = append([][]byte{held[i].raw}, ep.pendingRaw[held[i].src]...)
-	}
+	return ep.link.Send(hdr.callerRank, newMsg(ep.enc.Bytes(), payload))
+}
 
-	if ep.CheckSimpleArgs {
-		for p, hdr := range hdrs {
-			if !reflect.DeepEqual(simpleMap(hdr.simple), simpleMap(first.simple)) {
-				err := fmt.Errorf("prmi: simple arguments of %q differ between callers %d and %d (the CCA convention requires equal values)",
-					first.method, first.callerRank, p)
-				// Notify every participant so no caller blocks on a reply
-				// that will never come, then fail the endpoint.
-				if !m.OneWay {
-					for _, pr := range first.participants {
-						rep := &replyMsg{method: first.method, seq: hdrs[pr].seq, calleeRank: ep.rank, errText: err.Error()}
-						_ = ep.link.Send(pr, encodeReply(rep))
-					}
-				}
-				return err
-			}
-		}
-	}
-
-	in := &Incoming{
-		Method:       first.method,
-		CalleeRank:   ep.rank,
-		Participants: first.participants,
-		Simple:       simpleMap(first.simple),
-		Parallel:     map[string][]float64{},
-	}
-	out := &Outgoing{SimpleOut: map[string]any{}, Parallel: map[string][]float64{}}
-
-	// Assemble parallel in/inout arguments; pre-install out buffers.
-	type paramState struct {
-		spec      sidl.Param
-		callerTpl *dad.Template
-		calleeTpl *dad.Template
-	}
-	var params []paramState
-	for _, pr := range m.Params {
-		if !pr.Parallel {
-			continue
-		}
-		frag, ok := findFrag(first.parallel, pr.Name)
-		if !ok {
-			return fmt.Errorf("prmi: call %q missing parallel argument %q", first.method, pr.Name)
-		}
-		if frag.deferred {
-			// Passed by reference: the handler pulls it after choosing a
-			// layout (the paper's delayed-transfer strategy). No assembly
-			// here and no registered layout required.
-			if in.deferred == nil {
-				in.deferred = map[string]bool{}
-			}
-			in.deferred[pr.Name] = true
-			continue
-		}
-		calleeTpl := ep.layouts[first.method+"\x00"+pr.Name]
-		if calleeTpl == nil {
-			return fmt.Errorf("prmi: no layout registered for %s(%s) on callee", first.method, pr.Name)
-		}
-		callerTpl, err := ep.tcache.get(frag.templateKey, frag.templateEnc)
-		if err != nil {
-			return err
-		}
-		ps := paramState{spec: pr, callerTpl: callerTpl, calleeTpl: calleeTpl}
-		params = append(params, ps)
-
-		local := make([]float64, calleeTpl.LocalCount(ep.rank))
-		if pr.Mode != sidl.Out {
-			s, err := ep.scheds.Get(callerTpl, calleeTpl)
-			if err != nil {
-				return err
-			}
-			for _, plan := range s.IncomingFor(ep.rank) {
-				srcCohortRank := first.participants[plan.SrcRank]
-				f, ok := findFrag(hdrs[srcCohortRank].parallel, pr.Name)
-				if !ok || len(f.data) != plan.Elems {
-					return fmt.Errorf("prmi: %s(%s): caller %d fragment has %d elements, schedule says %d",
-						first.method, pr.Name, srcCohortRank, len(f.data), plan.Elems)
-				}
-				schedule.Unpack(plan, local, f.data)
-			}
-			in.Parallel[pr.Name] = local
-		}
-		// inout: handler mutates the assembled buffer; out: zeroed buffer.
-		if pr.Mode != sidl.In {
-			out.Parallel[pr.Name] = local
-		}
-	}
-
-	if len(in.deferred) > 0 {
-		in.pull = ep.pullDeferred(first, hdrs)
-	}
-
-	h := ep.handlers[first.method]
-	var herr error
-	if h == nil {
-		herr = fmt.Errorf("no handler for %q", first.method)
-	} else {
-		herr = h(in, out)
-	}
-	if m.OneWay {
-		return nil
-	}
-
-	// Reply routing: designated callers (ghost-return policy) plus every
-	// caller owed out/inout parallel data under the reverse schedules.
-	nParts := len(first.participants)
-	targets := map[int][]parallelFrag{} // participant position -> frags
-	for k := 0; k < nParts; k++ {
-		if k%ep.nCallee == ep.rank {
-			targets[k] = nil
-		}
-	}
-	if herr == nil {
-		for _, ps := range params {
-			if ps.spec.Mode == sidl.In {
-				continue
-			}
-			data := out.Parallel[ps.spec.Name]
-			if len(data) != ps.calleeTpl.LocalCount(ep.rank) {
-				herr = fmt.Errorf("handler produced %d elements for %s, layout says %d",
-					len(data), ps.spec.Name, ps.calleeTpl.LocalCount(ep.rank))
-				break
-			}
-			rs, err := ep.scheds.Get(ps.calleeTpl, ps.callerTpl)
-			if err != nil {
-				return err
-			}
-			for _, plan := range rs.OutgoingFor(ep.rank) {
-				buf := make([]float64, plan.Elems)
-				schedule.Pack(plan, data, buf)
-				targets[plan.DstRank] = append(targets[plan.DstRank], parallelFrag{
-					name:        ps.spec.Name,
-					templateKey: ps.calleeTpl.Key(),
-					data:        buf,
-				})
-			}
-		}
-	}
-	for k, frags := range targets {
-		rep := &replyMsg{method: first.method, seq: hdrs[first.participants[k]].seq, calleeRank: ep.rank}
-		if herr != nil {
-			rep.errText = herr.Error()
-		} else {
-			rep.ret = out.Return
-			rep.simpleOut = simpleOutList(m, out)
-			rep.parallelOut = frags
-		}
-		if err := ep.link.Send(first.participants[k], encodeReply(rep)); err != nil {
+// replyAll sends rep to every caller that awaits this rank — its
+// designated callers under the ghost-return policy and every caller owed
+// out/inout data under the reverse schedules. Errors go to all of them
+// too: a caller expecting data that never hears of a failure waits forever.
+func (ep *Endpoint) replyAll(hdrs []callHdr, rep *replyMsg, out *Outgoing) error {
+	for _, k := range hdrs[0].plan.peers {
+		if err := ep.sendReply(&hdrs[k], rep, 0, out); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// replyError sends an error reply for an independent call when possible.
-func (ep *Endpoint) replyError(hdr *callMsg, text string, m *sidl.Method) error {
-	if m != nil && m.OneWay {
+// replyError refuses a call with an error reply — unless nobody would read
+// it: one-way methods have no reply, and a collective caller only awaits
+// the callees its plan names.
+func (ep *Endpoint) replyError(hdr *callHdr, text string) error {
+	if hdr.plan.method.OneWay || (hdr.pos >= 0 && !slices.Contains(hdr.plan.peers, hdr.pos)) {
 		return nil
 	}
-	rep := &replyMsg{method: hdr.method, seq: hdr.seq, calleeRank: ep.rank, errText: text}
-	return ep.link.Send(hdr.callerRank, encodeReply(rep))
+	return ep.sendReply(hdr, &replyMsg{errText: text}, 0, nil)
 }
 
-// nextAny returns the next message from any caller, consulting pending
-// queues first. timeout <= 0 blocks forever.
-func (ep *Endpoint) nextAny(timeout time.Duration) (int, []byte, error) {
-	for src, q := range ep.pendingRaw {
-		if len(q) > 0 {
-			ep.pendingRaw[src] = q[1:]
-			return src, q[0], nil
+// serveCollective collects the all-to-all invocation this rank committed
+// to by receiving first, assembles parallel arguments, runs the handler
+// and distributes returns. It owns first's message and every message it
+// collects: all are released, with the pooled arrays, when it returns.
+func (ep *Endpoint) serveCollective(first *callHdr) (err error) {
+	pl := first.plan
+	m := pl.method
+	mEndpointInvokes.Inc()
+	ep.hdrs = append(ep.hdrs[:0], make([]callHdr, len(pl.participants))...)
+	hdrs := ep.hdrs
+	hdrs[first.pos] = *first
+	var held []*Msg // foreign calls of the participant being awaited
+	defer func() {
+		for k := range hdrs {
+			hdrs[k].msg.Release()
+		}
+		for _, h := range held {
+			h.Release()
+		}
+		for i, b := range ep.arrays {
+			bufpool.Put(b)
+			ep.arrays[i] = nil
+		}
+		ep.arrays = ep.arrays[:0]
+	}()
+	for k, p := range pl.participants {
+		for hdrs[k].msg == nil {
+			msg, err := ep.nextFrom(p, ep.StallTimeout)
+			if err != nil {
+				var rd *core.ErrRankDown
+				if errors.As(err, &rd) {
+					// Not a stall: the missing participant is dead and its
+					// invocation is never coming. Surface the typed error.
+					return fmt.Errorf("prmi: collecting %q: %w", m.Name, err)
+				}
+				return fmt.Errorf("%w: committed to %q, missing caller %d", ErrStalled, m.Name, p)
+			}
+			var hdr callHdr
+			if kind := msg.kind(); kind != msgCall {
+				err = fmt.Errorf("prmi: caller %d sent kind %d during collective %q", p, kind, m.Name)
+			} else {
+				err = ep.decodeCall(p, msg, &hdr)
+			}
+			switch {
+			case err != nil:
+			case hdr.plan == pl:
+				hdrs[k] = hdr
+				continue
+			case hdr.plan.method == m && slices.Equal(hdr.plan.participants, pl.participants):
+				err = fmt.Errorf("prmi: callers %d and %d passed differently distributed arguments to %q", first.callerRank, p, m.Name)
+			case ep.StrictMatching:
+				err = &OrderViolationError{
+					Committed: m.Name, CommittedParts: pl.participants,
+					Received: hdr.plan.method.Name, ReceivedParts: hdr.plan.participants,
+					From: p,
+				}
+			}
+			if err != nil {
+				msg.Release()
+				return err
+			}
+			// Faithful mode: hold the foreign call back and keep waiting for
+			// the committed one — if it can never arrive, this is the
+			// Figure 5 deadlock.
+			held = append(held, msg)
+		}
+		// Re-queue held calls in arrival order so they are serviced after
+		// this invocation completes.
+		ep.pending[p], held = append(held, ep.pending[p]...), nil
+	}
+
+	if ep.CheckSimpleArgs {
+		for k := range hdrs {
+			if !bytes.Equal(hdrs[k].simple, first.simple) {
+				err := fmt.Errorf("prmi: simple arguments of %q differ between callers %d and %d (the CCA convention requires equal values)",
+					m.Name, first.callerRank, hdrs[k].callerRank)
+				// Notify every caller that awaits this rank so none blocks on
+				// a reply that will never come, then fail the endpoint.
+				if !m.OneWay {
+					_ = ep.replyAll(hdrs, &replyMsg{errText: err.Error()}, nil)
+				}
+				return err
+			}
 		}
 	}
-	return ep.recvLink(timeout)
+
+	simple, err := getSimple(first.simple, m)
+	if err != nil {
+		return fmt.Errorf("prmi: corrupt simple arguments from caller %d: %w", first.callerRank, err)
+	}
+	in := &Incoming{
+		Method:       m.Name,
+		CalleeRank:   ep.rank,
+		Participants: pl.participants,
+		Simple:       simple,
+		Parallel:     map[string][]float64{},
+	}
+	out := &Outgoing{SimpleOut: map[string]any{}, Parallel: map[string][]float64{}}
+
+	// Assemble parallel in/inout arguments straight from the callers'
+	// payloads into pooled arrays; pre-install out buffers.
+	for i := range pl.params {
+		pp := &pl.params[i]
+		if pp.deferred {
+			if in.deferred == nil {
+				in.deferred = map[string]bool{}
+				in.pull = ep.pullDeferred(pl, hdrs)
+			}
+			in.deferred[pp.spec.Name] = true
+			ep.arrays = append(ep.arrays, nil)
+			continue
+		}
+		buf := bufpool.Get(8 * pp.nLocal)
+		ep.arrays = append(ep.arrays, buf)
+		local := float64sOf(buf)
+		if !pp.covered {
+			clear(local)
+		}
+		if pp.spec.Mode != sidl.Out {
+			in.Parallel[pp.spec.Name] = local
+		}
+		// inout: handler mutates the assembled buffer; out: zeroed buffer.
+		if pp.spec.Mode != sidl.In {
+			out.Parallel[pp.spec.Name] = local
+		}
+	}
+	for k := range hdrs {
+		unpack(pl.params, k, hdrs[k].msg, func(i int) []float64 { return float64sOf(ep.arrays[i]) })
+	}
+
+	h := ep.handlers[m.Name]
+	if h == nil {
+		h = func(*Incoming, *Outgoing) error { return fmt.Errorf("no handler for %q", m.Name) }
+	}
+	herr := h(in, out)
+	if m.OneWay {
+		return nil
+	}
+	for i := range pl.params {
+		if pp := &pl.params[i]; herr == nil && pp.send != nil && len(out.Parallel[pp.spec.Name]) != pp.nLocal {
+			herr = fmt.Errorf("handler produced %d elements for %s, layout says %d",
+				len(out.Parallel[pp.spec.Name]), pp.spec.Name, pp.nLocal)
+		}
+	}
+	if herr != nil {
+		return ep.replyAll(hdrs, &replyMsg{errText: herr.Error()}, nil)
+	}
+	return ep.replyAll(hdrs, &replyMsg{ret: out.Return, simpleOut: simpleOutSection(m, out)}, out)
 }
 
-// enqueue defers a message from one caller, dropping the oldest beyond
-// PendingLimit. An unbounded queue here would let a single stalled
-// collective grow the heap without limit under a caller that keeps firing
-// one-way calls; bounded, the oldest deferred work is shed and counted.
-func (ep *Endpoint) enqueue(src int, raw []byte) {
+// enqueue defers a message from one caller, dropping (and releasing) the
+// oldest beyond PendingLimit. An unbounded queue here would let a single
+// stalled collective grow the heap without limit under a caller that keeps
+// firing one-way calls; bounded, the oldest deferred work is shed and
+// counted.
+func (ep *Endpoint) enqueue(src int, m *Msg) {
 	limit := ep.PendingLimit
 	if limit <= 0 {
 		limit = defaultPendingLimit
 	}
-	q := append(ep.pendingRaw[src], raw)
+	q := append(ep.pending[src], m)
 	for len(q) > limit {
+		q[0].Release()
 		q = q[1:]
 		mDeferredDropped.Inc()
 	}
-	ep.pendingRaw[src] = q
+	ep.pending[src] = q
 }
-
-// livenessPoll is the receive slice used when a membership view is set, so
-// a blocked wait notices a participant being marked down promptly.
-const livenessPoll = 5 * time.Millisecond
 
 // nextFrom returns the next message from a specific caller, queueing
 // others. timeout <= 0 blocks forever. With a membership view set, the
 // wait polls and fails fast with *core.ErrRankDown once src is marked
 // down — a crashed participant's collective message is never coming.
-func (ep *Endpoint) nextFrom(src int, timeout time.Duration) ([]byte, error) {
-	if q := ep.pendingRaw[src]; len(q) > 0 {
-		ep.pendingRaw[src] = q[1:]
+func (ep *Endpoint) nextFrom(src int, timeout time.Duration) (*Msg, error) {
+	if q := ep.pending[src]; len(q) > 0 {
+		ep.pending[src] = q[1:]
 		return q[0], nil
 	}
 	deadline := time.Time{}
@@ -652,79 +680,36 @@ func (ep *Endpoint) nextFrom(src int, timeout time.Duration) ([]byte, error) {
 			mRankdownErrors.Inc()
 			return nil, &core.ErrRankDown{Rank: src, Epoch: mb.Epoch()}
 		}
-		remain := time.Duration(0)
-		if !deadline.IsZero() {
-			remain = time.Until(deadline)
-			if remain <= 0 {
-				mEndpointStalls.Inc()
-				return nil, ErrStalled
-			}
-		}
-		slice := remain
-		if ep.members != nil && (slice <= 0 || slice > livenessPoll) {
-			slice = livenessPoll
-		}
-		from, raw, err := ep.link.RecvTimeout(slice)
-		if errors.Is(err, ErrTimeout) {
-			if slice != remain {
-				continue // a liveness poll slice expired, not the deadline
-			}
+		from, m, again, err := recvPoll(ep.link, deadline, ep.members != nil)
+		switch {
+		case again:
+		case errors.Is(err, ErrTimeout):
 			mEndpointStalls.Inc()
 			return nil, ErrStalled
-		}
-		if err != nil {
+		case err != nil:
 			return nil, err
+		case from == src:
+			return m, nil
+		default:
+			ep.enqueue(from, m)
 		}
-		if from == src {
-			return raw, nil
-		}
-		ep.enqueue(from, raw)
 	}
 }
 
-// recvLink receives from the link, optionally bounded by a timeout. The
-// link's own RecvTimeout keeps an undelivered message in the link (no
-// goroutine handoff), so a message racing the deadline is never lost.
-func (ep *Endpoint) recvLink(timeout time.Duration) (int, []byte, error) {
-	src, raw, err := ep.link.RecvTimeout(timeout)
-	if errors.Is(err, ErrTimeout) {
-		mEndpointStalls.Inc()
-		return 0, nil, ErrStalled
-	}
-	return src, raw, err
-}
-
-// simpleMap converts wire values to the handler-facing map.
-func simpleMap(vals []namedValue) map[string]any {
-	out := make(map[string]any, len(vals))
-	for _, v := range vals {
-		out[v.name] = v.value
-	}
-	return out
-}
-
-// simpleOutList orders handler-produced out values per the spec.
-func simpleOutList(m *sidl.Method, out *Outgoing) []namedValue {
-	var list []namedValue
+// simpleOutSection encodes the handler-produced simple out values in spec
+// order; nil when there are none.
+func simpleOutSection(m *sidl.Method, out *Outgoing) []byte {
+	var e wire.Encoder
+	n := 0
 	for _, pr := range m.Params {
-		if pr.Parallel || pr.Mode == sidl.In {
-			continue
-		}
-		if v, ok := out.SimpleOut[pr.Name]; ok {
-			list = append(list, namedValue{name: pr.Name, value: v})
-		}
-	}
-	return list
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+		if v, ok := out.SimpleOut[pr.Name]; ok && !pr.Parallel && pr.Mode != sidl.In {
+			e.PutString(pr.Name)
+			e.PutValue(v)
+			n++
 		}
 	}
-	return true
+	if n == 0 {
+		return nil
+	}
+	return append(binary.AppendUvarint(nil, uint64(n)), e.Bytes()...)
 }

@@ -128,8 +128,8 @@ func TestCallerRejectsCorruptReply(t *testing.T) {
 		if _, err := b.Recv(); err != nil {
 			return
 		}
-		// Reply with a valid src prefix but corrupt reply body.
-		b.Send([]byte{0, 0, 0, 0, msgReply, 0xDE, 0xAD})
+		// Reply with a valid src prefix and framing but a corrupt head.
+		b.Send([]byte{0, 0, 0, 0, 3, msgReply, 0xDE, 0xAD, 0})
 	}()
 	_, err := port.CallIndependent(0, "f", Simple("x", 1.0))
 	if err == nil {
@@ -147,7 +147,7 @@ func TestMeshShortFrame(t *testing.T) {
 	if err := a.Send([]byte{1, 2}); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := link.Recv(); err == nil {
+	if _, _, err := link.Recv(0); err == nil {
 		t.Fatal("short frame accepted")
 	}
 }
@@ -253,16 +253,19 @@ func TestStaleReplyDiscarded(t *testing.T) {
 		if err != nil {
 			return
 		}
-		d1 := wire.NewDecoder(raw1[5:]) // skip rank prefix + kind
-		seq1 := func() uint64 { _ = d1.String(); return d1.Uint64() }()
-		d2 := wire.NewDecoder(raw2[5:])
-		seq2 := func() uint64 { _ = d2.String(); return d2.Uint64() }()
-
-		stale := encodeReply(&replyMsg{method: "f", seq: seq1, calleeRank: 0, ret: -1.0})
-		fresh := encodeReply(&replyMsg{method: "f", seq: seq2, calleeRank: 0, ret: 42.0})
-		prefix := []byte{0, 0, 0, 0}
-		b.Send(append(append([]byte{}, prefix...), stale...))
-		b.Send(append(append([]byte{}, prefix...), fresh...))
+		// The sequence number follows the frame's rank prefix, the head's
+		// length prefix and the kind byte.
+		seq1 := wire.NewDecoder(raw1[6:]).Uint64()
+		seq2 := wire.NewDecoder(raw2[6:]).Uint64()
+		for _, r := range []struct {
+			seq uint64
+			ret float64
+		}{{seq1, -1}, {seq2, 42}} {
+			var e wire.Encoder
+			putReplyHead(&e, r.seq, 0, &replyMsg{ret: r.ret})
+			frame := append([]byte{0, 0, 0, 0, byte(e.Len())}, e.Bytes()...)
+			b.Send(append(frame, 0))
+		}
 	}()
 	res, err := port.CallIndependent(0, "f", Simple("x", 1.0))
 	if err != nil {

@@ -32,13 +32,16 @@
 package prmi
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
 	"time"
 
+	"mxn/internal/bufpool"
 	"mxn/internal/comm"
 	"mxn/internal/transport"
+	"mxn/internal/wire"
 )
 
 // ErrTimeout reports that a bounded wait for a remote reply (or message)
@@ -53,16 +56,41 @@ var ErrTimeout = errors.New("prmi: timed out")
 // connection or give up.
 var ErrLinkDown = errors.New("prmi: link down")
 
-// Link carries framed messages between the two sides of one port
-// connection. Rank numbering is the peer cohort's: Send(j, m) delivers to
-// peer rank j; Recv reports which peer rank sent the message. Messages
-// between a fixed pair of ranks arrive in order.
+// Link carries messages between the two sides of one port connection.
+// Rank numbering is the peer cohort's: Send(j, m) delivers to peer rank j;
+// Recv reports which peer rank sent the message. Messages between a fixed
+// pair of ranks arrive in order.
+//
+// Ownership moves with the message: Send takes m over on every path —
+// delivered, refused, link down — like transport.OwnedSender.SendOwned,
+// and a received message belongs to the receiver, who must Release it.
 type Link interface {
-	Send(peerRank int, msg []byte) error
-	Recv() (peerRank int, msg []byte, err error)
-	// RecvTimeout is Recv bounded by d (d <= 0 blocks forever). Expiry
+	Send(peerRank int, m *Msg) error
+	// Recv blocks for the next message, for at most d when d > 0; expiry
 	// reports an error matching ErrTimeout.
-	RecvTimeout(d time.Duration) (peerRank int, msg []byte, err error)
+	Recv(d time.Duration) (peerRank int, m *Msg, err error)
+}
+
+// livenessPoll is the receive slice used when a membership view is set, so
+// a blocked wait notices a peer being marked down promptly.
+const livenessPoll = 5 * time.Millisecond
+
+// recvPoll is Recv bounded by deadline (zero: none) and, when poll is set,
+// by livenessPoll, so that a wait can re-check its peers' liveness between
+// slices: again reports that only such a slice expired, not the deadline.
+func recvPoll(l Link, deadline time.Time, poll bool) (from int, m *Msg, again bool, err error) {
+	remain := time.Duration(0)
+	if !deadline.IsZero() {
+		if remain = time.Until(deadline); remain <= 0 {
+			return 0, nil, false, ErrTimeout
+		}
+	}
+	slice := remain
+	if poll && (slice <= 0 || slice > livenessPoll) {
+		slice = livenessPoll
+	}
+	from, m, err = l.Recv(slice)
+	return from, m, slice != remain && errors.Is(err, ErrTimeout), err
 }
 
 // mapLinkErr rewrites transport-level failures into the package's typed
@@ -83,8 +111,10 @@ func mapLinkErr(err error) error {
 }
 
 // commLink connects two cohorts that live in one communicator group:
-// peer rank j is group rank peerBase+j. It is the co-located deployment
-// (both components in one process set), used by tests and benchmarks.
+// peer rank j is group rank peerBase+j. Within one world the message
+// crosses the mailbox by reference — no byte of it is copied or encoded;
+// when the peer rank is bound to a connection (comm.ConnectPeer) the
+// registered remote codec ships head and lent payload.
 type commLink struct {
 	c        *comm.Comm
 	peerBase int
@@ -98,56 +128,56 @@ func NewCommLink(c *comm.Comm, peerBase, tag int) Link {
 	return &commLink{c: c, peerBase: peerBase, tag: tag}
 }
 
-func (l *commLink) Send(peerRank int, msg []byte) error {
-	cp := make([]byte, len(msg))
-	copy(cp, msg)
-	l.c.Send(l.peerBase+peerRank, l.tag, cp)
+func (l *commLink) Send(peerRank int, m *Msg) error {
+	l.c.Send(l.peerBase+peerRank, l.tag, m)
 	return nil
 }
 
-func (l *commLink) Recv() (int, []byte, error) {
-	payload, src := l.c.Recv(comm.AnySource, l.tag)
-	msg, ok := payload.([]byte)
-	if !ok {
-		return 0, nil, fmt.Errorf("prmi: link received %T", payload)
+func (l *commLink) Recv(d time.Duration) (int, *Msg, error) {
+	var payload any
+	var src int
+	if d > 0 {
+		var ok bool
+		if payload, src, ok = l.c.RecvTimeout(comm.AnySource, l.tag, d); !ok {
+			return 0, nil, fmt.Errorf("%w: no message within %v", ErrTimeout, d)
+		}
+	} else {
+		payload, src = l.c.Recv(comm.AnySource, l.tag)
 	}
-	return src - l.peerBase, msg, nil
+	m, err := AsMsg(payload)
+	return src - l.peerBase, m, err
 }
 
-func (l *commLink) RecvTimeout(d time.Duration) (int, []byte, error) {
-	if d <= 0 {
-		return l.Recv()
+// AsMsg recovers the message from a mailbox payload, for Links built on
+// comm. Raw bytes from a sender outside this package are taken as a bare
+// head, which the receiving port or endpoint then rejects or decodes.
+func AsMsg(payload any) (*Msg, error) {
+	switch x := payload.(type) {
+	case *Msg:
+		return x, nil
+	case []byte:
+		return &Msg{head: x}, nil
 	}
-	payload, src, ok := l.c.RecvTimeout(comm.AnySource, l.tag, d)
-	if !ok {
-		return 0, nil, fmt.Errorf("%w: no message within %v", ErrTimeout, d)
-	}
-	msg, isBytes := payload.([]byte)
-	if !isBytes {
-		return 0, nil, fmt.Errorf("prmi: link received %T", payload)
-	}
-	return src - l.peerBase, msg, nil
+	return nil, fmt.Errorf("prmi: link received %T", payload)
 }
 
 // connLink is a mesh of transport connections, one per peer rank: the
-// genuinely distributed deployment. Each message is prefixed with the
-// sender's rank by the peer (we prefix ours symmetrically), and a pump
-// goroutine per connection funnels received messages into one queue so
-// Recv can present a single stream. Communication is not serialized
-// through any coordinator: each pairwise connection is independent.
+// genuinely distributed deployment. Each frame is the sender's rank (4
+// bytes, so the peer can attribute it), the length-prefixed head and the
+// length-prefixed payload; a pump goroutine per connection funnels
+// received messages into one queue so Recv can present a single stream.
+// No coordinator serializes traffic: each pairwise connection is its own.
 type connLink struct {
 	conns  []transport.Conn
 	myRank int
 
-	inbox   chan inMsg
-	once    sync.Once
-	started bool
-	mu      sync.Mutex
+	inbox chan inMsg
+	once  sync.Once
 }
 
 type inMsg struct {
 	src int
-	msg []byte
+	msg *Msg
 	err error
 }
 
@@ -155,17 +185,50 @@ type inMsg struct {
 // connected to peer rank j. myRank is this side's cohort rank, prefixed
 // onto outgoing messages so the peer can attribute them.
 func NewConnLink(conns []transport.Conn, myRank int) Link {
+	// Buffered so a burst from several peers does not stall their pumps
+	// behind one slow Recv; the depth is not load-bearing.
 	return &connLink{conns: conns, myRank: myRank, inbox: make(chan inMsg, 64)}
 }
 
-func (l *connLink) Send(peerRank int, msg []byte) error {
+// Send frames m for peer peerRank. A connection that takes ownership of
+// pooled payloads (session, TCP) gets the payload lent behind the frame
+// header; any other gets one flattened pooled buffer.
+func (l *connLink) Send(peerRank int, m *Msg) error {
 	if peerRank < 0 || peerRank >= len(l.conns) {
+		m.Release()
 		return fmt.Errorf("prmi: peer rank %d outside mesh of %d", peerRank, len(l.conns))
 	}
-	framed := make([]byte, 0, len(msg)+4)
-	framed = append(framed, byte(l.myRank), byte(l.myRank>>8), byte(l.myRank>>16), byte(l.myRank>>24))
-	framed = append(framed, msg...)
-	return l.conns[peerRank].Send(framed)
+	frame := bufpool.Get(4 + 2*binary.MaxVarintLen64 + len(m.head) + len(m.payload))[:4]
+	binary.LittleEndian.PutUint32(frame, uint32(l.myRank))
+	frame = binary.AppendUvarint(frame, uint64(len(m.head)))
+	frame = append(frame, m.head...)
+	frame = binary.AppendUvarint(frame, uint64(len(m.payload)))
+	var err error
+	if owned, ok := l.conns[peerRank].(transport.OwnedSender); ok && m.ownPayload && len(m.payload) > 0 {
+		payload := m.payload
+		m.payload = nil
+		err = owned.SendOwned(frame, payload)
+	} else {
+		frame = append(frame, m.payload...)
+		err = l.conns[peerRank].Send(frame)
+	}
+	bufpool.Put(frame)
+	m.Release()
+	return err
+}
+
+// parseFrame splits a received frame into the sender's rank and a message
+// viewing the frame's bytes.
+func parseFrame(frame []byte) (int, *Msg, error) {
+	if len(frame) < 4 {
+		return 0, nil, fmt.Errorf("prmi: short frame of %d bytes", len(frame))
+	}
+	d := wire.NewDecoder(frame[4:])
+	head, payload := d.BorrowBytes(), d.BorrowBytes()
+	if d.Err() != nil {
+		return 0, nil, fmt.Errorf("prmi: corrupt frame: %w", d.Err())
+	}
+	return int(binary.LittleEndian.Uint32(frame)), &Msg{head: head, payload: payload}, nil
 }
 
 func (l *connLink) start() {
@@ -173,40 +236,34 @@ func (l *connLink) start() {
 		for j, conn := range l.conns {
 			go func(j int, conn transport.Conn) {
 				for {
-					m, err := conn.Recv()
+					frame, err := conn.Recv()
 					if err != nil {
 						l.inbox <- inMsg{src: j, err: err}
 						return
 					}
-					if len(m) < 4 {
-						l.inbox <- inMsg{src: j, err: fmt.Errorf("prmi: short frame from peer %d", j)}
+					src, m, err := parseFrame(frame)
+					l.inbox <- inMsg{src: src, msg: m, err: err}
+					if err != nil {
 						return
 					}
-					src := int(m[0]) | int(m[1])<<8 | int(m[2])<<16 | int(m[3])<<24
-					l.inbox <- inMsg{src: src, msg: m[4:]}
 				}
 			}(j, conn)
 		}
 	})
 }
 
-func (l *connLink) Recv() (int, []byte, error) {
+func (l *connLink) Recv(d time.Duration) (int, *Msg, error) {
 	l.start()
-	in := <-l.inbox
-	return in.src, in.msg, in.err
-}
-
-func (l *connLink) RecvTimeout(d time.Duration) (int, []byte, error) {
-	if d <= 0 {
-		return l.Recv()
+	var expired <-chan time.Time
+	if d > 0 {
+		t := time.NewTimer(d)
+		defer t.Stop()
+		expired = t.C
 	}
-	l.start()
-	t := time.NewTimer(d)
-	defer t.Stop()
 	select {
 	case in := <-l.inbox:
 		return in.src, in.msg, in.err
-	case <-t.C:
+	case <-expired:
 		return 0, nil, fmt.Errorf("%w: no message within %v", ErrTimeout, d)
 	}
 }

@@ -2,12 +2,16 @@ package prmi
 
 import (
 	"fmt"
+	"unsafe"
 
+	"mxn/internal/bufpool"
+	"mxn/internal/comm"
 	"mxn/internal/dad"
+	"mxn/internal/sidl"
 	"mxn/internal/wire"
 )
 
-// Wire message kinds exchanged over a Link.
+// Wire message kinds exchanged over a Link: the first head byte.
 const (
 	msgCall byte = iota + 1
 	msgReply
@@ -21,38 +25,150 @@ const (
 	msgDetach
 )
 
-// namedValue is one simple argument or out-value on the wire.
-type namedValue struct {
-	name  string
-	value any
+// Msg is one PRMI message in flight: a small encoded head (kind byte plus
+// header fields) and, for messages that carry parallel data, a payload of
+// packed little-endian element bytes — every fragment of the message,
+// concatenated in parameter order. Whoever holds a Msg owns it: Link.Send
+// takes it over, Link.Recv hands it out, the final holder calls Release.
+//
+// A message built in this process owns bufpool buffers for both parts; one
+// decoded from a connection holds views of the received frame instead, so
+// element bytes are not copied on the way in unless elems must re-align.
+type Msg struct {
+	head, payload       []byte
+	ownHead, ownPayload bool
 }
 
-// parallelFrag is one caller→callee (or callee→caller) fragment of a
-// parallel argument: the packed elements of the pairwise communication
-// plan, plus the sender-side template so the receiver can build the same
-// schedule. The template encoding travels with every call; receivers
-// cache decoded templates by key.
-type parallelFrag struct {
-	name        string
-	templateKey string
-	templateEnc []byte
-	data        []float64
-	deferred    bool // passed by reference; callee pulls after choosing a layout
+// newMsg builds an owned message: head is copied into a right-sized pooled
+// buffer (callers encode into a scratch encoder they keep), payload must be
+// a bufpool buffer or nil and is taken over as is.
+func newMsg(head, payload []byte) *Msg {
+	m := &Msg{head: bufpool.Get(len(head)), payload: payload, ownHead: true, ownPayload: true}
+	copy(m.head, head)
+	mFragBytesLent.Add(uint64(len(payload)))
+	return m
 }
 
-// callMsg is the invocation header one caller rank sends one callee rank.
-// For collective methods every participating caller sends one to every
-// callee rank (the all-to-all invocation); for independent methods a
-// single caller sends one to a single callee.
-type callMsg struct {
-	method       string
-	seq          uint64
-	callerRank   int
-	collective   bool
-	participants []int // sorted caller cohort ranks; empty for independent
-	simple       []namedValue
-	parallel     []parallelFrag
+// Release returns the pooled buffers the message owns; releasing nil, or a
+// message twice, is a no-op. It is also the comm.Releaser hook: a message
+// comm cannot deliver is released there.
+func (m *Msg) Release() {
+	if m == nil {
+		return
+	}
+	if m.ownHead {
+		bufpool.Put(m.head)
+	}
+	if m.ownPayload {
+		bufpool.Put(m.payload)
+	}
+	*m = Msg{}
+}
 
+// kind returns the message kind, zero for an empty head.
+func (m *Msg) kind() byte {
+	if len(m.head) == 0 {
+		return 0
+	}
+	return m.head[0]
+}
+
+// elems returns n packed float64 elements starting at byte offset off of
+// the payload. Reinterpreting bytes as float64 needs 8-byte alignment, and
+// a view of a received frame starts wherever the frame's headers ended: a
+// misaligned payload is moved once into a pooled buffer the message then
+// owns — the only copy between the socket and unpack.
+func (m *Msg) elems(off, n int) []float64 {
+	if n == 0 {
+		return nil
+	}
+	if uintptr(unsafe.Pointer(unsafe.SliceData(m.payload)))%8 != 0 {
+		aligned := bufpool.Get(len(m.payload))
+		copy(aligned, m.payload)
+		if m.ownPayload {
+			bufpool.Put(m.payload)
+		}
+		m.payload, m.ownPayload = aligned, true
+	}
+	return float64sOf(m.payload[off : off+8*n])
+}
+
+// float64sOf views 8-aligned bytes as float64 elements. On the wire they
+// are little-endian IEEE-754, the in-memory form on every supported host.
+func float64sOf(b []byte) []float64 {
+	return unsafe.Slice((*float64)(unsafe.Pointer(unsafe.SliceData(b))), len(b)/8)
+}
+
+func init() {
+	// Tag 4 of the module-wide table in internal/redist/remote.go.
+	comm.RegisterRemotePayload(4, comm.RemoteCodec{Encode: encodeRemoteMsg, Decode: decodeRemoteMsg})
+}
+
+// encodeRemoteMsg puts a message on a ConnectPeer link and retires it:
+// the head is copied into the frame header, the payload is the final
+// field and, on a borrowing encoder, is lent to the connection (a session
+// keeps it by reference until the peer acknowledges the frame).
+func encodeRemoteMsg(e *wire.Encoder, v any) bool {
+	m, ok := v.(*Msg)
+	if !ok {
+		return false
+	}
+	e.PutBytes(m.head)
+	if e.Borrowing() && m.ownPayload && len(m.payload) > 0 {
+		e.PutBytesRef(m.payload)
+		m.payload = nil
+	} else {
+		e.PutBytes(m.payload)
+	}
+	m.Release()
+	return true
+}
+
+func decodeRemoteMsg(d *wire.Decoder) (any, error) {
+	head, payload := d.BorrowBytes(), d.BorrowBytes()
+	if d.Err() != nil {
+		return nil, fmt.Errorf("prmi: corrupt remote message: %w", d.Err())
+	}
+	return &Msg{head: head, payload: payload}, nil
+}
+
+// getSimple decodes a simple-value section (count, then name and value of
+// each; empty means none) into a map, nil when it holds no values. Names
+// reuse the method spec's strings instead of allocating copies.
+func getSimple(sec []byte, m *sidl.Method) (vals map[string]any, err error) {
+	if len(sec) == 0 {
+		return nil, nil
+	}
+	d := wire.NewDecoder(sec)
+	// Every value costs at least two encoded bytes, so a count beyond the
+	// bytes present is corruption; reject before it sizes an allocation.
+	n := d.Uvarint()
+	if n > uint64(d.Remaining()) {
+		return nil, wire.ErrCorrupt
+	}
+	for i := uint64(0); i < n; i++ {
+		name, value := d.BorrowBytes(), d.Value()
+		if vals == nil {
+			vals = make(map[string]any, n)
+		}
+		key := string(name)
+		if pr, ok := paramNamed(m, key); ok {
+			key = pr.Name
+		}
+		vals[key] = value
+	}
+	return vals, d.Err()
+}
+
+// callHdr is the decoded invocation header one caller rank sends one
+// callee rank: for collective methods every participating caller sends one
+// to every callee rank (the all-to-all invocation), for independent
+// methods a single caller sends one to a single callee. The header keeps
+// its message; simple is a view that dies with msg.Release.
+type callHdr struct {
+	msg        *Msg
+	seq        uint64
+	callerRank int // as attributed by the link
 	// callID identifies the logical call across retry attempts: every
 	// attempt of one CallIndependent carries the same callID under fresh
 	// seq numbers, letting the callee deduplicate re-executions. Zero
@@ -60,178 +176,89 @@ type callMsg struct {
 	callID uint64
 	// epoch is the caller's membership epoch at send time; receivers
 	// behind a newer epoch reject the call. Zero means unstamped.
-	epoch uint64
+	epoch  uint64
+	plan   *plan
+	pos    int    // caller's position among plan.participants; -1 for independent
+	simple []byte // encoded simple-argument section
 }
 
-// replyMsg carries return data from one callee rank to one caller rank.
-type replyMsg struct {
-	method      string
-	seq         uint64
-	calleeRank  int
-	errText     string
-	ret         any
-	simpleOut   []namedValue
-	parallelOut []parallelFrag
+// putCallHead starts a call head. Layout, after the kind byte:
+//
+//	seq u64 · callID u64 · epoch u64
+//	plan key bytes — constant per (method, participants, templates)
+//	per parallel parameter: template encoding bytes (empty once the callee
+//	    has it) · fragment byte length uvarint
+//	simple-argument section bytes
+//
+// The payload is the fragments back to back.
+func putCallHead(e *wire.Encoder, seq, callID, epoch uint64, key []byte) {
+	e.Reset()
+	e.PutByte(msgCall)
+	e.PutUint64(seq)
+	e.PutUint64(callID)
+	e.PutUint64(epoch)
+	e.PutBytes(key)
+}
 
+// replyMsg is the part of a reply that does not depend on the receiving
+// caller: what the exactly-once table remembers and replays.
+type replyMsg struct {
+	errText   string
+	ret       any
+	simpleOut []byte // encoded simple-out section
+}
+
+// reply is a decoded reply head. Like callHdr it keeps its message until
+// the parallel fragments have been unpacked.
+type reply struct {
+	replyMsg
+	msg *Msg
+	seq uint64
 	// watermark is the callee's dedup-eviction watermark for this caller:
 	// every callID below it has been forgotten, so retrying one would
 	// risk re-execution. Callers refuse such retries with a typed error.
 	watermark uint64
 }
 
-func encodeCall(m *callMsg) []byte {
-	e := wire.NewEncoder(nil)
-	e.PutByte(msgCall)
-	e.PutString(m.method)
-	e.PutUint64(m.seq)
-	e.PutInt(m.callerRank)
-	e.PutBool(m.collective)
-	e.PutInts(m.participants)
-	encodeNamedValues(e, m.simple)
-	encodeFrags(e, m.parallel)
-	// Appended last so fixed-prefix readers (method, seq) keep working.
-	e.PutUint64(m.callID)
-	e.PutUint64(m.epoch)
-	return e.Bytes()
-}
-
-func decodeCall(d *wire.Decoder) (*callMsg, error) {
-	m := &callMsg{
-		method:     d.String(),
-		seq:        d.Uint64(),
-		callerRank: d.Int(),
-	}
-	m.collective = d.Bool()
-	m.participants = d.Ints()
-	var err error
-	if m.simple, err = decodeNamedValues(d); err != nil {
-		return nil, err
-	}
-	if m.parallel, err = decodeFrags(d); err != nil {
-		return nil, err
-	}
-	m.callID = d.Uint64()
-	m.epoch = d.Uint64()
-	if d.Err() != nil {
-		return nil, d.Err()
-	}
-	return m, nil
-}
-
-func encodeReply(m *replyMsg) []byte {
-	e := wire.NewEncoder(nil)
+// putReplyHead starts a reply head. Layout, after the kind byte:
+//
+//	seq u64 · watermark u64 · errText string · ret value
+//	simple-out section bytes
+//
+// The payload of a successful collective reply is the fragment of every
+// out/inout parallel parameter, in parameter order, each as long as the
+// reverse schedule says; an error reply has none.
+func putReplyHead(e *wire.Encoder, seq, watermark uint64, rep *replyMsg) {
+	e.Reset()
 	e.PutByte(msgReply)
-	e.PutString(m.method)
-	e.PutUint64(m.seq)
-	e.PutInt(m.calleeRank)
-	e.PutString(m.errText)
-	e.PutValue(m.ret)
-	encodeNamedValues(e, m.simpleOut)
-	encodeFrags(e, m.parallelOut)
-	e.PutUint64(m.watermark)
-	return e.Bytes()
+	e.PutUint64(seq)
+	e.PutUint64(watermark)
+	e.PutString(rep.errText)
+	e.PutValue(rep.ret)
+	e.PutBytes(rep.simpleOut)
 }
 
-func decodeReply(d *wire.Decoder) (*replyMsg, error) {
-	m := &replyMsg{
-		method:     d.String(),
-		seq:        d.Uint64(),
-		calleeRank: d.Int(),
-		errText:    d.String(),
-		ret:        d.Value(),
-	}
-	var err error
-	if m.simpleOut, err = decodeNamedValues(d); err != nil {
-		return nil, err
-	}
-	if m.parallelOut, err = decodeFrags(d); err != nil {
-		return nil, err
-	}
-	m.watermark = d.Uint64()
-	if d.Err() != nil {
-		return nil, d.Err()
-	}
-	return m, nil
+func decodeReply(m *Msg, rep *reply) error {
+	d := wire.NewDecoder(m.head[1:])
+	*rep = reply{msg: m, seq: d.Uint64(), watermark: d.Uint64()}
+	rep.errText, rep.ret, rep.simpleOut = d.String(), d.Value(), d.BorrowBytes()
+	return d.Err()
 }
 
-func encodeNamedValues(e *wire.Encoder, vals []namedValue) {
-	e.PutUvarint(uint64(len(vals)))
-	for _, v := range vals {
-		e.PutString(v.name)
-		e.PutValue(v.value)
-	}
-}
-
-func decodeNamedValues(d *wire.Decoder) ([]namedValue, error) {
-	n := d.Uvarint()
-	// Every value costs at least two encoded bytes, so a count beyond the
-	// bytes present is corruption; reject before it sizes an allocation.
-	if d.Err() != nil || n > uint64(d.Remaining()) {
-		return nil, wire.ErrCorrupt
-	}
-	out := make([]namedValue, 0, n)
-	for i := uint64(0); i < n; i++ {
-		nv := namedValue{name: d.String(), value: d.Value()}
-		if d.Err() != nil {
-			return nil, d.Err()
-		}
-		out = append(out, nv)
-	}
-	return out, nil
-}
-
-func encodeFrags(e *wire.Encoder, frags []parallelFrag) {
-	e.PutUvarint(uint64(len(frags)))
-	for _, f := range frags {
-		e.PutString(f.name)
-		e.PutString(f.templateKey)
-		e.PutBytes(f.templateEnc)
-		e.PutFloat64s(f.data)
-		e.PutBool(f.deferred)
-	}
-}
-
-func decodeFrags(d *wire.Decoder) ([]parallelFrag, error) {
-	n := d.Uvarint()
-	if d.Err() != nil || n > uint64(d.Remaining()) {
-		return nil, wire.ErrCorrupt
-	}
-	out := make([]parallelFrag, 0, n)
-	for i := uint64(0); i < n; i++ {
-		f := parallelFrag{
-			name:        d.String(),
-			templateKey: d.String(),
-			templateEnc: d.Bytes(),
-			data:        d.Float64s(),
-		}
-		f.deferred = d.Bool()
-		if d.Err() != nil {
-			return nil, d.Err()
-		}
-		out = append(out, f)
-	}
-	return out, nil
-}
-
-// templateCache caches decoded peer templates by their key so the
-// per-call template encoding is decoded once per distinct distribution.
-type templateCache struct {
-	m map[string]*dad.Template
-}
-
-func newTemplateCache() *templateCache { return &templateCache{m: map[string]*dad.Template{}} }
-
-func (tc *templateCache) get(key string, enc []byte) (*dad.Template, error) {
-	if t, ok := tc.m[key]; ok {
+// cachedTemplate returns the peer template named key, decoding enc into
+// the cache on first sight, so an encoding is decoded once per distinct
+// distribution.
+func cachedTemplate(cache map[string]*dad.Template, key string, enc []byte) (*dad.Template, error) {
+	if t, ok := cache[key]; ok {
 		return t, nil
 	}
-	if enc == nil {
+	if len(enc) == 0 {
 		return nil, fmt.Errorf("prmi: unknown template %q with no encoding", key)
 	}
 	t, err := dad.DecodeTemplate(wire.NewDecoder(enc))
 	if err != nil {
 		return nil, fmt.Errorf("prmi: decoding peer template: %w", err)
 	}
-	tc.m[key] = t
+	cache[key] = t
 	return t, nil
 }

@@ -25,6 +25,13 @@ var (
 	mDeferredDropped = obs.Default().Counter("prmi.deferred_dropped")
 	mRankdownErrors  = obs.Default().Counter("prmi.rankdown_errors")
 
+	// Parallel-fragment data path. At quiescence every packed element has
+	// been unpacked exactly once: frag_elems_packed == frag_elems_unpacked.
+	// frag_bytes_lent counts payload bytes handed to a Link by reference.
+	mFragElemsPacked   = obs.Default().Counter("prmi.frag_elems_packed")
+	mFragElemsUnpacked = obs.Default().Counter("prmi.frag_elems_unpacked")
+	mFragBytesLent     = obs.Default().Counter("prmi.frag_bytes_lent")
+
 	// Malleability instruments: caller departures during an online shrink.
 	mDetaches           = obs.Default().Counter("prmi.caller_detaches")
 	mDetachDedupDrained = obs.Default().Counter("prmi.detach_dedup_entries_drained")

@@ -11,6 +11,7 @@
 //	1 — redist *xferMsg (this file)
 //	2 — redist linRequest (this file)
 //	3 — core heartbeatPing (internal/core)
+//	4 — prmi *Msg (internal/prmi/message.go)
 package redist
 
 import (

@@ -255,6 +255,13 @@ type Conn struct {
 	// the wire.
 	installing  bool
 	pendingFree [][]byte
+	// The conn an install is promoting, and the error its pump reported
+	// if it died before the promotion: connFailed only recovers from the
+	// loss of the live conn, so without this a conn that fails between
+	// handshake and promotion would be installed dead, with no reader
+	// left to notice.
+	incoming    transport.Conn
+	incomingErr error
 
 	// Receiver state. lastDelivered is the cumulative acknowledgement we
 	// owe the peer: the highest in-order sequence enqueued to the inbox.
@@ -402,7 +409,7 @@ func (c *Conn) installConn(nc transport.Conn, peerDelivered uint64) error {
 		c.mu.Unlock()
 		return errSessionStopped
 	}
-	c.installing = true
+	c.installing, c.incoming, c.incomingErr = true, nc, nil
 	c.ackUpToLocked(peerDelivered)
 	c.mu.Unlock()
 	go c.pump(nc)
@@ -422,6 +429,11 @@ func (c *Conn) installConn(nc transport.Conn, peerDelivered uint64) error {
 			}
 		}
 		c.scratch = batch[:0]
+		if err := c.incomingErr; err != nil {
+			c.finishInstallLocked()
+			c.mu.Unlock()
+			return fmt.Errorf("session: connection lost during install: %w", err)
+		}
 		if len(batch) == 0 {
 			c.cur = nc
 			c.gen++
@@ -456,7 +468,7 @@ func (c *Conn) installConn(nc transport.Conn, peerDelivered uint64) error {
 // finishInstallLocked ends an install: buffers whose acknowledgement
 // raced the replay are now safely off the wire and return to the pool.
 func (c *Conn) finishInstallLocked() {
-	c.installing = false
+	c.installing, c.incoming = false, nil
 	for i, b := range c.pendingFree {
 		bufpool.Put(b)
 		c.pendingFree[i] = nil
@@ -470,6 +482,9 @@ func (c *Conn) finishInstallLocked() {
 // caller that actually transitions the live conn to down starts recovery.
 func (c *Conn) connFailed(failed transport.Conn, cause error) {
 	c.mu.Lock()
+	if failed == c.incoming && c.incomingErr == nil {
+		c.incomingErr = cause // the install in progress reports it
+	}
 	if c.closed || c.dead != nil || c.cur != failed {
 		c.mu.Unlock()
 		return

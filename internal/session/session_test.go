@@ -516,3 +516,74 @@ func TestSessionOverFlappingFaultconn(t *testing.T) {
 		t.Fatal("timed out echoing across flapping conns")
 	}
 }
+
+// diesAfterHandshake is a physical connection that completes the resume
+// handshake and then fails its first pump read — before the install that
+// is still replaying over it (its Send waits for that) can promote it.
+type diesAfterHandshake struct {
+	transport.Conn
+	once   sync.Once
+	failed chan struct{}
+}
+
+func (c *diesAfterHandshake) Recv() ([]byte, error) {
+	c.Conn.Close()
+	c.once.Do(func() { close(c.failed) })
+	return nil, transport.ErrClosed
+}
+
+func (c *diesAfterHandshake) Send([]byte) error {
+	<-c.failed
+	time.Sleep(50 * time.Millisecond) // let the pump report the failure
+	return nil
+}
+
+// TestSessionConnLostDuringInstallIsRedialed: a connection that dies
+// between the resume handshake and its promotion must fail the install so
+// the redial loop tries again. It used to be promoted dead — its pump had
+// already exited, reporting a failure that was ignored because the conn
+// was not live yet — and a session with nothing to send then waited on it
+// forever while the peer's resume window ran out.
+func TestSessionConnLostDuringInstallIsRedialed(t *testing.T) {
+	l, err := Listen("tcp", "127.0.0.1:0", fastCfg())
+	if err != nil {
+		t.Fatalf("Listen: %v", err)
+	}
+	defer l.Close()
+	startEcho(t, l)
+
+	d := &trackedDialer{addr: l.Addr()}
+	var dials atomic.Int32
+	c, err := NewConn(func(ctx context.Context) (transport.Conn, error) {
+		nc, err := d.dial(ctx)
+		if err == nil && dials.Add(1) == 2 {
+			return &diesAfterHandshake{Conn: nc, failed: make(chan struct{})}, nil
+		}
+		return nc, err
+	}, fastCfg())
+	if err != nil {
+		t.Fatalf("NewConn: %v", err)
+	}
+	defer c.Close()
+	// One round trip first, so the listener side is fully established.
+	if err := c.Send([]byte("hello")); err != nil {
+		t.Fatalf("Send: %v", err)
+	}
+	if _, err := c.Recv(); err != nil {
+		t.Fatalf("Recv: %v", err)
+	}
+
+	d.kill()
+	if err := c.Send([]byte("sent across the outage")); err != nil {
+		t.Fatalf("Send: %v", err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	got, err := c.RecvContext(ctx)
+	if err != nil || string(got) != "sent across the outage" {
+		t.Fatalf("echo across the outage: %q, %v (after %d dials)", got, err, dials.Load())
+	}
+	if n := dials.Load(); n < 3 {
+		t.Errorf("session recovered in %d dials; the second connection dies during install, so it takes three", n)
+	}
+}

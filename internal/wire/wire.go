@@ -18,6 +18,7 @@ import (
 	"math"
 	"net"
 	"sync"
+	"unsafe"
 
 	"mxn/internal/obs"
 )
@@ -156,9 +157,56 @@ func (e *Encoder) PutBytesRef(b []byte) {
 	e.payload = b
 }
 
+// hostLittleEndian reports that the in-memory bytes of a numeric slice
+// are already its wire bytes, so the slice codecs below can move a whole
+// slice with one memmove instead of one append per element.
+var hostLittleEndian = func() bool {
+	x := uint16(1)
+	return *(*byte)(unsafe.Pointer(&x)) == 1
+}()
+
+// elemBytes views a slice of fixed-size numeric elements as its in-memory
+// bytes, without copying.
+func elemBytes[T any](v []T) []byte {
+	var z T
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(v))), len(v)*int(unsafe.Sizeof(z)))
+}
+
+// putBulk appends v's length prefix and, on a little-endian host, its
+// elements as one byte-view append. It reports whether the elements were
+// written; when not, the caller appends them one by one.
+func putBulk[T any](e *Encoder, v []T) bool {
+	e.PutUvarint(uint64(len(v)))
+	if hostLittleEndian {
+		e.buf = append(e.buf, elemBytes(v)...)
+	}
+	return hostLittleEndian
+}
+
+// getBulk reads a length prefix, bounds it by the bytes present and
+// allocates the result. On a little-endian host the elements are filled
+// with one memmove; otherwise each reports true and the caller reads them
+// one by one.
+func getBulk[T any](d *Decoder) (out []T, each bool) {
+	var z T
+	size := int(unsafe.Sizeof(z))
+	n := d.Uvarint()
+	if d.err != nil || n > uint64(d.Remaining()/size) {
+		d.fail()
+		return nil, false
+	}
+	out = make([]T, n)
+	if hostLittleEndian {
+		copy(elemBytes(out), d.take(int(n)*size))
+	}
+	return out, !hostLittleEndian
+}
+
 // PutFloat64s appends a length-prefixed []float64.
 func (e *Encoder) PutFloat64s(v []float64) {
-	e.PutUvarint(uint64(len(v)))
+	if putBulk(e, v) {
+		return
+	}
 	for _, x := range v {
 		e.PutFloat64(x)
 	}
@@ -180,7 +228,9 @@ func (e *Encoder) PutComplex128(v complex128) {
 
 // PutFloat32s appends a length-prefixed []float32.
 func (e *Encoder) PutFloat32s(v []float32) {
-	e.PutUvarint(uint64(len(v)))
+	if putBulk(e, v) {
+		return
+	}
 	for _, x := range v {
 		e.PutFloat32(x)
 	}
@@ -188,7 +238,9 @@ func (e *Encoder) PutFloat32s(v []float32) {
 
 // PutInt32s appends a length-prefixed []int32.
 func (e *Encoder) PutInt32s(v []int32) {
-	e.PutUvarint(uint64(len(v)))
+	if putBulk(e, v) {
+		return
+	}
 	for _, x := range v {
 		var b [4]byte
 		binary.LittleEndian.PutUint32(b[:], uint32(x))
@@ -198,7 +250,9 @@ func (e *Encoder) PutInt32s(v []int32) {
 
 // PutComplex128s appends a length-prefixed []complex128.
 func (e *Encoder) PutComplex128s(v []complex128) {
-	e.PutUvarint(uint64(len(v)))
+	if putBulk(e, v) {
+		return
+	}
 	for _, x := range v {
 		e.PutComplex128(x)
 	}
@@ -206,7 +260,9 @@ func (e *Encoder) PutComplex128s(v []complex128) {
 
 // PutInt64s appends a length-prefixed []int64.
 func (e *Encoder) PutInt64s(v []int64) {
-	e.PutUvarint(uint64(len(v)))
+	if putBulk(e, v) {
+		return
+	}
 	for _, x := range v {
 		e.PutInt64(x)
 	}
@@ -354,14 +410,11 @@ func (d *Decoder) BorrowBytes() []byte {
 
 // Float64s reads a length-prefixed []float64.
 func (d *Decoder) Float64s() []float64 {
-	n := d.Uvarint()
-	if d.err != nil || n > uint64(d.Remaining()/8) {
-		d.fail()
-		return nil
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = d.Float64()
+	out, each := getBulk[float64](d)
+	if each {
+		for i := range out {
+			out[i] = d.Float64()
+		}
 	}
 	return out
 }
@@ -384,60 +437,44 @@ func (d *Decoder) Complex128() complex128 {
 
 // Float32s reads a length-prefixed []float32.
 func (d *Decoder) Float32s() []float32 {
-	n := d.Uvarint()
-	if d.err != nil || n > uint64(d.Remaining()/4) {
-		d.fail()
-		return nil
-	}
-	out := make([]float32, n)
-	for i := range out {
-		out[i] = d.Float32()
+	out, each := getBulk[float32](d)
+	if each {
+		for i := range out {
+			out[i] = d.Float32()
+		}
 	}
 	return out
 }
 
 // Int32s reads a length-prefixed []int32.
 func (d *Decoder) Int32s() []int32 {
-	n := d.Uvarint()
-	if d.err != nil || n > uint64(d.Remaining()/4) {
-		d.fail()
-		return nil
-	}
-	out := make([]int32, n)
-	for i := range out {
-		b := d.take(4)
-		if b == nil {
-			return nil
+	out, each := getBulk[int32](d)
+	if each {
+		for i := range out {
+			out[i] = int32(binary.LittleEndian.Uint32(d.take(4)))
 		}
-		out[i] = int32(binary.LittleEndian.Uint32(b))
 	}
 	return out
 }
 
 // Complex128s reads a length-prefixed []complex128.
 func (d *Decoder) Complex128s() []complex128 {
-	n := d.Uvarint()
-	if d.err != nil || n > uint64(d.Remaining()/16) {
-		d.fail()
-		return nil
-	}
-	out := make([]complex128, n)
-	for i := range out {
-		out[i] = d.Complex128()
+	out, each := getBulk[complex128](d)
+	if each {
+		for i := range out {
+			out[i] = d.Complex128()
+		}
 	}
 	return out
 }
 
 // Int64s reads a length-prefixed []int64.
 func (d *Decoder) Int64s() []int64 {
-	n := d.Uvarint()
-	if d.err != nil || n > uint64(d.Remaining()/8) {
-		d.fail()
-		return nil
-	}
-	out := make([]int64, n)
-	for i := range out {
-		out[i] = d.Int64()
+	out, each := getBulk[int64](d)
+	if each {
+		for i := range out {
+			out[i] = d.Int64()
+		}
 	}
 	return out
 }

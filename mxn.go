@@ -412,7 +412,12 @@ const (
 var ErrStalled = prmi.ErrStalled
 
 // Link carries PRMI messages between the two sides of a port connection.
-type Link = prmi.Link
+// A custom Link passes each LinkMsg through unopened; ownership moves with
+// it (Send takes the message over, the receiver releases it).
+type (
+	Link    = prmi.Link
+	LinkMsg = prmi.Msg
+)
 
 // NewCallerPort builds a caller-side port proxy.
 func NewCallerPort(iface *SIDLInterface, link Link, rank, nCallee int, mode DeliveryMode) *CallerPort {
