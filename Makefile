@@ -11,7 +11,7 @@ FUZZ_TARGETS := \
 	./internal/schedule:FuzzPlanEquivalence \
 	./internal/session:FuzzSessionFrame
 
-.PHONY: all build test race chaos chaos-net fuzz-short vet bench bench-smoke bench-check staticcheck govulncheck
+.PHONY: all build test race chaos chaos-net fuzz-short vet loc bench-check staticcheck govulncheck
 
 all: build test
 
@@ -51,17 +51,14 @@ fuzz-short:
 vet:
 	$(GO) vet ./...
 
-# Transfer-engine benchmark report: elems/sec and allocs/op for float64 and
-# float32, cached vs uncached schedule, plus the budgeted (MaxBytesInFlight)
-# steady state and a HighWater peak-packed-bytes phase. Fails if any cached
-# steady-state path (budgeted included) allocates, or if the budgeted high
-# water exceeds its bound.
-bench:
-	$(GO) run ./cmd/redistbench -out BENCH_redist.json
-
-# CI-sized smoke run of the same report (fixed iteration count).
-bench-smoke:
-	$(GO) run ./cmd/redistbench -short -out BENCH_redist.json
+# Non-test Go line counts, per package the simplification work tracks and
+# for the whole module (bench/ is its own module and is not counted).
+loc:
+	@count() { find "$$@" -name '*.go' ! -name '*_test.go' ! -path './bench/*' -print0 | xargs -0 cat | wc -l; }; \
+	for d in internal/redist internal/schedule internal/wire cmd; do \
+		printf '%-20s %6d\n' $$d $$(count $$d); \
+	done; \
+	printf '%-20s %6d\n' module $$(count .)
 
 # The coupling benchmark (bench/, BENCHMARK.json) is a Go module of its own
 # that `go test ./...` at the root does not see, so a product signature

@@ -299,7 +299,7 @@ func (r *Registry) RegisterFunc(name string, fn func() int64) {
 }
 
 // Snapshot is a point-in-time copy of a registry's instruments, suitable
-// for JSON encoding (the BENCH_obs.json payload).
+// for JSON encoding (the payload of mxnbench's -obs report).
 type Snapshot struct {
 	Counters   map[string]uint64       `json:"counters,omitempty"`
 	Gauges     map[string]int64        `json:"gauges,omitempty"`

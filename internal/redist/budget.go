@@ -1,25 +1,28 @@
-// The memory-bounded transfer path: runTransfer with a MaxBytesInFlight
-// budget B dispatches here instead of materializing every pairwise
-// message at once.
+// The transfer loop. Every exchange in this package — schedule-driven or
+// linear, fenced or not, budgeted or not — runs runTransfer below: the
+// chunked, credit-controlled protocol, of which an unbudgeted transfer is
+// the case with an infinite budget.
 //
-// Decomposition. Each pairwise message is split at element boundaries
-// into chunks of at most B/2 bytes, and consecutive chunks are grouped
-// greedily into rounds of at most B/2 total bytes (a chunk larger than
-// the cap — possible only under degenerate budgets smaller than two
-// elements — forms a round of its own, so rounds are never empty).
-// Zero-element messages still travel, as a single zero-byte chunk, so
-// every expected pairwise message stays matched one-to-one with
-// arrivals.
+// Decomposition. Under a MaxBytesInFlight budget B each pairwise message
+// is split at element boundaries into chunks of at most B/2 bytes, and
+// consecutive chunks are grouped greedily into rounds of at most B/2
+// total bytes (a chunk larger than the cap — possible only under
+// degenerate budgets smaller than two elements — forms a round of its
+// own, so rounds are never empty). Zero-element messages still travel,
+// as a single zero-byte chunk, so every expected pairwise message stays
+// matched one-to-one with arrivals. With no budget both caps are
+// unbounded: one chunk per message, one round per transfer.
 //
-// Flow control. Every data chunk is acknowledged by its receiver after
+// Flow control. A budgeted receiver acknowledges every data chunk after
 // disposal (unpack, drain or discard — credit is flow control, not
 // correctness), and round N+1 is sent only once every chunk of round N
-// has been acknowledged. The next round is packed while the previous
-// one is in flight — the pipelining overlap — so a rank holds at most
-// two rounds of packed buffers at once and its resident packed bytes
-// stay bounded by B. Acks are pooled marker messages on the same data
-// tag, so the tag-spacing contract of the unbudgeted paths is
-// unchanged.
+// has been acknowledged. A chunk packed while this rank is owed no
+// credit goes out at once; only the round after it is staged, packed
+// while its predecessor is in flight — the pipelining overlap — so a
+// rank holds at most two rounds of packed buffers and its resident
+// packed bytes stay bounded by B. Acks are pooled marker messages on the
+// same data tag. An unbudgeted transfer sends no acks and is never owed
+// any, so its single round is packed and posted message by message.
 //
 // Symmetry. Both sides derive the identical chunk decomposition from
 // (budget, element size, message element count), so no negotiation
@@ -30,15 +33,24 @@
 //
 // Liveness. Sending and receiving interleave in one event loop per rank
 // (a rank blocked waiting for acks must keep consuming its own incoming
-// chunks, or two mutually-sending ranks deadlock). Receives use
-// AnySource and are attributed by sender: the comm layer preserves
-// per-pair FIFO order and a plan never expects more than one pairwise
-// message from the same peer, so an arriving chunk is always the next
-// unconsumed chunk of that peer's message.
+// chunks, or two mutually-sending ranks deadlock). While this rank is
+// owed credit it receives from any source, attributing arrivals by
+// sender: the comm layer preserves per-pair FIFO order and a plan never
+// expects more than one pairwise message from the same peer, so an
+// arriving chunk is always the next unconsumed chunk of that peer's
+// message. Owed nothing, it receives from the next expected peer in plan
+// order — which is what lets back-to-back unbudgeted transfers reuse a
+// tag (a fast peer's next message waits in its own mailbox slot) and
+// attributes a fenced timeout to one source. Waiting on one peer cannot
+// wedge a budgeted sender short of its ack, because every plan lists a
+// destination's sources in one order common to all destinations (pair
+// order for schedules, rank order for linear plans): the earliest source
+// anyone waits on is waited on by every receiver it still owes.
 package redist
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -58,8 +70,12 @@ var (
 // chunkElemCap returns the element capacity of one chunk under a byte
 // budget: half the budget, so the staged round plus the in-flight round
 // together stay within it. Budgets smaller than two elements degrade to
-// element-at-a-time chunks — the bound becomes best-effort.
+// element-at-a-time chunks — the bound becomes best-effort. No budget
+// means no cap.
 func chunkElemCap(budget, esz int) int {
+	if budget <= 0 {
+		return math.MaxInt
+	}
 	n := budget / 2 / esz
 	if n < 1 {
 		n = 1
@@ -70,10 +86,10 @@ func chunkElemCap(budget, esz int) int {
 // chunkCount returns how many chunks a pairwise message of elems
 // elements splits into. Empty messages travel as one zero-byte chunk.
 func chunkCount(elems, capElems int) int {
-	if elems == 0 {
+	if elems <= capElems {
 		return 1
 	}
-	return (elems + capElems - 1) / capElems
+	return (elems-1)/capElems + 1
 }
 
 // nextChunkElems returns the element count of the chunk starting at
@@ -102,51 +118,79 @@ type recvProgress struct {
 	chunksLeft int
 }
 
-// budgetRun is the pooled per-call state of a budgeted transfer. The
-// slices keep their backing arrays across recycles, so a steady-state
-// budgeted transfer allocates nothing (guarded by
+// runState is the pooled per-call state of a transfer. The slices keep
+// their backing arrays across recycles, so a steady-state transfer
+// allocates nothing (guarded by TestExchangeSteadyStateZeroAlloc and
 // TestExchangeBudgetedSteadyStateZeroAlloc).
-type budgetRun struct {
-	staged  []stagedChunk
-	pendAck []int // per send op: chunks sent but not yet acknowledged
-	recv    []recvProgress
+type runState struct {
+	staged      []stagedChunk
+	pendAck     []int // per send op: chunks sent but not yet acknowledged
+	pendingAcks int   // sum of pendAck
+	recv        []recvProgress
+	recvChunks  int // sum of recv[i].chunksLeft
+	// zcWait is the rendezvous of this transfer's zero-copy sends,
+	// created on the first lent view so the copying path pays nothing.
+	zcWait *sync.WaitGroup
 }
 
-const maxFreeBudgetRuns = 64
+const maxFreeRunStates = 64
 
-var budgetPool = struct {
+var runPool = struct {
 	mu   sync.Mutex
-	free []*budgetRun
-}{free: make([]*budgetRun, 0, maxFreeBudgetRuns)}
+	free []*runState
+}{free: make([]*runState, 0, maxFreeRunStates)}
 
-func getBudgetRun() *budgetRun {
-	budgetPool.mu.Lock()
-	if n := len(budgetPool.free); n > 0 {
-		st := budgetPool.free[n-1]
-		budgetPool.free[n-1] = nil
-		budgetPool.free = budgetPool.free[:n-1]
-		budgetPool.mu.Unlock()
+func getRunState() *runState {
+	runPool.mu.Lock()
+	if n := len(runPool.free); n > 0 {
+		st := runPool.free[n-1]
+		runPool.free[n-1] = nil
+		runPool.free = runPool.free[:n-1]
+		runPool.mu.Unlock()
 		return st
 	}
-	budgetPool.mu.Unlock()
-	return new(budgetRun)
+	runPool.mu.Unlock()
+	return new(runState)
 }
 
-func putBudgetRun(st *budgetRun) {
+// putRunState ends a transfer. Zero-copy sends lent the caller's source
+// slice to in-process receivers; the rendezvous holds this rank until
+// every lent view has been unpacked and recycled, so the caller may
+// mutate its source the moment runTransfer returns — error paths
+// included, since receivers recycle every expected message even while
+// draining.
+func putRunState(st *runState) {
+	if st.zcWait != nil {
+		st.zcWait.Wait()
+		putZCWait(st.zcWait)
+	}
 	for i := range st.staged {
 		st.staged[i] = stagedChunk{}
 	}
-	st.staged = st.staged[:0]
-	st.pendAck = st.pendAck[:0]
-	for i := range st.recv {
-		st.recv[i] = recvProgress{}
+	*st = runState{staged: st.staged[:0], pendAck: st.pendAck[:0], recv: st.recv[:0]}
+	runPool.mu.Lock()
+	if len(runPool.free) < maxFreeRunStates {
+		runPool.free = append(runPool.free, st)
 	}
-	st.recv = st.recv[:0]
-	budgetPool.mu.Lock()
-	if len(budgetPool.free) < maxFreeBudgetRuns {
-		budgetPool.free = append(budgetPool.free, st)
+	runPool.mu.Unlock()
+}
+
+// post sends one chunk and, on a budgeted transfer, books the credit its
+// receiver now owes.
+func (st *runState) post(c *comm.Comm, tag int, sc stagedChunk, budgeted bool) {
+	c.Send(sc.group, tag, sc.m)
+	if budgeted {
+		st.pendAck[sc.op]++
+		st.pendingAcks++
 	}
-	budgetPool.mu.Unlock()
+	mMsgsSent.Inc()
+	mChunksSent.Inc()
+}
+
+// abandon stops expecting the rest of the i'th incoming message.
+func (st *runState) abandon(i int) {
+	st.recvChunks -= st.recv[i].chunksLeft
+	st.recv[i].chunksLeft = 0
 }
 
 // sendAck returns one chunk's transfer credit to its sender.
@@ -158,42 +202,43 @@ func sendAck(c *comm.Comm, to, tag int, epoch uint64) {
 	mAcksSent.Inc()
 }
 
-// runBudgeted is the budgeted counterpart of runTransfer's loop. One
-// event loop interleaves three duties: shipping the staged round when
-// all in-flight chunks are acknowledged (then immediately packing the
-// next round), consuming incoming data chunks (acknowledging each), and
-// consuming acks. On error the same drain discipline as the unbudgeted
-// path applies — remaining expected chunks and acks are consumed (with
-// a give-up timeout when fenced), and drained chunks are still
-// acknowledged so live peers are never wedged waiting for credit.
-func runBudgeted[T Elem, P plan[T]](c *comm.Comm, pl P, dataTag int, f *fenceRun, budget int) error {
+// runTransfer is the transfer loop: the only place in this package that
+// sends or receives data messages. One event loop interleaves three
+// duties: send progress whenever no chunk is unacknowledged (ship the
+// staged round, or pack and post one directly, then stage the next),
+// consuming incoming data chunks (acknowledging each when budgeted), and
+// consuming acks. Sources never wait for a destination to be ready;
+// destinations consume exactly the chunks their plan expects. On error
+// the rank keeps draining its remaining expected chunks and acks (with a
+// give-up timeout when fenced) so nothing stays queued under dataTag to
+// cross-match a later transfer, and drained chunks are still acknowledged
+// so live peers are never wedged waiting for credit.
+func runTransfer[T Elem, P plan[T]](c *comm.Comm, pl P, dataTag int, f *fenceRun, budget int) error {
 	tr := obs.Trace()
-	wantKind := kindOf[T]()
 	esz := elemSize[T]()
-	capElems := chunkElemCap(budget, esz)
-	roundBytes := capElems * esz
-	if half := budget / 2; half > roundBytes {
-		roundBytes = half
+	capElems, roundBytes := chunkElemCap(budget, esz), math.MaxInt
+	// Acks pace rounds; an unbounded round has nothing to pace.
+	budgeted := capElems < math.MaxInt
+	if budgeted {
+		roundBytes = max(capElems*esz, budget/2)
 	}
 	var epoch uint64
 	if f != nil {
 		epoch = f.entryEpoch
 	}
 
-	st := getBudgetRun()
-	defer putBudgetRun(st)
+	st := getRunState()
+	defer putRunState(st)
 
 	nSend := pl.sends()
 	for i := 0; i < nSend; i++ {
 		st.pendAck = append(st.pendAck, 0)
 	}
-	nRecv := pl.recvs()
-	recvChunks := 0
-	for i := 0; i < nRecv; i++ {
+	for i, n := 0, pl.recvs(); i < n; i++ {
 		op := pl.recvOp(i)
-		n := chunkCount(op.elems, capElems)
-		st.recv = append(st.recv, recvProgress{group: op.group, rank: op.rank, elems: op.elems, chunksLeft: n})
-		recvChunks += n
+		chunks := chunkCount(op.elems, capElems)
+		st.recv = append(st.recv, recvProgress{group: op.group, rank: op.rank, elems: op.elems, chunksLeft: chunks})
+		st.recvChunks += chunks
 	}
 	if f != nil && pl.dstRank() >= 0 {
 		f.out.Validity = dad.NewValidity(pl.dstLen())
@@ -201,33 +246,113 @@ func runBudgeted[T Elem, P plan[T]](c *comm.Comm, pl P, dataTag int, f *fenceRun
 
 	var (
 		curOp, curOff int // chunking cursor over the send ops
-		pendingAcks   int
+		nextRecv      int // first expectation that may still be open
 		firstErr      error
 		lost          bool
 		discarded     bool
-		waited        time.Duration
+		waited        time.Duration // silence since the last arrival
 	)
 	for {
-		if f != nil {
-			// Liveness sweep. Destinations that died owing acks are
-			// forgiven (their chunks were dropped in transit); sources
-			// that died owing chunks get the failure policy applied.
-			for i := 0; i < nSend; i++ {
-				if st.pendAck[i] == 0 {
+		for i := 0; f != nil && i < nSend; i++ {
+			// Destinations that died owing acks are forgiven: their
+			// chunks were dropped in transit.
+			if st.pendAck[i] == 0 {
+				continue
+			}
+			g := pl.sendOp(i).group
+			if f.opts.Membership.IsAlive(g) {
+				continue
+			}
+			f.noteDown(g)
+			st.pendingAcks -= st.pendAck[i]
+			st.pendAck[i] = 0
+			if f.abortOnDeadSend && f.opts.Policy == FailStrict && firstErr == nil {
+				mRankdownAborts.Inc()
+				firstErr = &core.ErrRankDown{Rank: g, Epoch: f.opts.Membership.Epoch()}
+			}
+		}
+
+		// Send progress, whenever this rank is owed no credit: ship the
+		// staged round, or — nothing staged means nothing in flight —
+		// pack a round and post each chunk as it is packed; then stage
+		// the next round while that one is in flight. Two rounds of at
+		// most budget/2 bytes each bound this rank's resident packed
+		// bytes by the budget. An unfenced rank keeps sending even after
+		// an error: its peers block for exactly the chunks the
+		// decomposition promised them.
+		if (f == nil || firstErr == nil) && st.pendingAcks == 0 && (len(st.staged) > 0 || curOp < nSend) {
+			direct := len(st.staged) == 0
+			posted := !direct
+			if posted {
+				start := time.Now()
+				for i := range st.staged {
+					sc := st.staged[i]
+					st.staged[i] = stagedChunk{}
+					elems := sc.m.elems
+					st.post(c, dataTag, sc, budgeted)
+					tr.Span(obs.EvSend, "", pl.srcRank(), sc.rank, int64(elems), start)
+				}
+				st.staged = st.staged[:0]
+			}
+			inRound, bytes := 0, 0
+			for curOp < nSend {
+				op := pl.sendOp(curOp)
+				if f != nil && !f.opts.Membership.IsAlive(op.group) {
+					f.noteDown(op.group)
+					mSendsSkippedDead.Inc()
+					if f.abortOnDeadSend && f.opts.Policy == FailStrict {
+						mRankdownAborts.Inc()
+						firstErr = &core.ErrRankDown{Rank: op.group, Epoch: f.opts.Membership.Epoch()}
+						break
+					}
+					curOp, curOff = curOp+1, 0
 					continue
 				}
-				g := pl.sendOp(i).group
-				if f.opts.Membership.IsAlive(g) {
-					continue
+				n := nextChunkElems(op.elems, curOff, capElems)
+				if inRound > 0 && bytes+n*esz > roundBytes {
+					if !direct {
+						break
+					}
+					direct, inRound, bytes = false, 0, 0
 				}
-				f.noteDown(g)
-				pendingAcks -= st.pendAck[i]
-				st.pendAck[i] = 0
-				if f.abortOnDeadSend && f.opts.Policy == FailStrict && firstErr == nil {
-					mRankdownAborts.Inc()
-					firstErr = &core.ErrRankDown{Rank: g, Epoch: f.opts.Membership.Epoch()}
+				sc := stagedChunk{op: curOp, group: op.group, rank: op.rank}
+				start := time.Now()
+				if sc.m = lend[T](c, pl, curOp, op, f == nil && !budgeted, st); sc.m == nil {
+					sc.m = newMsg[T](epoch, n)
+					pl.packRange(curOp, curOff, elemsOf[T](sc.m.data, n))
+					mPackNS.ObserveSince(start)
+					mElemsPacked.Add(uint64(n))
+					tr.Span(obs.EvPack, "", pl.srcRank(), op.rank, int64(n), start)
+				}
+				if curOff == 0 {
+					// Only the opening chunk carries position metadata
+					// (the plan-owned full reply set on linear messages).
+					sc.m.have = pl.sendSet(curOp)
+				}
+				mMsgElems.Observe(int64(n))
+				if direct {
+					st.post(c, dataTag, sc, budgeted)
+					tr.Span(obs.EvSend, "", pl.srcRank(), op.rank, int64(n), start)
+					posted = true
+				} else {
+					st.staged = append(st.staged, sc)
+				}
+				inRound++
+				bytes += n * esz
+				if curOff += n; curOff >= op.elems {
+					curOp, curOff = curOp+1, 0
 				}
 			}
+			if posted {
+				mRoundsSent.Inc()
+			}
+			continue
+		}
+
+		if f != nil {
+			// Sources that died owing chunks get the failure policy
+			// applied — after this rank's own sends, which owe nothing to
+			// what it receives.
 			for i := range st.recv {
 				rp := &st.recv[i]
 				if rp.chunksLeft == 0 || f.opts.Membership.IsAlive(rp.group) {
@@ -245,8 +370,7 @@ func runBudgeted[T Elem, P plan[T]](c *comm.Comm, pl P, dataTag int, f *fenceRun
 					pl.lose(i, f)
 					lost = true
 				}
-				recvChunks -= rp.chunksLeft
-				rp.chunksLeft = 0
+				st.abandon(i)
 			}
 			if firstErr != nil && !discarded {
 				// Fenced abort semantics: unsent rounds are dropped, the
@@ -261,87 +385,34 @@ func runBudgeted[T Elem, P plan[T]](c *comm.Comm, pl P, dataTag int, f *fenceRun
 			}
 		}
 
-		// Send progress: with no chunk unacknowledged, ship the staged
-		// round and immediately pack the next one while it is in flight —
-		// the pipelining overlap. Two rounds of at most budget/2 bytes
-		// each bound this rank's resident packed bytes by the budget.
-		// An unfenced rank keeps sending even after an error: its peers
-		// block for exactly the chunks the decomposition promised them.
-		if (f == nil || firstErr == nil) && pendingAcks == 0 && (len(st.staged) > 0 || curOp < nSend) {
-			for i := range st.staged {
-				sc := &st.staged[i]
-				c.Send(sc.group, dataTag, sc.m)
-				st.pendAck[sc.op]++
-				pendingAcks++
-				mMsgsSent.Inc()
-				mChunksSent.Inc()
-				*sc = stagedChunk{}
-			}
-			if len(st.staged) > 0 {
-				st.staged = st.staged[:0]
-				mRoundsSent.Inc()
-			}
-			bytes := 0
-			for curOp < nSend {
-				op := pl.sendOp(curOp)
-				if f != nil && !f.opts.Membership.IsAlive(op.group) {
-					f.noteDown(op.group)
-					mSendsSkippedDead.Inc()
-					if f.abortOnDeadSend && f.opts.Policy == FailStrict && firstErr == nil {
-						mRankdownAborts.Inc()
-						firstErr = &core.ErrRankDown{Rank: op.group, Epoch: f.opts.Membership.Epoch()}
-						break
-					}
-					curOp, curOff = curOp+1, 0
-					continue
-				}
-				n := nextChunkElems(op.elems, curOff, capElems)
-				if len(st.staged) > 0 && bytes+n*esz > roundBytes {
-					break
-				}
-				m := newMsg[T](epoch, n)
-				if curOff == 0 {
-					// Only the opening chunk carries position metadata
-					// (the plan-owned full reply set on linear messages).
-					m.have = pl.sendSet(curOp)
-				}
-				start := time.Now()
-				pl.packRange(curOp, curOff, elemsOf[T](m.data, n))
-				mPackNS.ObserveSince(start)
-				mElemsPacked.Add(uint64(n))
-				mMsgElems.Observe(int64(n))
-				tr.Span(obs.EvPack, "", pl.srcRank(), op.rank, int64(n), start)
-				st.staged = append(st.staged, stagedChunk{m: m, op: curOp, group: op.group, rank: op.rank})
-				bytes += n * esz
-				curOff += n
-				if curOff >= op.elems {
-					curOp, curOff = curOp+1, 0
-				}
-			}
-			continue
-		}
-
-		if recvChunks == 0 && pendingAcks == 0 && len(st.staged) == 0 && curOp >= nSend {
+		if st.recvChunks == 0 && st.pendingAcks == 0 && len(st.staged) == 0 && curOp >= nSend {
 			break
 		}
 
-		var (
-			payload any
-			from    int
-		)
+		// Receive: from anyone while credit is outstanding, otherwise
+		// from the next expected peer in plan order.
+		from := comm.AnySource
+		if st.pendingAcks == 0 {
+			for st.recv[nextRecv].chunksLeft == 0 {
+				nextRecv++
+			}
+			from = st.recv[nextRecv].group
+		}
+		var payload any
 		if f == nil {
-			payload, from = c.Recv(comm.AnySource, dataTag)
+			payload, from = c.Recv(from, dataTag)
 		} else {
-			p, fr, ok := c.RecvTimeout(comm.AnySource, dataTag, f.opts.PollInterval)
+			p, fr, ok := c.RecvTimeout(from, dataTag, f.opts.PollInterval)
 			if !ok {
 				waited += f.opts.PollInterval
 				if f.opts.SuspectAfter > 0 && waited >= f.opts.SuspectAfter {
-					// Cumulative silence long enough: suspect every peer
-					// still owing this rank chunks or acks. The sweep at
-					// the top of the loop applies the policy.
+					// Silence long enough: suspect the awaited peer, or —
+					// listening to everyone — every peer still owing this
+					// rank chunks or acks. The liveness sweeps apply the
+					// policy.
 					for i := range st.recv {
-						if st.recv[i].chunksLeft > 0 {
-							f.opts.Membership.MarkDown(st.recv[i].group)
+						if g := st.recv[i].group; st.recv[i].chunksLeft > 0 && (from == comm.AnySource || from == g) {
+							f.opts.Membership.MarkDown(g)
 						}
 					}
 					for i := 0; i < nSend; i++ {
@@ -349,15 +420,21 @@ func runBudgeted[T Elem, P plan[T]](c *comm.Comm, pl P, dataTag int, f *fenceRun
 							f.opts.Membership.MarkDown(pl.sendOp(i).group)
 						}
 					}
+					waited = 0
 				}
-				if firstErr != nil && waited >= maxDur(f.opts.SuspectAfter, 10*f.opts.PollInterval) {
-					// Draining after an error: give up on silent peers.
-					break
+				if firstErr != nil && waited >= max(f.opts.SuspectAfter, 10*f.opts.PollInterval) {
+					// Draining after an error: give up on silent peers —
+					// everyone when listening to everyone, else the one
+					// awaited (later sources still get their turn).
+					if from == comm.AnySource {
+						break
+					}
+					st.abandon(nextRecv)
+					waited = 0
 				}
 				continue
 			}
-			payload = p
-			from = fr
+			payload, from, waited = p, fr, 0
 		}
 
 		m, isMsg := payload.(*xferMsg)
@@ -368,7 +445,7 @@ func runBudgeted[T Elem, P plan[T]](c *comm.Comm, pl P, dataTag int, f *fenceRun
 			for i := 0; i < nSend; i++ {
 				if st.pendAck[i] > 0 && pl.sendOp(i).group == from {
 					st.pendAck[i]--
-					pendingAcks--
+					st.pendingAcks--
 					credited = true
 					break
 				}
@@ -378,114 +455,132 @@ func runBudgeted[T Elem, P plan[T]](c *comm.Comm, pl P, dataTag int, f *fenceRun
 			}
 			continue
 		}
+		// Every consumed data message counts, including discards:
+		// mMsgsRecv is "messages taken off the wire".
 		mMsgsRecv.Inc()
 		if isMsg && f != nil && m.epoch != 0 && m.epoch < f.entryEpoch {
-			// Leftover chunk of a pre-failure attempt. Discard, but still
-			// return its credit: a stale sender may be draining on flow
-			// control, and credit is never a correctness input.
+			// Leftover chunk of a pre-failure attempt: discard and keep
+			// waiting for the current epoch's. It matches no expectation.
 			mStaleEpoch.Inc()
-			recycle(m)
-			sendAck(c, from, dataTag, epoch)
-			continue
-		}
-
-		// Attribute to the sender's pairwise message: per-pair FIFO order
-		// plus one expected message per peer make this the next chunk.
-		ri := -1
-		for i := range st.recv {
-			if st.recv[i].group == from && st.recv[i].chunksLeft > 0 {
-				ri = i
-				break
+		} else {
+			// Attribute to the sender's pairwise message: per-pair FIFO
+			// order plus one expected message per peer make this the next
+			// chunk.
+			ri := nextRecv
+			for ri < len(st.recv) && (st.recv[ri].group != from || st.recv[ri].chunksLeft == 0) {
+				ri++
 			}
-		}
-		if ri < 0 {
-			if isMsg {
-				recycle(m)
-				sendAck(c, from, dataTag, epoch)
+			var err error
+			switch {
+			case ri == len(st.recv):
+				err = fmt.Errorf("redist: destination rank %d received unexpected %T from group rank %d", pl.dstRank(), payload, from)
+			case !isMsg:
+				err = fmt.Errorf("redist: destination rank %d received %T, want transfer message", pl.dstRank(), payload)
+			case firstErr == nil:
+				err = unpackChunk[T](pl, f, ri, &st.recv[ri], m, capElems, tr)
 			}
-			if firstErr == nil {
-				firstErr = fmt.Errorf("redist: destination rank %d received unexpected %T from group rank %d", pl.dstRank(), payload, from)
-			} else {
+			if ri < len(st.recv) {
+				st.recv[ri].chunksLeft--
+				st.recvChunks--
+			}
+			if firstErr != nil {
 				mDrained.Inc()
-			}
-			continue
-		}
-		rp := &st.recv[ri]
-		rp.chunksLeft--
-		recvChunks--
-		if !isMsg {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("redist: destination rank %d received %T, want transfer message", pl.dstRank(), payload)
 			} else {
-				mDrained.Inc()
-			}
-			continue
-		}
-		if firstErr != nil {
-			mDrained.Inc()
-			recycle(m)
-			sendAck(c, from, dataTag, epoch)
-			continue
-		}
-		if f != nil && m.epoch > f.entryEpoch {
-			// The peer already re-planned into a newer epoch; consuming
-			// its chunks against this rank's stale plan would corrupt
-			// data silently. Typed error so the caller re-enters at the
-			// current epoch.
-			mStaleLocal.Inc()
-			remote := m.epoch
-			recycle(m)
-			sendAck(c, from, dataTag, epoch)
-			firstErr = &StaleLocalEpochError{Transfer: pl.proto(), Rank: pl.dstRank(), Peer: rp.rank, Local: f.entryEpoch, Remote: remote}
-			continue
-		}
-		if m.kind != wantKind {
-			firstErr = &ElemKindError{Transfer: pl.proto(), DstRank: pl.dstRank(), SrcRank: rp.rank, Got: m.kind, Want: wantKind}
-			recycle(m)
-			sendAck(c, from, dataTag, epoch)
-			continue
-		}
-		expect := nextChunkElems(rp.elems, rp.elemsDone, capElems)
-		if m.elems != expect || len(m.data) != m.elems*esz {
-			firstErr = &ElemCountError{Transfer: pl.proto(), DstRank: pl.dstRank(), SrcRank: rp.rank, Got: m.elems, Want: expect}
-			recycle(m)
-			sendAck(c, from, dataTag, epoch)
-			continue
-		}
-		if rp.elemsDone == 0 {
-			if err := pl.checkHave(ri, m); err != nil {
 				firstErr = err
-				recycle(m)
-				sendAck(c, from, dataTag, epoch)
-				continue
 			}
 		}
-		start := time.Now()
-		pl.unpackRange(ri, rp.elemsDone, elemsOf[T](m.data, m.elems))
-		mUnpackNS.ObserveSince(start)
-		mElemsUnpack.Add(uint64(m.elems))
-		tr.Span(obs.EvUnpack, "", pl.dstRank(), rp.rank, int64(m.elems), start)
-		rp.elemsDone += m.elems
-		recycle(m)
-		sendAck(c, from, dataTag, epoch)
+		if isMsg {
+			// Whatever its fate the chunk is disposed of, and when
+			// budgeted its credit returned: a stale or failing sender may
+			// be draining on flow control, and credit is never a
+			// correctness input.
+			recycle(m)
+			if budgeted {
+				sendAck(c, from, dataTag, epoch)
+			}
+		}
 	}
 
+	if firstErr == nil {
+		firstErr = pl.finish(lost)
+	}
 	if firstErr != nil {
 		mErrors.Inc()
 		return firstErr
 	}
-	if err := pl.finish(lost); err != nil {
-		mErrors.Inc()
-		return err
-	}
 	if f != nil && pl.dstRank() >= 0 && f.opts.Desc != nil && !f.out.Validity.AllValid() {
 		f.opts.Desc.SetValidity(pl.dstRank(), f.out.Validity)
 	}
+	// One count per side this rank played, on success only.
 	if pl.srcRank() >= 0 {
 		mTransfers.Inc()
 	}
 	if pl.dstRank() >= 0 {
 		mTransfers.Inc()
 	}
+	return nil
+}
+
+// lend returns the i'th outgoing message as a view of the caller's own
+// source slice — zero pack, zero copy — or nil when it must be packed.
+// Only whole messages of unfenced, unbudgeted transfers are eligible, and
+// they are lent only to in-process peers (a mailbox delivers the same
+// slice) and never to self: packing keeps aliased src/dst safe there.
+func lend[T Elem, P plan[T]](c *comm.Comm, pl P, i int, op pairOp, eligible bool, st *runState) *xferMsg {
+	if !eligible {
+		return nil
+	}
+	view := pl.sendView(i)
+	if view == nil {
+		return nil
+	}
+	if op.group == c.Rank() || !c.DeliverableLocal(op.group) {
+		mZeroCopyMisses.Inc()
+		return nil
+	}
+	if st.zcWait == nil {
+		st.zcWait = getZCWait()
+	}
+	st.zcWait.Add(1)
+	m := getMsg()
+	m.kind = kindOf[T]()
+	m.elems = op.elems
+	m.data = view
+	m.done = st.zcWait
+	mZeroCopyHits.Inc()
+	mElemsLent.Add(uint64(op.elems))
+	return m
+}
+
+// unpackChunk validates one arrived chunk against the open expectation
+// rp (the ri'th) and unpacks it into place.
+func unpackChunk[T Elem, P plan[T]](pl P, f *fenceRun, ri int, rp *recvProgress, m *xferMsg, capElems int, tr *obs.Tracer) error {
+	if f != nil && m.epoch > f.entryEpoch {
+		// The peer already re-planned into a NEWER epoch than this rank
+		// entered at. Consuming its chunks against our stale plan would
+		// corrupt data silently whenever the element counts happen to
+		// match; reject with a typed error so the caller re-enters at
+		// the current epoch.
+		mStaleLocal.Inc()
+		return &StaleLocalEpochError{Transfer: pl.proto(), Rank: pl.dstRank(), Peer: rp.rank, Local: f.entryEpoch, Remote: m.epoch}
+	}
+	if want := kindOf[T](); m.kind != want {
+		return &ElemKindError{Transfer: pl.proto(), DstRank: pl.dstRank(), SrcRank: rp.rank, Got: m.kind, Want: want}
+	}
+	expect := nextChunkElems(rp.elems, rp.elemsDone, capElems)
+	if m.elems != expect || len(m.data) != m.elems*elemSize[T]() {
+		return &ElemCountError{Transfer: pl.proto(), DstRank: pl.dstRank(), SrcRank: rp.rank, Got: m.elems, Want: expect}
+	}
+	if rp.elemsDone == 0 {
+		if err := pl.checkHave(ri, m); err != nil {
+			return err
+		}
+	}
+	start := time.Now()
+	pl.unpackRange(ri, rp.elemsDone, elemsOf[T](m.data, m.elems))
+	mUnpackNS.ObserveSince(start)
+	mElemsUnpack.Add(uint64(m.elems))
+	tr.Span(obs.EvUnpack, "", pl.dstRank(), rp.rank, int64(m.elems), start)
+	rp.elemsDone += m.elems
 	return nil
 }

@@ -158,6 +158,7 @@ func testBudgetDifferential[T Elem](t *testing.T, name string, conv func(float64
 }
 
 func TestBudgetedMatchesUnbudgetedExchange(t *testing.T) {
+	defer elemLedger(t)()
 	testBudgetDifferential[float64](t, "float64", func(v float64) float64 { return v })
 	testBudgetDifferential[float32](t, "float32", func(v float64) float32 { return float32(v) })
 	testBudgetDifferential[int64](t, "int64", func(v float64) int64 { return int64(v) })
@@ -169,6 +170,7 @@ func TestBudgetedMatchesUnbudgetedExchange(t *testing.T) {
 // through the same budgeted rounds, including zero-element replies from
 // sources whose owned set misses the destination's needs entirely.
 func TestBudgetedMatchesUnbudgetedLinear(t *testing.T) {
+	defer elemLedger(t)()
 	cases := []struct {
 		name     string
 		src, dst *dad.Template
@@ -318,5 +320,99 @@ func TestExchangeBudgetedSteadyStateZeroAlloc(t *testing.T) {
 	allocs := testing.AllocsPerRun(20, step)
 	if allocs != 0 {
 		t.Fatalf("steady-state budgeted Exchange allocates: %v allocs per transfer step", allocs)
+	}
+}
+
+// An unbudgeted transfer is the chunked protocol with an infinite budget:
+// exactly one data message per planned pair, one round per sending rank,
+// and no credit traffic at all. A budgeted one still acknowledges every
+// chunk it sends.
+func TestUnbudgetedIsOneRoundWithoutAcks(t *testing.T) {
+	src := tpl(t, []int{256}, dad.BlockAxis(2))
+	dst := tpl(t, []int{256}, dad.CyclicAxis(3))
+	s, err := schedule.Build(src, dst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conv := func(v float64) float64 { return v }
+	deltas := func(budget int) (msgs, chunks, rounds, acks uint64) {
+		m0, c0, r0, a0 := mMsgsSent.Value(), mChunksSent.Value(), mRoundsSent.Value(), mAcksSent.Value()
+		verify(t, dst, runBudgetExchangeT(t, src, dst, conv, budget, false, []int{4, 2, 0, 3, 1}))
+		return mMsgsSent.Value() - m0, mChunksSent.Value() - c0, mRoundsSent.Value() - r0, mAcksSent.Value() - a0
+	}
+	msgs, chunks, rounds, acks := deltas(0)
+	if want := uint64(s.NumMessages()); msgs != want || chunks != want {
+		t.Errorf("unbudgeted: %d messages in %d chunks, want %d of each (one chunk per planned pair)", msgs, chunks, want)
+	}
+	if want := uint64(src.NumProcs()); rounds != want {
+		t.Errorf("unbudgeted: %d rounds, want %d (one per sending rank)", rounds, want)
+	}
+	if acks != 0 {
+		t.Errorf("unbudgeted: %d acks sent, want 0", acks)
+	}
+	msgs, chunks, rounds, acks = deltas(256)
+	if chunks <= uint64(s.NumMessages()) || msgs != chunks || acks != chunks {
+		t.Errorf("budgeted: %d messages, %d chunks, %d acks over %d pairs: want several chunks per pair, each one acknowledged",
+			msgs, chunks, acks, s.NumMessages())
+	}
+	if rounds <= uint64(src.NumProcs()) {
+		t.Errorf("budgeted: %d rounds, want more than one per sending rank", rounds)
+	}
+}
+
+// Back-to-back unbudgeted transfers may reuse one tag with no barrier
+// between them, however skewed the ranks: source 0 posts every step's
+// messages before source 1 posts its first, so each destination's mailbox
+// holds source 0's messages of all later steps while it waits for source
+// 1's message of this one. A rank owed no credit receives from the next
+// expected peer, not from anyone, so each step still consumes exactly its
+// own messages.
+func TestSkewedBackToBackExchangesShareTag(t *testing.T) {
+	src := tpl(t, []int{96}, dad.BlockAxis(2))
+	dst := tpl(t, []int{96}, dad.CyclicAxis(2))
+	s, err := schedule.Build(src, dst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const steps = 6
+	srcs, got := make([][][]float64, steps), make([][][]float64, steps)
+	for k := range srcs {
+		srcs[k] = fillByGlobal(src)
+		for _, local := range srcs[k] {
+			for i := range local {
+				local[i] += float64(1000 * k) // every step moves its own values
+			}
+		}
+		got[k] = [][]float64{make([]float64, dst.LocalCount(0)), make([]float64, dst.LocalCount(1))}
+	}
+	ahead := make(chan struct{})
+	comm.Run(4, func(c *comm.Comm) {
+		r := c.Rank()
+		if r == 1 {
+			<-ahead // source 0 is a whole run of transfers ahead
+		}
+		for k := 0; k < steps; k++ {
+			var sl, dl []float64
+			if r < 2 {
+				sl = srcs[k][r]
+			} else {
+				dl = got[k][r-2]
+			}
+			if err := Exchange(c, s, Layout{SrcBase: 0, DstBase: 2}, sl, dl, 0); err != nil {
+				t.Errorf("rank %d step %d: %v", r, k, err)
+			}
+		}
+		if r == 0 {
+			close(ahead)
+		}
+	})
+	want := [][]float64{make([]float64, dst.LocalCount(0)), make([]float64, dst.LocalCount(1))}
+	for k := 0; k < steps; k++ {
+		ExecuteLocal(s, srcs[k], want)
+		for r := range want {
+			if !bitsEqual(got[k][r], want[r]) {
+				t.Fatalf("step %d dst rank %d: a transfer consumed another step's message\ngot:  %v\nwant: %v", k, r, got[k][r], want[r])
+			}
+		}
 	}
 }

@@ -47,7 +47,26 @@ func bitsEqual(a, b []float64) bool {
 	return true
 }
 
+// elemLedger snapshots the engine's one accounting identity and returns
+// the check to run at quiescence: every element a sender packed or lent
+// was unpacked by a receiver, whichever way the transfer was chunked,
+// fenced or lent.
+func elemLedger(t *testing.T) func() {
+	t.Helper()
+	open := func() int64 {
+		return int64(mElemsPacked.Value()+mElemsLent.Value()) - int64(mElemsUnpack.Value())
+	}
+	base := open()
+	return func() {
+		t.Helper()
+		if d := open() - base; d != 0 {
+			t.Errorf("elems_packed + elems_lent - elems_unpacked moved by %d over clean transfers, want 0", d)
+		}
+	}
+}
+
 func TestFencedMatchesUnfencedExchange(t *testing.T) {
+	defer elemLedger(t)()
 	rng := rand.New(rand.NewSource(37))
 	for trial := 0; trial < 8; trial++ {
 		dims := []int{1 + rng.Intn(9), 1 + rng.Intn(9)}
@@ -121,6 +140,7 @@ func TestFencedMatchesUnfencedExchange(t *testing.T) {
 }
 
 func TestFencedMatchesUnfencedLinear(t *testing.T) {
+	defer elemLedger(t)()
 	rng := rand.New(rand.NewSource(41))
 	for trial := 0; trial < 6; trial++ {
 		dims := []int{2 + rng.Intn(8), 2 + rng.Intn(8)}

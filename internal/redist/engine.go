@@ -1,11 +1,12 @@
-// The unified transfer engine. All four exported exchange paths —
-// schedule-driven and linear, fenced and unfenced — are thin wrappers that
-// build a plan and hand it to runTransfer, the single send/recv loop in
-// this package. The plan abstracts what differs (which pairwise messages
-// exist, how each is packed/validated/unpacked, what a lost source
-// invalidates); the engine owns everything that must behave identically
-// (message pooling, epoch stamping, liveness checks, stale-epoch
-// rejection, suspicion, drain-after-error hygiene, metrics, tracing).
+// The transfer engine's messages, pools and plans. All exported exchange
+// paths — schedule-driven and linear, fenced and unfenced, budgeted or
+// not — are thin wrappers that build a plan and hand it to runTransfer
+// (budget.go), the single send/recv loop in this package. The plan
+// abstracts what differs (which pairwise messages exist, how a window of
+// each is packed/validated/unpacked, what a lost source invalidates); the
+// loop owns everything that must behave identically (chunking, credit,
+// epoch stamping, liveness checks, stale-epoch rejection, suspicion,
+// drain-after-error hygiene, metrics, tracing).
 //
 // The engine is generic over the element type T and over the concrete plan
 // type P. P is a type parameter rather than an interface-typed argument so
@@ -15,14 +16,11 @@
 package redist
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"mxn/internal/bufpool"
-	"mxn/internal/comm"
-	"mxn/internal/core"
 	"mxn/internal/dad"
 	"mxn/internal/linear"
 	"mxn/internal/obs"
@@ -43,9 +41,9 @@ type xferMsg struct {
 	elems int
 	data  []byte
 	have  linear.Set
-	// ack marks a credit message of the memory-bounded protocol: no
-	// data, sent back to a chunk's sender on the same data tag after the
-	// chunk is unpacked (see budget.go).
+	// ack marks a credit message of a budgeted transfer: no data, sent
+	// back to a chunk's sender on the same data tag after the chunk is
+	// disposed of (see budget.go).
 	ack bool
 	// done, when non-nil, marks a zero-copy message: data is a borrowed
 	// view of the sender's source slice, not a pooled buffer. recycle
@@ -103,9 +101,10 @@ func newMsg[T Elem](epoch uint64, elems int) *xferMsg {
 
 // Packed-bytes accounting: every data buffer drawn for a transfer
 // message counts toward the process-wide in-flight total from newMsg
-// until recycle. The high-water mark is the headline of redistbench's
-// HighWater phase: the peak transfer-payload memory the engine had
-// resident at once, the quantity MaxBytesInFlight exists to bound.
+// until recycle. The high-water mark is the peak transfer-payload memory
+// the engine had resident at once, the quantity MaxBytesInFlight exists
+// to bound (TestBudgetedPeakBytesBounded; bench/'s
+// redist.peak_packed_bytes).
 var (
 	bytesInFlight  atomic.Int64
 	bytesHighWater atomic.Int64
@@ -178,6 +177,7 @@ func putMsg(m *xferMsg) {
 var (
 	mZeroCopyHits   = obs.Default().Counter("redist.zerocopy_hits")
 	mZeroCopyMisses = obs.Default().Counter("redist.zerocopy_misses")
+	mElemsLent      = obs.Default().Counter("redist.elems_lent")
 )
 
 // zcWaitPool recycles the rendezvous WaitGroups of zero-copy sends so
@@ -241,24 +241,18 @@ type plan[T Elem] interface {
 	// view aliases the caller's memory — the engine only lends it to
 	// in-process receivers and rendezvouses before returning.
 	sendView(i int) []byte
-	pack(i int, out []T)
 	// packRange packs the window [elemOff, elemOff+len(out)) of the
-	// i'th outgoing message's packed element order: the chunk primitive
-	// of the memory-bounded path. Consecutive windows tiling the message
-	// must equal one pack of the whole message.
+	// i'th outgoing message's packed element order: one chunk. Windows
+	// tiling the message in order produce its whole packed form; an
+	// unbudgeted transfer asks for the one window at offset 0.
 	packRange(i, elemOff int, out []T)
 
 	recvs() int
 	recvOp(i int) pairOp
-	// check validates an arrived message against the i'th expectation
-	// (element counts, position sets); kind and byte-length checks are
-	// the engine's.
-	check(i int, m *xferMsg) error
-	// checkHave validates only the position metadata of a message
-	// opening the i'th expectation (the first chunk of a budgeted
-	// message, whose element count covers just its own window).
+	// checkHave validates the position metadata of the chunk opening the
+	// i'th expectation; kind, element-count and byte-length checks are
+	// the engine's, chunk by chunk.
 	checkHave(i int, m *xferMsg) error
-	unpack(i int, data []T)
 	// unpackRange unpacks a chunk holding the window
 	// [elemOff, elemOff+len(data)) of the i'th incoming message.
 	unpackRange(i, elemOff int, data []T)
@@ -311,240 +305,6 @@ func (f *fenceRun) noteDown(group int) {
 		f.downSeen[group] = true
 		f.out.Down = append(f.out.Down, group)
 	}
-}
-
-// runTransfer is the transfer loop: the only place in this package that
-// sends or receives data messages. Sources pack and post every pairwise
-// message without waiting; destinations consume exactly the messages their
-// plan expects. On error the destination keeps draining its remaining
-// expected messages (with a give-up timeout when fenced) so nothing stays
-// queued under dataTag to cross-match a later transfer. A positive budget
-// selects the memory-bounded chunked protocol instead (budget.go).
-func runTransfer[T Elem, P plan[T]](c *comm.Comm, pl P, dataTag int, f *fenceRun, budget int) error {
-	if budget > 0 {
-		return runBudgeted[T](c, pl, dataTag, f, budget)
-	}
-	// Zero-copy sends lend the caller's source slice to in-process
-	// receivers; the rendezvous below holds this rank until every lent
-	// view has been unpacked and recycled, so the caller may mutate its
-	// source the moment runTransfer returns — error paths included, since
-	// receivers recycle every expected message even while draining.
-	var zcWait *sync.WaitGroup
-	err := runDirect[T](c, pl, dataTag, f, &zcWait)
-	if zcWait != nil {
-		zcWait.Wait()
-		putZCWait(zcWait)
-	}
-	return err
-}
-
-// runDirect is the unbudgeted transfer loop body; zcWait is created
-// lazily on the first zero-copy send so the legacy path pays nothing.
-func runDirect[T Elem, P plan[T]](c *comm.Comm, pl P, dataTag int, f *fenceRun, zcWait **sync.WaitGroup) error {
-	tr := obs.Trace()
-	wantKind := kindOf[T]()
-	esz := elemSize[T]()
-	var epoch uint64
-	if f != nil {
-		epoch = f.entryEpoch
-	}
-
-	// Send phase. A FailStrict abort on a dead destination does not
-	// return yet: the error is held so the receive phase below still
-	// drains whatever peers already posted to this rank — returning
-	// early would leave their messages queued under dataTag to
-	// cross-match the next transfer on the same tag (the same
-	// tag-pollution class the receive path already guards against).
-	var sendAbort error
-	for i, n := 0, pl.sends(); i < n; i++ {
-		op := pl.sendOp(i)
-		if f != nil && !f.opts.Membership.IsAlive(op.group) {
-			f.noteDown(op.group)
-			mSendsSkippedDead.Inc()
-			if f.abortOnDeadSend && f.opts.Policy == FailStrict {
-				mRankdownAborts.Inc()
-				sendAbort = &core.ErrRankDown{Rank: op.group, Epoch: f.opts.Membership.Epoch()}
-				break
-			}
-			continue
-		}
-		if f == nil {
-			if view := pl.sendView(i); view != nil {
-				// Contiguous-run fast path: send a view of the caller's
-				// slice, zero pack, zero copy. Only for in-process peers
-				// (a mailbox delivers the same slice) and never to self —
-				// the legacy path's pack keeps aliased src/dst safe there.
-				if op.group != c.Rank() && c.DeliverableLocal(op.group) {
-					m := getMsg()
-					m.epoch = epoch
-					m.kind = wantKind
-					m.elems = op.elems
-					m.data = view
-					m.have = pl.sendSet(i)
-					if *zcWait == nil {
-						*zcWait = getZCWait()
-					}
-					(*zcWait).Add(1)
-					m.done = *zcWait
-					start := time.Now()
-					c.Send(op.group, dataTag, m)
-					mMsgsSent.Inc()
-					mZeroCopyHits.Inc()
-					mMsgElems.Observe(int64(op.elems))
-					tr.Span(obs.EvSend, "", pl.srcRank(), op.rank, int64(op.elems), start)
-					continue
-				}
-				mZeroCopyMisses.Inc()
-			}
-		}
-		m := newMsg[T](epoch, op.elems)
-		m.have = pl.sendSet(i)
-		start := time.Now()
-		pl.pack(i, elemsOf[T](m.data, op.elems))
-		mPackNS.ObserveSince(start)
-		tr.Span(obs.EvPack, "", pl.srcRank(), op.rank, int64(op.elems), start)
-		c.Send(op.group, dataTag, m)
-		mMsgsSent.Inc()
-		mElemsPacked.Add(uint64(op.elems))
-		mMsgElems.Observe(int64(op.elems))
-		tr.Span(obs.EvSend, "", pl.srcRank(), op.rank, int64(op.elems), start)
-	}
-	if pl.srcRank() >= 0 && sendAbort == nil {
-		mTransfers.Inc()
-	}
-
-	// Receive phase.
-	nRecv := pl.recvs()
-	if nRecv == 0 && pl.dstRank() < 0 {
-		if sendAbort != nil {
-			mErrors.Inc()
-		}
-		return sendAbort
-	}
-	if f != nil && pl.dstRank() >= 0 {
-		f.out.Validity = dad.NewValidity(pl.dstLen())
-	}
-	firstErr := sendAbort
-	lost := false
-	for i := 0; i < nRecv; i++ {
-		op := pl.recvOp(i)
-		if f == nil {
-			payload, _ := c.Recv(op.group, dataTag)
-			mMsgsRecv.Inc()
-			m, ok := payload.(*xferMsg)
-			if firstErr != nil {
-				mDrained.Inc()
-				if ok {
-					recycle(m)
-				}
-				continue
-			}
-			if !ok {
-				firstErr = fmt.Errorf("redist: destination rank %d received %T, want transfer message", pl.dstRank(), payload)
-				continue
-			}
-			firstErr = consume[T](pl, i, op, m, wantKind, esz, tr)
-			continue
-		}
-		waited := time.Duration(0)
-		for {
-			if firstErr == nil && !f.opts.Membership.IsAlive(op.group) {
-				f.noteDown(op.group)
-				if f.opts.Policy == FailStrict {
-					mRankdownAborts.Inc()
-					firstErr = &core.ErrRankDown{Rank: op.group, Epoch: f.opts.Membership.Epoch()}
-				} else {
-					pl.lose(i, f)
-					lost = true
-				}
-				break
-			}
-			payload, _, ok := c.RecvTimeout(op.group, dataTag, f.opts.PollInterval)
-			if !ok {
-				waited += f.opts.PollInterval
-				if f.opts.SuspectAfter > 0 && waited >= f.opts.SuspectAfter {
-					f.opts.Membership.MarkDown(op.group)
-				}
-				if firstErr != nil && waited >= maxDur(f.opts.SuspectAfter, 10*f.opts.PollInterval) {
-					// Draining after an error: give up on sources that
-					// stay silent.
-					break
-				}
-				continue
-			}
-			// Every consumed message counts, including discards: mMsgsRecv
-			// is "messages taken off the wire", matching the unfenced path.
-			mMsgsRecv.Inc()
-			m, isMsg := payload.(*xferMsg)
-			if isMsg && m.epoch != 0 && m.epoch < f.entryEpoch {
-				// Leftover of a pre-failure attempt; discard and keep
-				// waiting for the current epoch's message.
-				mStaleEpoch.Inc()
-				recycle(m)
-				continue
-			}
-			if firstErr != nil {
-				mDrained.Inc()
-				if isMsg {
-					recycle(m)
-				}
-				break
-			}
-			if isMsg && m.epoch > f.entryEpoch {
-				// The peer already re-planned into a NEWER epoch than this
-				// rank entered at. Consuming its message against our stale
-				// plan would corrupt data silently whenever the element
-				// counts happen to match; reject with a typed error so the
-				// caller re-enters at the current epoch.
-				mStaleLocal.Inc()
-				remote := m.epoch
-				recycle(m)
-				firstErr = &StaleLocalEpochError{Transfer: pl.proto(), Rank: pl.dstRank(), Peer: op.rank, Local: f.entryEpoch, Remote: remote}
-				break
-			}
-			if !isMsg {
-				firstErr = fmt.Errorf("redist: destination rank %d received %T, want transfer message", pl.dstRank(), payload)
-				break
-			}
-			firstErr = consume[T](pl, i, op, m, wantKind, esz, tr)
-			break
-		}
-	}
-	if firstErr != nil {
-		mErrors.Inc()
-		return firstErr
-	}
-	if err := pl.finish(lost); err != nil {
-		mErrors.Inc()
-		return err
-	}
-	if f != nil && pl.dstRank() >= 0 && f.opts.Desc != nil && !f.out.Validity.AllValid() {
-		f.opts.Desc.SetValidity(pl.dstRank(), f.out.Validity)
-	}
-	if pl.dstRank() >= 0 {
-		mTransfers.Inc()
-	}
-	return nil
-}
-
-// consume validates, unpacks and recycles one arrived message.
-func consume[T Elem, P plan[T]](pl P, i int, op pairOp, m *xferMsg, wantKind dad.ElemKind, esz int, tr *obs.Tracer) error {
-	defer recycle(m)
-	if m.kind != wantKind {
-		return &ElemKindError{Transfer: pl.proto(), DstRank: pl.dstRank(), SrcRank: op.rank, Got: m.kind, Want: wantKind}
-	}
-	if len(m.data) != m.elems*esz {
-		return &ElemCountError{Transfer: pl.proto(), DstRank: pl.dstRank(), SrcRank: op.rank, Got: len(m.data) / esz, Want: m.elems}
-	}
-	if err := pl.check(i, m); err != nil {
-		return err
-	}
-	start := time.Now()
-	pl.unpack(i, elemsOf[T](m.data, m.elems))
-	mUnpackNS.ObserveSince(start)
-	mElemsUnpack.Add(uint64(m.elems))
-	tr.Span(obs.EvUnpack, "", pl.dstRank(), op.rank, int64(m.elems), start)
-	return nil
 }
 
 // schedPlan is the schedule-driven plan: pairwise messages come straight
@@ -602,10 +362,6 @@ func (p schedPlan[T]) sendView(i int) []byte {
 	return bytesOf(view)
 }
 
-func (p schedPlan[T]) pack(i int, out []T) {
-	schedule.PackSlice(p.s.OutgoingAt(p.src, i), p.srcLocal, out)
-}
-
 func (p schedPlan[T]) packRange(i, elemOff int, out []T) {
 	schedule.PackSliceRange(p.s.OutgoingAt(p.src, i), p.srcLocal, out, elemOff)
 }
@@ -622,21 +378,9 @@ func (p schedPlan[T]) recvOp(i int) pairOp {
 	return pairOp{group: p.lay.SrcBase + pp.SrcRank, rank: pp.SrcRank, elems: pp.Elems}
 }
 
-func (p schedPlan[T]) check(i int, m *xferMsg) error {
-	pp := p.s.IncomingAt(p.dst, i)
-	if m.elems != pp.Elems {
-		return &ElemCountError{Transfer: "exchange", DstRank: p.dst, SrcRank: pp.SrcRank, Got: m.elems, Want: pp.Elems}
-	}
-	return nil
-}
-
 // checkHave is a no-op: schedule-driven messages carry no position
-// metadata, and a budgeted chunk's element count is the engine's check.
+// metadata, and a chunk's element count is the engine's check.
 func (p schedPlan[T]) checkHave(i int, m *xferMsg) error { return nil }
-
-func (p schedPlan[T]) unpack(i int, data []T) {
-	schedule.UnpackSlice(p.s.IncomingAt(p.dst, i), p.dstLocal, data)
-}
 
 func (p schedPlan[T]) unpackRange(i, elemOff int, data []T) {
 	schedule.UnpackSliceRange(p.s.IncomingAt(p.dst, i), p.dstLocal, data, elemOff)
@@ -691,9 +435,9 @@ type linPlan[T Elem] struct {
 	got     int        // positions successfully unpacked
 	lostAny bool
 
-	// Scratch sub-sets reused across packRange/unpackRange calls of the
-	// memory-bounded path (each call's result is consumed synchronously
-	// before the next, so one scratch set per direction suffices).
+	// Scratch sub-sets reused across packRange/unpackRange calls (each
+	// call's result is consumed synchronously before the next, so one
+	// scratch set per direction suffices).
 	packSub   linear.Set
 	unpackSub linear.Set
 }
@@ -715,11 +459,6 @@ func (p *linPlan[T]) sendSet(i int) linear.Set { return p.outSets[i] }
 // Linearizer and have no contiguous-run representation to borrow.
 func (p *linPlan[T]) sendView(i int) []byte { return nil }
 
-func (p *linPlan[T]) pack(i int, out []T) {
-	p.srcLin.Pack(p.src, p.srcLocal, p.outSets[i], out)
-	mLinReplies.Inc()
-}
-
 func (p *linPlan[T]) packRange(i, elemOff int, out []T) {
 	p.packSub = p.outSets[i].Slice(elemOff, len(out), p.packSub)
 	p.srcLin.Pack(p.src, p.srcLocal, p.packSub, out)
@@ -734,29 +473,16 @@ func (p *linPlan[T]) recvOp(i int) pairOp {
 	return pairOp{group: p.lay.SrcBase + p.inSrc[i], rank: p.inSrc[i], elems: p.inSets[i].Len()}
 }
 
-func (p *linPlan[T]) check(i int, m *xferMsg) error {
-	expect := p.inSets[i]
-	if !m.have.Equal(expect) || m.elems != expect.Len() {
-		return &ElemCountError{Transfer: "linear", DstRank: p.dst, SrcRank: p.inSrc[i], Got: m.elems, Want: expect.Len()}
-	}
-	return nil
-}
-
-// checkHave validates the position metadata the first chunk of a
-// budgeted message carries: the sender's full reply set, which must
-// equal this destination's expected intersection. Chunk element counts
-// are the engine's concern.
+// checkHave validates the position metadata a message's first chunk
+// carries: the sender's full reply set, which must equal this
+// destination's expected intersection. Chunk element counts are the
+// engine's concern.
 func (p *linPlan[T]) checkHave(i int, m *xferMsg) error {
 	expect := p.inSets[i]
 	if !m.have.Equal(expect) {
 		return &ElemCountError{Transfer: "linear", DstRank: p.dst, SrcRank: p.inSrc[i], Got: m.have.Len(), Want: expect.Len()}
 	}
 	return nil
-}
-
-func (p *linPlan[T]) unpack(i int, data []T) {
-	p.dstLin.Unpack(p.dst, p.dstLocal, p.inSets[i], data)
-	p.got += len(data)
 }
 
 func (p *linPlan[T]) unpackRange(i, elemOff int, data []T) {

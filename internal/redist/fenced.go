@@ -12,7 +12,7 @@
 //
 // The fenced functions are wrappers: they build a fenceRun and call the
 // same exchangeT/linearExchangeT the unfenced functions use, which run
-// the single transfer loop in engine.go.
+// the single transfer loop in budget.go.
 package redist
 
 import (
@@ -105,10 +105,10 @@ type FenceOpts struct {
 	// SetValidity(dstRank, ...) whenever a re-planned transfer loses
 	// elements — the "partial data marked on the destination DAD" hook.
 	Desc *dad.Descriptor
-	// MaxBytesInFlight, when positive, runs the transfer through the
-	// memory-bounded chunked protocol (see TransferOpts and budget.go).
-	// Rounds carry the entry epoch on every chunk, and the failure
-	// policies apply per chunk exactly as they apply per message.
+	// MaxBytesInFlight, when positive, bounds this rank's resident packed
+	// bytes (see TransferOpts and budget.go). Rounds carry the entry
+	// epoch on every chunk, and the failure policies apply per chunk
+	// exactly as they apply per message.
 	// Back-to-back budgeted transfers between the same ranks must use
 	// distinct base tags (see TransferOpts.MaxBytesInFlight).
 	MaxBytesInFlight int
@@ -160,13 +160,6 @@ func ExchangeFencedT[T Elem](c *comm.Comm, s *schedule.Schedule, lay Layout, src
 func ExchangeFenced(c *comm.Comm, s *schedule.Schedule, lay Layout, srcLocal, dstLocal []float64,
 	baseTag int, opts FenceOpts) (*Outcome, error) {
 	return ExchangeFencedT[float64](c, s, lay, srcLocal, dstLocal, baseTag, opts)
-}
-
-func maxDur(a, b time.Duration) time.Duration {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // LinearExchangeFencedT is LinearExchangeT under a liveness view. The

@@ -9,6 +9,7 @@ import (
 	"mxn/internal/comm"
 	"mxn/internal/core"
 	"mxn/internal/dad"
+	"mxn/internal/obs"
 	"mxn/internal/schedule"
 )
 
@@ -317,4 +318,63 @@ func TestReconfigureSharedPlanAcrossArrays(t *testing.T) {
 	if dropped != 1 {
 		t.Fatalf("commit dropped %d entries, want 1 shared plan", dropped)
 	}
+}
+
+// A resize leaves nothing behind on the hot path: after a committed grow
+// 2→4, cached steady-state transfers out of the post-resize geometry (the
+// migrated Block(4) cohort feeding a Cyclic(4) consumer) allocate
+// nothing. Ranks run sequentially in one goroutine, as in
+// TestExchangeSteadyStateZeroAlloc, so AllocsPerRun measures the engine.
+func TestCachedSteadyStateAfterResizeZeroAlloc(t *testing.T) {
+	obs.DisableTracing()
+	oldT := tpl(t, []int{1 << 10}, dad.BlockAxis(2))
+	mem := core.NewMembership(2)
+	rz, err := mem.ProposeResize(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	newT, err := dad.Reblock(oldT, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := schedule.NewCache()
+	migrated, _, errs := runReconfigure(t, mem, rz, oldT, newT, 4, nil,
+		func(fo *FenceOpts) { fo.Cache = cache })
+	for r, err := range errs {
+		if err != nil {
+			t.Fatalf("rank %d: %v", r, err)
+		}
+	}
+	if _, err := CommitReconfigure(rz, cache, oldT); err != nil {
+		t.Fatal(err)
+	}
+
+	consumer := tpl(t, []int{1 << 10}, dad.CyclicAxis(4))
+	cs := comm.NewWorld(8).Comms()
+	lay := Layout{SrcBase: 0, DstBase: 4}
+	out := make([][]float64, 4)
+	for r := range out {
+		out[r] = make([]float64, consumer.LocalCount(r))
+	}
+	s, err := cache.Get(newT, consumer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	step := func() {
+		for r := 0; r < 4; r++ {
+			if err := Exchange(cs[r], s, lay, migrated[r], nil, 0); err != nil {
+				t.Fatalf("source rank %d: %v", r, err)
+			}
+		}
+		for r := 0; r < 4; r++ {
+			if err := Exchange(cs[4+r], s, lay, nil, out[r], 0); err != nil {
+				t.Fatalf("destination rank %d: %v", r, err)
+			}
+		}
+	}
+	step() // warm the pools and mailbox queues
+	if allocs := testing.AllocsPerRun(50, step); allocs != 0 {
+		t.Fatalf("cached steady state after a resize allocates: %v allocs per transfer step", allocs)
+	}
+	verify(t, consumer, out)
 }

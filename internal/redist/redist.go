@@ -3,11 +3,12 @@
 // source local buffers to destination local buffers, in parallel, with no
 // global synchronization and no central data-management process.
 //
-// All transfers run on one generic engine (runTransfer in engine.go): a
-// plan enumerates the pairwise messages, the engine packs each into a
-// pooled raw-byte buffer, sends, receives, validates and unpacks. The
-// element type is a type parameter (see Elem); the exported float64
-// functions are thin instantiations. Four paths share the engine:
+// All transfers run on one generic loop (runTransfer in budget.go): a
+// plan enumerates the pairwise messages, the loop packs each — whole, or
+// chunk by chunk under a memory budget — into pooled raw-byte buffers,
+// sends, receives, validates and unpacks. The element type is a type
+// parameter (see Elem); the exported float64 functions are thin
+// instantiations. Four paths share the loop:
 //
 //   - ExecuteLocal: a single-goroutine reference executor used by tests
 //     and as the baseline for benchmark comparisons.
@@ -165,18 +166,19 @@ type TransferOpts struct {
 	// one is in flight (see budget.go). Every rank of one transfer must
 	// pass the same value — both sides derive the identical chunk
 	// decomposition from it instead of negotiating. Zero or negative
-	// selects the unbounded path: every message materialized at once.
+	// means no bound: the same protocol with one chunk per message, one
+	// round and no acknowledgements.
 	//
 	// Budgets smaller than two elements degrade to element-at-a-time
 	// chunks, making the bound best-effort rather than hard.
 	//
-	// The chunk/ack protocol multiplexes every peer's traffic under the
-	// transfer's data tag (an any-source receive loop), so back-to-back
-	// transfers between the same ranks must use distinct base tags when
-	// either is budgeted: with no barrier between them, a rank that
-	// finishes early can land its next transfer's messages inside a
-	// slower peer's still-running loop. The unbudgeted path receives
-	// from specific peers in plan order and tolerates tag reuse.
+	// A rank owed acknowledgements receives from any source under the
+	// transfer's data tag, so back-to-back transfers between the same
+	// ranks must use distinct base tags when either is budgeted: with no
+	// barrier between them, a rank that finishes early can land its next
+	// transfer's messages inside a slower peer's still-running loop. An
+	// unbudgeted transfer is never owed any: it receives from specific
+	// peers in plan order and tolerates tag reuse.
 	MaxBytesInFlight int
 
 	// ZeroCopyLocal opts this rank's sends into the contiguous-run fast
@@ -233,7 +235,7 @@ func exchangeT[T Elem](c *comm.Comm, s *schedule.Schedule, lay Layout, srcLocal,
 			return fmt.Errorf("redist: destination rank %d buffer has %d elements, template says %d", dstRank, len(dstLocal), want)
 		}
 	}
-	pl := schedPlan[T]{s: s, lay: lay, src: -1, dst: -1, srcLocal: srcLocal, dstLocal: dstLocal, zc: zc && budget <= 0}
+	pl := schedPlan[T]{s: s, lay: lay, src: -1, dst: -1, srcLocal: srcLocal, dstLocal: dstLocal, zc: zc}
 	if isSrc {
 		pl.src = srcRank
 	}

@@ -75,6 +75,7 @@ func sameLocals[T Elem](t *testing.T, a, b [][]T) {
 // ZeroCopyLocal on are bit-identical to the legacy copying path, and the
 // legacy path itself verifies against the fingerprints.
 func TestZeroCopyDifferentialMatrix(t *testing.T) {
+	defer elemLedger(t)()
 	type cfg struct {
 		name   string
 		fenced bool

@@ -3,8 +3,8 @@
 // The enumerating builders intersect materialized interval lists (or patch
 // lists) and call Template.LocalOffset once per run — correct for every
 // distribution, but first contact between two cohorts pays milliseconds
-// and tens of thousands of allocations (see BENCH_redist.json's uncached
-// rows before this path existed). For the common regular cases the
+// and tens of thousands of allocations (bench/'s schedule.build_us is the
+// number to watch). For the common regular cases the
 // intersection of two coordinates' owned index sets has a closed form
 // (Sudarsan & Ribbens, "Efficient Multidimensional Data Redistribution
 // for Resizable Parallel Computations"):

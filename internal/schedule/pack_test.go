@@ -30,6 +30,8 @@ func unpackByCopy[T any](plan PairPlan, local, data []T) {
 // pair of the planner's randomized layout corpus (same generator and seed
 // as TestDifferentialFastVsEnumerator) — cyclic axes give runs of one
 // element, block and collapsed axes long ones, and most plans mix both.
+// The window kernels at offset 0 are a third input: the engine's
+// whole-message call.
 func TestPackUnitRunFastPathMatchesCopyKernel(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	unit, long := 0, 0
@@ -73,16 +75,19 @@ func TestPackUnitRunFastPathMatchesCopyKernel(t *testing.T) {
 			gotDst, wantDst := make([]float64, dst.LocalCount(p.DstRank)), make([]float64, dst.LocalCount(p.DstRank))
 			UnpackSlice(p, gotDst, got)
 			unpackByCopy(p, wantDst, want)
+			ranged, rangedDst := make([]float64, p.Elems), make([]float64, len(wantDst))
+			PackSliceRange(p, local, ranged, 0)
+			UnpackSliceRange(p, rangedDst, ranged, 0)
 			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("trial %d (%s → %s) pair %d→%d: packed[%d] = %v, copy kernel says %v",
-						trial, src.Key(), dst.Key(), p.SrcRank, p.DstRank, i, got[i], want[i])
+				if got[i] != want[i] || ranged[i] != want[i] {
+					t.Fatalf("trial %d (%s → %s) pair %d→%d: packed[%d] = %v (window at 0: %v), copy kernel says %v",
+						trial, src.Key(), dst.Key(), p.SrcRank, p.DstRank, i, got[i], ranged[i], want[i])
 				}
 			}
 			for i := range wantDst {
-				if gotDst[i] != wantDst[i] {
-					t.Fatalf("trial %d (%s → %s) pair %d→%d: unpacked[%d] = %v, copy kernel says %v",
-						trial, src.Key(), dst.Key(), p.SrcRank, p.DstRank, i, gotDst[i], wantDst[i])
+				if gotDst[i] != wantDst[i] || rangedDst[i] != wantDst[i] {
+					t.Fatalf("trial %d (%s → %s) pair %d→%d: unpacked[%d] = %v (window at 0: %v), copy kernel says %v",
+						trial, src.Key(), dst.Key(), p.SrcRank, p.DstRank, i, gotDst[i], rangedDst[i], wantDst[i])
 				}
 			}
 		}

@@ -467,36 +467,12 @@ func Unpack(plan PairPlan, local, data []float64) { UnpackSlice(plan, local, dat
 
 // PackSlice is Pack for any element type: schedules are element-agnostic
 // (runs are element counts and offsets), so one plan moves float32 or
-// complex128 arrays exactly as it moves float64 ones.
-//
-// A run of one element is assigned directly: cyclic layouts produce nothing
-// but unit runs, and a copy call per element costs several times the move.
-func PackSlice[T any](plan PairPlan, local, out []T) {
-	k := 0
-	for _, r := range plan.Runs {
-		if r.N == 1 {
-			out[k] = local[r.SrcOff]
-			k++
-			continue
-		}
-		copy(out[k:k+r.N], local[r.SrcOff:r.SrcOff+r.N])
-		k += r.N
-	}
-}
+// complex128 arrays exactly as it moves float64 ones. It is the whole
+// message seen as one window: PackSliceRange at offset 0 (split.go).
+func PackSlice[T any](plan PairPlan, local, out []T) { PackSliceRange(plan, local, out, 0) }
 
 // UnpackSlice is Unpack for any element type.
-func UnpackSlice[T any](plan PairPlan, local, data []T) {
-	k := 0
-	for _, r := range plan.Runs {
-		if r.N == 1 {
-			local[r.DstOff] = data[k]
-			k++
-			continue
-		}
-		copy(local[r.DstOff:r.DstOff+r.N], data[k:k+r.N])
-		k += r.N
-	}
-}
+func UnpackSlice[T any](plan PairPlan, local, data []T) { UnpackSliceRange(plan, local, data, 0) }
 
 // Cache memoizes schedules by template pair. The cache is safe for
 // concurrent use, and concurrent misses for one pair are deduplicated

@@ -8,7 +8,9 @@ import (
 )
 
 // splitPlans collects pairwise plans with interesting run structure:
-// multi-run plans whose runs the chunk windows must split mid-way.
+// multi-run plans whose runs the chunk windows must split mid-way, plans
+// of nothing but unit runs (the kernels' direct-assignment path), and
+// plans that mix unit runs with longer ones.
 func splitPlans(t *testing.T) []struct {
 	plan PairPlan
 	src  *dad.Template
@@ -22,6 +24,8 @@ func splitPlans(t *testing.T) []struct {
 		{tpl(t, []int{64}, dad.BlockAxis(4)), tpl(t, []int{64}, dad.CyclicAxis(4))},
 		{tpl(t, []int{60}, dad.BlockCyclicAxis(3, 5)), tpl(t, []int{60}, dad.BlockAxis(4))},
 		{tpl(t, []int{8, 8}, dad.BlockAxis(2), dad.CollapsedAxis()), tpl(t, []int{8, 8}, dad.CollapsedAxis(), dad.BlockAxis(2))},
+		{tpl(t, []int{64}, dad.CyclicAxis(4)), tpl(t, []int{64}, dad.BlockAxis(4))},
+		{tpl(t, []int{6, 7}, dad.CyclicAxis(2), dad.CollapsedAxis()), tpl(t, []int{6, 7}, dad.BlockAxis(2), dad.BlockCyclicAxis(2, 3))},
 	}
 	for _, w := range worlds {
 		s := mustBuild(t, w.src, w.dst)

@@ -90,8 +90,9 @@ func FuzzReadFrame(f *testing.F) {
 
 // FuzzWireFrameV round-trips arbitrary payloads through the vectored
 // framer at arbitrary segment boundaries: the wire bytes must be
-// bit-identical to the legacy WriteFrame of the concatenated payload,
-// and ReadFrame must recover the payload exactly.
+// bit-identical to the reference frame of the concatenated payload (and
+// to the flat WriteFrame of it), and ReadFrame must recover the payload
+// exactly.
 func FuzzWireFrameV(f *testing.F) {
 	f.Add([]byte("seed payload"), uint16(3))
 	f.Add([]byte{}, uint16(0))
@@ -116,12 +117,13 @@ func FuzzWireFrameV(f *testing.F) {
 		if err := WriteFrameV(&vec, segs); err != nil {
 			t.Fatalf("WriteFrameV: %v", err)
 		}
-		var legacy bytes.Buffer
-		if err := WriteFrame(&legacy, payload); err != nil {
+		var flat bytes.Buffer
+		if err := WriteFrame(&flat, payload); err != nil {
 			t.Fatalf("WriteFrame: %v", err)
 		}
-		if !bytes.Equal(vec.Bytes(), legacy.Bytes()) {
-			t.Fatalf("vectored frame differs from legacy frame for %d segments", len(segs))
+		ref := referenceFrame(payload)
+		if !bytes.Equal(vec.Bytes(), ref) || !bytes.Equal(flat.Bytes(), ref) {
+			t.Fatalf("frame differs from reference frame for %d segments", len(segs))
 		}
 		got, err := ReadFrame(&vec)
 		if err != nil {

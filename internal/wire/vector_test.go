@@ -2,9 +2,22 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"net"
 	"testing"
 )
+
+// referenceFrame spells the frame format out independently of the writer
+// under test: 4-byte little-endian length, 4-byte little-endian CRC-32C
+// (Castagnoli) of the payload, then the payload. WriteFrame and
+// WriteFrameV share one writer, so neither can vouch for the other.
+func referenceFrame(payload []byte) []byte {
+	out := make([]byte, 8, 8+len(payload))
+	binary.LittleEndian.PutUint32(out[:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(out[4:], crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
+	return append(out, payload...)
+}
 
 // splitAt cuts b into segments at the given offsets (sorted, within
 // range). Zero-length segments are kept: WriteFrameV must tolerate them.
@@ -19,8 +32,9 @@ func splitAt(b []byte, offs ...int) net.Buffers {
 }
 
 // TestWriteFrameVBitIdentical: the vectored framer must produce exactly
-// the bytes WriteFrame produces for the concatenated payload, for every
-// segmentation — including empty and nil segments.
+// the reference frame of the concatenated payload, for every
+// segmentation — including empty and nil segments — and so must the flat
+// WriteFrame of that payload.
 func TestWriteFrameVBitIdentical(t *testing.T) {
 	payload := make([]byte, 1000)
 	for i := range payload {
@@ -44,17 +58,20 @@ func TestWriteFrameVBitIdentical(t *testing.T) {
 			for _, s := range tc.segs {
 				want = append(want, s...)
 			}
-			var legacy bytes.Buffer
-			if err := WriteFrame(&legacy, want); err != nil {
+			ref := referenceFrame(want)
+			var flat bytes.Buffer
+			if err := WriteFrame(&flat, want); err != nil {
 				t.Fatal(err)
+			}
+			if !bytes.Equal(ref, flat.Bytes()) {
+				t.Fatalf("flat frame differs from reference frame\nreference %x\nflat      %x", ref, flat.Bytes())
 			}
 			var vec bytes.Buffer
 			if err := WriteFrameV(&vec, tc.segs); err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(legacy.Bytes(), vec.Bytes()) {
-				t.Fatalf("vectored frame differs from legacy frame\nlegacy %x\nvector %x",
-					legacy.Bytes(), vec.Bytes())
+			if !bytes.Equal(ref, vec.Bytes()) {
+				t.Fatalf("vectored frame differs from reference frame\nreference %x\nvector    %x", ref, vec.Bytes())
 			}
 			got, err := ReadFrame(&vec)
 			if err != nil {

@@ -25,10 +25,10 @@ import (
 
 // Frame-level instruments, registered in the process-default registry.
 // bytes_vectored vs bytes_copied split the payload bytes of written
-// frames by path: scatter-gather frames (WriteFrameV) never flatten
-// their segments, flat frames (WriteFrame) carry payloads that were
-// materialized contiguously by the caller. The ratio is the headline of
-// the zero-copy wire path.
+// frames by entry point: scatter-gather frames (WriteFrameV) never
+// flatten their segments, flat frames (WriteFrame) carry payloads that
+// were materialized contiguously by the caller. Both leave through the
+// same writer; the ratio is the headline of the zero-copy wire path.
 var (
 	mFramesWritten    = obs.Default().Counter("wire.frames_written")
 	mFramesRead       = obs.Default().Counter("wire.frames_read")
@@ -640,28 +640,15 @@ const MaxFrame = 1 << 30
 // frameTable is the CRC-32C (Castagnoli) table used for frame checksums.
 var frameTable = crc32.MakeTable(crc32.Castagnoli)
 
-// WriteFrame writes one length-prefixed, checksummed frame to w.
+// WriteFrame writes one length-prefixed, checksummed frame to w: the
+// one-segment case of WriteFrameV, with the payload accounted as
+// materialized contiguously by the caller.
 func WriteFrame(w io.Writer, payload []byte) error {
-	if len(payload) > MaxFrame {
-		return fmt.Errorf("wire: frame of %d bytes exceeds max %d", len(payload), MaxFrame)
-	}
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:], crc32.Checksum(payload, frameTable))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if _, err := w.Write(payload); err != nil {
-		return err
-	}
-	mFramesWritten.Inc()
-	mBytesWritten.Add(uint64(len(hdr) + len(payload)))
-	mBytesCopied.Add(uint64(len(payload)))
-	mFrameBytes.Observe(int64(len(payload)))
-	return nil
+	seg := [1][]byte{payload}
+	return writeFrame(w, seg[:], mBytesCopied)
 }
 
-// vecState is the per-write scratch for WriteFrameV: the 8-byte frame
+// vecState is the per-write scratch of the frame writer: the 8-byte frame
 // header plus the iovec slice handed to net.Buffers.WriteTo. States are
 // recycled through a mutex-guarded free list so the healthy send path
 // performs no allocations.
@@ -713,11 +700,17 @@ func putVecState(v *vecState) {
 // segs, without flattening the segments: the CRC-32C is computed
 // incrementally across them and the header plus every segment are handed
 // to the writer as a single net.Buffers, which net.TCPConn turns into
-// one writev call. The bytes on the wire are identical to
-// WriteFrame(w, concat(segs...)). segs itself is never mutated (WriteTo
-// consumes an internal copy of the vector), so callers may reuse their
-// slice immediately.
+// one writev call. The bytes on the wire are those of one frame carrying
+// concat(segs...). segs itself is never mutated (WriteTo consumes an
+// internal copy of the vector), so callers may reuse their slice
+// immediately.
 func WriteFrameV(w io.Writer, segs net.Buffers) error {
+	return writeFrame(w, segs, mBytesVectored)
+}
+
+// writeFrame is the one frame writer; path is the payload-bytes counter
+// of the caller's side of the copied/vectored split.
+func writeFrame(w io.Writer, segs [][]byte, path *obs.Counter) error {
 	total := 0
 	for _, s := range segs {
 		total += len(s)
@@ -745,7 +738,7 @@ func WriteFrameV(w io.Writer, segs net.Buffers) error {
 	}
 	mFramesWritten.Inc()
 	mBytesWritten.Add(uint64(8 + total))
-	mBytesVectored.Add(uint64(total))
+	path.Add(uint64(total))
 	mFrameBytes.Observe(int64(total))
 	return nil
 }
