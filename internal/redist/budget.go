@@ -33,19 +33,16 @@
 //
 // Liveness. Sending and receiving interleave in one event loop per rank
 // (a rank blocked waiting for acks must keep consuming its own incoming
-// chunks, or two mutually-sending ranks deadlock). While this rank is
-// owed credit it receives from any source, attributing arrivals by
+// chunks, or two mutually-sending ranks deadlock). A budgeted rank
+// receives from any source and acknowledges each chunk on arrival, so one
+// slow source never holds up another's credit; it attributes arrivals by
 // sender: the comm layer preserves per-pair FIFO order and a plan never
 // expects more than one pairwise message from the same peer, so an
 // arriving chunk is always the next unconsumed chunk of that peer's
-// message. Owed nothing, it receives from the next expected peer in plan
-// order — which is what lets back-to-back unbudgeted transfers reuse a
-// tag (a fast peer's next message waits in its own mailbox slot) and
-// attributes a fenced timeout to one source. Waiting on one peer cannot
-// wedge a budgeted sender short of its ack, because every plan lists a
-// destination's sources in one order common to all destinations (pair
-// order for schedules, rank order for linear plans): the earliest source
-// anyone waits on is waited on by every receiver it still owes.
+// message. An unbudgeted rank, owed nothing by anyone, receives from the
+// next expected peer in plan order — which is what lets back-to-back
+// unbudgeted transfers reuse a tag (a fast peer's next message waits in
+// its own mailbox slot) and attributes a fenced timeout to one source.
 package redist
 
 import (
@@ -175,18 +172,6 @@ func putRunState(st *runState) {
 	runPool.mu.Unlock()
 }
 
-// post sends one chunk and, on a budgeted transfer, books the credit its
-// receiver now owes.
-func (st *runState) post(c *comm.Comm, tag int, sc stagedChunk, budgeted bool) {
-	c.Send(sc.group, tag, sc.m)
-	if budgeted {
-		st.pendAck[sc.op]++
-		st.pendingAcks++
-	}
-	mMsgsSent.Inc()
-	mChunksSent.Inc()
-}
-
 // abandon stops expecting the rest of the i'th incoming message.
 func (st *runState) abandon(i int) {
 	st.recvChunks -= st.recv[i].chunksLeft
@@ -252,6 +237,73 @@ func runTransfer[T Elem, P plan[T]](c *comm.Comm, pl P, dataTag int, f *fenceRun
 		discarded     bool
 		waited        time.Duration // silence since the last arrival
 	)
+	// post sends one chunk and, on a budgeted transfer, books the credit
+	// its receiver now owes.
+	post := func(sc stagedChunk) {
+		var start time.Time
+		if tr != nil {
+			start = time.Now()
+		}
+		elems := sc.m.elems
+		c.Send(sc.group, dataTag, sc.m)
+		if budgeted {
+			st.pendAck[sc.op]++
+			st.pendingAcks++
+		}
+		mMsgsSent.Inc()
+		mChunksSent.Inc()
+		tr.Span(obs.EvSend, "", pl.srcRank(), sc.rank, int64(elems), start)
+	}
+	// packNext packs the chunk at the send cursor — or lends it, see lend —
+	// and advances the cursor past it and past dead destinations. It
+	// reports false once the cursor is exhausted (a strict abort retires
+	// it) or the chunk would overflow a round already holding roundSoFar
+	// bytes (a lone chunk always fits: roundBytes >= capElems*esz).
+	packNext := func(roundSoFar int) (stagedChunk, bool) {
+		for curOp < nSend {
+			op := pl.sendOp(curOp)
+			if f != nil && !f.opts.Membership.IsAlive(op.group) {
+				f.noteDown(op.group)
+				mSendsSkippedDead.Inc()
+				if f.abortOnDeadSend && f.opts.Policy == FailStrict {
+					mRankdownAborts.Inc()
+					firstErr = &core.ErrRankDown{Rank: op.group, Epoch: f.opts.Membership.Epoch()}
+					curOp, curOff = nSend, 0
+					break
+				}
+				curOp, curOff = curOp+1, 0
+				continue
+			}
+			n := nextChunkElems(op.elems, curOff, capElems)
+			if roundSoFar+n*esz > roundBytes {
+				break
+			}
+			sc := stagedChunk{op: curOp, group: op.group, rank: op.rank}
+			if f == nil && !budgeted {
+				sc.m = lend[T](c, pl, curOp, op, st)
+			}
+			if sc.m == nil {
+				start := time.Now()
+				sc.m = newMsg[T](epoch, n)
+				pl.packRange(curOp, curOff, elemsOf[T](sc.m.data, n))
+				mPackNS.ObserveSince(start)
+				mElemsPacked.Add(uint64(n))
+				tr.Span(obs.EvPack, "", pl.srcRank(), op.rank, int64(n), start)
+			}
+			if curOff == 0 {
+				// Only the opening chunk carries position metadata
+				// (the plan-owned full reply set on linear messages).
+				sc.m.have = pl.sendSet(curOp)
+			}
+			mMsgElems.Observe(int64(n))
+			if curOff += n; curOff >= op.elems {
+				curOp, curOff = curOp+1, 0
+			}
+			return sc, true
+		}
+		return stagedChunk{}, false
+	}
+
 	for {
 		for i := 0; f != nil && i < nSend; i++ {
 			// Destinations that died owing acks are forgiven: their
@@ -274,77 +326,40 @@ func runTransfer[T Elem, P plan[T]](c *comm.Comm, pl P, dataTag int, f *fenceRun
 
 		// Send progress, whenever this rank is owed no credit: ship the
 		// staged round, or — nothing staged means nothing in flight —
-		// pack a round and post each chunk as it is packed; then stage
-		// the next round while that one is in flight. Two rounds of at
-		// most budget/2 bytes each bound this rank's resident packed
-		// bytes by the budget. An unfenced rank keeps sending even after
-		// an error: its peers block for exactly the chunks the
-		// decomposition promised them.
+		// post a round chunk by chunk as it is packed; then stage the next
+		// round while that one is in flight. Two rounds of at most
+		// budget/2 bytes each bound this rank's resident packed bytes by
+		// the budget. An unfenced rank keeps sending even after an error:
+		// its peers block for exactly the chunks the decomposition
+		// promised them.
 		if (f == nil || firstErr == nil) && st.pendingAcks == 0 && (len(st.staged) > 0 || curOp < nSend) {
-			direct := len(st.staged) == 0
-			posted := !direct
-			if posted {
-				start := time.Now()
-				for i := range st.staged {
-					sc := st.staged[i]
-					st.staged[i] = stagedChunk{}
-					elems := sc.m.elems
-					st.post(c, dataTag, sc, budgeted)
-					tr.Span(obs.EvSend, "", pl.srcRank(), sc.rank, int64(elems), start)
-				}
-				st.staged = st.staged[:0]
+			posted := len(st.staged)
+			for i := range st.staged {
+				post(st.staged[i])
+				st.staged[i] = stagedChunk{}
 			}
-			inRound, bytes := 0, 0
-			for curOp < nSend {
-				op := pl.sendOp(curOp)
-				if f != nil && !f.opts.Membership.IsAlive(op.group) {
-					f.noteDown(op.group)
-					mSendsSkippedDead.Inc()
-					if f.abortOnDeadSend && f.opts.Policy == FailStrict {
-						mRankdownAborts.Inc()
-						firstErr = &core.ErrRankDown{Rank: op.group, Epoch: f.opts.Membership.Epoch()}
+			st.staged = st.staged[:0]
+			if posted == 0 {
+				for bytes := 0; ; {
+					sc, ok := packNext(bytes)
+					if !ok {
 						break
 					}
-					curOp, curOff = curOp+1, 0
-					continue
-				}
-				n := nextChunkElems(op.elems, curOff, capElems)
-				if inRound > 0 && bytes+n*esz > roundBytes {
-					if !direct {
-						break
-					}
-					direct, inRound, bytes = false, 0, 0
-				}
-				sc := stagedChunk{op: curOp, group: op.group, rank: op.rank}
-				start := time.Now()
-				if sc.m = lend[T](c, pl, curOp, op, f == nil && !budgeted, st); sc.m == nil {
-					sc.m = newMsg[T](epoch, n)
-					pl.packRange(curOp, curOff, elemsOf[T](sc.m.data, n))
-					mPackNS.ObserveSince(start)
-					mElemsPacked.Add(uint64(n))
-					tr.Span(obs.EvPack, "", pl.srcRank(), op.rank, int64(n), start)
-				}
-				if curOff == 0 {
-					// Only the opening chunk carries position metadata
-					// (the plan-owned full reply set on linear messages).
-					sc.m.have = pl.sendSet(curOp)
-				}
-				mMsgElems.Observe(int64(n))
-				if direct {
-					st.post(c, dataTag, sc, budgeted)
-					tr.Span(obs.EvSend, "", pl.srcRank(), op.rank, int64(n), start)
-					posted = true
-				} else {
-					st.staged = append(st.staged, sc)
-				}
-				inRound++
-				bytes += n * esz
-				if curOff += n; curOff >= op.elems {
-					curOp, curOff = curOp+1, 0
+					bytes += len(sc.m.data)
+					post(sc)
+					posted++
 				}
 			}
-			if posted {
+			if posted > 0 {
 				mRoundsSent.Inc()
+			}
+			for bytes := 0; ; {
+				sc, ok := packNext(bytes)
+				if !ok {
+					break
+				}
+				bytes += len(sc.m.data)
+				st.staged = append(st.staged, sc)
 			}
 			continue
 		}
@@ -389,10 +404,11 @@ func runTransfer[T Elem, P plan[T]](c *comm.Comm, pl P, dataTag int, f *fenceRun
 			break
 		}
 
-		// Receive: from anyone while credit is outstanding, otherwise
-		// from the next expected peer in plan order.
+		// Receive: budgeted, from anyone (acks and chunks of every source
+		// are taken as they come); otherwise from the next expected peer
+		// in plan order.
 		from := comm.AnySource
-		if st.pendingAcks == 0 {
+		if !budgeted {
 			for st.recv[nextRecv].chunksLeft == 0 {
 				nextRecv++
 			}
@@ -523,13 +539,11 @@ func runTransfer[T Elem, P plan[T]](c *comm.Comm, pl P, dataTag int, f *fenceRun
 
 // lend returns the i'th outgoing message as a view of the caller's own
 // source slice — zero pack, zero copy — or nil when it must be packed.
-// Only whole messages of unfenced, unbudgeted transfers are eligible, and
-// they are lent only to in-process peers (a mailbox delivers the same
-// slice) and never to self: packing keeps aliased src/dst safe there.
-func lend[T Elem, P plan[T]](c *comm.Comm, pl P, i int, op pairOp, eligible bool, st *runState) *xferMsg {
-	if !eligible {
-		return nil
-	}
+// The caller offers only whole messages of unfenced, unbudgeted
+// transfers; they are lent only to in-process peers (a mailbox delivers
+// the same slice) and never to self: packing keeps aliased src/dst safe
+// there.
+func lend[T Elem, P plan[T]](c *comm.Comm, pl P, i int, op pairOp, st *runState) *xferMsg {
 	view := pl.sendView(i)
 	if view == nil {
 		return nil

@@ -364,7 +364,7 @@ func TestUnbudgetedIsOneRoundWithoutAcks(t *testing.T) {
 // between them, however skewed the ranks: source 0 posts every step's
 // messages before source 1 posts its first, so each destination's mailbox
 // holds source 0's messages of all later steps while it waits for source
-// 1's message of this one. A rank owed no credit receives from the next
+// 1's message of this one. An unbudgeted rank receives from the next
 // expected peer, not from anyone, so each step still consumes exactly its
 // own messages.
 func TestSkewedBackToBackExchangesShareTag(t *testing.T) {
@@ -415,4 +415,61 @@ func TestSkewedBackToBackExchangesShareTag(t *testing.T) {
 			}
 		}
 	}
+}
+
+// A budgeted destination takes chunks from any source as they arrive and
+// acknowledges each at once, so a late source costs the punctual one
+// nothing: source 1 gets its credit and finishes while source 0 has not
+// even entered, and — fenced — nobody goes unanswered long enough to be
+// suspected. Waiting on source 0 first (plan order) would leave source 1's
+// first round unacknowledged past SuspectAfter and mark a live
+// destination down.
+func TestBudgetedSlowSourceDoesNotStallOthers(t *testing.T) {
+	src := tpl(t, []int{256}, dad.BlockAxis(2))
+	dst := tpl(t, []int{256}, dad.BlockAxis(1))
+	s, err := schedule.Build(src, dst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const suspect = 300 * time.Millisecond
+	mem := core.NewMembership(3)
+	srcLocals := fillByGlobal(src)
+	dstLocal := make([]float64, dst.LocalCount(0))
+	var src0Entered, src1Done time.Time // written before comm.Run returns
+	comm.Run(3, func(c *comm.Comm) {
+		fo := FenceOpts{
+			Membership:       mem,
+			Policy:           FailStrict,
+			PollInterval:     2 * time.Millisecond,
+			SuspectAfter:     suspect,
+			MaxBytesInFlight: 256, // 8 rounds per source
+		}
+		var sl, dl []float64
+		switch c.Rank() {
+		case 0:
+			time.Sleep(suspect * 6 / 5)
+			src0Entered = time.Now()
+			sl = srcLocals[0]
+		case 1:
+			sl = srcLocals[1]
+		case 2:
+			time.Sleep(suspect * 3 / 5)
+			dl = dstLocal
+		}
+		if _, err := ExchangeFenced(c, s, Layout{SrcBase: 0, DstBase: 2}, sl, dl, 0, fo); err != nil {
+			t.Errorf("rank %d: %v", c.Rank(), err)
+		}
+		if c.Rank() == 1 {
+			src1Done = time.Now()
+		}
+	})
+	for r := 0; r < 3; r++ {
+		if !mem.IsAlive(r) {
+			t.Errorf("live rank %d was marked down", r)
+		}
+	}
+	if !src1Done.Before(src0Entered) {
+		t.Errorf("source 1 finished %v after source 0 entered: its credit waited on the slow source", src1Done.Sub(src0Entered))
+	}
+	verify(t, dst, [][]float64{dstLocal})
 }

@@ -435,9 +435,10 @@ type linPlan[T Elem] struct {
 	got     int        // positions successfully unpacked
 	lostAny bool
 
-	// Scratch sub-sets reused across packRange/unpackRange calls (each
-	// call's result is consumed synchronously before the next, so one
-	// scratch set per direction suffices).
+	// Scratch sub-sets reused across packRange/unpackRange calls for
+	// windows narrower than the message (each call's result is consumed
+	// synchronously before the next, so one scratch set per direction
+	// suffices). A whole-message window uses the plan's own set.
 	packSub   linear.Set
 	unpackSub linear.Set
 }
@@ -460,8 +461,12 @@ func (p *linPlan[T]) sendSet(i int) linear.Set { return p.outSets[i] }
 func (p *linPlan[T]) sendView(i int) []byte { return nil }
 
 func (p *linPlan[T]) packRange(i, elemOff int, out []T) {
-	p.packSub = p.outSets[i].Slice(elemOff, len(out), p.packSub)
-	p.srcLin.Pack(p.src, p.srcLocal, p.packSub, out)
+	set := p.outSets[i]
+	if elemOff != 0 || len(out) != set.Len() {
+		p.packSub = set.Slice(elemOff, len(out), p.packSub)
+		set = p.packSub
+	}
+	p.srcLin.Pack(p.src, p.srcLocal, set, out)
 	if elemOff == 0 {
 		mLinReplies.Inc()
 	}
@@ -486,8 +491,12 @@ func (p *linPlan[T]) checkHave(i int, m *xferMsg) error {
 }
 
 func (p *linPlan[T]) unpackRange(i, elemOff int, data []T) {
-	p.unpackSub = p.inSets[i].Slice(elemOff, len(data), p.unpackSub)
-	p.dstLin.Unpack(p.dst, p.dstLocal, p.unpackSub, data)
+	set := p.inSets[i]
+	if elemOff != 0 || len(data) != set.Len() {
+		p.unpackSub = set.Slice(elemOff, len(data), p.unpackSub)
+		set = p.unpackSub
+	}
+	p.dstLin.Unpack(p.dst, p.dstLocal, set, data)
 	p.got += len(data)
 }
 

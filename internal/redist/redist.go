@@ -172,13 +172,13 @@ type TransferOpts struct {
 	// Budgets smaller than two elements degrade to element-at-a-time
 	// chunks, making the bound best-effort rather than hard.
 	//
-	// A rank owed acknowledgements receives from any source under the
-	// transfer's data tag, so back-to-back transfers between the same
-	// ranks must use distinct base tags when either is budgeted: with no
-	// barrier between them, a rank that finishes early can land its next
-	// transfer's messages inside a slower peer's still-running loop. An
-	// unbudgeted transfer is never owed any: it receives from specific
-	// peers in plan order and tolerates tag reuse.
+	// A budgeted rank receives from any source under the transfer's data
+	// tag, so back-to-back transfers between the same ranks must use
+	// distinct base tags when either is budgeted: with no barrier between
+	// them, a rank that finishes early can land its next transfer's
+	// messages inside a slower peer's still-running loop. An unbudgeted
+	// transfer receives from specific peers in plan order and tolerates
+	// tag reuse.
 	MaxBytesInFlight int
 
 	// ZeroCopyLocal opts this rank's sends into the contiguous-run fast

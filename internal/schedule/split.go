@@ -24,17 +24,15 @@ func skipRuns(runs []Run, off int) ([]Run, int) {
 // PackSliceRange gathers the window [off, off+len(out)) of plan's
 // packed element order from the source rank's local buffer. Packing
 // consecutive windows that tile [0, plan.Elems) is equivalent to one
-// PackSlice of the whole message.
+// PackSlice of the whole message. A window reaching past plan.Elems
+// panics, as indexing past the end of a slice does.
 //
 // A run of one element is assigned directly: cyclic layouts produce nothing
 // but unit runs, and a copy call per element costs several times the move.
 func PackSliceRange[T any](plan PairPlan, local, out []T, off int) {
 	runs, off := skipRuns(plan.Runs, off)
-	k := 0
-	for _, r := range runs {
-		if k >= len(out) {
-			return
-		}
+	for i, k := 0, 0; k < len(out); i++ {
+		r := runs[i]
 		if r.N == 1 {
 			out[k] = local[r.SrcOff]
 			k++
@@ -52,11 +50,8 @@ func PackSliceRange[T any](plan PairPlan, local, out []T, off int) {
 // destination rank's local buffer.
 func UnpackSliceRange[T any](plan PairPlan, local, data []T, off int) {
 	runs, off := skipRuns(plan.Runs, off)
-	k := 0
-	for _, r := range runs {
-		if k >= len(data) {
-			return
-		}
+	for i, k := 0, 0; k < len(data); i++ {
+		r := runs[i]
 		if r.N == 1 {
 			local[r.DstOff] = data[k]
 			k++
