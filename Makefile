@@ -48,14 +48,16 @@ fuzz-short:
 		$(GO) test -run '^$$' -fuzz "^$$target$$" -fuzztime $(FUZZTIME) $$pkg; \
 	done
 
+# Vet, then fail on any file gofmt would rewrite.
 vet:
 	$(GO) vet ./...
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 # Non-test Go line counts, per package the simplification work tracks and
 # for the whole module (bench/ is its own module and is not counted).
 loc:
 	@count() { find "$$@" -name '*.go' ! -name '*_test.go' ! -path './bench/*' -print0 | xargs -0 cat | wc -l; }; \
-	for d in internal/redist internal/schedule internal/wire cmd; do \
+	for d in internal/redist mxn.go internal/schedule internal/wire internal/prmi cmd; do \
 		printf '%-20s %6d\n' $$d $$(count $$d); \
 	done; \
 	printf '%-20s %6d\n' module $$(count .)
@@ -63,16 +65,20 @@ loc:
 # The coupling benchmark (bench/, BENCHMARK.json) is a Go module of its own
 # that `go test ./...` at the root does not see, so a product signature
 # change that breaks it would otherwise surface only when the benchmark is
-# next run. Vet and test it against this checkout, then run the prmi_tcp
-# workload for three seconds: the result must be correct and every pooled
-# buffer must be back at the end.
+# next run. Vet and test it against this checkout, then run three of its
+# workloads for three seconds each — prmi_tcp, and the two that reach the
+# engine through its deprecated one-shot wrappers (small_tcp via
+# redist.ExchangeT, resize_inproc via redist.ReconfigureFencedT): each
+# result must be correct and every pooled buffer must be back at the end.
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
-	@out=$$(bash bench/run.sh --workload prmi_tcp --seconds 3 --trace 1 | tail -n 1); \
-	for want in '"correct":true' '"bufpool.outstanding_end":{"value":0,'; do \
-		echo "$$out" | grep -qF "$$want" || { echo "bench-check: result lacks $$want: $$out"; exit 1; }; \
-	done; \
-	echo "bench-check: prmi_tcp correct, no pooled buffer outstanding"
+	@for w in prmi_tcp small_tcp resize_inproc; do \
+		out=$$(bash bench/run.sh --workload $$w --seconds 3 --trace 1 | tail -n 1); \
+		for want in '"correct":true' '"bufpool.outstanding_end":{"value":0,'; do \
+			echo "$$out" | grep -qF "$$want" || { echo "bench-check: $$w result lacks $$want: $$out"; exit 1; }; \
+		done; \
+		echo "bench-check: $$w correct, no pooled buffer outstanding"; \
+	done
 
 # Lint/vuln targets degrade to a notice when the tool isn't on PATH, so
 # offline checkouts aren't forced to install anything; CI installs both.

@@ -69,7 +69,7 @@ func BenchmarkFigure1Redistribution(b *testing.B) {
 				} else {
 					dl = dstLocals[rank-8]
 				}
-				if err := redist.Exchange(c, s, lay, sl, dl, 0); err != nil {
+				if _, err := runOnce(c, s, lay, sl, dl, 0, TransferOpts{}); err != nil {
 					panic(err)
 				}
 			}(rank, c)
@@ -275,7 +275,7 @@ func BenchmarkScheduleReuse(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		redist.ExecuteLocal(s, srcLocals, dstLocals)
+		redist.ExecuteLocalT(s, srcLocals, dstLocals)
 	}
 }
 
@@ -314,7 +314,7 @@ func BenchmarkDistributionKinds(b *testing.B) {
 			b.SetBytes(int64(n * 8))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				redist.ExecuteLocal(s, srcLocals, dstLocals)
+				redist.ExecuteLocalT(s, srcLocals, dstLocals)
 			}
 		})
 	}
@@ -342,7 +342,8 @@ func BenchmarkLinearizationVsDAD(b *testing.B) {
 				} else {
 					dl = make([]float64, dst.LocalCount(rank-m))
 				}
-				return redist.Exchange(c, s, lay, sl, dl, 0)
+				_, err := runOnce(c, s, lay, sl, dl, 0, TransferOpts{})
+				return err
 			})
 		}
 	})
@@ -359,7 +360,11 @@ func BenchmarkLinearizationVsDAD(b *testing.B) {
 				} else {
 					dl = make([]float64, dst.LocalCount(rank-m))
 				}
-				return redist.LinearExchange(c, srcLin, dstLin, lay, m, nn, sl, dl, 0)
+				xt, err := NewLinearTransfer(c, srcLin, dstLin, lay, m, nn, 0, TransferOpts{})
+				if err == nil {
+					_, err = xt.Run(sl, dl)
+				}
+				return err
 			})
 		}
 	})
@@ -624,7 +629,8 @@ func BenchmarkWeakScaling(b *testing.B) {
 					} else {
 						dl = dstLocals[rank-np]
 					}
-					return redist.Exchange(c, s, lay, sl, dl, 0)
+					_, err := runOnce(c, s, lay, sl, dl, 0, TransferOpts{})
+					return err
 				})
 			}
 		})

@@ -60,6 +60,18 @@ func verifyChaos(t *testing.T, tp *dad.Template, locals [][]float64, what string
 	}
 }
 
+// migrateOnce builds a rank's migration handle for rz on the cached
+// old→new plan (Layout{}: cohort rank == group rank) and runs it once.
+func migrateOnce(c *Comm, rz *Resize, oldT, newT *Template, src, dst []float64, tag int,
+	opts TransferOpts) (*FenceOutcome, error) {
+	s, err := opts.Cache.Get(oldT, newT)
+	if err != nil {
+		return nil, err
+	}
+	opts.Resize = rz
+	return runOnce(c, s, Layout{}, src, dst, tag, opts)
+}
+
 // TestChaosResizeOnlineGrowShrink grows a 3-rank cohort to 5 and then
 // shrinks it to 2, committing both resizes, while (a) an exactly-once
 // PRMI counter keeps calling over a lossy link for the whole lifecycle,
@@ -147,8 +159,8 @@ func TestChaosResizeOnlineGrowShrink(t *testing.T) {
 	round2WG.Add(midW)
 	mig2WG.Add(midW)
 
-	newFO := func() redist.FenceOpts {
-		return redist.FenceOpts{Membership: mem, Policy: redist.FailStrict, PollInterval: time.Millisecond, Cache: cache}
+	newFO := func() TransferOpts {
+		return TransferOpts{Membership: mem, Policy: redist.FailStrict, PollInterval: time.Millisecond, Cache: cache}
 	}
 	iface := chaosIface(t)
 	const prmiTag = 5000
@@ -162,7 +174,7 @@ func TestChaosResizeOnlineGrowShrink(t *testing.T) {
 			s, err := cache.Get(oldT, cycOld)
 			if err != nil {
 				t.Errorf("rank %d: %v", r, err)
-			} else if _, err := redist.ExchangeFenced(c, s, redist.Layout{}, cur[r], scratch, 10, newFO()); err != nil {
+			} else if _, err := runOnce(c, s, Layout{}, cur[r], scratch, 10, newFO()); err != nil {
 				t.Errorf("rank %d round 1: %v", r, err)
 			}
 			round1WG.Done()
@@ -193,7 +205,7 @@ func TestChaosResizeOnlineGrowShrink(t *testing.T) {
 					t.Errorf("rank %d: %v", r, err)
 					return
 				}
-				if _, err := redist.ExchangeFenced(c, s, redist.Layout{}, cur[r], scratch, 500, newFO()); err != nil {
+				if _, err := runOnce(c, s, Layout{}, cur[r], scratch, 500, newFO()); err != nil {
 					t.Errorf("rank %d concurrent exchange during grow: %v", r, err)
 				}
 			}()
@@ -203,7 +215,7 @@ func TestChaosResizeOnlineGrowShrink(t *testing.T) {
 			sl = cur[r]
 		}
 		dl := make([]float64, midT.LocalCount(r))
-		out, err := redist.ReconfigureFenced(c, rz1, oldT, midT, redist.Layout{}, sl, dl, 100, newFO())
+		out, err := migrateOnce(c, rz1, oldT, midT, sl, dl, 100, newFO())
 		if err != nil {
 			t.Errorf("rank %d grow migration: %v", r, err)
 		} else if out.Epoch != rz1.PrepareEpoch() {
@@ -233,7 +245,7 @@ func TestChaosResizeOnlineGrowShrink(t *testing.T) {
 			s, err := cache.Get(midT, cycMid)
 			if err != nil {
 				t.Errorf("rank %d: %v", r, err)
-			} else if _, err := redist.ExchangeFenced(c, s, redist.Layout{}, cur[r], scratch, 20, newFO()); err != nil {
+			} else if _, err := runOnce(c, s, Layout{}, cur[r], scratch, 20, newFO()); err != nil {
 				t.Errorf("rank %d round 2: %v", r, err)
 			}
 			round2WG.Done()
@@ -279,7 +291,7 @@ func TestChaosResizeOnlineGrowShrink(t *testing.T) {
 		if r < finalW {
 			dl2 = make([]float64, finalT.LocalCount(r))
 		}
-		out2, err := redist.ReconfigureFenced(c, rz2, midT, finalT, redist.Layout{}, cur[r], dl2, 200, newFO())
+		out2, err := migrateOnce(c, rz2, midT, finalT, cur[r], dl2, 200, newFO())
 		if err != nil {
 			t.Errorf("rank %d shrink migration: %v", r, err)
 		} else if out2.Epoch != rz2.PrepareEpoch() {
@@ -387,7 +399,7 @@ func runChaosResizeKill(t *testing.T, policy redist.FailPolicy) {
 				w.Kill(victim)
 				return
 			}
-			fo := redist.FenceOpts{
+			fo := TransferOpts{
 				Membership:   mem,
 				Policy:       policy,
 				PollInterval: 2 * time.Millisecond,
@@ -398,7 +410,7 @@ func runChaosResizeKill(t *testing.T, policy redist.FailPolicy) {
 				sl = srcLocals[r]
 			}
 			dl := make([]float64, newT.LocalCount(r))
-			out, xerr := redist.ReconfigureFenced(c, rz, oldT, newT, redist.Layout{}, sl, dl, 0, fo)
+			out, xerr := migrateOnce(c, rz, oldT, newT, sl, dl, 0, fo)
 			mu.Lock()
 			dstLocals[r] = dl
 			outs[r] = out

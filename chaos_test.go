@@ -117,7 +117,7 @@ func runChaosRedist(t *testing.T, policy redist.FailPolicy) {
 				w.Kill(victim)
 				return
 			}
-			fo := redist.FenceOpts{
+			fo := TransferOpts{
 				Membership:   mem,
 				Policy:       policy,
 				PollInterval: 2 * time.Millisecond,
@@ -131,7 +131,7 @@ func runChaosRedist(t *testing.T, policy redist.FailPolicy) {
 			} else {
 				dl = make([]float64, dst.LocalCount(r-nSrc))
 			}
-			out, xerr := redist.ExchangeFenced(c, s, lay, sl, dl, 0, fo)
+			out, xerr := runOnce(c, s, lay, sl, dl, 0, fo)
 			if dl != nil {
 				mu.Lock()
 				dstLocals[r-nSrc] = dl

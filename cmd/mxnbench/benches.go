@@ -87,11 +87,11 @@ func runB2() error {
 
 	first := timed(1, func() {
 		s, _ := cache.Get(src, dst)
-		redist.ExecuteLocal(s, srcLocals, dstLocals)
+		redist.ExecuteLocalT(s, srcLocals, dstLocals)
 	})
 	steady := timed(20, func() {
 		s, _ := cache.Get(src, dst)
-		redist.ExecuteLocal(s, srcLocals, dstLocals)
+		redist.ExecuteLocalT(s, srcLocals, dstLocals)
 	})
 	// A different array conforming to the same templates also hits.
 	other := make([][]float64, 8)
@@ -100,7 +100,7 @@ func runB2() error {
 	}
 	conforming := timed(20, func() {
 		s, _ := cache.Get(src, dst)
-		redist.ExecuteLocal(s, other, dstLocals)
+		redist.ExecuteLocalT(s, other, dstLocals)
 	})
 	hits, misses := cache.Stats()
 
@@ -164,7 +164,7 @@ func runB3() error {
 			srcLocals[r] = make([]float64, k.tpl.LocalCount(r))
 			dstLocals[r] = make([]float64, dst.LocalCount(r))
 		}
-		xfer := timed(10, func() { redist.ExecuteLocal(s, srcLocals, dstLocals) })
+		xfer := timed(10, func() { redist.ExecuteLocalT(s, srcLocals, dstLocals) })
 		t.add(k.name, fmt.Sprint(intercomm.DescriptorFootprint(k.tpl)),
 			build.Round(time.Microsecond).String(), fmt.Sprint(s.NumMessages()),
 			xfer.Round(time.Microsecond).String())
@@ -214,7 +214,11 @@ func runB4() error {
 					} else {
 						dl = make([]float64, dst.LocalCount(i-m))
 					}
-					if err := redist.Exchange(c, s, lay, sl, dl, 0); err != nil {
+					xt, err := redist.New[float64](c, s, lay, 0, redist.TransferOpts{})
+					if err == nil {
+						_, err = xt.Run(sl, dl)
+					}
+					if err != nil {
 						panic(err)
 					}
 				}(i, c)
@@ -237,7 +241,11 @@ func runB4() error {
 					} else {
 						dl = make([]float64, dst.LocalCount(i-m))
 					}
-					if err := redist.LinearExchange(c, srcLin, dstLin, lay, m, nn, sl, dl, 0); err != nil {
+					xt, err := redist.NewLinear(c, srcLin, dstLin, lay, m, nn, 0, redist.TransferOpts{})
+					if err == nil {
+						_, err = xt.Run(sl, dl)
+					}
+					if err != nil {
 						panic(err)
 					}
 				}(i, c)
@@ -548,7 +556,7 @@ func runB9() error {
 	for r := range dstLocals {
 		dstLocals[r] = make([]float64, dstT.LocalCount(r))
 	}
-	direct := timed(50, func() { redist.ExecuteLocal(s, srcLocals, dstLocals) })
+	direct := timed(50, func() { redist.ExecuteLocalT(s, srcLocals, dstLocals) })
 
 	// Coordinated: export with timestamps, rule-matched import.
 	coord := intercomm.NewCoordinator()
@@ -670,7 +678,11 @@ func runB11() error {
 					} else {
 						dl = dstLocals[i-np]
 					}
-					if err := redist.Exchange(c, s, lay, sl, dl, 0); err != nil {
+					xt, err := redist.New[float64](c, s, lay, 0, redist.TransferOpts{})
+					if err == nil {
+						_, err = xt.Run(sl, dl)
+					}
+					if err != nil {
 						panic(err)
 					}
 				}(i, c)

@@ -60,7 +60,11 @@ func runE1() error {
 		} else {
 			dl = make([]float64, dst.LocalCount(c.Rank()-m))
 		}
-		if err := mxn.Exchange(c, sched, lay, sl, dl, 0); err != nil {
+		xt, err := mxn.NewTransfer[float64](c, sched, lay, 0, mxn.TransferOpts{})
+		if err == nil {
+			_, err = xt.Run(sl, dl)
+		}
+		if err != nil {
 			panic(err)
 		}
 		if dl != nil {

@@ -78,7 +78,7 @@ func runR1() error {
 				w.Kill(victim)
 				return
 			}
-			fo := redist.FenceOpts{
+			fo := redist.TransferOpts{
 				Membership:   mem,
 				Policy:       redist.FailRedistribute,
 				PollInterval: 2 * time.Millisecond,
@@ -91,7 +91,11 @@ func runR1() error {
 			} else {
 				dl = make([]float64, dst.LocalCount(r-nSrc))
 			}
-			out, xerr := redist.ExchangeFenced(c, s, lay, sl, dl, 0, fo)
+			xt, xerr := redist.New[float64](c, s, lay, 0, fo)
+			var out *redist.Outcome
+			if xerr == nil {
+				out, xerr = xt.Run(sl, dl)
+			}
 			mu.Lock()
 			if xerr != nil && firstErr == nil {
 				firstErr = fmt.Errorf("rank %d: %w", r, xerr)

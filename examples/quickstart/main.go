@@ -59,7 +59,13 @@ func main() {
 		} else {
 			dstLocal = make([]float64, dst.LocalCount(c.Rank()-m))
 		}
-		if err := mxn.Exchange(c, sched, lay, srcLocal, dstLocal, 0); err != nil {
+		// Each rank builds its transfer handle once per coupling and runs
+		// it every step; this program runs one step.
+		xt, err := mxn.NewTransfer[float64](c, sched, lay, 0, mxn.TransferOpts{})
+		if err == nil {
+			_, err = xt.Run(srcLocal, dstLocal)
+		}
+		if err != nil {
 			log.Fatalf("rank %d: %v", c.Rank(), err)
 		}
 		if dstLocal != nil {

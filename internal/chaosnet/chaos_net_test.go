@@ -114,6 +114,17 @@ func sessionPair(t *testing.T, lst *session.Listener) (client, server transport.
 // misrouting across reconnects breaks bit-identity.
 func fingerprint(i int) float64 { return float64(i)*131 + 7 }
 
+// fencedOnce builds a rank's transfer handle and runs it once: every
+// transfer here has its own tag or options.
+func fencedOnce(c *comm.Comm, s *schedule.Schedule, lay redist.Layout, src, dst []float64, tag int,
+	opts redist.TransferOpts) (*redist.Outcome, error) {
+	xt, err := redist.New[float64](c, s, lay, tag, opts)
+	if err != nil {
+		return nil, err
+	}
+	return xt.Run(src, dst)
+}
+
 // TestChaosNetFencedExchangeOverFlaps runs repeated epoch-fenced
 // exchanges between a source cohort and a destination cohort living in
 // different worlds, while every physical connection under the session
@@ -181,7 +192,7 @@ func TestChaosNetFencedExchangeOverFlaps(t *testing.T) {
 	body := func(c *comm.Comm, mem *core.Membership) {
 		defer wg.Done()
 		for e := 0; e < rounds; e++ {
-			opts := redist.FenceOpts{
+			opts := redist.TransferOpts{
 				Membership:   mem,
 				Policy:       redist.FailStrict,
 				PollInterval: time.Millisecond,
@@ -200,7 +211,7 @@ func TestChaosNetFencedExchangeOverFlaps(t *testing.T) {
 			// its data tag, so with no barrier between rounds a source that
 			// finishes a fire-and-forget round can land next-round messages
 			// inside a slower peer's still-running loop if the tag repeats.
-			out, err := redist.ExchangeFenced(c, s, lay, sl, dl, e*4, opts)
+			out, err := fencedOnce(c, s, lay, sl, dl, e*4, opts)
 			if err != nil {
 				t.Errorf("round %d rank %d: %v", e, c.Rank(), err)
 				return
@@ -415,8 +426,8 @@ func TestChaosNetBudgetExhaustionResolvesTyped(t *testing.T) {
 		for r := 0; r < m; r++ {
 			go func(r int) {
 				defer wg.Done()
-				opts := redist.FenceOpts{Membership: memA, Policy: policyA, PollInterval: time.Millisecond}
-				_, err := redist.ExchangeFenced(csA[r], s, lay, srcLocals[r], nil, tag, opts)
+				opts := redist.TransferOpts{Membership: memA, Policy: policyA, PollInterval: time.Millisecond}
+				_, err := fencedOnce(csA[r], s, lay, srcLocals[r], nil, tag, opts)
 				mu.Lock()
 				errsA[r] = err
 				mu.Unlock()
@@ -425,9 +436,9 @@ func TestChaosNetBudgetExhaustionResolvesTyped(t *testing.T) {
 		for r := m; r < total; r++ {
 			go func(r int) {
 				defer wg.Done()
-				opts := redist.FenceOpts{Membership: memB, Policy: policyB, PollInterval: time.Millisecond}
+				opts := redist.TransferOpts{Membership: memB, Policy: policyB, PollInterval: time.Millisecond}
 				dl := make([]float64, dst.LocalCount(r-m))
-				out, err := redist.ExchangeFenced(csB[r], s, lay, nil, dl, tag, opts)
+				out, err := fencedOnce(csB[r], s, lay, nil, dl, tag, opts)
 				mu.Lock()
 				outsB[r-m] = out
 				errsB[r-m] = err

@@ -97,7 +97,7 @@ func (c *Connection) DataReady(rank int, local []float64) (uint64, error) {
 		c.seqs[rank]++
 		for _, plan := range c.sched.OutgoingFor(rank) {
 			buf := make([]float64, plan.Elems)
-			schedule.Pack(plan, local, buf)
+			schedule.PackSlice(plan, local, buf)
 			if err := c.hub.bridge.SendData(c.pairChannel(plan.SrcRank, plan.DstRank), epoch, buf); err != nil {
 				return 0, err
 			}
@@ -128,7 +128,7 @@ func (c *Connection) DataReady(rank int, local []float64) (uint64, error) {
 			return 0, fmt.Errorf("core: connection %q: pair %d→%d epoch %d carried %d elements, schedule says %d",
 				c.ID, plan.SrcRank, plan.DstRank, epoch, len(data), plan.Elems)
 		}
-		schedule.Unpack(plan, local, data)
+		schedule.UnpackSlice(plan, local, data)
 		c.elemsMoved.Add(int64(plan.Elems))
 	}
 	c.transfers.Add(1)
@@ -153,7 +153,7 @@ func (c *Connection) recvLatest(rank int, local []float64) (uint64, error) {
 			return 0, fmt.Errorf("core: connection %q: pair %d→%d frame carried %d elements, schedule says %d",
 				c.ID, plan.SrcRank, plan.DstRank, len(data), plan.Elems)
 		}
-		schedule.Unpack(plan, local, data)
+		schedule.UnpackSlice(plan, local, data)
 		c.elemsMoved.Add(int64(plan.Elems))
 		if seq < minEpoch {
 			minEpoch = seq

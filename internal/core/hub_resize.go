@@ -9,7 +9,7 @@ import (
 
 // Hub-side malleability: the descriptor bookkeeping of an online resize.
 //
-// When a cohort resizes (ProposeResize → Reblock → ReconfigureFenced →
+// When a cohort resizes (ProposeResize → Reblock → migration transfer →
 // Commit), the hub's registered fields still describe the old geometry.
 // Hub.Resize re-derives every field descriptor over the new width in one
 // all-or-nothing step, and Hub.Field lets a joining rank bootstrap: a
@@ -55,7 +55,7 @@ func (h *Hub) Fields() []string {
 // widths.
 //
 // Validity bitmaps attached to the old descriptors are not carried over:
-// the migration transfer (redist.ReconfigureFenced) re-establishes
+// the migration transfer (a redist.Transfer with Resize set) re-establishes
 // per-rank validity under the new geometry.
 //
 // Established connections are untouched and keep their old-geometry

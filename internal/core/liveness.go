@@ -16,7 +16,7 @@ import (
 // into a hang. This file supplies the missing primitive: a Membership view
 // shared by a cohort, advanced to a new *epoch* whenever a rank is declared
 // dead, fed either by explicit MarkDown calls (e.g. a transport error) or
-// by the heartbeat prober below. Transfer layers (redist.ExchangeFenced,
+// by the heartbeat prober below. Transfer layers (fenced redist.Transfers,
 // prmi epoch stamping) fence their traffic with the epoch so survivors can
 // distinguish current messages from a dead rank's leftovers, and surface
 // *ErrRankDown instead of hanging.

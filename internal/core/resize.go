@@ -21,7 +21,7 @@ import (
 //	         their entry epoch) or fail fast with the existing typed
 //	         stale-epoch errors if they straddle the bump — exactly the
 //	         PR 3/PR 7 fencing semantics, reused unchanged.
-//	migrate  redist.ReconfigureFenced runs the old-layout→new-layout
+//	migrate  a redist.Transfer with Resize set runs the old-layout→new-layout
 //	         transfer with the prepare epoch as its entry epoch, so every
 //	         participating rank enters the migration at the same fence.
 //	commit   Commit() bumps the epoch again and atomically switches the

@@ -4,7 +4,7 @@ import "fmt"
 
 // Reblocking: re-deriving a template's distribution over a different
 // cohort width, the descriptor half of online resize (core.ProposeResize →
-// dad.Reblock → schedule.Remap → redist.ReconfigureFenced).
+// dad.Reblock → schedule.Remap → a redist.Transfer with Resize set).
 //
 // A reblocked template keeps the global index space and the distribution
 // *family* of every axis but re-deals ownership over the new process

@@ -300,8 +300,8 @@ func (p *Program) Import(array string, time, rank int, buf []float64) (int, erro
 	locals := srcSet.byTime[srcTime]
 	for _, plan := range s.IncomingFor(rank) {
 		tmp := make([]float64, plan.Elems)
-		schedule.Pack(plan, locals[plan.SrcRank], tmp)
-		schedule.Unpack(plan, buf, tmp)
+		schedule.PackSlice(plan, locals[plan.SrcRank], tmp)
+		schedule.UnpackSlice(plan, buf, tmp)
 	}
 	return srcTime, nil
 }

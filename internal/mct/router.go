@@ -53,7 +53,7 @@ func (r *Router) Send(c *comm.Comm, dstBase, rank int, av *AttrVect, tag int) er
 	for _, plan := range r.sched.OutgoingFor(rank) {
 		buf := make([]float64, na*plan.Elems)
 		for a := 0; a < na; a++ {
-			schedule.Pack(plan, av.FieldAt(a), buf[a*plan.Elems:(a+1)*plan.Elems])
+			schedule.PackSlice(plan, av.FieldAt(a), buf[a*plan.Elems:(a+1)*plan.Elems])
 		}
 		c.Send(dstBase+plan.DstRank, tag, buf)
 	}
@@ -78,7 +78,7 @@ func (r *Router) Recv(c *comm.Comm, srcBase, rank int, av *AttrVect, tag int) er
 				plan.SrcRank, plan.DstRank, len(buf), na*plan.Elems)
 		}
 		for a := 0; a < na; a++ {
-			schedule.Unpack(plan, av.FieldAt(a), buf[a*plan.Elems:(a+1)*plan.Elems])
+			schedule.UnpackSlice(plan, av.FieldAt(a), buf[a*plan.Elems:(a+1)*plan.Elems])
 		}
 	}
 	return nil

@@ -111,7 +111,7 @@ func (p *Pipeline) RunChained(srcLocals [][]float64) ([][]float64, error) {
 		for r := range next {
 			next[r] = make([]float64, st.Template.LocalCount(r))
 		}
-		redist.ExecuteLocal(s, cur, next)
+		redist.ExecuteLocalT(s, cur, next)
 		if st.Filter != nil {
 			for _, local := range next {
 				for k, v := range local {
@@ -176,7 +176,7 @@ func (p *Pipeline) RunFused(srcLocals [][]float64) ([][]float64, error) {
 	for r := range out {
 		out[r] = make([]float64, sink.LocalCount(r))
 	}
-	redist.ExecuteLocal(s, srcLocals, out)
+	redist.ExecuteLocalT(s, srcLocals, out)
 	if filter != nil {
 		for _, local := range out {
 			for k, v := range local {

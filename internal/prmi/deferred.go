@@ -80,7 +80,7 @@ func (p *CallerPort) servePull(req *Msg) error {
 	for _, pair := range s.OutgoingFor(ent.pos) {
 		if pair.DstRank == callee {
 			payload = bufpool.Get(8 * pair.Elems)
-			schedule.Pack(pair, ent.local, float64sOf(payload))
+			schedule.PackSlice(pair, ent.local, float64sOf(payload))
 			mFragElemsPacked.Add(uint64(pair.Elems))
 			break
 		}
@@ -160,7 +160,7 @@ func (ep *Endpoint) pullDeferred(pl *plan, hdrs []callHdr) func(string, *dad.Tem
 				return nil, fmt.Errorf("prmi: pulled fragment mismatch from caller %d (kind %d, %q, %d bytes, want %d elements)",
 					callerRank, kind, arg, n, pair.Elems)
 			}
-			schedule.Unpack(pair, local, m.elems(0, pair.Elems))
+			schedule.UnpackSlice(pair, local, m.elems(0, pair.Elems))
 			mFragElemsUnpacked.Add(uint64(pair.Elems))
 			m.Release()
 		}

@@ -162,7 +162,7 @@ func pack(params []planParam, i int, local func(k int) []float64) []byte {
 	for k := range params {
 		if send := params[k].send; send != nil && send[i].Elems > 0 {
 			n := send[i].Elems
-			schedule.Pack(send[i], local(k), float64sOf(payload[off:off+8*n]))
+			schedule.PackSlice(send[i], local(k), float64sOf(payload[off:off+8*n]))
 			mFragElemsPacked.Add(uint64(n))
 			off += 8 * n
 		}
@@ -177,7 +177,7 @@ func unpack(params []planParam, i int, m *Msg, local func(k int) []float64) {
 	for k := range params {
 		if recv := params[k].recv; recv != nil && recv[i].Elems > 0 {
 			n := recv[i].Elems
-			schedule.Unpack(recv[i], local(k), m.elems(off, n))
+			schedule.UnpackSlice(recv[i], local(k), m.elems(off, n))
 			mFragElemsUnpacked.Add(uint64(n))
 			off += 8 * n
 		}

@@ -13,11 +13,13 @@ import (
 // run sequentially in one goroutine: sources post all their messages
 // without blocking (comm sends never block), then destinations find every
 // expected message already queued. That determinism is what lets
-// AllocsPerRun measure the engine rather than scheduler noise.
+// AllocsPerRun measure the engine rather than scheduler noise. Each rank
+// holds one persistent handle, built once.
 type steadyWorld struct {
 	cs        []*comm.Comm
 	s         *schedule.Schedule
 	lay       Layout
+	ts        []*Transfer[float64]
 	srcLocals [][]float64
 	dstLocals [][]float64
 }
@@ -37,9 +39,9 @@ func newSteadyWorld(t testing.TB) *steadyWorld {
 	}
 	w := &steadyWorld{
 		cs:  comm.NewWorld(4).Comms(),
-		s:   s,
 		lay: Layout{SrcBase: 0, DstBase: 2},
 	}
+	w.plan(t, s)
 	for r := 0; r < 2; r++ {
 		w.srcLocals = append(w.srcLocals, make([]float64, src.LocalCount(r)))
 		w.dstLocals = append(w.dstLocals, make([]float64, dst.LocalCount(r)))
@@ -47,24 +49,36 @@ func newSteadyWorld(t testing.TB) *steadyWorld {
 	return w
 }
 
+// plan (re)builds every rank's handle on s.
+func (w *steadyWorld) plan(t testing.TB, s *schedule.Schedule) {
+	w.s, w.ts = s, w.ts[:0]
+	for _, c := range w.cs {
+		xt, err := New[float64](c, s, w.lay, 0, TransferOpts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.ts = append(w.ts, xt)
+	}
+}
+
 // step runs one full transfer: both sources send, both destinations
 // receive, all in the calling goroutine.
 func (w *steadyWorld) step(t testing.TB) {
 	for r := 0; r < 2; r++ {
-		if err := Exchange(w.cs[r], w.s, w.lay, w.srcLocals[r], nil, 0); err != nil {
+		if _, err := w.ts[r].Run(w.srcLocals[r], nil); err != nil {
 			t.Fatalf("source rank %d: %v", r, err)
 		}
 	}
 	for r := 0; r < 2; r++ {
-		if err := Exchange(w.cs[2+r], w.s, w.lay, nil, w.dstLocals[r], 0); err != nil {
+		if _, err := w.ts[2+r].Run(nil, w.dstLocals[r]); err != nil {
 			t.Fatalf("destination rank %d: %v", r, err)
 		}
 	}
 }
 
-// The tentpole guarantee: steady-state Exchange over a cached schedule
-// allocates nothing. Message headers and data buffers cycle through free
-// lists, the schedule plan is a by-value struct, and the indexed schedule
+// The tentpole guarantee: a steady-state Run over a cached schedule
+// allocates nothing. The handle owns its per-run state, message headers
+// and data buffers cycle through free lists, and the indexed schedule
 // accessors avoid the per-rank slice views. The first AllocsPerRun
 // invocation is a warm-up (pools fill, mailbox queues reach capacity);
 // the measured runs must then be allocation-free.
@@ -74,11 +88,11 @@ func TestExchangeSteadyStateZeroAlloc(t *testing.T) {
 	w.step(t) // warm the pools and mailbox queues
 	allocs := testing.AllocsPerRun(50, func() { w.step(t) })
 	if allocs != 0 {
-		t.Fatalf("steady-state Exchange allocates: %v allocs per transfer step", allocs)
+		t.Fatalf("steady-state Run allocates: %v allocs per transfer step", allocs)
 	}
 }
 
-// Satellite guarantee: ExecuteLocal stages through the buffer pool instead
+// Satellite guarantee: ExecuteLocalT stages through the buffer pool instead
 // of allocating a fresh backing slice per call.
 func TestExecuteLocalZeroAlloc(t *testing.T) {
 	obs.DisableTracing()
@@ -100,10 +114,10 @@ func TestExecuteLocalZeroAlloc(t *testing.T) {
 		srcLocals[r] = make([]float64, src.LocalCount(r))
 		dstLocals[r] = make([]float64, dst.LocalCount(r))
 	}
-	ExecuteLocal(s, srcLocals, dstLocals) // warm the pool
-	allocs := testing.AllocsPerRun(50, func() { ExecuteLocal(s, srcLocals, dstLocals) })
+	ExecuteLocalT(s, srcLocals, dstLocals) // warm the pool
+	allocs := testing.AllocsPerRun(50, func() { ExecuteLocalT(s, srcLocals, dstLocals) })
 	if allocs != 0 {
-		t.Fatalf("ExecuteLocal allocates: %v allocs/op", allocs)
+		t.Fatalf("ExecuteLocalT[float64] allocates: %v allocs/op", allocs)
 	}
 
 	// The float32 instantiation shares the same byte pool.
@@ -132,12 +146,13 @@ func benchSteady(b *testing.B, cached bool) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if !cached {
-			// Rebuild the schedule each iteration: the uncached baseline.
+			// Rebuild the schedule and the handles each iteration: the
+			// uncached baseline.
 			s, err := schedule.Build(w.s.Src, w.s.Dst)
 			if err != nil {
 				b.Fatal(err)
 			}
-			w.s = s
+			w.plan(b, s)
 		}
 		w.step(b)
 	}
@@ -186,9 +201,12 @@ func newZCSteadyWorld(t testing.TB) *zcSteadyWorld {
 			} else {
 				dl = make([]float64, dst.LocalCount(r-2))
 			}
-			opts := TransferOpts{ZeroCopyLocal: true}
+			xt, err := New[float64](cs[r], s, lay, 0, TransferOpts{ZeroCopyLocal: true})
 			for range ch {
-				w.done <- ExchangeWithT(cs[r], s, lay, sl, dl, 0, opts)
+				if err == nil {
+					_, err = xt.Run(sl, dl)
+				}
+				w.done <- err
 			}
 		}(r, ch)
 	}
@@ -227,6 +245,6 @@ func TestZeroCopyExchangeSteadyStateZeroAlloc(t *testing.T) {
 	}
 	allocs := testing.AllocsPerRun(50, func() { w.step(t) })
 	if allocs != 0 {
-		t.Fatalf("steady-state zero-copy Exchange allocates: %v allocs per transfer step", allocs)
+		t.Fatalf("steady-state zero-copy Run allocates: %v allocs per transfer step", allocs)
 	}
 }

@@ -1,6 +1,6 @@
-// The transfer loop. Every exchange in this package — schedule-driven or
-// linear, fenced or not, budgeted or not — runs runTransfer below: the
-// chunked, credit-controlled protocol, of which an unbudgeted transfer is
+// The transfer loop. Every Transfer — schedule-driven or linear, fenced
+// or not, budgeted or not — runs Transfer.run below: the chunked,
+// credit-controlled protocol, of which an unbudgeted transfer is
 // the case with an infinite budget.
 //
 // Decomposition. Under a MaxBytesInFlight budget B each pairwise message
@@ -48,7 +48,6 @@ package redist
 import (
 	"fmt"
 	"math"
-	"sync"
 	"time"
 
 	"mxn/internal/comm"
@@ -107,75 +106,20 @@ type stagedChunk struct {
 }
 
 // recvProgress tracks one expected pairwise message's chunked arrival.
+// The first four fields are fixed at New; the last two are reset by Run.
 type recvProgress struct {
 	group      int
 	rank       int
 	elems      int
+	chunks     int
 	elemsDone  int
 	chunksLeft int
 }
 
-// runState is the pooled per-call state of a transfer. The slices keep
-// their backing arrays across recycles, so a steady-state transfer
-// allocates nothing (guarded by TestExchangeSteadyStateZeroAlloc and
-// TestExchangeBudgetedSteadyStateZeroAlloc).
-type runState struct {
-	staged      []stagedChunk
-	pendAck     []int // per send op: chunks sent but not yet acknowledged
-	pendingAcks int   // sum of pendAck
-	recv        []recvProgress
-	recvChunks  int // sum of recv[i].chunksLeft
-	// zcWait is the rendezvous of this transfer's zero-copy sends,
-	// created on the first lent view so the copying path pays nothing.
-	zcWait *sync.WaitGroup
-}
-
-const maxFreeRunStates = 64
-
-var runPool = struct {
-	mu   sync.Mutex
-	free []*runState
-}{free: make([]*runState, 0, maxFreeRunStates)}
-
-func getRunState() *runState {
-	runPool.mu.Lock()
-	if n := len(runPool.free); n > 0 {
-		st := runPool.free[n-1]
-		runPool.free[n-1] = nil
-		runPool.free = runPool.free[:n-1]
-		runPool.mu.Unlock()
-		return st
-	}
-	runPool.mu.Unlock()
-	return new(runState)
-}
-
-// putRunState ends a transfer. Zero-copy sends lent the caller's source
-// slice to in-process receivers; the rendezvous holds this rank until
-// every lent view has been unpacked and recycled, so the caller may
-// mutate its source the moment runTransfer returns — error paths
-// included, since receivers recycle every expected message even while
-// draining.
-func putRunState(st *runState) {
-	if st.zcWait != nil {
-		st.zcWait.Wait()
-		putZCWait(st.zcWait)
-	}
-	for i := range st.staged {
-		st.staged[i] = stagedChunk{}
-	}
-	*st = runState{staged: st.staged[:0], pendAck: st.pendAck[:0], recv: st.recv[:0]}
-	runPool.mu.Lock()
-	if len(runPool.free) < maxFreeRunStates {
-		runPool.free = append(runPool.free, st)
-	}
-	runPool.mu.Unlock()
-}
-
 // abandon stops expecting the rest of the i'th incoming message.
-func (st *runState) abandon(i int) {
-	st.recvChunks -= st.recv[i].chunksLeft
-	st.recv[i].chunksLeft = 0
+func (t *Transfer[T]) abandon(i int) {
+	t.recvChunks -= t.recv[i].chunksLeft
+	t.recv[i].chunksLeft = 0
 }
 
 // sendAck returns one chunk's transfer credit to its sender.
@@ -187,46 +131,35 @@ func sendAck(c *comm.Comm, to, tag int, epoch uint64) {
 	mAcksSent.Inc()
 }
 
-// runTransfer is the transfer loop: the only place in this package that
-// sends or receives data messages. One event loop interleaves three
-// duties: send progress whenever no chunk is unacknowledged (ship the
-// staged round, or pack and post one directly, then stage the next),
-// consuming incoming data chunks (acknowledging each when budgeted), and
-// consuming acks. Sources never wait for a destination to be ready;
-// destinations consume exactly the chunks their plan expects. On error
-// the rank keeps draining its remaining expected chunks and acks (with a
-// give-up timeout when fenced) so nothing stays queued under dataTag to
-// cross-match a later transfer, and drained chunks are still acknowledged
-// so live peers are never wedged waiting for credit.
-func runTransfer[T Elem, P plan[T]](c *comm.Comm, pl P, dataTag int, f *fenceRun, budget int) error {
+// run is the transfer loop: the only place in this package that sends or
+// receives data messages. One event loop interleaves three duties: send
+// progress whenever no chunk is unacknowledged (ship the staged round, or
+// pack and post one directly, then stage the next), consuming incoming
+// data chunks (acknowledging each when budgeted), and consuming acks.
+// Sources never wait for a destination to be ready; destinations consume
+// exactly the chunks their plan expects. On error the rank keeps draining
+// its remaining expected chunks and acks (with a give-up timeout when
+// fenced) so nothing stays queued under the data tag to cross-match a
+// later transfer, and drained chunks are still acknowledged so live peers
+// are never wedged waiting for credit.
+func (t *Transfer[T]) run() error {
+	defer t.zcWait.Wait()
 	tr := obs.Trace()
+	c, pl, fenced := t.c, t.pl, t.out != nil
 	esz := elemSize[T]()
-	capElems, roundBytes := chunkElemCap(budget, esz), math.MaxInt
-	// Acks pace rounds; an unbounded round has nothing to pace.
-	budgeted := capElems < math.MaxInt
-	if budgeted {
-		roundBytes = max(capElems*esz, budget/2)
-	}
-	var epoch uint64
-	if f != nil {
-		epoch = f.entryEpoch
-	}
-
-	st := getRunState()
-	defer putRunState(st)
 
 	nSend := pl.sends()
+	t.staged, t.pendAck, t.pendingAcks, t.recvChunks = t.staged[:0], t.pendAck[:0], 0, 0
 	for i := 0; i < nSend; i++ {
-		st.pendAck = append(st.pendAck, 0)
+		t.pendAck = append(t.pendAck, 0)
 	}
-	for i, n := 0, pl.recvs(); i < n; i++ {
-		op := pl.recvOp(i)
-		chunks := chunkCount(op.elems, capElems)
-		st.recv = append(st.recv, recvProgress{group: op.group, rank: op.rank, elems: op.elems, chunksLeft: chunks})
-		st.recvChunks += chunks
+	for i := range t.recv {
+		rp := &t.recv[i]
+		rp.elemsDone, rp.chunksLeft = 0, rp.chunks
+		t.recvChunks += rp.chunks
 	}
-	if f != nil && pl.dstRank() >= 0 {
-		f.out.Validity = dad.NewValidity(pl.dstLen())
+	if fenced && pl.dstRank() >= 0 {
+		t.out.Validity = dad.NewValidity(pl.dstLen())
 	}
 
 	var (
@@ -245,10 +178,10 @@ func runTransfer[T Elem, P plan[T]](c *comm.Comm, pl P, dataTag int, f *fenceRun
 			start = time.Now()
 		}
 		elems := sc.m.elems
-		c.Send(sc.group, dataTag, sc.m)
-		if budgeted {
-			st.pendAck[sc.op]++
-			st.pendingAcks++
+		c.Send(sc.group, t.tag, sc.m)
+		if t.budgeted {
+			t.pendAck[sc.op]++
+			t.pendingAcks++
 		}
 		mMsgsSent.Inc()
 		mChunksSent.Inc()
@@ -262,29 +195,26 @@ func runTransfer[T Elem, P plan[T]](c *comm.Comm, pl P, dataTag int, f *fenceRun
 	packNext := func(roundSoFar int) (stagedChunk, bool) {
 		for curOp < nSend {
 			op := pl.sendOp(curOp)
-			if f != nil && !f.opts.Membership.IsAlive(op.group) {
-				f.noteDown(op.group)
+			if fenced && !t.opts.Membership.IsAlive(op.group) {
+				t.noteDown(op.group)
 				mSendsSkippedDead.Inc()
-				if f.abortOnDeadSend && f.opts.Policy == FailStrict {
+				if t.abortOnDeadSend && t.opts.Policy == FailStrict {
 					mRankdownAborts.Inc()
-					firstErr = &core.ErrRankDown{Rank: op.group, Epoch: f.opts.Membership.Epoch()}
+					firstErr = &core.ErrRankDown{Rank: op.group, Epoch: t.opts.Membership.Epoch()}
 					curOp, curOff = nSend, 0
 					break
 				}
 				curOp, curOff = curOp+1, 0
 				continue
 			}
-			n := nextChunkElems(op.elems, curOff, capElems)
-			if roundSoFar+n*esz > roundBytes {
+			n := nextChunkElems(op.elems, curOff, t.capElems)
+			if roundSoFar+n*esz > t.roundBytes {
 				break
 			}
-			sc := stagedChunk{op: curOp, group: op.group, rank: op.rank}
-			if f == nil && !budgeted {
-				sc.m = lend[T](c, pl, curOp, op, st)
-			}
+			sc := stagedChunk{op: curOp, group: op.group, rank: op.rank, m: t.lend(curOp, op)}
 			if sc.m == nil {
 				start := time.Now()
-				sc.m = newMsg[T](epoch, n)
+				sc.m = newMsg[T](t.epoch, n)
 				pl.packRange(curOp, curOff, elemsOf[T](sc.m.data, n))
 				mPackNS.ObserveSince(start)
 				mElemsPacked.Add(uint64(n))
@@ -305,22 +235,22 @@ func runTransfer[T Elem, P plan[T]](c *comm.Comm, pl P, dataTag int, f *fenceRun
 	}
 
 	for {
-		for i := 0; f != nil && i < nSend; i++ {
+		for i := 0; fenced && i < nSend; i++ {
 			// Destinations that died owing acks are forgiven: their
 			// chunks were dropped in transit.
-			if st.pendAck[i] == 0 {
+			if t.pendAck[i] == 0 {
 				continue
 			}
 			g := pl.sendOp(i).group
-			if f.opts.Membership.IsAlive(g) {
+			if t.opts.Membership.IsAlive(g) {
 				continue
 			}
-			f.noteDown(g)
-			st.pendingAcks -= st.pendAck[i]
-			st.pendAck[i] = 0
-			if f.abortOnDeadSend && f.opts.Policy == FailStrict && firstErr == nil {
+			t.noteDown(g)
+			t.pendingAcks -= t.pendAck[i]
+			t.pendAck[i] = 0
+			if t.abortOnDeadSend && t.opts.Policy == FailStrict && firstErr == nil {
 				mRankdownAborts.Inc()
-				firstErr = &core.ErrRankDown{Rank: g, Epoch: f.opts.Membership.Epoch()}
+				firstErr = &core.ErrRankDown{Rank: g, Epoch: t.opts.Membership.Epoch()}
 			}
 		}
 
@@ -332,13 +262,13 @@ func runTransfer[T Elem, P plan[T]](c *comm.Comm, pl P, dataTag int, f *fenceRun
 		// the budget. An unfenced rank keeps sending even after an error:
 		// its peers block for exactly the chunks the decomposition
 		// promised them.
-		if (f == nil || firstErr == nil) && st.pendingAcks == 0 && (len(st.staged) > 0 || curOp < nSend) {
-			posted := len(st.staged)
-			for i := range st.staged {
-				post(st.staged[i])
-				st.staged[i] = stagedChunk{}
+		if (!fenced || firstErr == nil) && t.pendingAcks == 0 && (len(t.staged) > 0 || curOp < nSend) {
+			posted := len(t.staged)
+			for i := range t.staged {
+				post(t.staged[i])
+				t.staged[i] = stagedChunk{}
 			}
-			st.staged = st.staged[:0]
+			t.staged = t.staged[:0]
 			if posted == 0 {
 				for bytes := 0; ; {
 					sc, ok := packNext(bytes)
@@ -359,48 +289,48 @@ func runTransfer[T Elem, P plan[T]](c *comm.Comm, pl P, dataTag int, f *fenceRun
 					break
 				}
 				bytes += len(sc.m.data)
-				st.staged = append(st.staged, sc)
+				t.staged = append(t.staged, sc)
 			}
 			continue
 		}
 
-		if f != nil {
+		if fenced {
 			// Sources that died owing chunks get the failure policy
 			// applied — after this rank's own sends, which owe nothing to
 			// what it receives.
-			for i := range st.recv {
-				rp := &st.recv[i]
-				if rp.chunksLeft == 0 || f.opts.Membership.IsAlive(rp.group) {
+			for i := range t.recv {
+				rp := &t.recv[i]
+				if rp.chunksLeft == 0 || t.opts.Membership.IsAlive(rp.group) {
 					continue
 				}
-				f.noteDown(rp.group)
-				if f.opts.Policy == FailStrict {
+				t.noteDown(rp.group)
+				if t.opts.Policy == FailStrict {
 					if firstErr == nil {
 						mRankdownAborts.Inc()
-						firstErr = &core.ErrRankDown{Rank: rp.group, Epoch: f.opts.Membership.Epoch()}
+						firstErr = &core.ErrRankDown{Rank: rp.group, Epoch: t.opts.Membership.Epoch()}
 					}
 				} else {
 					// Invalidate the whole pairwise message, chunks already
 					// delivered included: validity stays a safe lower bound.
-					pl.lose(i, f)
+					pl.lose(i, t.out, &t.opts)
 					lost = true
 				}
-				st.abandon(i)
+				t.abandon(i)
 			}
 			if firstErr != nil && !discarded {
 				// Fenced abort semantics: unsent rounds are dropped, the
 				// cursor is retired, and the loop degrades to draining.
-				for i := range st.staged {
-					recycle(st.staged[i].m)
-					st.staged[i] = stagedChunk{}
+				for i := range t.staged {
+					recycle(t.staged[i].m)
+					t.staged[i] = stagedChunk{}
 				}
-				st.staged = st.staged[:0]
+				t.staged = t.staged[:0]
 				curOp, curOff = nSend, 0
 				discarded = true
 			}
 		}
 
-		if st.recvChunks == 0 && st.pendingAcks == 0 && len(st.staged) == 0 && curOp >= nSend {
+		if t.recvChunks == 0 && t.pendingAcks == 0 && len(t.staged) == 0 && curOp >= nSend {
 			break
 		}
 
@@ -408,44 +338,44 @@ func runTransfer[T Elem, P plan[T]](c *comm.Comm, pl P, dataTag int, f *fenceRun
 		// are taken as they come); otherwise from the next expected peer
 		// in plan order.
 		from := comm.AnySource
-		if !budgeted {
-			for st.recv[nextRecv].chunksLeft == 0 {
+		if !t.budgeted {
+			for t.recv[nextRecv].chunksLeft == 0 {
 				nextRecv++
 			}
-			from = st.recv[nextRecv].group
+			from = t.recv[nextRecv].group
 		}
 		var payload any
-		if f == nil {
-			payload, from = c.Recv(from, dataTag)
+		if !fenced {
+			payload, from = c.Recv(from, t.tag)
 		} else {
-			p, fr, ok := c.RecvTimeout(from, dataTag, f.opts.PollInterval)
+			p, fr, ok := c.RecvTimeout(from, t.tag, t.opts.PollInterval)
 			if !ok {
-				waited += f.opts.PollInterval
-				if f.opts.SuspectAfter > 0 && waited >= f.opts.SuspectAfter {
+				waited += t.opts.PollInterval
+				if t.opts.SuspectAfter > 0 && waited >= t.opts.SuspectAfter {
 					// Silence long enough: suspect the awaited peer, or —
 					// listening to everyone — every peer still owing this
 					// rank chunks or acks. The liveness sweeps apply the
 					// policy.
-					for i := range st.recv {
-						if g := st.recv[i].group; st.recv[i].chunksLeft > 0 && (from == comm.AnySource || from == g) {
-							f.opts.Membership.MarkDown(g)
+					for i := range t.recv {
+						if g := t.recv[i].group; t.recv[i].chunksLeft > 0 && (from == comm.AnySource || from == g) {
+							t.opts.Membership.MarkDown(g)
 						}
 					}
 					for i := 0; i < nSend; i++ {
-						if st.pendAck[i] > 0 {
-							f.opts.Membership.MarkDown(pl.sendOp(i).group)
+						if t.pendAck[i] > 0 {
+							t.opts.Membership.MarkDown(pl.sendOp(i).group)
 						}
 					}
 					waited = 0
 				}
-				if firstErr != nil && waited >= max(f.opts.SuspectAfter, 10*f.opts.PollInterval) {
+				if firstErr != nil && waited >= max(t.opts.SuspectAfter, 10*t.opts.PollInterval) {
 					// Draining after an error: give up on silent peers —
 					// everyone when listening to everyone, else the one
 					// awaited (later sources still get their turn).
 					if from == comm.AnySource {
 						break
 					}
-					st.abandon(nextRecv)
+					t.abandon(nextRecv)
 					waited = 0
 				}
 				continue
@@ -459,9 +389,9 @@ func runTransfer[T Elem, P plan[T]](c *comm.Comm, pl P, dataTag int, f *fenceRun
 			recycle(m)
 			credited := false
 			for i := 0; i < nSend; i++ {
-				if st.pendAck[i] > 0 && pl.sendOp(i).group == from {
-					st.pendAck[i]--
-					st.pendingAcks--
+				if t.pendAck[i] > 0 && pl.sendOp(i).group == from {
+					t.pendAck[i]--
+					t.pendingAcks--
 					credited = true
 					break
 				}
@@ -474,7 +404,7 @@ func runTransfer[T Elem, P plan[T]](c *comm.Comm, pl P, dataTag int, f *fenceRun
 		// Every consumed data message counts, including discards:
 		// mMsgsRecv is "messages taken off the wire".
 		mMsgsRecv.Inc()
-		if isMsg && f != nil && m.epoch != 0 && m.epoch < f.entryEpoch {
+		if isMsg && fenced && m.epoch != 0 && m.epoch < t.epoch {
 			// Leftover chunk of a pre-failure attempt: discard and keep
 			// waiting for the current epoch's. It matches no expectation.
 			mStaleEpoch.Inc()
@@ -483,21 +413,21 @@ func runTransfer[T Elem, P plan[T]](c *comm.Comm, pl P, dataTag int, f *fenceRun
 			// order plus one expected message per peer make this the next
 			// chunk.
 			ri := nextRecv
-			for ri < len(st.recv) && (st.recv[ri].group != from || st.recv[ri].chunksLeft == 0) {
+			for ri < len(t.recv) && (t.recv[ri].group != from || t.recv[ri].chunksLeft == 0) {
 				ri++
 			}
 			var err error
 			switch {
-			case ri == len(st.recv):
+			case ri == len(t.recv):
 				err = fmt.Errorf("redist: destination rank %d received unexpected %T from group rank %d", pl.dstRank(), payload, from)
 			case !isMsg:
 				err = fmt.Errorf("redist: destination rank %d received %T, want transfer message", pl.dstRank(), payload)
 			case firstErr == nil:
-				err = unpackChunk[T](pl, f, ri, &st.recv[ri], m, capElems, tr)
+				err = t.unpackChunk(ri, m, tr)
 			}
-			if ri < len(st.recv) {
-				st.recv[ri].chunksLeft--
-				st.recvChunks--
+			if ri < len(t.recv) {
+				t.recv[ri].chunksLeft--
+				t.recvChunks--
 			}
 			if firstErr != nil {
 				mDrained.Inc()
@@ -511,8 +441,8 @@ func runTransfer[T Elem, P plan[T]](c *comm.Comm, pl P, dataTag int, f *fenceRun
 			// be draining on flow control, and credit is never a
 			// correctness input.
 			recycle(m)
-			if budgeted {
-				sendAck(c, from, dataTag, epoch)
+			if t.budgeted {
+				sendAck(c, from, t.tag, t.epoch)
 			}
 		}
 	}
@@ -524,8 +454,8 @@ func runTransfer[T Elem, P plan[T]](c *comm.Comm, pl P, dataTag int, f *fenceRun
 		mErrors.Inc()
 		return firstErr
 	}
-	if f != nil && pl.dstRank() >= 0 && f.opts.Desc != nil && !f.out.Validity.AllValid() {
-		f.opts.Desc.SetValidity(pl.dstRank(), f.out.Validity)
+	if fenced && pl.dstRank() >= 0 && t.opts.Desc != nil && !t.out.Validity.AllValid() {
+		t.opts.Desc.SetValidity(pl.dstRank(), t.out.Validity)
 	}
 	// One count per side this rank played, on success only.
 	if pl.srcRank() >= 0 {
@@ -539,49 +469,47 @@ func runTransfer[T Elem, P plan[T]](c *comm.Comm, pl P, dataTag int, f *fenceRun
 
 // lend returns the i'th outgoing message as a view of the caller's own
 // source slice — zero pack, zero copy — or nil when it must be packed.
-// The caller offers only whole messages of unfenced, unbudgeted
-// transfers; they are lent only to in-process peers (a mailbox delivers
-// the same slice) and never to self: packing keeps aliased src/dst safe
-// there.
-func lend[T Elem, P plan[T]](c *comm.Comm, pl P, i int, op pairOp, st *runState) *xferMsg {
-	view := pl.sendView(i)
+// The plan offers views only for whole messages of unfenced, unbudgeted
+// transfers with ZeroCopyLocal set; they are lent only to in-process
+// peers (a mailbox delivers the same slice) and never to self: packing
+// keeps aliased src/dst safe there.
+func (t *Transfer[T]) lend(i int, op pairOp) *xferMsg {
+	view := t.pl.sendView(i)
 	if view == nil {
 		return nil
 	}
-	if op.group == c.Rank() || !c.DeliverableLocal(op.group) {
+	if op.group == t.c.Rank() || !t.c.DeliverableLocal(op.group) {
 		mZeroCopyMisses.Inc()
 		return nil
 	}
-	if st.zcWait == nil {
-		st.zcWait = getZCWait()
-	}
-	st.zcWait.Add(1)
+	t.zcWait.Add(1)
 	m := getMsg()
 	m.kind = kindOf[T]()
 	m.elems = op.elems
 	m.data = view
-	m.done = st.zcWait
+	m.done = &t.zcWait
 	mZeroCopyHits.Inc()
 	mElemsLent.Add(uint64(op.elems))
 	return m
 }
 
-// unpackChunk validates one arrived chunk against the open expectation
-// rp (the ri'th) and unpacks it into place.
-func unpackChunk[T Elem, P plan[T]](pl P, f *fenceRun, ri int, rp *recvProgress, m *xferMsg, capElems int, tr *obs.Tracer) error {
-	if f != nil && m.epoch > f.entryEpoch {
+// unpackChunk validates one arrived chunk against the ri'th open
+// expectation and unpacks it into place.
+func (t *Transfer[T]) unpackChunk(ri int, m *xferMsg, tr *obs.Tracer) error {
+	pl, rp := t.pl, &t.recv[ri]
+	if t.out != nil && m.epoch > t.epoch {
 		// The peer already re-planned into a NEWER epoch than this rank
 		// entered at. Consuming its chunks against our stale plan would
 		// corrupt data silently whenever the element counts happen to
 		// match; reject with a typed error so the caller re-enters at
 		// the current epoch.
 		mStaleLocal.Inc()
-		return &StaleLocalEpochError{Transfer: pl.proto(), Rank: pl.dstRank(), Peer: rp.rank, Local: f.entryEpoch, Remote: m.epoch}
+		return &StaleLocalEpochError{Transfer: pl.proto(), Rank: pl.dstRank(), Peer: rp.rank, Local: t.epoch, Remote: m.epoch}
 	}
 	if want := kindOf[T](); m.kind != want {
 		return &ElemKindError{Transfer: pl.proto(), DstRank: pl.dstRank(), SrcRank: rp.rank, Got: m.kind, Want: want}
 	}
-	expect := nextChunkElems(rp.elems, rp.elemsDone, capElems)
+	expect := nextChunkElems(rp.elems, rp.elemsDone, t.capElems)
 	if m.elems != expect || len(m.data) != m.elems*elemSize[T]() {
 		return &ElemCountError{Transfer: pl.proto(), DstRank: pl.dstRank(), SrcRank: rp.rank, Got: m.elems, Want: expect}
 	}

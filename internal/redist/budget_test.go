@@ -97,16 +97,13 @@ func runBudgetExchangeT[T Elem](t *testing.T, src, dst *dad.Template, conv func(
 		} else {
 			dl = make([]T, dst.LocalCount(c.Rank()-m))
 		}
-		var err error
+		opts := TransferOpts{MaxBytesInFlight: budget}
 		if fenced {
-			fo := FenceOpts{Membership: mem, PollInterval: time.Millisecond, MaxBytesInFlight: budget}
-			var out *Outcome
-			out, err = ExchangeFencedT[T](c, s, lay, sl, dl, 0, fo)
-			if err == nil && dl != nil && !out.Validity.AllValid() {
-				t.Errorf("clean budgeted fenced transfer invalidated elements")
-			}
-		} else {
-			err = ExchangeWithT[T](c, s, lay, sl, dl, 0, TransferOpts{MaxBytesInFlight: budget})
+			opts.Membership, opts.PollInterval = mem, time.Millisecond
+		}
+		out, err := xfer(c, s, lay, sl, dl, 0, opts)
+		if fenced && err == nil && dl != nil && !out.Validity.AllValid() {
+			t.Errorf("clean budgeted fenced transfer invalidated elements")
 		}
 		if err != nil {
 			t.Errorf("rank %d (budget=%d fenced=%v): %v", c.Rank(), budget, fenced, err)
@@ -200,14 +197,11 @@ func TestBudgetedMatchesUnbudgetedLinear(t *testing.T) {
 					} else {
 						dl = make([]float64, tc.dst.LocalCount(c.Rank()-m))
 					}
-					var err error
+					opts := TransferOpts{MaxBytesInFlight: budget}
 					if fenced {
-						fo := FenceOpts{Membership: mem, PollInterval: time.Millisecond, MaxBytesInFlight: budget}
-						_, err = LinearExchangeFencedT[float64](c, srcLin, dstLin, lay, m, n, sl, dl, 0, fo)
-					} else {
-						err = LinearExchangeWithT[float64](c, srcLin, dstLin, lay, m, n, sl, dl, 0, TransferOpts{MaxBytesInFlight: budget})
+						opts.Membership, opts.PollInterval = mem, time.Millisecond
 					}
-					if err != nil {
+					if _, err := xferLinear(c, srcLin, dstLin, lay, m, n, sl, dl, 0, opts); err != nil {
 						t.Errorf("rank %d (budget=%d fenced=%v): %v", c.Rank(), budget, fenced, err)
 					}
 					if dl != nil {
@@ -259,7 +253,7 @@ func TestBudgetedPeakBytesBounded(t *testing.T) {
 
 // The steady-state budgeted path allocates nothing: chunk buffers and
 // headers cycle through the same pools as whole messages, acks are
-// pooled markers, and the per-call round state is recycled. Unlike the
+// pooled markers, and the round state lives in the handle. Unlike the
 // unbudgeted steady-state harness, ranks must run concurrently (senders
 // block on acks), so the workers are persistent goroutines signalled
 // over pre-allocated channels and AllocsPerRun measures the whole
@@ -292,8 +286,12 @@ func TestExchangeBudgetedSteadyStateZeroAlloc(t *testing.T) {
 			} else {
 				dl = dstLocals[r-2]
 			}
+			xt, err := New[float64](cs[r], s, lay, 0, TransferOpts{MaxBytesInFlight: budget})
 			for range start[r] {
-				done <- ExchangeWith(cs[r], s, lay, sl, dl, 0, TransferOpts{MaxBytesInFlight: budget})
+				if err == nil {
+					_, err = xt.Run(sl, dl)
+				}
+				done <- err
 			}
 		}(r)
 	}
@@ -319,7 +317,7 @@ func TestExchangeBudgetedSteadyStateZeroAlloc(t *testing.T) {
 	}
 	allocs := testing.AllocsPerRun(20, step)
 	if allocs != 0 {
-		t.Fatalf("steady-state budgeted Exchange allocates: %v allocs per transfer step", allocs)
+		t.Fatalf("steady-state budgeted Run allocates: %v allocs per transfer step", allocs)
 	}
 }
 
@@ -360,60 +358,100 @@ func TestUnbudgetedIsOneRoundWithoutAcks(t *testing.T) {
 	}
 }
 
-// Back-to-back unbudgeted transfers may reuse one tag with no barrier
-// between them, however skewed the ranks: source 0 posts every step's
-// messages before source 1 posts its first, so each destination's mailbox
-// holds source 0's messages of all later steps while it waits for source
-// 1's message of this one. An unbudgeted rank receives from the next
-// expected peer, not from anyone, so each step still consumes exactly its
-// own messages.
+// One handle per rank, Run back to back on one tag with skewed ranks and
+// no barrier: every step consumes exactly its own messages, bit-identical
+// to ExecuteLocalT. Unbudgeted, a rank receives from the next expected
+// peer, not from anyone, so source 0 may post every step's messages before
+// source 1 posts its first: each destination's mailbox holds source 0's
+// messages of all later steps while it waits for source 1's message of
+// this one. Budgeted, a rank receives from anyone, so one tag is safe only
+// where no step's chunk can land in a slower peer's still-running loop: a
+// schedule in which no destination has two sources (source 0 still runs
+// every step before source 1 starts), or a linear plan, whose request
+// phase holds a source's next replies until every destination has asked
+// for them — that is, finished the step before.
 func TestSkewedBackToBackExchangesShareTag(t *testing.T) {
-	src := tpl(t, []int{96}, dad.BlockAxis(2))
-	dst := tpl(t, []int{96}, dad.CyclicAxis(2))
-	s, err := schedule.Build(src, dst)
-	if err != nil {
-		t.Fatal(err)
+	const steps = 50
+	cases := []struct {
+		name     string
+		src, dst *dad.Template
+		linear   bool
+		budget   int
+	}{
+		{"schedule", tpl(t, []int{96}, dad.BlockAxis(2)), tpl(t, []int{96}, dad.CyclicAxis(2)), false, 0},
+		{"schedule-budgeted", tpl(t, []int{96}, dad.BlockAxis(2)), tpl(t, []int{96}, dad.BlockAxis(4)), false, 64},
+		{"linear", tpl(t, []int{96}, dad.BlockAxis(2)), tpl(t, []int{96}, dad.CyclicAxis(3)), true, 0},
+		{"linear-budgeted", tpl(t, []int{96}, dad.BlockAxis(2)), tpl(t, []int{96}, dad.CyclicAxis(3)), true, 64},
 	}
-	const steps = 6
-	srcs, got := make([][][]float64, steps), make([][][]float64, steps)
-	for k := range srcs {
-		srcs[k] = fillByGlobal(src)
-		for _, local := range srcs[k] {
-			for i := range local {
-				local[i] += float64(1000 * k) // every step moves its own values
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := schedule.Build(tc.src, tc.dst)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		got[k] = [][]float64{make([]float64, dst.LocalCount(0)), make([]float64, dst.LocalCount(1))}
-	}
-	ahead := make(chan struct{})
-	comm.Run(4, func(c *comm.Comm) {
-		r := c.Rank()
-		if r == 1 {
-			<-ahead // source 0 is a whole run of transfers ahead
-		}
-		for k := 0; k < steps; k++ {
-			var sl, dl []float64
-			if r < 2 {
-				sl = srcs[k][r]
-			} else {
-				dl = got[k][r-2]
+			m, n := tc.src.NumProcs(), tc.dst.NumProcs()
+			srcs, got := make([][][]float64, steps), make([][][]float64, steps)
+			for k := range srcs {
+				srcs[k] = fillByGlobal(tc.src)
+				for _, local := range srcs[k] {
+					for i := range local {
+						local[i] += float64(1000 * k) // every step moves its own values
+					}
+				}
+				got[k] = make([][]float64, n)
+				for r := range got[k] {
+					got[k][r] = make([]float64, tc.dst.LocalCount(r))
+				}
 			}
-			if err := Exchange(c, s, Layout{SrcBase: 0, DstBase: 2}, sl, dl, 0); err != nil {
-				t.Errorf("rank %d step %d: %v", r, k, err)
+			ahead := make(chan struct{})
+			comm.Run(m+n, func(c *comm.Comm) {
+				r := c.Rank()
+				if r == 0 {
+					defer close(ahead)
+				}
+				lay, opts := Layout{SrcBase: 0, DstBase: m}, TransferOpts{MaxBytesInFlight: tc.budget}
+				var xt *Transfer[float64]
+				var err error
+				if tc.linear {
+					xt, err = NewLinear(c, linear.NewRowMajor(tc.src), linear.NewRowMajor(tc.dst), lay, m, n, 0, opts)
+				} else {
+					xt, err = New[float64](c, s, lay, 0, opts)
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if r == 1 && !tc.linear {
+					<-ahead // source 0 is a whole run of transfers ahead
+				}
+				for k := 0; k < steps; k++ {
+					if (r == 1 && k%5 == 0) || (r == m+n-1 && k%7 == 0) {
+						time.Sleep(time.Millisecond) // a linear source cannot run ahead; jitter instead
+					}
+					var sl, dl []float64
+					if r < m {
+						sl = srcs[k][r]
+					} else {
+						dl = got[k][r-m]
+					}
+					if _, err := xt.Run(sl, dl); err != nil {
+						t.Errorf("rank %d step %d: %v", r, k, err)
+					}
+				}
+			})
+			want := make([][]float64, n)
+			for r := range want {
+				want[r] = make([]float64, tc.dst.LocalCount(r))
 			}
-		}
-		if r == 0 {
-			close(ahead)
-		}
-	})
-	want := [][]float64{make([]float64, dst.LocalCount(0)), make([]float64, dst.LocalCount(1))}
-	for k := 0; k < steps; k++ {
-		ExecuteLocal(s, srcs[k], want)
-		for r := range want {
-			if !bitsEqual(got[k][r], want[r]) {
-				t.Fatalf("step %d dst rank %d: a transfer consumed another step's message\ngot:  %v\nwant: %v", k, r, got[k][r], want[r])
+			for k := 0; k < steps; k++ {
+				ExecuteLocalT(s, srcs[k], want)
+				for r := range want {
+					if !bitsEqual(got[k][r], want[r]) {
+						t.Fatalf("step %d dst rank %d: a transfer consumed another step's message\ngot:  %v\nwant: %v", k, r, got[k][r], want[r])
+					}
+				}
 			}
-		}
+		})
 	}
 }
 
@@ -437,7 +475,7 @@ func TestBudgetedSlowSourceDoesNotStallOthers(t *testing.T) {
 	dstLocal := make([]float64, dst.LocalCount(0))
 	var src0Entered, src1Done time.Time // written before comm.Run returns
 	comm.Run(3, func(c *comm.Comm) {
-		fo := FenceOpts{
+		fo := TransferOpts{
 			Membership:       mem,
 			Policy:           FailStrict,
 			PollInterval:     2 * time.Millisecond,
@@ -456,7 +494,7 @@ func TestBudgetedSlowSourceDoesNotStallOthers(t *testing.T) {
 			time.Sleep(suspect * 3 / 5)
 			dl = dstLocal
 		}
-		if _, err := ExchangeFenced(c, s, Layout{SrcBase: 0, DstBase: 2}, sl, dl, 0, fo); err != nil {
+		if _, err := xfer(c, s, Layout{SrcBase: 0, DstBase: 2}, sl, dl, 0, fo); err != nil {
 			t.Errorf("rank %d: %v", c.Rank(), err)
 		}
 		if c.Rank() == 1 {

@@ -108,12 +108,12 @@ func TestFencedMatchesUnfencedExchange(t *testing.T) {
 				var err error
 				if fenced {
 					var out *Outcome
-					out, err = ExchangeFenced(c, s, lay, sl, dl, 0, FenceOpts{Membership: mem})
+					out, err = xfer(c, s, lay, sl, dl, 0, TransferOpts{Membership: mem})
 					if err == nil && dl != nil && !out.Validity.AllValid() {
 						t.Errorf("trial %d: clean fenced transfer invalidated elements", trial)
 					}
 				} else {
-					err = Exchange(c, s, lay, sl, dl, 0)
+					_, err = xfer(c, s, lay, sl, dl, 0, TransferOpts{})
 				}
 				if err != nil {
 					t.Errorf("trial %d rank %d (fenced=%v): %v", trial, c.Rank(), fenced, err)
@@ -172,9 +172,9 @@ func TestFencedMatchesUnfencedLinear(t *testing.T) {
 				}
 				var err error
 				if fenced {
-					_, err = LinearExchangeFenced(c, srcLin, dstLin, lay, m, n, sl, dl, 0, FenceOpts{Membership: mem})
+					_, err = xferLinear(c, srcLin, dstLin, lay, m, n, sl, dl, 0, TransferOpts{Membership: mem})
 				} else {
-					err = LinearExchange(c, srcLin, dstLin, lay, m, n, sl, dl, 0)
+					_, err = xferLinear(c, srcLin, dstLin, lay, m, n, sl, dl, 0, TransferOpts{})
 				}
 				if err != nil {
 					t.Errorf("trial %d rank %d (fenced=%v): %v", trial, c.Rank(), fenced, err)
@@ -249,7 +249,7 @@ func TestFastPathMatchesEnumeratorExchange(t *testing.T) {
 				} else {
 					dl = make([]float64, dst.LocalCount(c.Rank()-m))
 				}
-				if err := Exchange(c, s, lay, sl, dl, 0); err != nil {
+				if _, err := xfer(c, s, lay, sl, dl, 0, TransferOpts{}); err != nil {
 					t.Errorf("trial %d rank %d: %v", trial, c.Rank(), err)
 				}
 				if dl != nil {

@@ -1,21 +1,20 @@
-// The transfer engine's messages, pools and plans. All exported exchange
-// paths — schedule-driven and linear, fenced and unfenced, budgeted or
-// not — are thin wrappers that build a plan and hand it to runTransfer
-// (budget.go), the single send/recv loop in this package. The plan
-// abstracts what differs (which pairwise messages exist, how a window of
-// each is packed/validated/unpacked, what a lost source invalidates); the
-// loop owns everything that must behave identically (chunking, credit,
+// The transfer engine's messages, pools and plans. Every Transfer —
+// schedule-driven or linear, fenced or unfenced, budgeted or not — holds
+// a plan and runs it through the single send/recv loop in budget.go. The
+// plan abstracts what differs (which pairwise messages exist, how a window
+// of each is packed/validated/unpacked, what a lost source invalidates);
+// the loop owns everything that must behave identically (chunking, credit,
 // epoch stamping, liveness checks, stale-epoch rejection, suspicion,
 // drain-after-error hygiene, metrics, tracing).
 //
-// The engine is generic over the element type T and over the concrete plan
-// type P. P is a type parameter rather than an interface-typed argument so
-// the schedule plan can be a by-value struct: no boxing, no per-call heap
-// allocation on the steady-state path.
+// A plan is built once, at New, and bound to the caller's buffers on
+// every Run; the handle boxes it in the plan interface once, so the
+// steady-state path makes no per-run heap allocation.
 
 package redist
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -180,34 +179,6 @@ var (
 	mElemsLent      = obs.Default().Counter("redist.elems_lent")
 )
 
-// zcWaitPool recycles the rendezvous WaitGroups of zero-copy sends so
-// the steady-state path stays allocation-free.
-var zcWaitPool = struct {
-	mu   sync.Mutex
-	free []*sync.WaitGroup
-}{}
-
-func getZCWait() *sync.WaitGroup {
-	zcWaitPool.mu.Lock()
-	if n := len(zcWaitPool.free); n > 0 {
-		wg := zcWaitPool.free[n-1]
-		zcWaitPool.free[n-1] = nil
-		zcWaitPool.free = zcWaitPool.free[:n-1]
-		zcWaitPool.mu.Unlock()
-		return wg
-	}
-	zcWaitPool.mu.Unlock()
-	return new(sync.WaitGroup)
-}
-
-func putZCWait(wg *sync.WaitGroup) {
-	zcWaitPool.mu.Lock()
-	if len(zcWaitPool.free) < 64 {
-		zcWaitPool.free = append(zcWaitPool.free, wg)
-	}
-	zcWaitPool.mu.Unlock()
-}
-
 // pairOp describes one pairwise message of a plan from the local rank's
 // point of view.
 type pairOp struct {
@@ -218,14 +189,17 @@ type pairOp struct {
 
 // plan is what a transfer path supplies to the engine: the set of
 // pairwise messages this rank sends and expects, and the path-specific
-// pack/validate/unpack/loss rules. Implementations: schedPlan (by value,
-// allocation-free) and *linPlan.
+// pack/validate/unpack/loss rules. Implementations: *schedPlan and
+// *linPlan.
 type plan[T Elem] interface {
 	// proto names the path ("exchange" or "linear") in typed errors.
 	proto() string
 	// srcRank/dstRank are this rank's cohort ranks, -1 outside the cohort.
 	srcRank() int
 	dstRank() int
+	// bind attaches one Run's buffers, checking their lengths where the
+	// plan knows them.
+	bind(src, dst []T) error
 	// dstLen is len(dstLocal); sizes the fenced validity bitmap.
 	dstLen() int
 
@@ -258,85 +232,59 @@ type plan[T Elem] interface {
 	unpackRange(i, elemOff int, data []T)
 
 	// lose applies FailRedistribute to the i'th incoming message whose
-	// source is dead: invalidate what it would have delivered, replan if
-	// the path supports it.
-	lose(i int, f *fenceRun)
+	// source is dead: invalidate what it would have delivered in out,
+	// replan if the path supports it.
+	lose(i int, out *Outcome, o *TransferOpts)
 	// finish runs plan-level validation after all receives; lost reports
 	// whether any incoming message was lost to a dead rank.
 	finish(lost bool) error
 }
 
-// fenceRun is the per-call state of a fenced transfer. nil means unfenced:
-// blocking receives, no epoch stamps, no liveness checks.
-type fenceRun struct {
-	opts       FenceOpts
-	entryEpoch uint64
-	out        *Outcome
-	downSeen   map[int]bool
-	// abortOnDeadSend: under FailStrict, a sender aborts on a dead
-	// destination (schedule-driven: the missing message would wedge the
-	// protocol). Receiver-driven replies just skip dead requesters.
-	abortOnDeadSend bool
-}
-
-func newFenceRun(opts FenceOpts, abortOnDeadSend bool) *fenceRun {
-	return newFenceRunAt(opts, abortOnDeadSend, opts.Membership.Epoch())
-}
-
-// newFenceRunAt pins an explicit entry epoch instead of sampling the
-// live one. The resize migration uses it: every rank must enter the
-// migration at the resize's prepare epoch, even if a death has already
-// bumped the live epoch past it — otherwise ranks entering before and
-// after the death would fence the same transfer at different epochs and
-// discard each other's traffic as stale.
-func newFenceRunAt(opts FenceOpts, abortOnDeadSend bool, entryEpoch uint64) *fenceRun {
-	opts = opts.withDefaults()
-	return &fenceRun{
-		opts:            opts,
-		entryEpoch:      entryEpoch,
-		out:             &Outcome{Epoch: entryEpoch},
-		downSeen:        map[int]bool{},
-		abortOnDeadSend: abortOnDeadSend,
-	}
-}
-
-func (f *fenceRun) noteDown(group int) {
-	if !f.downSeen[group] {
-		f.downSeen[group] = true
-		f.out.Down = append(f.out.Down, group)
-	}
-}
-
 // schedPlan is the schedule-driven plan: pairwise messages come straight
 // from the schedule's per-rank views via the indexed (allocation-free)
-// accessors. It is used by value so building it costs nothing.
+// accessors.
 type schedPlan[T Elem] struct {
-	s        *schedule.Schedule
-	lay      Layout
-	src, dst int // cohort ranks, -1 outside the cohort
-	srcLocal []T
-	dstLocal []T
-	zc       bool // TransferOpts.ZeroCopyLocal: offer contiguous-run views
+	s                *schedule.Schedule
+	lay              Layout
+	src, dst         int // cohort ranks, -1 outside the cohort
+	wantSrc, wantDst int // the templates' local counts for this rank
+	srcLocal         []T
+	dstLocal         []T
+	zc               bool // TransferOpts.ZeroCopyLocal, where it applies: offer contiguous-run views
 }
 
-func (p schedPlan[T]) proto() string { return "exchange" }
-func (p schedPlan[T]) srcRank() int  { return p.src }
-func (p schedPlan[T]) dstRank() int  { return p.dst }
-func (p schedPlan[T]) dstLen() int   { return len(p.dstLocal) }
+func (p *schedPlan[T]) proto() string { return "exchange" }
+func (p *schedPlan[T]) srcRank() int  { return p.src }
+func (p *schedPlan[T]) dstRank() int  { return p.dst }
+func (p *schedPlan[T]) dstLen() int   { return len(p.dstLocal) }
 
-func (p schedPlan[T]) sends() int {
+// bind checks each buffer against the template's local count on ranks
+// that play that side (a nil buffer is fine where the template assigns
+// the rank nothing).
+func (p *schedPlan[T]) bind(src, dst []T) error {
+	if p.src >= 0 && len(src) != p.wantSrc {
+		return fmt.Errorf("redist: source rank %d buffer has %d elements, template says %d", p.src, len(src), p.wantSrc)
+	}
+	if p.dst >= 0 && len(dst) != p.wantDst {
+		return fmt.Errorf("redist: destination rank %d buffer has %d elements, template says %d", p.dst, len(dst), p.wantDst)
+	}
+	p.srcLocal, p.dstLocal = src, dst
+	return nil
+}
+
+func (p *schedPlan[T]) sends() int {
 	if p.src < 0 {
 		return 0
 	}
 	return p.s.OutDegree(p.src)
 }
 
-func (p schedPlan[T]) sendOp(i int) pairOp {
+func (p *schedPlan[T]) sendOp(i int) pairOp {
 	pp := p.s.OutgoingAt(p.src, i)
 	return pairOp{group: p.lay.DstBase + pp.DstRank, rank: pp.DstRank, elems: pp.Elems}
 }
 
-func (p schedPlan[T]) sendSet(i int) linear.Set { return nil }
+func (p *schedPlan[T]) sendSet(i int) linear.Set { return nil }
 
 // sendView offers the contiguous-run fast path: a message whose schedule
 // entry is a single run contiguous in srcLocal can be sent as a view of
@@ -344,7 +292,7 @@ func (p schedPlan[T]) sendSet(i int) linear.Set { return nil }
 // ZeroCopyLocal opt-in, on single-run shape, and on the element view
 // meeting the alignment bufpool buffers guarantee (so the receive-side
 // reinterpret sees no difference from a pooled buffer).
-func (p schedPlan[T]) sendView(i int) []byte {
+func (p *schedPlan[T]) sendView(i int) []byte {
 	if !p.zc {
 		return nil
 	}
@@ -362,46 +310,46 @@ func (p schedPlan[T]) sendView(i int) []byte {
 	return bytesOf(view)
 }
 
-func (p schedPlan[T]) packRange(i, elemOff int, out []T) {
+func (p *schedPlan[T]) packRange(i, elemOff int, out []T) {
 	schedule.PackSliceRange(p.s.OutgoingAt(p.src, i), p.srcLocal, out, elemOff)
 }
 
-func (p schedPlan[T]) recvs() int {
+func (p *schedPlan[T]) recvs() int {
 	if p.dst < 0 {
 		return 0
 	}
 	return p.s.InDegree(p.dst)
 }
 
-func (p schedPlan[T]) recvOp(i int) pairOp {
+func (p *schedPlan[T]) recvOp(i int) pairOp {
 	pp := p.s.IncomingAt(p.dst, i)
 	return pairOp{group: p.lay.SrcBase + pp.SrcRank, rank: pp.SrcRank, elems: pp.Elems}
 }
 
 // checkHave is a no-op: schedule-driven messages carry no position
 // metadata, and a chunk's element count is the engine's check.
-func (p schedPlan[T]) checkHave(i int, m *xferMsg) error { return nil }
+func (p *schedPlan[T]) checkHave(i int, m *xferMsg) error { return nil }
 
-func (p schedPlan[T]) unpackRange(i, elemOff int, data []T) {
+func (p *schedPlan[T]) unpackRange(i, elemOff int, data []T) {
 	schedule.UnpackSliceRange(p.s.IncomingAt(p.dst, i), p.dstLocal, data, elemOff)
 }
 
 // lose invalidates the elements the dead pair would have delivered and
-// (once per transfer) re-plans against the survivors, invalidating the
+// (once per run) re-plans against the survivors, invalidating the
 // schedule cache entry so later transfers rebuild from current templates.
-func (p schedPlan[T]) lose(i int, f *fenceRun) {
+func (p *schedPlan[T]) lose(i int, out *Outcome, o *TransferOpts) {
 	pp := p.s.IncomingAt(p.dst, i)
 	for _, run := range pp.Runs {
-		f.out.Validity.InvalidateRange(run.DstOff, run.N)
+		out.Validity.InvalidateRange(run.DstOff, run.N)
 	}
 	mElemsInvalidated.Add(uint64(pp.Elems))
-	if f.out.Replanned == nil {
+	if out.Replanned == nil {
 		start := time.Now()
-		if f.opts.Cache != nil {
-			f.opts.Cache.Invalidate(p.s.Src, p.s.Dst)
+		if o.Cache != nil {
+			o.Cache.Invalidate(p.s.Src, p.s.Dst)
 		}
-		m := f.opts.Membership
-		f.out.Replanned = schedule.Restrict(p.s,
+		m := o.Membership
+		out.Replanned = schedule.Restrict(p.s,
 			func(r int) bool { return m.IsAlive(p.lay.SrcBase + r) },
 			func(r int) bool { return m.IsAlive(p.lay.DstBase + r) })
 		mReplanNS.ObserveSince(start)
@@ -409,31 +357,31 @@ func (p schedPlan[T]) lose(i int, f *fenceRun) {
 	}
 }
 
-func (p schedPlan[T]) finish(lost bool) error { return nil }
+func (p *schedPlan[T]) finish(lost bool) error { return nil }
 
-// linPlan is the receiver-driven plan, built after the request phase: the
-// send side answers the collected requests, the receive side expects one
-// reply per source it requested from (including sources already dead at
-// entry, which the engine's liveness check resolves without blocking).
+// linPlan is the receiver-driven plan. Its receive side is fixed at
+// NewLinear: one expected reply per source rank (including sources
+// already dead at entry, which the engine's liveness check resolves
+// without blocking). Its send side is rebuilt by every Run's request
+// phase: one reply per collected request.
 type linPlan[T Elem] struct {
-	lay      Layout
-	src, dst int
-	srcLin   linear.LinearizerT[T]
-	dstLin   linear.LinearizerT[T]
-	srcLocal []T
-	dstLocal []T
+	lay        Layout
+	src, dst   int // cohort ranks, -1 outside the cohort
+	nSrc, nDst int
+	srcLin     linear.LinearizerT[T]
+	dstLin     linear.LinearizerT[T]
+	srcLocal   []T
+	dstLocal   []T
 
-	// Send side: one reply per collected request.
-	outDst  []int        // requester cohort ranks
-	outSets []linear.Set // owned ∩ need per requester
+	// Send side.
+	owned   linear.Set   // this source's positions
+	outDst  []int        // requester cohort ranks, this run
+	outSets []linear.Set // owned ∩ need per requester, this run
 
-	// Receive side: one expected reply per source rank.
-	inSrc  []int        // source cohort ranks
-	inSets []linear.Set // expected positions per source (owned ∩ need)
-
-	need    linear.Set // this destination's full position set
-	got     int        // positions successfully unpacked
-	lostAny bool
+	// Receive side.
+	need    linear.Set   // this destination's full position set
+	inSets  []linear.Set // expected positions per source rank (owned ∩ need)
+	covered int          // sum of inSets lengths: what a clean run unpacks
 
 	// Scratch sub-sets reused across packRange/unpackRange calls for
 	// windows narrower than the message (each call's result is consumed
@@ -447,6 +395,19 @@ func (p *linPlan[T]) proto() string { return "linear" }
 func (p *linPlan[T]) srcRank() int  { return p.src }
 func (p *linPlan[T]) dstRank() int  { return p.dst }
 func (p *linPlan[T]) dstLen() int   { return len(p.dstLocal) }
+
+// bind attaches the buffers unchecked: a Linearizer exposes no local
+// counts to check against.
+func (p *linPlan[T]) bind(src, dst []T) error {
+	p.srcLocal, p.dstLocal = src, dst
+	return nil
+}
+
+// reply books an answer to one destination's request.
+func (p *linPlan[T]) reply(req linRequest) {
+	p.outDst = append(p.outDst, req.dstRank)
+	p.outSets = append(p.outSets, p.owned.Intersect(req.need))
+}
 
 func (p *linPlan[T]) sends() int { return len(p.outDst) }
 
@@ -472,10 +433,10 @@ func (p *linPlan[T]) packRange(i, elemOff int, out []T) {
 	}
 }
 
-func (p *linPlan[T]) recvs() int { return len(p.inSrc) }
+func (p *linPlan[T]) recvs() int { return len(p.inSets) }
 
 func (p *linPlan[T]) recvOp(i int) pairOp {
-	return pairOp{group: p.lay.SrcBase + p.inSrc[i], rank: p.inSrc[i], elems: p.inSets[i].Len()}
+	return pairOp{group: p.lay.SrcBase + i, rank: i, elems: p.inSets[i].Len()}
 }
 
 // checkHave validates the position metadata a message's first chunk
@@ -485,7 +446,7 @@ func (p *linPlan[T]) recvOp(i int) pairOp {
 func (p *linPlan[T]) checkHave(i int, m *xferMsg) error {
 	expect := p.inSets[i]
 	if !m.have.Equal(expect) {
-		return &ElemCountError{Transfer: "linear", DstRank: p.dst, SrcRank: p.inSrc[i], Got: m.have.Len(), Want: expect.Len()}
+		return &ElemCountError{Transfer: "linear", DstRank: p.dst, SrcRank: i, Got: m.have.Len(), Want: expect.Len()}
 	}
 	return nil
 }
@@ -497,56 +458,42 @@ func (p *linPlan[T]) unpackRange(i, elemOff int, data []T) {
 		set = p.unpackSub
 	}
 	p.dstLin.Unpack(p.dst, p.dstLocal, set, data)
-	p.got += len(data)
 }
 
 // lose invalidates the destination positions the dead source owned:
 // Unpack a tracking buffer of ones through the lost set, then invalidate
 // everywhere a one landed — no new Linearizer surface needed.
-func (p *linPlan[T]) lose(i int, f *fenceRun) {
-	p.lostAny = true
+func (p *linPlan[T]) lose(i int, out *Outcome, o *TransferOpts) {
 	lost := p.inSets[i]
 	if lost.Len() == 0 {
 		return
 	}
 	track := make([]T, len(p.dstLocal))
 	ones := make([]T, lost.Len())
-	var one T
-	switch v := any(&one).(type) {
-	case *float64:
-		*v = 1
-	case *float32:
-		*v = 1
-	case *int64:
-		*v = 1
-	case *int32:
-		*v = 1
-	case *complex128:
-		*v = 1
-	}
 	for j := range ones {
-		ones[j] = one
+		ones[j] = 1
 	}
 	p.dstLin.Unpack(p.dst, track, lost, ones)
 	var zero T
 	for j, v := range track {
 		if v != zero {
-			f.out.Validity.Invalidate(j)
+			out.Validity.Invalidate(j)
 		}
 	}
 	mElemsInvalidated.Add(uint64(lost.Len()))
 	mReplans.Inc()
 }
 
-// finish checks total coverage: every needed position arrived exactly
-// once. Skipped when a source was lost — the validity bitmap already
-// records the shortfall.
+// finish checks total coverage: every needed position arrives exactly
+// once. A clean run unpacks every expected reply in full, so what it
+// unpacked is the sum of the expected sets. Skipped when a source was
+// lost — the validity bitmap already records the shortfall.
 func (p *linPlan[T]) finish(lost bool) error {
-	if p.dst < 0 || lost || p.lostAny {
+	if p.dst < 0 || lost {
 		return nil
 	}
-	if want := p.need.Len(); p.got != want {
-		return &ElemCountError{Transfer: "linear", DstRank: p.dst, SrcRank: -1, Got: p.got, Want: want}
+	if want := p.need.Len(); p.covered != want {
+		return &ElemCountError{Transfer: "linear", DstRank: p.dst, SrcRank: -1, Got: p.covered, Want: want}
 	}
 	return nil
 }

@@ -1,29 +1,20 @@
-// Epoch-fenced, failure-aware transfer executors.
+// Epoch fencing: the failure-aware vocabulary of a Transfer.
 //
-// Exchange and LinearExchange assume both cohorts stay alive: a crashed
-// source rank leaves its destinations blocked in Recv forever. The fenced
-// variants below run the same engine against a core.Membership view:
-// messages are stamped with the membership epoch in force when the
-// transfer began, receivers reject stale-epoch leftovers of pre-failure
-// attempts, and a rank death observed mid-transfer either aborts the
-// transfer with a typed *core.ErrRankDown (FailStrict) or re-plans it
-// against the surviving ranks (FailRedistribute), completing on the live
-// pairs and recording the lost elements in a dad.Validity bitmap.
-//
-// The fenced functions are wrappers: they build a fenceRun and call the
-// same exchangeT/linearExchangeT the unfenced functions use, which run
-// the single transfer loop in budget.go.
+// An unfenced transfer assumes both cohorts stay alive: a crashed source
+// rank leaves its destinations blocked in Recv forever. Setting
+// TransferOpts.Membership runs the same loop against a core.Membership
+// view: messages are stamped with the membership epoch in force when Run
+// began, receivers reject stale-epoch leftovers of pre-failure attempts,
+// and a rank death observed mid-transfer either aborts the transfer with
+// a typed *core.ErrRankDown (FailStrict) or re-plans it against the
+// surviving ranks (FailRedistribute), completing on the live pairs and
+// recording the lost elements in a dad.Validity bitmap.
 package redist
 
 import (
 	"fmt"
-	"sort"
-	"time"
 
-	"mxn/internal/comm"
-	"mxn/internal/core"
 	"mxn/internal/dad"
-	"mxn/internal/linear"
 	"mxn/internal/obs"
 	"mxn/internal/schedule"
 )
@@ -75,51 +66,12 @@ const (
 	FailRedistribute
 )
 
-// FenceOpts configures a fenced transfer.
-type FenceOpts struct {
-	// Membership is the shared liveness view. Ranks are communicator
-	// *group* ranks (the same space Layout maps cohort ranks into), so
-	// one membership covers both cohorts. Required.
-	Membership *core.Membership
-	// Policy selects abort-vs-replan. Default FailStrict.
-	Policy FailPolicy
-	// PollInterval is the receive-poll granularity used instead of a
-	// blocking Recv, so membership changes are noticed while waiting.
-	// Default 2ms.
-	PollInterval time.Duration
-	// SuspectAfter, when positive, is receiver-side failure detection:
-	// a peer whose expected message has not arrived after this long is
-	// marked down in Membership (and the policy applied), even with no
-	// heartbeat detector running. Zero disables suspicion: only
-	// Membership declares deaths.
-	SuspectAfter time.Duration
-	// Cache, when set, has its (Src, Dst) entry invalidated whenever a
-	// death forces a re-plan, so later transfers rebuild from current
-	// templates. The cache deduplicates in-flight builds, so when every
-	// survivor hits the invalidated entry in the same epoch the planner
-	// runs once, not once per rank — and for regular template pairs the
-	// rebuild takes the closed-form fast path, keeping the re-plan cost
-	// of the same order as a single transfer step.
-	Cache *schedule.Cache
-	// Desc, when set, receives the destination validity bitmap via
-	// SetValidity(dstRank, ...) whenever a re-planned transfer loses
-	// elements — the "partial data marked on the destination DAD" hook.
-	Desc *dad.Descriptor
-	// MaxBytesInFlight, when positive, bounds this rank's resident packed
-	// bytes (see TransferOpts and budget.go). Rounds carry the entry
-	// epoch on every chunk, and the failure policies apply per chunk
-	// exactly as they apply per message.
-	// Back-to-back budgeted transfers between the same ranks must use
-	// distinct base tags (see TransferOpts.MaxBytesInFlight).
-	MaxBytesInFlight int
-}
-
-func (o FenceOpts) withDefaults() FenceOpts {
-	if o.PollInterval <= 0 {
-		o.PollInterval = 2 * time.Millisecond
-	}
-	return o
-}
+// FenceOpts is the old name of TransferOpts, from when fencing had an
+// options struct of its own.
+//
+// Deprecated: use TransferOpts. Kept only because bench/, which may not
+// be edited in the same change, builds FenceOpts literals.
+type FenceOpts = TransferOpts
 
 // Outcome reports what a fenced transfer did beyond moving data.
 type Outcome struct {
@@ -137,53 +89,4 @@ type Outcome struct {
 	// only when a FailRedistribute re-plan happened (schedule-driven
 	// transfers only).
 	Replanned *schedule.Schedule
-}
-
-// ExchangeFencedT is ExchangeT under a liveness view: identical protocol
-// and tag usage, but sends are epoch-stamped and skip dead destinations,
-// and a destination that observes a source death applies opts.Policy
-// instead of blocking forever. See FenceOpts and Outcome for the knobs and
-// the report.
-func ExchangeFencedT[T Elem](c *comm.Comm, s *schedule.Schedule, lay Layout, srcLocal, dstLocal []T,
-	baseTag int, opts FenceOpts) (*Outcome, error) {
-
-	// A schedule-driven sender aborts on a dead destination under
-	// FailStrict: the destination's missing message would wedge the
-	// collective protocol.
-	f := newFenceRun(opts, true)
-	err := exchangeT(c, s, lay, srcLocal, dstLocal, baseTag, f, opts.MaxBytesInFlight, false)
-	sort.Ints(f.out.Down)
-	return f.out, err
-}
-
-// ExchangeFenced is ExchangeFencedT for float64, the historical default.
-func ExchangeFenced(c *comm.Comm, s *schedule.Schedule, lay Layout, srcLocal, dstLocal []float64,
-	baseTag int, opts FenceOpts) (*Outcome, error) {
-	return ExchangeFencedT[float64](c, s, lay, srcLocal, dstLocal, baseTag, opts)
-}
-
-// LinearExchangeFencedT is LinearExchangeT under a liveness view. The
-// receiver-driven protocol is unchanged (requests on baseTag, replies on
-// baseTag+1), but requests and replies carry the sender's entry epoch,
-// stale-epoch traffic is discarded, sources poll for requests only from
-// destinations that are still alive, and a destination losing a source
-// applies opts.Policy — under FailRedistribute the positions that source
-// owned of this destination's needs are invalidated in the validity
-// bitmap and the transfer completes on the surviving sources.
-func LinearExchangeFencedT[T Elem](c *comm.Comm, srcLin, dstLin linear.LinearizerT[T], lay Layout, nSrc, nDst int,
-	srcLocal, dstLocal []T, baseTag int, opts FenceOpts) (*Outcome, error) {
-
-	// A receiver-driven source owes the destinations nothing it was not
-	// asked for: replies to dead requesters are skipped, never aborted on.
-	f := newFenceRun(opts, false)
-	err := linearExchangeT(c, srcLin, dstLin, lay, nSrc, nDst, srcLocal, dstLocal, baseTag, f, opts.MaxBytesInFlight)
-	sort.Ints(f.out.Down)
-	return f.out, err
-}
-
-// LinearExchangeFenced is LinearExchangeFencedT for float64, the
-// historical default.
-func LinearExchangeFenced(c *comm.Comm, srcLin, dstLin linear.Linearizer, lay Layout, nSrc, nDst int,
-	srcLocal, dstLocal []float64, baseTag int, opts FenceOpts) (*Outcome, error) {
-	return LinearExchangeFencedT[float64](c, srcLin, dstLin, lay, nSrc, nDst, srcLocal, dstLocal, baseTag, opts)
 }

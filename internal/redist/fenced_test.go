@@ -2,10 +2,12 @@ package redist
 
 import (
 	"errors"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
+	"mxn/internal/bufpool"
 	"mxn/internal/comm"
 	"mxn/internal/core"
 	"mxn/internal/dad"
@@ -18,7 +20,7 @@ import (
 // goroutines do not participate, as a crashed process would not). It
 // returns the destination buffers and the per-destination outcomes.
 func runFenced(t *testing.T, src, dst *dad.Template, policy FailPolicy,
-	deadAtEntry []int, opts func(*FenceOpts)) ([][]float64, []*Outcome, []error) {
+	deadAtEntry []int, opts func(*TransferOpts)) ([][]float64, []*Outcome, []error) {
 	t.Helper()
 	s, err := schedule.Build(src, dst)
 	if err != nil {
@@ -40,7 +42,7 @@ func runFenced(t *testing.T, src, dst *dad.Template, policy FailPolicy,
 		if dead[c.Rank()] {
 			return
 		}
-		fo := FenceOpts{Membership: mem, Policy: policy, PollInterval: time.Millisecond}
+		fo := TransferOpts{Membership: mem, Policy: policy, PollInterval: time.Millisecond}
 		if opts != nil {
 			opts(&fo)
 		}
@@ -51,7 +53,7 @@ func runFenced(t *testing.T, src, dst *dad.Template, policy FailPolicy,
 		} else {
 			dl = make([]float64, dst.LocalCount(c.Rank()-m))
 		}
-		out, err := ExchangeFenced(c, s, lay, sl, dl, 0, fo)
+		out, err := xfer(c, s, lay, sl, dl, 0, fo)
 		if dl != nil {
 			mu.Lock()
 			dstLocals[c.Rank()-m] = dl
@@ -120,7 +122,7 @@ func TestExchangeFencedRedistributeDeadAtEntry(t *testing.T) {
 	}
 
 	got, outs, errs := runFenced(t, src, dst, FailRedistribute, []int{victim},
-		func(fo *FenceOpts) { fo.Cache = cache; fo.Desc = desc })
+		func(fo *TransferOpts) { fo.Cache = cache; fo.Desc = desc })
 	for r, err := range errs {
 		if err != nil {
 			t.Fatalf("dst rank %d: %v", r, err)
@@ -188,7 +190,7 @@ func TestExchangeFencedSuspectsSilentSource(t *testing.T) {
 		if c.Rank() == victim {
 			return // crashed before sending anything
 		}
-		fo := FenceOpts{
+		fo := TransferOpts{
 			Membership:   mem,
 			Policy:       FailRedistribute,
 			PollInterval: 2 * time.Millisecond,
@@ -201,7 +203,7 @@ func TestExchangeFencedSuspectsSilentSource(t *testing.T) {
 		} else {
 			dl = make([]float64, dst.LocalCount(c.Rank()-m))
 		}
-		out, err := ExchangeFenced(c, s, lay, sl, dl, 0, fo)
+		out, err := xfer(c, s, lay, sl, dl, 0, fo)
 		if err != nil {
 			t.Errorf("rank %d: %v", c.Rank(), err)
 		}
@@ -275,17 +277,17 @@ func TestExchangeFencedRejectsStaleEpoch(t *testing.T) {
 
 	srcLocal := []float64{10, 11, 12, 13}
 	dstLocal := make([]float64, 4)
-	fo := FenceOpts{Membership: mem, PollInterval: time.Millisecond}
+	fo := TransferOpts{Membership: mem, PollInterval: time.Millisecond}
 	lay := Layout{SrcBase: 0, DstBase: 1}
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		if _, err := ExchangeFenced(cs[0], s, lay, srcLocal, nil, 0, fo); err != nil {
+		if _, err := xfer(cs[0], s, lay, srcLocal, nil, 0, fo); err != nil {
 			t.Errorf("source: %v", err)
 		}
 	}()
-	out, err := ExchangeFenced(cs[1], s, lay, nil, dstLocal, 0, fo)
+	out, err := xfer(cs[1], s, lay, nil, dstLocal, 0, fo)
 	wg.Wait()
 	if err != nil {
 		t.Fatal(err)
@@ -321,7 +323,7 @@ func runLinearFenced(t *testing.T, src, dst *dad.Template, policy FailPolicy,
 		if dead[c.Rank()] {
 			return
 		}
-		fo := FenceOpts{Membership: mem, Policy: policy, PollInterval: time.Millisecond}
+		fo := TransferOpts{Membership: mem, Policy: policy, PollInterval: time.Millisecond}
 		lay := Layout{SrcBase: 0, DstBase: m}
 		var sl, dl []float64
 		if c.Rank() < m {
@@ -329,7 +331,7 @@ func runLinearFenced(t *testing.T, src, dst *dad.Template, policy FailPolicy,
 		} else {
 			dl = make([]float64, dst.LocalCount(c.Rank()-m))
 		}
-		out, err := LinearExchangeFenced(c, srcLin, dstLin, lay, m, n, sl, dl, 0, fo)
+		out, err := xferLinear(c, srcLin, dstLin, lay, m, n, sl, dl, 0, fo)
 		if dl != nil {
 			mu.Lock()
 			dstLocals[c.Rank()-m] = dl
@@ -388,5 +390,90 @@ func TestLinearExchangeFencedStrict(t *testing.T) {
 	}
 	if !sawTyped {
 		t.Fatal("no destination surfaced *core.ErrRankDown")
+	}
+}
+
+// One handle per rank survives a source's death: Runs before it are
+// clean, every Run after it completes on the survivors under
+// FailRedistribute with its own Outcome — the lost elements invalid, the
+// victim in Down, the rest delivered — and the Outcomes of earlier Runs
+// are left untouched. Nothing pooled is leaked across the loss.
+func TestHandleReusedAcrossLostSource(t *testing.T) {
+	baseline := bufpool.Outstanding()
+	src := tpl(t, []int{12}, dad.BlockAxis(3))
+	dst := tpl(t, []int{12}, dad.BlockAxis(2))
+	s, err := schedule.Build(src, dst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const m, n, victim, steps = 3, 2, 1, 6
+	cs := comm.NewWorld(m + n).Comms()
+	mem := core.NewMembership(m + n)
+	fo := TransferOpts{Membership: mem, Policy: FailRedistribute, PollInterval: time.Millisecond}
+	ts := make([]*Transfer[float64], m+n)
+	for r, c := range cs {
+		if ts[r], err = New[float64](c, s, Layout{SrcBase: 0, DstBase: m}, 0, fo); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srcLocals := fillByGlobal(src)
+	var first []*Outcome
+	for k := 0; k < steps; k++ {
+		if k == steps/2 {
+			mem.MarkDown(victim) // between Runs: the victim takes no further part
+		}
+		dstLocals := make([][]float64, n)
+		outs := make([]*Outcome, n)
+		var wg sync.WaitGroup
+		for r := range ts {
+			if r == victim && !mem.IsAlive(victim) {
+				continue
+			}
+			var sl, dl []float64
+			if r < m {
+				sl = srcLocals[r]
+			} else {
+				dl = make([]float64, dst.LocalCount(r-m))
+				dstLocals[r-m] = dl
+			}
+			wg.Add(1)
+			go func(r int) {
+				defer wg.Done()
+				out, err := ts[r].Run(sl, dl)
+				if err != nil {
+					t.Errorf("step %d rank %d: %v", k, r, err)
+				}
+				if dl != nil {
+					outs[r-m] = out
+				}
+			}(r)
+		}
+		wg.Wait()
+		if k < steps/2 {
+			for r, out := range outs {
+				if len(out.Down) != 0 || !out.Validity.AllValid() {
+					t.Fatalf("step %d dst rank %d: clean run reported Down %v, %d invalid", k, r, out.Down, out.Validity.CountInvalid())
+				}
+			}
+			verify(t, dst, dstLocals)
+			if first == nil {
+				first = outs
+			}
+			continue
+		}
+		checkLossPattern(t, src, dst, victim, dstLocals, outs)
+		for r, out := range outs {
+			if !reflect.DeepEqual(out.Down, []int{victim}) {
+				t.Errorf("step %d dst rank %d: Down = %v, want [%d]", k, r, out.Down, victim)
+			}
+		}
+	}
+	for r, out := range first {
+		if len(out.Down) != 0 || !out.Validity.AllValid() {
+			t.Errorf("dst rank %d: a later Run rewrote the first Run's Outcome", r)
+		}
+	}
+	if d := bufpool.Outstanding() - baseline; d != 0 {
+		t.Errorf("bufpool outstanding moved by %+d across the handle's runs", d)
 	}
 }

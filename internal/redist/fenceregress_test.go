@@ -34,17 +34,17 @@ func TestFencedStrictSendAbortDrainsReceives(t *testing.T) {
 	mem := core.NewMembership(3)
 	mem.MarkDown(2)
 	lay := Layout{SrcBase: 0, DstBase: 1}
-	fo := FenceOpts{Membership: mem, Policy: FailStrict, PollInterval: time.Millisecond}
+	fo := TransferOpts{Membership: mem, Policy: FailStrict, PollInterval: time.Millisecond}
 	srcLocals := fillByGlobal(src)
 
 	// Group 0 is a pure source with a live destination: posts and returns.
-	if _, err := ExchangeFenced(cs[0], s, lay, srcLocals[0], nil, 0, fo); err != nil {
+	if _, err := xfer(cs[0], s, lay, srcLocals[0], nil, 0, fo); err != nil {
 		t.Fatalf("pure source: %v", err)
 	}
 	// Group 1 aborts on its dead destination but must still drain the
 	// message group 0 just posted.
 	dl := make([]float64, dst.LocalCount(0))
-	_, err = ExchangeFenced(cs[1], s, lay, srcLocals[1], dl, 0, fo)
+	_, err = xfer(cs[1], s, lay, srcLocals[1], dl, 0, fo)
 	var down *core.ErrRankDown
 	if !errors.As(err, &down) {
 		t.Fatalf("abort: err = %v, want *core.ErrRankDown", err)
@@ -64,11 +64,11 @@ func TestFencedStrictSendAbortDrainsReceives(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []float64{100, 101, 102, 103}
-	if err := Exchange(cs[0], s2, lay, want, nil, 0); err != nil {
+	if _, err := xfer(cs[0], s2, lay, want, nil, 0, TransferOpts{}); err != nil {
 		t.Fatalf("transfer 2 source: %v", err)
 	}
 	dl2 := make([]float64, 4)
-	if err := Exchange(cs[1], s2, lay, nil, dl2, 0); err != nil {
+	if _, err := xfer(cs[1], s2, lay, nil, dl2, 0, TransferOpts{}); err != nil {
 		t.Fatalf("transfer 2 destination: %v", err)
 	}
 	for i := range want {
@@ -117,8 +117,8 @@ func TestFencedRejectsFutureEpoch(t *testing.T) {
 		cs[0].Send(1, 0, fut)
 
 		dl := []float64{-5, -5, -5, -5}
-		fo := FenceOpts{Membership: mem, PollInterval: time.Millisecond}
-		_, err := ExchangeFenced(cs[1], s, lay, nil, dl, 0, fo)
+		fo := TransferOpts{Membership: mem, PollInterval: time.Millisecond}
+		_, err := xfer(cs[1], s, lay, nil, dl, 0, fo)
 		checkErr(t, err, "exchange", 0, 0)
 		for _, v := range dl {
 			if v != -5 {
@@ -136,8 +136,8 @@ func TestFencedRejectsFutureEpoch(t *testing.T) {
 		cs[0].Send(1, 0, fut)
 
 		dl := []float64{-5, -5, -5, -5}
-		fo := FenceOpts{Membership: mem, PollInterval: time.Millisecond, MaxBytesInFlight: 32}
-		_, err := ExchangeFenced(cs[1], s, lay, nil, dl, 0, fo)
+		fo := TransferOpts{Membership: mem, PollInterval: time.Millisecond, MaxBytesInFlight: 32}
+		_, err := xfer(cs[1], s, lay, nil, dl, 0, fo)
 		checkErr(t, err, "exchange", 0, 0)
 		for _, v := range dl {
 			if v != -5 {
@@ -156,9 +156,9 @@ func TestFencedRejectsFutureEpoch(t *testing.T) {
 		mem := core.NewMembership(2)
 		cs[1].Send(0, 0, linRequest{dstRank: 0, need: linear.Set{{Lo: 0, Hi: 4}}, epoch: 2})
 
-		fo := FenceOpts{Membership: mem, PollInterval: time.Millisecond}
+		fo := TransferOpts{Membership: mem, PollInterval: time.Millisecond}
 		sl := []float64{0, 1, 2, 3}
-		_, err := LinearExchangeFenced(cs[0], srcLin, dstLin, lay, 1, 1, sl, nil, 0, fo)
+		_, err := xferLinear(cs[0], srcLin, dstLin, lay, 1, 1, sl, nil, 0, fo)
 		checkErr(t, err, "linear", 0, 0)
 	})
 }
@@ -209,13 +209,13 @@ func TestReceiveMetricsConsistent(t *testing.T) {
 
 		recv0, stale0 := mMsgsRecv.Value(), mStaleEpoch.Value()
 		lay := Layout{SrcBase: 0, DstBase: 1}
-		fo := FenceOpts{Membership: mem, PollInterval: time.Millisecond}
+		fo := TransferOpts{Membership: mem, PollInterval: time.Millisecond}
 		sl := []float64{10, 11, 12, 13}
-		if _, err := ExchangeFenced(cs[0], s, lay, sl, nil, 0, fo); err != nil {
+		if _, err := xfer(cs[0], s, lay, sl, nil, 0, fo); err != nil {
 			t.Fatalf("source: %v", err)
 		}
 		dl := make([]float64, 4)
-		if _, err := ExchangeFenced(cs[1], s, lay, nil, dl, 0, fo); err != nil {
+		if _, err := xfer(cs[1], s, lay, nil, dl, 0, fo); err != nil {
 			t.Fatalf("destination: %v", err)
 		}
 		dRecv, dStale := mMsgsRecv.Value()-recv0, mStaleEpoch.Value()-stale0
@@ -275,7 +275,7 @@ func TestZeroElementRanksAndMessages(t *testing.T) {
 		if srcLocals[0] != nil && len(srcLocals[0]) != 0 {
 			t.Fatalf("rank 0 should own nothing, has %d elements", len(srcLocals[0]))
 		}
-		ExecuteLocal(s, srcLocals, dstLocals)
+		ExecuteLocalT(s, srcLocals, dstLocals)
 		verify(t, dst, dstLocals)
 	})
 
@@ -318,7 +318,8 @@ func TestZeroElementRanksAndMessages(t *testing.T) {
 					dl = make([]float64, ldst.LocalCount(r-2))
 					dstLocals[r-2] = dl
 				}
-				done <- LinearExchangeWithT[float64](cs[r], srcLin, dstLin, lay, 2, 2, sl, dl, 0, TransferOpts{MaxBytesInFlight: 32})
+				_, err := xferLinear(cs[r], srcLin, dstLin, lay, 2, 2, sl, dl, 0, TransferOpts{MaxBytesInFlight: 32})
+				done <- err
 			}(r)
 		}
 		for r := 0; r < 4; r++ {
@@ -337,4 +338,46 @@ func TestZeroElementRanksAndMessages(t *testing.T) {
 			t.Errorf("rounds %d > chunks %d: an empty round was flushed", dRounds, dChunks)
 		}
 	})
+}
+
+// Regression: the fenced linear request phase measured SuspectAfter as
+// total time since the source began waiting, not as silence since the
+// last arrival the way the transfer loop does. One source feeding two
+// destinations that enter 60 ms and 150 ms late never goes 100 ms without
+// an arrival, yet the source marked the live late destination down, which
+// then suspected the live source in turn: two live ranks down, and a
+// destination failing with ErrRankDown.
+func TestLinearRequestSuspicionIsSilenceSinceLastArrival(t *testing.T) {
+	src := tpl(t, []int{64}, dad.BlockAxis(1))
+	dst := tpl(t, []int{64}, dad.BlockAxis(2))
+	srcLin, dstLin := linear.NewRowMajor(src), linear.NewRowMajor(dst)
+	mem := core.NewMembership(3)
+	srcLocals := fillByGlobal(src)
+	got := make([][]float64, 2)
+	comm.Run(3, func(c *comm.Comm) {
+		fo := TransferOpts{Membership: mem, Policy: FailStrict, PollInterval: time.Millisecond, SuspectAfter: 100 * time.Millisecond}
+		var sl, dl []float64
+		switch c.Rank() {
+		case 0:
+			sl = srcLocals[0]
+		case 1:
+			time.Sleep(60 * time.Millisecond)
+			dl = make([]float64, dst.LocalCount(0))
+		case 2:
+			time.Sleep(150 * time.Millisecond)
+			dl = make([]float64, dst.LocalCount(1))
+		}
+		if _, err := xferLinear(c, srcLin, dstLin, Layout{SrcBase: 0, DstBase: 1}, 1, 2, sl, dl, 0, fo); err != nil {
+			t.Errorf("rank %d: %v", c.Rank(), err)
+		}
+		if dl != nil {
+			got[c.Rank()-1] = dl
+		}
+	})
+	for r := 0; r < 3; r++ {
+		if !mem.IsAlive(r) {
+			t.Errorf("live rank %d was marked down", r)
+		}
+	}
+	verify(t, dst, got)
 }

@@ -60,7 +60,7 @@ func runExchangeT[T Elem](t *testing.T, src, dst *dad.Template, conv func(float6
 		if c.Rank() >= m {
 			dl = make([]T, dst.LocalCount(c.Rank()-m))
 		}
-		if err := ExchangeT(c, s, lay, sl, dl, 0); err != nil {
+		if _, err := xfer(c, s, lay, sl, dl, 0, TransferOpts{}); err != nil {
 			t.Errorf("rank %d: %v", c.Rank(), err)
 		}
 		if dl != nil {
@@ -127,7 +127,7 @@ func TestLinearExchangeFloat32(t *testing.T) {
 		} else {
 			dl = make([]float32, dst.LocalCount(c.Rank()-3))
 		}
-		if err := LinearExchangeT(c, srcLin, dstLin, lay, 3, 2, sl, dl, 0); err != nil {
+		if _, err := xferLinear(c, srcLin, dstLin, lay, 3, 2, sl, dl, 0, TransferOpts{}); err != nil {
 			t.Errorf("rank %d: %v", c.Rank(), err)
 		}
 		if dl != nil {
@@ -198,13 +198,13 @@ func TestExchangeKindMismatch(t *testing.T) {
 	comm.Run(4, func(c *comm.Comm) {
 		lay := Layout{SrcBase: 0, DstBase: 2}
 		if c.Rank() < 2 {
-			if err := ExchangeT(c, s, lay, src32[c.Rank()], nil, 0); err != nil {
+			if _, err := xfer(c, s, lay, src32[c.Rank()], nil, 0, TransferOpts{}); err != nil {
 				t.Errorf("source rank %d: %v", c.Rank(), err)
 			}
 			return
 		}
 		dl := make([]float64, dst.LocalCount(c.Rank()-2))
-		err := Exchange(c, s, lay, nil, dl, 0)
+		_, err := xfer(c, s, lay, nil, dl, 0, TransferOpts{})
 		var eke *ElemKindError
 		if !errors.As(err, &eke) {
 			t.Errorf("dst rank %d: got %v, want *ElemKindError", c.Rank()-2, err)

@@ -3,25 +3,37 @@
 //
 // The full resize sequence is driven by the caller:
 //
-//	rz, _  := membership.ProposeResize(newWidth)   // prepare fence
-//	newT, _ := dad.Reblock(oldT, newWidth)          // re-derive layout
-//	out, err := redist.ReconfigureFencedT(...)      // migrate (this file)
-//	redist.CommitReconfigure(rz, cache, oldT)       // commit + scoped invalidation
+//	rz, _ := membership.ProposeResize(newWidth)       // prepare fence
+//	newT, _ := dad.Reblock(oldT, newWidth)            // re-derive layout
+//	s, _ := cache.Get(oldT, newT)                     // or schedule.Remap
+//	opts.Resize = rz                                  // opts.Membership set
+//	t, err := redist.New[T](c, s, lay, tag, opts)     // checked here
+//	out, err := t.Run(src, dst)                       // migrate
+//	redist.CommitReconfigure(rz, cache, oldT)         // commit + scoped invalidation
 //	// or redist.AbortReconfigure(rz, cache, newT) on failure
 //
-// ReconfigureFenced is ExchangeFenced with three resize-specific twists:
+// A migration is a fenced transfer with three resize-specific twists:
 // the plan is the old→new migration (schedule.Remap, closed-form when the
 // layouts allow), the fence entry epoch is pinned to the resize's prepare
 // epoch rather than sampled (so every rank enters the migration at the
-// same cut even if a death bumps the live epoch first), and the widths
-// are validated against the Resize handle so a mismatched template pair
+// same cut even if a death bumps the live epoch first), and New validates
+// the widths against the Resize handle so a mismatched template pair
 // fails before any data moves.
+//
+// The transfer is fenced at rz.PrepareEpoch(): concurrent fenced
+// transfers or PRMI calls entered at earlier epochs drain against their
+// own entry epoch, and traffic straddling the prepare fence surfaces as
+// the existing typed stale-epoch errors — never as silently mixed-epoch
+// data. A rank dying mid-migration follows opts.Policy: FailStrict
+// aborts with *core.ErrRankDown (the caller should then AbortReconfigure
+// and re-propose), FailRedistribute completes on the survivors with the
+// losses recorded in the Outcome's validity bitmap, after which the
+// caller can still commit. Either way rz.Disturbed() reports that the
+// window was not clean.
 package redist
 
 import (
 	"fmt"
-	"sort"
-	"time"
 
 	"mxn/internal/comm"
 	"mxn/internal/core"
@@ -40,9 +52,9 @@ var (
 	mReconfigDisturbed = obs.Default().Counter("redist.reconfigure_disturbed")
 )
 
-// ReconfigureError reports a malformed reconfiguration call — template
-// widths that do not match the resize handle, or a communicator group too
-// small to host both cohorts.
+// ReconfigureError reports a malformed migration handle — template
+// widths that do not match the resize, a communicator group too small to
+// host both cohorts, or no membership to fence on.
 type ReconfigureError struct {
 	Reason string
 }
@@ -51,80 +63,62 @@ func (e *ReconfigureError) Error() string {
 	return "redist: reconfigure: " + e.Reason
 }
 
-// ReconfigureFencedT migrates one array from its old-cohort layout to its
-// new-cohort layout inside a prepared resize window. Every member of the
-// communicator group hosting an old-cohort or new-cohort rank must call
-// it: old ranks pass their current local buffer as srcLocal (nil beyond
-// the old width or when the template assigns them nothing), new ranks
-// pass a destination buffer sized newT.LocalCount (nil beyond the new
-// width) — a rank in both cohorts passes both. Layout places the two
-// cohorts in the group exactly as in ExchangeT; the common case is
-// Layout{} with cohort rank == group rank on both sides.
+// checkResize validates a migration handle against its resize before
+// any data moves: the plan's cohort widths must be the resize's old and
+// new widths, the group must host both cohorts, and the fence needs a
+// membership to pin the prepare epoch on.
+func checkResize(c *comm.Comm, lay Layout, o TransferOpts, nSrc, nDst int) error {
+	rz := o.Resize
+	var reason string
+	switch {
+	case o.Membership == nil:
+		reason = "Resize set without a Membership to fence the migration"
+	case nSrc != rz.OldWidth():
+		reason = fmt.Sprintf("old template spans %d ranks, resize is from width %d", nSrc, rz.OldWidth())
+	case nDst != rz.NewWidth():
+		reason = fmt.Sprintf("new template spans %d ranks, resize is to width %d", nDst, rz.NewWidth())
+	case c.Size() < lay.SrcBase+nSrc:
+		reason = fmt.Sprintf("group of %d ranks cannot host old cohort ending at %d", c.Size(), lay.SrcBase+nSrc)
+	case c.Size() < lay.DstBase+nDst:
+		reason = fmt.Sprintf("group of %d ranks cannot host new cohort ending at %d", c.Size(), lay.DstBase+nDst)
+	default:
+		return nil
+	}
+	return &ReconfigureError{Reason: reason}
+}
+
+// ReconfigureFencedT builds a migration handle for rz on the plan from
+// opts.Cache (or schedule.Remap) and runs it once.
 //
-// The transfer is fenced at rz.PrepareEpoch(): concurrent fenced
-// transfers or PRMI calls entered at earlier epochs drain against their
-// own entry epoch, and traffic straddling the prepare fence surfaces as
-// the existing typed stale-epoch errors — never as silently mixed-epoch
-// data. A rank dying mid-migration follows opts.Policy: FailStrict
-// aborts with *core.ErrRankDown (the caller should then AbortReconfigure
-// and re-propose), FailRedistribute completes on the survivors with the
-// losses recorded in the Outcome's validity bitmap, after which the
-// caller can still commit. Either way rz.Disturbed() reports that the
-// window was not clean.
-//
-// The migration plan comes from opts.Cache when set — several arrays
-// aligned to the same template pair migrate on one plan, built once —
-// and from schedule.Remap otherwise.
+// Deprecated: build the handle with New and TransferOpts.Resize, and Run
+// it. Kept only because bench/, which may not be edited in the same
+// change, calls it.
 func ReconfigureFencedT[T Elem](c *comm.Comm, rz *core.Resize, oldT, newT *dad.Template, lay Layout,
 	srcLocal, dstLocal []T, baseTag int, opts FenceOpts) (*Outcome, error) {
-
-	if rz == nil {
-		return nil, &ReconfigureError{Reason: "nil Resize handle (call Membership.ProposeResize first)"}
-	}
-	if got, want := oldT.NumProcs(), rz.OldWidth(); got != want {
-		return nil, &ReconfigureError{Reason: fmt.Sprintf("old template spans %d ranks, resize is from width %d", got, want)}
-	}
-	if got, want := newT.NumProcs(), rz.NewWidth(); got != want {
-		return nil, &ReconfigureError{Reason: fmt.Sprintf("new template spans %d ranks, resize is to width %d", got, want)}
-	}
-	if need := lay.SrcBase + oldT.NumProcs(); c.Size() < need {
-		return nil, &ReconfigureError{Reason: fmt.Sprintf("group of %d ranks cannot host old cohort ending at %d", c.Size(), need)}
-	}
-	if need := lay.DstBase + newT.NumProcs(); c.Size() < need {
-		return nil, &ReconfigureError{Reason: fmt.Sprintf("group of %d ranks cannot host new cohort ending at %d", c.Size(), need)}
-	}
-
-	var s *schedule.Schedule
-	var err error
-	if opts.Cache != nil {
-		s, err = opts.Cache.Get(oldT, newT)
-	} else {
-		s, err = schedule.Remap(oldT, newT)
-	}
+	opts.Resize = rz
+	s, err := migrationPlan(c, lay, opts, oldT, newT)
 	if err != nil {
 		return nil, err
 	}
-
-	start := time.Now()
-	f := newFenceRunAt(opts, true, rz.PrepareEpoch())
-	err = exchangeT(c, s, lay, srcLocal, dstLocal, baseTag, f, opts.MaxBytesInFlight, false)
-	sort.Ints(f.out.Down)
-	mReconfigures.Inc()
-	mReconfigureNS.ObserveSince(start)
-	if err == nil {
-		mReconfigureElems.Add(uint64(s.TotalElems()))
-	}
-	if rz.Disturbed() {
-		mReconfigDisturbed.Inc()
-	}
-	return f.out, err
+	return runOnce(c, s, lay, srcLocal, dstLocal, baseTag, opts)
 }
 
-// ReconfigureFenced is ReconfigureFencedT for float64, the historical
-// default.
-func ReconfigureFenced(c *comm.Comm, rz *core.Resize, oldT, newT *dad.Template, lay Layout,
-	srcLocal, dstLocal []float64, baseTag int, opts FenceOpts) (*Outcome, error) {
-	return ReconfigureFencedT[float64](c, rz, oldT, newT, lay, srcLocal, dstLocal, baseTag, opts)
+// migrationPlan is the old→new plan of opts.Resize: from opts.Cache when
+// set — several arrays aligned to the same template pair migrate on one
+// plan, built once — and from schedule.Remap otherwise. The handle and
+// the widths are checked first, so a malformed migration builds no plan
+// and leaves no cache entry behind.
+func migrationPlan(c *comm.Comm, lay Layout, opts TransferOpts, oldT, newT *dad.Template) (*schedule.Schedule, error) {
+	if opts.Resize == nil {
+		return nil, &ReconfigureError{Reason: "nil Resize handle (call Membership.ProposeResize first)"}
+	}
+	if err := checkResize(c, lay, opts, oldT.NumProcs(), newT.NumProcs()); err != nil {
+		return nil, err
+	}
+	if opts.Cache != nil {
+		return opts.Cache.Get(oldT, newT)
+	}
+	return schedule.Remap(oldT, newT)
 }
 
 // CommitReconfigure commits the resize and scopes schedule-cache

@@ -18,7 +18,7 @@ import (
 // marked down after the prepare fence (a death inside the resize window).
 func runReconfigure(t *testing.T, mem *core.Membership, rz *core.Resize,
 	oldT, newT *dad.Template, nGroup int, deadAfterPrepare []int,
-	opts func(*FenceOpts)) ([][]float64, []*Outcome, []error) {
+	opts func(*TransferOpts)) ([][]float64, []*Outcome, []error) {
 	t.Helper()
 	dead := map[int]bool{}
 	for _, g := range deadAfterPrepare {
@@ -34,7 +34,7 @@ func runReconfigure(t *testing.T, mem *core.Membership, rz *core.Resize,
 		if dead[c.Rank()] {
 			return
 		}
-		fo := FenceOpts{Membership: mem, Policy: FailStrict, PollInterval: time.Millisecond}
+		fo := TransferOpts{Membership: mem, Policy: FailStrict, PollInterval: time.Millisecond}
 		if opts != nil {
 			opts(&fo)
 		}
@@ -45,7 +45,12 @@ func runReconfigure(t *testing.T, mem *core.Membership, rz *core.Resize,
 		if c.Rank() < newT.NumProcs() {
 			dl = make([]float64, newT.LocalCount(c.Rank()))
 		}
-		out, err := ReconfigureFenced(c, rz, oldT, newT, Layout{}, sl, dl, 0, fo)
+		fo.Resize = rz
+		s, err := migrationPlan(c, Layout{}, fo, oldT, newT)
+		var out *Outcome
+		if err == nil {
+			out, err = xfer(c, s, Layout{}, sl, dl, 0, fo)
+		}
 		mu.Lock()
 		if dl != nil {
 			dstLocals[c.Rank()] = dl
@@ -70,7 +75,7 @@ func TestReconfigureGrowBitIdentical(t *testing.T) {
 	}
 	cache := schedule.NewCache()
 	got, outs, errs := runReconfigure(t, mem, rz, oldT, newT, 5, nil,
-		func(fo *FenceOpts) { fo.Cache = cache })
+		func(fo *TransferOpts) { fo.Cache = cache })
 	for r, err := range errs {
 		if err != nil {
 			t.Fatalf("rank %d: %v", r, err)
@@ -201,7 +206,7 @@ func TestReconfigureRedistributeCompletesOnSurvivors(t *testing.T) {
 	}
 	const victim = 2
 	got, outs, errs := runReconfigure(t, mem, rz, oldT, newT, 4, []int{victim},
-		func(fo *FenceOpts) { fo.Policy = FailRedistribute })
+		func(fo *TransferOpts) { fo.Policy = FailRedistribute })
 	for r, err := range errs {
 		if r == victim {
 			continue
@@ -246,23 +251,57 @@ func TestReconfigureValidation(t *testing.T) {
 	}
 	w := comm.NewWorld(3)
 	c := w.Comms()[0]
-	fo := FenceOpts{Membership: mem, PollInterval: time.Millisecond}
+	fo := TransferOpts{Membership: mem, PollInterval: time.Millisecond, Resize: rz}
+	plan := func(a, b *dad.Template) *schedule.Schedule {
+		s, err := schedule.Build(a, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
 	var rcErr *ReconfigureError
+	// New rejects each malformed migration before any data moves.
+	sent := mMsgsSent.Value()
 
-	if _, err := ReconfigureFenced(c, nil, oldT, newT, Layout{}, nil, nil, 0, fo); !errors.As(err, &rcErr) {
-		t.Fatalf("nil handle: err = %v, want *ReconfigureError", err)
+	// A migration is fenced at the prepare epoch, so it needs a membership.
+	noMem := fo
+	noMem.Membership = nil
+	if _, err := New[float64](c, plan(oldT, newT), Layout{}, 0, noMem); !errors.As(err, &rcErr) {
+		t.Fatalf("no membership: err = %v, want *ReconfigureError", err)
 	}
 	// Template widths must match the resize handle.
-	if _, err := ReconfigureFenced(c, rz, newT, newT, Layout{}, nil, nil, 0, fo); !errors.As(err, &rcErr) {
+	if _, err := New[float64](c, plan(newT, newT), Layout{}, 0, fo); !errors.As(err, &rcErr) {
 		t.Fatalf("old width mismatch: err = %v", err)
 	}
-	if _, err := ReconfigureFenced(c, rz, oldT, oldT, Layout{}, nil, nil, 0, fo); !errors.As(err, &rcErr) {
+	if _, err := New[float64](c, plan(oldT, oldT), Layout{}, 0, fo); !errors.As(err, &rcErr) {
 		t.Fatalf("new width mismatch: err = %v", err)
 	}
 	// The group must host both cohorts.
 	small := comm.NewWorld(2).Comms()[0]
-	if _, err := ReconfigureFenced(small, rz, oldT, newT, Layout{}, nil, nil, 0, fo); !errors.As(err, &rcErr) {
+	if _, err := New[float64](small, plan(oldT, newT), Layout{}, 0, fo); !errors.As(err, &rcErr) {
 		t.Fatalf("undersized group: err = %v", err)
+	}
+	if d := mMsgsSent.Value() - sent; d != 0 {
+		t.Fatalf("rejected migrations sent %d messages", d)
+	}
+
+	// The migration planner rejects a missing handle, and checks the
+	// widths before planning: a malformed pair leaves the cache untouched.
+	noRz := fo
+	noRz.Resize = nil
+	if _, err := migrationPlan(c, Layout{}, noRz, oldT, newT); !errors.As(err, &rcErr) {
+		t.Fatalf("nil handle: err = %v, want *ReconfigureError", err)
+	}
+	cached := fo
+	cached.Cache = schedule.NewCache()
+	if _, err := migrationPlan(c, Layout{}, cached, newT, newT); !errors.As(err, &rcErr) {
+		t.Fatalf("planned old width mismatch: err = %v", err)
+	}
+	if _, err := migrationPlan(small, Layout{}, cached, oldT, newT); !errors.As(err, &rcErr) {
+		t.Fatalf("planned undersized group: err = %v", err)
+	}
+	if n := cached.Cache.Builds(); n != 0 {
+		t.Fatalf("rejected migrations built %d plans", n)
 	}
 	if err := rz.Abort(); err != nil {
 		t.Fatal(err)
@@ -288,7 +327,12 @@ func TestReconfigureSharedPlanAcrossArrays(t *testing.T) {
 	dstA := make([][]float64, 2)
 	dstB := make([][]float64, 2)
 	comm.Run(3, func(c *comm.Comm) {
-		fo := FenceOpts{Membership: mem, PollInterval: time.Millisecond, Cache: cache}
+		fo := TransferOpts{Membership: mem, PollInterval: time.Millisecond, Cache: cache, Resize: rz}
+		s, err := cache.Get(oldT, newT)
+		if err != nil {
+			t.Error(err)
+			return
+		}
 		var sl []float64
 		if c.Rank() < 3 {
 			sl = srcLocals[c.Rank()]
@@ -298,10 +342,10 @@ func TestReconfigureSharedPlanAcrossArrays(t *testing.T) {
 			da = make([]float64, newT.LocalCount(c.Rank()))
 			db = make([]float64, newT.LocalCount(c.Rank()))
 		}
-		if _, err := ReconfigureFenced(c, rz, oldT, newT, Layout{}, sl, da, 0, fo); err != nil {
+		if _, err := xfer(c, s, Layout{}, sl, da, 0, fo); err != nil {
 			t.Errorf("rank %d array A: %v", c.Rank(), err)
 		}
-		if _, err := ReconfigureFenced(c, rz, oldT, newT, Layout{}, sl, db, 100, fo); err != nil {
+		if _, err := xfer(c, s, Layout{}, sl, db, 100, fo); err != nil {
 			t.Errorf("rank %d array B: %v", c.Rank(), err)
 		}
 		if c.Rank() < 2 {
@@ -339,7 +383,7 @@ func TestCachedSteadyStateAfterResizeZeroAlloc(t *testing.T) {
 	}
 	cache := schedule.NewCache()
 	migrated, _, errs := runReconfigure(t, mem, rz, oldT, newT, 4, nil,
-		func(fo *FenceOpts) { fo.Cache = cache })
+		func(fo *TransferOpts) { fo.Cache = cache })
 	for r, err := range errs {
 		if err != nil {
 			t.Fatalf("rank %d: %v", r, err)
@@ -360,14 +404,20 @@ func TestCachedSteadyStateAfterResizeZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ts := make([]*Transfer[float64], len(cs))
+	for r, c := range cs {
+		if ts[r], err = New[float64](c, s, lay, 0, TransferOpts{}); err != nil {
+			t.Fatal(err)
+		}
+	}
 	step := func() {
 		for r := 0; r < 4; r++ {
-			if err := Exchange(cs[r], s, lay, migrated[r], nil, 0); err != nil {
+			if _, err := ts[r].Run(migrated[r], nil); err != nil {
 				t.Fatalf("source rank %d: %v", r, err)
 			}
 		}
 		for r := 0; r < 4; r++ {
-			if err := Exchange(cs[4+r], s, lay, nil, out[r], 0); err != nil {
+			if _, err := ts[4+r].Run(nil, out[r]); err != nil {
 				t.Fatalf("destination rank %d: %v", r, err)
 			}
 		}

@@ -3,43 +3,47 @@
 // source local buffers to destination local buffers, in parallel, with no
 // global synchronization and no central data-management process.
 //
-// All transfers run on one generic loop (runTransfer in budget.go): a
-// plan enumerates the pairwise messages, the loop packs each — whole, or
-// chunk by chunk under a memory budget — into pooled raw-byte buffers,
-// sends, receives, validates and unpacks. The element type is a type
-// parameter (see Elem); the exported float64 functions are thin
-// instantiations. Four paths share the loop:
+// A rank builds one Transfer per coupling and runs it every step — the
+// paper's schedule reuse (§2.3) carried up to the executor, and the shape
+// of its M×N component: a connection built once, then driven by matched
+// dataReady() calls (§4.1). Two constructors pick the protocol:
 //
-//   - ExecuteLocal: a single-goroutine reference executor used by tests
-//     and as the baseline for benchmark comparisons.
-//   - Exchange: the schedule-driven parallel executor over a comm
-//     communicator whose group contains both cohorts. Each pairwise
-//     message is independent — the asynchronous point-to-point structure
-//     the paper's M×N component achieves with matched dataReady() calls.
-//   - LinearExchange: the receiver-driven protocol of the Indiana MPI-IO
-//     M×N device (Section 2.2.1): each receiver tells the senders which
-//     linear chunks it requires, and no communication schedule is ever
-//     computed. The per-transfer request traffic is the price.
-//   - The Fenced variants (fenced.go): the same two protocols under a
-//     liveness view, with epoch stamps and failure policies.
+//   - New: schedule-driven. Each pairwise message is independent — the
+//     asynchronous point-to-point structure the paper's M×N component
+//     achieves with matched dataReady() calls.
+//   - NewLinear: the receiver-driven protocol of the Indiana MPI-IO M×N
+//     device (Section 2.2.1): on every Run each receiver tells the
+//     senders which linear chunks it requires, and no communication
+//     schedule is ever computed. The per-transfer request traffic is the
+//     price.
+//
+// Everything else — fencing under a liveness view, a memory budget, the
+// zero-copy fast path, a resize migration pinned to its prepare epoch —
+// is a TransferOpts field, and every combination runs the one loop in
+// budget.go. ExecuteLocalT is the single-goroutine reference executor the
+// parallel paths must match.
 //
 // Error hygiene: a destination that detects a malformed or mis-sized
 // message still consumes every message its transfer expects before
 // returning the (typed) error, so a failed transfer never leaves messages
 // queued under its tag to cross-match the next transfer reusing that tag.
 //
-// Steady-state transfers over a cached schedule allocate nothing: message
-// headers and data buffers come from free lists (see bufpool), and the
-// schedule plan is a by-value struct. TestExchangeSteadyStateZeroAlloc
-// guards this.
+// Steady-state Runs over a cached schedule allocate nothing: the handle
+// owns its per-run state, message headers and data buffers come from free
+// lists (see bufpool). TestExchangeSteadyStateZeroAlloc guards this.
 package redist
 
 import (
 	"fmt"
+	"math"
+	"sort"
+	"sync"
 	"time"
 
 	"mxn/internal/bufpool"
 	"mxn/internal/comm"
+	"mxn/internal/core"
+	"mxn/internal/dad"
 	"mxn/internal/linear"
 	"mxn/internal/obs"
 	"mxn/internal/schedule"
@@ -120,11 +124,6 @@ func ExecuteLocalT[T Elem](s *schedule.Schedule, srcLocals, dstLocals [][]T) {
 	mElemsUnpack.Add(uint64(total))
 }
 
-// ExecuteLocal is ExecuteLocalT for float64, the historical default.
-func ExecuteLocal(s *schedule.Schedule, srcLocals, dstLocals [][]float64) {
-	ExecuteLocalT[float64](s, srcLocals, dstLocals)
-}
-
 // Layout places the two cohorts of a transfer within one communicator
 // group: source rank i is group rank SrcBase+i, destination rank j is
 // group rank DstBase+j. For a self-redistribution (same cohort on both
@@ -133,31 +132,8 @@ type Layout struct {
 	SrcBase, DstBase int
 }
 
-// ExchangeT performs one schedule-driven transfer of T elements. Every
-// member of the communicator group hosting a source or destination rank
-// must call it (with the same T: a kind mismatch surfaces as a typed
-// *ElemKindError on the destination). srcLocal may be nil on ranks that
-// are not sources; dstLocal may be nil on ranks that are not destinations.
-// baseTag reserves a tag namespace so concurrent transfers on one
-// communicator cannot cross-match; callers performing T concurrent
-// transfers must space their base tags by at least one.
-//
-// The transfer decomposes into independent pairwise messages: sources
-// pack and post all their sends without waiting, then each destination
-// consumes exactly the messages addressed to it. No barrier is involved
-// on either side. A destination that detects a malformed message consumes
-// the rest of its expected messages before returning the error, keeping
-// the tag namespace clean for the next transfer.
-func ExchangeT[T Elem](c *comm.Comm, s *schedule.Schedule, lay Layout, srcLocal, dstLocal []T, baseTag int) error {
-	return exchangeT(c, s, lay, srcLocal, dstLocal, baseTag, nil, 0, false)
-}
-
-// Exchange is ExchangeT for float64, the historical default.
-func Exchange(c *comm.Comm, s *schedule.Schedule, lay Layout, srcLocal, dstLocal []float64, baseTag int) error {
-	return exchangeT(c, s, lay, srcLocal, dstLocal, baseTag, nil, 0, false)
-}
-
-// TransferOpts tunes a transfer's resource envelope.
+// TransferOpts holds every setting of a Transfer. The zero value is an
+// unfenced, unbudgeted, copying transfer.
 type TransferOpts struct {
 	// MaxBytesInFlight, when positive, bounds the packed transfer
 	// payload bytes this rank holds resident at once: pairwise messages
@@ -167,82 +143,258 @@ type TransferOpts struct {
 	// pass the same value — both sides derive the identical chunk
 	// decomposition from it instead of negotiating. Zero or negative
 	// means no bound: the same protocol with one chunk per message, one
-	// round and no acknowledgements.
+	// round and no acknowledgements. Fenced, rounds carry the entry
+	// epoch on every chunk and the failure policies apply per chunk
+	// exactly as they apply per message.
 	//
 	// Budgets smaller than two elements degrade to element-at-a-time
 	// chunks, making the bound best-effort rather than hard.
 	//
 	// A budgeted rank receives from any source under the transfer's data
 	// tag, so back-to-back transfers between the same ranks must use
-	// distinct base tags when either is budgeted: with no barrier between
-	// them, a rank that finishes early can land its next transfer's
-	// messages inside a slower peer's still-running loop. An unbudgeted
-	// transfer receives from specific peers in plan order and tolerates
-	// tag reuse.
+	// distinct base tags, or a barrier, when either is budgeted: with no
+	// barrier between them, a source that finishes early can land its
+	// next transfer's chunks inside a destination still waiting on a
+	// slower source. A budgeted handle therefore Runs back to back only
+	// where no destination has two sources, or on a linear plan, whose
+	// request phase is that barrier. An unbudgeted transfer receives from
+	// specific peers in plan order and tolerates tag reuse — one handle
+	// may Run back to back.
 	MaxBytesInFlight int
 
 	// ZeroCopyLocal opts this rank's sends into the contiguous-run fast
 	// path: an outgoing pairwise message that is a single run contiguous
-	// in srcLocal is lent to in-process receivers as a view of the
-	// caller's slice — zero pack, zero copy. The engine rendezvouses
-	// with those receivers before Exchange returns, so the caller may
-	// mutate srcLocal immediately afterwards, exactly as on the copying
-	// path; the cost is that a source rank no longer returns before its
-	// in-process destinations have unpacked. Remote destinations,
-	// fenced transfers and budgeted (MaxBytesInFlight > 0) transfers
-	// always use the copying path regardless of this flag.
+	// in the source buffer is lent to in-process receivers as a view of
+	// the caller's slice — zero pack, zero copy. Run rendezvouses with
+	// those receivers before it returns, so the caller may mutate the
+	// source immediately afterwards, exactly as on the copying path; the
+	// cost is that a source rank no longer returns before its in-process
+	// destinations have unpacked. Remote destinations, fenced transfers
+	// and budgeted transfers always use the copying path regardless of
+	// this flag.
 	ZeroCopyLocal bool
+
+	// Membership, when set, fences the transfer under this shared
+	// liveness view: messages are stamped with the membership epoch in
+	// force when Run began, stale-epoch leftovers are discarded, and a
+	// rank death applies Policy instead of blocking forever. Ranks are
+	// communicator *group* ranks (the space Layout maps cohort ranks
+	// into), so one membership covers both cohorts. A transfer is fenced
+	// iff Membership is set; the fields below up to Resize apply only
+	// then.
+	Membership *core.Membership
+	// Policy selects abort-vs-replan. Default FailStrict.
+	Policy FailPolicy
+	// PollInterval is the receive-poll granularity used instead of a
+	// blocking Recv, so membership changes are noticed while waiting.
+	// Default 2ms.
+	PollInterval time.Duration
+	// SuspectAfter, when positive, is receiver-side failure detection:
+	// a peer is marked down in Membership (and the policy applied) after
+	// this long of silence since the last arrival while it still owes
+	// this rank a message, even with no heartbeat detector running. The
+	// linear request phase and the transfer loop keep the same clock.
+	// Zero disables suspicion: only Membership declares deaths.
+	SuspectAfter time.Duration
+	// Cache, when set, has its (Src, Dst) entry invalidated whenever a
+	// death forces a re-plan, so later transfers rebuild from current
+	// templates. The cache deduplicates in-flight builds, so when every
+	// survivor hits the invalidated entry in the same epoch the planner
+	// runs once, not once per rank — and for regular template pairs the
+	// rebuild takes the closed-form fast path, keeping the re-plan cost
+	// of the same order as a single transfer step.
+	Cache *schedule.Cache
+	// Desc, when set, receives the destination validity bitmap via
+	// SetValidity(dstRank, ...) whenever a re-planned transfer loses
+	// elements — the "partial data marked on the destination DAD" hook.
+	Desc *dad.Descriptor
+
+	// Resize, when set, makes the transfer the migration of a prepared
+	// cohort resize (see reconfigure.go): New checks the plan's widths
+	// and the group size against it, and every Run enters at its
+	// PrepareEpoch instead of sampling the live epoch. Requires
+	// Membership.
+	Resize *core.Resize
 }
 
-// ExchangeWithT is ExchangeT with explicit transfer options; identical
-// destination contents, different peak-memory profile.
-func ExchangeWithT[T Elem](c *comm.Comm, s *schedule.Schedule, lay Layout, srcLocal, dstLocal []T,
-	baseTag int, opts TransferOpts) error {
-	return exchangeT(c, s, lay, srcLocal, dstLocal, baseTag, nil, opts.MaxBytesInFlight, opts.ZeroCopyLocal)
+// Transfer is one rank's persistent handle on a redistribution: built
+// once with New or NewLinear, then Run every step. It owns the rank's
+// validated cohort placement, the budget's chunk and round caps, and the
+// per-run state (expectation table, credit counters, staged chunks, the
+// zero-copy rendezvous), so a steady-state Run allocates nothing.
+//
+// Every member of the communicator group hosting a source or destination
+// rank builds a handle on the same plan, options and element type, and
+// runs it the same number of times (a kind mismatch surfaces as a typed
+// *ElemKindError on the destination). A handle serves one rank: Runs
+// must not overlap. baseTag reserves a tag namespace — a schedule-driven
+// transfer uses baseTag, a linear one baseTag (requests) and baseTag+1
+// (replies) — so concurrent transfers on one communicator must space
+// their base tags by one (two for linear).
+type Transfer[T Elem] struct {
+	c    *comm.Comm
+	lay  Layout
+	pl   plan[T]
+	lin  *linPlan[T] // pl's linear form, nil on a schedule: runs the request phase
+	tag  int         // data tag
+	opts TransferOpts
+	// abortOnDeadSend: under FailStrict, a schedule-driven sender aborts
+	// on a dead destination (the missing message would wedge the
+	// collective protocol); receiver-driven replies just skip dead
+	// requesters.
+	abortOnDeadSend bool
+	total           int // elements the whole transfer moves (resize metric)
+
+	capElems, roundBytes int  // chunk and round caps; unbounded without a budget
+	budgeted             bool // acks pace rounds
+
+	// Per-run state, reset by Run.
+	epoch       uint64   // entry epoch; 0 unfenced
+	out         *Outcome // this run's report; nil unfenced
+	staged      []stagedChunk
+	pendAck     []int // per send op: chunks sent but not yet acknowledged
+	pendingAcks int   // sum of pendAck
+	recv        []recvProgress
+	recvChunks  int // sum of recv[i].chunksLeft
+	// zcWait is the rendezvous of a run's zero-copy sends: Run holds this
+	// rank until every lent view has been unpacked and recycled, so the
+	// caller may mutate its source the moment Run returns — error paths
+	// included, since receivers recycle every expected message even
+	// while draining.
+	zcWait sync.WaitGroup
 }
 
-// ExchangeWith is ExchangeWithT for float64, the historical default.
-func ExchangeWith(c *comm.Comm, s *schedule.Schedule, lay Layout, srcLocal, dstLocal []float64,
-	baseTag int, opts TransferOpts) error {
-	return exchangeT(c, s, lay, srcLocal, dstLocal, baseTag, nil, opts.MaxBytesInFlight, opts.ZeroCopyLocal)
-}
-
-// exchangeT validates cohort membership and buffer sizes, builds the
-// schedule plan and runs the engine. f selects fenced (non-nil) vs plain
-// operation; both Exchange and ExchangeFenced land here.
-func exchangeT[T Elem](c *comm.Comm, s *schedule.Schedule, lay Layout, srcLocal, dstLocal []T, baseTag int, f *fenceRun, budget int, zc bool) error {
-	me := c.Rank()
-	srcRank := me - lay.SrcBase
-	dstRank := me - lay.DstBase
-	isSrc := srcRank >= 0 && srcRank < s.Src.NumProcs()
-	isDst := dstRank >= 0 && dstRank < s.Dst.NumProcs()
-	// A nil buffer is an error only on ranks the template actually
-	// assigns elements: ranks whose local count is zero (irregular
-	// distributions with empty blocks) legitimately pass nil.
-	if isSrc && srcLocal == nil && s.Src.LocalCount(srcRank) > 0 {
-		return fmt.Errorf("redist: group rank %d is source rank %d but has no source buffer", me, srcRank)
+// New builds this rank's handle on a schedule-driven transfer: sources
+// pack and post all their sends without waiting, then each destination
+// consumes exactly the messages addressed to it. No barrier is involved
+// on either side.
+func New[T Elem](c *comm.Comm, s *schedule.Schedule, lay Layout, baseTag int, opts TransferOpts) (*Transfer[T], error) {
+	p := &schedPlan[T]{s: s, lay: lay, src: -1, dst: -1,
+		zc: opts.ZeroCopyLocal && opts.Membership == nil && opts.MaxBytesInFlight <= 0}
+	nSrc, nDst := s.Src.NumProcs(), s.Dst.NumProcs()
+	if r := c.Rank() - lay.SrcBase; r >= 0 && r < nSrc {
+		p.src = r
+		p.wantSrc = s.Src.LocalCount(r)
 	}
-	if isDst && dstLocal == nil && s.Dst.LocalCount(dstRank) > 0 {
-		return fmt.Errorf("redist: group rank %d is destination rank %d but has no destination buffer", me, dstRank)
+	if r := c.Rank() - lay.DstBase; r >= 0 && r < nDst {
+		p.dst = r
+		p.wantDst = s.Dst.LocalCount(r)
 	}
-	if isSrc {
-		if want := s.Src.LocalCount(srcRank); len(srcLocal) != want {
-			return fmt.Errorf("redist: source rank %d buffer has %d elements, template says %d", srcRank, len(srcLocal), want)
+	return newTransfer[T](c, p, lay, baseTag, opts, nSrc, nDst, s.TotalElems())
+}
+
+// NewLinear builds this rank's handle on a receiver-driven transfer that
+// uses linearization and no schedule. srcLin and dstLin must linearize
+// their respective templates into the same abstract linear space (same
+// TotalLen); the correspondence of positions is the implicit
+// source-to-destination mapping.
+//
+// Protocol per Run: every destination rank sends its needed interval set
+// to every (live) source rank on baseTag; every source intersects each
+// request with its owned set and replies with (positions, data) on
+// baseTag+1 through the transfer loop. Each reply is validated against
+// the intersection of its source's owned positions with this
+// destination's needs; a mismatch surfaces as an *ElemCountError after
+// the remaining expected replies have been drained.
+func NewLinear[T Elem](c *comm.Comm, srcLin, dstLin linear.LinearizerT[T], lay Layout, nSrc, nDst, baseTag int,
+	opts TransferOpts) (*Transfer[T], error) {
+	if srcLin.TotalLen() != dstLin.TotalLen() {
+		return nil, fmt.Errorf("redist: linearizations disagree on length: %d vs %d", srcLin.TotalLen(), dstLin.TotalLen())
+	}
+	p := &linPlan[T]{lay: lay, src: -1, dst: -1, nSrc: nSrc, nDst: nDst, srcLin: srcLin, dstLin: dstLin}
+	if r := c.Rank() - lay.SrcBase; r >= 0 && r < nSrc {
+		p.src = r
+		p.owned = srcLin.OwnedBy(r)
+	}
+	if r := c.Rank() - lay.DstBase; r >= 0 && r < nDst {
+		// Expect one reply per source. Sources dead at entry (or dying
+		// later) stay in the plan: the loop's liveness check settles them
+		// — under FailStrict as a typed abort, under FailRedistribute as
+		// invalidated positions — without ever blocking on them.
+		p.dst = r
+		p.need = dstLin.OwnedBy(r)
+		for sr := 0; sr < nSrc; sr++ {
+			set := srcLin.OwnedBy(sr).Intersect(p.need)
+			p.inSets = append(p.inSets, set)
+			p.covered += set.Len()
 		}
 	}
-	if isDst {
-		if want := s.Dst.LocalCount(dstRank); len(dstLocal) != want {
-			return fmt.Errorf("redist: destination rank %d buffer has %d elements, template says %d", dstRank, len(dstLocal), want)
+	return newTransfer[T](c, p, lay, baseTag+1, opts, nSrc, nDst, srcLin.TotalLen())
+}
+
+func newTransfer[T Elem](c *comm.Comm, pl plan[T], lay Layout, dataTag int, opts TransferOpts, nSrc, nDst, total int) (*Transfer[T], error) {
+	if opts.Resize != nil {
+		if err := checkResize(c, lay, opts, nSrc, nDst); err != nil {
+			return nil, err
 		}
 	}
-	pl := schedPlan[T]{s: s, lay: lay, src: -1, dst: -1, srcLocal: srcLocal, dstLocal: dstLocal, zc: zc}
-	if isSrc {
-		pl.src = srcRank
+	if opts.PollInterval <= 0 {
+		opts.PollInterval = 2 * time.Millisecond
 	}
-	if isDst {
-		pl.dst = dstRank
+	esz := elemSize[T]()
+	t := &Transfer[T]{c: c, lay: lay, pl: pl, tag: dataTag, opts: opts, total: total,
+		capElems: chunkElemCap(opts.MaxBytesInFlight, esz), roundBytes: math.MaxInt}
+	t.lin, _ = pl.(*linPlan[T])
+	t.abortOnDeadSend = t.lin == nil
+	if t.budgeted = t.capElems < math.MaxInt; t.budgeted {
+		t.roundBytes = max(t.capElems*esz, opts.MaxBytesInFlight/2)
 	}
-	return runTransfer[T](c, pl, baseTag, f, budget)
+	for i, n := 0, pl.recvs(); i < n; i++ {
+		op := pl.recvOp(i)
+		t.recv = append(t.recv, recvProgress{group: op.group, rank: op.rank, elems: op.elems, chunks: chunkCount(op.elems, t.capElems)})
+	}
+	return t, nil
+}
+
+// Run performs one transfer: src is this rank's source buffer (nil on
+// ranks that are not sources, or that the template assigns nothing),
+// dst its destination buffer (likewise). It returns an *Outcome when the
+// transfer is fenced, nil otherwise.
+func (t *Transfer[T]) Run(src, dst []T) (*Outcome, error) {
+	t.out = nil
+	if m := t.opts.Membership; m != nil {
+		if t.epoch = m.Epoch(); t.opts.Resize != nil {
+			// Every rank must enter a migration at the resize's prepare
+			// epoch, even if a death has already bumped the live epoch
+			// past it — otherwise ranks entering before and after the
+			// death would fence the same transfer at different epochs and
+			// discard each other's traffic as stale.
+			t.epoch = t.opts.Resize.PrepareEpoch()
+		}
+		t.out = &Outcome{Epoch: t.epoch}
+	}
+	if err := t.pl.bind(src, dst); err != nil {
+		return t.out, err
+	}
+	start := time.Now()
+	err := t.request()
+	if err == nil {
+		err = t.run()
+	}
+	if t.out != nil {
+		sort.Ints(t.out.Down)
+	}
+	if rz := t.opts.Resize; rz != nil {
+		mReconfigures.Inc()
+		mReconfigureNS.ObserveSince(start)
+		if err == nil {
+			mReconfigureElems.Add(uint64(t.total))
+		}
+		if rz.Disturbed() {
+			mReconfigDisturbed.Inc()
+		}
+	}
+	return t.out, err
+}
+
+// noteDown records a group rank observed dead in this run's outcome.
+func (t *Transfer[T]) noteDown(group int) {
+	for _, g := range t.out.Down {
+		if g == group {
+			return
+		}
+	}
+	t.out.Down = append(t.out.Down, group)
 }
 
 // linRequest is a destination rank's chunk request in the receiver-driven
@@ -253,183 +405,139 @@ type linRequest struct {
 	epoch   uint64 // membership epoch stamp; 0 = unfenced transfer
 }
 
-// LinearExchangeT performs one transfer of T elements using linearization
-// with receiver-driven requests and no schedule. srcLin and dstLin must
-// linearize their respective templates into the same abstract linear
-// space (same TotalLen); the correspondence of positions is the implicit
-// source-to-destination mapping.
-//
-// Protocol per transfer: every destination rank sends its needed interval
-// set to every source rank; every source intersects each request with its
-// owned set and replies with (positions, data); destinations unpack each
-// reply. Tag usage: baseTag for requests, baseTag+1 for replies, so a
-// caller running concurrent linear exchanges must space base tags by two.
-//
-// Each reply is received from its specific source rank and validated
-// against the intersection of that source's owned positions with this
-// destination's needs; a mismatch surfaces as an *ElemCountError after
-// the remaining expected replies have been drained.
-func LinearExchangeT[T Elem](c *comm.Comm, srcLin, dstLin linear.LinearizerT[T], lay Layout, nSrc, nDst int,
-	srcLocal, dstLocal []T, baseTag int) error {
-	return linearExchangeT(c, srcLin, dstLin, lay, nSrc, nDst, srcLocal, dstLocal, baseTag, nil, 0)
-}
-
-// LinearExchange is LinearExchangeT for float64, the historical default.
-func LinearExchange(c *comm.Comm, srcLin, dstLin linear.Linearizer, lay Layout, nSrc, nDst int,
-	srcLocal, dstLocal []float64, baseTag int) error {
-	return linearExchangeT(c, srcLin, dstLin, lay, nSrc, nDst, srcLocal, dstLocal, baseTag, nil, 0)
-}
-
-// LinearExchangeWithT is LinearExchangeT with explicit transfer options:
-// the request phase is unchanged (request traffic is tiny), but replies
-// move through the memory-bounded chunked protocol when a budget is set.
-func LinearExchangeWithT[T Elem](c *comm.Comm, srcLin, dstLin linear.LinearizerT[T], lay Layout, nSrc, nDst int,
-	srcLocal, dstLocal []T, baseTag int, opts TransferOpts) error {
-	return linearExchangeT(c, srcLin, dstLin, lay, nSrc, nDst, srcLocal, dstLocal, baseTag, nil, opts.MaxBytesInFlight)
-}
-
-// linearExchangeT runs the receiver-driven negotiation (requests on
-// baseTag), then hands the resulting plan to the engine for the data
-// transfer (replies on baseTag+1). f selects fenced vs plain operation;
-// both LinearExchange and LinearExchangeFenced land here.
-func linearExchangeT[T Elem](c *comm.Comm, srcLin, dstLin linear.LinearizerT[T], lay Layout, nSrc, nDst int,
-	srcLocal, dstLocal []T, baseTag int, f *fenceRun, budget int) error {
-
-	if srcLin.TotalLen() != dstLin.TotalLen() {
-		return fmt.Errorf("redist: linearizations disagree on length: %d vs %d", srcLin.TotalLen(), dstLin.TotalLen())
+// request runs a linear plan's negotiation on the request tag (one below
+// the data tag): destinations broadcast their needs to every live source
+// — the "small communication overhead" the paper attributes to the
+// Indiana approach — and sources collect one request per live
+// destination into this run's reply list. A schedule plan has no request
+// phase.
+func (t *Transfer[T]) request() error {
+	p := t.lin
+	if p == nil {
+		return nil
 	}
-	me := c.Rank()
-	srcRank := me - lay.SrcBase
-	dstRank := me - lay.DstBase
-	isSrc := srcRank >= 0 && srcRank < nSrc
-	isDst := dstRank >= 0 && dstRank < nDst
-	reqTag, dataTag := baseTag, baseTag+1
-
-	pl := &linPlan[T]{lay: lay, src: -1, dst: -1, srcLin: srcLin, dstLin: dstLin, srcLocal: srcLocal, dstLocal: dstLocal}
-	var epoch uint64
-	if f != nil {
-		epoch = f.entryEpoch
-	}
-
-	// Destinations broadcast their needs to every (live) source. This is
-	// the "small communication overhead" the paper attributes to the
-	// Indiana approach.
-	if isDst {
-		pl.dst = dstRank
-		pl.need = dstLin.OwnedBy(dstRank)
-		for sr := 0; sr < nSrc; sr++ {
-			sg := lay.SrcBase + sr
-			if f != nil && !f.opts.Membership.IsAlive(sg) {
-				f.noteDown(sg)
+	reqTag := t.tag - 1
+	if p.dst >= 0 {
+		for sr := 0; sr < p.nSrc; sr++ {
+			sg := t.lay.SrcBase + sr
+			if t.out != nil && !t.opts.Membership.IsAlive(sg) {
+				t.noteDown(sg)
 				mSendsSkippedDead.Inc()
 				continue
 			}
-			c.Send(sg, reqTag, linRequest{dstRank: dstRank, need: pl.need, epoch: epoch})
+			t.c.Send(sg, reqTag, linRequest{dstRank: p.dst, need: p.need, epoch: t.epoch})
 			mLinRequests.Inc()
 		}
-		// Expect one reply per source. Sources that were dead at entry (or
-		// die later) stay in the plan: the engine's liveness check settles
-		// them — under FailStrict as a typed abort, under FailRedistribute
-		// as invalidated positions — without ever blocking on them.
-		pl.inSrc = make([]int, nSrc)
-		pl.inSets = make([]linear.Set, nSrc)
-		for sr := 0; sr < nSrc; sr++ {
-			pl.inSrc[sr] = sr
-			pl.inSets[sr] = srcLin.OwnedBy(sr).Intersect(pl.need)
+	}
+	if p.src < 0 {
+		return nil
+	}
+	p.outDst, p.outSets = p.outDst[:0], p.outSets[:0]
+	// Requests are consumed first and validated second: a malformed
+	// request must not abandon the loop with later requests still queued
+	// under reqTag.
+	if t.out == nil {
+		var firstErr error
+		for i := 0; i < p.nDst; i++ {
+			payload, _ := t.c.Recv(comm.AnySource, reqTag)
+			req, ok := payload.(linRequest)
+			if !ok {
+				if firstErr == nil {
+					firstErr = fmt.Errorf("redist: source rank %d received %T, want request", p.src, payload)
+				}
+				mDrained.Inc()
+				continue
+			}
+			p.reply(req)
 		}
+		if firstErr != nil {
+			mErrors.Inc()
+		}
+		return firstErr
 	}
 
-	// Sources collect one request per (live) destination. Requests are
-	// consumed first and validated second: a malformed request must not
-	// abandon the loop with later requests still queued under reqTag.
-	if isSrc {
-		pl.src = srcRank
-		owned := srcLin.OwnedBy(srcRank)
-		if f == nil {
-			var firstErr error
-			for i := 0; i < nDst; i++ {
-				payload, _ := c.Recv(comm.AnySource, reqTag)
-				req, ok := payload.(linRequest)
-				if !ok {
-					if firstErr == nil {
-						firstErr = fmt.Errorf("redist: source rank %d received %T, want request", srcRank, payload)
-					}
-					mDrained.Inc()
-					continue
-				}
-				pl.outDst = append(pl.outDst, req.dstRank)
-				pl.outSets = append(pl.outSets, owned.Intersect(req.need))
+	// Fenced: poll so a destination that dies before requesting does not
+	// hang the source; discard stale-epoch leftovers.
+	m := t.opts.Membership
+	pending := map[int]bool{}
+	for d := 0; d < p.nDst; d++ {
+		pending[t.lay.DstBase+d] = true
+	}
+	waited := time.Duration(0) // silence since the last arrival
+	var staleLocal error
+	for len(pending) > 0 {
+		for dg := range pending {
+			if !m.IsAlive(dg) {
+				t.noteDown(dg)
+				delete(pending, dg)
 			}
-			if firstErr != nil {
-				mErrors.Inc()
-				return firstErr
-			}
-		} else {
-			// Poll so a destination that dies before requesting does not
-			// hang the source; discard stale-epoch leftovers.
-			m := f.opts.Membership
-			pending := map[int]bool{}
-			for d := 0; d < nDst; d++ {
-				pending[lay.DstBase+d] = true
-			}
-			waited := time.Duration(0)
-			var staleLocal error
-			for len(pending) > 0 {
+		}
+		if len(pending) == 0 {
+			break
+		}
+		payload, from, ok := t.c.RecvTimeout(comm.AnySource, reqTag, t.opts.PollInterval)
+		if !ok {
+			waited += t.opts.PollInterval
+			if t.opts.SuspectAfter > 0 && waited >= t.opts.SuspectAfter {
 				for dg := range pending {
-					if !m.IsAlive(dg) {
-						f.noteDown(dg)
-						delete(pending, dg)
-					}
+					m.MarkDown(dg)
 				}
-				if len(pending) == 0 {
-					break
-				}
-				payload, from, ok := c.RecvTimeout(comm.AnySource, reqTag, f.opts.PollInterval)
-				if !ok {
-					waited += f.opts.PollInterval
-					if f.opts.SuspectAfter > 0 && waited >= f.opts.SuspectAfter {
-						for dg := range pending {
-							m.MarkDown(dg)
-						}
-					}
-					continue
-				}
-				req, isReq := payload.(linRequest)
-				if isReq && req.epoch != 0 && req.epoch < f.entryEpoch {
-					mStaleEpoch.Inc()
-					continue
-				}
-				if !isReq {
-					mDrained.Inc()
-					continue
-				}
-				delete(pending, from)
-				if req.epoch > f.entryEpoch {
-					// The requester already re-planned into a newer epoch:
-					// any reply this source packs against its stale view
-					// would be rejected over there as stale anyway. Keep
-					// consuming the remaining requests (tag hygiene), then
-					// surface a typed error so the caller re-enters the
-					// transfer at the current epoch.
-					if staleLocal == nil {
-						mStaleLocal.Inc()
-						staleLocal = &StaleLocalEpochError{Transfer: "linear", Rank: srcRank, Peer: req.dstRank, Local: f.entryEpoch, Remote: req.epoch}
-					}
-					continue
-				}
-				if staleLocal != nil {
-					mDrained.Inc()
-					continue
-				}
-				pl.outDst = append(pl.outDst, req.dstRank)
-				pl.outSets = append(pl.outSets, owned.Intersect(req.need))
+				waited = 0
 			}
-			if staleLocal != nil {
-				mErrors.Inc()
-				return staleLocal
-			}
+			continue
 		}
+		waited = 0
+		req, isReq := payload.(linRequest)
+		if isReq && req.epoch != 0 && req.epoch < t.epoch {
+			mStaleEpoch.Inc()
+			continue
+		}
+		if !isReq {
+			mDrained.Inc()
+			continue
+		}
+		delete(pending, from)
+		if req.epoch > t.epoch {
+			// The requester already re-planned into a newer epoch: any
+			// reply this source packs against its stale view would be
+			// rejected over there as stale anyway. Keep consuming the
+			// remaining requests (tag hygiene), then surface a typed error
+			// so the caller re-enters the transfer at the current epoch.
+			if staleLocal == nil {
+				mStaleLocal.Inc()
+				staleLocal = &StaleLocalEpochError{Transfer: "linear", Rank: p.src, Peer: req.dstRank, Local: t.epoch, Remote: req.epoch}
+			}
+			continue
+		}
+		if staleLocal != nil {
+			mDrained.Inc()
+			continue
+		}
+		p.reply(req)
 	}
+	if staleLocal != nil {
+		mErrors.Inc()
+	}
+	return staleLocal
+}
 
-	return runTransfer[T](c, pl, dataTag, f, budget)
+// ExchangeT builds a schedule-driven handle and runs it once.
+//
+// Deprecated: build the handle once with New and Run it every step. Kept
+// only because bench/, which may not be edited in the same change, calls
+// it.
+func ExchangeT[T Elem](c *comm.Comm, s *schedule.Schedule, lay Layout, srcLocal, dstLocal []T, baseTag int) error {
+	_, err := runOnce(c, s, lay, srcLocal, dstLocal, baseTag, TransferOpts{})
+	return err
+}
+
+// runOnce is the deprecated wrappers' body: build a handle on s and run
+// it once.
+func runOnce[T Elem](c *comm.Comm, s *schedule.Schedule, lay Layout, src, dst []T, baseTag int,
+	opts TransferOpts) (*Outcome, error) {
+	t, err := New[T](c, s, lay, baseTag, opts)
+	if err != nil {
+		return nil, err
+	}
+	return t.Run(src, dst)
 }

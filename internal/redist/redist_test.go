@@ -75,6 +75,26 @@ func tpl(t *testing.T, dims []int, axes ...dad.AxisDist) *dad.Template {
 	return out
 }
 
+// xfer builds this rank's schedule-driven handle and runs it once: the
+// one-shot form for tests where reusing the handle is not the point.
+func xfer[T Elem](c *comm.Comm, s *schedule.Schedule, lay Layout, src, dst []T, tag int, opts TransferOpts) (*Outcome, error) {
+	xt, err := New[T](c, s, lay, tag, opts)
+	if err != nil {
+		return nil, err
+	}
+	return xt.Run(src, dst)
+}
+
+// xferLinear is xfer for a linear plan.
+func xferLinear[T Elem](c *comm.Comm, srcLin, dstLin linear.LinearizerT[T], lay Layout, nSrc, nDst int,
+	src, dst []T, tag int, opts TransferOpts) (*Outcome, error) {
+	xt, err := NewLinear(c, srcLin, dstLin, lay, nSrc, nDst, tag, opts)
+	if err != nil {
+		return nil, err
+	}
+	return xt.Run(src, dst)
+}
+
 func TestExecuteLocal(t *testing.T) {
 	src := tpl(t, []int{10, 10}, dad.BlockAxis(2), dad.BlockAxis(2))
 	dst := tpl(t, []int{10, 10}, dad.CyclicAxis(3), dad.CollapsedAxis())
@@ -87,12 +107,12 @@ func TestExecuteLocal(t *testing.T) {
 	for r := range dstLocals {
 		dstLocals[r] = make([]float64, dst.LocalCount(r))
 	}
-	ExecuteLocal(s, srcLocals, dstLocals)
+	ExecuteLocalT(s, srcLocals, dstLocals)
 	verify(t, dst, dstLocals)
 }
 
 // runExchange stands up a world of M+N ranks (sources first) and performs
-// one Exchange, returning the destination buffers.
+// one transfer, returning the destination buffers.
 func runExchange(t *testing.T, src, dst *dad.Template) [][]float64 {
 	t.Helper()
 	s, err := schedule.Build(src, dst)
@@ -112,7 +132,7 @@ func runExchange(t *testing.T, src, dst *dad.Template) [][]float64 {
 		if c.Rank() >= m {
 			dl = make([]float64, dst.LocalCount(c.Rank()-m))
 		}
-		if err := Exchange(c, s, lay, sl, dl, 0); err != nil {
+		if _, err := xfer(c, s, lay, sl, dl, 0, TransferOpts{}); err != nil {
 			t.Errorf("rank %d: %v", c.Rank(), err)
 		}
 		if dl != nil {
@@ -155,7 +175,7 @@ func TestExchangeSelfTranspose(t *testing.T) {
 	var mu sync.Mutex
 	comm.Run(4, func(c *comm.Comm) {
 		dl := make([]float64, dst.LocalCount(c.Rank()))
-		if err := Exchange(c, s, Layout{0, 0}, srcLocals[c.Rank()], dl, 0); err != nil {
+		if _, err := xfer(c, s, Layout{0, 0}, srcLocals[c.Rank()], dl, 0, TransferOpts{}); err != nil {
 			t.Errorf("rank %d: %v", c.Rank(), err)
 		}
 		mu.Lock()
@@ -172,29 +192,34 @@ func TestExchangeBufferValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Run checks the buffers before anything moves, so a rejected Run
+	// leaves the handle ready for the corrected one.
 	comm.Run(4, func(c *comm.Comm) {
-		lay := Layout{SrcBase: 0, DstBase: 2}
+		xt, err := New[float64](c, s, Layout{SrcBase: 0, DstBase: 2}, 0, TransferOpts{})
+		if err != nil {
+			t.Error(err)
+			return
+		}
 		switch c.Rank() {
 		case 0:
 			// Wrong source buffer length.
-			err := Exchange(c, s, lay, make([]float64, 3), nil, 0)
-			if err == nil {
+			if _, err := xt.Run(make([]float64, 3), nil); err == nil {
 				t.Error("short source buffer accepted")
 			}
 			// Send the real data so destinations can finish.
-			if err := Exchange(c, s, lay, make([]float64, 4), nil, 0); err != nil {
+			if _, err := xt.Run(make([]float64, 4), nil); err != nil {
 				t.Error(err)
 			}
 		case 1:
 			// Nil source buffer on a source rank.
-			if err := Exchange(c, s, lay, nil, nil, 0); err == nil {
+			if _, err := xt.Run(nil, nil); err == nil {
 				t.Error("nil source buffer accepted")
 			}
-			if err := Exchange(c, s, lay, make([]float64, 4), nil, 0); err != nil {
+			if _, err := xt.Run(make([]float64, 4), nil); err != nil {
 				t.Error(err)
 			}
 		default:
-			if err := Exchange(c, s, lay, nil, make([]float64, 4), 0); err != nil {
+			if _, err := xt.Run(nil, make([]float64, 4)); err != nil {
 				t.Error(err)
 			}
 		}
@@ -226,15 +251,15 @@ func TestConcurrentTransfersDistinctTags(t *testing.T) {
 		var wg sync.WaitGroup
 		if c.Rank() < 2 {
 			wg.Add(2)
-			go func() { defer wg.Done(); Exchange(c, s, lay, a[c.Rank()], nil, 0) }()
-			go func() { defer wg.Done(); Exchange(c, s, lay, b[c.Rank()], nil, 1) }()
+			go func() { defer wg.Done(); xfer(c, s, lay, a[c.Rank()], nil, 0, TransferOpts{}) }()
+			go func() { defer wg.Done(); xfer(c, s, lay, b[c.Rank()], nil, 1, TransferOpts{}) }()
 			wg.Wait()
 		} else {
 			da := make([]float64, dst.LocalCount(c.Rank()-2))
 			db := make([]float64, dst.LocalCount(c.Rank()-2))
 			wg.Add(2)
-			go func() { defer wg.Done(); Exchange(c, s, lay, nil, da, 0) }()
-			go func() { defer wg.Done(); Exchange(c, s, lay, nil, db, 1) }()
+			go func() { defer wg.Done(); xfer(c, s, lay, nil, da, 0, TransferOpts{}) }()
+			go func() { defer wg.Done(); xfer(c, s, lay, nil, db, 1, TransferOpts{}) }()
 			wg.Wait()
 			mu.Lock()
 			gotA[c.Rank()-2] = da
@@ -267,7 +292,7 @@ func TestLinearExchangeRowMajor(t *testing.T) {
 		} else {
 			dl = make([]float64, dst.LocalCount(c.Rank()-3))
 		}
-		if err := LinearExchange(c, srcLin, dstLin, lay, 3, 2, sl, dl, 0); err != nil {
+		if _, err := xferLinear(c, srcLin, dstLin, lay, 3, 2, sl, dl, 0, TransferOpts{}); err != nil {
 			t.Errorf("rank %d: %v", c.Rank(), err)
 		}
 		if dl != nil {
@@ -295,7 +320,7 @@ func TestLinearExchange2D(t *testing.T) {
 		} else {
 			dl = make([]float64, dst.LocalCount(c.Rank()-4))
 		}
-		if err := LinearExchange(c, srcLin, dstLin, lay, 4, 3, sl, dl, 0); err != nil {
+		if _, err := xferLinear(c, srcLin, dstLin, lay, 4, 3, sl, dl, 0, TransferOpts{}); err != nil {
 			t.Errorf("rank %d: %v", c.Rank(), err)
 		}
 		if dl != nil {
@@ -311,15 +336,14 @@ func TestLinearExchangeLengthMismatch(t *testing.T) {
 	src := tpl(t, []int{8}, dad.BlockAxis(2))
 	dst := tpl(t, []int{9}, dad.BlockAxis(2))
 	comm.Run(4, func(c *comm.Comm) {
-		err := LinearExchange(c, linear.NewRowMajor(src), linear.NewRowMajor(dst),
-			Layout{0, 2}, 2, 2, make([]float64, 4), make([]float64, 5), 0)
+		_, err := NewLinear(c, linear.NewRowMajor(src), linear.NewRowMajor(dst), Layout{0, 2}, 2, 2, 0, TransferOpts{})
 		if err == nil {
 			t.Error("mismatched linearizations accepted")
 		}
 	})
 }
 
-// Property: Exchange agrees with ExecuteLocal on random template pairs.
+// Property: a transfer agrees with ExecuteLocalT on random template pairs.
 func TestPropertyExchangeMatchesLocal(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 10; trial++ {
@@ -348,7 +372,7 @@ func TestPropertyExchangeMatchesLocal(t *testing.T) {
 		for r := range want {
 			want[r] = make([]float64, dst.LocalCount(r))
 		}
-		ExecuteLocal(s, srcLocals, want)
+		ExecuteLocalT(s, srcLocals, want)
 		got := runExchange(t, src, dst)
 		for r := range want {
 			for i := range want[r] {

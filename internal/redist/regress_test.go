@@ -13,7 +13,7 @@ import (
 	"mxn/internal/schedule"
 )
 
-// Regression: ExecuteLocal with aliased source and destination buffers (a
+// Regression: ExecuteLocalT with aliased source and destination buffers (a
 // self-redistribution in place). The interleaved pack/unpack it used to do
 // read source elements that an earlier pair's unpack had already
 // overwritten; all pairs must be packed before any is unpacked.
@@ -30,13 +30,13 @@ func TestExecuteLocalAliasedBuffers(t *testing.T) {
 	for r := range want {
 		want[r] = make([]float64, dst.LocalCount(r))
 	}
-	ExecuteLocal(s, fillByGlobal(src), want)
+	ExecuteLocalT(s, fillByGlobal(src), want)
 
 	// In-place: the same slices serve as source and destination. Local
 	// counts match (8 elements per rank on both sides), so this is the
 	// legal aliased case.
 	locals := fillByGlobal(src)
-	ExecuteLocal(s, locals, locals)
+	ExecuteLocalT(s, locals, locals)
 	for r := range want {
 		for i := range want[r] {
 			if locals[r][i] != want[r][i] {
@@ -52,7 +52,8 @@ func TestExecuteLocalAliasedBuffers(t *testing.T) {
 // queued under baseTag and cross-match the next transfer reusing that tag.
 // Transfer 1 is hand-played by the sources with one mis-sized message and
 // one sentinel-valued message; transfer 2 runs the real protocol on the
-// SAME tag and must come through intact.
+// SAME tag — through the same destination handle — and must come through
+// intact.
 func TestExchangeDrainsAfterError(t *testing.T) {
 	src := tpl(t, []int{8}, dad.BlockAxis(2))
 	dst := tpl(t, []int{8}, dad.CyclicAxis(2))
@@ -84,12 +85,17 @@ func TestExchangeDrainsAfterError(t *testing.T) {
 				c.Send(lay.DstBase+p.DstRank, tag, bad)
 			}
 			// Transfer 2: the real protocol on the same tag.
-			if err := Exchange(c, s, lay, srcLocals[r], nil, tag); err != nil {
+			if _, err := xfer(c, s, lay, srcLocals[r], nil, tag, TransferOpts{}); err != nil {
 				t.Errorf("source rank %d transfer 2: %v", r, err)
 			}
 		default:
+			xt, err := New[float64](c, s, lay, tag, TransferOpts{})
+			if err != nil {
+				t.Error(err)
+				return
+			}
 			dl := make([]float64, dst.LocalCount(r-2))
-			err := Exchange(c, s, lay, nil, dl, tag)
+			_, err = xt.Run(nil, dl)
 			if r == 2 {
 				var ece *ElemCountError
 				if !errors.As(err, &ece) {
@@ -100,7 +106,7 @@ func TestExchangeDrainsAfterError(t *testing.T) {
 			}
 			// Transfer 2 on the same tag must see only transfer-2 data.
 			dl2 := make([]float64, dst.LocalCount(r-2))
-			if err := Exchange(c, s, lay, nil, dl2, tag); err != nil {
+			if _, err := xt.Run(nil, dl2); err != nil {
 				t.Errorf("dst rank %d transfer 2: %v", r-2, err)
 			}
 			mu.Lock()
@@ -111,12 +117,13 @@ func TestExchangeDrainsAfterError(t *testing.T) {
 	verify(t, dst, dstLocals)
 }
 
-// Regression: LinearExchange used to discard the source result of
+// Regression: the linear exchange used to discard the source result of
 // Recv(AnySource) and trust both arrival order and the reply's own claim
 // about which positions it carries. A reply must be attributed to its
 // actual sender and validated against that sender's owned∩needed
-// intersection; transfer 2 on the same base tag must still work after the
-// failed transfer drained its messages.
+// intersection; transfer 2 on the same base tag — through the same
+// handles — must still work after the failed transfer drained its
+// messages.
 func TestLinearExchangeValidatesAndDrains(t *testing.T) {
 	src := tpl(t, []int{8}, dad.BlockAxis(2))
 	dst := tpl(t, []int{8}, dad.CyclicAxis(2))
@@ -152,18 +159,28 @@ func TestLinearExchangeValidatesAndDrains(t *testing.T) {
 				c.Send(lay.DstBase+req.dstRank, dataTag, rep)
 			}
 			// Transfer 2: honest protocol on the same base tag.
-			if err := LinearExchange(c, srcLin, dstLin, lay, 2, 2, srcLocals[0], nil, tag); err != nil {
+			if _, err := xferLinear(c, srcLin, dstLin, lay, 2, 2, srcLocals[0], nil, tag, TransferOpts{}); err != nil {
 				t.Errorf("source rank 0 transfer 2: %v", err)
 			}
 		case r == 1:
+			xt, err := NewLinear(c, srcLin, dstLin, lay, 2, 2, tag, TransferOpts{})
+			if err != nil {
+				t.Error(err)
+				return
+			}
 			for transfer := 0; transfer < 2; transfer++ {
-				if err := LinearExchange(c, srcLin, dstLin, lay, 2, 2, srcLocals[1], nil, tag); err != nil {
+				if _, err := xt.Run(srcLocals[1], nil); err != nil {
 					t.Errorf("source rank 1 transfer %d: %v", transfer+1, err)
 				}
 			}
 		default:
+			xt, err := NewLinear(c, srcLin, dstLin, lay, 2, 2, tag, TransferOpts{})
+			if err != nil {
+				t.Error(err)
+				return
+			}
 			dl := make([]float64, dst.LocalCount(r-2))
-			err := LinearExchange(c, srcLin, dstLin, lay, 2, 2, nil, dl, tag)
+			_, err = xt.Run(nil, dl)
 			if r == 2 {
 				var ece *ElemCountError
 				if !errors.As(err, &ece) {
@@ -175,7 +192,7 @@ func TestLinearExchangeValidatesAndDrains(t *testing.T) {
 				t.Errorf("dst rank %d transfer 1: %v", r-2, err)
 			}
 			dl2 := make([]float64, dst.LocalCount(r-2))
-			if err := LinearExchange(c, srcLin, dstLin, lay, 2, 2, nil, dl2, tag); err != nil {
+			if _, err := xt.Run(nil, dl2); err != nil {
 				t.Errorf("dst rank %d transfer 2: %v", r-2, err)
 			}
 			mu.Lock()
@@ -186,41 +203,45 @@ func TestLinearExchangeValidatesAndDrains(t *testing.T) {
 	verify(t, dst, dstLocals)
 }
 
-// Guard: the metric updates on the Exchange pack/send path are pure atomic
-// operations and must not allocate. (comm.Send itself boxes its payload;
-// that pre-existing cost is measured by BenchmarkExchangePackPath, not
-// here.)
+// Guard: the metric updates on a Run's pack/send/receive path are pure
+// atomic operations and must not allocate, and they count exactly each
+// step's work: steady-state Runs with the instruments live allocate
+// nothing while every counter moves by its per-step amount. (comm.Send
+// boxing and the message buffer are pooled away here; their raw cost is
+// measured by BenchmarkExchangePackPath.)
 func TestExchangeMetricsZeroAlloc(t *testing.T) {
-	src := tpl(t, []int{64}, dad.BlockAxis(2))
-	dst := tpl(t, []int{64}, dad.CyclicAxis(2))
-	s, err := schedule.Build(src, dst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := s.OutgoingFor(0)[0]
-	local := make([]float64, src.LocalCount(0))
-	buf := make([]float64, p.Elems)
 	obs.DisableTracing()
-	tr := obs.Trace()
-	allocs := testing.AllocsPerRun(100, func() {
-		start := time.Now()
-		schedule.Pack(p, local, buf)
-		mPackNS.ObserveSince(start)
-		tr.Span(obs.EvPack, "", 0, p.DstRank, int64(p.Elems), start)
-		mMsgsSent.Inc()
-		mElemsPacked.Add(uint64(p.Elems))
-		mMsgElems.Observe(int64(p.Elems))
-		tr.Span(obs.EvSend, "", 0, p.DstRank, int64(p.Elems), start)
-	})
+	w := newSteadyWorld(t)
+	w.step(t) // warm the pools and mailbox queues
+	sent, recv, packed, unpacked := mMsgsSent.Value(), mMsgsRecv.Value(), mElemsPacked.Value(), mElemsUnpack.Value()
+	packs, sizes := mPackNS.Count(), mMsgElems.Count()
+	const runs = 100
+	allocs := testing.AllocsPerRun(runs, func() { w.step(t) })
 	if allocs != 0 {
-		t.Fatalf("pack-path metrics allocate: %v allocs/op", allocs)
+		t.Fatalf("instrumented steady-state Run allocates: %v allocs per transfer step", allocs)
+	}
+	steps := uint64(runs + 1) // AllocsPerRun warms up with one extra call
+	msgs, elems := steps*uint64(w.s.NumMessages()), steps*uint64(w.s.TotalElems())
+	for _, c := range []struct {
+		name      string
+		got, want uint64
+	}{
+		{"msgs_sent", mMsgsSent.Value() - sent, msgs},
+		{"msgs_recv", mMsgsRecv.Value() - recv, msgs},
+		{"elems_packed", mElemsPacked.Value() - packed, elems},
+		{"elems_unpacked", mElemsUnpack.Value() - unpacked, elems},
+		{"pack_ns observations", mPackNS.Count() - packs, msgs},
+		{"msg_elems observations", mMsgElems.Count() - sizes, msgs},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s moved by %d over %d steps, want %d", c.name, c.got, steps, c.want)
+		}
 	}
 }
 
-// BenchmarkExchangePackPath times one instrumented pack+send iteration so
-// -benchmem shows the full per-message allocation budget (message buffer +
-// comm.Send boxing); the metrics themselves contribute zero, as asserted
-// by TestExchangeMetricsZeroAlloc.
+// BenchmarkExchangePackPath times one instrumented pack iteration with
+// -benchmem; the metrics themselves contribute zero, as asserted by
+// TestExchangeMetricsZeroAlloc.
 func BenchmarkExchangePackPath(b *testing.B) {
 	out, err := dad.NewTemplate([]int{1 << 12}, []dad.AxisDist{dad.BlockAxis(2)})
 	if err != nil {
@@ -242,7 +263,7 @@ func BenchmarkExchangePackPath(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		start := time.Now()
-		schedule.Pack(p, local, buf)
+		schedule.PackSlice(p, local, buf)
 		mPackNS.ObserveSince(start)
 		tr.Span(obs.EvPack, "", 0, p.DstRank, int64(p.Elems), start)
 		mMsgsSent.Inc()

@@ -70,10 +70,10 @@ func runCrossWorldExchange(t *testing.T, linearMode bool, budget int) {
 		var err error
 		opts := TransferOpts{MaxBytesInFlight: budget}
 		if linearMode {
-			err = LinearExchangeWithT[float64](c, linear.NewRowMajor(src), linear.NewRowMajor(dst),
+			_, err = xferLinear(c, linear.NewRowMajor(src), linear.NewRowMajor(dst),
 				lay, m, n, sl, dl, 0, opts)
 		} else {
-			err = ExchangeWithT[float64](c, s, lay, sl, dl, 0, opts)
+			_, err = xfer(c, s, lay, sl, dl, 0, opts)
 		}
 		if err != nil {
 			t.Errorf("rank %d: %v", c.Rank(), err)

@@ -128,7 +128,7 @@ func runWireExchangeT[T Elem](t *testing.T, conv func(float64) T, budget int, pl
 			// ZeroCopyLocal stays on: every destination here is remote, so
 			// the fast path must decline and copy — part of the contract.
 			opts := TransferOpts{MaxBytesInFlight: budget, ZeroCopyLocal: true}
-			if err := ExchangeWithT(c, s, lay, sl, dl, round*8, opts); err != nil {
+			if _, err := xfer(c, s, lay, sl, dl, round*8, opts); err != nil {
 				t.Errorf("rank %d round %d: %v", c.Rank(), round, err)
 				return
 			}
@@ -239,8 +239,8 @@ func TestWirePathFencedOverTCP(t *testing.T) {
 			} else {
 				dl = make([]float64, dst.LocalCount(c.Rank()-m))
 			}
-			fo := FenceOpts{Membership: mem, Policy: FailStrict, PollInterval: time.Millisecond}
-			out, err := ExchangeFenced(c, s, lay, sl, dl, 0, fo)
+			fo := TransferOpts{Membership: mem, Policy: FailStrict, PollInterval: time.Millisecond}
+			out, err := xfer(c, s, lay, sl, dl, 0, fo)
 			if err != nil {
 				t.Errorf("rank %d: %v", c.Rank(), err)
 			} else if len(out.Down) != 0 {
@@ -317,7 +317,7 @@ func TestWirePathPoolBalancedAfterSessionExchange(t *testing.T) {
 			dl = make([]float64, dst.LocalCount(c.Rank()-m))
 		}
 		for round := 0; round < 3; round++ {
-			if err := ExchangeWithT(c, s, lay, sl, dl, round*8, TransferOpts{}); err != nil {
+			if _, err := xfer(c, s, lay, sl, dl, round*8, TransferOpts{}); err != nil {
 				t.Errorf("rank %d round %d: %v", c.Rank(), round, err)
 				return
 			}

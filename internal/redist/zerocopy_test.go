@@ -42,11 +42,11 @@ func runMatrixT[T Elem](t *testing.T, conv func(float64) T, fenced bool, budget 
 		}
 		var xerr error
 		if fenced {
-			fo := FenceOpts{Membership: mem, PollInterval: time.Millisecond, MaxBytesInFlight: budget}
-			_, xerr = ExchangeFencedT(c, s, lay, sl, dl, 0, fo)
+			fo := TransferOpts{Membership: mem, PollInterval: time.Millisecond, MaxBytesInFlight: budget}
+			_, xerr = xfer(c, s, lay, sl, dl, 0, fo)
 		} else {
 			opts := TransferOpts{MaxBytesInFlight: budget, ZeroCopyLocal: zc}
-			xerr = ExchangeWithT(c, s, lay, sl, dl, 0, opts)
+			_, xerr = xfer(c, s, lay, sl, dl, 0, opts)
 		}
 		if xerr != nil {
 			t.Errorf("rank %d: %v", c.Rank(), xerr)
@@ -182,7 +182,7 @@ func TestZeroCopyNonContiguousFallsBack(t *testing.T) {
 		} else {
 			dl = make([]float64, dst.LocalCount(c.Rank()-m))
 		}
-		if err := ExchangeWithT(c, s, lay, sl, dl, 0, TransferOpts{ZeroCopyLocal: true}); err != nil {
+		if _, err := xfer(c, s, lay, sl, dl, 0, TransferOpts{ZeroCopyLocal: true}); err != nil {
 			t.Errorf("rank %d: %v", c.Rank(), err)
 		}
 		if dl != nil {
@@ -221,7 +221,7 @@ func TestZeroCopySafeToMutateAfterReturn(t *testing.T) {
 			} else {
 				dl = make([]float64, dst.LocalCount(c.Rank()-m))
 			}
-			if err := ExchangeWithT(c, s, lay, sl, dl, 0, TransferOpts{ZeroCopyLocal: true}); err != nil {
+			if _, err := xfer(c, s, lay, sl, dl, 0, TransferOpts{ZeroCopyLocal: true}); err != nil {
 				t.Errorf("rank %d: %v", c.Rank(), err)
 			}
 			// The contract under test: the lent views are dead the moment
@@ -255,7 +255,7 @@ func TestZeroCopySelfSendAliased(t *testing.T) {
 	comm.Run(2, func(c *comm.Comm) {
 		lay := Layout{SrcBase: 0, DstBase: 0}
 		buf := locals[c.Rank()]
-		if err := ExchangeWithT(c, s, lay, buf, buf, 0, TransferOpts{ZeroCopyLocal: true}); err != nil {
+		if _, err := xfer(c, s, lay, buf, buf, 0, TransferOpts{ZeroCopyLocal: true}); err != nil {
 			t.Errorf("rank %d: %v", c.Rank(), err)
 		}
 	})

@@ -1,6 +1,6 @@
 // Composed-schedule execution exercised end to end through the parallel
 // executor. This lives in an external test package: it drives
-// schedule.Compose output through redist.Exchange over a comm world, and
+// schedule.Compose output through a redist.Transfer over a comm world, and
 // redist imports schedule.
 package schedule_test
 
@@ -52,7 +52,7 @@ func eachIndex(dims []int, fn func(idx []int)) {
 
 // A three-stage pipeline A -> B -> C collapsed by Compose into a single
 // A -> C schedule must move data identically to the two-stage route when
-// executed by the parallel Exchange executor.
+// executed by a parallel redist.Transfer.
 func TestComposeExecutesThroughExchange(t *testing.T) {
 	dims := []int{12, 6}
 	a := mkTpl(t, dims, dad.BlockAxis(2), dad.BlockAxis(2))
@@ -94,8 +94,8 @@ func TestComposeExecutesThroughExchange(t *testing.T) {
 	for r := range want {
 		want[r] = make([]float64, c.LocalCount(r))
 	}
-	redist.ExecuteLocal(s1, srcLocals, mid)
-	redist.ExecuteLocal(s2, mid, want)
+	redist.ExecuteLocalT(s1, srcLocals, mid)
+	redist.ExecuteLocalT(s2, mid, want)
 
 	// The composed schedule, executed in parallel: A cohort then C cohort.
 	nA, nC := a.NumProcs(), c.NumProcs()
@@ -109,7 +109,11 @@ func TestComposeExecutesThroughExchange(t *testing.T) {
 		} else {
 			dl = make([]float64, c.LocalCount(cm.Rank()-nA))
 		}
-		if err := redist.Exchange(cm, sc, lay, sl, dl, 0); err != nil {
+		xt, err := redist.New[float64](cm, sc, lay, 0, redist.TransferOpts{})
+		if err == nil {
+			_, err = xt.Run(sl, dl)
+		}
+		if err != nil {
 			t.Errorf("rank %d: %v", cm.Rank(), err)
 		}
 		if dl != nil {

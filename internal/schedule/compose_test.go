@@ -206,7 +206,7 @@ func TestPropertyComposeConservationAndCoverage(t *testing.T) {
 				marker[i] = 1
 			}
 			touched := make([]float64, dst.LocalCount(p.DstRank))
-			Unpack(p, touched, marker)
+			UnpackSlice(p, touched, marker)
 			for i, v := range touched {
 				if v != 0 {
 					counts[p.DstRank][i]++

@@ -74,8 +74,8 @@ func ixIntervalStrided(ilo, ihi, c, p, b int) ixDesc {
 	if ilo >= ihi {
 		return ixDesc{}
 	}
-	mLo := ilo / b         // first block with (m+1)·b > ilo
-	mHi := (ihi - 1) / b   // last block with m·b < ihi
+	mLo := ilo / b       // first block with (m+1)·b > ilo
+	mHi := (ihi - 1) / b // last block with m·b < ihi
 	delta := (c - mLo%p + p) % p
 	mStart := mLo + delta
 	if mStart > mHi {

@@ -457,21 +457,16 @@ func (s *Schedule) String() string {
 		s.Src.NumProcs(), s.Dst.NumProcs(), s.NumMessages(), s.TotalElems())
 }
 
-// Pack gathers a plan's elements from the source rank's local buffer into
-// out, which must have length plan.Elems.
-func Pack(plan PairPlan, local, out []float64) { PackSlice(plan, local, out) }
-
-// Unpack scatters a packed buffer into the destination rank's local
-// buffer.
-func Unpack(plan PairPlan, local, data []float64) { UnpackSlice(plan, local, data) }
-
-// PackSlice is Pack for any element type: schedules are element-agnostic
-// (runs are element counts and offsets), so one plan moves float32 or
-// complex128 arrays exactly as it moves float64 ones. It is the whole
-// message seen as one window: PackSliceRange at offset 0 (split.go).
+// PackSlice gathers a plan's elements from the source rank's local buffer
+// into out, which must have length plan.Elems. Schedules are
+// element-agnostic (runs are element counts and offsets), so one plan
+// moves float32 or complex128 arrays exactly as it moves float64 ones. It
+// is the whole message seen as one window: PackSliceRange at offset 0
+// (split.go).
 func PackSlice[T any](plan PairPlan, local, out []T) { PackSliceRange(plan, local, out, 0) }
 
-// UnpackSlice is Unpack for any element type.
+// UnpackSlice scatters a packed buffer into the destination rank's local
+// buffer.
 func UnpackSlice[T any](plan PairPlan, local, data []T) { UnpackSliceRange(plan, local, data, 0) }
 
 // Cache memoizes schedules by template pair. The cache is safe for

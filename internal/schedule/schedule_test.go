@@ -62,8 +62,8 @@ func executeLocally(s *Schedule, srcLocals [][]float64) [][]float64 {
 	}
 	for _, p := range s.Pairs {
 		buf := make([]float64, p.Elems)
-		Pack(p, srcLocals[p.SrcRank], buf)
-		Unpack(p, dstLocals[p.DstRank], buf)
+		PackSlice(p, srcLocals[p.SrcRank], buf)
+		UnpackSlice(p, dstLocals[p.DstRank], buf)
 	}
 	return dstLocals
 }
@@ -353,7 +353,7 @@ func TestPackUnpackAdjointProperty(t *testing.T) {
 	srcLocals := fillByGlobal(src)
 	for _, p := range s.Pairs {
 		buf := make([]float64, p.Elems)
-		Pack(p, srcLocals[p.SrcRank], buf)
+		PackSlice(p, srcLocals[p.SrcRank], buf)
 		for i, v := range buf {
 			if v == 0 {
 				t.Errorf("pair %d→%d packed a zero at %d (fingerprints are nonzero)", p.SrcRank, p.DstRank, i)
@@ -420,7 +420,7 @@ func TestPackSliceGenericMatchesFloat64(t *testing.T) {
 	srcLocals := fillByGlobal(src)
 	for _, p := range s.Pairs {
 		ref := make([]float64, p.Elems)
-		Pack(p, srcLocals[p.SrcRank], ref)
+		PackSlice(p, srcLocals[p.SrcRank], ref)
 
 		src32 := make([]float32, len(srcLocals[p.SrcRank]))
 		for i, v := range srcLocals[p.SrcRank] {

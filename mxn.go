@@ -167,102 +167,75 @@ func NewScheduleCache() *ScheduleCache { return schedule.NewCache() }
 // group.
 type Layout = redist.Layout
 
-// Exchange performs one schedule-driven parallel transfer; every rank of
-// both cohorts calls it.
-func Exchange(c *Comm, s *Schedule, lay Layout, srcLocal, dstLocal []float64, baseTag int) error {
-	return redist.Exchange(c, s, lay, srcLocal, dstLocal, baseTag)
-}
+// Elem constrains the element types the transfer engine moves natively:
+// float64, float32, int64, int32 and complex128. The element size flows
+// from the type parameter through packing to the raw-byte message
+// payloads.
+type Elem = redist.Elem
 
-// TransferOpts tunes a transfer's resource envelope. Setting
-// MaxBytesInFlight bounds the packed bytes a rank holds resident at
-// once: the transfer moves in acknowledged rounds of chunks instead of
-// materializing every pairwise message, with identical destination
-// contents. Every rank of one transfer must pass the same value.
+// TransferOpts holds every transfer setting: a MaxBytesInFlight memory
+// budget (acknowledged rounds of chunks instead of whole messages, with
+// identical destination contents), the ZeroCopyLocal fast path, a
+// Membership to fence on with its failure Policy and detection knobs, and
+// the Resize a migration runs inside. Every rank of one transfer must
+// pass the same MaxBytesInFlight.
 type TransferOpts = redist.TransferOpts
 
-// ExchangeWith is Exchange with explicit transfer options (for example
-// a MaxBytesInFlight memory budget).
-func ExchangeWith(c *Comm, s *Schedule, lay Layout, srcLocal, dstLocal []float64, baseTag int, opts TransferOpts) error {
-	return redist.ExchangeWith(c, s, lay, srcLocal, dstLocal, baseTag, opts)
+// Transfer is one rank's persistent redistribution handle: build it once
+// per coupling with NewTransfer or NewLinearTransfer, then Run(src, dst)
+// every step. Every rank of both cohorts builds one on the same plan and
+// options and runs it the same number of times. Run returns a
+// *FenceOutcome when the transfer is fenced (TransferOpts.Membership
+// set), nil otherwise.
+type Transfer[T Elem] struct{ *redist.Transfer[T] }
+
+// NewTransfer builds this rank's handle on a schedule-driven parallel
+// transfer; baseTag reserves its tag namespace.
+func NewTransfer[T Elem](c *Comm, s *Schedule, lay Layout, baseTag int, opts TransferOpts) (*Transfer[T], error) {
+	t, err := redist.New[T](c, s, lay, baseTag, opts)
+	if err != nil {
+		return nil, err
+	}
+	return &Transfer[T]{t}, nil
+}
+
+// NewLinearTransfer builds this rank's handle on a receiver-driven
+// transfer with no communication schedule (the Meta-Chaos / Indiana
+// MPI-IO approach); build the linearizers with RowMajorLinearization. It
+// uses baseTag and baseTag+1.
+func NewLinearTransfer[T Elem](c *Comm, srcLin, dstLin linear.LinearizerT[T], lay Layout, nSrc, nDst, baseTag int,
+	opts TransferOpts) (*Transfer[T], error) {
+	t, err := redist.NewLinear(c, srcLin, dstLin, lay, nSrc, nDst, baseTag, opts)
+	if err != nil {
+		return nil, err
+	}
+	return &Transfer[T]{t}, nil
 }
 
 // ExecuteLocal runs a whole schedule in one goroutine (reference
 // executor).
-func ExecuteLocal(s *Schedule, srcLocals, dstLocals [][]float64) {
-	redist.ExecuteLocal(s, srcLocals, dstLocals)
-}
-
-// Redistribute is the one-call convenience API: build (or reuse) the
-// schedule for (src, dst) and move srcLocals into dstLocals locally.
-func Redistribute(src, dst *Template, srcLocals, dstLocals [][]float64) error {
-	s, err := schedule.Build(src, dst)
-	if err != nil {
-		return err
-	}
-	redist.ExecuteLocal(s, srcLocals, dstLocals)
-	return nil
-}
-
-// ---- Generic transfers ----
-
-// Elem constrains the element types the transfer engine moves natively:
-// float64, float32, int64, int32 and complex128. All transfer variants are
-// instantiations of one engine; the element size flows from the type
-// parameter through packing to the raw-byte message payloads.
-type Elem = redist.Elem
-
-// ExchangeT is Exchange for any supported element type.
-func ExchangeT[T Elem](c *Comm, s *Schedule, lay Layout, srcLocal, dstLocal []T, baseTag int) error {
-	return redist.ExchangeT(c, s, lay, srcLocal, dstLocal, baseTag)
-}
-
-// ExchangeWithT is ExchangeWith for any supported element type.
-func ExchangeWithT[T Elem](c *Comm, s *Schedule, lay Layout, srcLocal, dstLocal []T, baseTag int, opts TransferOpts) error {
-	return redist.ExchangeWithT(c, s, lay, srcLocal, dstLocal, baseTag, opts)
-}
-
-// ExecuteLocalT is ExecuteLocal for any supported element type.
-func ExecuteLocalT[T Elem](s *Schedule, srcLocals, dstLocals [][]T) {
+func ExecuteLocal[T Elem](s *Schedule, srcLocals, dstLocals [][]T) {
 	redist.ExecuteLocalT(s, srcLocals, dstLocals)
 }
 
-// RedistributeT is Redistribute for any supported element type.
-func RedistributeT[T Elem](src, dst *Template, srcLocals, dstLocals [][]T) error {
+// Redistribute is the one-call convenience API: build the schedule for
+// (src, dst) and move srcLocals into dstLocals locally.
+func Redistribute[T Elem](src, dst *Template, srcLocals, dstLocals [][]T) error {
 	s, err := schedule.Build(src, dst)
 	if err != nil {
 		return err
 	}
 	redist.ExecuteLocalT(s, srcLocals, dstLocals)
 	return nil
-}
-
-// LinearExchangeT is LinearExchange for any supported element type; build
-// the linearizers with RowMajorLinearizationT.
-func LinearExchangeT[T Elem](c *Comm, srcLin, dstLin linear.LinearizerT[T], lay Layout, nSrc, nDst int,
-	srcLocal, dstLocal []T, baseTag int) error {
-	return redist.LinearExchangeT(c, srcLin, dstLin, lay, nSrc, nDst, srcLocal, dstLocal, baseTag)
-}
-
-// RowMajorLinearizationT linearizes a template by global row-major order
-// for any supported element type.
-func RowMajorLinearizationT[T Elem](t *Template) linear.LinearizerT[T] {
-	return linear.NewRowMajorT[T](t)
 }
 
 // ---- Linearization ----
 
-// Linearizer maps distributed data to the abstract one-dimensional
-// intermediate representation.
-type Linearizer = linear.Linearizer
-
-// RowMajorLinearization linearizes a template by global row-major order.
-func RowMajorLinearization(t *Template) Linearizer { return linear.NewRowMajor(t) }
-
-// LinearExchange performs a receiver-driven transfer with no
-// communication schedule (the Meta-Chaos / Indiana MPI-IO approach).
-func LinearExchange(c *Comm, srcLin, dstLin Linearizer, lay Layout, nSrc, nDst int,
-	srcLocal, dstLocal []float64, baseTag int) error {
-	return redist.LinearExchange(c, srcLin, dstLin, lay, nSrc, nDst, srcLocal, dstLocal, baseTag)
+// RowMajorLinearization linearizes a template by global row-major order:
+// the abstract one-dimensional intermediate representation of a
+// distributed array.
+func RowMajorLinearization[T Elem](t *Template) linear.LinearizerT[T] {
+	return linear.NewRowMajorT[T](t)
 }
 
 // ---- The M×N component (the paper's Section 4.1) ----
@@ -474,12 +447,9 @@ func StartHeartbeats(c *Comm, m *Membership, cfg HeartbeatConfig, peers []int) (
 	return core.StartHeartbeats(c, m, cfg, peers)
 }
 
-// FenceOpts ties a transfer to a membership epoch; FailPolicy selects
-// abort (FailStrict) versus re-plan over survivors (FailRedistribute).
-type (
-	FenceOpts  = redist.FenceOpts
-	FailPolicy = redist.FailPolicy
-)
+// FailPolicy selects what a fenced transfer does on a rank death: abort
+// (FailStrict) or re-plan over the survivors (FailRedistribute).
+type FailPolicy = redist.FailPolicy
 
 // Failure policies.
 const (
@@ -490,18 +460,6 @@ const (
 // FenceOutcome reports a fenced transfer's entry epoch, the dead ranks it
 // observed, and per-element validity under FailRedistribute.
 type FenceOutcome = redist.Outcome
-
-// ExchangeFenced is Exchange under a liveness view: the transfer enters
-// at the membership's current epoch, cross-epoch traffic is discarded or
-// fails typed, and rank death mid-transfer applies the failure policy.
-func ExchangeFenced(c *Comm, s *Schedule, lay Layout, srcLocal, dstLocal []float64, baseTag int, opts FenceOpts) (*FenceOutcome, error) {
-	return redist.ExchangeFenced(c, s, lay, srcLocal, dstLocal, baseTag, opts)
-}
-
-// ExchangeFencedT is ExchangeFenced for any supported element type.
-func ExchangeFencedT[T Elem](c *Comm, s *Schedule, lay Layout, srcLocal, dstLocal []T, baseTag int, opts FenceOpts) (*FenceOutcome, error) {
-	return redist.ExchangeFencedT(c, s, lay, srcLocal, dstLocal, baseTag, opts)
-}
 
 // RestrictSchedule drops a schedule's messages touching dead ranks — the
 // re-plan under FailRedistribute.
@@ -539,21 +497,10 @@ func ExpandSchedule(s *Schedule, newSrc, newDst *Template, srcMap, dstMap []int)
 	return schedule.Expand(s, newSrc, newDst, srcMap, dstMap)
 }
 
-// ReconfigureError is the typed rejection for invalid reconfiguration
-// calls (nil handle, width mismatches, undersized groups).
+// ReconfigureError is NewTransfer's typed rejection of a malformed
+// migration (TransferOpts.Resize set): width mismatches, undersized
+// groups, no membership.
 type ReconfigureError = redist.ReconfigureError
-
-// ReconfigureFenced migrates one array from its old layout to the new
-// one inside a proposed resize's epoch window, pinned to the prepare
-// epoch so concurrent old-epoch traffic drains or fails typed.
-func ReconfigureFenced(c *Comm, rz *Resize, oldT, newT *Template, lay Layout, srcLocal, dstLocal []float64, baseTag int, opts FenceOpts) (*FenceOutcome, error) {
-	return redist.ReconfigureFenced(c, rz, oldT, newT, lay, srcLocal, dstLocal, baseTag, opts)
-}
-
-// ReconfigureFencedT is ReconfigureFenced for any supported element type.
-func ReconfigureFencedT[T Elem](c *Comm, rz *Resize, oldT, newT *Template, lay Layout, srcLocal, dstLocal []T, baseTag int, opts FenceOpts) (*FenceOutcome, error) {
-	return redist.ReconfigureFencedT(c, rz, oldT, newT, lay, srcLocal, dstLocal, baseTag, opts)
-}
 
 // CommitReconfigure commits a resize (the new width becomes current) and
 // drops the retired old-geometry plans from the cache.

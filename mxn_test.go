@@ -43,6 +43,16 @@ func TestFacadeQuickstart(t *testing.T) {
 	}
 }
 
+// runOnce builds a rank's transfer handle through the facade and runs it
+// once: the form for tests where reusing the handle is not the point.
+func runOnce[T Elem](c *Comm, s *Schedule, lay Layout, src, dst []T, tag int, opts TransferOpts) (*FenceOutcome, error) {
+	xt, err := NewTransfer[T](c, s, lay, tag, opts)
+	if err != nil {
+		return nil, err
+	}
+	return xt.Run(src, dst)
+}
+
 // TestFacadeParallelExchange runs the parallel executor through the
 // facade.
 func TestFacadeParallelExchange(t *testing.T) {
@@ -65,7 +75,7 @@ func TestFacadeParallelExchange(t *testing.T) {
 		} else {
 			dl = make([]float64, dst.LocalCount(c.Rank()-2))
 		}
-		if err := Exchange(c, s, lay, sl, dl, 0); err != nil {
+		if _, err := runOnce(c, s, lay, sl, dl, 0, TransferOpts{}); err != nil {
 			t.Errorf("rank %d: %v", c.Rank(), err)
 		}
 		if dl != nil {
@@ -180,13 +190,17 @@ func TestFacadeResize(t *testing.T) {
 	dstLocals := make([][]float64, 4)
 	var mu sync.Mutex
 	Run(4, func(c *Comm) {
-		opts := FenceOpts{Membership: mem, Policy: FailStrict, PollInterval: time.Millisecond, Cache: cache}
+		opts := TransferOpts{Membership: mem, Policy: FailStrict, PollInterval: time.Millisecond, Cache: cache, Resize: rz}
 		var sl []float64
 		if c.Rank() < 2 {
 			sl = srcLocals[c.Rank()]
 		}
 		dl := make([]float64, newT.LocalCount(c.Rank()))
-		out, err := ReconfigureFenced(c, rz, oldT, newT, Layout{}, sl, dl, 0, opts)
+		s, err := cache.Get(oldT, newT)
+		var out *FenceOutcome
+		if err == nil {
+			out, err = runOnce(c, s, Layout{}, sl, dl, 0, opts)
+		}
 		if err != nil {
 			t.Errorf("rank %d: %v", c.Rank(), err)
 			return
