@@ -65,14 +65,15 @@ loc:
 # The coupling benchmark (bench/, BENCHMARK.json) is a Go module of its own
 # that `go test ./...` at the root does not see, so a product signature
 # change that breaks it would otherwise surface only when the benchmark is
-# next run. Vet and test it against this checkout, then run three of its
-# workloads for three seconds each — prmi_tcp, and the two that reach the
-# engine through its deprecated one-shot wrappers (small_tcp via
-# redist.ExchangeT, resize_inproc via redist.ReconfigureFencedT): each
+# next run. Vet and test it against this checkout, then run all four
+# workloads for three seconds each, traced: bulk_tcp's 2 MiB frames take
+# the pooled receive path through its largest classes, and bulk_tcp,
+# small_tcp and resize_inproc reach the engine through its deprecated
+# one-shot wrappers (redist.ExchangeT, redist.ReconfigureFencedT). Each
 # result must be correct and every pooled buffer must be back at the end.
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
-	@for w in prmi_tcp small_tcp resize_inproc; do \
+	@for w in prmi_tcp bulk_tcp small_tcp resize_inproc; do \
 		out=$$(bash bench/run.sh --workload $$w --seconds 3 --trace 1 | tail -n 1); \
 		for want in '"correct":true' '"bufpool.outstanding_end":{"value":0,'; do \
 			echo "$$out" | grep -qF "$$want" || { echo "bench-check: $$w result lacks $$want: $$out"; exit 1; }; \

@@ -94,6 +94,7 @@ func main() {
 					log.Fatal(err)
 				}
 				calleeConns[j][id[0]] = c
+				mxn.PutFrame(id)
 			}
 		}(j)
 	}

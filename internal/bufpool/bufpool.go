@@ -10,7 +10,10 @@
 // violating alignment. Ownership is transferable: the common pattern is
 // that a sender Gets and packs a buffer, the in-process runtime carries it
 // to the receiver, and the receiver Puts it back after unpacking — the
-// pool is safe for that cross-goroutine round trip.
+// pool is safe for that cross-goroutine round trip. Across a connection
+// the receive side mirrors this with frames: the transport reads each
+// message into a GetFrame buffer, and whoever ends up holding it (a
+// decoded transfer message, a PRMI message) returns it with PutFrame.
 //
 // The implementation is a mutex-guarded free list rather than sync.Pool:
 // Get and Put never allocate in steady state (sync.Pool's victim cache can
@@ -42,13 +45,17 @@ const (
 // Pool-level instruments, registered in the process-default registry.
 // hits/misses split Get traffic by whether a retained buffer was reused;
 // oversize counts requests beyond the largest class (never pooled).
+// frame_gets/frame_puts count the receive path's frames, which share the
+// free lists but not the Get/Put counters (see GetFrame).
 var (
-	mGets     = obs.Default().Counter("bufpool.gets")
-	mPuts     = obs.Default().Counter("bufpool.puts")
-	mHits     = obs.Default().Counter("bufpool.hits")
-	mMisses   = obs.Default().Counter("bufpool.misses")
-	mOversize = obs.Default().Counter("bufpool.oversize")
-	mDropped  = obs.Default().Counter("bufpool.puts_dropped")
+	mGets      = obs.Default().Counter("bufpool.gets")
+	mPuts      = obs.Default().Counter("bufpool.puts")
+	mHits      = obs.Default().Counter("bufpool.hits")
+	mMisses    = obs.Default().Counter("bufpool.misses")
+	mOversize  = obs.Default().Counter("bufpool.oversize")
+	mDropped   = obs.Default().Counter("bufpool.puts_dropped")
+	mFrameGets = obs.Default().Counter("bufpool.frame_gets")
+	mFramePuts = obs.Default().Counter("bufpool.frame_puts")
 )
 
 // Pool is a size-classed buffer pool. The zero value is ready to use; all
@@ -99,22 +106,30 @@ func (p *Pool) Get(n int) []byte {
 		mOversize.Inc()
 		return alignedBytes(n)
 	}
-	size := 1 << (minClassBits + c)
-	p.mu.Lock()
-	if stack := p.classes[c]; len(stack) > 0 {
-		b := stack[len(stack)-1]
-		stack[len(stack)-1] = nil
-		p.classes[c] = stack[:len(stack)-1]
-		p.mu.Unlock()
+	if b := p.take(c); b != nil {
 		mHits.Inc()
 		return b[:n]
 	}
-	p.mu.Unlock()
 	mMisses.Inc()
-	return alignedBytes(size)[:n]
+	return alignedBytes(1 << (minClassBits + c))[:n]
 }
 
-// Put returns a buffer obtained from Get to the pool. Buffers whose
+// take pops a retained buffer of class c, nil when none is free.
+func (p *Pool) take(c int) []byte {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	stack := p.classes[c]
+	if len(stack) == 0 {
+		return nil
+	}
+	b := stack[len(stack)-1]
+	stack[len(stack)-1] = nil
+	p.classes[c] = stack[:len(stack)-1]
+	return b
+}
+
+// Put returns a buffer obtained from Get to the pool. A prefix of such a
+// buffer is accepted (the capacity identifies the class). Buffers whose
 // capacity is not an exact class size (oversize allocations, or foreign
 // slices) are dropped; Put(nil) is a no-op.
 func (p *Pool) Put(b []byte) {
@@ -122,6 +137,60 @@ func (p *Pool) Put(b []byte) {
 		return
 	}
 	mPuts.Inc()
+	p.retain(b)
+}
+
+// GetFrame is Get for the receive path: the buffer a frame, or a copy of
+// one, is received into and handed up through Recv. Frames come from the
+// same free lists as Get's buffers but are counted apart — in
+// FramesOutstanding, not Outstanding — so that Get/Put traffic and its
+// counters keep meaning the buffers a sender draws, and a missed return
+// on either side shows on its own counter. The receiver owns the frame and
+// returns it (or a prefix of it) with PutFrame.
+func (p *Pool) GetFrame(n int) []byte {
+	if n == 0 {
+		return nil
+	}
+	mFrameGets.Inc()
+	c := classFor(n)
+	if c < 0 {
+		return alignedBytes(n)
+	}
+	if b := p.take(c); b != nil {
+		return b[:n]
+	}
+	return alignedBytes(1 << (minClassBits + c))[:n]
+}
+
+// TryGetFrame is GetFrame when it needs no new memory: a retained buffer
+// of n's class as a length-n frame, or nil when none is free (or n is
+// zero or beyond the largest class).
+func (p *Pool) TryGetFrame(n int) []byte {
+	c := classFor(n)
+	if n == 0 || c < 0 {
+		return nil
+	}
+	b := p.take(c)
+	if b == nil {
+		return nil
+	}
+	mFrameGets.Inc()
+	return b[:n]
+}
+
+// PutFrame returns a frame obtained from GetFrame or TryGetFrame, or a
+// prefix of one; PutFrame(nil) is a no-op.
+func (p *Pool) PutFrame(b []byte) {
+	if cap(b) == 0 {
+		return
+	}
+	mFramePuts.Inc()
+	p.retain(b)
+}
+
+// retain pushes b onto its class's free list, dropping it when its
+// capacity is not a class size or the list is full.
+func (p *Pool) retain(b []byte) {
 	c := classFor(cap(b))
 	if c < 0 || 1<<(minClassBits+c) != cap(b) {
 		mDropped.Inc()
@@ -148,8 +217,25 @@ func Outstanding() int64 {
 	return int64(mGets.Value()) - int64(mPuts.Value())
 }
 
+// FramesOutstanding is Outstanding for frames: GetFrame and TryGetFrame
+// calls not yet matched by a PutFrame, the received messages their
+// receivers still hold.
+func FramesOutstanding() int64 {
+	return int64(mFrameGets.Value()) - int64(mFramePuts.Value())
+}
+
 // Get returns a length-n buffer from the process-default pool.
 func Get(n int) []byte { return defaultPool.Get(n) }
 
 // Put returns a buffer to the process-default pool.
 func Put(b []byte) { defaultPool.Put(b) }
+
+// GetFrame returns a length-n frame from the process-default pool.
+func GetFrame(n int) []byte { return defaultPool.GetFrame(n) }
+
+// TryGetFrame returns a free length-n frame from the process-default pool,
+// or nil.
+func TryGetFrame(n int) []byte { return defaultPool.TryGetFrame(n) }
+
+// PutFrame returns a frame to the process-default pool.
+func PutFrame(b []byte) { defaultPool.PutFrame(b) }

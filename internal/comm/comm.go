@@ -80,8 +80,17 @@ func newMailbox() *mailbox {
 	return mb
 }
 
-func (mb *mailbox) put(m message) {
+// put queues m for the rank whose death flag is dead. A rank killed since
+// the sender's check drops it instead: the flag is re-read under the
+// mailbox lock, which Kill takes after setting it, so a message either
+// lands before Kill empties the box or is released here.
+func (mb *mailbox) put(m message, dead *atomic.Bool) {
 	mb.mu.Lock()
+	if dead.Load() {
+		mb.mu.Unlock()
+		drop(m.payload)
+		return
+	}
 	mb.msgs = append(mb.msgs, m)
 	mb.mu.Unlock()
 	mb.cond.Broadcast()
@@ -396,7 +405,7 @@ func (c *Comm) send(to, tag int, payload any) {
 		rp.forward(wme, wr, tag, c.group.gid, payload)
 		return
 	}
-	st.boxes[wr].put(message{from: wme, tag: tag, gid: c.group.gid, payload: payload})
+	st.boxes[wr].put(message{from: wme, tag: tag, gid: c.group.gid, payload: payload}, st.dead[wr])
 }
 
 // Recv blocks until a message with a matching source and tag arrives and

@@ -32,6 +32,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"mxn/internal/bufpool"
 	"mxn/internal/obs"
 	"mxn/internal/transport"
 	"mxn/internal/wire"
@@ -338,8 +339,16 @@ func (rp *RemotePeer) serve() {
 	}
 }
 
+// deliver decodes one received frame into a local mailbox. The frame is
+// returned to the pool here, unless the payload codec kept it (a decoded
+// message viewing its bytes in place owns the frame from then on).
 func (rp *RemotePeer) deliver(buf []byte) error {
 	d := wire.NewDecoder(buf)
+	defer func() {
+		if !d.Kept() {
+			bufpool.PutFrame(buf)
+		}
+	}()
 	from := int(d.Uvarint())
 	to := int(d.Uvarint())
 	tag := int(d.Int64())
@@ -367,7 +376,7 @@ func (rp *RemotePeer) deliver(buf []byte) error {
 	if d.Err() != nil {
 		return fmt.Errorf("comm: corrupt remote payload: %w", d.Err())
 	}
-	st.boxes[to].put(message{from: from, tag: tag, gid: gid, payload: payload})
+	st.boxes[to].put(message{from: from, tag: tag, gid: gid, payload: payload}, st.dead[to])
 	mRemoteDelivered.Inc()
 	return nil
 }

@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"sync"
 
+	"mxn/internal/bufpool"
 	"mxn/internal/transport"
 	"mxn/internal/wire"
 )
@@ -209,31 +210,40 @@ func (b *netBridge) pump() {
 					fail(fmt.Errorf("core: bridge receive: %w", err))
 					return
 				}
-				d := wire.NewDecoder(msg)
-				switch d.Byte() {
-				case netData:
-					channel := d.String()
-					seq := d.Uint64()
-					data := d.Float64s()
-					if d.Err() != nil {
-						fail(fmt.Errorf("core: corrupt bridge data: %w", d.Err()))
-						return
-					}
-					b.in.put(dataKey{channel: channel, seq: seq}, data)
-				case netCtl:
-					payload := d.Bytes()
-					if d.Err() != nil {
-						fail(fmt.Errorf("core: corrupt bridge control: %w", d.Err()))
-						return
-					}
-					b.ctl <- payload
-				default:
-					fail(fmt.Errorf("core: unknown bridge message kind"))
+				if err := b.deliver(msg); err != nil {
+					fail(err)
 					return
 				}
 			}
 		}()
 	})
+}
+
+// deliver decodes one received frame — data into the matcher, control
+// onto the control stream — and returns the frame to the pool: both
+// decoders copy what they keep.
+func (b *netBridge) deliver(msg []byte) error {
+	defer bufpool.PutFrame(msg)
+	d := wire.NewDecoder(msg)
+	switch d.Byte() {
+	case netData:
+		channel := d.String()
+		seq := d.Uint64()
+		data := d.Float64s()
+		if d.Err() != nil {
+			return fmt.Errorf("core: corrupt bridge data: %w", d.Err())
+		}
+		b.in.put(dataKey{channel: channel, seq: seq}, data)
+	case netCtl:
+		payload := d.Bytes()
+		if d.Err() != nil {
+			return fmt.Errorf("core: corrupt bridge control: %w", d.Err())
+		}
+		b.ctl <- payload
+	default:
+		return fmt.Errorf("core: unknown bridge message kind")
+	}
+	return nil
 }
 
 func (b *netBridge) SendData(channel string, seq uint64, data []float64) error {

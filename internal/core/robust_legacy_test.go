@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"mxn/internal/bufpool"
 	"mxn/internal/faultconn"
 	"mxn/internal/transport"
 	"mxn/internal/wire"
@@ -115,12 +116,14 @@ func (b *legacyRobustBridge) pump() {
 						return
 					}
 					b.in.put(dataKey{channel: channel, seq: seq}, data)
+					bufpool.PutFrame(msg)
 				case netCtl:
 					payload := d.Bytes()
 					if d.Err() != nil {
 						fail(fmt.Errorf("core: corrupt bridge control: %w", d.Err()))
 						return
 					}
+					bufpool.PutFrame(msg)
 					b.ctl <- payload
 				default:
 					fail(fmt.Errorf("core: unknown bridge message kind"))
@@ -208,22 +211,7 @@ func rawEchoServer(t *testing.T) transport.Listener {
 					if err != nil {
 						return
 					}
-					d := wire.NewDecoder(msg)
-					if d.Byte() != netData {
-						continue
-					}
-					_ = d.String()
-					seq := d.Uint64()
-					data := d.Float64s()
-					if d.Err() != nil {
-						continue
-					}
-					e := wire.NewEncoder(nil)
-					e.PutByte(netData)
-					e.PutString("echo")
-					e.PutUint64(seq)
-					e.PutFloat64s(data)
-					if c.Send(e.Bytes()) != nil {
+					if reply := echoReply(msg); reply != nil && c.Send(reply) != nil {
 						return
 					}
 				}

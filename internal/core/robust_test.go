@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"mxn/internal/bufpool"
 	"mxn/internal/dad"
 	"mxn/internal/faultconn"
 	"mxn/internal/session"
@@ -39,22 +40,7 @@ func echoServer(t *testing.T) *session.Listener {
 					if err != nil {
 						return
 					}
-					d := wire.NewDecoder(msg)
-					if d.Byte() != netData {
-						continue
-					}
-					_ = d.String()
-					seq := d.Uint64()
-					data := d.Float64s()
-					if d.Err() != nil {
-						continue
-					}
-					e := wire.NewEncoder(nil)
-					e.PutByte(netData)
-					e.PutString("echo")
-					e.PutUint64(seq)
-					e.PutFloat64s(data)
-					if c.Send(e.Bytes()) != nil {
+					if reply := echoReply(msg); reply != nil && c.Send(reply) != nil {
 						return
 					}
 				}
@@ -310,4 +296,26 @@ func TestHubsReconnectAcrossLinkFailure(t *testing.T) {
 	if redials < 2 {
 		t.Fatal("client bridge never redialed")
 	}
+}
+
+// echoReply decodes a data frame and encodes its echo on channel "echo",
+// nil for anything else; the received frame goes back to the pool.
+func echoReply(msg []byte) []byte {
+	defer bufpool.PutFrame(msg)
+	d := wire.NewDecoder(msg)
+	if d.Byte() != netData {
+		return nil
+	}
+	_ = d.String()
+	seq := d.Uint64()
+	data := d.Float64s()
+	if d.Err() != nil {
+		return nil
+	}
+	e := wire.NewEncoder(nil)
+	e.PutByte(netData)
+	e.PutString("echo")
+	e.PutUint64(seq)
+	e.PutFloat64s(data)
+	return e.Bytes()
 }

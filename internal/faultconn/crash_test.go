@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"mxn/internal/bufpool"
 	"mxn/internal/transport"
 )
 
@@ -32,14 +33,14 @@ func TestCrashAndBlackholeModes(t *testing.T) {
 					if err := a.Send([]byte{byte(i)}); err != nil {
 						t.Fatalf("send %d: %v", i, err)
 					}
-					if m, err := b.Recv(); err != nil || m[0] != byte(i) {
+					if m, err := recvByte(b); err != nil || m != byte(i) {
 						t.Fatalf("recv %d: %v %v", i, m, err)
 					}
 				}
 				if err := b.Send([]byte{100}); err != nil {
 					t.Fatal(err)
 				}
-				if m, err := a.Recv(); err != nil || m[0] != 100 {
+				if m, err := recvByte(a); err != nil || m != 100 {
 					t.Fatalf("third message: %v %v", m, err)
 				}
 				// Endpoint a is now crashed: its sends are swallowed
@@ -99,7 +100,7 @@ func TestCrashAndBlackholeModes(t *testing.T) {
 					if err := a.Send([]byte{byte(i)}); err != nil {
 						t.Fatal(err)
 					}
-					if m, err := b.Recv(); err != nil || m[0] != byte(i) {
+					if m, err := recvByte(b); err != nil || m != byte(i) {
 						t.Fatalf("recv %d: %v %v", i, m, err)
 					}
 				}
@@ -118,7 +119,7 @@ func TestCrashAndBlackholeModes(t *testing.T) {
 				if err := b.Send([]byte{10}); err != nil {
 					t.Fatal(err)
 				}
-				if m, err := a.Recv(); err != nil || m[0] != 10 {
+				if m, err := recvByte(a); err != nil || m != 10 {
 					t.Fatalf("reverse direction broken: %v %v", m, err)
 				}
 			},
@@ -130,7 +131,7 @@ func TestCrashAndBlackholeModes(t *testing.T) {
 				if err := b.Send([]byte{1}); err != nil {
 					t.Fatal(err)
 				}
-				if m, err := a.Recv(); err != nil || m[0] != 1 {
+				if m, err := recvByte(a); err != nil || m != 1 {
 					t.Fatalf("first recv: %v %v", m, err)
 				}
 				if err := b.Send([]byte{2}); err != nil {
@@ -145,7 +146,7 @@ func TestCrashAndBlackholeModes(t *testing.T) {
 				if err := a.Send([]byte{3}); err != nil {
 					t.Fatal(err)
 				}
-				if m, err := b.Recv(); err != nil || m[0] != 3 {
+				if m, err := recvByte(b); err != nil || m != 3 {
 					t.Fatalf("outbound direction broken: %v %v", m, err)
 				}
 			},
@@ -172,10 +173,11 @@ func TestCrashReplayDeterminism(t *testing.T) {
 				t.Fatal(err)
 			}
 			ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-			_, err := b.(interface {
+			m, err := b.(interface {
 				RecvContext(context.Context) ([]byte, error)
 			}).RecvContext(ctx)
 			cancel()
+			bufpool.PutFrame(m)
 			if err != nil {
 				break
 			}
@@ -190,4 +192,18 @@ func TestCrashReplayDeterminism(t *testing.T) {
 	if again := crossed(); again != first {
 		t.Fatalf("replay crossed %d messages, first run %d", again, first)
 	}
+}
+
+// recvByte receives a one-byte message, returns its frame to the pool and
+// reports the byte.
+func recvByte(c transport.Conn) (byte, error) {
+	m, err := c.Recv()
+	if err != nil {
+		return 0, err
+	}
+	defer bufpool.PutFrame(m)
+	if len(m) != 1 {
+		return 0, fmt.Errorf("got %d-byte message % x", len(m), m)
+	}
+	return m[0], nil
 }

@@ -20,6 +20,7 @@ import (
 	"sync"
 	"time"
 
+	"mxn/internal/bufpool"
 	"mxn/internal/transport"
 )
 
@@ -93,14 +94,18 @@ type Conn struct {
 	inner transport.Conn
 	sc    Scenario
 
-	mu          sync.Mutex
-	sendRng     *rand.Rand
-	recvRng     *rand.Rand
-	sendHeld    [][]byte // reorder: messages waiting for a successor
-	recvQueue   [][]byte // dup/reorder: messages owed to the next Recv
-	recvHeld    [][]byte
-	sendCount   int
-	recvCount   int
+	mu        sync.Mutex
+	sendRng   *rand.Rand
+	recvRng   *rand.Rand
+	sendHeld  [][]byte // reorder: messages waiting for a successor
+	recvQueue [][]byte // dup/reorder: received frames owed to the next Recv
+	recvHeld  [][]byte
+	sendCount int
+	recvCount int
+	// Received frames are pooled and owned here until a Recv hands them
+	// up: a fault that loses one returns it to the pool, and Close
+	// returns those still queued or held.
+	closed      bool
 	partitioned bool
 	crashed     bool
 	flapped     bool
@@ -223,13 +228,21 @@ func (c *Conn) blockCrashed(ctx context.Context) ([]byte, error) {
 	}
 }
 
-// Close closes the inner connection.
+// Close closes the inner connection and returns the received frames no
+// Recv will hand up.
 func (c *Conn) Close() error {
 	c.closeOnce.Do(func() {
 		close(c.closedCh)
 		if c.flapTimer != nil {
 			c.flapTimer.Stop()
 		}
+		c.mu.Lock()
+		c.closed = true
+		for _, m := range append(c.recvQueue, c.recvHeld...) {
+			bufpool.PutFrame(m)
+		}
+		c.recvQueue, c.recvHeld = nil, nil
+		c.mu.Unlock()
 	})
 	return c.inner.Close()
 }
@@ -377,30 +390,37 @@ func (c *Conn) RecvContext(ctx context.Context) ([]byte, error) {
 		if c.sc.CrashAfter > 0 && c.sendCount+c.recvCount > c.sc.CrashAfter {
 			c.crashed = true
 		}
-		if c.crashed {
+		switch {
+		case c.closed:
+			c.mu.Unlock()
+			bufpool.PutFrame(msg)
+			return nil, transport.ErrClosed
+		case c.crashed:
 			// The message arrived after the crash: it was never read.
 			c.mu.Unlock()
+			bufpool.PutFrame(msg)
 			return c.blockCrashed(ctx)
-		}
-		if c.flapAfterLocked() {
+		case c.flapAfterLocked():
 			// The link bounced while this message was in flight: it is
 			// lost with the conn, like bytes in a dying socket buffer.
 			c.mu.Unlock()
+			bufpool.PutFrame(msg)
 			return nil, ErrFlapped
-		}
-		if f.BlackholeAfter > 0 && c.recvCount > f.BlackholeAfter {
+		case f.BlackholeAfter > 0 && c.recvCount > f.BlackholeAfter:
 			c.mu.Unlock()
+			bufpool.PutFrame(msg)
 			continue // one-way partition: incoming silence
-		}
-		if f.FailAfter > 0 && c.recvCount > f.FailAfter {
+		case f.FailAfter > 0 && c.recvCount > f.FailAfter:
 			c.partitioned = true
 			c.inner.Close()
 			c.mu.Unlock()
+			bufpool.PutFrame(msg)
 			return nil, ErrPartitioned
 		}
 		delay := rollLatency(c.recvRng, f)
 		if roll(c.recvRng, f.Drop) {
 			c.mu.Unlock()
+			bufpool.PutFrame(msg)
 			if err := sleepCtx(ctx, delay); err != nil {
 				return nil, err
 			}
@@ -418,13 +438,16 @@ func (c *Conn) RecvContext(ctx context.Context) ([]byte, error) {
 			continue // deliver the successor first
 		}
 		if roll(c.recvRng, f.Dup) {
-			c.recvQueue = append(c.recvQueue, cloneMsg(msg))
+			dup := bufpool.GetFrame(len(msg))
+			copy(dup, msg)
+			c.recvQueue = append(c.recvQueue, dup)
 		}
 		// Successor delivered; release anything held for reordering.
 		c.recvQueue = append(c.recvQueue, c.recvHeld...)
 		c.recvHeld = nil
 		c.mu.Unlock()
 		if err := sleepCtx(ctx, delay); err != nil {
+			bufpool.PutFrame(msg)
 			return nil, err
 		}
 		return msg, nil

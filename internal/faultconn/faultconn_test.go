@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"mxn/internal/bufpool"
 	"mxn/internal/transport"
 )
 
@@ -22,6 +23,7 @@ func TestNoFaultsPassthrough(t *testing.T) {
 		if err != nil || string(m) != want {
 			t.Fatalf("recv %d: %q, %v", i, m, err)
 		}
+		bufpool.PutFrame(m)
 	}
 }
 
@@ -51,6 +53,7 @@ func TestDupAll(t *testing.T) {
 		if err != nil || string(m) != "twice" {
 			t.Fatalf("copy %d: %q, %v", i, m, err)
 		}
+		bufpool.PutFrame(m)
 	}
 }
 
@@ -74,6 +77,7 @@ func TestCorruptAll(t *testing.T) {
 	if len(m) != len(orig) {
 		t.Fatalf("corruption changed length: %d", len(m))
 	}
+	bufpool.PutFrame(m)
 }
 
 func TestReorderSwapsAdjacent(t *testing.T) {
@@ -121,6 +125,7 @@ func TestReorderSwapsAdjacent(t *testing.T) {
 			inOrder = false
 		}
 		prev = idx
+		bufpool.PutFrame(m)
 	}
 	if inOrder {
 		t.Fatal("Reorder=0.5 over 40 messages delivered everything in order")
@@ -171,9 +176,7 @@ func TestFailAfter(t *testing.T) {
 		if err := a.Send([]byte("ok")); err != nil {
 			t.Fatalf("send %d: %v", i, err)
 		}
-		if _, err := b.Recv(); err != nil {
-			t.Fatal(err)
-		}
+		recvOne(t, b)
 	}
 	if err := a.Send([]byte("doomed")); !errors.Is(err, ErrPartitioned) {
 		t.Fatalf("send past FailAfter: %v, want ErrPartitioned", err)
@@ -198,6 +201,7 @@ func TestDeterministicReplay(t *testing.T) {
 				break
 			}
 			out = append(out, string(m))
+			bufpool.PutFrame(m)
 		}
 		return out
 	}
@@ -223,9 +227,7 @@ func TestLatencyDelays(t *testing.T) {
 	if err := a.Send([]byte("slow")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.Recv(); err != nil {
-		t.Fatal(err)
-	}
+	recvOne(t, b)
 	if elapsed := time.Since(start); elapsed < 25*time.Millisecond {
 		t.Fatalf("latency fault not applied: %v", elapsed)
 	}
@@ -285,4 +287,15 @@ func TestWrapListener(t *testing.T) {
 	if string(m) == "server says" {
 		t.Fatal("accepted conn did not inherit scenario faults")
 	}
+	bufpool.PutFrame(m)
+}
+
+// recvOne receives one message and returns it to the pool.
+func recvOne(t *testing.T, c transport.Conn) {
+	t.Helper()
+	m, err := c.Recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bufpool.PutFrame(m)
 }

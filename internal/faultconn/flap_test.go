@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"mxn/internal/bufpool"
 	"mxn/internal/transport"
 )
 
@@ -17,9 +18,7 @@ func TestFlapAfterKillsConnAsClosed(t *testing.T) {
 		if err := fc.Send([]byte("ok")); err != nil {
 			t.Fatalf("Send %d before flap: %v", i, err)
 		}
-		if _, err := peer.Recv(); err != nil {
-			t.Fatalf("peer Recv %d: %v", i, err)
-		}
+		recvOne(t, peer)
 	}
 	err := fc.Send([]byte("doomed"))
 	if !errors.Is(err, ErrFlapped) {
@@ -88,7 +87,9 @@ func TestFlapListenerKeepsAccepting(t *testing.T) {
 						}
 						return
 					}
-					if err := c.Send(msg); err != nil && !errors.Is(err, transport.ErrClosed) {
+					err = c.Send(msg)
+					bufpool.PutFrame(msg)
+					if err != nil && !errors.Is(err, transport.ErrClosed) {
 						srvErr <- err
 						return
 					}
@@ -108,13 +109,12 @@ func TestFlapListenerKeepsAccepting(t *testing.T) {
 		if err := c.Send([]byte("ping")); err != nil {
 			t.Fatalf("gen %d: Send: %v", gen, err)
 		}
-		if _, err := c.Recv(); err != nil {
-			t.Fatalf("gen %d: echo: %v", gen, err)
-		}
+		recvOne(t, c)
 		// The second round trips the server conn's flap (recv count 2
 		// pushes total past 2 on send): the client sees the link die.
 		c.Send([]byte("ping"))
-		c.Recv()
+		m, _ := c.Recv()
+		bufpool.PutFrame(m)
 		c.Close()
 	}
 	select {

@@ -9,6 +9,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -89,8 +91,9 @@ func pipeFabric(t testing.TB, m, n int) fabric {
 
 // sessionFabric puts each cohort in its own world and couples the worlds
 // with ConnectPeer over one session over TCP whose physical connections
-// die after flapAfter messages. With lose set nobody answers the redial
-// and the session gives the peer up after a short budget.
+// die after flapAfter messages (never, when flapAfter is 0). With lose set
+// nobody answers the redial and the session gives the peer up after a
+// short budget.
 func sessionFabric(t testing.TB, m, n, flapAfter int, lose bool) fabric {
 	t.Helper()
 	cfg := session.Config{MaxAttempts: 50, MaxElapsed: 30 * time.Second, BaseBackoff: time.Millisecond,
@@ -102,7 +105,11 @@ func sessionFabric(t testing.TB, m, n, flapAfter int, lose bool) fabric {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lst := session.WrapListener(faultconn.WrapListener(raw, faultconn.Scenario{Seed: 7, FlapAfter: flapAfter}), cfg)
+	var inner transport.Listener = raw
+	if flapAfter > 0 {
+		inner = faultconn.WrapListener(raw, faultconn.Scenario{Seed: 7, FlapAfter: flapAfter})
+	}
+	lst := session.WrapListener(inner, cfg)
 	type accepted struct {
 		c   transport.Conn
 		err error
@@ -367,14 +374,17 @@ type pair22 struct {
 	field            [][]float64
 }
 
-func newPair22(t testing.TB, f fabric) *pair22 {
+func newPair22(t testing.TB, f fabric) *pair22 { return newPair22N(t, f, 64) }
+
+// newPair22N is newPair22 over a field of elems elements.
+func newPair22N(t testing.TB, f fabric, elems int) *pair22 {
 	t.Helper()
 	c := &pair22{iface: pathIface(t)}
 	var err error
-	if c.callerT, err = dad.NewTemplate([]int{64}, []dad.AxisDist{dad.CyclicAxis(2)}); err != nil {
+	if c.callerT, err = dad.NewTemplate([]int{elems}, []dad.AxisDist{dad.CyclicAxis(2)}); err != nil {
 		t.Fatal(err)
 	}
-	if c.calleeT, err = dad.NewTemplate([]int{64}, []dad.AxisDist{dad.BlockAxis(2)}); err != nil {
+	if c.calleeT, err = dad.NewTemplate([]int{elems}, []dad.AxisDist{dad.BlockAxis(2)}); err != nil {
 		t.Fatal(err)
 	}
 	for r := 0; r < 2; r++ {
@@ -694,4 +704,57 @@ func TestCallCollectiveSteadyStateAllocs(t *testing.T) {
 	close(ks)
 	c.closePorts(t)
 	wait()
+}
+
+// TestCallCollectiveRemoteSteadyStateAlloc is the remote counterpart: a
+// warm 2x2 inout collective call on a 64 KiB field between two worlds
+// coupled by ConnectPeer over a TCP session. Every frame is read into a
+// pooled buffer that the decoded message owns and unpacks from in place,
+// so a call allocates only its bookkeeping — reading frames into fresh
+// memory cost more than the field itself — and no payload is copied out
+// of a frame to align it.
+func TestCallCollectiveRemoteSteadyStateAlloc(t *testing.T) {
+	const budget = 32 << 10
+	obs.DisableTracing()
+	f := sessionFabric(t, 2, 2, 0, false)
+	c := newPair22N(t, f, 8192)
+	wait := c.serve()
+	k := 2.0
+	step := func() {
+		for i, err := range c.callBoth([2]float64{k, k}) {
+			if err != nil {
+				t.Fatalf("caller %d: %v", i, err)
+			}
+		}
+		k = 1 / k // keep the field finite
+	}
+	for i := 0; i < 10; i++ {
+		step() // warm the pool classes, plans and mailboxes
+	}
+	realigned := mRecvRealigned.Value()
+	// Bytes per call averaged over a batch, median over batches, so a
+	// batch that grows a pool class or shares the process with another
+	// test's winding-down goroutines does not decide the result.
+	per := make([]uint64, 7)
+	for b := range per {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < 3; i++ {
+			step()
+		}
+		runtime.ReadMemStats(&after)
+		per[b] = (after.TotalAlloc - before.TotalAlloc) / 3
+	}
+	slices.Sort(per)
+	perCall := per[len(per)/2]
+	t.Logf("remote 2x2 inout CallCollective on a 64 KiB field: %d bytes allocated per call", perCall)
+	if perCall > budget {
+		t.Errorf("warm remote collective call allocates %d bytes, budget %d", perCall, budget)
+	}
+	if got := mRecvRealigned.Value() - realigned; got != 0 {
+		t.Errorf("%d received payloads were copied to align them", got)
+	}
+	c.closePorts(t)
+	wait()
+	f.close()
 }

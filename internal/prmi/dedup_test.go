@@ -28,7 +28,6 @@ func newDedupHarness(t *testing.T, sc faultconn.Scenario) *dedupHarness {
 	t.Helper()
 	iface := matrixIface(t)
 	fc, peer := faultconn.Pipe(sc)
-	t.Cleanup(func() { fc.Close() })
 
 	h := &dedupHarness{done: make(chan struct{})}
 	ep := NewEndpoint(iface, NewConnLink([]transport.Conn{peer}, 0), 0, 1, 1)
@@ -44,7 +43,12 @@ func newDedupHarness(t *testing.T, sc faultconn.Scenario) *dedupHarness {
 		defer close(h.done)
 		ep.Serve()
 	}()
-	h.port = NewCallerPort(iface, NewConnLink([]transport.Conn{fc}, 0), 0, 1, Eager)
+	link := NewConnLink([]transport.Conn{fc}, 0)
+	t.Cleanup(func() {
+		fc.Close()
+		drainLink(link)
+	})
+	h.port = NewCallerPort(iface, link, 0, 1, Eager)
 	return h
 }
 
@@ -106,10 +110,12 @@ func recvReplyRaw(t *testing.T, c transport.Conn) reply {
 	if err != nil || m.kind() != msgReply {
 		t.Fatalf("expected a reply frame, got % x (%v)", raw, err)
 	}
+	defer m.Release()
 	var rep reply
 	if err := decodeReply(m, &rep); err != nil {
 		t.Fatal(err)
 	}
+	rep.msg, rep.simpleOut = nil, nil // views of the released frame
 	return rep
 }
 
@@ -343,8 +349,9 @@ func TestNextFromFailsFastOnDeadParticipant(t *testing.T) {
 // a blocking call whose target dies mid-wait returns the typed error
 // instead of hanging on a reply that will never come.
 func TestCallRankDownFailsFastMidWait(t *testing.T) {
-	a, _ := transport.Pipe()
+	a, b := transport.Pipe()
 	defer a.Close()
+	defer b.Close() // returns the unanswered call's frame
 	port := NewCallerPort(matrixIface(t), NewConnLink([]transport.Conn{a}, 0), 0, 1, Eager)
 	mem := core.NewMembership(1)
 	port.SetMembership(mem)

@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"mxn/internal/bufpool"
 	"mxn/internal/comm"
 	"mxn/internal/sidl"
 	"mxn/internal/transport"
@@ -105,9 +106,11 @@ func TestConnLinkPeerDeathSurfacesToCaller(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		// The callee consumes the call, then dies without replying.
-		if _, err := b.Recv(); err != nil {
+		m, err := b.Recv()
+		if err != nil {
 			t.Errorf("callee recv: %v", err)
 		}
+		bufpool.PutFrame(m)
 		b.Close()
 	}()
 	_, err := port.CallIndependent(0, "f", Simple("x", 1.0))
@@ -125,11 +128,17 @@ func TestCallerRejectsCorruptReply(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		if _, err := b.Recv(); err != nil {
+		m, err := b.Recv()
+		if err != nil {
 			return
 		}
+		bufpool.PutFrame(m)
 		// Reply with a valid src prefix and framing but a corrupt head.
-		b.Send([]byte{0, 0, 0, 0, 3, msgReply, 0xDE, 0xAD, 0})
+		var frame wire.Encoder
+		frame.PutUvarint(0)
+		frame.PutBytes([]byte{msgReply, 0xDE, 0xAD})
+		frame.PutBytesRef(nil)
+		b.Send(frame.Bytes())
 	}()
 	_, err := port.CallIndependent(0, "f", Simple("x", 1.0))
 	if err == nil {
@@ -137,10 +146,11 @@ func TestCallerRejectsCorruptReply(t *testing.T) {
 	}
 	wg.Wait()
 	a.Close()
+	b.Close()
 }
 
 func TestMeshShortFrame(t *testing.T) {
-	// A frame shorter than the rank prefix must error, not panic.
+	// A frame cut short inside its header must error, not panic.
 	a, b := transport.Pipe()
 	defer a.Close()
 	link := NewConnLink([]transport.Conn{b}, 0)
@@ -156,7 +166,7 @@ func TestIndependentCallTimesOutTyped(t *testing.T) {
 	iface := simpleIface(t)
 	a, b := transport.Pipe()
 	defer a.Close()
-	_ = b // callee never answers
+	defer b.Close() // callee never answers; closing returns the calls
 	port := NewCallerPort(iface, NewConnLink([]transport.Conn{a}, 0), 0, 1, Eager)
 	port.SetRetryPolicy(RetryPolicy{Timeout: 50 * time.Millisecond})
 	start := time.Now()
@@ -208,7 +218,7 @@ func TestIndependentCallExhaustsRetries(t *testing.T) {
 	iface := simpleIface(t)
 	a, b := transport.Pipe()
 	defer a.Close()
-	_ = b
+	defer b.Close()
 	port := NewCallerPort(iface, NewConnLink([]transport.Conn{a}, 0), 0, 1, Eager)
 	port.SetRetryPolicy(RetryPolicy{Timeout: 20 * time.Millisecond, MaxAttempts: 3, Backoff: time.Millisecond, BackoffCap: 2 * time.Millisecond})
 	_, err := port.CallIndependent(0, "f", Simple("x", 1.0))
@@ -253,18 +263,25 @@ func TestStaleReplyDiscarded(t *testing.T) {
 		if err != nil {
 			return
 		}
-		// The sequence number follows the frame's rank prefix, the head's
-		// length prefix and the kind byte.
-		seq1 := wire.NewDecoder(raw1[6:]).Uint64()
-		seq2 := wire.NewDecoder(raw2[6:]).Uint64()
+		// The sequence number follows the kind byte of the head, which
+		// follows the frame's rank prefix.
+		seqOf := func(raw []byte) uint64 {
+			defer bufpool.PutFrame(raw)
+			d := wire.NewDecoder(raw)
+			d.Uvarint()
+			return wire.NewDecoder(d.BorrowBytes()[1:]).Uint64()
+		}
+		seq1, seq2 := seqOf(raw1), seqOf(raw2)
 		for _, r := range []struct {
 			seq uint64
 			ret float64
 		}{{seq1, -1}, {seq2, 42}} {
-			var e wire.Encoder
+			var e, frame wire.Encoder
 			putReplyHead(&e, r.seq, 0, &replyMsg{ret: r.ret})
-			frame := append([]byte{0, 0, 0, 0, byte(e.Len())}, e.Bytes()...)
-			b.Send(append(frame, 0))
+			frame.PutUvarint(0)
+			frame.PutBytes(e.Bytes())
+			frame.PutBytesRef(nil)
+			b.Send(frame.Bytes())
 		}
 	}()
 	res, err := port.CallIndependent(0, "f", Simple("x", 1.0))

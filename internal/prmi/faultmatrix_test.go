@@ -54,7 +54,6 @@ func newMatrixHarness(t *testing.T, sc faultconn.Scenario) *matrixHarness {
 	t.Helper()
 	iface := matrixIface(t)
 	fc, peer := faultconn.Pipe(sc)
-	t.Cleanup(func() { fc.Close() })
 
 	h := &matrixHarness{fc: fc, done: make(chan struct{})}
 	go func() {
@@ -70,13 +69,31 @@ func newMatrixHarness(t *testing.T, sc faultconn.Scenario) *matrixHarness {
 		ep.Serve()
 	}()
 
-	h.port = NewCallerPort(iface, NewConnLink([]transport.Conn{fc}, 0), 0, 1, Eager)
+	link := NewConnLink([]transport.Conn{fc}, 0)
+	t.Cleanup(func() {
+		fc.Close()
+		drainLink(link)
+	})
+	h.port = NewCallerPort(iface, link, 0, 1, Eager)
 	h.port.SetRetryPolicy(RetryPolicy{
 		Timeout:     150 * time.Millisecond,
 		MaxAttempts: 2,
 		Backoff:     5 * time.Millisecond,
 	})
 	return h
+}
+
+// drainLink releases the messages a link whose connections are closed
+// still holds — duplicates and stale replies nobody asked for — up to the
+// error its pump reports on the way out.
+func drainLink(l Link) {
+	for {
+		_, m, err := l.Recv(time.Second)
+		if err != nil {
+			return
+		}
+		m.Release()
+	}
 }
 
 // boundedCall runs call with a hard termination deadline; a hang fails the

@@ -35,6 +35,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -162,11 +163,12 @@ func AsMsg(payload any) (*Msg, error) {
 }
 
 // connLink is a mesh of transport connections, one per peer rank: the
-// genuinely distributed deployment. Each frame is the sender's rank (4
-// bytes, so the peer can attribute it), the length-prefixed head and the
-// length-prefixed payload; a pump goroutine per connection funnels
-// received messages into one queue so Recv can present a single stream.
-// No coordinator serializes traffic: each pairwise connection is its own.
+// genuinely distributed deployment. Each frame is the sender's rank (a
+// uvarint, so the peer can attribute it), the length-prefixed head and the
+// aligned payload (Msg.putPayload); a pump goroutine per connection
+// funnels received messages into one queue so Recv can present a single
+// stream. No coordinator serializes traffic: each pairwise connection is
+// its own.
 type connLink struct {
 	conns  []transport.Conn
 	myRank int
@@ -198,37 +200,40 @@ func (l *connLink) Send(peerRank int, m *Msg) error {
 		m.Release()
 		return fmt.Errorf("prmi: peer rank %d outside mesh of %d", peerRank, len(l.conns))
 	}
-	frame := bufpool.Get(4 + 2*binary.MaxVarintLen64 + len(m.head) + len(m.payload))[:4]
-	binary.LittleEndian.PutUint32(frame, uint32(l.myRank))
-	frame = binary.AppendUvarint(frame, uint64(len(m.head)))
-	frame = append(frame, m.head...)
-	frame = binary.AppendUvarint(frame, uint64(len(m.payload)))
-	var err error
-	if owned, ok := l.conns[peerRank].(transport.OwnedSender); ok && m.ownPayload && len(m.payload) > 0 {
-		payload := m.payload
-		m.payload = nil
-		err = owned.SendOwned(frame, payload)
+	conn := l.conns[peerRank]
+	owned, _ := conn.(transport.OwnedSender)
+	buf := bufpool.Get(3*binary.MaxVarintLen64 + 7 + len(m.head) + len(m.payload))
+	var e *wire.Encoder
+	if owned != nil {
+		e = wire.NewEncoderV(buf[:0])
 	} else {
-		frame = append(frame, m.payload...)
-		err = l.conns[peerRank].Send(frame)
+		e = wire.NewEncoder(buf[:0])
 	}
-	bufpool.Put(frame)
+	e.PutUvarint(uint64(l.myRank))
+	e.PutBytes(m.head)
+	m.putPayload(e)
 	m.Release()
+	var err error
+	if head, payload := e.Vector(); payload != nil {
+		err = owned.SendOwned(head, payload)
+	} else {
+		err = conn.Send(head)
+	}
+	bufpool.Put(buf)
 	return err
 }
 
 // parseFrame splits a received frame into the sender's rank and a message
-// viewing the frame's bytes.
+// viewing the frame's bytes, which takes the frame over.
 func parseFrame(frame []byte) (int, *Msg, error) {
-	if len(frame) < 4 {
-		return 0, nil, fmt.Errorf("prmi: short frame of %d bytes", len(frame))
+	d := wire.NewDecoder(frame)
+	src := d.Uvarint()
+	head, payload := d.BorrowBytes(), d.BorrowBytesRef()
+	if d.Err() != nil || src > math.MaxInt32 {
+		bufpool.PutFrame(frame)
+		return 0, nil, fmt.Errorf("prmi: corrupt frame: %w", wire.ErrCorrupt)
 	}
-	d := wire.NewDecoder(frame[4:])
-	head, payload := d.BorrowBytes(), d.BorrowBytes()
-	if d.Err() != nil {
-		return 0, nil, fmt.Errorf("prmi: corrupt frame: %w", d.Err())
-	}
-	return int(binary.LittleEndian.Uint32(frame)), &Msg{head: head, payload: payload}, nil
+	return int(src), &Msg{head: head, payload: payload, frame: frame}, nil
 }
 
 func (l *connLink) start() {

@@ -32,11 +32,12 @@ const (
 // takes it over, Link.Recv hands it out, the final holder calls Release.
 //
 // A message built in this process owns bufpool buffers for both parts; one
-// decoded from a connection holds views of the received frame instead, so
-// element bytes are not copied on the way in unless elems must re-align.
+// decoded from a connection holds views of the received frame and owns the
+// frame instead, so element bytes are not copied on the way in.
 type Msg struct {
 	head, payload       []byte
 	ownHead, ownPayload bool
+	frame               []byte // received frame head and payload view, or nil
 }
 
 // newMsg builds an owned message: head is copied into a right-sized pooled
@@ -62,6 +63,7 @@ func (m *Msg) Release() {
 	if m.ownPayload {
 		bufpool.Put(m.payload)
 	}
+	bufpool.PutFrame(m.frame)
 	*m = Msg{}
 }
 
@@ -74,15 +76,16 @@ func (m *Msg) kind() byte {
 }
 
 // elems returns n packed float64 elements starting at byte offset off of
-// the payload. Reinterpreting bytes as float64 needs 8-byte alignment, and
-// a view of a received frame starts wherever the frame's headers ended: a
-// misaligned payload is moved once into a pooled buffer the message then
-// owns — the only copy between the socket and unpack.
+// the payload. Reinterpreting bytes as float64 needs 8-byte alignment;
+// both wire encodings of a message align the payload (PutBytesRef), so a
+// view of a received frame qualifies, and a misaligned payload — which no
+// Link produces — is moved once into a pooled buffer the message then owns.
 func (m *Msg) elems(off, n int) []float64 {
 	if n == 0 {
 		return nil
 	}
 	if uintptr(unsafe.Pointer(unsafe.SliceData(m.payload)))%8 != 0 {
+		mRecvRealigned.Inc()
 		aligned := bufpool.Get(len(m.payload))
 		copy(aligned, m.payload)
 		if m.ownPayload {
@@ -105,31 +108,45 @@ func init() {
 }
 
 // encodeRemoteMsg puts a message on a ConnectPeer link and retires it:
-// the head is copied into the frame header, the payload is the final
-// field and, on a borrowing encoder, is lent to the connection (a session
-// keeps it by reference until the peer acknowledges the frame).
+// the head is copied into the frame header, and the payload is the final,
+// aligned field (putPayload).
 func encodeRemoteMsg(e *wire.Encoder, v any) bool {
 	m, ok := v.(*Msg)
 	if !ok {
 		return false
 	}
 	e.PutBytes(m.head)
-	if e.Borrowing() && m.ownPayload && len(m.payload) > 0 {
-		e.PutBytesRef(m.payload)
-		m.payload = nil
-	} else {
-		e.PutBytes(m.payload)
-	}
+	m.putPayload(e)
 	m.Release()
 	return true
 }
 
+// putPayload writes the payload with PutBytesRef, the encoding that
+// starts it 8-byte aligned so the receiver can unpack it in place. A
+// borrowing encoder is lent a pooled buffer, which the connection returns
+// to the pool: the message's own payload, detached here, or a pooled copy
+// of a payload the message only views.
+func (m *Msg) putPayload(e *wire.Encoder) {
+	p := m.payload
+	if e.Borrowing() && len(p) > 0 {
+		if m.ownPayload {
+			m.payload = nil
+		} else {
+			p = bufpool.Get(len(m.payload))
+			copy(p, m.payload)
+		}
+	}
+	e.PutBytesRef(p)
+}
+
+// decodeRemoteMsg rebuilds a message viewing head and payload in the
+// received frame, which it keeps: Release returns it.
 func decodeRemoteMsg(d *wire.Decoder) (any, error) {
-	head, payload := d.BorrowBytes(), d.BorrowBytes()
+	head, payload := d.BorrowBytes(), d.BorrowBytesRef()
 	if d.Err() != nil {
 		return nil, fmt.Errorf("prmi: corrupt remote message: %w", d.Err())
 	}
-	return &Msg{head: head, payload: payload}, nil
+	return &Msg{head: head, payload: payload, frame: d.Keep()}, nil
 }
 
 // getSimple decodes a simple-value section (count, then name and value of

@@ -99,6 +99,11 @@ func (f fixture) run(t *testing.T, caller func(t *testing.T, p *CallerPort, coho
 		}(i)
 	}
 	wg.Wait()
+	// A callee whose Serve failed leaves its callers' last messages queued;
+	// killing the ranks releases them to the pool.
+	for r := 0; r < f.M+f.N; r++ {
+		world.Kill(r)
+	}
 	return serveErrs
 }
 
@@ -722,6 +727,10 @@ func TestFigure5(t *testing.T) {
 		select {
 		case <-callersDone:
 		case <-time.After(2 * time.Second):
+		}
+		// Release what the stalled endpoint left queued.
+		for r := 0; r < 4; r++ {
+			world.Kill(r)
 		}
 		return serveErr, callErrs
 	}

@@ -32,13 +32,18 @@ import (
 // receiver-driven replies; it is nil on schedule-driven messages.
 //
 // Messages are pooled: senders obtain one with newMsg, receivers return it
-// with recycle after unpacking. Messages dropped in transit (sends to dead
-// ranks) are simply collected by the GC.
+// with recycle after unpacking. A message comm drops in transit (a dead
+// end of the pair, a mailbox emptied by Kill, a torn-down remote peer) is
+// recycled through Release, the comm.Releaser hook.
 type xferMsg struct {
 	epoch uint64
 	kind  dad.ElemKind
 	elems int
 	data  []byte
+	// frame, when non-nil, is the received frame a remote message was
+	// decoded from: data views the elements in place and recycle returns
+	// the frame to the pool instead of data.
+	frame []byte
 	have  linear.Set
 	// ack marks a credit message of a budgeted transfer: no data, sent
 	// back to a chunk's sender on the same data tag after the chunk is
@@ -156,10 +161,18 @@ func recycle(m *xferMsg) {
 		return
 	}
 	bytesInFlight.Add(-int64(len(m.data)))
-	bufpool.Put(m.data)
+	if m.frame != nil {
+		bufpool.PutFrame(m.frame)
+	} else {
+		bufpool.Put(m.data)
+	}
 	*m = xferMsg{}
 	putMsg(m)
 }
+
+// Release implements comm.Releaser: a message comm discards instead of
+// delivering is recycled like a consumed one.
+func (m *xferMsg) Release() { recycle(m) }
 
 func putMsg(m *xferMsg) {
 	msgPool.mu.Lock()

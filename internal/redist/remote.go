@@ -16,11 +16,13 @@ package redist
 
 import (
 	"fmt"
+	"unsafe"
 
 	"mxn/internal/bufpool"
 	"mxn/internal/comm"
 	"mxn/internal/dad"
 	"mxn/internal/linear"
+	"mxn/internal/obs"
 	"mxn/internal/wire"
 )
 
@@ -34,12 +36,14 @@ func init() {
 // wire is the receiver — recycling here balances the newMsg accounting
 // exactly as the far side's decode re-opens it.
 //
-// The element bytes are the final field so that, on a borrow-mode
-// encoder (an OwnedSender connection), they can leave the process as a
-// borrowed payload segment instead of being copied into the frame
-// encoding: ownership of the pooled data buffer passes to the
-// connection, which returns it to the pool once the peer has
-// acknowledged the frame. The wire bytes are identical either way.
+// The element bytes are the final field, written with PutBytesRef, so
+// that on a borrow-mode encoder (an OwnedSender connection) they leave the
+// process as a borrowed payload segment instead of being copied into the
+// frame encoding: ownership of the pooled data buffer passes to the
+// connection, which returns it to the pool once the peer has acknowledged
+// the frame. The wire bytes are identical either way, and the elements
+// start 8-byte aligned in them, which is what lets the far side unpack
+// straight from the received frame.
 func encodeXferMsg(e *wire.Encoder, v any) bool {
 	m, ok := v.(*xferMsg)
 	if !ok {
@@ -50,27 +54,37 @@ func encodeXferMsg(e *wire.Encoder, v any) bool {
 	e.PutUvarint(uint64(m.elems))
 	e.PutBool(m.ack)
 	putLinearSet(e, m.have)
-	if e.Borrowing() && m.done == nil && len(m.data) > 0 {
-		// Lend the pooled payload to the connection instead of copying:
-		// detach it before recycle (which must not Put it) and close the
-		// in-flight accounting here, exactly where the copying path's
-		// recycle would.
-		data := m.data
-		m.data = nil
-		bytesInFlight.Add(-int64(len(data)))
-		recycle(m)
-		e.PutBytesRef(data)
-		return true
+	data := m.data
+	if e.Borrowing() && len(data) > 0 {
+		if m.done == nil && m.frame == nil {
+			// Lend the message's own pooled buffer: detach it before
+			// recycle (which must not Put it) and close the in-flight
+			// accounting here, exactly where the copying path's recycle
+			// would.
+			m.data = nil
+			bytesInFlight.Add(-int64(len(data)))
+		} else {
+			// A view — a zero-copy source slice that raced its way to a
+			// remote peer, or a received frame — is never lent across the
+			// process boundary: lend a pooled copy of it.
+			data = bufpool.Get(len(m.data))
+			copy(data, m.data)
+		}
 	}
-	// Copying path: plain encoders, and the defensive case of a borrowed
-	// source view (m.done != nil) that raced its way to a remote peer —
-	// the view's bytes are copied so the caller's slice is never lent
-	// across the process boundary.
-	e.PutBytes(m.data)
+	e.PutBytesRef(data)
 	recycle(m)
 	return true
 }
 
+// mRecvRealigned counts received payloads that could not be unpacked from
+// the frame in place because their elements did not start 8-byte aligned
+// and had to be copied out first. The wire format aligns them, so on
+// every transport the count stays zero.
+var mRecvRealigned = obs.Default().Counter("redist.recv_realigned")
+
+// decodeXferMsg rebuilds a transfer message that views its elements in
+// the received frame and owns the frame (recycle returns it), so no
+// payload byte is copied between the socket and unpack.
 func decodeXferMsg(d *wire.Decoder) (any, error) {
 	m := getMsg()
 	m.epoch = d.Uint64()
@@ -78,19 +92,21 @@ func decodeXferMsg(d *wire.Decoder) (any, error) {
 	m.elems = int(d.Uvarint())
 	m.ack = d.Bool()
 	m.have = getLinearSet(d)
-	// Borrow the payload view from the frame buffer — the copy below is
-	// the only one on the receive path (Decoder.Bytes would add a second).
-	raw := d.BorrowBytes()
+	raw := d.BorrowBytesRef()
 	if d.Err() != nil {
 		// m.data is still nil here, so recycle is pure pool bookkeeping.
 		recycle(m)
 		return nil, fmt.Errorf("redist: corrupt remote transfer message: %w", d.Err())
 	}
-	// Copy the payload out of the frame buffer into a pooled buffer, so
-	// the receiver's recycle returns a proper size-classed buffer and the
-	// in-flight accounting opened here is closed there.
-	m.data = bufpool.Get(len(raw))
-	copy(m.data, raw)
+	switch {
+	case len(raw) == 0:
+	case uintptr(unsafe.Pointer(unsafe.SliceData(raw)))%8 == 0:
+		m.frame, m.data = d.Keep(), raw
+	default:
+		mRecvRealigned.Inc()
+		m.data = bufpool.Get(len(raw))
+		copy(m.data, raw)
+	}
 	addInFlight(len(m.data))
 	return m, nil
 }

@@ -267,8 +267,8 @@ func TestZeroCopySelfSendAliased(t *testing.T) {
 
 // TestXferMsgCodecBorrowBitIdentical: the borrow-mode encode of a
 // transfer message splits into header+payload whose concatenation is
-// bit-identical to the legacy single-buffer encode, and the decode of
-// either does not alias the frame buffer.
+// bit-identical to the single-buffer encode, and the decode views the
+// payload in place in the received frame, 8-byte aligned.
 func TestXferMsgCodecBorrowBitIdentical(t *testing.T) {
 	build := func() *xferMsg {
 		m := getMsg()
@@ -305,10 +305,14 @@ func TestXferMsgCodecBorrowBitIdentical(t *testing.T) {
 	}
 	bufpool.Put(data) // ownership passed to us (standing in for the conn)
 
-	// Decode from a frame buffer, then scribble over the buffer: the
-	// message must hold its own copy.
-	frame := append([]byte(nil), legacy...)
-	v, err := decodeXferMsg(wire.NewDecoder(frame))
+	// Decoded from a pooled frame, the message views its elements in the
+	// frame, aligned, and owns the frame: recycle returns it.
+	frames := bufpool.FramesOutstanding()
+	realigned := mRecvRealigned.Value()
+	frame := bufpool.GetFrame(len(legacy))
+	copy(frame, legacy)
+	d := wire.NewDecoder(frame)
+	v, err := decodeXferMsg(d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,12 +323,27 @@ func TestXferMsgCodecBorrowBitIdentical(t *testing.T) {
 	if len(m.have) != 1 || m.have[0] != (linear.Interval{Lo: 2, Hi: 6}) {
 		t.Fatalf("decoded have: %v", m.have)
 	}
-	want := append([]byte(nil), m.data...)
-	for i := range frame {
-		frame[i] = 0xFF
+	if !d.Kept() || !bytes.Equal(m.data, legacy[len(head):]) || &m.data[0] != &frame[len(head)] {
+		t.Fatal("decoded payload does not view the frame in place")
 	}
-	if !bytes.Equal(m.data, want) {
-		t.Fatal("decoded payload aliases the frame buffer")
+	if !alignedFor(elemsOf[float64](m.data, m.elems)) {
+		t.Fatal("decoded payload view is not 8-byte aligned")
+	}
+	recycle(m)
+	if got := bufpool.FramesOutstanding() - frames; got != 0 {
+		t.Fatalf("%d frames outstanding after recycle", got)
+	}
+
+	// A view the wire format did not align (a decoder over an odd offset)
+	// is copied out once, counted, and leaves the frame to its creator.
+	odd := append([]byte{0}, legacy...)
+	d = wire.NewDecoder(odd[1:])
+	if v, err = decodeXferMsg(d); err != nil {
+		t.Fatal(err)
+	}
+	m = v.(*xferMsg)
+	if d.Kept() || !bytes.Equal(m.data, legacy[len(head):]) || mRecvRealigned.Value()-realigned != 1 {
+		t.Fatal("misaligned payload was not copied out exactly once")
 	}
 	recycle(m)
 }

@@ -1,13 +1,19 @@
 // Session frame codec. Every message a session.Conn puts on the inner
-// transport is one of five frames, distinguished by a leading kind byte
-// with fixed little-endian headers — no varints, so the data header can be
-// written in place into a pooled buffer without measuring first.
+// transport is one of five frames. The fixed fields are a trailer ending
+// in the kind byte — little-endian, no varints, so the data trailer can be
+// written in place into a pooled buffer without measuring first — and any
+// variable-length part comes first:
 //
-//	hello   [kind u8][session id u64][last delivered u64][flags u8]
-//	welcome [kind u8][session id u64][last delivered u64]
-//	reject  [kind u8][session id u64][reason bytes...]
-//	data    [kind u8][seq u64][ack u64][payload bytes...]
-//	ack     [kind u8][ack u64]
+//	hello   [session id u64][last delivered u64][flags u8][kind u8]
+//	welcome [session id u64][last delivered u64][kind u8]
+//	reject  [reason bytes...][session id u64][kind u8]
+//	data    [payload bytes...][seq u64][ack u64][kind u8]
+//	ack     [ack u64][kind u8]
+//
+// Because the payload leads, a received data frame's payload is a prefix
+// of the frame buffer the transport handed up: the session passes the
+// frame on to its own receiver without copying, and that receiver returns
+// it to the pool like any other frame (bufpool.PutFrame accepts a prefix).
 //
 // hello flows dialer→listener as the first frame of every physical
 // connection; welcome (or reject) is the listener's sole reply before data
@@ -34,11 +40,11 @@ const (
 )
 
 const (
-	helloLen   = 1 + 8 + 8 + 1
-	welcomeLen = 1 + 8 + 8
-	rejectMin  = 1 + 8
-	dataHdrLen = 1 + 8 + 8
-	ackLen     = 1 + 8
+	helloLen       = 8 + 8 + 1 + 1
+	welcomeLen     = 8 + 8 + 1
+	rejectMin      = 8 + 1
+	dataTrailerLen = 8 + 8 + 1
+	ackLen         = 8 + 1
 
 	// flagResume marks a hello that resumes an established session (as
 	// opposed to opening a new one). A listener that does not know the
@@ -58,7 +64,7 @@ type frame struct {
 	seq     uint64 // data
 	ack     uint64 // data, ack; hello/welcome: last delivered
 	resume  bool   // hello
-	payload []byte // data payload; reject reason
+	payload []byte // data payload (a prefix of the input); reject reason
 }
 
 // decodeFrame parses one session frame. It never panics and never
@@ -67,19 +73,19 @@ func decodeFrame(b []byte) (frame, error) {
 	if len(b) == 0 {
 		return frame{}, fmt.Errorf("%w: empty", ErrBadFrame)
 	}
-	switch b[0] {
+	switch kind := b[len(b)-1]; kind {
 	case kindHello:
 		if len(b) != helloLen {
 			return frame{}, fmt.Errorf("%w: hello length %d", ErrBadFrame, len(b))
 		}
-		if b[17]&^flagResume != 0 {
-			return frame{}, fmt.Errorf("%w: unknown hello flags %#02x", ErrBadFrame, b[17])
+		if b[16]&^flagResume != 0 {
+			return frame{}, fmt.Errorf("%w: unknown hello flags %#02x", ErrBadFrame, b[16])
 		}
 		return frame{
 			kind:   kindHello,
-			id:     binary.LittleEndian.Uint64(b[1:]),
-			ack:    binary.LittleEndian.Uint64(b[9:]),
-			resume: b[17]&flagResume != 0,
+			id:     binary.LittleEndian.Uint64(b),
+			ack:    binary.LittleEndian.Uint64(b[8:]),
+			resume: b[16]&flagResume != 0,
 		}, nil
 	case kindWelcome:
 		if len(b) != welcomeLen {
@@ -87,75 +93,76 @@ func decodeFrame(b []byte) (frame, error) {
 		}
 		return frame{
 			kind: kindWelcome,
-			id:   binary.LittleEndian.Uint64(b[1:]),
-			ack:  binary.LittleEndian.Uint64(b[9:]),
+			id:   binary.LittleEndian.Uint64(b),
+			ack:  binary.LittleEndian.Uint64(b[8:]),
 		}, nil
 	case kindReject:
 		if len(b) < rejectMin {
 			return frame{}, fmt.Errorf("%w: reject length %d", ErrBadFrame, len(b))
 		}
+		n := len(b) - rejectMin
 		return frame{
 			kind:    kindReject,
-			id:      binary.LittleEndian.Uint64(b[1:]),
-			payload: b[rejectMin:],
+			id:      binary.LittleEndian.Uint64(b[n:]),
+			payload: b[:n],
 		}, nil
 	case kindData:
-		if len(b) < dataHdrLen {
+		if len(b) < dataTrailerLen {
 			return frame{}, fmt.Errorf("%w: data length %d", ErrBadFrame, len(b))
 		}
+		n := len(b) - dataTrailerLen
 		return frame{
 			kind:    kindData,
-			seq:     binary.LittleEndian.Uint64(b[1:]),
-			ack:     binary.LittleEndian.Uint64(b[9:]),
-			payload: b[dataHdrLen:],
+			seq:     binary.LittleEndian.Uint64(b[n:]),
+			ack:     binary.LittleEndian.Uint64(b[n+8:]),
+			payload: b[:n],
 		}, nil
 	case kindAck:
 		if len(b) != ackLen {
 			return frame{}, fmt.Errorf("%w: ack length %d", ErrBadFrame, len(b))
 		}
-		return frame{kind: kindAck, ack: binary.LittleEndian.Uint64(b[1:])}, nil
+		return frame{kind: kindAck, ack: binary.LittleEndian.Uint64(b)}, nil
 	default:
-		return frame{}, fmt.Errorf("%w: unknown kind %#02x", ErrBadFrame, b[0])
+		return frame{}, fmt.Errorf("%w: unknown kind %#02x", ErrBadFrame, kind)
 	}
 }
 
 // encodeHello appends a hello frame to dst.
 func encodeHello(dst []byte, id, delivered uint64, resume bool) []byte {
-	dst = append(dst, kindHello)
 	dst = binary.LittleEndian.AppendUint64(dst, id)
 	dst = binary.LittleEndian.AppendUint64(dst, delivered)
 	var flags byte
 	if resume {
 		flags |= flagResume
 	}
-	return append(dst, flags)
+	return append(dst, flags, kindHello)
 }
 
 // encodeWelcome appends a welcome frame to dst.
 func encodeWelcome(dst []byte, id, delivered uint64) []byte {
-	dst = append(dst, kindWelcome)
 	dst = binary.LittleEndian.AppendUint64(dst, id)
-	return binary.LittleEndian.AppendUint64(dst, delivered)
+	dst = binary.LittleEndian.AppendUint64(dst, delivered)
+	return append(dst, kindWelcome)
 }
 
 // encodeReject appends a reject frame to dst.
 func encodeReject(dst []byte, id uint64, reason string) []byte {
-	dst = append(dst, kindReject)
+	dst = append(dst, reason...)
 	dst = binary.LittleEndian.AppendUint64(dst, id)
-	return append(dst, reason...)
+	return append(dst, kindReject)
 }
 
-// putDataHeader writes the data frame header into buf[:dataHdrLen]; the
-// payload follows in the same buffer. In-place so the send path can fill a
-// pooled buffer without a second copy or an allocation.
-func putDataHeader(buf []byte, seq, ack uint64) {
-	buf[0] = kindData
-	binary.LittleEndian.PutUint64(buf[1:], seq)
-	binary.LittleEndian.PutUint64(buf[9:], ack)
+// putDataTrailer writes the data frame trailer into buf[:dataTrailerLen];
+// the payload precedes it. In-place so the send path can fill a pooled
+// buffer without a second copy or an allocation.
+func putDataTrailer(buf []byte, seq, ack uint64) {
+	binary.LittleEndian.PutUint64(buf, seq)
+	binary.LittleEndian.PutUint64(buf[8:], ack)
+	buf[16] = kindData
 }
 
 // putAck writes an ack frame into buf[:ackLen].
 func putAck(buf []byte, ack uint64) {
-	buf[0] = kindAck
-	binary.LittleEndian.PutUint64(buf[1:], ack)
+	binary.LittleEndian.PutUint64(buf, ack)
+	buf[8] = kindAck
 }

@@ -6,8 +6,10 @@ package session
 
 import (
 	"context"
+	"errors"
 	"sync"
 
+	"mxn/internal/bufpool"
 	"mxn/internal/transport"
 )
 
@@ -125,6 +127,7 @@ func (l *Listener) handshake(raw transport.Conn) {
 		return
 	}
 	f, err := decodeFrame(msg)
+	bufpool.PutFrame(msg) // a hello carries nothing f does not hold
 	if err != nil || f.kind != kindHello {
 		raw.Close()
 		return
@@ -146,10 +149,24 @@ func (l *Listener) handshake(raw transport.Conn) {
 			l.remove(f.id)
 			return
 		}
-		if err := c.installConn(raw, f.ack); err != nil {
+		// A resume of this session attaches only after the first install
+		// is over, whichever way it went.
+		c.attachMu.Lock()
+		err := c.installConn(raw, f.ack)
+		c.attachMu.Unlock()
+		if err != nil {
 			raw.Close()
-			l.remove(f.id)
-			return
+			if errors.Is(err, errSessionStopped) {
+				l.remove(f.id)
+				return
+			}
+			// The link died before its promotion, but the peer holds its
+			// welcome and will resume: the session stands, down, until the
+			// resume attaches or its window closes.
+			c.mu.Lock()
+			gen := c.gen
+			c.mu.Unlock()
+			c.armResumeDeadline(gen, err)
 		}
 		c.mu.Lock()
 		c.counted = true

@@ -1,0 +1,9 @@
+package session
+
+import (
+	"testing"
+
+	"mxn/internal/bufpool/pooltest"
+)
+
+func TestMain(m *testing.M) { pooltest.Main(m) }

@@ -82,6 +82,7 @@ func TestSendOwnedRoundTrip(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Fatalf("echo %d: got % x want % x", i, got, want)
 		}
+		bufpool.PutFrame(got)
 	}
 	// Close both ends: teardown must free whatever the asynchronous ack
 	// stream had not yet released.
@@ -122,6 +123,7 @@ func TestSendOwnedReplayAcrossFlap(t *testing.T) {
 				recvErr <- fmt.Errorf("echo %d corrupted", i)
 				return
 			}
+			bufpool.PutFrame(got)
 		}
 		recvErr <- nil
 	}()

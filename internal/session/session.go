@@ -171,39 +171,46 @@ func (c Config) withDefaults() Config {
 }
 
 // replayEntry is one unacknowledged sent frame, keyed by its sequence
-// number. hdr is a pooled buffer holding the session data header plus
-// any caller head bytes; data, when non-nil, is a pooled payload buffer
-// retained by reference (SendOwned) rather than re-copied into the
-// frame. The frame's wire bytes are hdr ++ data. Both buffers return to
-// the pool exactly once, when the peer's cumulative ack covers the entry
-// or the session tears down.
+// number. own is a pooled buffer holding the message (Send) or the
+// caller's head bytes (SendOwned), followed by the data trailer; data,
+// when non-nil, is a pooled payload buffer retained by reference
+// (SendOwned) rather than re-copied into the frame. The frame's wire bytes
+// are own's message part, then data, then own's trailer. Both buffers
+// return to the pool exactly once, when the peer's cumulative ack covers
+// the entry or the session tears down.
 type replayEntry struct {
 	seq  uint64
-	hdr  []byte
+	own  []byte
 	data []byte
 }
 
 // size is the entry's contribution to the replay-byte budget.
-func (e replayEntry) size() int { return len(e.hdr) + len(e.data) }
+func (e replayEntry) size() int { return len(e.own) + len(e.data) }
 
-// replayRing is a fixed-capacity circular queue of replay entries,
-// allocated once at session construction so steady-state pushes and pops
-// never allocate.
+// replayRing is a circular queue of replay entries. It starts small and
+// doubles when full — flow control bounds its depth at MaxReplayFrames —
+// so a session holds memory for the depth it reaches rather than for its
+// bound, and once there, pushes and pops never allocate.
 type replayRing struct {
 	ents []replayEntry
 	head int // index of the oldest entry
 	n    int
 }
 
-func (r *replayRing) init(capacity int) { r.ents = make([]replayEntry, capacity) }
-func (r *replayRing) len() int          { return r.n }
+func (r *replayRing) len() int { return r.n }
 
 // at returns the i-th oldest entry.
 func (r *replayRing) at(i int) replayEntry { return r.ents[(r.head+i)%len(r.ents)] }
 
-// push appends an entry; the caller guarantees space (flow control blocks
-// Send before the ring fills).
+// push appends an entry, growing the ring when it is full.
 func (r *replayRing) push(e replayEntry) {
+	if r.n == len(r.ents) {
+		ents := make([]replayEntry, max(16, 2*len(r.ents)))
+		for i := 0; i < r.n; i++ {
+			ents[i] = r.at(i)
+		}
+		r.ents, r.head = ents, 0
+	}
 	r.ents[(r.head+r.n)%len(r.ents)] = e
 	r.n++
 }
@@ -265,6 +272,8 @@ type Conn struct {
 
 	// Receiver state. lastDelivered is the cumulative acknowledgement we
 	// owe the peer: the highest in-order sequence enqueued to the inbox.
+	// The inbox holds received frames (prefixes of the transport's pooled
+	// frames) until Recv hands them out or Close returns them.
 	lastDelivered uint64
 	recvSinceAck  int
 	bytesSinceAck int
@@ -296,7 +305,6 @@ func newSessionID() uint64 {
 func NewConn(dial DialFunc, cfg Config) (*Conn, error) {
 	c := &Conn{cfg: cfg.withDefaults(), id: newSessionID(), dial: dial}
 	c.cond = sync.NewCond(&c.mu)
-	c.replay.init(c.cfg.MaxReplayFrames)
 
 	start := time.Now()
 	backoff := c.cfg.BaseBackoff
@@ -349,7 +357,6 @@ func Dial(network, addr string, cfg Config) (*Conn, error) {
 func newPassiveConn(l *Listener, id uint64, cfg Config) *Conn {
 	c := &Conn{cfg: cfg, id: id, lst: l}
 	c.cond = sync.NewCond(&c.mu)
-	c.replay.init(c.cfg.MaxReplayFrames)
 	return c
 }
 
@@ -377,6 +384,7 @@ func (c *Conn) handshake(nc transport.Conn, resume bool) (uint64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("session: welcome: %w", err)
 	}
+	defer bufpool.PutFrame(msg)
 	f, err := decodeFrame(msg)
 	if err != nil {
 		return 0, err
@@ -450,7 +458,7 @@ func (c *Conn) installConn(nc transport.Conn, peerDelivered uint64) error {
 		c.wmu.Lock()
 		var err error
 		for _, e := range batch {
-			if err = c.writeEntry(nc, e.hdr, e.data); err != nil {
+			if err = c.writeEntry(nc, e.own, e.data); err != nil {
 				break
 			}
 		}
@@ -646,12 +654,12 @@ func (c *Conn) ackUpToLocked(ack uint64) {
 		e := c.replay.popFront()
 		c.replayBytes -= e.size()
 		if c.installing {
-			c.pendingFree = append(c.pendingFree, e.hdr)
+			c.pendingFree = append(c.pendingFree, e.own)
 			if e.data != nil {
 				c.pendingFree = append(c.pendingFree, e.data)
 			}
 		} else {
-			bufpool.Put(e.hdr)
+			bufpool.Put(e.own)
 			bufpool.Put(e.data)
 		}
 		mReplayDepth.Add(-1)
@@ -677,7 +685,8 @@ func (c *Conn) replayFullLocked() bool {
 // pump is the per-incarnation reader: it drains the physical connection,
 // releases acknowledged replay entries, enqueues in-order data to the
 // inbox, drops replay duplicates, and volunteers standalone acks when
-// one-sided traffic crosses the ack thresholds.
+// one-sided traffic crosses the ack thresholds. A frame whose payload goes
+// to the inbox moves there; every other frame returns to the pool here.
 func (c *Conn) pump(conn transport.Conn) {
 	for {
 		msg, err := conn.Recv()
@@ -687,11 +696,13 @@ func (c *Conn) pump(conn transport.Conn) {
 		}
 		f, derr := decodeFrame(msg)
 		if derr != nil {
+			bufpool.PutFrame(msg)
 			c.connFailed(conn, derr)
 			return
 		}
 		switch f.kind {
 		case kindAck:
+			bufpool.PutFrame(msg)
 			c.mu.Lock()
 			c.ackUpToLocked(f.ack)
 			c.mu.Unlock()
@@ -699,6 +710,11 @@ func (c *Conn) pump(conn transport.Conn) {
 			c.mu.Lock()
 			c.ackUpToLocked(f.ack)
 			switch {
+			case c.closed:
+				// Close has already returned the inbox; nothing will
+				// receive this.
+				c.mu.Unlock()
+				bufpool.PutFrame(msg)
 			case f.seq == c.lastDelivered+1:
 				c.lastDelivered = f.seq
 				c.inbox = append(c.inbox, f.payload)
@@ -719,16 +735,20 @@ func (c *Conn) pump(conn transport.Conn) {
 				// A replay duplicate: the peer resumed from an offset we
 				// had already passed. Exactly-once is enforced here.
 				c.mu.Unlock()
+				bufpool.PutFrame(msg)
 				mDupDropped.Inc()
 			default:
 				// A gap is a protocol violation (the transport is ordered
 				// and resumes replay from our offset); treat it as link
 				// failure so a reconnect re-synchronizes both sides.
+				delivered := c.lastDelivered
 				c.mu.Unlock()
-				c.connFailed(conn, fmt.Errorf("session: sequence gap: got %d, delivered %d", f.seq, c.lastDelivered))
+				bufpool.PutFrame(msg)
+				c.connFailed(conn, fmt.Errorf("session: sequence gap: got %d, delivered %d", f.seq, delivered))
 				return
 			}
 		default:
+			bufpool.PutFrame(msg)
 			c.connFailed(conn, fmt.Errorf("session: unexpected frame kind %#02x on established session", f.kind))
 			return
 		}
@@ -792,11 +812,11 @@ func (c *Conn) SendContext(ctx context.Context, msg []byte) error {
 	}
 	c.nextSeq++
 	seq := c.nextSeq
-	buf := bufpool.Get(dataHdrLen + len(msg))
-	putDataHeader(buf, seq, c.lastDelivered)
-	copy(buf[dataHdrLen:], msg)
-	c.recvSinceAck, c.bytesSinceAck = 0, 0 // the header piggybacks the ack
-	c.replay.push(replayEntry{seq: seq, hdr: buf})
+	buf := bufpool.Get(len(msg) + dataTrailerLen)
+	copy(buf, msg)
+	putDataTrailer(buf[len(msg):], seq, c.lastDelivered)
+	c.recvSinceAck, c.bytesSinceAck = 0, 0 // the trailer piggybacks the ack
+	c.replay.push(replayEntry{seq: seq, own: buf})
 	c.replayBytes += len(buf)
 	mReplayDepth.Add(1)
 	conn := c.cur
@@ -817,7 +837,7 @@ func (c *Conn) SendContext(ctx context.Context, msg []byte) error {
 
 // SendOwned implements transport.OwnedSender: the message's bytes are
 // head followed by payload, with ownership of payload (a bufpool buffer)
-// transferring to the session on the call. The session header and head
+// transferring to the session on the call. head and the session trailer
 // go into one small pooled buffer; payload is retained by reference in
 // the replay ring — no payload byte is copied between here and the
 // socket when the physical transport supports scatter-gather. The
@@ -846,12 +866,12 @@ func (c *Conn) SendOwned(head, payload []byte) error {
 	if len(payload) == 0 {
 		payload = nil
 	}
-	hdr := bufpool.Get(dataHdrLen + len(head))
-	putDataHeader(hdr, seq, c.lastDelivered)
-	copy(hdr[dataHdrLen:], head)
-	c.recvSinceAck, c.bytesSinceAck = 0, 0 // the header piggybacks the ack
-	c.replay.push(replayEntry{seq: seq, hdr: hdr, data: payload})
-	c.replayBytes += len(hdr) + len(payload)
+	own := bufpool.Get(len(head) + dataTrailerLen)
+	copy(own, head)
+	putDataTrailer(own[len(head):], seq, c.lastDelivered)
+	c.recvSinceAck, c.bytesSinceAck = 0, 0 // the trailer piggybacks the ack
+	c.replay.push(replayEntry{seq: seq, own: own, data: payload})
+	c.replayBytes += len(own) + len(payload)
 	mReplayDepth.Add(1)
 	conn := c.cur
 	c.mu.Unlock()
@@ -860,7 +880,7 @@ func (c *Conn) SendOwned(head, payload []byte) error {
 		return nil
 	}
 	c.wmu.Lock()
-	err := c.writeEntry(conn, hdr, payload)
+	err := c.writeEntry(conn, own, payload)
 	c.wmu.Unlock()
 	if err != nil {
 		// The frame is in the replay buffer; the resume replays it.
@@ -870,22 +890,25 @@ func (c *Conn) SendOwned(head, payload []byte) error {
 }
 
 // writeEntry writes one buffered frame to the physical connection; the
-// caller holds wmu. Two-segment entries take the scatter-gather path
-// when the transport supports it and are flattened through a pooled
-// buffer (one copy, released immediately) when it does not.
-func (c *Conn) writeEntry(conn transport.Conn, hdr, data []byte) error {
+// caller holds wmu. An entry with a retained payload is three segments —
+// head, payload, trailer — and takes the scatter-gather path when the
+// transport supports it, or is flattened through a pooled buffer (one
+// copy, released immediately) when it does not.
+func (c *Conn) writeEntry(conn transport.Conn, own, data []byte) error {
 	if data == nil {
-		return conn.Send(hdr)
+		return conn.Send(own)
 	}
+	head, trailer := own[:len(own)-dataTrailerLen], own[len(own)-dataTrailerLen:]
 	if vw, ok := conn.(transport.VectorWriter); ok {
-		c.iov = append(c.iov[:0], hdr, data)
+		c.iov = append(c.iov[:0], head, data, trailer)
 		err := vw.SendV(c.iov)
-		c.iov[0], c.iov[1] = nil, nil
+		clear(c.iov)
 		return err
 	}
-	flat := bufpool.Get(len(hdr) + len(data))
-	n := copy(flat, hdr)
-	copy(flat[n:], data)
+	flat := bufpool.Get(len(own) + len(data))
+	n := copy(flat, head)
+	n += copy(flat[n:], data)
+	copy(flat[n:], trailer)
 	err := conn.Send(flat)
 	bufpool.Put(flat)
 	return err
@@ -894,6 +917,10 @@ func (c *Conn) writeEntry(conn transport.Conn, hdr, data []byte) error {
 // Recv blocks until the next in-order message is available and returns
 // it. Frames keep arriving across reconnects; Recv fails only once the
 // circuit is open or the session is closed.
+//
+// The message is the payload of the received session frame, a prefix of
+// the pooled frame the transport read it into: the caller owns it and
+// returns it with bufpool.PutFrame, as with any transport.Conn.
 func (c *Conn) Recv() ([]byte, error) {
 	return c.RecvContext(context.Background())
 }
@@ -941,9 +968,9 @@ func (c *Conn) RecvContext(ctx context.Context) ([]byte, error) {
 }
 
 // Close releases the session on this side. Pending and future operations
-// report transport.ErrClosed; the peer sees a link failure and, unable to
-// resume (the listener forgets closed sessions), eventually opens its
-// circuit.
+// report transport.ErrClosed, and received messages nobody took return to
+// the pool; the peer sees a link failure and, unable to resume (the
+// listener forgets closed sessions), eventually opens its circuit.
 func (c *Conn) Close() error {
 	c.mu.Lock()
 	if c.closed {
@@ -954,6 +981,10 @@ func (c *Conn) Close() error {
 	conn := c.cur
 	c.cur = nil
 	c.freeReplayLocked()
+	for _, m := range c.inbox[c.inboxHead:] {
+		bufpool.PutFrame(m)
+	}
+	c.inbox, c.inboxHead = nil, 0
 	if c.downTimer != nil {
 		c.downTimer.Stop()
 		c.downTimer = nil

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"mxn/internal/bufpool"
 	"mxn/internal/faultconn"
 	"mxn/internal/transport"
 )
@@ -41,7 +42,9 @@ func startEcho(t *testing.T, l *Listener) <-chan struct{} {
 			if err != nil {
 				return
 			}
-			if err := sc.Send(msg); err != nil {
+			err = sc.Send(msg)
+			bufpool.PutFrame(msg)
+			if err != nil {
 				return
 			}
 		}
@@ -86,6 +89,16 @@ func (d *trackedDialer) setAddr(addr string) {
 	d.mu.Unlock()
 }
 
+// recvOne receives one message and returns it to the pool.
+func recvOne(t *testing.T, c *Conn) {
+	t.Helper()
+	m, err := c.Recv()
+	if err != nil {
+		t.Fatalf("Recv: %v", err)
+	}
+	bufpool.PutFrame(m)
+}
+
 func TestSessionBasicExchange(t *testing.T) {
 	l, err := Listen("tcp", "127.0.0.1:0", fastCfg())
 	if err != nil {
@@ -111,6 +124,7 @@ func TestSessionBasicExchange(t *testing.T) {
 		if string(got) != string(msg) {
 			t.Fatalf("echo %d: got %q want %q", i, got, msg)
 		}
+		bufpool.PutFrame(got)
 	}
 }
 
@@ -142,6 +156,7 @@ func TestSessionExactlyOnceAcrossFlaps(t *testing.T) {
 				recvErr <- fmt.Errorf("echo %d: got % x", i, got)
 				return
 			}
+			bufpool.PutFrame(got)
 		}
 		recvErr <- nil
 	}()
@@ -187,9 +202,7 @@ func TestSessionBudgetExhaustionOpensCircuit(t *testing.T) {
 	if err := c.Send([]byte("ping")); err != nil {
 		t.Fatalf("Send: %v", err)
 	}
-	if _, err := c.Recv(); err != nil {
-		t.Fatalf("Recv: %v", err)
-	}
+	recvOne(t, c)
 
 	// Take the whole listener down so every redial is refused.
 	l.Close()
@@ -236,9 +249,7 @@ func TestSessionResumeRejectedAfterListenerRestart(t *testing.T) {
 	if err := c.Send([]byte("hi")); err != nil {
 		t.Fatalf("Send: %v", err)
 	}
-	if _, err := c.Recv(); err != nil {
-		t.Fatalf("Recv: %v", err)
-	}
+	recvOne(t, c)
 
 	// "Restart" the server: a fresh listener with no session state.
 	lb, err := Listen("tcp", "127.0.0.1:0", fastCfg())
@@ -338,7 +349,6 @@ func (nullConn) RecvContext(ctx context.Context) ([]byte, error) { select {} }
 func TestSessionSendSteadyStateZeroAlloc(t *testing.T) {
 	c := &Conn{cfg: Config{}.withDefaults(), id: 1}
 	c.cond = sync.NewCond(&c.mu)
-	c.replay.init(c.cfg.MaxReplayFrames)
 	c.cur = nullConn{}
 
 	msg := make([]byte, 1024)
@@ -407,6 +417,7 @@ func TestSessionBidirectionalFlap(t *testing.T) {
 					recvErr = fmt.Errorf("server recv %d: got %d", i, binary.LittleEndian.Uint64(got))
 					return
 				}
+				bufpool.PutFrame(got)
 			}
 		}()
 		wg.Wait()
@@ -436,6 +447,7 @@ func TestSessionBidirectionalFlap(t *testing.T) {
 				clientRecv <- fmt.Errorf("client recv %d: got %d", i, binary.LittleEndian.Uint64(got))
 				return
 			}
+			bufpool.PutFrame(got)
 		}
 		clientRecv <- nil
 	}()
@@ -497,6 +509,7 @@ func TestSessionOverFlappingFaultconn(t *testing.T) {
 				recvErr <- fmt.Errorf("echo %d: got %d", i, binary.LittleEndian.Uint64(got))
 				return
 			}
+			bufpool.PutFrame(got)
 		}
 		recvErr <- nil
 	}()
@@ -569,9 +582,7 @@ func TestSessionConnLostDuringInstallIsRedialed(t *testing.T) {
 	if err := c.Send([]byte("hello")); err != nil {
 		t.Fatalf("Send: %v", err)
 	}
-	if _, err := c.Recv(); err != nil {
-		t.Fatalf("Recv: %v", err)
-	}
+	recvOne(t, c)
 
 	d.kill()
 	if err := c.Send([]byte("sent across the outage")); err != nil {
@@ -583,6 +594,7 @@ func TestSessionConnLostDuringInstallIsRedialed(t *testing.T) {
 	if err != nil || string(got) != "sent across the outage" {
 		t.Fatalf("echo across the outage: %q, %v (after %d dials)", got, err, dials.Load())
 	}
+	bufpool.PutFrame(got)
 	if n := dials.Load(); n < 3 {
 		t.Errorf("session recovered in %d dials; the second connection dies during install, so it takes three", n)
 	}

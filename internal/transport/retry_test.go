@@ -6,6 +6,8 @@ import (
 	"net"
 	"testing"
 	"time"
+
+	"mxn/internal/bufpool"
 )
 
 func retryTestPolicy() RetryPolicy {
@@ -48,7 +50,9 @@ func TestDialRetryRacesListenerStartup(t *testing.T) {
 	go func() {
 		c, err := l.Accept()
 		if err == nil {
-			_, err = c.Recv()
+			var m []byte
+			m, err = c.Recv()
+			bufpool.PutFrame(m)
 			c.Close()
 		}
 		acceptErr <- err

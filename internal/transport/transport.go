@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"mxn/internal/bufpool"
@@ -76,7 +77,10 @@ type OwnedSender interface {
 type Conn interface {
 	// Send transmits one message. It may block for flow control.
 	Send(msg []byte) error
-	// Recv blocks until the next message arrives.
+	// Recv blocks until the next message arrives. The message is a pooled
+	// frame (bufpool.GetFrame) that the caller owns from then on: it
+	// returns the frame, or any prefix of it, with bufpool.PutFrame once
+	// nothing views its bytes any more.
 	Recv() ([]byte, error)
 	// SendContext is Send bounded by ctx: expiry reports ErrTimeout
 	// (wrapped), cancellation reports ctx.Err(). A TCP conn abandoned
@@ -84,7 +88,7 @@ type Conn interface {
 	// traffic and should be closed.
 	SendContext(ctx context.Context, msg []byte) error
 	// RecvContext is Recv bounded by ctx, with the same error contract as
-	// SendContext.
+	// SendContext and the same ownership of the returned frame.
 	RecvContext(ctx context.Context) ([]byte, error)
 	// Close releases the connection. Pending and future operations on
 	// either end fail with ErrClosed (or io errors for TCP).
@@ -172,6 +176,7 @@ func Pipe() (Conn, Conn) {
 	closeFn := func() { once.Do(func() { close(closed) }) }
 	a := &chanConn{out: a2b, in: b2a, closed: closed, close: closeFn}
 	b := &chanConn{out: b2a, in: a2b, closed: closed, close: closeFn}
+	a.peer, b.peer = b, a
 	return a, b
 }
 
@@ -180,12 +185,18 @@ func Pipe() (Conn, Conn) {
 // back-pressure a TCP socket buffer would.
 const pipeDepth = 64
 
-// chanConn is a channel-backed Conn half.
+// chanConn is a channel-backed Conn half. Every queued message is a
+// pooled frame, copied in by the sending half and owned by whoever
+// receives it; frames no receiver will take are returned to the pool by
+// the half that closed (its own inbound queue) or, for a send that lost
+// the race with that close, by the sender.
 type chanConn struct {
 	out    chan<- []byte
 	in     <-chan []byte
 	closed chan struct{}
 	close  func()
+	peer   *chanConn
+	gone   atomic.Bool // this half was closed: nothing will receive on in
 }
 
 func (c *chanConn) Send(msg []byte) error {
@@ -193,38 +204,30 @@ func (c *chanConn) Send(msg []byte) error {
 }
 
 func (c *chanConn) SendContext(ctx context.Context, msg []byte) error {
+	return c.sendSegs(ctx, [][]byte{msg}, nil)
+}
+
+// SendV implements VectorWriter by flattening the segments into the one
+// frame copy Send makes.
+func (c *chanConn) SendV(segs net.Buffers) error {
+	return c.sendSegs(context.Background(), segs, nil)
+}
+
+// SendOwned implements OwnedSender: head and payload are flattened into
+// the queued frame and the payload returns to the pool at once — a pipe
+// delivers by reference, so the bytes are private after one copy.
+func (c *chanConn) SendOwned(head, payload []byte) error {
+	return c.sendSegs(context.Background(), [][]byte{head, payload}, payload)
+}
+
+// sendSegs copies the concatenation of segs into a pooled frame and queues
+// it for the peer; owned, when non-nil, is a pooled buffer the call
+// returns to the pool whatever happens.
+func (c *chanConn) sendSegs(ctx context.Context, segs [][]byte, owned []byte) error {
+	defer bufpool.Put(owned)
 	// Check closure first: with buffer space free the main select would
 	// otherwise pick randomly between the send and the closed arm, making
 	// Send on a closed pipe nondeterministic.
-	select {
-	case <-c.closed:
-		return ErrClosed
-	default:
-	}
-	// Copy so the caller may reuse its buffer, matching TCP semantics.
-	cp := make([]byte, len(msg))
-	copy(cp, msg)
-	return c.enqueue(ctx, cp)
-}
-
-// enqueue delivers an already-private buffer to the peer.
-func (c *chanConn) enqueue(ctx context.Context, cp []byte) error {
-	select {
-	case <-c.closed:
-		return ErrClosed
-	case c.out <- cp:
-		mInprocSent.Inc()
-		mInprocBytes.Add(uint64(len(cp)))
-		mInprocPending.Add(1)
-		return nil
-	case <-ctx.Done():
-		return ctxErr(ctx)
-	}
-}
-
-// SendV implements VectorWriter by flattening the segments once — the
-// same single copy Send makes — and enqueueing the private buffer.
-func (c *chanConn) SendV(segs net.Buffers) error {
 	select {
 	case <-c.closed:
 		return ErrClosed
@@ -234,28 +237,40 @@ func (c *chanConn) SendV(segs net.Buffers) error {
 	for _, s := range segs {
 		total += len(s)
 	}
-	cp := make([]byte, 0, total)
+	frame := bufpool.GetFrame(total)
+	off := 0
 	for _, s := range segs {
-		cp = append(cp, s...)
+		off += copy(frame[off:], s)
 	}
-	return c.enqueue(context.Background(), cp)
-}
-
-// SendOwned implements OwnedSender: the payload is flattened with the
-// head into the queued message and returned to the pool immediately — a
-// pipe delivers by reference, so the bytes are private after one copy.
-func (c *chanConn) SendOwned(head, payload []byte) error {
 	select {
 	case <-c.closed:
-		bufpool.Put(payload)
+		bufpool.PutFrame(frame)
 		return ErrClosed
-	default:
+	case c.out <- frame:
+		mInprocSent.Inc()
+		mInprocBytes.Add(uint64(total))
+		mInprocPending.Add(1)
+		if c.peer.gone.Load() {
+			c.peer.drain()
+		}
+		return nil
+	case <-ctx.Done():
+		bufpool.PutFrame(frame)
+		return ctxErr(ctx)
 	}
-	cp := make([]byte, 0, len(head)+len(payload))
-	cp = append(cp, head...)
-	cp = append(cp, payload...)
-	bufpool.Put(payload)
-	return c.enqueue(context.Background(), cp)
+}
+
+// drain returns every frame queued on c's inbound side to the pool.
+func (c *chanConn) drain() {
+	for {
+		select {
+		case m := <-c.in:
+			mInprocPending.Add(-1)
+			bufpool.PutFrame(m)
+		default:
+			return
+		}
+	}
 }
 
 func (c *chanConn) Recv() ([]byte, error) {
@@ -284,8 +299,12 @@ func (c *chanConn) RecvContext(ctx context.Context) ([]byte, error) {
 	}
 }
 
+// Close closes both halves. Frames already queued toward the peer stay
+// receivable; frames queued toward this half go back to the pool.
 func (c *chanConn) Close() error {
+	c.gone.Store(true)
 	c.close()
+	c.drain()
 	return nil
 }
 

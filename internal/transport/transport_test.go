@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"mxn/internal/bufpool"
 )
 
 func testConnPair(t *testing.T, a, b Conn) {
@@ -33,6 +35,7 @@ func testConnPair(t *testing.T, a, b Conn) {
 			if want := fmt.Sprintf("b%d", i); string(m) != want {
 				t.Errorf("a got %q want %q", m, want)
 			}
+			bufpool.PutFrame(m)
 		}
 	}()
 	go func() {
@@ -52,6 +55,7 @@ func testConnPair(t *testing.T, a, b Conn) {
 			if want := fmt.Sprintf("a%d", i); string(m) != want {
 				t.Errorf("b got %q want %q", m, want)
 			}
+			bufpool.PutFrame(m)
 		}
 	}()
 	wg.Wait()
@@ -60,6 +64,7 @@ func testConnPair(t *testing.T, a, b Conn) {
 func TestPipe(t *testing.T) {
 	a, b := Pipe()
 	defer a.Close()
+	defer b.Close()
 	testConnPair(t, a, b)
 }
 
@@ -78,6 +83,7 @@ func TestPipeSenderBufferReuse(t *testing.T) {
 	if !bytes.Equal(m, []byte("first")) {
 		t.Errorf("message aliased sender buffer: %q", m)
 	}
+	bufpool.PutFrame(m)
 }
 
 func TestInproc(t *testing.T) {
@@ -106,6 +112,7 @@ func TestInproc(t *testing.T) {
 	}
 	testConnPair(t, cli, srv)
 	cli.Close()
+	srv.Close()
 }
 
 func TestInprocAddressConflictAndRelease(t *testing.T) {
@@ -173,6 +180,7 @@ func TestTCPLargeMessage(t *testing.T) {
 		m, err := srv.Recv()
 		if err == nil {
 			srv.Send(m) // echo
+			bufpool.PutFrame(m)
 		}
 		srv.Close()
 	}()
@@ -195,6 +203,7 @@ func TestTCPLargeMessage(t *testing.T) {
 	if !bytes.Equal(got, big) {
 		t.Error("large message corrupted in transit")
 	}
+	bufpool.PutFrame(got)
 }
 
 func TestCloseUnblocksRecv(t *testing.T) {
@@ -220,8 +229,36 @@ func TestCloseDoesNotDropQueued(t *testing.T) {
 	if err != nil || string(m) != "last words" {
 		t.Errorf("queued message lost: %q %v", m, err)
 	}
+	bufpool.PutFrame(m)
 	if _, err := b.Recv(); err != ErrClosed {
 		t.Errorf("second recv: %v", err)
+	}
+}
+
+// TestPipeCloseRacingSendsReturnsFrames: frames queued toward a half that
+// closes — including sends that race the close — go back to the pool, so
+// a pipe torn down mid-traffic leaves no frame outstanding.
+func TestPipeCloseRacingSendsReturnsFrames(t *testing.T) {
+	frames := bufpool.FramesOutstanding()
+	for round := 0; round < 50; round++ {
+		a, b := Pipe()
+		var wg sync.WaitGroup
+		for s := 0; s < 4; s++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 20; i++ {
+					if b.Send([]byte("toward a")) != nil {
+						return
+					}
+				}
+			}()
+		}
+		a.Close()
+		wg.Wait()
+	}
+	if d := bufpool.FramesOutstanding() - frames; d != 0 {
+		t.Fatalf("%d frames outstanding after closing mid-traffic", d)
 	}
 }
 
@@ -283,12 +320,13 @@ func TestRecvContextDelivers(t *testing.T) {
 	if err != nil || string(m) != "hi" {
 		t.Fatalf("recv: %q, %v", m, err)
 	}
+	bufpool.PutFrame(m)
 }
 
 func TestSendContextTimeoutWhenFull(t *testing.T) {
 	a, b := Pipe()
 	defer a.Close()
-	_ = b
+	defer b.Close() // returns the frames queued toward b
 	// Fill the pipe's buffered direction, then the next send must block
 	// and time out.
 	for i := 0; i < pipeDepth; i++ {
@@ -335,6 +373,7 @@ func TestTCPRecvAfterTimeoutThenClose(t *testing.T) {
 	if err != nil || string(m) != "late" {
 		t.Fatalf("recv after timeout: %q, %v", m, err)
 	}
+	bufpool.PutFrame(m)
 	cli.Close()
 }
 

@@ -35,6 +35,7 @@ func testVectored(t *testing.T, a, b Conn) {
 		if string(got) != want {
 			t.Fatalf("Recv = %q, want %q", got, want)
 		}
+		bufpool.PutFrame(got)
 	}
 }
 
@@ -62,6 +63,7 @@ func testOwned(t *testing.T, a, b Conn) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("Recv = %q, want %q", got, want)
 	}
+	bufpool.PutFrame(got)
 	if d := bufpool.Outstanding() - baseline; d > 0 {
 		t.Fatalf("payload not returned to pool: %+d outstanding", d)
 	}
@@ -70,12 +72,14 @@ func testOwned(t *testing.T, a, b Conn) {
 func TestPipeSendV(t *testing.T) {
 	a, b := Pipe()
 	defer a.Close()
+	defer b.Close()
 	testVectored(t, a, b)
 }
 
 func TestPipeSendOwned(t *testing.T) {
 	a, b := Pipe()
 	defer a.Close()
+	defer b.Close()
 	testOwned(t, a, b)
 }
 
@@ -138,4 +142,5 @@ func TestSendVDoesNotRetainSegments(t *testing.T) {
 	if string(got) != "before" {
 		t.Fatalf("receiver observed sender mutation: %q", got)
 	}
+	bufpool.PutFrame(got)
 }

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"net"
 	"testing"
+
+	"mxn/internal/bufpool"
 )
 
 // FuzzDecoder drives the self-describing value decoder with arbitrary
@@ -60,8 +62,11 @@ func FuzzDecoder(f *testing.F) {
 }
 
 // FuzzReadFrame feeds arbitrary byte streams to the frame reader: it must
-// never panic, and whenever it accepts a frame from a stream produced by
-// flipping bits in a valid frame, the checksum must have matched.
+// never panic; whenever it accepts a frame (so the checksum matched) both
+// writers re-encode the payload to exactly the header+payload prefix of
+// the input; and every input, accepted or not, leaves the pool balanced —
+// the reader returns its frame on every error, and the caller's PutFrame
+// of an accepted one settles the rest.
 func FuzzReadFrame(f *testing.F) {
 	var buf bytes.Buffer
 	if err := WriteFrame(&buf, []byte("seed payload")); err != nil {
@@ -70,20 +75,32 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add(buf.Bytes())
 	f.Add([]byte{})
 	f.Add([]byte{1, 0, 0, 0})
+	f.Add([]byte{0, 0, 0, 0x40, 0, 0, 0, 0, 1, 2, 3}) // claims 1 GiB, sends 3 bytes
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		frames := bufpool.FramesOutstanding()
 		payload, err := ReadFrame(bytes.NewReader(data))
 		if err != nil {
+			if d := bufpool.FramesOutstanding() - frames; d != 0 {
+				t.Fatalf("rejected frame left %d frames outstanding: %v", d, err)
+			}
 			return
 		}
-		// Round-trip: a frame that passed the checksum re-encodes to the
-		// same header+payload prefix of the input.
-		var out bytes.Buffer
-		if err := WriteFrame(&out, payload); err != nil {
+		prefix := data[:8+len(payload)]
+		var flat, vec bytes.Buffer
+		if err := WriteFrame(&flat, payload); err != nil {
 			t.Fatalf("re-encode of accepted frame failed: %v", err)
 		}
-		if !bytes.Equal(out.Bytes(), data[:out.Len()]) {
+		half := len(payload) / 2
+		if err := WriteFrameV(&vec, net.Buffers{payload[:half], payload[half:]}); err != nil {
+			t.Fatalf("vectored re-encode of accepted frame failed: %v", err)
+		}
+		if !bytes.Equal(flat.Bytes(), prefix) || !bytes.Equal(vec.Bytes(), prefix) {
 			t.Fatalf("accepted frame does not round-trip")
+		}
+		bufpool.PutFrame(payload)
+		if d := bufpool.FramesOutstanding() - frames; d != 0 {
+			t.Fatalf("%d frames outstanding after returning the accepted one", d)
 		}
 	})
 }
@@ -132,5 +149,6 @@ func FuzzWireFrameV(f *testing.F) {
 		if !bytes.Equal(got, payload) {
 			t.Fatalf("round-trip payload mismatch")
 		}
+		bufpool.PutFrame(got)
 	})
 }

@@ -134,8 +134,9 @@ type discardWriter struct{}
 func (discardWriter) Write(p []byte) (int, error) { return len(p), nil }
 
 // TestEncoderVectorSplit: a borrow-mode encoder splits its output into
-// header bytes plus the borrowed payload, and the concatenation equals a
-// plain encoder's output for the same puts.
+// header bytes plus the borrowed payload, the concatenation equals a
+// plain encoder's output for the same puts, and the payload starts at an
+// 8-byte-aligned offset of the encoding.
 func TestEncoderVectorSplit(t *testing.T) {
 	payload := []byte{9, 8, 7, 6, 5}
 
@@ -160,14 +161,22 @@ func TestEncoderVectorSplit(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("vector split bytes differ from plain encoding\nplain %x\nsplit %x", want, got)
 	}
+	if len(head)%8 != 0 {
+		t.Fatalf("borrowed payload starts at offset %d, not 8-byte aligned", len(head))
+	}
 
-	// Decode the concatenation to prove the borrowed field reads back.
+	// Decode the concatenation to prove the borrowed field reads back, in
+	// place and aligned.
 	d := NewDecoder(got)
 	if d.Uint64() != 42 || d.String() != "hdr" {
 		t.Fatal("header fields corrupted")
 	}
-	if !bytes.Equal(d.Bytes(), payload) || d.Err() != nil {
+	view := d.BorrowBytesRef()
+	if !bytes.Equal(view, payload) || d.Err() != nil || d.Remaining() != 0 {
 		t.Fatal("payload field corrupted")
+	}
+	if &view[0] != &got[len(head)] {
+		t.Fatal("BorrowBytesRef did not view the payload in place")
 	}
 }
 

@@ -20,6 +20,7 @@ import (
 	"sync"
 	"unsafe"
 
+	"mxn/internal/bufpool"
 	"mxn/internal/obs"
 )
 
@@ -138,22 +139,31 @@ func (e *Encoder) PutBytes(b []byte) {
 	e.buf = append(e.buf, b...)
 }
 
-// PutBytesRef appends a length-prefixed byte slice without copying it
-// when the encoder is in borrow mode: the length prefix lands in the
-// header buffer and b itself is recorded as the payload segment returned
-// by Vector. The caller must not mutate b until the frame carrying it
-// has been written (or, for owned transfers, until the transport releases
-// it). On a plain encoder this is identical to PutBytes. An empty b is
-// never borrowed, so Vector stays nil for zero-length payloads.
+// PutBytesRef appends a length-prefixed byte slice whose bytes start
+// 8-byte aligned relative to the start of the encoding: zero padding
+// follows the length prefix, so a receiver whose buffer starts aligned
+// (every bufpool buffer does) can view the bytes in place as elements of
+// any numeric type. Decode it with BorrowBytesRef.
+//
+// In borrow mode b is not copied: the length prefix and padding land in
+// the header buffer and b itself is recorded as the payload segment
+// returned by Vector. The caller must not mutate b until the frame
+// carrying it has been written (or, for owned transfers, until the
+// transport releases it). On a plain encoder b is copied; the bytes are
+// the same either way. An empty b is never borrowed, so Vector stays nil
+// for zero-length payloads.
 func (e *Encoder) PutBytesRef(b []byte) {
+	e.PutUvarint(uint64(len(b)))
+	for len(e.buf)%8 != 0 {
+		e.buf = append(e.buf, 0)
+	}
 	if !e.borrow || len(b) == 0 {
-		e.PutBytes(b)
+		e.buf = append(e.buf, b...)
 		return
 	}
 	if e.payload != nil {
 		panic("wire: second PutBytesRef on a borrow-mode encoder")
 	}
-	e.PutUvarint(uint64(len(b)))
 	e.payload = b
 }
 
@@ -280,9 +290,10 @@ func (e *Encoder) PutInts(v []int) {
 // errors are sticky: after the first failure every subsequent Get reports
 // the same error through Err, and zero values are returned.
 type Decoder struct {
-	buf []byte
-	off int
-	err error
+	buf  []byte
+	off  int
+	err  error
+	kept bool
 }
 
 // NewDecoder returns a decoder reading from buf.
@@ -290,6 +301,19 @@ func NewDecoder(buf []byte) *Decoder { return &Decoder{buf: buf} }
 
 // Err returns the first decode error, if any.
 func (d *Decoder) Err() error { return d.err }
+
+// Keep hands the decoder's whole input buffer to the caller, who owns it
+// from then on. When the input is a pooled frame, a decoded value that
+// holds borrowed views into it takes the frame with Keep and returns it
+// when done; whoever created the decoder checks Kept and returns the frame
+// itself otherwise.
+func (d *Decoder) Keep() []byte {
+	d.kept = true
+	return d.buf
+}
+
+// Kept reports whether Keep was called.
+func (d *Decoder) Kept() bool { return d.kept }
 
 // Remaining returns the number of unread bytes.
 func (d *Decoder) Remaining() int { return len(d.buf) - d.off }
@@ -406,6 +430,20 @@ func (d *Decoder) BorrowBytes() []byte {
 		return nil
 	}
 	return d.take(n)
+}
+
+// BorrowBytesRef reads a slice written by PutBytesRef without copying,
+// skipping the alignment padding: the view aliases the decoder's input
+// (with BorrowBytes' ownership caveat) and starts 8-byte aligned whenever
+// the input does.
+func (d *Decoder) BorrowBytesRef() []byte {
+	n := d.Uvarint()
+	d.take(-d.off & 7)
+	if d.err != nil || n > uint64(d.Remaining()) {
+		d.fail()
+		return nil
+	}
+	return d.take(int(n))
 }
 
 // Float64s reads a length-prefixed []float64.
@@ -743,35 +781,61 @@ func writeFrame(w io.Writer, segs [][]byte, path *obs.Counter) error {
 	return nil
 }
 
+// frameStart is what the frame reader commits before any payload byte has
+// arrived when no free buffer of the frame's class is pooled; from there
+// the buffer doubles as bytes arrive.
+const frameStart = 64 << 10
+
 // ReadFrame reads one frame written by WriteFrame, verifying its checksum.
 // A checksum mismatch reports ErrCorrupt (wrapped).
+//
+// The payload is read straight into a pooled frame (bufpool.GetFrame)
+// with the CRC-32C folded into the read, one pass over the bytes. The
+// caller owns the returned frame and returns it — or any prefix of it —
+// with bufpool.PutFrame; on every error path the reader has already
+// returned it. A free buffer of the frame's class costs no new memory;
+// otherwise the buffer grows through the classes as bytes arrive, so a
+// corrupt length prefix costs no more memory than about twice the bytes
+// the peer actually sent.
 func ReadFrame(r io.Reader) ([]byte, error) {
 	var hdr [8]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:4])
+	n := int(binary.LittleEndian.Uint32(hdr[:4]))
 	if n > MaxFrame {
 		return nil, fmt.Errorf("wire: frame of %d bytes exceeds max %d", n, MaxFrame)
 	}
 	sum := binary.LittleEndian.Uint32(hdr[4:])
-	// Read in bounded chunks rather than trusting the header with a single
-	// up-front allocation: a corrupt length prefix must cost no more memory
-	// than the bytes the peer actually sends.
-	payload := make([]byte, 0, min(int(n), 64<<10))
-	for len(payload) < int(n) {
-		chunk := min(int(n)-len(payload), 1<<20)
-		start := len(payload)
-		payload = append(payload, make([]byte, chunk)...)
-		if _, err := io.ReadFull(r, payload[start:]); err != nil {
+	buf := bufpool.TryGetFrame(n)
+	if buf == nil {
+		buf = bufpool.GetFrame(min(n, frameStart))
+	}
+	var crc uint32
+	for got := 0; got < n; {
+		if got == len(buf) {
+			grown := bufpool.GetFrame(min(n, 2*len(buf)))
+			copy(grown, buf)
+			bufpool.PutFrame(buf)
+			buf = grown
+		}
+		k, err := r.Read(buf[got:])
+		crc = crc32.Update(crc, frameTable, buf[got:got+k])
+		got += k
+		if err != nil && got < n {
+			bufpool.PutFrame(buf)
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
 			return nil, err
 		}
 	}
-	if got := crc32.Checksum(payload, frameTable); got != sum {
+	if crc != sum {
+		bufpool.PutFrame(buf)
 		mChecksumFailures.Inc()
-		return nil, fmt.Errorf("%w: frame checksum mismatch (got %08x, header says %08x)", ErrCorrupt, got, sum)
+		return nil, fmt.Errorf("%w: frame checksum mismatch (got %08x, header says %08x)", ErrCorrupt, crc, sum)
 	}
 	mFramesRead.Inc()
-	mBytesRead.Add(uint64(8 + len(payload)))
-	return payload, nil
+	mBytesRead.Add(uint64(8 + n))
+	return buf, nil
 }

@@ -2,10 +2,16 @@ package wire
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
+	"unsafe"
+
+	"mxn/internal/bufpool"
 )
 
 func TestScalarRoundTrip(t *testing.T) {
@@ -182,6 +188,96 @@ func TestFrameTruncated(t *testing.T) {
 	if _, err := ReadFrame(bytes.NewReader(trunc)); err == nil {
 		t.Error("truncated frame did not error")
 	}
+}
+
+// TestReadFrameErrorsReturnTheirFrame: on every error path the reader has
+// already handed its frame back to the pool.
+func TestReadFrameErrorsReturnTheirFrame(t *testing.T) {
+	var good bytes.Buffer
+	if err := WriteFrame(&good, bytes.Repeat([]byte("payload "), 20<<10)); err != nil {
+		t.Fatal(err)
+	}
+	frame := good.Bytes()
+	corrupt := append([]byte(nil), frame...)
+	corrupt[len(corrupt)-1] ^= 0x5A
+	oversize := []byte{0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0}
+	for _, tc := range []struct {
+		name  string
+		input []byte
+		want  error
+	}{
+		{"short header", frame[:5], io.ErrUnexpectedEOF},
+		{"short payload", frame[:len(frame)-100], io.ErrUnexpectedEOF},
+		{"checksum mismatch", corrupt, ErrCorrupt},
+		{"beyond MaxFrame", oversize, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			frames := bufpool.FramesOutstanding()
+			got, err := ReadFrame(bytes.NewReader(tc.input))
+			if err == nil || got != nil {
+				t.Fatalf("accepted %d bytes", len(got))
+			}
+			if tc.want != nil && !errors.Is(err, tc.want) {
+				t.Fatalf("err = %v, want %v", err, tc.want)
+			}
+			if d := bufpool.FramesOutstanding() - frames; d != 0 {
+				t.Fatalf("%d frames outstanding after the error", d)
+			}
+		})
+	}
+}
+
+// TestReadFrameCorruptLengthCostsBytesSent: a header claiming 1 GiB
+// followed by ten bytes and EOF commits memory for the bytes that
+// arrived, not for the claim, and returns it.
+func TestReadFrameCorruptLengthCostsBytesSent(t *testing.T) {
+	input := append([]byte{0, 0, 0, 0x40, 0, 0, 0, 0}, make([]byte, 10)...)
+	frames := bufpool.FramesOutstanding()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadFrame(bytes.NewReader(input))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("err = %v, want io.ErrUnexpectedEOF", err)
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d > 256<<10 {
+		t.Fatalf("reading a 10-byte body of a 1 GiB claim allocated %d bytes", d)
+	}
+	if d := bufpool.FramesOutstanding() - frames; d != 0 {
+		t.Fatalf("%d frames outstanding", d)
+	}
+}
+
+// TestReadFrameReusesReturnedFrame: a frame returned to the pool is the
+// buffer the next frame of its class is read into, so a receiver that
+// returns what it reads needs no new memory.
+func TestReadFrameReusesReturnedFrame(t *testing.T) {
+	payload := bytes.Repeat([]byte{0xC3}, 300<<10) // beyond the reader's first commitment
+	var two bytes.Buffer
+	for i := 0; i < 2; i++ {
+		if err := WriteFrame(&two, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	first, err := ReadFrame(&two)
+	if err != nil || !bytes.Equal(first, payload) {
+		t.Fatalf("first frame: %v", err)
+	}
+	bufpool.PutFrame(first)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	second, err := ReadFrame(&two)
+	runtime.ReadMemStats(&after)
+	if err != nil || !bytes.Equal(second, payload) {
+		t.Fatalf("second frame: %v", err)
+	}
+	if unsafe.SliceData(second) != unsafe.SliceData(first) {
+		t.Error("second frame was not read into the returned one")
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d > 4<<10 {
+		t.Errorf("reading into a returned frame allocated %d bytes", d)
+	}
+	bufpool.PutFrame(second)
 }
 
 // Property: any sequence of primitive values round-trips.

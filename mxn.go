@@ -45,6 +45,7 @@
 package mxn
 
 import (
+	"mxn/internal/bufpool"
 	"mxn/internal/comm"
 	"mxn/internal/core"
 	"mxn/internal/dad"
@@ -286,8 +287,14 @@ func ConnectHubs(connID string, src *Hub, srcField string, dst *Hub, dstField st
 
 // ---- Transport ----
 
-// Conn is a reliable ordered message connection between frameworks.
+// Conn is a reliable ordered message connection between frameworks. A
+// message Recv returns is a pooled frame the caller owns; hand it back
+// with PutFrame once done with its bytes.
 type Conn = transport.Conn
+
+// PutFrame returns a message received from a Conn (or any prefix of it)
+// to the buffer pool the receive path reads into.
+func PutFrame(msg []byte) { bufpool.PutFrame(msg) }
 
 // Listener accepts incoming transport connections.
 type Listener = transport.Listener
