@@ -178,7 +178,6 @@ func decodeRemotePayload(d *wire.Decoder) (any, error) {
 type RemotePeer struct {
 	w     *World
 	conn  transport.Conn
-	owned transport.OwnedSender // non-nil when conn can take payload ownership
 	ranks []int
 
 	wmu    sync.Mutex // serializes Send framing on conn
@@ -214,10 +213,6 @@ func (w *World) ConnectPeer(conn transport.Conn, ranks []int) *RemotePeer {
 		ranks: append([]int(nil), ranks...),
 		done:  make(chan struct{}),
 	}
-	// When the connection can take ownership of pooled payload buffers
-	// (session conns, raw TCP conns), forward borrows payloads instead of
-	// copying them into the frame encoding.
-	rp.owned, _ = conn.(transport.OwnedSender)
 	w.growMu.Lock()
 	cur := w.st()
 	next := &worldState{
@@ -284,36 +279,24 @@ func (rp *RemotePeer) fail(cause error) {
 // forward ships one message to the peer. Wire layout:
 // [from uvarint][to uvarint][tag i64][gid u64][codec tag + payload].
 //
-// When the connection implements transport.OwnedSender, the encoder runs
-// in borrow mode: a codec that calls PutBytesRef for its bulk payload
-// (the xferMsg codec does, for the element bytes) leaves that slice out
-// of the header encoding, and the frame goes out as header + borrowed
-// payload with ownership of the payload buffer transferred to the conn.
-// No payload byte is copied between the pack buffer and the socket.
+// A codec that lends its bulk payload (wire.LendPayload; the xferMsg and
+// prmi.Msg codecs do) leaves that slice out of the header encoding, and
+// the frame goes out as header + lent payload with ownership of the
+// payload buffer transferred to the conn. No payload byte is copied
+// between the pack buffer and the socket.
 func (rp *RemotePeer) forward(from, to, tag int, gid uint64, payload any) {
 	if rp.closed.Load() {
 		drop(payload)
 		return
 	}
-	var e *wire.Encoder
-	if rp.owned != nil {
-		e = wire.NewEncoderV(nil)
-	} else {
-		e = wire.NewEncoder(nil)
-	}
+	e := wire.NewEncoder(nil)
 	e.PutUvarint(uint64(from))
 	e.PutUvarint(uint64(to))
 	e.PutInt64(int64(tag))
 	e.PutUint64(gid)
 	encodeRemotePayload(e, payload)
-	head, data := e.Vector()
 	rp.wmu.Lock()
-	var err error
-	if data != nil {
-		err = rp.owned.SendOwned(head, data)
-	} else {
-		err = rp.conn.Send(head)
-	}
+	err := rp.conn.SendOwned(e.Vector())
 	rp.wmu.Unlock()
 	if err != nil {
 		rp.fail(err)

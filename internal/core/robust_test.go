@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -50,12 +51,12 @@ func echoServer(t *testing.T) *session.Listener {
 	return lst
 }
 
-func TestRobustBridgeRedialsAfterLinkFailure(t *testing.T) {
+func TestSessionBridgeRedialsAfterLinkFailure(t *testing.T) {
 	lst := echoServer(t)
 
 	var mu sync.Mutex
 	var conns []transport.Conn
-	dial := func() (transport.Conn, error) {
+	dial := func(context.Context) (transport.Conn, error) {
 		c, err := transport.Dial("tcp", lst.Addr())
 		if err == nil {
 			mu.Lock()
@@ -64,10 +65,11 @@ func TestRobustBridgeRedialsAfterLinkFailure(t *testing.T) {
 		}
 		return c, err
 	}
-	rb, err := NewRobustBridge(dial, 3, time.Millisecond)
+	sc, err := session.NewConn(dial, session.Config{MaxAttempts: 3, BaseBackoff: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rb := NewNetBridge(sc)
 
 	if err := rb.SendData("ping", 1, []float64{1, 2}); err != nil {
 		t.Fatal(err)
@@ -100,12 +102,12 @@ func TestRobustBridgeRedialsAfterLinkFailure(t *testing.T) {
 	}
 }
 
-func TestRobustBridgeSurvivesFaultconnPartition(t *testing.T) {
+func TestSessionBridgeSurvivesFaultconnPartition(t *testing.T) {
 	lst := echoServer(t)
 	// The first connection hard-partitions itself after 2 frames in either
 	// direction; later dials are clean.
 	dials := 0
-	dial := func() (transport.Conn, error) {
+	dial := func(context.Context) (transport.Conn, error) {
 		dials++
 		c, err := transport.Dial("tcp", lst.Addr())
 		if err != nil {
@@ -120,10 +122,11 @@ func TestRobustBridgeSurvivesFaultconnPartition(t *testing.T) {
 		}
 		return c, err
 	}
-	rb, err := NewRobustBridge(dial, 5, time.Millisecond)
+	sc, err := session.NewConn(dial, session.Config{MaxAttempts: 5, BaseBackoff: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rb := NewNetBridge(sc)
 	for seq := uint64(1); seq <= 6; seq++ {
 		if err := rb.SendData("ping", seq, []float64{float64(seq)}); err != nil {
 			t.Fatalf("seq %d send: %v", seq, err)
@@ -138,11 +141,11 @@ func TestRobustBridgeSurvivesFaultconnPartition(t *testing.T) {
 	}
 }
 
-func TestRobustBridgeExhaustsRedialBudget(t *testing.T) {
+func TestSessionBridgeExhaustsRedialBudget(t *testing.T) {
 	lst := echoServer(t)
 	dials := 0
 	var first transport.Conn
-	dial := func() (transport.Conn, error) {
+	dial := func(context.Context) (transport.Conn, error) {
 		dials++
 		if dials > 1 {
 			return nil, fmt.Errorf("network is gone")
@@ -151,10 +154,11 @@ func TestRobustBridgeExhaustsRedialBudget(t *testing.T) {
 		first = c
 		return c, err
 	}
-	rb, err := NewRobustBridge(dial, 2, time.Millisecond)
+	sc, err := session.NewConn(dial, session.Config{MaxAttempts: 2, BaseBackoff: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rb := NewNetBridge(sc)
 	if err := rb.SendData("ping", 1, []float64{1}); err != nil {
 		t.Fatal(err)
 	}
@@ -195,16 +199,67 @@ func waitDead(t *testing.T, rb Bridge) {
 	t.Fatal("bridge never reported link failure")
 }
 
-func TestRobustBridgeInitialDialFailure(t *testing.T) {
-	_, err := NewRobustBridge(func() (transport.Conn, error) {
+func TestSessionBridgeInitialDialFailure(t *testing.T) {
+	_, err := session.NewConn(func(context.Context) (transport.Conn, error) {
 		return nil, errors.New("refused")
-	}, 3, time.Millisecond)
+	}, session.Config{MaxAttempts: 3, BaseBackoff: time.Millisecond})
 	if err == nil {
 		t.Fatal("constructor swallowed dial failure")
 	}
 }
 
-// Two hubs joined by a robust bridge pair survive losing the physical
+// lossyDialer hands out one faulty first connection — its send direction
+// blackholes frames after blackholeAfter and hard-fails after failAfter,
+// modeling a link whose kernel keeps accepting writes for a while after
+// the path is gone — and clean connections after that.
+func lossyDialer(addr string, blackholeAfter, failAfter int) session.DialFunc {
+	dials := 0
+	var mu sync.Mutex
+	return func(context.Context) (transport.Conn, error) {
+		mu.Lock()
+		dials++
+		n := dials
+		mu.Unlock()
+		c, err := transport.Dial("tcp", addr)
+		if err != nil {
+			return nil, err
+		}
+		if n == 1 {
+			return faultconn.Wrap(c, faultconn.Scenario{
+				Seed: 11,
+				Send: faultconn.Faults{BlackholeAfter: blackholeAfter, FailAfter: failAfter},
+			}), nil
+		}
+		return c, nil
+	}
+}
+
+// TestSessionBridgeDeliversBlackholedFrame: a frame the first connection
+// accepted and then silently lost is not lost to the bridge. The session
+// hello consumes the first frame slot, so data frame 2 is blackholed and
+// frame 3's send fails the link; the replay buffer re-sends everything
+// unacknowledged after the redial, and all three arrive exactly once.
+func TestSessionBridgeDeliversBlackholedFrame(t *testing.T) {
+	lst := echoServer(t)
+	sc, err := session.NewConn(lossyDialer(lst.Addr(), 2, 3), session.Config{MaxAttempts: 5, BaseBackoff: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rb := NewNetBridge(sc)
+	for seq := uint64(1); seq <= 3; seq++ {
+		if err := rb.SendData("ping", seq, []float64{float64(seq)}); err != nil {
+			t.Fatalf("seq %d send: %v", seq, err)
+		}
+	}
+	for seq := uint64(1); seq <= 3; seq++ {
+		got, err := rb.RecvData("echo", seq)
+		if err != nil || len(got) != 1 || got[0] != float64(seq) {
+			t.Fatalf("seq %d round-trip: %v %v", seq, got, err)
+		}
+	}
+}
+
+// Two hubs joined by a session bridge pair survive losing the physical
 // link between connection negotiations: the client side's session
 // redials, the server side's session listener absorbs the replacement
 // connection without a new Accept, and the next propose/accept plus
@@ -220,7 +275,7 @@ func TestHubsReconnectAcrossLinkFailure(t *testing.T) {
 
 	var mu sync.Mutex
 	var cliConns []transport.Conn
-	cliDial := func() (transport.Conn, error) {
+	cliDial := func(context.Context) (transport.Conn, error) {
 		c, err := transport.Dial("tcp", lst.Addr())
 		if err == nil {
 			mu.Lock()
@@ -242,10 +297,11 @@ func TestHubsReconnectAcrossLinkFailure(t *testing.T) {
 		}
 		srvCh <- bres{NewNetBridge(c), nil}
 	}()
-	cliBridge, err := NewRobustBridge(cliDial, 3, time.Millisecond)
+	cli, err := session.NewConn(cliDial, session.Config{MaxAttempts: 3, BaseBackoff: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
+	cliBridge := NewNetBridge(cli)
 	sv := <-srvCh
 	if sv.err != nil {
 		t.Fatal(sv.err)

@@ -12,6 +12,7 @@
 package faultconn
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -251,21 +252,21 @@ func (c *Conn) Send(msg []byte) error {
 	return c.SendContext(context.Background(), msg)
 }
 
-// SendV implements transport.VectorWriter by flattening the segments
-// into one message and running it through the normal per-message fault
-// pipeline. Vectored callers therefore observe exactly the
-// frame-granularity drop/corrupt/duplicate/flap semantics that flat
-// callers do — the fault plan never sees segment boundaries.
+// SendV flattens the segments into one message and runs it through the
+// normal per-message fault pipeline. Vectored callers therefore observe
+// exactly the frame-granularity drop/corrupt/duplicate/flap semantics
+// that flat callers do — the fault plan never sees segment boundaries.
 func (c *Conn) SendV(segs net.Buffers) error {
-	total := 0
-	for _, s := range segs {
-		total += len(s)
-	}
-	flat := make([]byte, 0, total)
-	for _, s := range segs {
-		flat = append(flat, s...)
-	}
-	return c.Send(flat)
+	return c.Send(bytes.Join(segs, nil))
+}
+
+// SendOwned is SendV of head and payload that then returns the payload to
+// the pool. The fault plan copies every message it keeps, so whatever it
+// does — deliver, drop, duplicate, hold until Close — it does to its own
+// copies, and the payload goes back exactly once on every outcome.
+func (c *Conn) SendOwned(head, payload []byte) error {
+	defer bufpool.Put(payload)
+	return c.SendV(net.Buffers{head, payload})
 }
 
 // sendPlan is the outcome of rolling the send-direction faults for one

@@ -293,15 +293,17 @@ func TestStaleReplyDiscarded(t *testing.T) {
 	}
 }
 
-// dropFirstConn swallows the first Send and counts attempts.
+// dropFirstConn swallows the first message a connLink sends and counts
+// attempts.
 type dropFirstConn struct {
 	transport.Conn
 	sends atomic.Int64
 }
 
-func (c *dropFirstConn) Send(msg []byte) error {
+func (c *dropFirstConn) SendOwned(head, payload []byte) error {
 	if c.sends.Add(1) == 1 {
+		bufpool.Put(payload)
 		return nil // eaten by the network
 	}
-	return c.Conn.Send(msg)
+	return c.Conn.SendOwned(head, payload)
 }

@@ -63,7 +63,7 @@ var ErrLinkDown = errors.New("prmi: link down")
 // pair of ranks arrive in order.
 //
 // Ownership moves with the message: Send takes m over on every path —
-// delivered, refused, link down — like transport.OwnedSender.SendOwned,
+// delivered, refused, link down — like transport.Conn.SendOwned,
 // and a received message belongs to the receiver, who must Release it.
 type Link interface {
 	Send(peerRank int, m *Msg) error
@@ -164,11 +164,11 @@ func AsMsg(payload any) (*Msg, error) {
 
 // connLink is a mesh of transport connections, one per peer rank: the
 // genuinely distributed deployment. Each frame is the sender's rank (a
-// uvarint, so the peer can attribute it), the length-prefixed head and the
-// aligned payload (Msg.putPayload); a pump goroutine per connection
-// funnels received messages into one queue so Recv can present a single
-// stream. No coordinator serializes traffic: each pairwise connection is
-// its own.
+// uvarint, so the peer can attribute it) followed by the message in the
+// remote codec's encoding (encodeRemoteMsg); a pump goroutine per
+// connection funnels received messages into one queue so Recv can present
+// a single stream. No coordinator serializes traffic: each pairwise
+// connection is its own.
 type connLink struct {
 	conns  []transport.Conn
 	myRank int
@@ -192,33 +192,20 @@ func NewConnLink(conns []transport.Conn, myRank int) Link {
 	return &connLink{conns: conns, myRank: myRank, inbox: make(chan inMsg, 64)}
 }
 
-// Send frames m for peer peerRank. A connection that takes ownership of
-// pooled payloads (session, TCP) gets the payload lent behind the frame
-// header; any other gets one flattened pooled buffer.
+// Send frames m for peer peerRank, with the payload lent to the
+// connection behind the frame head.
 func (l *connLink) Send(peerRank int, m *Msg) error {
 	if peerRank < 0 || peerRank >= len(l.conns) {
 		m.Release()
 		return fmt.Errorf("prmi: peer rank %d outside mesh of %d", peerRank, len(l.conns))
 	}
-	conn := l.conns[peerRank]
-	owned, _ := conn.(transport.OwnedSender)
-	buf := bufpool.Get(3*binary.MaxVarintLen64 + 7 + len(m.head) + len(m.payload))
-	var e *wire.Encoder
-	if owned != nil {
-		e = wire.NewEncoderV(buf[:0])
-	} else {
-		e = wire.NewEncoder(buf[:0])
-	}
+	// The frame head: rank and head length uvarints, the head, the
+	// payload's length uvarint and up to 7 bytes of alignment padding.
+	buf := bufpool.Get(3*binary.MaxVarintLen64 + 7 + len(m.head))
+	e := wire.NewEncoder(buf[:0])
 	e.PutUvarint(uint64(l.myRank))
-	e.PutBytes(m.head)
-	m.putPayload(e)
-	m.Release()
-	var err error
-	if head, payload := e.Vector(); payload != nil {
-		err = owned.SendOwned(head, payload)
-	} else {
-		err = conn.Send(head)
-	}
+	encodeRemoteMsg(e, m)
+	err := l.conns[peerRank].SendOwned(e.Vector())
 	bufpool.Put(buf)
 	return err
 }
@@ -228,12 +215,16 @@ func (l *connLink) Send(peerRank int, m *Msg) error {
 func parseFrame(frame []byte) (int, *Msg, error) {
 	d := wire.NewDecoder(frame)
 	src := d.Uvarint()
-	head, payload := d.BorrowBytes(), d.BorrowBytesRef()
 	if d.Err() != nil || src > math.MaxInt32 {
 		bufpool.PutFrame(frame)
 		return 0, nil, fmt.Errorf("prmi: corrupt frame: %w", wire.ErrCorrupt)
 	}
-	return int(src), &Msg{head: head, payload: payload, frame: frame}, nil
+	m, err := decodeRemoteMsg(d)
+	if err != nil {
+		bufpool.PutFrame(frame)
+		return 0, nil, err
+	}
+	return int(src), m.(*Msg), nil
 }
 
 func (l *connLink) start() {

@@ -35,16 +35,16 @@ const (
 // decoded from a connection holds views of the received frame and owns the
 // frame instead, so element bytes are not copied on the way in.
 type Msg struct {
-	head, payload       []byte
-	ownHead, ownPayload bool
-	frame               []byte // received frame head and payload view, or nil
+	head, payload []byte
+	own           bool   // head and payload are the message's own bufpool buffers
+	frame         []byte // received frame head and payload view, or nil
 }
 
 // newMsg builds an owned message: head is copied into a right-sized pooled
 // buffer (callers encode into a scratch encoder they keep), payload must be
 // a bufpool buffer or nil and is taken over as is.
 func newMsg(head, payload []byte) *Msg {
-	m := &Msg{head: bufpool.Get(len(head)), payload: payload, ownHead: true, ownPayload: true}
+	m := &Msg{head: bufpool.Get(len(head)), payload: payload, own: true}
 	copy(m.head, head)
 	mFragBytesLent.Add(uint64(len(payload)))
 	return m
@@ -57,10 +57,8 @@ func (m *Msg) Release() {
 	if m == nil {
 		return
 	}
-	if m.ownHead {
+	if m.own {
 		bufpool.Put(m.head)
-	}
-	if m.ownPayload {
 		bufpool.Put(m.payload)
 	}
 	bufpool.PutFrame(m.frame)
@@ -76,22 +74,12 @@ func (m *Msg) kind() byte {
 }
 
 // elems returns n packed float64 elements starting at byte offset off of
-// the payload. Reinterpreting bytes as float64 needs 8-byte alignment;
-// both wire encodings of a message align the payload (PutBytesRef), so a
-// view of a received frame qualifies, and a misaligned payload — which no
-// Link produces — is moved once into a pooled buffer the message then owns.
+// the payload. Reinterpreting bytes as float64 needs 8-byte alignment,
+// which every payload has: a pooled buffer, or a view of a received frame,
+// whose alignment the decode checks (wire.KeepBytesRef).
 func (m *Msg) elems(off, n int) []float64 {
 	if n == 0 {
 		return nil
-	}
-	if uintptr(unsafe.Pointer(unsafe.SliceData(m.payload)))%8 != 0 {
-		mRecvRealigned.Inc()
-		aligned := bufpool.Get(len(m.payload))
-		copy(aligned, m.payload)
-		if m.ownPayload {
-			bufpool.Put(m.payload)
-		}
-		m.payload, m.ownPayload = aligned, true
 	}
 	return float64sOf(m.payload[off : off+8*n])
 }
@@ -107,46 +95,34 @@ func init() {
 	comm.RegisterRemotePayload(4, comm.RemoteCodec{Encode: encodeRemoteMsg, Decode: decodeRemoteMsg})
 }
 
-// encodeRemoteMsg puts a message on a ConnectPeer link and retires it:
-// the head is copied into the frame header, and the payload is the final,
-// aligned field (putPayload).
+// encodeRemoteMsg puts a message on a connection and retires it: the head
+// is copied into the frame header, and the payload is the final field,
+// lent to the connection (wire.LendPayload) — the message's own buffer,
+// detached here, or a pooled copy of a payload it only views — and
+// aligned so the receiver can unpack it in place.
 func encodeRemoteMsg(e *wire.Encoder, v any) bool {
 	m, ok := v.(*Msg)
 	if !ok {
 		return false
 	}
 	e.PutBytes(m.head)
-	m.putPayload(e)
+	e.LendPayload(m.payload, m.own)
+	if m.own {
+		m.payload = nil
+	}
 	m.Release()
 	return true
-}
-
-// putPayload writes the payload with PutBytesRef, the encoding that
-// starts it 8-byte aligned so the receiver can unpack it in place. A
-// borrowing encoder is lent a pooled buffer, which the connection returns
-// to the pool: the message's own payload, detached here, or a pooled copy
-// of a payload the message only views.
-func (m *Msg) putPayload(e *wire.Encoder) {
-	p := m.payload
-	if e.Borrowing() && len(p) > 0 {
-		if m.ownPayload {
-			m.payload = nil
-		} else {
-			p = bufpool.Get(len(m.payload))
-			copy(p, m.payload)
-		}
-	}
-	e.PutBytesRef(p)
 }
 
 // decodeRemoteMsg rebuilds a message viewing head and payload in the
 // received frame, which it keeps: Release returns it.
 func decodeRemoteMsg(d *wire.Decoder) (any, error) {
-	head, payload := d.BorrowBytes(), d.BorrowBytesRef()
+	head := d.BorrowBytes()
+	payload, frame := d.KeepBytesRef()
 	if d.Err() != nil {
 		return nil, fmt.Errorf("prmi: corrupt remote message: %w", d.Err())
 	}
-	return &Msg{head: head, payload: payload, frame: d.Keep()}, nil
+	return &Msg{head: head, payload: payload, frame: frame}, nil
 }
 
 // getSimple decodes a simple-value section (count, then name and value of

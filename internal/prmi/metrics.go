@@ -31,10 +31,6 @@ var (
 	mFragElemsPacked   = obs.Default().Counter("prmi.frag_elems_packed")
 	mFragElemsUnpacked = obs.Default().Counter("prmi.frag_elems_unpacked")
 	mFragBytesLent     = obs.Default().Counter("prmi.frag_bytes_lent")
-	// recv_realigned counts received payloads whose elements had to be
-	// copied out of the frame to align them; the wire format aligns them,
-	// so it stays zero on every Link.
-	mRecvRealigned = obs.Default().Counter("prmi.recv_realigned")
 
 	// Malleability instruments: caller departures during an online shrink.
 	mDetaches           = obs.Default().Counter("prmi.caller_detaches")

@@ -16,13 +16,10 @@ package redist
 
 import (
 	"fmt"
-	"unsafe"
 
-	"mxn/internal/bufpool"
 	"mxn/internal/comm"
 	"mxn/internal/dad"
 	"mxn/internal/linear"
-	"mxn/internal/obs"
 	"mxn/internal/wire"
 )
 
@@ -36,14 +33,13 @@ func init() {
 // wire is the receiver — recycling here balances the newMsg accounting
 // exactly as the far side's decode re-opens it.
 //
-// The element bytes are the final field, written with PutBytesRef, so
-// that on a borrow-mode encoder (an OwnedSender connection) they leave the
-// process as a borrowed payload segment instead of being copied into the
-// frame encoding: ownership of the pooled data buffer passes to the
-// connection, which returns it to the pool once the peer has acknowledged
-// the frame. The wire bytes are identical either way, and the elements
-// start 8-byte aligned in them, which is what lets the far side unpack
-// straight from the received frame.
+// The element bytes are the final field, lent to the connection
+// (wire.LendPayload): the message's own pooled buffer as is, a view — a
+// zero-copy source slice that raced its way to a remote peer, or a
+// received frame — as a pooled copy. Either way no element byte is copied
+// into the frame encoding, and the elements start 8-byte aligned in the
+// wire bytes, which is what lets the far side unpack straight from the
+// received frame.
 func encodeXferMsg(e *wire.Encoder, v any) bool {
 	m, ok := v.(*xferMsg)
 	if !ok {
@@ -54,33 +50,17 @@ func encodeXferMsg(e *wire.Encoder, v any) bool {
 	e.PutUvarint(uint64(m.elems))
 	e.PutBool(m.ack)
 	putLinearSet(e, m.have)
-	data := m.data
-	if e.Borrowing() && len(data) > 0 {
-		if m.done == nil && m.frame == nil {
-			// Lend the message's own pooled buffer: detach it before
-			// recycle (which must not Put it) and close the in-flight
-			// accounting here, exactly where the copying path's recycle
-			// would.
-			m.data = nil
-			bytesInFlight.Add(-int64(len(data)))
-		} else {
-			// A view — a zero-copy source slice that raced its way to a
-			// remote peer, or a received frame — is never lent across the
-			// process boundary: lend a pooled copy of it.
-			data = bufpool.Get(len(m.data))
-			copy(data, m.data)
-		}
+	owned := m.done == nil && m.frame == nil
+	e.LendPayload(m.data, owned)
+	if owned {
+		// The connection returns the buffer now: detach it before recycle
+		// (which must not Put it) and close the in-flight accounting here.
+		bytesInFlight.Add(-int64(len(m.data)))
+		m.data = nil
 	}
-	e.PutBytesRef(data)
 	recycle(m)
 	return true
 }
-
-// mRecvRealigned counts received payloads that could not be unpacked from
-// the frame in place because their elements did not start 8-byte aligned
-// and had to be copied out first. The wire format aligns them, so on
-// every transport the count stays zero.
-var mRecvRealigned = obs.Default().Counter("redist.recv_realigned")
 
 // decodeXferMsg rebuilds a transfer message that views its elements in
 // the received frame and owns the frame (recycle returns it), so no
@@ -92,21 +72,13 @@ func decodeXferMsg(d *wire.Decoder) (any, error) {
 	m.elems = int(d.Uvarint())
 	m.ack = d.Bool()
 	m.have = getLinearSet(d)
-	raw := d.BorrowBytesRef()
+	data, frame := d.KeepBytesRef()
 	if d.Err() != nil {
 		// m.data is still nil here, so recycle is pure pool bookkeeping.
 		recycle(m)
 		return nil, fmt.Errorf("redist: corrupt remote transfer message: %w", d.Err())
 	}
-	switch {
-	case len(raw) == 0:
-	case uintptr(unsafe.Pointer(unsafe.SliceData(raw)))%8 == 0:
-		m.frame, m.data = d.Keep(), raw
-	default:
-		mRecvRealigned.Inc()
-		m.data = bufpool.Get(len(raw))
-		copy(m.data, raw)
-	}
+	m.data, m.frame = data, frame
 	addInFlight(len(m.data))
 	return m, nil
 }

@@ -133,7 +133,7 @@ func (w *remoteWorld) close() {
 // worlds reads every frame into a pooled buffer, decodes a message that
 // owns the frame and unpacks straight from it, so a Run allocates next to
 // nothing — where reading each frame into fresh memory cost about 15 MB
-// per Run — and no payload is ever copied out of a frame to align it.
+// per Run.
 func TestRemoteReceiveSteadyStateAlloc(t *testing.T) {
 	obs.DisableTracing()
 	src := tpl(t, []int{1024, 1024}, dad.BlockAxis(2), dad.CollapsedAxis())
@@ -155,14 +155,10 @@ func TestRemoteReceiveSteadyStateAlloc(t *testing.T) {
 			for i := 0; i < 10; i++ {
 				w.step(t) // warm the pool classes, mailboxes and worker stacks
 			}
-			realigned := mRecvRealigned.Value()
 			perRun := allocBytesPerRun(7, 3, func() { w.step(t) })
 			t.Logf("%s: %d bytes allocated per Run moving %d MiB", tc.name, perRun, s.TotalElems()*8>>20)
 			if perRun > 64<<10 {
 				t.Errorf("warm remote Run allocates %d bytes, budget 64 KiB", perRun)
-			}
-			if got := mRecvRealigned.Value() - realigned; got != 0 {
-				t.Errorf("%d received payloads were copied to align them", got)
 			}
 			verify(t, dst, w.dst)
 		})

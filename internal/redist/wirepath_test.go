@@ -1,7 +1,6 @@
 package redist
 
 import (
-	"bytes"
 	"sync"
 	"testing"
 	"time"
@@ -16,11 +15,10 @@ import (
 	"mxn/internal/transport"
 )
 
-// The wire-path differential: the same cross-world exchange executed
-// over real TCP sessions twice — once on the vectored scatter-gather
-// path (session.Conn implements transport.OwnedSender) and once with
-// the conns wrapped so only the legacy copying Send is visible — must
-// produce bit-identical destinations, while the physical links flap.
+// The wire-path differential: a cross-world exchange executed over real
+// TCP sessions, every payload lent to the connection and sent
+// scatter-gather, must produce destinations bit-identical to
+// ExecuteLocalT of the same schedule, while the physical links flap.
 
 func wireCfg() session.Config {
 	return session.Config{
@@ -65,13 +63,20 @@ func flappingSessionPair(t *testing.T, flapAfter int) (cli, srv transport.Conn) 
 	return c, a.c
 }
 
-// plainConn hides the optional vectored/owned interfaces of the wrapped
-// conn, so comm's forwarding falls back to the legacy copying encode.
-type plainConn struct{ transport.Conn }
+// localReferenceT is ExecuteLocalT of s over srcLocals: the in-process
+// result a transfer over any connection must reproduce bit for bit.
+func localReferenceT[T Elem](s *schedule.Schedule, dst *dad.Template, srcLocals [][]T) [][]T {
+	want := make([][]T, dst.NumProcs())
+	for r := range want {
+		want[r] = make([]T, dst.LocalCount(r))
+	}
+	ExecuteLocalT(s, srcLocals, want)
+	return want
+}
 
 // runWireExchangeT performs the remote_test.go cross-world exchange over
-// a flapping TCP session, on either the vectored or the legacy path.
-func runWireExchangeT[T Elem](t *testing.T, conv func(float64) T, budget int, plain bool) [][]T {
+// a flapping TCP session and checks it against localReferenceT.
+func runWireExchangeT[T Elem](t *testing.T, conv func(float64) T, budget int) {
 	t.Helper()
 	src := tpl(t, []int{24}, dad.BlockAxis(2))
 	dst := tpl(t, []int{24}, dad.CyclicAxis(3))
@@ -84,9 +89,6 @@ func runWireExchangeT[T Elem](t *testing.T, conv func(float64) T, budget int, pl
 	// messages plus acks, so every physical conn dies mid-transfer and
 	// the session replays borrowed payloads over the fresh link.
 	cli, srv := flappingSessionPair(t, 5)
-	if plain {
-		cli, srv = plainConn{cli}, plainConn{srv}
-	}
 
 	total := m + n
 	wa := comm.NewWorld(total)
@@ -148,128 +150,100 @@ func runWireExchangeT[T Elem](t *testing.T, conv func(float64) T, budget int, pl
 	}
 	wg.Wait()
 	verifyT(t, dst, dstLocals, conv)
-	return dstLocals
+	sameLocals(t, localReferenceT(s, dst, srcLocals), dstLocals)
 }
 
 // TestWirePathVectoredMatchesLegacyOverTCP: every element kind, budgeted
-// and unbudgeted, vectored vs copying, over flapping TCP sessions.
+// and unbudgeted, over flapping TCP sessions, matches ExecuteLocalT.
 func TestWirePathVectoredMatchesLegacyOverTCP(t *testing.T) {
 	for _, budget := range []int{0, 64} {
 		name := map[int]string{0: "unbudgeted", 64: "budgeted"}[budget]
 		t.Run("float64/"+name, func(t *testing.T) {
-			conv := func(v float64) float64 { return v }
-			vec := runWireExchangeT(t, conv, budget, false)
-			leg := runWireExchangeT(t, conv, budget, true)
-			sameLocals(t, leg, vec)
+			runWireExchangeT(t, func(v float64) float64 { return v }, budget)
 		})
 		t.Run("float32/"+name, func(t *testing.T) {
-			conv := func(v float64) float32 { return float32(v) }
-			vec := runWireExchangeT(t, conv, budget, false)
-			leg := runWireExchangeT(t, conv, budget, true)
-			sameLocals(t, leg, vec)
+			runWireExchangeT(t, func(v float64) float32 { return float32(v) }, budget)
 		})
 		t.Run("int64/"+name, func(t *testing.T) {
-			conv := func(v float64) int64 { return int64(v) }
-			vec := runWireExchangeT(t, conv, budget, false)
-			leg := runWireExchangeT(t, conv, budget, true)
-			sameLocals(t, leg, vec)
+			runWireExchangeT(t, func(v float64) int64 { return int64(v) }, budget)
 		})
 		t.Run("int32/"+name, func(t *testing.T) {
-			conv := func(v float64) int32 { return int32(v) }
-			vec := runWireExchangeT(t, conv, budget, false)
-			leg := runWireExchangeT(t, conv, budget, true)
-			sameLocals(t, leg, vec)
+			runWireExchangeT(t, func(v float64) int32 { return int32(v) }, budget)
 		})
 		t.Run("complex128/"+name, func(t *testing.T) {
-			conv := func(v float64) complex128 { return complex(v, -v) }
-			vec := runWireExchangeT(t, conv, budget, false)
-			leg := runWireExchangeT(t, conv, budget, true)
-			sameLocals(t, leg, vec)
+			runWireExchangeT(t, func(v float64) complex128 { return complex(v, -v) }, budget)
 		})
 	}
 }
 
-// TestWirePathFencedOverTCP: the epoch-fenced protocol rides the
-// vectored path over flapping links and matches the legacy path
+// TestWirePathFencedOverTCP: the epoch-fenced protocol rides the lent,
+// scatter-gather path over flapping links and matches ExecuteLocalT
 // bit-identically, with nobody marked down.
 func TestWirePathFencedOverTCP(t *testing.T) {
-	runFenced := func(t *testing.T, plain bool) [][]float64 {
-		t.Helper()
-		src := tpl(t, []int{24}, dad.BlockAxis(2))
-		dst := tpl(t, []int{24}, dad.CyclicAxis(3))
-		s, err := schedule.Build(src, dst)
-		if err != nil {
-			t.Fatal(err)
+	src := tpl(t, []int{24}, dad.BlockAxis(2))
+	dst := tpl(t, []int{24}, dad.CyclicAxis(3))
+	s, err := schedule.Build(src, dst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const m, n = 2, 3
+	cli, srv := flappingSessionPair(t, 5)
+	total := m + n
+	wa := comm.NewWorld(total)
+	wb := comm.NewWorld(total)
+	var srcRanks, dstRanks, all []int
+	for r := 0; r < total; r++ {
+		all = append(all, r)
+		if r < m {
+			srcRanks = append(srcRanks, r)
+		} else {
+			dstRanks = append(dstRanks, r)
 		}
-		const m, n = 2, 3
-		cli, srv := flappingSessionPair(t, 5)
-		if plain {
-			cli, srv = plainConn{cli}, plainConn{srv}
-		}
-		total := m + n
-		wa := comm.NewWorld(total)
-		wb := comm.NewWorld(total)
-		var srcRanks, dstRanks, all []int
-		for r := 0; r < total; r++ {
-			all = append(all, r)
-			if r < m {
-				srcRanks = append(srcRanks, r)
-			} else {
-				dstRanks = append(dstRanks, r)
-			}
-		}
-		pa := wa.ConnectPeer(cli, dstRanks)
-		pb := wb.ConnectPeer(srv, srcRanks)
-		t.Cleanup(func() { pa.Close(); pb.Close(); cli.Close(); srv.Close() })
-		csA := wa.SharedGroup(1, all)
-		csB := wb.SharedGroup(1, all)
-		memA := core.NewMembership(total)
-		memB := core.NewMembership(total)
+	}
+	pa := wa.ConnectPeer(cli, dstRanks)
+	pb := wb.ConnectPeer(srv, srcRanks)
+	t.Cleanup(func() { pa.Close(); pb.Close(); cli.Close(); srv.Close() })
+	csA := wa.SharedGroup(1, all)
+	csB := wb.SharedGroup(1, all)
+	memA := core.NewMembership(total)
+	memB := core.NewMembership(total)
 
-		srcLocals := fillByGlobal(src)
-		dstLocals := make([][]float64, n)
-		lay := Layout{SrcBase: 0, DstBase: m}
-		var wg sync.WaitGroup
-		var mu sync.Mutex
-		body := func(c *comm.Comm, mem *core.Membership) {
-			defer wg.Done()
-			var sl, dl []float64
-			if c.Rank() < m {
-				sl = srcLocals[c.Rank()]
-			} else {
-				dl = make([]float64, dst.LocalCount(c.Rank()-m))
-			}
-			fo := TransferOpts{Membership: mem, Policy: FailStrict, PollInterval: time.Millisecond}
-			out, err := xfer(c, s, lay, sl, dl, 0, fo)
-			if err != nil {
-				t.Errorf("rank %d: %v", c.Rank(), err)
-			} else if len(out.Down) != 0 {
-				t.Errorf("rank %d: flaps surfaced as deaths: %v", c.Rank(), out.Down)
-			}
-			if dl != nil {
-				mu.Lock()
-				dstLocals[c.Rank()-m] = dl
-				mu.Unlock()
-			}
+	srcLocals := fillByGlobal(src)
+	dstLocals := make([][]float64, n)
+	lay := Layout{SrcBase: 0, DstBase: m}
+	var wg sync.WaitGroup
+	var mu sync.Mutex
+	body := func(c *comm.Comm, mem *core.Membership) {
+		defer wg.Done()
+		var sl, dl []float64
+		if c.Rank() < m {
+			sl = srcLocals[c.Rank()]
+		} else {
+			dl = make([]float64, dst.LocalCount(c.Rank()-m))
 		}
-		wg.Add(total)
-		for r := 0; r < m; r++ {
-			go body(csA[r], memA)
+		fo := TransferOpts{Membership: mem, Policy: FailStrict, PollInterval: time.Millisecond}
+		out, err := xfer(c, s, lay, sl, dl, 0, fo)
+		if err != nil {
+			t.Errorf("rank %d: %v", c.Rank(), err)
+		} else if len(out.Down) != 0 {
+			t.Errorf("rank %d: flaps surfaced as deaths: %v", c.Rank(), out.Down)
 		}
-		for r := m; r < total; r++ {
-			go body(csB[r], memB)
-		}
-		wg.Wait()
-		verify(t, dst, dstLocals)
-		return dstLocals
-	}
-	vec := runFenced(t, false)
-	leg := runFenced(t, true)
-	for r := range vec {
-		if !bytes.Equal(bytesOf(vec[r]), bytesOf(leg[r])) {
-			t.Errorf("rank %d: fenced vectored result differs bitwise from legacy", r)
+		if dl != nil {
+			mu.Lock()
+			dstLocals[c.Rank()-m] = dl
+			mu.Unlock()
 		}
 	}
+	wg.Add(total)
+	for r := 0; r < m; r++ {
+		go body(csA[r], memA)
+	}
+	for r := m; r < total; r++ {
+		go body(csB[r], memB)
+	}
+	wg.Wait()
+	verify(t, dst, dstLocals)
+	sameLocals(t, localReferenceT(s, dst, srcLocals), dstLocals)
 }
 
 // TestWirePathPoolBalancedAfterSessionExchange: after a vectored

@@ -2,6 +2,8 @@ package redist
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"testing"
 	"time"
 
@@ -65,7 +67,7 @@ func sameLocals[T Elem](t *testing.T, a, b [][]T) {
 	}
 	for r := range a {
 		if !bytes.Equal(bytesOf(a[r]), bytesOf(b[r])) {
-			t.Errorf("rank %d: zero-copy result differs bitwise from legacy", r)
+			t.Errorf("rank %d: results differ bitwise", r)
 		}
 	}
 }
@@ -265,85 +267,97 @@ func TestZeroCopySelfSendAliased(t *testing.T) {
 	}
 }
 
-// TestXferMsgCodecBorrowBitIdentical: the borrow-mode encode of a
-// transfer message splits into header+payload whose concatenation is
-// bit-identical to the single-buffer encode, and the decode views the
-// payload in place in the received frame, 8-byte aligned.
+// TestXferMsgCodecBorrowBitIdentical: the encode of a transfer message
+// lends its own payload buffer behind the header, and header ++ payload is
+// bit-identical to the reference encoding; the decode views the payload in
+// place in the received frame, 8-byte aligned, and a re-encode of that view
+// lends a pooled copy of it.
 func TestXferMsgCodecBorrowBitIdentical(t *testing.T) {
-	build := func() *xferMsg {
-		m := getMsg()
-		m.epoch = 3
-		m.kind = dad.Float64
-		m.elems = 4
-		m.ack = true
-		m.have = linear.Set{{Lo: 2, Hi: 6}}
-		m.data = bufpool.Get(32)
-		for i := range m.data {
-			m.data[i] = byte(i * 3)
-		}
-		addInFlight(len(m.data))
-		return m
+	payload := make([]byte, 32)
+	for i := range payload {
+		payload[i] = byte(i * 3)
 	}
+	m := getMsg()
+	m.epoch = 3
+	m.kind = dad.Float64
+	m.elems = 4
+	m.ack = true
+	m.have = linear.Set{{Lo: 2, Hi: 6}}
+	m.data = bufpool.Get(len(payload))
+	copy(m.data, payload)
+	addInFlight(len(m.data))
 
-	e1 := wire.NewEncoder(nil)
-	if !encodeXferMsg(e1, build()) {
-		t.Fatal("legacy encode refused an *xferMsg")
+	// The reference encoding, spelled out independently of the encoder:
+	// epoch, kind, element count, ack flag, the linear set, then the
+	// payload's length, zero padding to an 8-byte offset and its bytes.
+	ref := binary.LittleEndian.AppendUint64(nil, 3)
+	ref = append(ref, byte(dad.Float64))
+	ref = binary.AppendUvarint(ref, 4)
+	ref = append(ref, 1)
+	ref = binary.AppendUvarint(ref, 1)
+	ref = binary.LittleEndian.AppendUint64(ref, 2)
+	ref = binary.LittleEndian.AppendUint64(ref, 6)
+	ref = binary.AppendUvarint(ref, uint64(len(payload)))
+	for len(ref)%8 != 0 {
+		ref = append(ref, 0)
 	}
-	legacy := append([]byte(nil), e1.Bytes()...)
+	ref = append(ref, payload...)
 
-	e2 := wire.NewEncoderV(nil)
-	if !encodeXferMsg(e2, build()) {
-		t.Fatal("borrow encode refused an *xferMsg")
+	lent := m.data
+	e := wire.NewEncoder(nil)
+	if !encodeXferMsg(e, m) {
+		t.Fatal("encode refused an *xferMsg")
 	}
-	head, data := e2.Vector()
-	if data == nil {
-		t.Fatal("borrow-mode encode did not borrow the payload")
+	head, data := e.Vector()
+	if data == nil || &data[0] != &lent[0] {
+		t.Fatal("encode did not lend the message's own payload buffer")
 	}
-	vec := append(append([]byte(nil), head...), data...)
-	if !bytes.Equal(legacy, vec) {
-		t.Fatalf("borrow encoding differs from legacy\nlegacy % x\nborrow % x", legacy, vec)
+	if got := append(append([]byte(nil), head...), data...); !bytes.Equal(got, ref) {
+		t.Fatalf("encoding differs from the reference\nreference % x\nencoded   % x", ref, got)
 	}
 	bufpool.Put(data) // ownership passed to us (standing in for the conn)
 
 	// Decoded from a pooled frame, the message views its elements in the
-	// frame, aligned, and owns the frame: recycle returns it.
+	// frame, aligned, and owns the frame.
 	frames := bufpool.FramesOutstanding()
-	realigned := mRecvRealigned.Value()
-	frame := bufpool.GetFrame(len(legacy))
-	copy(frame, legacy)
+	frame := bufpool.GetFrame(len(ref))
+	copy(frame, ref)
 	d := wire.NewDecoder(frame)
 	v, err := decodeXferMsg(d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := v.(*xferMsg)
+	m = v.(*xferMsg)
 	if m.epoch != 3 || m.kind != dad.Float64 || m.elems != 4 || !m.ack {
 		t.Fatalf("decoded fields: %+v", m)
 	}
 	if len(m.have) != 1 || m.have[0] != (linear.Interval{Lo: 2, Hi: 6}) {
 		t.Fatalf("decoded have: %v", m.have)
 	}
-	if !d.Kept() || !bytes.Equal(m.data, legacy[len(head):]) || &m.data[0] != &frame[len(head)] {
+	if !d.Kept() || !bytes.Equal(m.data, payload) || &m.data[0] != &frame[len(head)] {
 		t.Fatal("decoded payload does not view the frame in place")
 	}
 	if !alignedFor(elemsOf[float64](m.data, m.elems)) {
 		t.Fatal("decoded payload view is not 8-byte aligned")
 	}
-	recycle(m)
+
+	// Forwarded again, the view is lent as one pooled copy, and the encode
+	// returns the frame.
+	e.Reset()
+	encodeXferMsg(e, m)
+	if _, data = e.Vector(); &data[0] == &frame[len(head)] || !bytes.Equal(data, payload) {
+		t.Fatal("a received view was not lent as a pooled copy")
+	}
+	bufpool.Put(data)
 	if got := bufpool.FramesOutstanding() - frames; got != 0 {
-		t.Fatalf("%d frames outstanding after recycle", got)
+		t.Fatalf("%d frames outstanding after the re-encode", got)
 	}
 
-	// A view the wire format did not align (a decoder over an odd offset)
-	// is copied out once, counted, and leaves the frame to its creator.
-	odd := append([]byte{0}, legacy...)
+	// A decoder over an odd offset would view the payload misaligned: the
+	// message is rejected as corrupt, and the input stays with its creator.
+	odd := append([]byte{0}, ref...)
 	d = wire.NewDecoder(odd[1:])
-	if v, err = decodeXferMsg(d); err != nil {
-		t.Fatal(err)
+	if _, err = decodeXferMsg(d); !errors.Is(err, wire.ErrCorrupt) || d.Kept() {
+		t.Fatalf("misaligned payload: err %v, kept %v; want ErrCorrupt, not kept", err, d.Kept())
 	}
-	m = v.(*xferMsg)
-	if d.Kept() || !bytes.Equal(m.data, legacy[len(head):]) || mRecvRealigned.Value()-realigned != 1 {
-		t.Fatal("misaligned payload was not copied out exactly once")
-	}
-	recycle(m)
 }

@@ -171,7 +171,7 @@ func (c Config) withDefaults() Config {
 }
 
 // replayEntry is one unacknowledged sent frame, keyed by its sequence
-// number. own is a pooled buffer holding the message (Send) or the
+// number. own is a pooled buffer holding the message (Send, SendV) or the
 // caller's head bytes (SendOwned), followed by the data trailer; data,
 // when non-nil, is a pooled payload buffer retained by reference
 // (SendOwned) rather than re-copied into the frame. The frame's wire bytes
@@ -785,6 +785,48 @@ func (c *Conn) Send(msg []byte) error {
 // itself is not bounded — an abandoned mid-frame write would poison the
 // stream, and reconnection already bounds a stuck link.
 func (c *Conn) SendContext(ctx context.Context, msg []byte) error {
+	own := bufpool.Get(len(msg) + dataTrailerLen)
+	copy(own, msg)
+	return c.enqueue(ctx, own, nil)
+}
+
+// SendV is Send of the concatenation of segs: the segments are flattened
+// once into the pooled buffer the replay ring retains.
+func (c *Conn) SendV(segs net.Buffers) error {
+	n := 0
+	for _, s := range segs {
+		n += len(s)
+	}
+	own := bufpool.Get(n + dataTrailerLen)
+	n = 0
+	for _, s := range segs {
+		n += copy(own[n:], s)
+	}
+	return c.enqueue(context.Background(), own, nil)
+}
+
+// SendOwned is Send of head followed by payload, with ownership of
+// payload (a bufpool buffer) transferring to the session on the call.
+// head and the session trailer go into one small pooled buffer; payload is
+// retained by reference in the replay ring, and no payload byte is copied
+// between here and the socket. The payload returns to the pool exactly
+// once: when the peer's cumulative ack covers the frame, when the session
+// tears down (Close, circuit open), or right here if the send is refused.
+func (c *Conn) SendOwned(head, payload []byte) error {
+	own := bufpool.Get(len(head) + dataTrailerLen)
+	copy(own, head)
+	if len(payload) == 0 {
+		payload = nil
+	}
+	return c.enqueue(context.Background(), own, payload)
+}
+
+// enqueue sequences one data frame into the replay ring and writes it to
+// the live connection. own is a pooled buffer holding the message, or the
+// head of an owned send, followed by dataTrailerLen bytes for the trailer;
+// data is a retained payload or nil. Both belong to the session from the
+// call on: a refused send returns them to the pool.
+func (c *Conn) enqueue(ctx context.Context, own, data []byte) error {
 	var stop func() bool
 	if ctx.Done() != nil {
 		stop = context.AfterFunc(ctx, func() {
@@ -798,80 +840,27 @@ func (c *Conn) SendContext(ctx context.Context, msg []byte) error {
 	for c.replayFullLocked() && !c.closed && c.dead == nil && ctx.Err() == nil {
 		c.cond.Wait()
 	}
+	var err error
 	switch {
 	case c.closed:
-		c.mu.Unlock()
-		return transport.ErrClosed
+		err = transport.ErrClosed
 	case c.dead != nil:
-		err := c.dead
-		c.mu.Unlock()
-		return err
+		err = c.dead
 	case ctx.Err() != nil:
-		c.mu.Unlock()
-		return ctxErr(ctx)
+		err = ctxErr(ctx)
 	}
-	c.nextSeq++
-	seq := c.nextSeq
-	buf := bufpool.Get(len(msg) + dataTrailerLen)
-	copy(buf, msg)
-	putDataTrailer(buf[len(msg):], seq, c.lastDelivered)
-	c.recvSinceAck, c.bytesSinceAck = 0, 0 // the trailer piggybacks the ack
-	c.replay.push(replayEntry{seq: seq, own: buf})
-	c.replayBytes += len(buf)
-	mReplayDepth.Add(1)
-	conn := c.cur
-	c.mu.Unlock()
-	if conn == nil {
-		// Down: recovery is already running and will replay this frame.
-		return nil
-	}
-	c.wmu.Lock()
-	err := conn.Send(buf)
-	c.wmu.Unlock()
 	if err != nil {
-		// The frame is in the replay buffer; the resume replays it.
-		c.connFailed(conn, err)
-	}
-	return nil
-}
-
-// SendOwned implements transport.OwnedSender: the message's bytes are
-// head followed by payload, with ownership of payload (a bufpool buffer)
-// transferring to the session on the call. head and the session trailer
-// go into one small pooled buffer; payload is retained by reference in
-// the replay ring — no payload byte is copied between here and the
-// socket when the physical transport supports scatter-gather. The
-// payload returns to the pool exactly once: when the peer's cumulative
-// ack covers the frame, when the session tears down (Close, circuit
-// open), or right here if the send is refused. Delivery semantics are
-// identical to Send.
-func (c *Conn) SendOwned(head, payload []byte) error {
-	c.mu.Lock()
-	for c.replayFullLocked() && !c.closed && c.dead == nil {
-		c.cond.Wait()
-	}
-	switch {
-	case c.closed:
 		c.mu.Unlock()
-		bufpool.Put(payload)
-		return transport.ErrClosed
-	case c.dead != nil:
-		err := c.dead
-		c.mu.Unlock()
-		bufpool.Put(payload)
+		bufpool.Put(own)
+		bufpool.Put(data)
 		return err
 	}
 	c.nextSeq++
 	seq := c.nextSeq
-	if len(payload) == 0 {
-		payload = nil
-	}
-	own := bufpool.Get(len(head) + dataTrailerLen)
-	copy(own, head)
-	putDataTrailer(own[len(head):], seq, c.lastDelivered)
+	putDataTrailer(own[len(own)-dataTrailerLen:], seq, c.lastDelivered)
 	c.recvSinceAck, c.bytesSinceAck = 0, 0 // the trailer piggybacks the ack
-	c.replay.push(replayEntry{seq: seq, own: own, data: payload})
-	c.replayBytes += len(own) + len(payload)
+	c.replay.push(replayEntry{seq: seq, own: own, data: data})
+	c.replayBytes += len(own) + len(data)
 	mReplayDepth.Add(1)
 	conn := c.cur
 	c.mu.Unlock()
@@ -880,7 +869,7 @@ func (c *Conn) SendOwned(head, payload []byte) error {
 		return nil
 	}
 	c.wmu.Lock()
-	err := c.writeEntry(conn, own, payload)
+	err = c.writeEntry(conn, own, data)
 	c.wmu.Unlock()
 	if err != nil {
 		// The frame is in the replay buffer; the resume replays it.
@@ -891,26 +880,14 @@ func (c *Conn) SendOwned(head, payload []byte) error {
 
 // writeEntry writes one buffered frame to the physical connection; the
 // caller holds wmu. An entry with a retained payload is three segments —
-// head, payload, trailer — and takes the scatter-gather path when the
-// transport supports it, or is flattened through a pooled buffer (one
-// copy, released immediately) when it does not.
+// head, payload, trailer — sent as one SendV.
 func (c *Conn) writeEntry(conn transport.Conn, own, data []byte) error {
 	if data == nil {
 		return conn.Send(own)
 	}
-	head, trailer := own[:len(own)-dataTrailerLen], own[len(own)-dataTrailerLen:]
-	if vw, ok := conn.(transport.VectorWriter); ok {
-		c.iov = append(c.iov[:0], head, data, trailer)
-		err := vw.SendV(c.iov)
-		clear(c.iov)
-		return err
-	}
-	flat := bufpool.Get(len(own) + len(data))
-	n := copy(flat, head)
-	n += copy(flat[n:], data)
-	copy(flat[n:], trailer)
-	err := conn.Send(flat)
-	bufpool.Put(flat)
+	c.iov = append(c.iov[:0], own[:len(own)-dataTrailerLen], data, own[len(own)-dataTrailerLen:])
+	err := conn.SendV(c.iov)
+	clear(c.iov)
 	return err
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -338,6 +339,8 @@ func TestSessionListenerCloseUnblocksAccept(t *testing.T) {
 type nullConn struct{}
 
 func (nullConn) Send([]byte) error                               { return nil }
+func (nullConn) SendV(net.Buffers) error                         { return nil }
+func (nullConn) SendOwned(_, payload []byte) error               { bufpool.Put(payload); return nil }
 func (nullConn) Recv() ([]byte, error)                           { select {} }
 func (nullConn) Close() error                                    { return nil }
 func (nullConn) SendContext(ctx context.Context, b []byte) error { return nil }

@@ -46,37 +46,27 @@ var ErrClosed = errors.New("transport: closed")
 // callers can tell a slow peer from a dead link and decide whether to retry.
 var ErrTimeout = errors.New("transport: timeout")
 
-// VectorWriter is implemented by Conns whose send path can transmit one
-// message assembled from several byte segments without flattening them
-// first. The TCP transport maps SendV onto a single writev via
-// net.Buffers.WriteTo; transports without scatter-gather support either
-// flatten internally (one copy, at the transport boundary) or simply do
-// not implement the interface, in which case callers fall back to Send
-// with a flattened buffer. SendV never retains segs or its segments past
-// the call. The parameter is a slice (not variadic) so hot callers can
-// reuse a preallocated vector without the call escaping it to the heap.
-type VectorWriter interface {
-	SendV(segs net.Buffers) error
-}
-
-// OwnedSender is implemented by Conns that can take ownership of a
-// pooled payload buffer. SendOwned transmits one message whose bytes are
-// head followed by payload; head is only read during the call, while
-// ownership of payload (which must be a bufpool buffer) transfers to the
-// conn unconditionally — success or error — and the conn returns it to
-// the pool once the bytes can no longer be needed. For plain transports
-// that is immediately after the physical write; for the session layer it
-// is after the peer acknowledges the frame (or the session is torn
-// down). This is the hook that lets the redistribution engine lend its
-// pack buffer to the wire instead of having every layer re-copy it.
-type OwnedSender interface {
-	SendOwned(head, payload []byte) error
-}
-
 // Conn is a reliable, ordered, full-duplex message connection.
 type Conn interface {
 	// Send transmits one message. It may block for flow control.
 	Send(msg []byte) error
+	// SendV transmits one message whose bytes are the concatenation of
+	// segs, without the caller flattening them first: TCP hands the frame
+	// header and every segment to one writev. SendV never retains segs or
+	// its segments past the call. The parameter is a slice (not variadic)
+	// so hot callers can reuse a preallocated vector without the call
+	// escaping it to the heap.
+	SendV(segs net.Buffers) error
+	// SendOwned transmits one message whose bytes are head followed by
+	// payload. head is only read during the call; payload, a bufpool
+	// buffer or nil, belongs to the conn from the call on, whatever it
+	// returns, and the conn returns it to the pool exactly once when the
+	// bytes can no longer be needed: right after the physical write on
+	// TCP, after the copy into the queued frame on a pipe, after the peer
+	// acknowledges the frame (or the session tears down) on a session.
+	// This is what lets the transfer engine and PRMI lend their pack
+	// buffers to the wire instead of every layer re-copying them.
+	SendOwned(head, payload []byte) error
 	// Recv blocks until the next message arrives. The message is a pooled
 	// frame (bufpool.GetFrame) that the caller owns from then on: it
 	// returns the frame, or any prefix of it, with bufpool.PutFrame once
@@ -207,15 +197,14 @@ func (c *chanConn) SendContext(ctx context.Context, msg []byte) error {
 	return c.sendSegs(ctx, [][]byte{msg}, nil)
 }
 
-// SendV implements VectorWriter by flattening the segments into the one
-// frame copy Send makes.
+// SendV flattens the segments into the one frame copy Send makes.
 func (c *chanConn) SendV(segs net.Buffers) error {
 	return c.sendSegs(context.Background(), segs, nil)
 }
 
-// SendOwned implements OwnedSender: head and payload are flattened into
-// the queued frame and the payload returns to the pool at once — a pipe
-// delivers by reference, so the bytes are private after one copy.
+// SendOwned flattens head and payload into the queued frame and returns
+// the payload to the pool at once — a pipe delivers by reference, so the
+// bytes are private after one copy.
 func (c *chanConn) SendOwned(head, payload []byte) error {
 	return c.sendSegs(context.Background(), [][]byte{head, payload}, payload)
 }
@@ -390,18 +379,18 @@ func (c *tcpConn) Send(msg []byte) error {
 	return wire.WriteFrame(c.nc, msg)
 }
 
-// SendV implements VectorWriter: the frame header and every segment go
-// to the socket in one writev (net.Buffers.WriteTo), so no payload byte
-// is copied on the way out.
+// SendV hands the frame header and every segment to the socket in one
+// writev (net.Buffers.WriteTo), so no payload byte is copied on the way
+// out.
 func (c *tcpConn) SendV(segs net.Buffers) error {
 	c.sMu.Lock()
 	defer c.sMu.Unlock()
 	return wire.WriteFrameV(c.nc, segs)
 }
 
-// SendOwned implements OwnedSender: the payload rides the scatter-gather
-// path and is released to the pool as soon as the write returns, since
-// TCP has consumed the bytes by then.
+// SendOwned sends the payload on the scatter-gather path and releases it
+// to the pool as soon as the write returns, since TCP has consumed the
+// bytes by then.
 func (c *tcpConn) SendOwned(head, payload []byte) error {
 	c.sMu.Lock()
 	c.iov = append(c.iov[:0], head, payload)

@@ -3,9 +3,12 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
 	"net"
 	"testing"
+
+	"mxn/internal/bufpool"
 )
 
 // referenceFrame spells the frame format out independently of the writer
@@ -133,57 +136,100 @@ type discardWriter struct{}
 
 func (discardWriter) Write(p []byte) (int, error) { return len(p), nil }
 
-// TestEncoderVectorSplit: a borrow-mode encoder splits its output into
-// header bytes plus the borrowed payload, the concatenation equals a
-// plain encoder's output for the same puts, and the payload starts at an
-// 8-byte-aligned offset of the encoding.
+// referenceBytesRef spells the PutBytesRef field out independently of the
+// encoder: prefix, the uvarint length, zero padding to an 8-byte offset of
+// the encoding, then the bytes — the wire form the receiver reads whether
+// the sender lent b or not.
+func referenceBytesRef(prefix, b []byte) []byte {
+	out := binary.AppendUvarint(append([]byte(nil), prefix...), uint64(len(b)))
+	for len(out)%8 != 0 {
+		out = append(out, 0)
+	}
+	return append(out, b...)
+}
+
+// TestEncoderVectorSplit: PutBytesRef splits the encoding into header
+// bytes plus the caller's slice by reference, the concatenation equals
+// the reference encoding, and the payload starts at an 8-byte-aligned
+// offset of the encoding; KeepBytesRef reads it back in place and takes
+// the input over, and rejects an input that does not start aligned.
 func TestEncoderVectorSplit(t *testing.T) {
 	payload := []byte{9, 8, 7, 6, 5}
 
-	plain := NewEncoder(nil)
-	plain.PutUint64(42)
-	plain.PutString("hdr")
-	plain.PutBytesRef(payload) // plain encoder: falls back to a copy
-	want := plain.Bytes()
-
-	v := NewEncoderV(nil)
-	if !v.Borrowing() {
-		t.Fatal("NewEncoderV not in borrow mode")
-	}
+	v := NewEncoder(nil)
 	v.PutUint64(42)
 	v.PutString("hdr")
+	fields := append([]byte(nil), v.Bytes()...)
 	v.PutBytesRef(payload)
 	head, data := v.Vector()
 	if len(data) != len(payload) || &data[0] != &payload[0] {
-		t.Fatal("borrow-mode PutBytesRef did not borrow the caller's slice")
+		t.Fatal("PutBytesRef did not record the caller's slice")
 	}
-	got := append(append([]byte(nil), head...), data...)
+	want := referenceBytesRef(fields, payload)
+	got := append(append(bufpool.GetFrame(len(want))[:0], head...), data...)
 	if !bytes.Equal(got, want) {
-		t.Fatalf("vector split bytes differ from plain encoding\nplain %x\nsplit %x", want, got)
+		t.Fatalf("vector split bytes differ from the reference encoding\nreference %x\nsplit     %x", want, got)
 	}
 	if len(head)%8 != 0 {
-		t.Fatalf("borrowed payload starts at offset %d, not 8-byte aligned", len(head))
+		t.Fatalf("payload starts at offset %d, not 8-byte aligned", len(head))
 	}
 
-	// Decode the concatenation to prove the borrowed field reads back, in
-	// place and aligned.
+	// Decode the concatenation, a pooled frame, to prove the field reads
+	// back in place, aligned, and that the decoded value owns the frame.
 	d := NewDecoder(got)
 	if d.Uint64() != 42 || d.String() != "hdr" {
 		t.Fatal("header fields corrupted")
 	}
-	view := d.BorrowBytesRef()
+	view, frame := d.KeepBytesRef()
 	if !bytes.Equal(view, payload) || d.Err() != nil || d.Remaining() != 0 {
 		t.Fatal("payload field corrupted")
 	}
-	if &view[0] != &got[len(head)] {
-		t.Fatal("BorrowBytesRef did not view the payload in place")
+	if &view[0] != &got[len(head)] || !d.Kept() || &frame[0] != &got[0] {
+		t.Fatal("KeepBytesRef did not view the payload in place and keep the frame")
+	}
+	bufpool.PutFrame(frame)
+
+	// The same bytes one byte into a buffer: the view would be misaligned,
+	// so the field is corrupt and the input stays with its creator.
+	odd := append([]byte{0}, want...)
+	d = NewDecoder(odd[1:])
+	if d.Uint64() != 42 || d.String() != "hdr" {
+		t.Fatal("header fields corrupted at an odd offset")
+	}
+	if view, frame := d.KeepBytesRef(); view != nil || frame != nil || !errors.Is(d.Err(), ErrCorrupt) || d.Kept() {
+		t.Fatalf("misaligned view accepted: err %v, kept %v", d.Err(), d.Kept())
 	}
 }
 
-// TestEncoderVectorNoBorrow: a borrow-mode encoder with no PutBytesRef
-// call yields a nil payload from Vector.
+// TestLendPayloadOwnedOrCopied: the one lend rule. An owned buffer is lent
+// as is; a view is copied once into a pooled buffer and the copy is lent.
+func TestLendPayloadOwnedOrCopied(t *testing.T) {
+	baseline := bufpool.Outstanding()
+	owned := bufpool.Get(16)
+	e := NewEncoder(nil)
+	e.LendPayload(owned, true)
+	if _, data := e.Vector(); &data[0] != &owned[0] || bufpool.Outstanding()-baseline != 1 {
+		t.Fatal("owned buffer was not lent as is")
+	}
+	bufpool.Put(owned)
+
+	view := []byte("a view the caller cannot give away")
+	e = NewEncoder(nil)
+	e.LendPayload(view, false)
+	_, data := e.Vector()
+	if &data[0] == &view[0] || !bytes.Equal(data, view) || bufpool.Outstanding()-baseline != 1 {
+		t.Fatal("view was not lent as one pooled copy")
+	}
+	bufpool.Put(data)
+	if d := bufpool.Outstanding() - baseline; d != 0 {
+		t.Fatalf("%+d buffers outstanding", d)
+	}
+}
+
+// TestEncoderVectorNoBorrow: an encoder with no PutBytesRef call yields a
+// nil payload from Vector.
 func TestEncoderVectorNoBorrow(t *testing.T) {
-	v := NewEncoderV(nil)
+	v := NewEncoder(nil)
 	v.PutUint64(7)
 	head, data := v.Vector()
 	if data != nil {
@@ -196,20 +242,20 @@ func TestEncoderVectorNoBorrow(t *testing.T) {
 	v.Reset()
 	v.PutBytesRef(nil)
 	if _, data := v.Vector(); data != nil {
-		t.Fatal("empty PutBytesRef should not borrow")
+		t.Fatal("empty PutBytesRef should not record a payload")
 	}
 }
 
-// TestEncoderSecondBorrowPanics: the wire format carries the borrowed
-// payload as the final frame segment, so a second borrow is a
-// programming error the encoder must refuse loudly.
+// TestEncoderSecondBorrowPanics: the wire format carries the recorded
+// payload as the final frame segment, so a second one is a programming
+// error the encoder must refuse loudly.
 func TestEncoderSecondBorrowPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("second PutBytesRef did not panic")
 		}
 	}()
-	v := NewEncoderV(nil)
+	v := NewEncoder(nil)
 	v.PutBytesRef([]byte{1})
 	v.PutBytesRef([]byte{2})
 }

@@ -47,43 +47,30 @@ var ErrCorrupt = errors.New("wire: corrupt data")
 // Encoder appends encoded values to a byte buffer. The zero value is ready
 // to use; Bytes returns the accumulated encoding.
 //
-// An encoder created with NewEncoderV additionally operates in borrow
-// mode: PutBytesRef records a reference to the caller's slice instead of
-// copying it into the buffer, and Vector returns the (header, payload)
-// pair for scatter-gather framing via WriteFrameV. Borrow mode exists so
-// large payloads travel from the pack buffer to the socket without an
+// PutBytesRef records its slice by reference instead of copying it into
+// the buffer, and Vector returns the (header, payload) pair for a
+// scatter-gather send (transport.Conn.SendOwned, WriteFrameV), so large
+// payloads travel from the pack buffer to the socket without an
 // intermediate flatten.
 type Encoder struct {
 	buf     []byte
 	payload []byte
-	borrow  bool
 }
 
 // NewEncoder returns an encoder that appends to buf (which may be nil).
 func NewEncoder(buf []byte) *Encoder { return &Encoder{buf: buf} }
 
-// NewEncoderV returns a borrow-mode encoder appending header bytes to buf
-// (which may be nil). In borrow mode PutBytesRef records the payload
-// slice by reference; retrieve both segments with Vector. At most one
-// slice may be borrowed per encoding and it must be the final
-// variable-length field, since on the wire the borrowed bytes follow
-// every header byte.
-func NewEncoderV(buf []byte) *Encoder { return &Encoder{buf: buf, borrow: true} }
-
-// Borrowing reports whether the encoder was created with NewEncoderV and
-// will record PutBytesRef slices by reference instead of copying them.
-func (e *Encoder) Borrowing() bool { return e.borrow }
-
-// Bytes returns the encoded buffer. On a borrow-mode encoder that has
-// recorded a payload this is only the header segment; use Vector.
+// Bytes returns the encoded buffer: the whole encoding, unless
+// PutBytesRef recorded a payload, which follows these bytes on the wire;
+// use Vector then.
 func (e *Encoder) Bytes() []byte { return e.buf }
 
-// Vector returns the header bytes and the borrowed payload segment (nil
-// when nothing was borrowed, including on plain encoders). The wire
-// representation is the concatenation head ++ payload.
+// Vector returns the header bytes and the payload segment PutBytesRef
+// recorded (nil when it recorded none). The wire representation is the
+// concatenation head ++ payload.
 func (e *Encoder) Vector() (head, payload []byte) { return e.buf, e.payload }
 
-// Reset discards the accumulated encoding (and any borrowed payload) but
+// Reset discards the accumulated encoding (and any recorded payload) but
 // keeps the capacity.
 func (e *Encoder) Reset() {
 	e.buf = e.buf[:0]
@@ -143,28 +130,43 @@ func (e *Encoder) PutBytes(b []byte) {
 // 8-byte aligned relative to the start of the encoding: zero padding
 // follows the length prefix, so a receiver whose buffer starts aligned
 // (every bufpool buffer does) can view the bytes in place as elements of
-// any numeric type. Decode it with BorrowBytesRef.
+// any numeric type. Decode it with KeepBytesRef.
 //
-// In borrow mode b is not copied: the length prefix and padding land in
-// the header buffer and b itself is recorded as the payload segment
-// returned by Vector. The caller must not mutate b until the frame
-// carrying it has been written (or, for owned transfers, until the
-// transport releases it). On a plain encoder b is copied; the bytes are
-// the same either way. An empty b is never borrowed, so Vector stays nil
-// for zero-length payloads.
+// b is not copied: the length prefix and padding land in the header
+// buffer and b itself is recorded as the payload segment returned by
+// Vector. The caller must not mutate b until the frame carrying it has
+// been written (or, for owned sends, until the transport releases it).
+// An encoding records at most one payload and it must be the final
+// variable-length field, since on the wire it follows every header byte.
+// An empty b is not recorded, so Vector stays nil for zero-length
+// payloads.
 func (e *Encoder) PutBytesRef(b []byte) {
 	e.PutUvarint(uint64(len(b)))
 	for len(e.buf)%8 != 0 {
 		e.buf = append(e.buf, 0)
 	}
-	if !e.borrow || len(b) == 0 {
-		e.buf = append(e.buf, b...)
+	if len(b) == 0 {
 		return
 	}
 	if e.payload != nil {
-		panic("wire: second PutBytesRef on a borrow-mode encoder")
+		panic("wire: second PutBytesRef in one encoding")
 	}
 	e.payload = b
+}
+
+// LendPayload writes b with PutBytesRef as the payload an encoding lends
+// to transport.Conn.SendOwned, which returns it to the pool once sent. It
+// is the one rule for who owns a lent payload: an owned b is the caller's
+// own bufpool buffer and is lent as is, and the caller forgets it; any
+// other b is a view of memory the caller cannot give away (a zero-copy
+// source slice, a received frame), and a pooled copy of it is lent.
+func (e *Encoder) LendPayload(b []byte, owned bool) {
+	if !owned && len(b) > 0 {
+		c := bufpool.Get(len(b))
+		copy(c, b)
+		b = c
+	}
+	e.PutBytesRef(b)
 }
 
 // hostLittleEndian reports that the in-memory bytes of a numeric slice
@@ -302,17 +304,9 @@ func NewDecoder(buf []byte) *Decoder { return &Decoder{buf: buf} }
 // Err returns the first decode error, if any.
 func (d *Decoder) Err() error { return d.err }
 
-// Keep hands the decoder's whole input buffer to the caller, who owns it
-// from then on. When the input is a pooled frame, a decoded value that
-// holds borrowed views into it takes the frame with Keep and returns it
-// when done; whoever created the decoder checks Kept and returns the frame
-// itself otherwise.
-func (d *Decoder) Keep() []byte {
-	d.kept = true
-	return d.buf
-}
-
-// Kept reports whether Keep was called.
+// Kept reports whether KeepBytesRef took the decoder's input over. When
+// the input is a pooled frame, whoever created the decoder returns the
+// frame itself unless a decoded value kept it.
 func (d *Decoder) Kept() bool { return d.kept }
 
 // Remaining returns the number of unread bytes.
@@ -432,18 +426,29 @@ func (d *Decoder) BorrowBytes() []byte {
 	return d.take(n)
 }
 
-// BorrowBytesRef reads a slice written by PutBytesRef without copying,
-// skipping the alignment padding: the view aliases the decoder's input
-// (with BorrowBytes' ownership caveat) and starts 8-byte aligned whenever
-// the input does.
-func (d *Decoder) BorrowBytesRef() []byte {
+// KeepBytesRef reads a slice written by PutBytesRef as a view of the
+// decoder's input, skipping the alignment padding, and takes the input
+// over: the caller owns frame, the whole input buffer, from then on and
+// returns it once nothing views it. The view is the one way a received
+// payload is read in place, and it starts 8-byte aligned: PutBytesRef pads
+// relative to the start of the encoding, and every transport.Conn.Recv
+// returns a frame that starts at a pool-buffer boundary. A non-empty view
+// that is not aligned can only come from an input that does not; it is
+// corrupt (ErrCorrupt), and the input is left to the decoder's creator.
+func (d *Decoder) KeepBytesRef() (view, frame []byte) {
 	n := d.Uvarint()
 	d.take(-d.off & 7)
 	if d.err != nil || n > uint64(d.Remaining()) {
 		d.fail()
-		return nil
+		return nil, nil
 	}
-	return d.take(int(n))
+	view = d.take(int(n))
+	if n > 0 && uintptr(unsafe.Pointer(unsafe.SliceData(view)))%8 != 0 {
+		d.fail()
+		return nil, nil
+	}
+	d.kept = true
+	return view, d.buf
 }
 
 // Float64s reads a length-prefixed []float64.
