@@ -16,7 +16,7 @@ import (
 	"mxn/internal/comm"
 	"mxn/internal/core"
 	"mxn/internal/dad"
-	"mxn/internal/faultconn"
+	"mxn/internal/obs"
 	"mxn/internal/prmi"
 	"mxn/internal/redist"
 	"mxn/internal/schedule"
@@ -74,10 +74,10 @@ func migrateOnce(c *Comm, rz *Resize, oldT, newT *Template, src, dst []float64, 
 
 // TestChaosResizeOnlineGrowShrink grows a 3-rank cohort to 5 and then
 // shrinks it to 2, committing both resizes, while (a) an exactly-once
-// PRMI counter keeps calling over a lossy link for the whole lifecycle,
-// (b) an ordinary fenced exchange runs concurrently with each migration
-// on the same ranks and epoch, and (c) the ranks leaving in the shrink
-// detach their PRMI caller state before departing. Data must land
+// PRMI counter keeps calling over a flapping session for the whole
+// lifecycle, (b) an ordinary fenced exchange runs concurrently with each
+// migration on the same ranks and epoch, and (c) the ranks leaving in the
+// shrink detach their PRMI callers before departing. Data must land
 // bit-identically at every stage.
 func TestChaosResizeOnlineGrowShrink(t *testing.T) {
 	const (
@@ -102,20 +102,14 @@ func TestChaosResizeOnlineGrowShrink(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Exactly-once PRMI traffic over a lossy link, in flight for the whole
-	// resize lifecycle: the retry machinery must never double-execute the
-	// non-idempotent counter no matter how the scheduler interleaves it
-	// with the migrations.
-	port, count := chaosPRMI(t, faultconn.Scenario{
-		Seed: 41,
-		Send: faultconn.Faults{Drop: 0.2},
-		Recv: faultconn.Faults{Drop: 0.2},
-	})
-	port.SetRetryPolicy(prmi.RetryPolicy{
-		Timeout:     50 * time.Millisecond,
-		MaxAttempts: 20,
-		Backoff:     time.Millisecond,
-	})
+	// Exactly-once PRMI traffic over a session whose physical conns keep
+	// dying, in flight for the whole resize lifecycle: the non-idempotent
+	// counter must run once per call no matter how the scheduler
+	// interleaves it with the migrations.
+	reconnects := obs.Default().Counter("session.reconnects")
+	reconnectsBefore := reconnects.Value()
+	cli, srv := flappingSession(t, 41, 8)
+	port, count := chaosPRMI(t, cli, srv)
 	stopPRMI := make(chan struct{})
 	prmiCalls := make(chan int, 1)
 	go func() {
@@ -135,7 +129,7 @@ func TestChaosResizeOnlineGrowShrink(t *testing.T) {
 			}
 			calls++
 			if got := res.Return.(float64); got != float64(calls) {
-				t.Errorf("prmi call %d returned count %v: retry re-executed across the resize", calls, got)
+				t.Errorf("prmi call %d returned count %v: a call ran twice or was lost across the resize", calls, got)
 			}
 		}
 	}()
@@ -330,6 +324,9 @@ func TestChaosResizeOnlineGrowShrink(t *testing.T) {
 	}
 	if got := count.Load(); got != int64(calls) {
 		t.Fatalf("callee executed %d times for %d logical calls across the resizes", got, calls)
+	}
+	if reconnects.Value() == reconnectsBefore {
+		t.Fatal("no session reconnect; the flapping link never failed under the calls")
 	}
 }
 

@@ -4,11 +4,14 @@ package mxn
 // in the middle of coupled redistribution + PRMI traffic and the survivors
 // must either re-plan and complete (FailRedistribute) or fail with the
 // typed rank-down error (FailStrict) — never hang, never panic, and never
-// execute a non-idempotent method twice. Run via `make chaos` (and under
-// -race in CI); every fault decision is seed-driven and replayable.
+// execute a non-idempotent method twice (PRMI over a session over a
+// flapping link). Run via `make chaos` (and under -race in CI); every
+// fault decision is seed-driven and replayable.
 
 import (
+	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -18,9 +21,11 @@ import (
 	"mxn/internal/core"
 	"mxn/internal/dad"
 	"mxn/internal/faultconn"
+	"mxn/internal/obs"
 	"mxn/internal/prmi"
 	"mxn/internal/redist"
 	"mxn/internal/schedule"
+	"mxn/internal/session"
 	"mxn/internal/sidl"
 	"mxn/internal/transport"
 )
@@ -232,15 +237,18 @@ func chaosIface(t *testing.T) *sidl.Interface {
 	return iface
 }
 
-// chaosPRMI wires a 1×1 caller/callee pair over a fault-injected conn with
-// a non-idempotent counter handler; count is callee-side ground truth.
-func chaosPRMI(t *testing.T, sc faultconn.Scenario) (*prmi.CallerPort, *atomic.Int64) {
+// chaosPRMI wires a 1×1 caller/callee pair over the two ends of a link
+// with a non-idempotent counter handler; count is callee-side ground
+// truth. Both ends close at cleanup.
+func chaosPRMI(t *testing.T, caller, callee transport.Conn) (*prmi.CallerPort, *atomic.Int64) {
 	t.Helper()
 	iface := chaosIface(t)
-	fc, peer := faultconn.Pipe(sc)
-	t.Cleanup(func() { fc.Close() })
+	t.Cleanup(func() {
+		caller.Close()
+		callee.Close()
+	})
 	var count atomic.Int64
-	ep := prmi.NewEndpoint(iface, prmi.NewConnLink([]transport.Conn{peer}, 0), 0, 1, 1)
+	ep := prmi.NewEndpoint(iface, prmi.NewConnLink([]transport.Conn{callee}, 0), 0, 1, 1)
 	if err := ep.Handle("bump", func(in *prmi.Incoming, out *prmi.Outgoing) error {
 		out.Return = float64(count.Add(1))
 		return nil
@@ -248,24 +256,54 @@ func chaosPRMI(t *testing.T, sc faultconn.Scenario) (*prmi.CallerPort, *atomic.I
 		t.Fatal(err)
 	}
 	go ep.Serve()
-	port := prmi.NewCallerPort(iface, prmi.NewConnLink([]transport.Conn{fc}, 0), 0, 1, prmi.Eager)
+	port := prmi.NewCallerPort(iface, prmi.NewConnLink([]transport.Conn{caller}, 0), 0, 1, prmi.Eager)
 	return port, &count
 }
 
-// TestChaosPRMIExactlyOnce drives a non-idempotent counter through the
-// retry policy over a lossy link: every logical call must execute exactly
-// once on the callee no matter how many attempts the drops force.
+// chaosInprocSeq keeps flappingSession's listener addresses distinct.
+var chaosInprocSeq atomic.Int64
+
+// flappingSession establishes one session over an in-process listener
+// whose accepted physical conns each die after flapAfter messages, and
+// returns its dialing and accepted ends: every frame still crosses exactly
+// once, by redial and replay.
+func flappingSession(t *testing.T, seed int64, flapAfter int) (cli, srv transport.Conn) {
+	t.Helper()
+	cfg := session.Config{MaxAttempts: 20, MaxElapsed: 10 * time.Second, BaseBackoff: time.Millisecond,
+		MaxBackoff: 5 * time.Millisecond, HandshakeTimeout: time.Second}
+	addr := fmt.Sprintf("chaos-prmi-%d", chaosInprocSeq.Add(1))
+	raw, err := transport.Listen("inproc", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lst := session.WrapListener(faultconn.WrapListener(raw, faultconn.Scenario{Seed: seed, FlapAfter: flapAfter}), cfg)
+	t.Cleanup(func() { lst.Close() })
+	accepted := make(chan transport.Conn, 1)
+	go func() {
+		c, _ := lst.Accept()
+		accepted <- c
+	}()
+	cli, err = session.NewConn(func(ctx context.Context) (transport.Conn, error) {
+		return transport.DialContext(ctx, "inproc", addr)
+	}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if srv = <-accepted; srv == nil {
+		t.Fatal("listener closed before the session was accepted")
+	}
+	return cli, srv
+}
+
+// TestChaosPRMIExactlyOnce drives a non-idempotent counter over a session
+// whose physical conns keep dying: every logical call is sent once and
+// executes exactly once on the callee however many frames the flaps take
+// with them — the session replays those.
 func TestChaosPRMIExactlyOnce(t *testing.T) {
-	port, count := chaosPRMI(t, faultconn.Scenario{
-		Seed: 99,
-		Send: faultconn.Faults{Drop: 0.3},
-		Recv: faultconn.Faults{Drop: 0.3},
-	})
-	port.SetRetryPolicy(prmi.RetryPolicy{
-		Timeout:     50 * time.Millisecond,
-		MaxAttempts: 15,
-		Backoff:     time.Millisecond,
-	})
+	reconnects := obs.Default().Counter("session.reconnects")
+	before := reconnects.Value()
+	cli, srv := flappingSession(t, 99, 6)
+	port, count := chaosPRMI(t, cli, srv)
 	const calls = 15
 	for i := 1; i <= calls; i++ {
 		res, err := port.CallIndependent(0, "bump", prmi.Simple("x", float64(i)))
@@ -273,27 +311,27 @@ func TestChaosPRMIExactlyOnce(t *testing.T) {
 			t.Fatalf("logical call %d: %v", i, err)
 		}
 		if got := res.Return.(float64); got != float64(i) {
-			t.Fatalf("call %d returned count %v: a retry re-executed or a call was lost", i, got)
+			t.Fatalf("call %d returned count %v: a call ran twice or was lost", i, got)
 		}
 	}
 	if got := count.Load(); got != calls {
 		t.Fatalf("callee executed %d times for %d logical calls", got, calls)
 	}
+	if reconnects.Value() == before {
+		t.Fatal("no session reconnect; the flapping link never failed under the calls")
+	}
 }
 
 // TestChaosPRMICalleeCrash crashes the link endpoint after a fixed message
 // count: the calls that fit before the crash succeed (and are counted
-// exactly once); the first call into the silence fails with the typed
-// timeout within the retry budget — bounded, not hung.
+// exactly once); the first call into the silence is sent once and fails
+// with the typed timeout after one timeout — bounded, not hung.
 func TestChaosPRMICalleeCrash(t *testing.T) {
 	// Each clean call is two messages (invocation + reply); CrashAfter 6
 	// admits exactly three calls, then silence.
-	port, count := chaosPRMI(t, faultconn.Scenario{Seed: 7, CrashAfter: 6})
-	port.SetRetryPolicy(prmi.RetryPolicy{
-		Timeout:     40 * time.Millisecond,
-		MaxAttempts: 3,
-		Backoff:     time.Millisecond,
-	})
+	fc, peer := faultconn.Pipe(faultconn.Scenario{Seed: 7, CrashAfter: 6})
+	port, count := chaosPRMI(t, fc, peer)
+	port.SetTimeout(40 * time.Millisecond)
 	for i := 1; i <= 3; i++ {
 		if _, err := port.CallIndependent(0, "bump", prmi.Simple("x", float64(i))); err != nil {
 			t.Fatalf("pre-crash call %d: %v", i, err)
@@ -305,7 +343,7 @@ func TestChaosPRMICalleeCrash(t *testing.T) {
 		t.Fatalf("post-crash call: err = %v, want ErrTimeout", err)
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Fatalf("post-crash call took %v; retry budget should bound it", elapsed)
+		t.Fatalf("post-crash call took %v; the timeout should bound it", elapsed)
 	}
 	if got := count.Load(); got != 3 {
 		t.Fatalf("callee executed %d calls, want exactly the 3 pre-crash ones", got)

@@ -227,7 +227,7 @@ func TestDefaultTracerEnableDisable(t *testing.T) {
 }
 
 func TestEventKindStrings(t *testing.T) {
-	kinds := []EventKind{EvScheduleBuild, EvPack, EvSend, EvRecv, EvUnpack, EvRetry, EvRedial}
+	kinds := []EventKind{EvScheduleBuild, EvPack, EvSend, EvRecv, EvUnpack, EvRedial}
 	seen := map[string]bool{}
 	for _, k := range kinds {
 		s := k.String()

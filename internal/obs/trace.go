@@ -10,7 +10,7 @@ import (
 
 // EventKind names one phase of a transfer's lifecycle. The set covers the
 // paper's hot path end to end: plan construction, the pack/send side, the
-// recv/unpack side, and the robustness layer's recovery actions.
+// recv/unpack side, and the session layer's link recovery.
 type EventKind uint8
 
 // Trace event kinds.
@@ -20,8 +20,7 @@ const (
 	EvSend                               // a pairwise message was posted
 	EvRecv                               // a pairwise message was received
 	EvUnpack                             // a pairwise fragment was unpacked
-	EvRetry                              // a PRMI attempt was retried
-	EvRedial                             // a bridge connection was redialed
+	EvRedial                             // a session redialed and resumed
 )
 
 // String names the kind.
@@ -37,8 +36,6 @@ func (k EventKind) String() string {
 		return "recv"
 	case EvUnpack:
 		return "unpack"
-	case EvRetry:
-		return "retry"
 	case EvRedial:
 		return "redial"
 	}

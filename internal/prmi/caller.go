@@ -11,42 +11,10 @@ import (
 	"mxn/internal/comm"
 	"mxn/internal/core"
 	"mxn/internal/dad"
-	"mxn/internal/obs"
 	"mxn/internal/schedule"
 	"mxn/internal/sidl"
 	"mxn/internal/wire"
 )
-
-// RetryPolicy bounds how long a caller waits for replies and how hard it
-// tries to push an idempotent call through a flaky link.
-//
-// Retry applies only to independent (and one-way) invocations: they are
-// one-to-one exchanges where a fresh sequence number cleanly supersedes a
-// lost attempt, and stale replies are filtered by sequence. Collective
-// calls are never retried automatically — a retry would need every
-// participant to agree to re-invoke (and the callee cohort to discard a
-// half-collected invocation), so a collective failure surfaces as a typed
-// error for the application (or framework) to recover at its own level.
-type RetryPolicy struct {
-	// Timeout bounds each attempt's wait for a reply (and for collective
-	// calls, the wait for each expected replier). Zero waits forever,
-	// reproducing the paper's blocking semantics.
-	Timeout time.Duration
-	// MaxAttempts is the total number of tries for an idempotent call.
-	// Values below 1 mean 1 (no retry).
-	MaxAttempts int
-	// Backoff is the delay before the second attempt; it doubles each
-	// further attempt, capped by BackoffCap (uncapped when zero).
-	Backoff    time.Duration
-	BackoffCap time.Duration
-}
-
-// retryableErr reports whether a failed attempt is worth repeating: the
-// reply timed out (maybe the network was slow) or the link reported down
-// (maybe a robust transport underneath is redialing).
-func retryableErr(err error) bool {
-	return errors.Is(err, ErrTimeout) || errors.Is(err, ErrLinkDown)
-}
 
 // DeliveryMode selects when a collective invocation leaves the caller
 // (Section 2.4 / Figure 5 of the paper).
@@ -160,7 +128,7 @@ type CallerPort struct {
 	stash   map[stashKey]*stashEntry // referenced buffers of in-flight calls
 	tcache  map[string]*dad.Template // callee layouts arriving in pull requests
 	seq     uint64
-	policy  RetryPolicy
+	timeout time.Duration // per-reply wait; zero blocks
 	mu      sync.Mutex
 
 	// Per-call scratch, reused from call to call: the head and
@@ -170,31 +138,10 @@ type CallerPort struct {
 	par       []*ParallelData
 	replies   []reply
 
-	// Exactly-once / liveness state. nextCallID numbers logical calls
-	// (every retry attempt of one call shares its callID); watermarks
-	// track, per callee, the eviction watermark acked in replies — a
-	// retry of a callID below it is refused with *DedupEvictedError
-	// rather than risking re-execution. members, when set, is a liveness
-	// view over the callee cohort: calls are epoch-stamped and calls to
-	// ranks marked down fail fast with *core.ErrRankDown.
-	nextCallID uint64
-	watermarks map[int]uint64
-	members    *core.Membership
-}
-
-// DedupEvictedError reports that a retry was abandoned because the callee
-// has evicted the call's dedup entry: the original attempt may or may not
-// have executed, and retrying could execute it twice. The caller gets
-// at-most-once semantics for this call and must recover at its own level.
-type DedupEvictedError struct {
-	Target    int    // callee cohort rank
-	CallID    uint64 // the logical call
-	Watermark uint64 // callee's eviction watermark
-}
-
-func (e *DedupEvictedError) Error() string {
-	return fmt.Sprintf("prmi: call %d to callee %d fell below eviction watermark %d; retry would risk re-execution",
-		e.CallID, e.Target, e.Watermark)
+	// members, when set, is a liveness view over the callee cohort: calls
+	// are epoch-stamped and calls to ranks marked down fail fast with
+	// *core.ErrRankDown.
+	members *core.Membership
 }
 
 // NewCallerPort builds a caller-side port proxy. iface describes the
@@ -212,8 +159,6 @@ func NewCallerPort(iface *sidl.Interface, link Link, rank, nCallee int, mode Del
 		stash:   map[stashKey]*stashEntry{},
 		tcache:  map[string]*dad.Template{},
 		replies: make([]reply, nCallee),
-
-		watermarks: map[int]uint64{},
 	}
 }
 
@@ -221,7 +166,7 @@ func NewCallerPort(iface *sidl.Interface, link Link, rank, nCallee int, mode Del
 // membership set, outgoing calls are stamped with the current epoch (so
 // endpoints behind a membership change reject them as stale), and calls to
 // a callee marked down fail fast with *core.ErrRankDown instead of
-// burning the full timeout/retry budget.
+// waiting out the timeout.
 func (p *CallerPort) SetMembership(m *core.Membership) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -236,13 +181,16 @@ func (p *CallerPort) epochNow() uint64 {
 	return p.members.Epoch()
 }
 
-// SetRetryPolicy installs the port's timeout/retry behavior. The zero
-// policy (the default) blocks forever and never retries — the paper's
-// original semantics.
-func (p *CallerPort) SetRetryPolicy(rp RetryPolicy) {
+// SetTimeout bounds how long a call waits for each reply it expects; on
+// expiry the call fails with ErrTimeout. Zero (the default) blocks, the
+// paper's semantics. A call is sent once whatever the timeout: whether to
+// invoke again after a timeout — the call may have run — is the
+// application's decision. Over a session.Conn nothing is lost on the way,
+// so a timeout there means a slow callee, not a lost call.
+func (p *CallerPort) SetTimeout(d time.Duration) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.policy = rp
+	p.timeout = d
 }
 
 // SetCalleeLayout registers the callee-side distribution of a parallel
@@ -299,23 +247,11 @@ func (p *CallerPort) broadcast(kind byte) error {
 
 // Depart announces that this caller rank is leaving the cohort — the
 // PRMI half of an online shrink. Unlike Close it also tells every callee
-// to drain this caller's exactly-once dedup state and deferred queue:
-// links are FIFO, so by the time the detach is dispatched every call this
-// rank ever issued has been serviced and its dedup entries are settled
-// history, not protection. The port must not be used after Depart; the
-// endpoints' Serve loops keep running for the remaining callers.
-func (p *CallerPort) Depart() error {
-	if err := p.broadcast(msgDetach); err != nil {
-		return err
-	}
-	// Local retry state is dead with the departure: a departed rank never
-	// retries, and dropping the stash frees referenced argument buffers.
-	p.mu.Lock()
-	p.stash = map[stashKey]*stashEntry{}
-	p.watermarks = map[int]uint64{}
-	p.mu.Unlock()
-	return nil
-}
+// to drop this caller's deferred queue: links are FIFO, so by the time
+// the detach is dispatched every call this rank ever issued has been
+// serviced. The port must not be used after Depart; the endpoints' Serve
+// loops keep running for the remaining callers.
+func (p *CallerPort) Depart() error { return p.broadcast(msgDetach) }
 
 // CallIndependent performs a one-to-one invocation of an independent
 // method on callee rank target (Damevski's non-collective invocation).
@@ -338,13 +274,10 @@ func (p *CallerPort) CallIndependent(target int, method string, args ...Arg) (*R
 		return nil, err
 	}
 
-	// Every attempt of one logical call shares a callID and gets a fresh
-	// sequence number: the callee deduplicates by callID (replaying the
-	// cached reply for a completed call instead of re-running the
-	// handler) while stale replies from superseded attempts are discarded
-	// by sequence in collect. Together this upgrades the retry loop
-	// from at-least-once to exactly-once, so it is safe even for
-	// non-idempotent methods.
+	if mb := p.members; mb != nil && !mb.IsAlive(target) {
+		mRankdownErrors.Inc()
+		return nil, &core.ErrRankDown{Rank: target, Epoch: mb.Epoch()}
+	}
 	mCallsIndependent.Inc()
 	if m.OneWay {
 		mCallsOneway.Inc()
@@ -352,59 +285,15 @@ func (p *CallerPort) CallIndependent(target int, method string, args ...Arg) (*R
 	callStart := time.Now()
 	defer mCallNS.ObserveSince(callStart)
 	defer p.releaseReplies()
-	p.nextCallID++
-	callID := p.nextCallID
-	attempts := p.policy.MaxAttempts
-	if attempts < 1 {
-		attempts = 1
+	p.seq++
+	if err := mapLinkErr(p.link.Send(target, p.callMsg(pl, target))); err != nil || m.OneWay {
+		return nil, err
 	}
-	backoff := p.policy.Backoff
 	want := [1]int{target}
-	var lastErr error
-	for attempt := 0; attempt < attempts; attempt++ {
-		if attempt > 0 {
-			mRetries.Inc()
-			obs.Trace().Span(obs.EvRetry, "", p.rank, target, 0, callStart)
-			if backoff > 0 {
-				time.Sleep(backoff)
-				backoff *= 2
-				if p.policy.BackoffCap > 0 && backoff > p.policy.BackoffCap {
-					backoff = p.policy.BackoffCap
-				}
-			}
-		}
-		if mb := p.members; mb != nil && !mb.IsAlive(target) {
-			mRankdownErrors.Inc()
-			return nil, &core.ErrRankDown{Rank: target, Epoch: mb.Epoch()}
-		}
-		if wm := p.watermarks[target]; wm > callID {
-			// The callee forgot this call's outcome; a retry could
-			// re-execute it. Exactly-once degrades to at-most-once here,
-			// surfaced as a typed error.
-			return nil, &DedupEvictedError{Target: target, CallID: callID, Watermark: wm}
-		}
-		p.seq++
-		err := mapLinkErr(p.link.Send(target, p.callMsg(pl, target, callID)))
-		if err == nil && m.OneWay {
-			return nil, nil
-		}
-		if err == nil {
-			err = p.collect(p.seq, want[:], p.policy.Timeout)
-		}
-		if err != nil {
-			if retryableErr(err) {
-				lastErr = err
-				continue
-			}
-			return nil, err
-		}
-		rep := &p.replies[target]
-		if rep.watermark > p.watermarks[target] {
-			p.watermarks[target] = rep.watermark
-		}
-		return replyToResult(m, rep)
+	if err := p.collect(p.seq, want[:]); err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("prmi: %s to callee %d failed after %d attempts: %w", method, target, attempts, lastErr)
+	return replyToResult(m, &p.replies[target])
 }
 
 // CallCollective performs an all-to-all collective invocation: every rank
@@ -449,7 +338,6 @@ func (p *CallerPort) CallCollective(method string, part Participation, args ...A
 	}
 
 	p.seq++
-	p.nextCallID++
 	mCallsCollective.Inc()
 	if m.OneWay {
 		mCallsOneway.Inc()
@@ -479,14 +367,14 @@ func (p *CallerPort) CallCollective(method string, part Participation, args ...A
 	}()
 
 	for j := 0; j < p.nCallee; j++ {
-		if err := mapLinkErr(p.link.Send(j, p.callMsg(pl, j, p.nextCallID))); err != nil {
+		if err := mapLinkErr(p.link.Send(j, p.callMsg(pl, j))); err != nil {
 			return nil, err
 		}
 	}
 	if m.OneWay {
 		return nil, nil
 	}
-	if err := p.collect(p.seq, pl.peers, p.policy.Timeout); err != nil {
+	if err := p.collect(p.seq, pl.peers); err != nil {
 		return nil, err
 	}
 	for _, j := range pl.peers {
@@ -510,8 +398,8 @@ func (p *CallerPort) CallCollective(method string, part Participation, args ...A
 // callMsg builds this call's message for callee j under sequence p.seq:
 // the head around the plan's constant key, and one payload holding the
 // fragment of every parallel in/inout argument packed for j.
-func (p *CallerPort) callMsg(pl *plan, j int, callID uint64) *Msg {
-	putCallHead(&p.enc, p.seq, callID, p.epochNow(), pl.key)
+func (p *CallerPort) callMsg(pl *plan, j int) *Msg {
+	putCallHead(&p.enc, p.seq, p.epochNow(), pl.key)
 	for i := range pl.params {
 		pp := &pl.params[i]
 		// The template encoding rides only the first message to each
@@ -601,19 +489,17 @@ func (p *CallerPort) releaseReplies() {
 // callee rank in want is filed in p.replies, serving pull requests for
 // referenced arguments along the way (the caller is the data server while
 // its deferred call is in flight). Replies carrying a different sequence
-// number are stale — leftovers of a timed-out attempt that was retried —
-// and are silently discarded, as are replies nobody waits for. timeout > 0
+// number are stale — late answers to an earlier call that timed out — and
+// are silently discarded, as are replies nobody waits for. A set timeout
 // bounds the wait for each next reply; expiry reports ErrTimeout.
-func (p *CallerPort) collect(seq uint64, want []int, timeout time.Duration) error {
+func (p *CallerPort) collect(seq uint64, want []int) error {
 	deadline := time.Time{}
 	for missing := len(want); missing > 0; {
-		if timeout > 0 && deadline.IsZero() {
-			deadline = time.Now().Add(timeout)
+		if p.timeout > 0 && deadline.IsZero() {
+			deadline = time.Now().Add(p.timeout)
 		}
 		// With a liveness view installed, a wait on a callee marked down
-		// fails fast — its reply is never coming, and burning the full
-		// timeout per attempt would multiply the failure's latency by the
-		// retry budget.
+		// fails fast — its reply is never coming.
 		for _, j := range want {
 			if mb := p.members; mb != nil && p.replies[j].msg == nil && !mb.IsAlive(j) {
 				mRankdownErrors.Inc()
@@ -626,7 +512,7 @@ func (p *CallerPort) collect(seq uint64, want []int, timeout time.Duration) erro
 		}
 		if err = mapLinkErr(err); errors.Is(err, ErrTimeout) {
 			mTimeouts.Inc()
-			return fmt.Errorf("%w: no reply from %d of callees %v within %v", err, missing, want, timeout)
+			return fmt.Errorf("%w: no reply from %d of callees %v within %v", err, missing, want, p.timeout)
 		} else if err != nil {
 			return err
 		}

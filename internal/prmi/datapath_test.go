@@ -466,7 +466,7 @@ func (c *pair22) closePorts(t testing.TB) {
 // caller awaiting that rank — its designated callers and those its reverse
 // schedule sends out/inout data to — must get the error. Before the fix
 // only the designated callers did; caller 0 here, owed data by callee 1
-// but designated to callee 0, blocked forever under the zero RetryPolicy.
+// but designated to callee 0, blocked forever with no timeout set.
 func TestPartialHandlerErrorReachesEveryCaller(t *testing.T) {
 	baseline := bufpool.Outstanding()
 	c := newPair22(t, worldFabric(t, 2, 2))
@@ -566,7 +566,7 @@ func TestPoolBalancedOnFailurePaths(t *testing.T) {
 			}
 			wait := c.serve()
 			callErrs := c.both(func(i int) error {
-				c.ports[i].SetRetryPolicy(RetryPolicy{Timeout: 500 * time.Millisecond})
+				c.ports[i].SetTimeout(500 * time.Millisecond)
 				part := Participation{Ranks: identityRanks(2)}
 				if i == 1 {
 					_, err := c.ports[1].CallCollective("other", part, Simple("k", 2.0))
@@ -625,7 +625,7 @@ func TestPoolBalancedOnFailurePaths(t *testing.T) {
 		}
 		c := newPair22(t, f)
 		for r, p := range c.ports {
-			p.SetRetryPolicy(RetryPolicy{Timeout: 300 * time.Millisecond})
+			p.SetTimeout(300 * time.Millisecond)
 			c.eps[r].StallTimeout = 300 * time.Millisecond
 		}
 		wait := c.serve()

@@ -1,6 +1,7 @@
 package prmi
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -10,68 +11,98 @@ import (
 
 	"mxn/internal/core"
 	"mxn/internal/faultconn"
+	"mxn/internal/obs"
+	"mxn/internal/session"
 	"mxn/internal/transport"
 	"mxn/internal/wire"
 )
 
-// dedupHarness wires a 1×1 caller/callee pair whose handlers are
-// deliberately NOT idempotent: each invocation bumps a callee-side
-// counter. Under the exactly-once layer the counter must equal the number
-// of logical calls no matter how many retry attempts the fault mix forces.
-type dedupHarness struct {
-	port  *CallerPort
-	count atomic.Int64
-	done  chan struct{}
-}
+// Exactly-once belongs to the session: it delivers every frame once, in
+// order, across reconnects, so a call sent once over it runs once. These
+// tests drive PRMI over session conns whose physical links fail, and count
+// handler executions on the callee side.
 
-func newDedupHarness(t *testing.T, sc faultconn.Scenario) *dedupHarness {
-	t.Helper()
-	iface := matrixIface(t)
-	fc, peer := faultconn.Pipe(sc)
-
-	h := &dedupHarness{done: make(chan struct{})}
-	ep := NewEndpoint(iface, NewConnLink([]transport.Conn{peer}, 0), 0, 1, 1)
-	ep.Handle("f", func(in *Incoming, out *Outgoing) error {
-		out.Return = float64(h.count.Add(1))
-		return nil
-	})
-	ep.Handle("h", func(in *Incoming, out *Outgoing) error {
-		h.count.Add(1)
-		return nil
-	})
-	go func() {
-		defer close(h.done)
-		ep.Serve()
-	}()
-	link := NewConnLink([]transport.Conn{fc}, 0)
-	t.Cleanup(func() {
-		fc.Close()
-		drainLink(link)
-	})
-	h.port = NewCallerPort(iface, link, 0, 1, Eager)
-	return h
-}
-
-// TestExactlyOnceNonIdempotentUnderDrops is the acceptance check for the
-// exactly-once upgrade: a non-idempotent counter method driven through the
-// retry policy over a link that drops ~30% of messages in each direction
-// executes exactly once per logical call. Dropped invocations force
-// resends (the handler never ran); dropped replies force replays (the
-// handler ran — the callee must answer from its dedup table, not re-run).
-func TestExactlyOnceNonIdempotentUnderDrops(t *testing.T) {
-	sc := faultconn.Scenario{
-		Seed: 1234,
-		Send: faultconn.Faults{Drop: 0.3},
-		Recv: faultconn.Faults{Drop: 0.3},
+// sessionCfg keeps the session's recovery fast for tests.
+func sessionCfg() session.Config {
+	return session.Config{
+		MaxAttempts:      20,
+		MaxElapsed:       10 * time.Second,
+		BaseBackoff:      time.Millisecond,
+		MaxBackoff:       5 * time.Millisecond,
+		HandshakeTimeout: time.Second,
 	}
-	h := newDedupHarness(t, sc)
-	h.port.SetRetryPolicy(RetryPolicy{
-		Timeout:     50 * time.Millisecond,
-		MaxAttempts: 15,
-		Backoff:     time.Millisecond,
-	})
-	retriesBefore := mRetries.Value()
-	hitsBefore := mDedupHits.Value()
+}
+
+// inprocSeq keeps sessionPair's listener addresses distinct.
+var inprocSeq atomic.Int64
+
+// sessionPair establishes one session over an in-process listener and
+// returns its dialing (caller) and accepted (callee) ends. wrap, when set,
+// layers the listener the callee side accepts physical conns from; dial,
+// when set, sees each physical conn the caller side dials (n counts from
+// 1) and returns the one to use. Everything is closed at cleanup.
+func sessionPair(t *testing.T, cfg session.Config, wrap func(transport.Listener) transport.Listener,
+	dial func(n int, c transport.Conn) transport.Conn) (cli, srv *session.Conn) {
+	t.Helper()
+	addr := fmt.Sprintf("prmi-session-%d", inprocSeq.Add(1))
+	inner, err := transport.Listen("inproc", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wrap != nil {
+		inner = wrap(inner)
+	}
+	lst := session.WrapListener(inner, cfg)
+	t.Cleanup(func() { lst.Close() })
+	accepted := make(chan transport.Conn, 1)
+	go func() {
+		c, _ := lst.Accept()
+		accepted <- c
+	}()
+	var dials atomic.Int32
+	cli, err = session.NewConn(func(ctx context.Context) (transport.Conn, error) {
+		c, err := transport.DialContext(ctx, "inproc", addr)
+		if err != nil || dial == nil {
+			return c, err
+		}
+		return dial(int(dials.Add(1)), c), nil
+	}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cli.Close() })
+	c := <-accepted
+	if c == nil {
+		t.Fatal("listener closed before the session was accepted")
+	}
+	return cli, c.(*session.Conn)
+}
+
+// eventually polls cond for up to five seconds. The session counts a
+// reconnect only after the install that let traffic through returns, so a
+// test that has seen the traffic sees the count a moment later.
+func eventually(cond func() bool) bool {
+	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestExactlyOnceNonIdempotentUnderDrops: a non-idempotent counter called
+// over a session whose physical conns each die after a handful of messages
+// executes exactly once per logical call. Frames lost with a dying conn —
+// invocations and replies alike — are replayed by the session on the next
+// one; the call itself goes out once.
+func TestExactlyOnceNonIdempotentUnderDrops(t *testing.T) {
+	reconnects := obs.Default().Counter("session.reconnects")
+	before := reconnects.Value()
+	flapping := func(l transport.Listener) transport.Listener {
+		return faultconn.WrapListener(l, faultconn.Scenario{Seed: 1234, FlapAfter: 7})
+	}
+	cli, srv := sessionPair(t, sessionCfg(), flapping, nil)
+	h := newHarness(t, cli, srv)
 
 	const calls = 20
 	for i := 1; i <= calls; i++ {
@@ -81,20 +112,125 @@ func TestExactlyOnceNonIdempotentUnderDrops(t *testing.T) {
 		if err != nil {
 			t.Fatalf("logical call %d failed: %v", i, err)
 		}
-		// The counter value the handler returned is also the logical call
-		// number — any lost or duplicated execution desynchronizes it.
-		if got := res.Return.(float64); got != float64(i) {
-			t.Fatalf("call %d returned count %v (duplicate or lost execution)", i, got)
+		if got := res.Return.(float64); got != float64(2*i) {
+			t.Fatalf("call %d returned %v, want %d", i, got, 2*i)
+		}
+		if got := h.runs.Load(); got != int64(i) {
+			t.Fatalf("after call %d the handler has run %d times (duplicate or lost execution)", i, got)
 		}
 	}
-	if got := h.count.Load(); got != calls {
+	if err := h.port.Close(); err != nil {
+		t.Fatal(err)
+	}
+	<-h.done
+	if got := h.runs.Load(); got != calls {
 		t.Fatalf("handler executed %d times for %d logical calls", got, calls)
 	}
-	if mRetries.Value() == retriesBefore {
-		t.Fatal("fault mix forced no retries; the exactly-once path was not exercised")
+	if !eventually(func() bool { return reconnects.Value() > before }) {
+		t.Fatal("no session reconnect; the flapping link never failed under the calls")
 	}
-	if mDedupHits.Value() == hitsBefore {
-		t.Fatal("no dedup hits recorded; dropped replies never replayed from the table")
+}
+
+// holdFirstRecv holds the first frame its Recv reads until release is
+// closed, signalling held once it has it: a physical conn whose reader
+// has a frame in hand but has not handed it to the session yet.
+type holdFirstRecv struct {
+	transport.Conn
+	once          atomic.Bool
+	held, release chan struct{}
+}
+
+func (c *holdFirstRecv) Recv() ([]byte, error) {
+	m, err := c.Conn.Recv()
+	if err == nil && c.once.CompareAndSwap(false, true) {
+		close(c.held)
+		<-c.release
+	}
+	return m, err
+}
+
+// holdListener wraps the first conn it accepts in a holdFirstRecv.
+type holdListener struct {
+	transport.Listener
+	first *holdFirstRecv
+	n     atomic.Int32
+}
+
+func (l *holdListener) Accept() (transport.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil || l.n.Add(1) != 1 {
+		return c, err
+	}
+	l.first.Conn = c
+	return l.first, nil
+}
+
+// TestDedupReplaySkipsHandler: a flap forces a session replay of a call
+// frame the callee's old conn already read, so the frame reaches the
+// callee's session twice. The session drops the second copy by sequence
+// number and the handler runs once.
+func TestDedupReplaySkipsHandler(t *testing.T) {
+	dups := obs.Default().Counter("session.frames_dup_dropped")
+	before := dups.Value()
+	hold := &holdFirstRecv{held: make(chan struct{}), release: make(chan struct{})}
+	released := false
+	defer func() {
+		if !released {
+			close(hold.release)
+		}
+	}()
+	var first *faultconn.Conn
+	cli, srv := sessionPair(t, sessionCfg(),
+		func(l transport.Listener) transport.Listener { return &holdListener{Listener: l, first: hold} },
+		func(n int, c transport.Conn) transport.Conn {
+			if n > 1 {
+				return c
+			}
+			first = faultconn.Wrap(c, faultconn.Scenario{})
+			return first
+		})
+	h := newHarness(t, cli, srv)
+
+	type result struct {
+		res *Result
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		res, err := h.port.CallIndependent(0, "f", Simple("x", 21.0))
+		done <- result{res, err}
+	}()
+	// The callee's first conn has read the call frame and not yet
+	// delivered it. Flap the caller's conn: the caller redials, the callee
+	// reports nothing delivered, and the caller replays the frame on the
+	// new conn, where it is delivered and served.
+	select {
+	case <-hold.held:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the call frame never reached the callee's first conn")
+	}
+	first.Flap()
+	var r result
+	select {
+	case r = <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the replayed call was never answered")
+	}
+	if r.err != nil || r.res.Return.(float64) != 42 {
+		t.Fatalf("replayed call: %v, %v", r.res, r.err)
+	}
+	// Now the old conn hands up the original frame: a duplicate.
+	close(hold.release)
+	released = true
+	if !eventually(func() bool { return dups.Value() > before }) {
+		t.Fatal("the session never dropped the held copy of the call frame")
+	}
+	if err := h.port.Close(); err != nil {
+		t.Fatal(err)
+	}
+	<-h.done
+	if n := h.runs.Load(); n != 1 {
+		t.Fatalf("handler ran %d times for one call delivered twice", n)
 	}
 }
 
@@ -122,7 +258,7 @@ func recvReplyRaw(t *testing.T, c transport.Conn) reply {
 // testCall builds the message of an independent call with one simple
 // argument x the way callMsg does, with every header field under the
 // test's control.
-func testCall(method string, seq, callID, epoch uint64, x float64) *Msg {
+func testCall(method string, seq, epoch uint64, x float64) *Msg {
 	key := wire.NewEncoder(nil)
 	key.PutString(method)
 	key.PutUvarint(0) // no participants: independent
@@ -130,113 +266,52 @@ func testCall(method string, seq, callID, epoch uint64, x float64) *Msg {
 	simple.PutUvarint(1)
 	simple.PutString("x")
 	simple.PutValue(x)
-	putCallHead(&e, seq, callID, epoch, key.Bytes())
+	putCallHead(&e, seq, epoch, key.Bytes())
 	e.PutBytes(simple.Bytes())
 	return newMsg(e.Bytes(), nil)
 }
 
-// TestDedupReplaySkipsHandler drives dispatch directly with two
-// attempts of the same logical call: the second must replay the cached
-// reply (re-sequenced for the retry) without running the handler, and a
-// duplicated oneway invocation must be swallowed.
-func TestDedupReplaySkipsHandler(t *testing.T) {
-	iface := matrixIface(t)
-	a, b := transport.Pipe()
-	defer a.Close()
-	ep := NewEndpoint(iface, NewConnLink([]transport.Conn{a}, 0), 0, 1, 1)
-	var runs atomic.Int64
-	ep.Handle("f", func(in *Incoming, out *Outgoing) error {
-		out.Return = float64(runs.Add(1))
-		return nil
-	})
-	ep.Handle("h", func(in *Incoming, out *Outgoing) error {
-		runs.Add(1)
-		return nil
-	})
-
-	if _, err := ep.dispatch(0, testCall("f", 1, 7, 0, 1.0)); err != nil {
-		t.Fatal(err)
-	}
-	r1 := recvReplyRaw(t, b)
-	if _, err := ep.dispatch(0, testCall("f", 9, 7, 0, 1.0)); err != nil {
-		t.Fatal(err)
-	}
-	r2 := recvReplyRaw(t, b)
-	if runs.Load() != 1 {
-		t.Fatalf("handler ran %d times for one logical call", runs.Load())
-	}
-	if r1.ret.(float64) != 1 || r2.ret.(float64) != 1 {
-		t.Fatalf("replayed return diverged: %v vs %v", r1.ret, r2.ret)
-	}
-	if r2.seq != 9 {
-		t.Fatalf("replay kept stale seq %d; caller would discard it", r2.seq)
-	}
-
-	// Oneway duplicate: no reply exists to replay; the duplicate is
-	// swallowed and the handler still runs once.
-	for _, seq := range []uint64{10, 11} {
-		if _, err := ep.dispatch(0, testCall("h", seq, 8, 0, 1.0)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if runs.Load() != 2 {
-		t.Fatalf("oneway executed %d times total, want 2 (one f + one h)", runs.Load())
-	}
-}
-
-// TestDedupEvictionWatermark fills a capacity-1 table so the first call's
-// entry is evicted, then retries it: the endpoint must refuse (outcome
-// unknown) and the surviving reply must carry the advanced watermark.
+// TestDedupEvictionWatermark pins the reply head layout — kind, then
+// seq · errText · ret · simpleOut, and nothing after — by round trip: the
+// bytes decode field by field in that order, and decodeReply recovers
+// every field.
 func TestDedupEvictionWatermark(t *testing.T) {
-	iface := matrixIface(t)
-	a, b := transport.Pipe()
-	defer a.Close()
-	ep := NewEndpoint(iface, NewConnLink([]transport.Conn{a}, 0), 0, 1, 1)
-	ep.DedupCapacity = 1
-	var runs atomic.Int64
-	ep.Handle("f", func(in *Incoming, out *Outgoing) error {
-		out.Return = float64(runs.Add(1))
-		return nil
-	})
+	var sec wire.Encoder
+	sec.PutUvarint(1)
+	sec.PutString("y")
+	sec.PutValue(3.5)
+	want := replyMsg{errText: "boom", ret: 42.0, simpleOut: sec.Bytes()}
+	var e wire.Encoder
+	putReplyHead(&e, 77, &want)
 
-	before := mDedupEvictions.Value()
-	ep.dispatch(0, testCall("f", 1, 1, 0, 1.0))
-	recvReplyRaw(t, b)
-	ep.dispatch(0, testCall("f", 2, 2, 0, 1.0))
-	r2 := recvReplyRaw(t, b)
-	if r2.watermark != 2 {
-		t.Fatalf("reply watermark = %d after evicting callID 1, want 2", r2.watermark)
+	d := wire.NewDecoder(e.Bytes())
+	kind, seq, errText, ret, simpleOut := d.Byte(), d.Uint64(), d.String(), d.Value(), d.BorrowBytes()
+	if d.Err() != nil || d.Remaining() != 0 {
+		t.Fatalf("layout: err %v, %d trailing bytes", d.Err(), d.Remaining())
 	}
-	if mDedupEvictions.Value() != before+1 {
-		t.Fatalf("eviction counter advanced by %d, want 1", mDedupEvictions.Value()-before)
+	if kind != msgReply || seq != 77 || errText != want.errText || ret != want.ret || string(simpleOut) != string(want.simpleOut) {
+		t.Fatalf("layout decoded kind %d seq %d err %q ret %v out % x", kind, seq, errText, ret, simpleOut)
 	}
 
-	ep.dispatch(0, testCall("f", 3, 1, 0, 1.0))
-	r3 := recvReplyRaw(t, b)
-	if !strings.Contains(r3.errText, "watermark") {
-		t.Fatalf("retry of evicted call got %q, want a watermark refusal", r3.errText)
+	m := newMsg(e.Bytes(), nil)
+	defer m.Release()
+	var got reply
+	if err := decodeReply(m, &got); err != nil {
+		t.Fatal(err)
 	}
-	if runs.Load() != 2 {
-		t.Fatalf("handler ran %d times; the evicted retry must not re-execute", runs.Load())
+	if got.seq != 77 || got.errText != want.errText || got.ret != want.ret || string(got.simpleOut) != string(want.simpleOut) {
+		t.Fatalf("round trip: %+v, want seq 77 and %+v", got.replyMsg, want)
 	}
 }
 
-// TestCallerRefusesEvictedRetry: once the acked watermark passes a callID,
-// the caller itself refuses to send with a typed error instead of risking
-// re-execution on the callee.
+// TestCallerRefusesEvictedRetry: a collective call to a callee that never
+// answers fails with ErrTimeout after one timeout, having sent one call
+// frame — the caller never sends a call again.
 func TestCallerRefusesEvictedRetry(t *testing.T) {
-	a, _ := transport.Pipe()
-	defer a.Close()
-	port := NewCallerPort(matrixIface(t), NewConnLink([]transport.Conn{a}, 0), 0, 1, Eager)
-	port.watermarks[0] = 5 // as if the callee acked evictions past our next callID
-	_, err := port.CallIndependent(0, "f", Simple("x", 1.0))
-	var de *DedupEvictedError
-	if !errors.As(err, &de) {
-		t.Fatalf("err = %v, want *DedupEvictedError", err)
-	}
-	if de.Watermark != 5 || de.Target != 0 {
-		t.Fatalf("error carries %+v", de)
-	}
+	silentCalleeTimesOutOnce(t, func(p *CallerPort) error {
+		_, err := p.CallCollective("g", Participation{Ranks: []int{0}}, Simple("x", 1.0))
+		return err
+	})
 }
 
 // TestPendingLimitDropsOldest is the regression test for the deferred
@@ -280,7 +355,7 @@ func TestStaleEpochCallRejected(t *testing.T) {
 	ep.SetMembership(mem)
 
 	before := mStaleEpochCalls.Value()
-	if _, err := ep.dispatch(0, testCall("f", 1, 1, 1, 1.0)); err != nil {
+	if _, err := ep.dispatch(0, testCall("f", 1, 1, 1.0)); err != nil {
 		t.Fatal(err)
 	}
 	rep := recvReplyRaw(t, b)
@@ -294,7 +369,7 @@ func TestStaleEpochCallRejected(t *testing.T) {
 		t.Fatal("stale-epoch counter did not advance")
 	}
 
-	if _, err := ep.dispatch(0, testCall("f", 2, 2, 2, 1.0)); err != nil {
+	if _, err := ep.dispatch(0, testCall("f", 2, 2, 1.0)); err != nil {
 		t.Fatal(err)
 	}
 	if rep := recvReplyRaw(t, b); rep.errText != "" || runs.Load() != 1 {
@@ -366,7 +441,7 @@ func TestCallRankDownFailsFastMidWait(t *testing.T) {
 	if !errors.As(err, &rd) || rd.Rank != 0 {
 		t.Fatalf("err = %v, want *core.ErrRankDown for rank 0", err)
 	}
-	// Dead target up front: refused before any attempt is sent.
+	// Dead target up front: refused before anything is sent.
 	_, err = port.CallIndependent(0, "f", Simple("x", 1.0))
 	if !errors.As(err, &rd) {
 		t.Fatalf("call to known-dead rank: %v, want *core.ErrRankDown", err)

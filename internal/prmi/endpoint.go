@@ -106,11 +106,6 @@ type Endpoint struct {
 	// blocking indefinitely (or until StallTimeout) exactly as the paper
 	// describes.
 	StrictMatching bool
-	// DedupCapacity bounds the per-caller exactly-once table (entries
-	// remembered per caller rank). Zero means defaultDedupCapacity.
-	// Evicting an entry advances that caller's watermark: a retry of an
-	// evicted callID is refused rather than silently re-executed.
-	DedupCapacity int
 	// PendingLimit caps each per-caller deferred message queue (messages
 	// held back while collecting a collective invocation, or one-way
 	// calls queued behind it). Oldest messages are dropped beyond the
@@ -120,8 +115,7 @@ type Endpoint struct {
 	plans   map[string]*plan // by plan key, see planFor
 	pending map[int][]*Msg   // held-back messages by caller rank
 	closed  map[int]bool
-	dedup   map[int]*dedupTable // caller rank -> exactly-once state
-	members *core.Membership    // caller-cohort view; nil disables fencing
+	members *core.Membership // caller-cohort view; nil disables fencing
 
 	// Per-invocation scratch: the head encoder, the collected headers by
 	// participant position, and the pooled assembled arrays by parallel
@@ -131,21 +125,8 @@ type Endpoint struct {
 	arrays [][]byte
 }
 
-// Queue and table bounds when the knobs are left zero.
-const (
-	defaultPendingLimit  = 1024
-	defaultDedupCapacity = 128
-)
-
-// dedupTable is one caller's exactly-once state: replies of completed
-// calls keyed by callID (nil for oneway methods, which have no reply),
-// FIFO eviction order, and the watermark below which callIDs have been
-// forgotten.
-type dedupTable struct {
-	entries   map[uint64]*replyMsg
-	order     []uint64
-	watermark uint64
-}
+// defaultPendingLimit bounds each deferred queue when PendingLimit is zero.
+const defaultPendingLimit = 1024
 
 // NewEndpoint builds a callee-rank server. rank is this callee's cohort
 // rank, nCallee the callee cohort size, nCaller the caller cohort size.
@@ -163,7 +144,6 @@ func NewEndpoint(iface *sidl.Interface, link Link, rank, nCallee, nCaller int) *
 		plans:    map[string]*plan{},
 		pending:  map[int][]*Msg{},
 		closed:   map[int]bool{},
-		dedup:    map[int]*dedupTable{},
 	}
 }
 
@@ -297,7 +277,7 @@ func (ep *Endpoint) dispatch(src int, m *Msg) (done bool, err error) {
 // the unpack loops can trust the plan alone.
 func (ep *Endpoint) decodeCall(src int, m *Msg, hdr *callHdr) error {
 	d := wire.NewDecoder(m.head[1:])
-	*hdr = callHdr{msg: m, seq: d.Uint64(), callerRank: src, callID: d.Uint64(), epoch: d.Uint64(), pos: -1}
+	*hdr = callHdr{msg: m, seq: d.Uint64(), callerRank: src, epoch: d.Uint64(), pos: -1}
 	key := d.BorrowBytes()
 	if d.Err() != nil {
 		return fmt.Errorf("prmi: corrupt call head: %w", d.Err())
@@ -337,22 +317,16 @@ func (ep *Endpoint) decodeCall(src int, m *Msg, hdr *callHdr) error {
 	return nil
 }
 
-// detach retires a departing caller rank (an online shrink): its
-// exactly-once dedup table and deferred queue are drained and it is
+// detach retires a departing caller rank (an online shrink): it is
 // counted as closed, so Serve returns once the *remaining* callers shut
-// down. FIFO link delivery guarantees every call the departing rank sent
-// before its detach was already dispatched here, so nothing the dedup
-// table protects can still arrive — the drained state is dead weight a
-// long-lived endpoint serving an elastic cohort must not accumulate.
-// Idempotent; a detach after a shutdown (or vice versa) changes nothing.
+// down, and its deferred queue is dropped. FIFO link delivery guarantees
+// every call the departing rank sent before its detach was already
+// dispatched here. Idempotent; a detach after a shutdown (or vice versa)
+// changes nothing.
 func (ep *Endpoint) detach(src int) {
 	if !ep.closed[src] {
 		ep.closed[src] = true
 		mDetaches.Inc()
-	}
-	if dt := ep.dedup[src]; dt != nil {
-		mDetachDedupDrained.Add(uint64(len(dt.entries)))
-		delete(ep.dedup, src)
 	}
 	ep.dropPending(src)
 }
@@ -365,61 +339,10 @@ func (ep *Endpoint) dropPending(src int) {
 	delete(ep.pending, src)
 }
 
-// dedupFor returns (creating if needed) the exactly-once table for one
-// caller rank. Watermarks start at 1 because callIDs start at 1: nothing
-// has been forgotten yet.
-func (ep *Endpoint) dedupFor(caller int) *dedupTable {
-	t := ep.dedup[caller]
-	if t == nil {
-		t = &dedupTable{entries: map[uint64]*replyMsg{}, watermark: 1}
-		ep.dedup[caller] = t
-	}
-	return t
-}
-
-// dedupStore remembers the outcome of callID (nil for oneway methods),
-// evicting oldest entries beyond capacity and advancing the watermark past
-// everything forgotten.
-func (ep *Endpoint) dedupStore(t *dedupTable, callID uint64, rep *replyMsg) {
-	limit := ep.DedupCapacity
-	if limit <= 0 {
-		limit = defaultDedupCapacity
-	}
-	for len(t.entries) >= limit && len(t.order) > 0 {
-		old := t.order[0]
-		t.order = t.order[1:]
-		delete(t.entries, old)
-		if old+1 > t.watermark {
-			t.watermark = old + 1
-		}
-		mDedupEvictions.Inc()
-	}
-	t.entries[callID] = rep
-	t.order = append(t.order, callID)
-}
-
-// serveIndependent services a one-to-one invocation. Calls stamped with a
-// callID get exactly-once semantics: a duplicate attempt of a completed
-// call replays the cached reply (re-sequenced for the retry) instead of
-// re-running the handler, and an attempt whose callID fell below the
-// eviction watermark is refused because its original outcome is unknown.
+// serveIndependent services a one-to-one invocation: the handler runs
+// once per call message, and the link delivers each message once.
 func (ep *Endpoint) serveIndependent(hdr *callHdr) error {
 	m := hdr.plan.method
-	var dt *dedupTable
-	if hdr.callID != 0 {
-		dt = ep.dedupFor(hdr.callerRank)
-		if hdr.callID < dt.watermark {
-			return ep.replyError(hdr, fmt.Sprintf("callID %d below eviction watermark %d; outcome unknown", hdr.callID, dt.watermark))
-		}
-		if rep, done := dt.entries[hdr.callID]; done {
-			mDedupHits.Inc()
-			if m.OneWay || rep == nil {
-				return nil
-			}
-			mDedupReplays.Inc()
-			return ep.sendReply(hdr, rep, dt.watermark, nil)
-		}
-	}
 	simple, err := getSimple(hdr.simple, m)
 	if err != nil {
 		return fmt.Errorf("prmi: corrupt simple arguments from caller %d: %w", hdr.callerRank, err)
@@ -438,30 +361,20 @@ func (ep *Endpoint) serveIndependent(hdr *callHdr) error {
 		return ep.replyError(hdr, fmt.Sprintf("no handler for %q", m.Name))
 	}
 	herr := h(in, out)
-	var rep *replyMsg
-	if !m.OneWay {
-		if herr != nil {
-			rep = &replyMsg{errText: herr.Error()}
-		} else {
-			rep = &replyMsg{ret: out.Return, simpleOut: simpleOutSection(m, out)}
-		}
-	}
-	watermark := uint64(0)
-	if dt != nil {
-		ep.dedupStore(dt, hdr.callID, rep)
-		watermark = dt.watermark
-	}
-	if m.OneWay {
+	switch {
+	case m.OneWay:
 		return nil
+	case herr != nil:
+		return ep.sendReply(hdr, &replyMsg{errText: herr.Error()}, nil)
 	}
-	return ep.sendReply(hdr, rep, watermark, nil)
+	return ep.sendReply(hdr, &replyMsg{ret: out.Return, simpleOut: simpleOutSection(m, out)}, nil)
 }
 
 // sendReply answers hdr with rep. With out set (a collective invocation
 // that succeeded) the reply also carries the fragment of every out/inout
 // parallel parameter, packed from the handler's arrays for hdr's caller.
-func (ep *Endpoint) sendReply(hdr *callHdr, rep *replyMsg, watermark uint64, out *Outgoing) error {
-	putReplyHead(&ep.enc, hdr.seq, watermark, rep)
+func (ep *Endpoint) sendReply(hdr *callHdr, rep *replyMsg, out *Outgoing) error {
+	putReplyHead(&ep.enc, hdr.seq, rep)
 	var payload []byte
 	if out != nil {
 		params := hdr.plan.params
@@ -476,7 +389,7 @@ func (ep *Endpoint) sendReply(hdr *callHdr, rep *replyMsg, watermark uint64, out
 // too: a caller expecting data that never hears of a failure waits forever.
 func (ep *Endpoint) replyAll(hdrs []callHdr, rep *replyMsg, out *Outgoing) error {
 	for _, k := range hdrs[0].plan.peers {
-		if err := ep.sendReply(&hdrs[k], rep, 0, out); err != nil {
+		if err := ep.sendReply(&hdrs[k], rep, out); err != nil {
 			return err
 		}
 	}
@@ -490,7 +403,7 @@ func (ep *Endpoint) replyError(hdr *callHdr, text string) error {
 	if hdr.plan.method.OneWay || (hdr.pos >= 0 && !slices.Contains(hdr.plan.peers, hdr.pos)) {
 		return nil
 	}
-	return ep.sendReply(hdr, &replyMsg{errText: text}, 0, nil)
+	return ep.sendReply(hdr, &replyMsg{errText: text}, nil)
 }
 
 // serveCollective collects the all-to-all invocation this rank committed

@@ -5,16 +5,18 @@ package prmi
 // errors rather than hangs or panics.
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"sync"
-	"testing"
-
 	"sync/atomic"
+	"testing"
 	"time"
 
 	"mxn/internal/bufpool"
 	"mxn/internal/comm"
+	"mxn/internal/faultconn"
+	"mxn/internal/obs"
 	"mxn/internal/sidl"
 	"mxn/internal/transport"
 	"mxn/internal/wire"
@@ -168,7 +170,7 @@ func TestIndependentCallTimesOutTyped(t *testing.T) {
 	defer a.Close()
 	defer b.Close() // callee never answers; closing returns the calls
 	port := NewCallerPort(iface, NewConnLink([]transport.Conn{a}, 0), 0, 1, Eager)
-	port.SetRetryPolicy(RetryPolicy{Timeout: 50 * time.Millisecond})
+	port.SetTimeout(50 * time.Millisecond)
 	start := time.Now()
 	_, err := port.CallIndependent(0, "f", Simple("x", 1.0))
 	if !errors.Is(err, ErrTimeout) {
@@ -179,54 +181,97 @@ func TestIndependentCallTimesOutTyped(t *testing.T) {
 	}
 }
 
+// TestIndependentCallRetriesThroughDrop: the first physical link dies
+// under the call, taking the call frame with it. The session redials and
+// replays the frame, the call completes, and PRMI sent it once.
 func TestIndependentCallRetriesThroughDrop(t *testing.T) {
-	iface := simpleIface(t)
-	// Drop exactly the first outgoing message; the retry's resend gets
-	// through. faultconn would also do this, but a hand-rolled conn keeps
-	// the dependency direction clean (faultconn's own tests cover it, and
-	// the failure-matrix test exercises the full stack).
-	pa, pb := transport.Pipe()
-	dropper := &dropFirstConn{Conn: pa}
-	port := NewCallerPort(iface, NewConnLink([]transport.Conn{dropper}, 0), 0, 1, Eager)
-	port.SetRetryPolicy(RetryPolicy{Timeout: 80 * time.Millisecond, MaxAttempts: 3, Backoff: 5 * time.Millisecond})
-
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		ep := NewEndpoint(iface, NewConnLink([]transport.Conn{pb}, 0), 0, 1, 1)
-		ep.Handle("f", func(in *Incoming, out *Outgoing) error {
-			out.Return = in.Simple["x"].(float64) * 2
-			return nil
-		})
-		ep.Serve()
-	}()
-	res, err := port.CallIndependent(0, "f", Simple("x", 21.0))
+	reconnects := obs.Default().Counter("session.reconnects")
+	before := reconnects.Value()
+	// The first conn the caller dials carries the handshake (hello,
+	// welcome) and flaps on the next message: the call frame.
+	cli, srv := sessionPair(t, sessionCfg(), nil, func(n int, c transport.Conn) transport.Conn {
+		if n == 1 {
+			return faultconn.Wrap(c, faultconn.Scenario{FlapAfter: 2})
+		}
+		return c
+	})
+	counted := &countingConn{Conn: cli}
+	h := newHarness(t, counted, srv)
+	res, err := boundedCall(t, func() (*Result, error) {
+		return h.port.CallIndependent(0, "f", Simple("x", 21.0))
+	})
 	if err != nil {
-		t.Fatalf("retried call failed: %v", err)
+		t.Fatalf("call across the dead link failed: %v", err)
 	}
 	if res.Return.(float64) != 42 {
 		t.Fatalf("return = %v", res.Return)
 	}
-	if n := dropper.sends.Load(); n < 2 {
-		t.Fatalf("expected a resend, saw %d sends", n)
+	if n := counted.sends.Load(); n != 1 {
+		t.Fatalf("PRMI sent the call %d times, want once", n)
 	}
-	port.Close()
-	<-done
+	if !eventually(func() bool { return reconnects.Value() > before }) {
+		t.Fatal("no session reconnect; the first link did not die under the call")
+	}
+	if n := h.runs.Load(); n != 1 {
+		t.Fatalf("handler ran %d times", n)
+	}
 }
 
+// TestIndependentCallExhaustsRetries: an independent call to a callee
+// that never answers fails with ErrTimeout after one timeout, having sent
+// one call frame.
 func TestIndependentCallExhaustsRetries(t *testing.T) {
-	iface := simpleIface(t)
+	silentCalleeTimesOutOnce(t, func(p *CallerPort) error {
+		_, err := p.CallIndependent(0, "f", Simple("x", 1.0))
+		return err
+	})
+}
+
+// silentCalleeTimesOutOnce makes call against a callee that reads nothing:
+// it must fail with ErrTimeout after one timeout, and the callee end of the
+// link must hold exactly one call frame.
+func silentCalleeTimesOutOnce(t *testing.T, call func(*CallerPort) error) {
+	t.Helper()
 	a, b := transport.Pipe()
 	defer a.Close()
 	defer b.Close()
-	port := NewCallerPort(iface, NewConnLink([]transport.Conn{a}, 0), 0, 1, Eager)
-	port.SetRetryPolicy(RetryPolicy{Timeout: 20 * time.Millisecond, MaxAttempts: 3, Backoff: time.Millisecond, BackoffCap: 2 * time.Millisecond})
-	_, err := port.CallIndependent(0, "f", Simple("x", 1.0))
+	port := NewCallerPort(matrixIface(t), NewConnLink([]transport.Conn{a}, 0), 0, 1, Eager)
+	const timeout = 40 * time.Millisecond
+	port.SetTimeout(timeout)
+	start := time.Now()
+	err := call(port)
+	elapsed := time.Since(start)
 	if !errors.Is(err, ErrTimeout) {
-		t.Fatalf("err = %v, want ErrTimeout after exhausted retries", err)
+		t.Fatalf("err = %v, want ErrTimeout", err)
 	}
-	if !strings.Contains(err.Error(), "3 attempts") {
-		t.Fatalf("err %q does not report the attempt count", err)
+	if elapsed < timeout || elapsed > time.Second {
+		t.Fatalf("call gave up after %v, want one timeout of %v", elapsed, timeout)
+	}
+	if n := callFrames(t, b); n != 1 {
+		t.Fatalf("the callee end received %d call frames, want 1", n)
+	}
+}
+
+// callFrames counts the call frames waiting at the callee end of a
+// connLink mesh, releasing them.
+func callFrames(t *testing.T, c transport.Conn) int {
+	t.Helper()
+	n := 0
+	for {
+		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+		raw, err := c.RecvContext(ctx)
+		cancel()
+		if err != nil {
+			return n
+		}
+		_, m, err := parseFrame(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.kind() == msgCall {
+			n++
+		}
+		m.Release()
 	}
 }
 
@@ -234,33 +279,38 @@ func TestLinkDownIsTyped(t *testing.T) {
 	iface := simpleIface(t)
 	a, b := transport.Pipe()
 	b.Close()
-	_ = b
 	port := NewCallerPort(iface, NewConnLink([]transport.Conn{a}, 0), 0, 1, Eager)
-	port.SetRetryPolicy(RetryPolicy{Timeout: 50 * time.Millisecond, MaxAttempts: 2, Backoff: time.Millisecond})
+	port.SetTimeout(50 * time.Millisecond)
 	_, err := port.CallIndependent(0, "f", Simple("x", 1.0))
 	if !errors.Is(err, ErrLinkDown) {
 		t.Fatalf("call over closed link: %v, want ErrLinkDown", err)
 	}
+	if !errors.Is(err, transport.ErrClosed) {
+		t.Fatalf("link-down error %v lost the link's own error", err)
+	}
 }
 
+// TestStaleReplyDiscarded: two calls to a slow callee. The first times
+// out; its late reply, arriving while the second call waits, carries the
+// first call's sequence number and is discarded.
 func TestStaleReplyDiscarded(t *testing.T) {
 	iface := simpleIface(t)
 	a, b := transport.Pipe()
 	defer a.Close()
+	defer b.Close()
 	port := NewCallerPort(iface, NewConnLink([]transport.Conn{a}, 0), 0, 1, Eager)
-	port.SetRetryPolicy(RetryPolicy{Timeout: 150 * time.Millisecond, MaxAttempts: 2, Backoff: time.Millisecond})
+	port.SetTimeout(100 * time.Millisecond)
 
-	// A "slow" callee: ignores the first call entirely, then answers the
-	// second call twice — once with the first attempt's stale seq, then
-	// with the right one. The caller must skip the stale reply and accept
-	// the fresh one.
+	// The callee answers the first call only once the second has arrived
+	// — long after the first gave up — and then answers the second.
 	go func() {
-		raw1, err := b.Recv() // first attempt; never answered
+		raw1, err := b.Recv()
 		if err != nil {
 			return
 		}
-		raw2, err := b.Recv() // second attempt
+		raw2, err := b.Recv()
 		if err != nil {
+			bufpool.PutFrame(raw1)
 			return
 		}
 		// The sequence number follows the kind byte of the head, which
@@ -277,33 +327,38 @@ func TestStaleReplyDiscarded(t *testing.T) {
 			ret float64
 		}{{seq1, -1}, {seq2, 42}} {
 			var e, frame wire.Encoder
-			putReplyHead(&e, r.seq, 0, &replyMsg{ret: r.ret})
+			putReplyHead(&e, r.seq, &replyMsg{ret: r.ret})
 			frame.PutUvarint(0)
 			frame.PutBytes(e.Bytes())
 			frame.PutBytesRef(nil)
-			b.Send(frame.Bytes())
+			if b.Send(frame.Bytes()) != nil {
+				return
+			}
 		}
 	}()
-	res, err := port.CallIndependent(0, "f", Simple("x", 1.0))
+	if _, err := port.CallIndependent(0, "f", Simple("x", 1.0)); !errors.Is(err, ErrTimeout) {
+		t.Fatalf("first call: %v, want ErrTimeout", err)
+	}
+	before := mStaleDropped.Value()
+	res, err := port.CallIndependent(0, "f", Simple("x", 2.0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Return.(float64) != 42 {
 		t.Fatalf("caller accepted stale reply: return = %v", res.Return)
 	}
+	if mStaleDropped.Value() == before {
+		t.Fatal("the late reply was not counted as stale")
+	}
 }
 
-// dropFirstConn swallows the first message a connLink sends and counts
-// attempts.
-type dropFirstConn struct {
+// countingConn counts the messages a connLink sends through it.
+type countingConn struct {
 	transport.Conn
 	sends atomic.Int64
 }
 
-func (c *dropFirstConn) SendOwned(head, payload []byte) error {
-	if c.sends.Add(1) == 1 {
-		bufpool.Put(payload)
-		return nil // eaten by the network
-	}
+func (c *countingConn) SendOwned(head, payload []byte) error {
+	c.sends.Add(1)
 	return c.Conn.SendOwned(head, payload)
 }

@@ -2,21 +2,29 @@ package prmi
 
 import (
 	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"mxn/internal/faultconn"
+	"mxn/internal/obs"
+	"mxn/internal/session"
 	"mxn/internal/sidl"
 	"mxn/internal/transport"
 )
 
-// The failure matrix: every fault scenario the chaos layer can inject,
-// crossed with every SIDL invocation kind. The contract under test is the
-// one DESIGN.md's failure model promises: a call over a faulty link
-// terminates within a bounded time with either a success (the retry layer
-// pushed it through) or an error — never a hang, never a panic — and
-// where the fault category is unambiguous the error is the matching typed
-// sentinel (ErrTimeout for lost messages, ErrLinkDown for a dead link).
+// The failure matrix: fault scenarios crossed with every SIDL invocation
+// kind, over two links. The contract under test is the one DESIGN.md's
+// failure model promises: a call is sent once and terminates within a
+// bounded time, never a hang, never a panic.
+//
+//   - Over a raw pipe nothing recovers a lost message: the call succeeds
+//     or fails with the matching typed sentinel (ErrTimeout for lost
+//     messages, ErrLinkDown for a dead link).
+//   - Over a session.Conn the session recovers every flap, duplicate and
+//     reordering, so the call succeeds and its handler runs exactly once;
+//     a link that never carries a frame spends the session's budget and
+//     ends in ErrLinkDown with session.ErrPeerLost underneath.
 
 // outcome constraints for one matrix cell.
 const (
@@ -40,46 +48,46 @@ func matrixIface(t *testing.T) *sidl.Interface {
 	return iface
 }
 
-// matrixHarness wires a 1×1 caller/callee pair over a fault-injected pipe.
-// The fault layer wraps the caller's end, so Send faults hit invocations
-// and Recv faults hit replies.
-type matrixHarness struct {
-	port  *CallerPort
-	fc    *faultconn.Conn
-	done  chan struct{}
-	survd chan struct{}
+// harness wires a 1×1 caller/callee pair of matrixIface over the two ends
+// of a link. Every handler counts its executions — the callee-side ground
+// truth for exactly-once — and f and g return twice their argument.
+type harness struct {
+	port *CallerPort
+	runs atomic.Int64
+	done chan struct{} // closed when Serve returns
 }
 
-func newMatrixHarness(t *testing.T, sc faultconn.Scenario) *matrixHarness {
+// newHarness serves the callee end and builds the port on the caller end.
+// Both ends are closed, and what the caller's link still holds released,
+// at cleanup.
+func newHarness(t *testing.T, caller, callee transport.Conn) *harness {
 	t.Helper()
 	iface := matrixIface(t)
-	fc, peer := faultconn.Pipe(sc)
-
-	h := &matrixHarness{fc: fc, done: make(chan struct{})}
+	h := &harness{done: make(chan struct{})}
+	ep := NewEndpoint(iface, NewConnLink([]transport.Conn{callee}, 0), 0, 1, 1)
+	double := func(in *Incoming, out *Outgoing) error {
+		h.runs.Add(1)
+		out.Return = in.Simple["x"].(float64) * 2
+		return nil
+	}
+	ep.Handle("f", double)
+	ep.Handle("g", double)
+	ep.Handle("h", func(*Incoming, *Outgoing) error {
+		h.runs.Add(1)
+		return nil
+	})
 	go func() {
 		defer close(h.done)
-		ep := NewEndpoint(iface, NewConnLink([]transport.Conn{peer}, 0), 0, 1, 1)
-		double := func(in *Incoming, out *Outgoing) error {
-			out.Return = in.Simple["x"].(float64) * 2
-			return nil
-		}
-		ep.Handle("f", double)
-		ep.Handle("g", double)
-		ep.Handle("h", func(in *Incoming, out *Outgoing) error { return nil })
 		ep.Serve()
 	}()
-
-	link := NewConnLink([]transport.Conn{fc}, 0)
+	link := NewConnLink([]transport.Conn{caller}, 0)
 	t.Cleanup(func() {
-		fc.Close()
+		caller.Close()
+		callee.Close()
+		<-h.done
 		drainLink(link)
 	})
 	h.port = NewCallerPort(iface, link, 0, 1, Eager)
-	h.port.SetRetryPolicy(RetryPolicy{
-		Timeout:     150 * time.Millisecond,
-		MaxAttempts: 2,
-		Backoff:     5 * time.Millisecond,
-	})
 	return h
 }
 
@@ -142,8 +150,38 @@ func checkOutcome(t *testing.T, want string, res *Result, err error) {
 	}
 }
 
+// matrixKinds are the three invocation kinds every cell is run with.
+var matrixKinds = []struct {
+	kind string
+	call func(p *CallerPort) (*Result, error)
+}{
+	{"independent", func(p *CallerPort) (*Result, error) {
+		return p.CallIndependent(0, "f", Simple("x", 21.0))
+	}},
+	{"collective", func(p *CallerPort) (*Result, error) {
+		return p.CallCollective("g", Participation{Ranks: []int{0}}, Simple("x", 21.0))
+	}},
+	{"oneway", func(p *CallerPort) (*Result, error) {
+		return p.CallIndependent(0, "h", Simple("x", 1.0))
+	}},
+}
+
+// outcomeOf picks a cell's expected outcome for one invocation kind.
+func outcomeOf(kind, independent, collective, oneway string) string {
+	switch kind {
+	case "independent":
+		return independent
+	case "collective":
+		return collective
+	}
+	return oneway
+}
+
 func TestFailureMatrix(t *testing.T) {
-	scenarios := []struct {
+	// Raw pipe: the fault layer wraps the caller's end, so Send faults hit
+	// invocations and Recv faults hit replies. Every call is sent once and
+	// waits 150ms for its reply.
+	raw := []struct {
 		name      string
 		sc        faultconn.Scenario
 		partition bool // hard-partition the link before calling
@@ -156,8 +194,7 @@ func TestFailureMatrix(t *testing.T) {
 			independent: wantSuccess, collective: wantSuccess, oneway: wantSuccess,
 		},
 		{
-			// Every invocation silently vanishes. The retry layer tries
-			// again, the link eats that too, and the typed timeout
+			// Every invocation silently vanishes and the typed timeout
 			// surfaces. A oneway call succeeds by definition: there is no
 			// reply to wait for, and the send itself was accepted.
 			name:        "drop-all",
@@ -166,8 +203,7 @@ func TestFailureMatrix(t *testing.T) {
 		},
 		{
 			// Replies vanish instead: the callee executes, the caller
-			// cannot know. Retry is safe for independent calls precisely
-			// because re-execution of an idempotent method is harmless.
+			// cannot know — whether to invoke again is its decision.
 			name:        "drop-replies",
 			sc:          faultconn.Scenario{Seed: 3, Recv: faultconn.Faults{Drop: 1}},
 			independent: wantTimeout, collective: wantTimeout, oneway: wantSuccess,
@@ -184,16 +220,16 @@ func TestFailureMatrix(t *testing.T) {
 		},
 		{
 			// The link dies before the call: every kind sees the typed
-			// link-down error immediately, retries included.
+			// link-down error immediately.
 			name:        "partition",
 			sc:          faultconn.Scenario{Seed: 5},
 			partition:   true,
 			independent: wantLinkDown, collective: wantLinkDown, oneway: wantLinkDown,
 		},
 		{
-			// A slow peer: 20ms each way is well inside the 150ms attempt
-			// budget, so every kind succeeds — slowness alone must not
-			// turn into errors.
+			// A slow peer: 20ms each way is well inside the 150ms wait, so
+			// every kind succeeds — slowness alone must not turn into
+			// errors.
 			name: "slow-peer",
 			sc: faultconn.Scenario{
 				Seed: 6,
@@ -203,8 +239,10 @@ func TestFailureMatrix(t *testing.T) {
 			independent: wantSuccess, collective: wantSuccess, oneway: wantSuccess,
 		},
 		{
-			// Duplicated and reordered frames: sequence numbers and
-			// content-based matching absorb both without error.
+			// Duplicated and reordered frames. With this seed no call
+			// frame is held back for reordering (a held frame would wait
+			// for a successor that, with one message per call, never
+			// comes), and a duplicated reply is discarded by sequence.
 			name: "dup-reorder",
 			sc: faultconn.Scenario{
 				Seed: 7,
@@ -214,37 +252,130 @@ func TestFailureMatrix(t *testing.T) {
 			independent: wantSuccess, collective: wantSuccess, oneway: wantSuccess,
 		},
 	}
-
-	for _, tc := range scenarios {
-		tc := tc
+	for _, tc := range raw {
 		t.Run(tc.name, func(t *testing.T) {
-			kinds := []struct {
-				kind string
-				want string
-				call func(h *matrixHarness) (*Result, error)
-			}{
-				{"independent", tc.independent, func(h *matrixHarness) (*Result, error) {
-					return h.port.CallIndependent(0, "f", Simple("x", 21.0))
-				}},
-				{"collective", tc.collective, func(h *matrixHarness) (*Result, error) {
-					return h.port.CallCollective("g", Participation{Ranks: []int{0}}, Simple("x", 21.0))
-				}},
-				{"oneway", tc.oneway, func(h *matrixHarness) (*Result, error) {
-					return h.port.CallIndependent(0, "h", Simple("x", 1.0))
-				}},
-			}
-			for _, k := range kinds {
-				k := k
+			for _, k := range matrixKinds {
 				t.Run(k.kind, func(t *testing.T) {
-					h := newMatrixHarness(t, tc.sc)
+					fc, peer := faultconn.Pipe(tc.sc)
+					h := newHarness(t, fc, peer)
+					h.port.SetTimeout(150 * time.Millisecond)
 					if tc.partition {
-						h.fc.Partition()
+						fc.Partition()
 					}
-					res, err := boundedCall(t, func() (*Result, error) { return k.call(h) })
-					checkOutcome(t, k.want, res, err)
-					if k.want == wantSuccess && k.kind != "oneway" {
+					want := outcomeOf(k.kind, tc.independent, tc.collective, tc.oneway)
+					res, err := boundedCall(t, func() (*Result, error) { return k.call(h.port) })
+					checkOutcome(t, want, res, err)
+					if want == wantSuccess && k.kind != "oneway" {
 						if res == nil || res.Return.(float64) != 42 {
 							t.Fatalf("successful call returned %v", res)
+						}
+					}
+				})
+			}
+		})
+	}
+
+	// Session: PRMI over a session.Conn whose physical conns, accepted
+	// through a faultconn listener, carry the faults. No timeout is set:
+	// the session either delivers or gives up.
+	sessions := []struct {
+		name string
+		sc   faultconn.Scenario
+		// dead: the listener goes away once the session is up, so no
+		// redial connects and the session spends a small budget.
+		dead bool
+	}{
+		{
+			// Every physical conn dies after three messages: a handshake
+			// and one frame per incarnation.
+			name: "session-flap",
+			sc:   faultconn.Scenario{Seed: 8, FlapAfter: 3},
+		},
+		{
+			// Duplicated frames are dropped by sequence number (a
+			// duplicated handshake frame costs a reconnect).
+			name: "session-duplicate",
+			sc: faultconn.Scenario{
+				Seed: 9,
+				Send: faultconn.Faults{Dup: 0.5},
+				Recv: faultconn.Faults{Dup: 0.5},
+			},
+		},
+		{
+			// A reordered frame is a sequence gap, and a held frame with
+			// no successor stalls the conn until it flaps; either way the
+			// session reconnects and replays.
+			name: "session-reorder",
+			sc: faultconn.Scenario{
+				Seed:      10,
+				Send:      faultconn.Faults{Reorder: 0.25},
+				Recv:      faultconn.Faults{Reorder: 0.25},
+				FlapEvery: 40 * time.Millisecond,
+			},
+		},
+		{
+			// The link never carries a frame: the one physical conn admits
+			// the handshake and flaps on the call frame, and nothing
+			// answers the redials.
+			name: "session-dead",
+			sc:   faultconn.Scenario{Seed: 11, FlapAfter: 2},
+			dead: true,
+		},
+	}
+	for _, tc := range sessions {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, k := range matrixKinds {
+				t.Run(k.kind, func(t *testing.T) {
+					cfg := sessionCfg()
+					var raw transport.Listener
+					wrap := func(l transport.Listener) transport.Listener {
+						raw = l
+						return faultconn.WrapListener(l, tc.sc)
+					}
+					if tc.dead {
+						cfg.MaxAttempts = 3
+					}
+					cli, srv := sessionPair(t, cfg, wrap, nil)
+					if tc.dead {
+						raw.Close()
+					}
+					h := newHarness(t, cli, srv)
+					recoveries := func() uint64 {
+						return obs.Default().Counter("session.reconnects").Value() +
+							obs.Default().Counter("session.frames_dup_dropped").Value()
+					}
+					before := recoveries()
+					res, err := boundedCall(t, func() (*Result, error) { return k.call(h.port) })
+					switch {
+					case tc.dead && k.kind == "oneway":
+						// Accepted into the session's replay buffer; it
+						// never reaches the callee.
+						checkOutcome(t, wantSuccess, res, err)
+					case tc.dead:
+						checkOutcome(t, wantLinkDown, res, err)
+						if !errors.Is(err, session.ErrPeerLost) {
+							t.Fatalf("link-down error %v does not carry session.ErrPeerLost", err)
+						}
+						if n := h.runs.Load(); n != 0 {
+							t.Fatalf("handler ran %d times over a link that carried nothing", n)
+						}
+					default:
+						checkOutcome(t, wantSuccess, res, err)
+						if k.kind != "oneway" && res.Return.(float64) != 42 {
+							t.Fatalf("successful call returned %v", res.Return)
+						}
+						// Shutdown rides behind the call, so once Serve
+						// returns the handler has run as often as it ever
+						// will.
+						if err := h.port.Close(); err != nil {
+							t.Fatal(err)
+						}
+						<-h.done
+						if n := h.runs.Load(); n != 1 {
+							t.Fatalf("handler ran %d times for one call", n)
+						}
+						if !eventually(func() bool { return recoveries() > before }) {
+							t.Fatal("the session neither reconnected nor dropped a duplicate: the fault never hit")
 						}
 					}
 				})

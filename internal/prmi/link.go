@@ -29,6 +29,11 @@
 // deadlock when different but intersecting participant sets make
 // consecutive calls — and BarrierDelayed delivery (the DCA solution),
 // where a barrier among the participants precedes delivery.
+//
+// A call is plain blocking RMI: its message goes out once and its reply
+// comes back once. Over a session.Conn a call therefore runs exactly once;
+// over a raw link it is sent once and fails typed (ErrTimeout, ErrLinkDown),
+// leaving re-invocation to the application, as in the paper.
 package prmi
 
 import (
@@ -47,14 +52,15 @@ import (
 
 // ErrTimeout reports that a bounded wait for a remote reply (or message)
 // expired. A call failing with ErrTimeout may have executed on the callee:
-// only the reply is known to be missing, which is why the retry layer
-// restricts automatic retry to idempotent call kinds.
+// only the reply is known to be missing, so whether to invoke again is the
+// application's decision.
 var ErrTimeout = errors.New("prmi: timed out")
 
 // ErrLinkDown reports that the link to the peer cohort failed (closed,
-// partitioned, or otherwise unable to carry messages). Unlike ErrTimeout,
-// the link will not recover by waiting; callers should re-establish the
-// connection or give up.
+// partitioned, a session whose reconnect budget is spent, or otherwise
+// unable to carry messages); the link's own error stays in the chain.
+// Unlike ErrTimeout, the link will not recover by waiting; callers should
+// re-establish the connection or give up.
 var ErrLinkDown = errors.New("prmi: link down")
 
 // Link carries messages between the two sides of one port connection.
@@ -103,9 +109,9 @@ func mapLinkErr(err error) error {
 	case errors.Is(err, ErrTimeout), errors.Is(err, ErrLinkDown):
 		return err
 	case errors.Is(err, transport.ErrClosed):
-		return fmt.Errorf("%w: %v", ErrLinkDown, err)
+		return fmt.Errorf("%w: %w", ErrLinkDown, err)
 	case errors.Is(err, transport.ErrTimeout):
-		return fmt.Errorf("%w: %v", ErrTimeout, err)
+		return fmt.Errorf("%w: %w", ErrTimeout, err)
 	default:
 		return err
 	}

@@ -17,11 +17,10 @@ const (
 	msgReply
 	msgShutdown
 	// msgDetach announces that a caller rank is leaving the cohort (an
-	// online shrink): the endpoint drops its exactly-once dedup table and
-	// deferred queue and stops expecting its shutdown. Links deliver each
-	// caller's messages in FIFO order, so by the time a detach is
-	// dispatched every call that caller ever sent has been serviced —
-	// the dedup state is fully settled and safe to drain.
+	// online shrink): the endpoint drops its deferred queue and stops
+	// expecting its shutdown. Links deliver each caller's messages in FIFO
+	// order, so by the time a detach is dispatched every call that caller
+	// ever sent has been serviced.
 	msgDetach
 )
 
@@ -162,11 +161,6 @@ type callHdr struct {
 	msg        *Msg
 	seq        uint64
 	callerRank int // as attributed by the link
-	// callID identifies the logical call across retry attempts: every
-	// attempt of one CallIndependent carries the same callID under fresh
-	// seq numbers, letting the callee deduplicate re-executions. Zero
-	// means "no exactly-once tracking" (legacy at-least-once semantics).
-	callID uint64
 	// epoch is the caller's membership epoch at send time; receivers
 	// behind a newer epoch reject the call. Zero means unstamped.
 	epoch  uint64
@@ -177,24 +171,23 @@ type callHdr struct {
 
 // putCallHead starts a call head. Layout, after the kind byte:
 //
-//	seq u64 · callID u64 · epoch u64
+//	seq u64 · epoch u64
 //	plan key bytes — constant per (method, participants, templates)
 //	per parallel parameter: template encoding bytes (empty once the callee
 //	    has it) · fragment byte length uvarint
 //	simple-argument section bytes
 //
 // The payload is the fragments back to back.
-func putCallHead(e *wire.Encoder, seq, callID, epoch uint64, key []byte) {
+func putCallHead(e *wire.Encoder, seq, epoch uint64, key []byte) {
 	e.Reset()
 	e.PutByte(msgCall)
 	e.PutUint64(seq)
-	e.PutUint64(callID)
 	e.PutUint64(epoch)
 	e.PutBytes(key)
 }
 
 // replyMsg is the part of a reply that does not depend on the receiving
-// caller: what the exactly-once table remembers and replays.
+// caller: one is shared by every reply of a collective invocation.
 type replyMsg struct {
 	errText   string
 	ret       any
@@ -207,25 +200,19 @@ type reply struct {
 	replyMsg
 	msg *Msg
 	seq uint64
-	// watermark is the callee's dedup-eviction watermark for this caller:
-	// every callID below it has been forgotten, so retrying one would
-	// risk re-execution. Callers refuse such retries with a typed error.
-	watermark uint64
 }
 
 // putReplyHead starts a reply head. Layout, after the kind byte:
 //
-//	seq u64 · watermark u64 · errText string · ret value
-//	simple-out section bytes
+//	seq u64 · errText string · ret value · simple-out section bytes
 //
 // The payload of a successful collective reply is the fragment of every
 // out/inout parallel parameter, in parameter order, each as long as the
 // reverse schedule says; an error reply has none.
-func putReplyHead(e *wire.Encoder, seq, watermark uint64, rep *replyMsg) {
+func putReplyHead(e *wire.Encoder, seq uint64, rep *replyMsg) {
 	e.Reset()
 	e.PutByte(msgReply)
 	e.PutUint64(seq)
-	e.PutUint64(watermark)
 	e.PutString(rep.errText)
 	e.PutValue(rep.ret)
 	e.PutBytes(rep.simpleOut)
@@ -233,7 +220,7 @@ func putReplyHead(e *wire.Encoder, seq, watermark uint64, rep *replyMsg) {
 
 func decodeReply(m *Msg, rep *reply) error {
 	d := wire.NewDecoder(m.head[1:])
-	*rep = reply{msg: m, seq: d.Uint64(), watermark: d.Uint64()}
+	*rep = reply{msg: m, seq: d.Uint64()}
 	rep.errText, rep.ret, rep.simpleOut = d.String(), d.Value(), d.BorrowBytes()
 	return d.Err()
 }

@@ -9,7 +9,6 @@ var (
 	mCallsIndependent = obs.Default().Counter("prmi.calls_independent")
 	mCallsCollective  = obs.Default().Counter("prmi.calls_collective")
 	mCallsOneway      = obs.Default().Counter("prmi.calls_oneway")
-	mRetries          = obs.Default().Counter("prmi.retries")
 	mTimeouts         = obs.Default().Counter("prmi.timeouts")
 	mStaleDropped     = obs.Default().Counter("prmi.stale_replies_dropped")
 	mPullsServed      = obs.Default().Counter("prmi.pulls_served")
@@ -17,10 +16,7 @@ var (
 	mEndpointStalls   = obs.Default().Counter("prmi.endpoint_stalls")
 	mCallNS           = obs.Default().Histogram("prmi.call_ns")
 
-	// Exactly-once / failure-awareness instruments.
-	mDedupHits       = obs.Default().Counter("prmi.dedup_hits")
-	mDedupReplays    = obs.Default().Counter("prmi.dedup_replays")
-	mDedupEvictions  = obs.Default().Counter("prmi.dedup_evictions")
+	// Failure-awareness instruments.
 	mStaleEpochCalls = obs.Default().Counter("prmi.stale_epoch_rejected")
 	mDeferredDropped = obs.Default().Counter("prmi.deferred_dropped")
 	mRankdownErrors  = obs.Default().Counter("prmi.rankdown_errors")
@@ -32,7 +28,6 @@ var (
 	mFragElemsUnpacked = obs.Default().Counter("prmi.frag_elems_unpacked")
 	mFragBytesLent     = obs.Default().Counter("prmi.frag_bytes_lent")
 
-	// Malleability instruments: caller departures during an online shrink.
-	mDetaches           = obs.Default().Counter("prmi.caller_detaches")
-	mDetachDedupDrained = obs.Default().Counter("prmi.detach_dedup_entries_drained")
+	// Malleability instrument: caller departures during an online shrink.
+	mDetaches = obs.Default().Counter("prmi.caller_detaches")
 )

@@ -110,9 +110,9 @@ type DialFunc func(ctx context.Context) (transport.Conn, error)
 // each field.
 type Config struct {
 	// MaxAttempts bounds reconnect attempts per outage (default 8). The
-	// budget resets once a reconnect succeeds: a flaky link that keeps
-	// coming back keeps getting repaired; only a continuous outage opens
-	// the circuit.
+	// budget resets once a reconnect succeeds, or fails after frames
+	// crossed: a flaky link that keeps coming back keeps getting repaired;
+	// only a continuous outage opens the circuit.
 	MaxAttempts int
 	// MaxElapsed bounds the wall-clock length of one outage (default
 	// 30s). On the passive (listener) side, where no redial is possible,
@@ -534,9 +534,13 @@ func (c *Conn) armResumeDeadline(gen uint64, cause error) {
 }
 
 // redialLoop is the active side's recovery: jittered exponential backoff
-// dials until the session resumes or the budget opens the circuit.
+// dials until the session resumes or the budget opens the circuit. An
+// attempt that fails after frames crossed — the peer delivered some of
+// the replay, or we delivered some of its — ends the outage it counted
+// against: the budget starts over, so a link that flaps faster than a
+// backlog drains keeps draining it.
 func (c *Conn) redialLoop(cause error) {
-	start := time.Now()
+	start, mark := time.Now(), c.progress()
 	backoff := c.cfg.BaseBackoff
 	for attempt := 1; ; attempt++ {
 		c.mu.Lock()
@@ -544,6 +548,9 @@ func (c *Conn) redialLoop(cause error) {
 		c.mu.Unlock()
 		if stopped {
 			return
+		}
+		if p := c.progress(); p != mark {
+			start, mark, backoff, attempt = time.Now(), p, c.cfg.BaseBackoff, 1
 		}
 		if attempt > c.cfg.MaxAttempts || time.Since(start) > c.cfg.MaxElapsed {
 			c.markDead(attempt-1, time.Since(start), cause)
@@ -583,6 +590,14 @@ func (c *Conn) redialLoop(cause error) {
 		obs.Trace().Span(obs.EvRedial, "session", -1, -1, 0, start)
 		return
 	}
+}
+
+// progress counts the frames that have crossed in both directions: those
+// the peer acknowledged and those delivered here. It only grows.
+func (c *Conn) progress() uint64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.nextSeq - uint64(c.replay.len()) + c.lastDelivered
 }
 
 // attach resumes a downed (or stale) passive session on a fresh physical

@@ -533,6 +533,98 @@ func TestSessionOverFlappingFaultconn(t *testing.T) {
 	}
 }
 
+// TestSessionBudgetCountsOnlyStalledAttempts: the redial budget bounds a
+// continuous outage, not a flapping link that keeps carrying frames. The
+// backlog here is larger than one incarnation admits — every replacement
+// conn flaps after the handshake and four replayed frames, so every
+// install fails — yet each attempt moves the peer's delivered offset, and
+// the session must keep going until the backlog is through instead of
+// opening the circuit after MaxAttempts failed installs.
+func TestSessionBudgetCountsOnlyStalledAttempts(t *testing.T) {
+	inner, err := transport.Listen("inproc", t.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := WrapListener(inner, fastCfg())
+	defer l.Close()
+
+	const n = 40
+	recvErr := make(chan error, 1)
+	go func() {
+		sc, err := l.Accept()
+		if err != nil {
+			recvErr <- err
+			return
+		}
+		for i := 0; i < n; i++ {
+			got, err := sc.Recv()
+			if err != nil {
+				recvErr <- fmt.Errorf("Recv %d: %w", i, err)
+				return
+			}
+			v := binary.LittleEndian.Uint64(got)
+			bufpool.PutFrame(got)
+			if v != uint64(i) {
+				recvErr <- fmt.Errorf("Recv %d: got %d", i, v)
+				return
+			}
+		}
+		recvErr <- nil
+	}()
+
+	// The first conn is clean and is killed below; every redial waits for
+	// the backlog to be queued, then gets a conn that flaps after six
+	// messages: hello, welcome and four data frames.
+	var first transport.Conn
+	release := make(chan struct{})
+	var dials atomic.Int32
+	cfg := fastCfg()
+	cfg.MaxAttempts = 3
+	c, err := NewConn(func(ctx context.Context) (transport.Conn, error) {
+		nc, err := transport.DialContext(ctx, "inproc", t.Name())
+		if err != nil {
+			return nil, err
+		}
+		if dials.Add(1) == 1 {
+			first = nc
+			return nc, nil
+		}
+		<-release
+		return faultconn.Wrap(nc, faultconn.Scenario{FlapAfter: 6}), nil
+	}, cfg)
+	if err != nil {
+		t.Fatalf("NewConn: %v", err)
+	}
+	defer c.Close()
+
+	first.Close()
+	for i := 0; i < n; i++ {
+		var msg [8]byte
+		binary.LittleEndian.PutUint64(msg[:], uint64(i))
+		if err := c.Send(msg[:]); err != nil {
+			t.Fatalf("Send %d: %v", i, err)
+		}
+	}
+	close(release)
+
+	deadline := time.After(20 * time.Second)
+	for {
+		select {
+		case err := <-recvErr:
+			if err != nil {
+				t.Fatal(err)
+			}
+			return
+		case <-deadline:
+			t.Fatalf("backlog not delivered after %d dials", dials.Load())
+		case <-time.After(5 * time.Millisecond):
+			if err := c.Err(); err != nil {
+				t.Fatalf("circuit opened while every attempt delivered frames (%d dials): %v", dials.Load(), err)
+			}
+		}
+	}
+}
+
 // diesAfterHandshake is a physical connection that completes the resume
 // handshake and then fails its first pump read — before the install that
 // is still replaying over it (its Send waits for that) can promote it.

@@ -29,7 +29,8 @@
 //     strategies of the paper's Figure 5 (Section 2.4).
 //   - Robustness beyond the paper: heartbeat liveness with shared
 //     membership epochs, epoch-fenced transfers with strict and
-//     redistribute failure policies, exactly-once PRMI, and online
+//     redistribute failure policies, resumable sessions (exactly-once
+//     links, so PRMI over one is exactly-once), and online
 //     cohort resize (grow/shrink) via a two-phase epoch-fenced
 //     migration protocol.
 //   - The surveyed implementations rebuilt on the same substrates:
