@@ -11,7 +11,7 @@ FUZZ_TARGETS := \
 	./internal/schedule:FuzzPlanEquivalence \
 	./internal/session:FuzzSessionFrame
 
-.PHONY: all build test race chaos chaos-net fuzz-short vet loc bench-check staticcheck govulncheck
+.PHONY: all build test race chaos chaos-net fuzz-short vet loc bench-once bench-check staticcheck govulncheck
 
 all: build test
 
@@ -61,6 +61,12 @@ loc:
 		printf '%-20s %6d\n' $$d $$(count $$d); \
 	done; \
 	printf '%-20s %6d\n' module $$(count .)
+
+# Run every testing.B benchmark once. `go test` without -bench never
+# executes a benchmark, and the paper's benchmark tables (B1–B11) exist
+# only as benchmarks, so this is what keeps them running.
+bench-once:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # The coupling benchmark (bench/, BENCHMARK.json) is a Go module of its own
 # that `go test ./...` at the root does not see, so a product signature

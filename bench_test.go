@@ -1,11 +1,16 @@
 package mxn
 
 // Benchmark suite: one testing.B benchmark (or family) per figure and
-// per benchmark table of EXPERIMENTS.md. The human-readable experiment
-// report with paper-style tables is produced by cmd/mxnbench; these
-// benchmarks are the machine-readable counterpart:
+// per benchmark table of EXPERIMENTS.md. Tables B1–B11 live only here:
+// each axis a table varies is a sub-benchmark, and its non-time
+// quantities (messages, runs, descriptor bytes) are custom metrics.
+// cmd/mxnbench runs the figure experiments. Every table:
 //
-//	go test -bench=. -benchmem
+//	go test -run '^$' -bench . -benchmem
+//
+// One table, e.g. B1:
+//
+//	go test -run '^$' -bench ScheduleBuild -benchmem
 
 import (
 	"fmt"
@@ -134,7 +139,13 @@ func BenchmarkFigure2PRMI(b *testing.B) {
 // BenchmarkFigure3PairedComponents measures one persistent-channel frame
 // between paired M×N components over the in-memory bridge.
 func BenchmarkFigure3PairedComponents(b *testing.B) {
-	const m, n, side = 2, 2, 64
+	benchPersistentFrame(b, 64)
+}
+
+// benchPersistentFrame times one side×side frame through a persistent
+// SyncEachFrame channel from 2 row-block ranks to 2 column-block ranks.
+func benchPersistentFrame(b *testing.B, side int) {
+	const m, n = 2, 2
 	srcT := mustTemplate(b, []int{side, side}, dad.BlockAxis(m), dad.CollapsedAxis())
 	dstT := mustTemplate(b, []int{side, side}, dad.CollapsedAxis(), dad.BlockAxis(n))
 	srcD, _ := dad.NewDescriptor("f", dad.Float64, dad.ReadOnly, srcT)
@@ -149,7 +160,7 @@ func BenchmarkFigure3PairedComponents(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.SetBytes(side * side * 8)
+	b.SetBytes(int64(side * side * 8))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var wg sync.WaitGroup
@@ -176,111 +187,200 @@ func BenchmarkFigure3PairedComponents(b *testing.B) {
 // BenchmarkFigure5BarrierDelayed measures the cost of the DCA delivery
 // rule: a collective invocation including its participant barrier.
 func BenchmarkFigure5BarrierDelayed(b *testing.B) {
-	benchCollective(b, prmi.BarrierDelayed)
+	benchPRMI(b, 2, 2, "g", prmi.BarrierDelayed, false)
 }
 
 // BenchmarkFigure5Eager is the same invocation with eager delivery — the
 // barrier's price is the difference (safety is the deadlock avoided).
 func BenchmarkFigure5Eager(b *testing.B) {
-	benchCollective(b, prmi.Eager)
+	benchPRMI(b, 2, 2, "g", prmi.Eager, false)
 }
 
-func benchCollective(b *testing.B, mode prmi.DeliveryMode) {
-	pkg, _ := sidl.Parse(`package p; interface I { collective double f(in double x); }`)
+// BenchmarkPRMICall covers table B5: independent against collective
+// calls, M=N against M≠N cohorts (ghost invocations and returns), a
+// one-way collective, and the simple-argument consistency check the
+// paper lets frameworks skip.
+func BenchmarkPRMICall(b *testing.B) {
+	cases := []struct {
+		name   string
+		m, n   int
+		method string
+		check  bool
+	}{
+		{"Independent/M1xN1", 1, 1, "f", false},
+		{"Collective/M2xN2", 2, 2, "g", false},
+		{"Collective/M4xN4", 4, 4, "g", false},
+		{"Collective/M8xN8", 8, 8, "g", false},
+		{"Collective/M8xN2", 8, 2, "g", false},
+		{"Collective/M2xN8", 2, 8, "g", false},
+		{"Oneway/M4xN4", 4, 4, "h", false},
+		{"CheckSimpleArgs/M4xN4", 4, 4, "g", true},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			benchPRMI(b, c.m, c.n, c.method, prmi.BarrierDelayed, c.check)
+		})
+	}
+}
+
+// benchPRMI times b.N calls of method ("f" independent, "g" collective,
+// "h" collective one-way) made by each of m caller ranks on n callee
+// ranks over in-process links; one op is one call on every caller.
+func benchPRMI(b *testing.B, m, n int, method string, mode prmi.DeliveryMode, checkSimple bool) {
+	pkg, err := sidl.Parse(`package p; interface I {
+		independent double f(in double x);
+		collective double g(in double x);
+		collective oneway void h(in double x);
+	}`)
+	if err != nil {
+		b.Fatal(err)
+	}
 	iface, _ := pkg.Interface("I")
-	const m, n = 2, 2
 	w := comm.NewWorld(m + n)
 	all := w.Comms()
-	cohort := w.Group([]int{0, 1})
+	ranks := make([]int, m)
+	for i := range ranks {
+		ranks[i] = i
+	}
+	cohort := w.Group(ranks)
 	var serveWG sync.WaitGroup
 	for j := 0; j < n; j++ {
 		serveWG.Add(1)
 		go func(j int) {
 			defer serveWG.Done()
 			ep := prmi.NewEndpoint(iface, prmi.NewCommLink(all[m+j], 0, 0), j, n, m)
-			ep.Handle("f", func(in *prmi.Incoming, out *prmi.Outgoing) error {
-				out.Return = 0.0
+			ep.CheckSimpleArgs = checkSimple
+			ret := func(in *prmi.Incoming, out *prmi.Outgoing) error {
+				out.Return = 1.0
 				return nil
-			})
-			ep.Serve()
+			}
+			ep.Handle("f", ret)
+			ep.Handle("g", ret)
+			ep.Handle("h", func(in *prmi.Incoming, out *prmi.Outgoing) error { return nil })
+			if err := ep.Serve(); err != nil {
+				b.Error(err)
+			}
 		}(j)
 	}
 	ports := make([]*prmi.CallerPort, m)
-	for i := 0; i < m; i++ {
+	for i := range ports {
 		ports[i] = prmi.NewCallerPort(iface, prmi.NewCommLink(all[i], m, 0), i, n, mode)
 	}
-	b.ResetTimer()
-	for k := 0; k < b.N; k++ {
+	callAll := func(method string, calls int) {
 		var wg sync.WaitGroup
-		for i := 0; i < m; i++ {
+		for i, p := range ports {
 			wg.Add(1)
-			go func(i int) {
+			go func(i int, p *prmi.CallerPort) {
 				defer wg.Done()
-				if _, err := ports[i].CallCollective("f", prmi.FullParticipation(cohort[i]), prmi.Simple("x", 1.0)); err != nil {
-					panic(err)
+				for k := 0; k < calls; k++ {
+					var err error
+					if method == "f" {
+						_, err = p.CallIndependent(i%n, "f", prmi.Simple("x", 1.0))
+					} else {
+						_, err = p.CallCollective(method, prmi.FullParticipation(cohort[i]), prmi.Simple("x", 1.0))
+					}
+					if err != nil {
+						panic(err)
+					}
 				}
-			}(i)
+			}(i, p)
 		}
 		wg.Wait()
 	}
+	b.ResetTimer()
+	callAll(method, b.N)
 	b.StopTimer()
+	if method == "h" {
+		// One-way calls return before their handlers run; a blocking
+		// call orders Close after them.
+		callAll("g", 1)
+	}
 	for _, p := range ports {
 		p.Close()
 	}
 	serveWG.Wait()
 }
 
-// BenchmarkScheduleBuild covers table B1: schedule construction cost for
-// aligned (block→block) and fragmented (block→cyclic) pairs.
+// BenchmarkScheduleBuild covers table B1: schedule construction cost as
+// M and N grow, for aligned (block→block) and fragmented (block→cyclic,
+// block-cyclic→block-cyclic) pairs.
 func BenchmarkScheduleBuild(b *testing.B) {
 	const n = 1 << 14
-	cases := []struct {
-		name     string
-		src, dst dad.AxisDist
-	}{
-		{"BlockToBlock", dad.BlockAxis(8), dad.BlockAxis(16)},
-		{"BlockToCyclic", dad.BlockAxis(8), dad.CyclicAxis(16)},
-		{"BlockCyclicToBlockCyclic", dad.BlockCyclicAxis(8, 32), dad.BlockCyclicAxis(16, 64)},
-	}
-	for _, c := range cases {
-		b.Run(c.name, func(b *testing.B) {
-			src := mustTemplate(b, []int{n}, c.src)
-			dst := mustTemplate(b, []int{n}, c.dst)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := schedule.Build(src, dst); err != nil {
-					b.Fatal(err)
+	for _, mn := range [][2]int{{2, 2}, {4, 8}, {8, 16}, {16, 32}, {32, 64}} {
+		m, nn := mn[0], mn[1]
+		pairs := []struct {
+			name     string
+			src, dst dad.AxisDist
+		}{
+			{"BlockToBlock", dad.BlockAxis(m), dad.BlockAxis(nn)},
+			{"BlockToCyclic", dad.BlockAxis(m), dad.CyclicAxis(nn)},
+			{"BlockCyclicToBlockCyclic", dad.BlockCyclicAxis(m, 32), dad.BlockCyclicAxis(nn, 64)},
+		}
+		for _, p := range pairs {
+			b.Run(fmt.Sprintf("%s/M%dxN%d", p.name, m, nn), func(b *testing.B) {
+				src := mustTemplate(b, []int{n}, p.src)
+				dst := mustTemplate(b, []int{n}, p.dst)
+				var s *schedule.Schedule
+				var err error
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if s, err = schedule.Build(src, dst); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-		})
+				b.StopTimer()
+				runs := 0
+				for _, pr := range s.Pairs {
+					runs += len(pr.Runs)
+				}
+				b.ReportMetric(float64(s.NumMessages()), "msgs")
+				b.ReportMetric(float64(runs), "runs")
+			})
+		}
 	}
 }
 
-// BenchmarkScheduleReuse covers table B2: a steady-state cached transfer.
+// BenchmarkScheduleReuse covers table B2: a cold first transfer (empty
+// cache: build, then move) against the steady-state cached transfer.
 func BenchmarkScheduleReuse(b *testing.B) {
 	const n = 1 << 16
 	src := mustTemplate(b, []int{n}, dad.BlockAxis(8))
 	dst := mustTemplate(b, []int{n}, dad.BlockCyclicAxis(8, 64))
-	cache := schedule.NewCache()
 	srcLocals := make([][]float64, 8)
 	dstLocals := make([][]float64, 8)
 	for r := 0; r < 8; r++ {
 		srcLocals[r] = make([]float64, src.LocalCount(r))
 		dstLocals[r] = make([]float64, dst.LocalCount(r))
 	}
-	b.SetBytes(int64(n * 8))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s, err := cache.Get(src, dst)
-		if err != nil {
-			b.Fatal(err)
+	for _, cold := range []bool{true, false} {
+		name := "Cached"
+		if cold {
+			name = "Cold"
 		}
-		redist.ExecuteLocalT(s, srcLocals, dstLocals)
+		b.Run(name, func(b *testing.B) {
+			cache := schedule.NewCache()
+			if _, err := cache.Get(src, dst); err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(int64(n * 8))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if cold {
+					cache = schedule.NewCache()
+				}
+				s, err := cache.Get(src, dst)
+				if err != nil {
+					b.Fatal(err)
+				}
+				redist.ExecuteLocalT(s, srcLocals, dstLocals)
+			}
+		})
 	}
 }
 
-// BenchmarkDistributionKinds covers table B3: transfer cost by source
-// distribution kind (schedules prebuilt).
+// BenchmarkDistributionKinds covers table B3: schedule build and transfer
+// cost by source distribution kind, from the compact block family to the
+// structureless implicit and explicit descriptors.
 func BenchmarkDistributionKinds(b *testing.B) {
 	const n = 1 << 14
 	const np = 8
@@ -288,27 +388,54 @@ func BenchmarkDistributionKinds(b *testing.B) {
 	for i := range owners {
 		owners[i] = (i / 37) % np
 	}
+	// Uneven generalized-block sizes; the last rank takes the rest.
+	genSizes := make([]int, np)
+	genSizes[np-1] = n
+	for i := 0; i < np-1; i++ {
+		genSizes[i] = n / np / 2 * (1 + i%3)
+		genSizes[np-1] -= genSizes[i]
+	}
+	patches := make([]dad.Patch, np)
+	for r := range patches {
+		patches[r] = dad.NewPatch([]int{r * n / np}, []int{(r + 1) * n / np}, r)
+	}
+	explicit, err := dad.NewExplicitTemplate([]int{n}, np, patches)
+	if err != nil {
+		b.Fatal(err)
+	}
 	kinds := []struct {
 		name string
-		ax   dad.AxisDist
+		tpl  *dad.Template
 	}{
-		{"Block", dad.BlockAxis(np)},
-		{"Cyclic", dad.CyclicAxis(np)},
-		{"BlockCyclic64", dad.BlockCyclicAxis(np, 64)},
-		{"Implicit", dad.ImplicitAxis(np, owners)},
+		{"Block", mustTemplate(b, []int{n}, dad.BlockAxis(np))},
+		{"Cyclic", mustTemplate(b, []int{n}, dad.CyclicAxis(np))},
+		{"BlockCyclic64", mustTemplate(b, []int{n}, dad.BlockCyclicAxis(np, 64))},
+		{"GenBlock", mustTemplate(b, []int{n}, dad.GenBlockAxis(genSizes))},
+		{"Implicit", mustTemplate(b, []int{n}, dad.ImplicitAxis(np, owners))},
+		{"Explicit", explicit},
 	}
 	dst := mustTemplate(b, []int{n}, dad.BlockAxis(np))
 	for _, k := range kinds {
-		b.Run(k.name, func(b *testing.B) {
-			src := mustTemplate(b, []int{n}, k.ax)
-			s, err := schedule.Build(src, dst)
+		b.Run(k.name+"/Build", func(b *testing.B) {
+			var s *schedule.Schedule
+			var err error
+			for i := 0; i < b.N; i++ {
+				if s, err = schedule.Build(k.tpl, dst); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(intercomm.DescriptorFootprint(k.tpl)), "desc-B")
+			b.ReportMetric(float64(s.NumMessages()), "msgs")
+		})
+		b.Run(k.name+"/Transfer", func(b *testing.B) {
+			s, err := schedule.Build(k.tpl, dst)
 			if err != nil {
 				b.Fatal(err)
 			}
 			srcLocals := make([][]float64, np)
 			dstLocals := make([][]float64, np)
 			for r := 0; r < np; r++ {
-				srcLocals[r] = make([]float64, src.LocalCount(r))
+				srcLocals[r] = make([]float64, k.tpl.LocalCount(r))
 				dstLocals[r] = make([]float64, dst.LocalCount(r))
 			}
 			b.SetBytes(int64(n * 8))
@@ -320,33 +447,46 @@ func BenchmarkDistributionKinds(b *testing.B) {
 	}
 }
 
-// BenchmarkLinearizationVsDAD covers table B4.
+// BenchmarkLinearizationVsDAD covers table B4: a receiver-driven
+// linearized transfer (no schedule, requests every time) against a DAD
+// schedule transfer, steady state and first (schedule built in the op).
 func BenchmarkLinearizationVsDAD(b *testing.B) {
 	const n = 1 << 13
 	const m, nn = 2, 3
 	src := mustTemplate(b, []int{n}, dad.BlockAxis(m))
 	dst := mustTemplate(b, []int{n}, dad.CyclicAxis(nn))
 
-	b.Run("DADSchedule", func(b *testing.B) {
-		s, err := schedule.Build(src, dst)
-		if err != nil {
-			b.Fatal(err)
+	for _, first := range []bool{false, true} {
+		name := "DADSchedule"
+		if first {
+			name = "DADScheduleFirst"
 		}
-		b.SetBytes(int64(n * 8))
-		for i := 0; i < b.N; i++ {
-			runParallel(b, m+nn, func(rank int, c *comm.Comm) error {
-				lay := redist.Layout{SrcBase: 0, DstBase: m}
-				var sl, dl []float64
-				if rank < m {
-					sl = make([]float64, src.LocalCount(rank))
-				} else {
-					dl = make([]float64, dst.LocalCount(rank-m))
+		b.Run(name, func(b *testing.B) {
+			s, err := schedule.Build(src, dst)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(int64(n * 8))
+			for i := 0; i < b.N; i++ {
+				if first {
+					if s, err = schedule.Build(src, dst); err != nil {
+						b.Fatal(err)
+					}
 				}
-				_, err := runOnce(c, s, lay, sl, dl, 0, TransferOpts{})
-				return err
-			})
-		}
-	})
+				runParallel(b, m+nn, func(rank int, c *comm.Comm) error {
+					lay := redist.Layout{SrcBase: 0, DstBase: m}
+					var sl, dl []float64
+					if rank < m {
+						sl = make([]float64, src.LocalCount(rank))
+					} else {
+						dl = make([]float64, dst.LocalCount(rank-m))
+					}
+					_, err := runOnce(c, s, lay, sl, dl, 0, TransferOpts{})
+					return err
+				})
+			}
+		})
+	}
 	b.Run("LinearReceiverDriven", func(b *testing.B) {
 		srcLin := linear.NewRowMajor(src)
 		dstLin := linear.NewRowMajor(dst)
@@ -439,81 +579,106 @@ func BenchmarkPRMIParallelArgument(b *testing.B) {
 	serveWG.Wait()
 }
 
-// BenchmarkConverterScaling covers table B6.
+// BenchmarkConverterScaling covers table B6: converting between the first
+// and last of 2–6 DA package representations through the DAD hub against
+// a fused pairwise converter, with each scheme's converter count.
 func BenchmarkConverterScaling(b *testing.B) {
 	tpl := mustTemplate(b, []int{256, 256}, dad.BlockAxis(1), dad.CollapsedAxis())
-	pkgs := dapkg.Builtin(3)
-	src, dst := pkgs[1], pkgs[2]
-	cs, _ := dapkg.NewConverter(src, tpl, 0)
-	cd, _ := dapkg.NewConverter(dst, tpl, 0)
-	direct, _ := dapkg.NewDirectConverter(src, dst, tpl, 0)
-	in := make([]float64, cs.Len())
-	out := make([]float64, cs.Len())
-	scratch := make([]float64, cs.Len())
-	b.Run("ViaDADHub", func(b *testing.B) {
-		b.SetBytes(int64(cs.Len() * 8))
-		for i := 0; i < b.N; i++ {
-			dapkg.ViaHub(cs, cd, in, scratch, out)
-		}
-	})
-	b.Run("DirectPairwise", func(b *testing.B) {
-		b.SetBytes(int64(cs.Len() * 8))
-		for i := 0; i < b.N; i++ {
-			direct.Convert(in, out)
-		}
-	})
+	for _, np := range []int{2, 3, 4, 6} {
+		b.Run(fmt.Sprintf("Packages%d", np), func(b *testing.B) {
+			pkgs := dapkg.Builtin(np)
+			src, dst := pkgs[0], pkgs[np-1]
+			cs, err := dapkg.NewConverter(src, tpl, 0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			cd, err := dapkg.NewConverter(dst, tpl, 0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			direct, err := dapkg.NewDirectConverter(src, dst, tpl, 0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			in := make([]float64, cs.Len())
+			out := make([]float64, cs.Len())
+			scratch := make([]float64, cs.Len())
+			b.Run("ViaDADHub", func(b *testing.B) {
+				b.SetBytes(int64(cs.Len() * 8))
+				for i := 0; i < b.N; i++ {
+					dapkg.ViaHub(cs, cd, in, scratch, out)
+				}
+				b.ReportMetric(float64(dapkg.HubConverterCount(np)), "converters")
+			})
+			b.Run("DirectPairwise", func(b *testing.B) {
+				b.SetBytes(int64(cs.Len() * 8))
+				for i := 0; i < b.N; i++ {
+					direct.Convert(in, out)
+				}
+				b.ReportMetric(float64(dapkg.PairwiseConverterCount(np)), "converters")
+			})
+		})
+	}
 }
 
-// BenchmarkMCTInterp covers table B7: the distributed regrid matvec.
+// BenchmarkMCTInterp covers table B7: one apply of the distributed
+// atmosphere(144×96) → ocean(96×64) regrid matvec on 8 ranks, for one
+// field and for four fields sharing each halo exchange.
 func BenchmarkMCTInterp(b *testing.B) {
-	const np = 4
-	global := meshsim.RegridMatrix(72, 48, 48, 32)
-	xMap := mct.BlockMap(72*48, np)
-	yMap := mct.BlockMap(48*32, np)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		runParallel(b, np, func(rank int, c *comm.Comm) error {
-			mv, err := mct.NewMatVec(c, meshsim.LocalMatrix(global, yMap, rank), xMap, yMap, 0)
-			if err != nil {
-				return err
+	const np = 8
+	const nlatS, nlonS, nlatD, nlonD = 144, 96, 96, 64
+	global := meshsim.RegridMatrix(nlatS, nlonS, nlatD, nlonD)
+	xMap := mct.BlockMap(nlatS*nlonS, np)
+	yMap := mct.BlockMap(nlatD*nlonD, np)
+	for _, fields := range []int{1, 4} {
+		b.Run(fmt.Sprintf("Fields%d", fields), func(b *testing.B) {
+			attrs := make([]string, fields)
+			for i := range attrs {
+				attrs[i] = fmt.Sprintf("f%d", i)
 			}
-			x := mct.MustAttrVect([]string{"t", "q"}, xMap.LocalSize(rank))
-			y := mct.MustAttrVect([]string{"t", "q"}, yMap.LocalSize(rank))
-			for k := 0; k < 4; k++ {
-				if err := mv.Apply(c, x, y, 10); err != nil {
+			runParallel(b, np, func(rank int, c *comm.Comm) error {
+				mv, err := mct.NewMatVec(c, meshsim.LocalMatrix(global, yMap, rank), xMap, yMap, 0)
+				if err != nil {
 					return err
 				}
-			}
-			return nil
+				x := mct.MustAttrVect(attrs, xMap.LocalSize(rank))
+				y := mct.MustAttrVect(attrs, yMap.LocalSize(rank))
+				// Every rank is set up before the clock restarts and
+				// none applies before it has.
+				c.Barrier()
+				if rank == 0 {
+					b.ResetTimer()
+				}
+				c.Barrier()
+				for k := 0; k < b.N; k++ {
+					if err := mv.Apply(c, x, y, 10); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+			b.ReportMetric(float64(global.NNZ()*fields), "updates/op")
 		})
 	}
 }
 
 // BenchmarkPersistentChannel covers table B8: per-frame cost of a
-// CUMULVS-style persistent channel.
+// CUMULVS-style persistent channel as the frame grows.
 func BenchmarkPersistentChannel(b *testing.B) {
-	BenchmarkFigure3PairedComponents(b)
+	for _, side := range []int{16, 64, 256} {
+		b.Run(fmt.Sprintf("Side%d", side), func(b *testing.B) {
+			benchPersistentFrame(b, side)
+		})
+	}
 }
 
 // BenchmarkInterCommCoordination covers table B9: a timestamp-matched
-// export/import cycle.
+// export/import cycle against the same redistribution executed directly.
 func BenchmarkInterCommCoordination(b *testing.B) {
 	const n = 1 << 12
 	const m, nn = 2, 3
 	srcT := mustTemplate(b, []int{n}, dad.BlockAxis(m))
 	dstT := mustTemplate(b, []int{n}, dad.BlockAxis(nn))
-	coord := intercomm.NewCoordinator()
-	coord.Retention = 2
-	sim := coord.AddProgram("sim")
-	viz := coord.AddProgram("viz")
-	sim.DeclareArray("a", srcT)
-	viz.DeclareArray("a", dstT)
-	if err := coord.AddRule(intercomm.Rule{
-		SrcProgram: "sim", SrcArray: "a", DstProgram: "viz", DstArray: "a",
-		Match: intercomm.ExactTime,
-	}); err != nil {
-		b.Fatal(err)
-	}
 	srcLocals := make([][]float64, m)
 	for r := range srcLocals {
 		srcLocals[r] = make([]float64, srcT.LocalCount(r))
@@ -522,20 +687,45 @@ func BenchmarkInterCommCoordination(b *testing.B) {
 	for r := range dstLocals {
 		dstLocals[r] = make([]float64, dstT.LocalCount(r))
 	}
-	b.SetBytes(int64(n * 8))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for r := 0; r < m; r++ {
-			if err := sim.Export("a", i, r, srcLocals[r]); err != nil {
-				b.Fatal(err)
+	b.Run("Direct", func(b *testing.B) {
+		s, err := schedule.Build(srcT, dstT)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.SetBytes(int64(n * 8))
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			redist.ExecuteLocalT(s, srcLocals, dstLocals)
+		}
+	})
+	b.Run("Coordinated", func(b *testing.B) {
+		coord := intercomm.NewCoordinator()
+		coord.Retention = 2
+		sim := coord.AddProgram("sim")
+		viz := coord.AddProgram("viz")
+		sim.DeclareArray("a", srcT)
+		viz.DeclareArray("a", dstT)
+		if err := coord.AddRule(intercomm.Rule{
+			SrcProgram: "sim", SrcArray: "a", DstProgram: "viz", DstArray: "a",
+			Match: intercomm.ExactTime,
+		}); err != nil {
+			b.Fatal(err)
+		}
+		b.SetBytes(int64(n * 8))
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for r := 0; r < m; r++ {
+				if err := sim.Export("a", i, r, srcLocals[r]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			for r := 0; r < nn; r++ {
+				if _, err := viz.Import("a", i, r, dstLocals[r]); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}
-		for r := 0; r < nn; r++ {
-			if _, err := viz.Import("a", i, r, dstLocals[r]); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
+	})
 }
 
 // BenchmarkSIDLParse measures the IDL front end (the run-time stand-in
@@ -578,7 +768,16 @@ func BenchmarkPipelineFusion(b *testing.B) {
 	if _, err := p.RunChained(in); err != nil { // warm schedules
 		b.Fatal(err)
 	}
-	if _, _, err := p.Fuse(); err != nil {
+	fused, _, err := p.Fuse()
+	if err != nil {
+		b.Fatal(err)
+	}
+	s1, err := schedule.Build(src, mid)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s2, err := schedule.Build(mid, sink)
+	if err != nil {
 		b.Fatal(err)
 	}
 	b.Run("Chained", func(b *testing.B) {
@@ -588,6 +787,7 @@ func BenchmarkPipelineFusion(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+		b.ReportMetric(float64(s1.NumMessages()+s2.NumMessages()), "msgs")
 	})
 	b.Run("Fused", func(b *testing.B) {
 		b.SetBytes(int64(n * 8))
@@ -596,6 +796,7 @@ func BenchmarkPipelineFusion(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+		b.ReportMetric(float64(fused.NumMessages()), "msgs")
 	})
 }
 
@@ -603,7 +804,7 @@ func BenchmarkPipelineFusion(b *testing.B) {
 // cohorts; a serializing design would scale linearly with total volume.
 func BenchmarkWeakScaling(b *testing.B) {
 	const perRank = 1 << 12
-	for _, np := range []int{2, 4, 8} {
+	for _, np := range []int{2, 4, 8, 16} {
 		b.Run(fmt.Sprintf("MN%d", np), func(b *testing.B) {
 			n := perRank * np
 			src := mustTemplate(b, []int{n}, dad.BlockAxis(np))
@@ -633,6 +834,7 @@ func BenchmarkWeakScaling(b *testing.B) {
 					return err
 				})
 			}
+			b.ReportMetric(float64(s.NumMessages()), "msgs")
 		})
 	}
 }

@@ -85,8 +85,10 @@ func (c *Connection) pairChannel(src, dst int) string {
 // (for SyncEachFrame destinations it equals the source epoch; for
 // FreeRunning it is the sampled frame's epoch).
 func (c *Connection) DataReady(rank int, local []float64) (uint64, error) {
-	if rank < 0 || rank >= c.hub.np {
-		return 0, fmt.Errorf("core: rank %d outside cohort of %d", rank, c.hub.np)
+	// The connection's cohort is the one its schedule was built for; a
+	// later Hub.Resize changes the hub's width, not this connection's.
+	if rank < 0 || rank >= len(c.seqs) {
+		return 0, fmt.Errorf("core: connection %q: rank %d outside cohort of %d", c.ID, rank, len(c.seqs))
 	}
 	if want := c.local.Template.LocalCount(rank); len(local) != want {
 		return 0, fmt.Errorf("core: connection %q rank %d: buffer has %d elements, descriptor says %d",

@@ -274,7 +274,7 @@ func (h *Hub) finishConnection(connID string, local, peer *dad.Descriptor, dir D
 		sched: s,
 		opts:  opts,
 		local: local,
-		seqs:  make([]uint64, h.np),
+		seqs:  make([]uint64, local.Template.NumProcs()),
 	}
 	if _, dup := h.conns[connID]; dup {
 		return nil, fmt.Errorf("core: connection %q already exists", connID)

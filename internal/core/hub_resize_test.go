@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"sort"
+	"sync"
 	"testing"
 
 	"mxn/internal/dad"
@@ -98,5 +99,57 @@ func TestHubResizeAllOrNothing(t *testing.T) {
 	}
 	if _, ok := h.Field("missing"); ok {
 		t.Fatal("Field invented a descriptor")
+	}
+}
+
+// An established connection keeps its own cohort across Hub.Resize: the
+// old ranks still transfer, and a rank only the resized hub has is
+// refused with an error instead of indexing past the connection's
+// per-rank state.
+func TestConnectionKeepsCohortAcrossHubResize(t *testing.T) {
+	src, dst := pairHubs(t, 2, 2, 8)
+	srcConn, dstConn, err := Connect("rz", src, "temp", dst, "temp", ConnOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, h := range []*Hub{src, dst} {
+		if err := h.Resize(3); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range []*Connection{srcConn, dstConn} {
+		if _, err := c.DataReady(2, make([]float64, 3)); err == nil {
+			t.Errorf("%v connection accepted rank 2 of a 2-rank cohort", c.Dir())
+		}
+	}
+	var wg sync.WaitGroup
+	got := make([][]float64, 2)
+	for r := 0; r < 2; r++ {
+		wg.Add(2)
+		go func(r int) {
+			defer wg.Done()
+			local := make([]float64, 4)
+			for i := range local {
+				local[i] = float64(4*r + i)
+			}
+			if _, err := srcConn.DataReady(r, local); err != nil {
+				t.Error(err)
+			}
+		}(r)
+		go func(r int) {
+			defer wg.Done()
+			got[r] = make([]float64, 4)
+			if _, err := dstConn.DataReady(r, got[r]); err != nil {
+				t.Error(err)
+			}
+		}(r)
+	}
+	wg.Wait()
+	for r, g := range got {
+		for i, v := range g {
+			if v != float64(4*r+i) {
+				t.Fatalf("rank %d element %d = %v after hub resize", r, i, v)
+			}
+		}
 	}
 }

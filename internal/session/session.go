@@ -132,13 +132,6 @@ type Config struct {
 	// single frame larger than MaxReplayBytes is always admitted (alone).
 	MaxReplayFrames int
 	MaxReplayBytes  int
-	// AckEvery and AckBytes set how much one-sided traffic the receive
-	// side absorbs before volunteering a standalone acknowledgement
-	// (defaults 16 frames, 256 KiB). Both are clamped to half the
-	// corresponding replay bound so a silent receiver can never starve
-	// the peer's replay buffer into a deadlock.
-	AckEvery int
-	AckBytes int
 }
 
 func (c Config) withDefaults() Config {
@@ -159,16 +152,16 @@ func (c Config) withDefaults() Config {
 	defD(&c.HandshakeTimeout, 5*time.Second)
 	def(&c.MaxReplayFrames, 1024)
 	def(&c.MaxReplayBytes, 8<<20)
-	def(&c.AckEvery, 16)
-	def(&c.AckBytes, 256<<10)
-	if c.AckEvery > c.MaxReplayFrames/2 {
-		c.AckEvery = max(c.MaxReplayFrames/2, 1)
-	}
-	if c.AckBytes > c.MaxReplayBytes/2 {
-		c.AckBytes = max(c.MaxReplayBytes/2, 1)
-	}
 	return c
 }
+
+// ackEvery and ackBytes are how much one-sided traffic the receive side
+// absorbs before volunteering a standalone acknowledgement: 16 frames or
+// 256 KiB, each clamped to half the corresponding replay bound so a
+// silent receiver can never starve the peer's replay buffer into a
+// deadlock.
+func (c Config) ackEvery() int { return max(min(16, c.MaxReplayFrames/2), 1) }
+func (c Config) ackBytes() int { return max(min(256<<10, c.MaxReplayBytes/2), 1) }
 
 // replayEntry is one unacknowledged sent frame, keyed by its sequence
 // number. own is a pooled buffer holding the message (Send, SendV) or the
@@ -737,7 +730,7 @@ func (c *Conn) pump(conn transport.Conn) {
 				c.bytesSinceAck += len(f.payload)
 				var ackNow uint64
 				sendAck := false
-				if c.recvSinceAck >= c.cfg.AckEvery || c.bytesSinceAck >= c.cfg.AckBytes {
+				if c.recvSinceAck >= c.cfg.ackEvery() || c.bytesSinceAck >= c.cfg.ackBytes() {
 					ackNow, sendAck = c.lastDelivered, true
 					c.recvSinceAck, c.bytesSinceAck = 0, 0
 				}
