@@ -303,7 +303,8 @@ func benchPRMI(b *testing.B, m, n int, method string, mode prmi.DeliveryMode, ch
 
 // BenchmarkScheduleBuild covers table B1: schedule construction cost as
 // M and N grow, for aligned (block→block) and fragmented (block→cyclic,
-// block-cyclic→block-cyclic) pairs.
+// block-cyclic→block-cyclic) pairs. The runs metric counts schedule.Run
+// vectors, so a regular pair's progression of blocks is one run.
 func BenchmarkScheduleBuild(b *testing.B) {
 	const n = 1 << 14
 	for _, mn := range [][2]int{{2, 2}, {4, 8}, {8, 16}, {16, 32}, {32, 64}} {

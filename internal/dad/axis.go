@@ -98,6 +98,18 @@ func ImplicitAxis(p int, owner []int) AxisDist {
 	return AxisDist{Kind: Implicit, Procs: p, Owner: append([]int(nil), owner...)}
 }
 
+// clone returns a with its own copies of Sizes and Owner, so a template
+// never shares those slices with its caller.
+func (a AxisDist) clone() AxisDist {
+	if a.Sizes != nil {
+		a.Sizes = append([]int(nil), a.Sizes...)
+	}
+	if a.Owner != nil {
+		a.Owner = append([]int(nil), a.Owner...)
+	}
+	return a
+}
+
 // AxisClass is the structural shape of a per-axis distribution, used by
 // the schedule planner to decide whether rank-pair intersections can be
 // computed in closed form instead of by patch enumeration.
@@ -254,9 +266,9 @@ func (iv Interval) Intersect(other Interval) (Interval, bool) {
 	return Interval{lo, hi}, true
 }
 
-// intervals returns the global indices owned by coordinate c along an axis
+// Intervals returns the global indices owned by coordinate c along an axis
 // of length n, as sorted disjoint half-open intervals.
-func (a AxisDist) intervals(n, c int) []Interval {
+func (a AxisDist) Intervals(n, c int) []Interval {
 	switch a.Kind {
 	case Collapsed:
 		if n == 0 {

@@ -378,6 +378,37 @@ func TestKeyDistinguishesTemplates(t *testing.T) {
 	}
 }
 
+// A template owns its axes' Sizes and Owner slices: mutating the slices
+// a caller built the template from, or the ones Axis returns, changes
+// neither its key nor its layout (whose local counts are precomputed).
+func TestTemplateOwnsItsAxisSlices(t *testing.T) {
+	sizes := []int{3, 5}
+	owner := []int{0, 1, 1, 0}
+	tp := mustTemplate(t, []int{8, 4}, []AxisDist{
+		{Kind: GenBlock, Procs: 2, Sizes: sizes},
+		{Kind: Implicit, Procs: 2, Owner: owner},
+	})
+	key, count, patches := tp.Key(), tp.LocalCount(0), tp.Patches(0)
+
+	sizes[0], sizes[1] = 5, 3
+	owner[1] = 0
+	tp.Axis(0).Sizes[0] = 8
+	tp.Axis(1).Owner[2] = 0
+
+	if got := tp.Key(); got != key {
+		t.Errorf("key changed from %q to %q", key, got)
+	}
+	if got := tp.LocalCount(0); got != count {
+		t.Errorf("LocalCount(0) changed from %d to %d", count, got)
+	}
+	if got := tp.Patches(0); !reflect.DeepEqual(got, patches) {
+		t.Errorf("Patches(0) changed from %v to %v", patches, got)
+	}
+	if got := tp.Axis(0).Sizes; !reflect.DeepEqual(got, []int{3, 5}) {
+		t.Errorf("Axis(0).Sizes = %v, want [3 5]", got)
+	}
+}
+
 func randomAxis(rng *rand.Rand, n int) AxisDist {
 	p := 1 + rng.Intn(4)
 	switch rng.Intn(6) {

@@ -31,6 +31,8 @@ type Template struct {
 	rankPatches [][]int // rank -> indices into explicit
 	rankOffsets [][]int // rank -> starting offset of each patch in the local buffer
 	rankCounts  []int   // rank -> total local elements
+
+	key string // Key, computed once at construction
 }
 
 // NewTemplate builds a regular template: dims gives the global extent per
@@ -57,7 +59,9 @@ func NewTemplate(dims []int, axes []AxisDist) (*Template, error) {
 		axes:   make([]AxisDist, len(axes)),
 		nprocs: 1,
 	}
-	copy(t.axes, axes)
+	for a, ax := range axes {
+		t.axes[a] = ax.clone()
+	}
 	// Row-major rank mapping: rank = sum coords[a]*stride[a], with the last
 	// grid axis varying fastest.
 	t.gridStride = make([]int, len(axes))
@@ -92,6 +96,7 @@ func NewTemplate(dims []int, axes []AxisDist) (*Template, error) {
 		}
 		t.rankCounts[r] = n
 	}
+	t.key = t.makeKey()
 	return t, nil
 }
 
@@ -149,6 +154,7 @@ func NewExplicitTemplate(dims []int, nprocs int, patches []Patch) (*Template, er
 		t.rankOffsets[r] = append(t.rankOffsets[r], t.rankCounts[r])
 		t.rankCounts[r] += p.Size()
 	}
+	t.key = t.makeKey()
 	return t, nil
 }
 
@@ -178,12 +184,13 @@ func (t *Template) Size() int {
 	return n
 }
 
-// Axis returns the distribution of axis a. Panics for explicit templates.
+// Axis returns a copy of the distribution of axis a: changing its Sizes
+// or Owner does not change the template. Panics for explicit templates.
 func (t *Template) Axis(a int) AxisDist {
 	if t.IsExplicit() {
 		panic("dad: Axis on explicit template")
 	}
-	return t.axes[a]
+	return t.axes[a].clone()
 }
 
 // Coords returns the process-grid coordinates of a rank (regular templates
@@ -247,7 +254,7 @@ func (t *Template) Patches(rank int) []Patch {
 	coords := t.Coords(rank)
 	ivs := make([][]Interval, len(t.axes))
 	for a := range t.axes {
-		ivs[a] = t.axes[a].intervals(t.dims[a], coords[a])
+		ivs[a] = t.axes[a].Intervals(t.dims[a], coords[a])
 		if len(ivs[a]) == 0 {
 			return nil
 		}
@@ -383,7 +390,10 @@ func (t *Template) Conforms(other *Template) bool {
 // Key returns a canonical string identifying the template's distribution,
 // used to key schedule caches: two templates with equal keys produce
 // identical schedules.
-func (t *Template) Key() string {
+func (t *Template) Key() string { return t.key }
+
+// makeKey formats Key; templates are immutable, so it runs once.
+func (t *Template) makeKey() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "d%v/p%d", t.dims, t.nprocs)
 	if t.IsExplicit() {

@@ -300,17 +300,17 @@ func (p *schedPlan[T]) sendOp(i int) pairOp {
 func (p *schedPlan[T]) sendSet(i int) linear.Set { return nil }
 
 // sendView offers the contiguous-run fast path: a message whose schedule
-// entry is a single run contiguous in srcLocal can be sent as a view of
-// the caller's slice, skipping pack and buffer entirely. Gated on the
-// ZeroCopyLocal opt-in, on single-run shape, and on the element view
-// meeting the alignment bufpool buffers guarantee (so the receive-side
-// reinterpret sees no difference from a pooled buffer).
+// entry is a single contiguous run (one run of Count 1) in srcLocal can
+// be sent as a view of the caller's slice, skipping pack and buffer
+// entirely. Gated on the ZeroCopyLocal opt-in, on single-block shape, and
+// on the element view meeting the alignment bufpool buffers guarantee (so
+// the receive-side reinterpret sees no difference from a pooled buffer).
 func (p *schedPlan[T]) sendView(i int) []byte {
 	if !p.zc {
 		return nil
 	}
 	pp := p.s.OutgoingAt(p.src, i)
-	if len(pp.Runs) != 1 {
+	if len(pp.Runs) != 1 || pp.Runs[0].Count != 1 {
 		mZeroCopyMisses.Inc()
 		return nil
 	}
@@ -347,13 +347,16 @@ func (p *schedPlan[T]) unpackRange(i, elemOff int, data []T) {
 	schedule.UnpackSliceRange(p.s.IncomingAt(p.dst, i), p.dstLocal, data, elemOff)
 }
 
-// lose invalidates the elements the dead pair would have delivered and
-// (once per run) re-plans against the survivors, invalidating the
-// schedule cache entry so later transfers rebuild from current templates.
+// lose invalidates the elements the dead pair would have delivered, block
+// by block, and (once per run) re-plans against the survivors,
+// invalidating the schedule cache entry so later transfers rebuild from
+// current templates.
 func (p *schedPlan[T]) lose(i int, out *Outcome, o *TransferOpts) {
 	pp := p.s.IncomingAt(p.dst, i)
 	for _, run := range pp.Runs {
-		out.Validity.InvalidateRange(run.DstOff, run.N)
+		for k := 0; k < run.Count; k++ {
+			out.Validity.InvalidateRange(run.DstOff+k*run.DstStride, run.N)
+		}
 	}
 	mElemsInvalidated.Add(uint64(pp.Elems))
 	if out.Replanned == nil {

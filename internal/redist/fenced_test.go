@@ -107,6 +107,22 @@ func checkLossPattern(t *testing.T, src, dst *dad.Template, victim int,
 	})
 }
 
+// A lost pair whose plan is a vector run — a block source feeding a
+// cyclic destination — is invalidated block by block: every element the
+// victim owned, strided through the destination buffer, and nothing else.
+func TestExchangeFencedRedistributeVectorLoss(t *testing.T) {
+	src := tpl(t, []int{24}, dad.BlockAxis(3))
+	dst := tpl(t, []int{24}, dad.BlockCyclicAxis(2, 2))
+	const victim = 1
+	got, outs, errs := runFenced(t, src, dst, FailRedistribute, []int{victim}, nil)
+	for r, err := range errs {
+		if err != nil {
+			t.Fatalf("dst rank %d: %v", r, err)
+		}
+	}
+	checkLossPattern(t, src, dst, victim, got, outs)
+}
+
 func TestExchangeFencedRedistributeDeadAtEntry(t *testing.T) {
 	src := tpl(t, []int{12}, dad.BlockAxis(3))
 	dst := tpl(t, []int{12}, dad.BlockAxis(4))

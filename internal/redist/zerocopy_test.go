@@ -161,9 +161,10 @@ func TestZeroCopyPacksNothing(t *testing.T) {
 	}
 }
 
-// TestZeroCopyNonContiguousFallsBack: a cyclic destination fragments
-// every outgoing run, so the fast path must decline (misses, no hits)
-// and the transfer still verifies.
+// TestZeroCopyNonContiguousFallsBack: a cyclic destination makes every
+// outgoing plan a vector of one-element blocks — a single run, but not a
+// contiguous one — so the fast path must decline (misses, no hits) and
+// the transfer still verifies.
 func TestZeroCopyNonContiguousFallsBack(t *testing.T) {
 	src := tpl(t, []int{24}, dad.BlockAxis(2))
 	dst := tpl(t, []int{24}, dad.CyclicAxis(3))

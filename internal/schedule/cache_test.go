@@ -195,3 +195,27 @@ func TestCacheConcurrentDistinctPairs(t *testing.T) {
 		t.Errorf("warm sweep recorded %d hits, want %d", h2-hits, len(tpls)*len(tpls))
 	}
 }
+
+// A cache hit formats, concatenates and allocates nothing: template keys
+// are computed once, at construction, and the cache is keyed by the pair
+// of them. The explicit template's key is the one that sorts its patches.
+func TestCacheHitAllocatesNothing(t *testing.T) {
+	explicit, err := dad.NewExplicitTemplate([]int{4, 4}, 2, []dad.Patch{
+		dad.NewPatch([]int{0, 0}, []int{4, 2}, 1),
+		dad.NewPatch([]int{0, 2}, []int{4, 4}, 0),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	block := tpl(t, []int{4, 4}, dad.BlockAxis(2), dad.CollapsedAxis())
+	cyclic := tpl(t, []int{4, 4}, dad.CyclicAxis(2), dad.CollapsedAxis())
+	c := NewCache()
+	for _, p := range [][2]*dad.Template{{block, cyclic}, {explicit, block}} {
+		if _, err := c.Get(p[0], p[1]); err != nil {
+			t.Fatal(err)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { c.Get(p[0], p[1]) }); allocs != 0 {
+			t.Errorf("cache hit %s → %s allocates %v times", p[0].Key(), p[1].Key(), allocs)
+		}
+	}
+}

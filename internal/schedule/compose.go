@@ -26,9 +26,9 @@ func Compose(s1, s2 *Schedule) (*Schedule, error) {
 			s1.Dst.Key(), s2.Src.Key())
 	}
 
-	// span is one contiguous run viewed from the intermediate (B) rank's
-	// local buffer: elements [bOff, bOff+n) correspond to [edgeOff,
-	// edgeOff+n) on the outer (A or C) rank.
+	// span is one contiguous block viewed from the intermediate (B)
+	// rank's local buffer: elements [bOff, bOff+n) correspond to
+	// [offOut, offOut+n) on the outer (A or C) rank.
 	type span struct {
 		bOff, n       int
 		outer, offOut int // outer rank and its local offset
@@ -39,17 +39,21 @@ func Compose(s1, s2 *Schedule) (*Schedule, error) {
 	out := make([][]span, nB) // per B rank: where its elements go
 	for _, p := range s1.Pairs {
 		for _, r := range p.Runs {
-			in[p.DstRank] = append(in[p.DstRank], span{bOff: r.DstOff, n: r.N, outer: p.SrcRank, offOut: r.SrcOff})
+			for k := 0; k < r.Count; k++ {
+				in[p.DstRank] = append(in[p.DstRank], span{bOff: r.DstOff + k*r.DstStride, n: r.N, outer: p.SrcRank, offOut: r.SrcOff + k*r.SrcStride})
+			}
 		}
 	}
 	for _, p := range s2.Pairs {
 		for _, r := range p.Runs {
-			out[p.SrcRank] = append(out[p.SrcRank], span{bOff: r.SrcOff, n: r.N, outer: p.DstRank, offOut: r.DstOff})
+			for k := 0; k < r.Count; k++ {
+				out[p.SrcRank] = append(out[p.SrcRank], span{bOff: r.SrcOff + k*r.SrcStride, n: r.N, outer: p.DstRank, offOut: r.DstOff + k*r.DstStride})
+			}
 		}
 	}
 
 	type pairKey struct{ src, dst int }
-	plans := map[pairKey]*PairPlan{}
+	plans := map[pairKey]*runBuilder{}
 	for b := 0; b < nB; b++ {
 		ins, outs := in[b], out[b]
 		sort.Slice(ins, func(i, j int) bool { return ins[i].bOff < ins[j].bOff })
@@ -63,17 +67,17 @@ func Compose(s1, s2 *Schedule) (*Schedule, error) {
 			hi := min(a.bOff+a.n, c.bOff+c.n)
 			if lo < hi {
 				key := pairKey{a.outer, c.outer}
-				plan := plans[key]
-				if plan == nil {
-					plan = &PairPlan{SrcRank: a.outer, DstRank: c.outer}
-					plans[key] = plan
+				b := plans[key]
+				if b == nil {
+					b = &runBuilder{out: []Run{}}
+					plans[key] = b
 				}
-				plan.Runs = append(plan.Runs, Run{
+				b.add(Run{
 					SrcOff: a.offOut + (lo - a.bOff),
 					DstOff: c.offOut + (lo - c.bOff),
 					N:      hi - lo,
+					Count:  1,
 				})
-				plan.Elems += hi - lo
 			}
 			if a.bOff+a.n < c.bOff+c.n {
 				i++
@@ -96,7 +100,8 @@ func Compose(s1, s2 *Schedule) (*Schedule, error) {
 		return keys[i].dst < keys[j].dst
 	})
 	for _, k := range keys {
-		s.Pairs = append(s.Pairs, *plans[k])
+		b := plans[k]
+		s.Pairs = append(s.Pairs, PairPlan{SrcRank: k.src, DstRank: k.dst, Runs: b.finish(), Elems: b.elems})
 	}
 	s.index()
 

@@ -2,24 +2,51 @@ package schedule
 
 import (
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 
 	"mxn/internal/dad"
 )
 
-// The closed-form planner and the patch-enumeration planner are free to
-// split and order runs differently (both orderings are valid schedules);
-// equivalence is judged on the canonical form: per rank pair, runs sorted
-// by source offset and coalesced where adjacent in both local spaces.
+// The closed-form planner and the patch-enumeration planner are judged
+// three ways. The canonical form — per rank pair, runs expanded to blocks,
+// sorted by source offset and coalesced where adjacent in both local
+// spaces — must match; so must the packed order, the (source offset,
+// destination offset) sequence a pair's elements take on the wire; and,
+// since every planner builds runs through one runBuilder, so must the
+// runs themselves.
 type pairKey struct{ src, dst int }
+
+// blocksOf expands a plan's vector runs into their blocks, in packed
+// order, each as a Count-1 run.
+func blocksOf(p PairPlan) []Run {
+	var out []Run
+	for _, r := range p.Runs {
+		for k := 0; k < r.Count; k++ {
+			out = append(out, Run{SrcOff: r.SrcOff + k*r.SrcStride, DstOff: r.DstOff + k*r.DstStride, N: r.N, Count: 1})
+		}
+	}
+	return out
+}
+
+// packedOrder lists every element of a plan as its (source offset,
+// destination offset) pair, in packed order.
+func packedOrder(p PairPlan) [][2]int {
+	var out [][2]int
+	for _, b := range blocksOf(p) {
+		for i := 0; i < b.N; i++ {
+			out = append(out, [2]int{b.SrcOff + i, b.DstOff + i})
+		}
+	}
+	return out
+}
 
 func canonicalRuns(s *Schedule) map[pairKey][]Run {
 	out := make(map[pairKey][]Run, len(s.Pairs))
 	for _, p := range s.Pairs {
 		k := pairKey{p.SrcRank, p.DstRank}
-		runs := append(out[k], p.Runs...)
-		out[k] = runs
+		out[k] = append(out[k], blocksOf(p)...)
 	}
 	for k, runs := range out {
 		sort.Slice(runs, func(i, j int) bool { return runs[i].SrcOff < runs[j].SrcOff })
@@ -63,6 +90,23 @@ func diffSchedules(t *testing.T, label string, got, want *Schedule) {
 			}
 		}
 	}
+	for i, p := range got.Pairs {
+		q := want.Pairs[i]
+		if p.SrcRank != q.SrcRank || p.DstRank != q.DstRank {
+			t.Fatalf("%s: pair %d is %d→%d, want %d→%d", label, i, p.SrcRank, p.DstRank, q.SrcRank, q.DstRank)
+		}
+		g, w := packedOrder(p), packedOrder(q)
+		for j := range w {
+			if g[j] != w[j] {
+				t.Fatalf("%s: pair %d→%d packed element %d moves %v, want %v",
+					label, p.SrcRank, p.DstRank, j, g[j], w[j])
+			}
+		}
+		// One packed order, one form: the runs themselves agree.
+		if !reflect.DeepEqual(p.Runs, q.Runs) {
+			t.Fatalf("%s: pair %d→%d runs differ in form\n got: %v\nwant: %v", label, p.SrcRank, p.DstRank, p.Runs, q.Runs)
+		}
+	}
 }
 
 // checkCoverage asserts the schedule touches every source-local and every
@@ -79,7 +123,7 @@ func checkCoverage(t *testing.T, label string, s *Schedule) {
 		dstSeen[r] = make([]bool, s.Dst.LocalCount(r))
 	}
 	for _, p := range s.Pairs {
-		for _, run := range p.Runs {
+		for _, run := range blocksOf(p) {
 			for i := 0; i < run.N; i++ {
 				if srcSeen[p.SrcRank][run.SrcOff+i] {
 					t.Fatalf("%s: src rank %d offset %d sent twice", label, p.SrcRank, run.SrcOff+i)
@@ -139,33 +183,35 @@ func randomRegularAxis(rng *rand.Rand, n int) dad.AxisDist {
 	}
 }
 
+// randomPair draws the randomized layout corpus's next template pair:
+// 1–3 axes of up to 20 elements, every axis of either side drawn by
+// randomRegularAxis.
+func randomPair(t testing.TB, rng *rand.Rand) (src, dst *dad.Template) {
+	nd := 1 + rng.Intn(3)
+	dims := make([]int, nd)
+	for a := range dims {
+		dims[a] = 1 + rng.Intn(20)
+	}
+	mk := func() *dad.Template {
+		axes := make([]dad.AxisDist, nd)
+		for a := range axes {
+			axes[a] = randomRegularAxis(rng, dims[a])
+		}
+		return tpl(t, dims, axes...)
+	}
+	src = mk()
+	return src, mk()
+}
+
 // Differential property: for every closed-form template pair, the
 // arithmetic planner and the patch-enumeration planner must produce
-// element-for-element identical schedules.
+// element-for-element identical schedules that move the elements in the
+// same packed order.
 func TestDifferentialFastVsEnumerator(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	planned := 0
 	for trial := 0; trial < 400; trial++ {
-		nd := 1 + rng.Intn(3)
-		dims := make([]int, nd)
-		for a := range dims {
-			dims[a] = 1 + rng.Intn(20)
-		}
-		mkAxes := func() []dad.AxisDist {
-			axes := make([]dad.AxisDist, nd)
-			for a := range axes {
-				axes[a] = randomRegularAxis(rng, dims[a])
-			}
-			return axes
-		}
-		src, err := dad.NewTemplate(dims, mkAxes())
-		if err != nil {
-			t.Fatal(err)
-		}
-		dst, err := dad.NewTemplate(dims, mkAxes())
-		if err != nil {
-			t.Fatal(err)
-		}
+		src, dst := randomPair(t, rng)
 		if !src.ClosedFormPair(dst) {
 			// Incompatible strided block sizes: the fast path must
 			// decline, and Build must still succeed via the enumerator.

@@ -23,11 +23,17 @@
 // Every per-axis intersection is therefore an ixDesc: an O(1)-sized
 // descriptor enumerable without materializing anything. Runs are emitted
 // arithmetically from the descriptors (local indices come from the O(1)
-// per-kind formulas, never from Template.LocalOffset), and all storage is
-// carved from a pooled planArena, so the uncached planning path approaches
-// zero steady-state allocations. Per source rank the descriptor work is
-// O(M+N) blocks of O(1) arithmetic; total output work is proportional to
-// the number of runs, which is the size of the schedule itself.
+// per-kind formulas, never from Template.LocalOffset): a last-axis
+// descriptor is at most three vector runs per row — its clipped first
+// interval, its unclipped intervals as one vector, its clipped last
+// interval — and when every row is a single block, the rows of one
+// interval of the next-to-last axis are one vector, so a cyclic↔block
+// pair or a block-rows↔block-columns pair is one run. All storage is
+// carved from a pooled planArena, so the uncached planning path
+// approaches zero steady-state allocations. Per source rank the
+// descriptor work is O(M+N) blocks of O(1) arithmetic; total output work
+// is proportional to the number of rows (or, for single-block rows, of
+// next-to-last-axis intervals), not of elements.
 //
 // Applicability is decided by dad.Template.ClosedFormPair; everything else
 // (Implicit axes, explicit patch templates, strided pairs with differing
@@ -43,7 +49,7 @@ import "mxn/internal/dad"
 // the first and last interval can actually be clipped; every interval is
 // nonempty and lies within a single owned block of BOTH sides, so local
 // indices advance by one per global index across it on both sides — which
-// is what lets each interval become one contiguous Run per row.
+// is what lets each interval be one block of a Run.
 type ixDesc struct {
 	count          int
 	start, stride  int
@@ -165,6 +171,16 @@ func (s *axSide) li(g, c int) int {
 	return (g/s.bp)*s.b + g%s.b
 }
 
+// lstride returns how far the local index moves on coordinate c when the
+// global index moves by stride within the progression of an ixDesc, whose
+// stride a strided side's b·procs always divides.
+func (s *axSide) lstride(stride int) int {
+	if s.class == dad.ClassInterval {
+		return stride
+	}
+	return stride / s.bp * s.b
+}
+
 // makeSide builds the per-coordinate tables for one axis of one template,
 // carving them from the arena. O(procs) arithmetic.
 func makeSide(ar *planArena, ax dad.AxisDist, n int) axSide {
@@ -271,108 +287,141 @@ func (s *Schedule) buildFast() {
 		pairTab[a] = pairs[:np:np]
 	}
 
-	// Walk state: the chosen coordinate pair and descriptor per axis.
-	srcC := ar.ints.take(na)
-	dstC := ar.ints.take(na)
-	cur := ar.descPtrs.take(na)
+	f := fastPlan{
+		s:    s,
+		src:  srcSides,
+		dst:  dstSides,
+		desc: descTab,
+		nz:   pairTab,
+		srcC: ar.ints.take(na),
+		dstC: ar.ints.take(na),
+		cur:  ar.descPtrs.take(na),
+	}
+	// Pass 1 counts pairs and runs (after merging) so the slabs can be
+	// carved exactly; pass 2 repeats the walk and writes them.
+	f.walk(0)
+	f.pairs = ar.pairs.take(f.nPairs)
+	f.runs = ar.runs.take(f.nRuns)
+	f.fill, f.nPairs, f.nRuns = true, 0, 0
+	f.walk(0)
+	s.Pairs = f.pairs
+}
 
-	// Pass 1: count pairs and runs so the slabs can be carved exactly.
-	totalPairs, totalRuns := 0, 0
-	var count func(a int)
-	count = func(a int) {
-		if a == na {
-			rows := 1
-			for x := 0; x < na-1; x++ {
-				rows *= cur[x].elems
-			}
-			totalRuns += rows * cur[na-1].count
-			totalPairs++
-			return
-		}
-		q := dstSides[a].procs
-		for _, pk := range pairTab[a] {
-			cur[a] = &descTab[a][pk]
-			srcC[a], dstC[a] = pk/q, pk%q
-			count(a + 1)
+// fastPlan is one closed-form build's walk state: the per-axis sides and
+// descriptor tables, the coordinate pair and descriptor chosen on each
+// axis, and the slabs the fill pass writes.
+type fastPlan struct {
+	s          *Schedule
+	src, dst   []axSide
+	desc       [][]ixDesc // per axis: descriptor of coordinate pair cs·Q + cd
+	nz         [][]int    // per axis: the nonempty coordinate pairs, in (cs, cd) order
+	srcC, dstC []int
+	cur        []*ixDesc
+
+	fill          bool
+	b             runBuilder
+	pairs         []PairPlan
+	runs          []Run
+	nPairs, nRuns int
+}
+
+// walk visits every communicating coordinate-pair combination in (cs, cd)
+// lexicographic order and plans each as one pair.
+func (f *fastPlan) walk(a int) {
+	if a == len(f.cur) {
+		f.pair()
+		return
+	}
+	q := f.dst[a].procs
+	for _, pk := range f.nz[a] {
+		f.cur[a] = &f.desc[a][pk]
+		f.srcC[a], f.dstC[a] = pk/q, pk%q
+		f.walk(a + 1)
+	}
+}
+
+// pair plans the current coordinate-pair combination: counts its runs,
+// or in the fill pass writes them (into the run slab, which the counting
+// pass sized exactly) and its PairPlan.
+func (f *fastPlan) pair() {
+	f.b = runBuilder{}
+	if f.fill {
+		f.b.out = f.runs[f.nRuns:f.nRuns]
+	}
+	f.emit(0, 0, 0)
+	runs := f.b.finish()
+	if f.fill {
+		f.pairs[f.nPairs] = PairPlan{
+			SrcRank: f.s.Src.RankOf(f.srcC),
+			DstRank: f.s.Dst.RankOf(f.dstC),
+			Runs:    runs[:f.b.n:f.b.n],
+			Elems:   f.b.elems,
 		}
 	}
-	count(0)
+	f.nRuns += f.b.n
+	f.nPairs++
+}
 
-	pairs := ar.pairs.take(totalPairs)
-	runs := ar.runs.take(totalRuns)
-	pi, ri := 0, 0
-
-	// emit fills runs for the current leaf: rows iterate the global
-	// indices of axes 0..na-2 in ascending order, the last axis emits one
-	// run per descriptor interval. so/do are the local offsets through the
-	// axes above a (off = off·cnt + localIndex at every level, matching
-	// Template.LocalOffset's row-major canonical layout).
-	var emit func(a, so, do int)
-	emit = func(a, so, do int) {
-		d := cur[a]
-		ss, ds := &srcSides[a], &dstSides[a]
-		cs, cd := srcC[a], dstC[a]
-		so *= ss.cnt[cs]
-		do *= ds.cnt[cd]
+// emit adds the current pair's runs to the builder: rows iterate the global
+// indices of axes 0..na-2 in ascending order, and each row's last-axis
+// descriptor becomes at most three runs — a clipped first interval, the
+// unclipped intervals as one vector, a clipped last interval — unless a
+// row is one block, when a whole interval of rows is one vector. so/do are
+// the local offsets through the axes above a (off = off·cnt + localIndex
+// at every level, matching Template.LocalOffset's row-major canonical
+// layout).
+func (f *fastPlan) emit(a, so, do int) {
+	d := f.cur[a]
+	ss, ds := &f.src[a], &f.dst[a]
+	cs, cd := f.srcC[a], f.dstC[a]
+	so *= ss.cnt[cs]
+	do *= ds.cnt[cd]
+	if e := f.cur[len(f.cur)-1]; a == len(f.cur)-2 && e.count == 1 {
+		// Every row is one block, and the rows of one interval of this
+		// axis are a progression: the next row starts one whole local
+		// last-axis row further on, on both sides.
+		es, ed := &f.src[a+1], &f.dst[a+1]
+		ecs, ecd := f.srcC[a+1], f.dstC[a+1]
+		lo := max(e.start, e.clipLo)
 		base := d.start
-		if a == na-1 {
-			for k := 0; k < d.count; k++ {
-				lo, hi := base, base+d.blen
-				if lo < d.clipLo {
-					lo = d.clipLo
-				}
-				if hi > d.clipHi {
-					hi = d.clipHi
-				}
-				runs[ri] = Run{SrcOff: so + ss.li(lo, cs), DstOff: do + ds.li(lo, cd), N: hi - lo}
-				ri++
-				base += d.stride
-			}
-			return
-		}
 		for k := 0; k < d.count; k++ {
-			lo, hi := base, base+d.blen
-			if lo < d.clipLo {
-				lo = d.clipLo
-			}
-			if hi > d.clipHi {
-				hi = d.clipHi
-			}
-			for g := lo; g < hi; g++ {
-				emit(a+1, so+ss.li(g, cs), do+ds.li(g, cd))
+			g0, g1 := max(base, d.clipLo), min(base+d.blen, d.clipHi)
+			f.b.add(vec((so+ss.li(g0, cs))*es.cnt[ecs]+es.li(lo, ecs), (do+ds.li(g0, cd))*ed.cnt[ecd]+ed.li(lo, ecd),
+				e.elems, g1-g0, es.cnt[ecs], ed.cnt[ecd]))
+			base += d.stride
+		}
+		return
+	}
+	if a < len(f.cur)-1 {
+		base := d.start
+		for k := 0; k < d.count; k++ {
+			for g := max(base, d.clipLo); g < min(base+d.blen, d.clipHi); g++ {
+				f.emit(a+1, so+ss.li(g, cs), do+ds.li(g, cd))
 			}
 			base += d.stride
 		}
+		return
 	}
-
-	// Pass 2: same walk, emitting the pair plans and runs.
-	var fill func(a int)
-	fill = func(a int) {
-		if a == na {
-			elems := 1
-			for x := 0; x < na; x++ {
-				elems *= cur[x].elems
-			}
-			r0 := ri
-			emit(0, 0, 0)
-			pairs[pi] = PairPlan{
-				SrcRank: s.Src.RankOf(srcC),
-				DstRank: s.Dst.RankOf(dstC),
-				Runs:    runs[r0:ri:ri],
-				Elems:   elems,
-			}
-			pi++
-			return
-		}
-		q := dstSides[a].procs
-		for _, pk := range pairTab[a] {
-			cur[a] = &descTab[a][pk]
-			srcC[a], dstC[a] = pk/q, pk%q
-			fill(a + 1)
-		}
+	clipped := func(base int) {
+		lo, hi := max(base, d.clipLo), min(base+d.blen, d.clipHi)
+		f.b.add(Run{SrcOff: so + ss.li(lo, cs), DstOff: do + ds.li(lo, cd), N: hi - lo, Count: 1})
 	}
-	fill(0)
-	s.Pairs = pairs[:pi:pi]
+	k0, k1 := 0, d.count // the unclipped intervals
+	if d.start < d.clipLo || d.start+d.blen > d.clipHi {
+		clipped(d.start)
+		k0 = 1
+	}
+	last := d.start + (d.count-1)*d.stride
+	if k1 > k0 && last+d.blen > d.clipHi {
+		k1--
+	}
+	if k1 > k0 {
+		g := d.start + k0*d.stride
+		f.b.add(vec(so+ss.li(g, cs), do+ds.li(g, cd), d.blen, k1-k0, ss.lstride(d.stride), ds.lstride(d.stride)))
+	}
+	if k1 < d.count {
+		clipped(last)
+	}
 }
 
 // indexArena is index() with the lookup tables carved from the arena.

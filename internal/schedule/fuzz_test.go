@@ -50,7 +50,8 @@ func fuzzAxis(s *fuzzSpec, n int) dad.AxisDist {
 
 // FuzzPlanEquivalence cross-checks the closed-form fast path against the
 // patch-enumeration planner on fuzzer-chosen template pairs: identical
-// canonical schedules, full coverage, no panics. Pairs the fast path
+// canonical schedules, the same packed order (so the same bytes on the
+// wire) and the same runs, full coverage, no panics. Pairs the fast path
 // declines (incompatible strided block sizes) still assert a clean
 // fallback.
 func FuzzPlanEquivalence(f *testing.F) {

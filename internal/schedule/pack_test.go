@@ -7,12 +7,12 @@ import (
 	"mxn/internal/dad"
 )
 
-// packByCopy and unpackByCopy are the kernels PackSlice and UnpackSlice
-// had before the unit-run fast path: one copy call per run. They stay here
-// as the reference the fast path is compared against.
+// packByCopy and unpackByCopy are the plainest kernels there are: one
+// copy call per block, blocks taken in packed order. They stay here as
+// the reference the vector kernels are compared against.
 func packByCopy[T any](plan PairPlan, local, out []T) {
 	k := 0
-	for _, r := range plan.Runs {
+	for _, r := range blocksOf(plan) {
 		copy(out[k:k+r.N], local[r.SrcOff:r.SrcOff+r.N])
 		k += r.N
 	}
@@ -20,7 +20,7 @@ func packByCopy[T any](plan PairPlan, local, out []T) {
 
 func unpackByCopy[T any](plan PairPlan, local, data []T) {
 	k := 0
-	for _, r := range plan.Runs {
+	for _, r := range blocksOf(plan) {
 		copy(local[r.DstOff:r.DstOff+r.N], data[k:k+r.N])
 		k += r.N
 	}
@@ -28,40 +28,22 @@ func unpackByCopy[T any](plan PairPlan, local, data []T) {
 
 // TestPackUnitRunFastPathMatchesCopyKernel runs both kernels over every
 // pair of the planner's randomized layout corpus (same generator and seed
-// as TestDifferentialFastVsEnumerator) — cyclic axes give runs of one
-// element, block and collapsed axes long ones, and most plans mix both.
-// The window kernels at offset 0 are a third input: the engine's
-// whole-message call.
+// as TestDifferentialFastVsEnumerator) — cyclic axes give vectors of
+// one-element blocks, block-cyclic axes vectors of longer blocks, block
+// and collapsed axes contiguous runs, and most plans mix them. The window
+// kernels at offset 0 are a third input: the engine's whole-message call.
 func TestPackUnitRunFastPathMatchesCopyKernel(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	unit, long := 0, 0
+	unit, long := 0, 0 // vectors of one-element blocks, and of longer ones
 	for trial := 0; trial < 400; trial++ {
-		nd := 1 + rng.Intn(3)
-		dims := make([]int, nd)
-		for a := range dims {
-			dims[a] = 1 + rng.Intn(20)
-		}
-		mkAxes := func() []dad.AxisDist {
-			axes := make([]dad.AxisDist, nd)
-			for a := range axes {
-				axes[a] = randomRegularAxis(rng, dims[a])
-			}
-			return axes
-		}
-		src, err := dad.NewTemplate(dims, mkAxes())
-		if err != nil {
-			t.Fatal(err)
-		}
-		dst, err := dad.NewTemplate(dims, mkAxes())
-		if err != nil {
-			t.Fatal(err)
-		}
+		src, dst := randomPair(t, rng)
 		s := mustBuild(t, src, dst)
 		for _, p := range s.Pairs {
 			for _, r := range p.Runs {
-				if r.N == 1 {
+				switch {
+				case r.Count > 1 && r.N == 1:
 					unit++
-				} else {
+				case r.Count > 1:
 					long++
 				}
 			}
@@ -92,35 +74,84 @@ func TestPackUnitRunFastPathMatchesCopyKernel(t *testing.T) {
 			}
 		}
 	}
-	if unit < 1000 || long < 1000 {
-		t.Fatalf("corpus has %d unit runs and %d longer ones — generator drifted", unit, long)
+	if unit < 100 || long < 100 {
+		t.Fatalf("corpus has %d unit-block vectors and %d longer-block ones — generator drifted", unit, long)
 	}
 }
 
-// The two kernels on the two run shapes the benchmark's workloads have:
-// prmi_tcp and small_tcp move runs of one element, bulk_tcp runs of 512.
-func BenchmarkPackSlice(b *testing.B) {
-	const elems = 1 << 14
-	local, out := make([]float64, 2*elems), make([]float64, elems)
-	shapes := []struct {
-		name string
-		n    int
-	}{{"unit-runs", 1}, {"512-runs", 512}}
-	for _, sh := range shapes {
-		plan := PairPlan{Elems: elems}
-		for off := 0; off < elems; off += sh.n {
-			plan.Runs = append(plan.Runs, Run{SrcOff: 2 * off, DstOff: off, N: sh.n})
+// workloadShapes are the layouts of the coupling benchmark's workloads,
+// two ranks a side: prmi_tcp's 64 KiB field (cyclic → block), small_tcp's
+// 16 KiB array (block → cyclic) and bulk_tcp's 8 MiB matrix (block rows →
+// block columns).
+func workloadShapes(t testing.TB) []struct {
+	name     string
+	src, dst *dad.Template
+} {
+	return []struct {
+		name     string
+		src, dst *dad.Template
+	}{
+		{"prmi-cyclic-block", tpl(t, []int{8192}, dad.CyclicAxis(2)), tpl(t, []int{8192}, dad.BlockAxis(2))},
+		{"small-block-cyclic", tpl(t, []int{2048}, dad.BlockAxis(2)), tpl(t, []int{2048}, dad.CyclicAxis(2))},
+		{"bulk-rows-cols", tpl(t, []int{1024, 1024}, dad.BlockAxis(2), dad.CollapsedAxis()),
+			tpl(t, []int{1024, 1024}, dad.CollapsedAxis(), dad.BlockAxis(2))},
+	}
+}
+
+// Each workload shape's regular rank pairs plan as one vector run apiece,
+// from both planners, and the run moves what the plan says.
+func TestWorkloadShapesPlanOneRunPerPair(t *testing.T) {
+	for _, w := range workloadShapes(t) {
+		for _, opts := range []BuildOpts{{}, {DisableFastPath: true}} {
+			s, err := BuildWith(w.src, w.dst, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(s.Pairs) != 4 {
+				t.Fatalf("%s: %d pairs, want 4", w.name, len(s.Pairs))
+			}
+			for _, p := range s.Pairs {
+				if len(p.Runs) != 1 || p.Runs[0].Len() != p.Elems {
+					t.Fatalf("%s (fast path %v): pair %d→%d plans as %d runs %+v, want one of %d elements",
+						w.name, s.FastPath(), p.SrcRank, p.DstRank, len(p.Runs), p.Runs, p.Elems)
+				}
+			}
+			verifyRedistribution(t, w.dst, executeLocally(s, fillByGlobal(w.src)))
 		}
-		b.Run(sh.name+"/fast", func(b *testing.B) {
-			b.SetBytes(8 * elems)
+	}
+}
+
+// The two kernels over every pair of each workload shape's plan: the
+// per-step pack and unpack cost of a reused schedule.
+func BenchmarkPackSlice(b *testing.B) {
+	for _, w := range workloadShapes(b) {
+		s := mustBuild(b, w.src, w.dst)
+		srcLocals := make([][]float64, w.src.NumProcs())
+		for r := range srcLocals {
+			srcLocals[r] = make([]float64, w.src.LocalCount(r))
+		}
+		dstLocals := make([][]float64, w.dst.NumProcs())
+		for r := range dstLocals {
+			dstLocals[r] = make([]float64, w.dst.LocalCount(r))
+		}
+		bufs := make([][]float64, len(s.Pairs))
+		for i, p := range s.Pairs {
+			bufs[i] = make([]float64, p.Elems)
+		}
+		b.Run(w.name+"/pack", func(b *testing.B) {
+			b.SetBytes(8 * int64(s.TotalElems()))
 			for i := 0; i < b.N; i++ {
-				PackSlice(plan, local, out)
+				for j, p := range s.Pairs {
+					PackSlice(p, srcLocals[p.SrcRank], bufs[j])
+				}
 			}
 		})
-		b.Run(sh.name+"/copy", func(b *testing.B) {
-			b.SetBytes(8 * elems)
+		b.Run(w.name+"/unpack", func(b *testing.B) {
+			b.SetBytes(8 * int64(s.TotalElems()))
 			for i := 0; i < b.N; i++ {
-				packByCopy(plan, local, out)
+				for j, p := range s.Pairs {
+					UnpackSlice(p, dstLocals[p.DstRank], bufs[j])
+				}
 			}
 		})
 	}

@@ -2,7 +2,6 @@ package schedule
 
 import (
 	"fmt"
-	"strings"
 
 	"mxn/internal/dad"
 	"mxn/internal/obs"
@@ -115,13 +114,11 @@ func Expand(s *Schedule, newSrc, newDst *dad.Template, srcMap, dstMap []int) (*S
 // keep their 0-alloc steady state.
 func (c *Cache) InvalidateTemplate(t *dad.Template) int {
 	tKey := t.Key()
-	prefix := tKey + "\x00"
-	suffix := "\x00" + tKey
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	n := 0
 	for key := range c.m {
-		if strings.HasPrefix(key, prefix) || strings.HasSuffix(key, suffix) {
+		if key.src == tKey || key.dst == tKey {
 			delete(c.m, key)
 			n++
 		}

@@ -1,7 +1,6 @@
 package schedule
 
 import (
-	"strings"
 	"testing"
 
 	"mxn/internal/dad"
@@ -249,25 +248,6 @@ func TestRestrictExpandRoundTrip(t *testing.T) {
 			if p.Runs[j] != o.Runs[j] {
 				t.Fatalf("round trip changed run %d of pair %d", j, i)
 			}
-		}
-	}
-}
-
-func TestCacheKeySeparatorAssumption(t *testing.T) {
-	// InvalidateTemplate's prefix/suffix matching relies on the cache key
-	// being srcKey NUL dstKey; if the key format drifts, scoped
-	// invalidation silently stops matching. Pin the assumption.
-	a := tpl(t, []int{16}, dad.BlockAxis(2))
-	b := tpl(t, []int{16}, dad.CyclicAxis(2))
-	c := NewCache()
-	if _, err := c.Get(a, b); err != nil {
-		t.Fatal(err)
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for key := range c.m {
-		if !strings.HasPrefix(key, a.Key()+"\x00") || !strings.HasSuffix(key, "\x00"+b.Key()) {
-			t.Fatalf("cache key %q is not srcKey\\x00dstKey", key)
 		}
 	}
 }

@@ -45,7 +45,7 @@ func Restrict(s *Schedule, aliveSrc, aliveDst func(rank int) bool) *Schedule {
 // the cached plan still references the dead rank, and later epochs must
 // re-plan from current templates. Returns whether an entry was present.
 func (c *Cache) Invalidate(src, dst *dad.Template) bool {
-	key := src.Key() + "\x00" + dst.Key()
+	key := cacheKey{src.Key(), dst.Key()}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, ok := c.m[key]; !ok {
@@ -62,7 +62,7 @@ func (c *Cache) InvalidateAll() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	n := len(c.m)
-	c.m = map[string]*cacheEntry{}
+	c.m = map[cacheKey]*cacheEntry{}
 	mInvalidations.Add(uint64(n))
 	return n
 }

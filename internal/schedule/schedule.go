@@ -41,15 +41,127 @@ var (
 	mCacheJoins  = obs.Default().Counter("schedule.cache_joined_flights")
 )
 
-// Run is a contiguous span of elements moving between local buffers:
-// N elements starting at SrcOff in the source rank's buffer land at DstOff
-// in the destination rank's buffer.
+// Run is a vector of equal blocks moving between local buffers: Count
+// blocks of N contiguous elements, block k starting at
+// SrcOff + k·SrcStride in the source rank's buffer and landing at
+// DstOff + k·DstStride in the destination rank's buffer. A contiguous
+// run has Count 1 (and both strides 0). The run's packed order is its
+// blocks in order, so a cyclic axis's thousands of one-element pieces
+// are one Run, not one per element.
 type Run struct {
-	SrcOff, DstOff, N int
+	SrcOff, DstOff, N    int
+	Count                int
+	SrcStride, DstStride int
+}
+
+// Len returns the number of elements the run moves.
+func (r Run) Len() int { return r.N * r.Count }
+
+// vec builds a run in canonical form: a vector whose blocks abut on both
+// sides is one contiguous block, and a single block carries no strides.
+func vec(srcOff, dstOff, n, count, srcStride, dstStride int) Run {
+	if count == 1 || (srcStride == n && dstStride == n) {
+		return Run{SrcOff: srcOff, DstOff: dstOff, N: n * count, Count: 1}
+	}
+	return Run{SrcOff: srcOff, DstOff: dstOff, N: n, Count: count, SrcStride: srcStride, DstStride: dstStride}
+}
+
+// extend adds r's blocks, in order, to the progression of *last as far as
+// they continue it: a block of last's length at last's next position (for
+// a single-block last, at any position, which sets the strides) adds to
+// its count. What is left of r, if anything, stays in *r, to be a run of
+// its own; extend reports whether anything is.
+func extend(last, r *Run) bool {
+	if last.N != r.N {
+		return true
+	}
+	ss, ds := last.SrcStride, last.DstStride
+	if last.Count == 1 {
+		ss, ds = r.SrcOff-last.SrcOff, r.DstOff-last.DstOff
+	} else if r.SrcOff != last.SrcOff+last.Count*ss || r.DstOff != last.DstOff+last.Count*ds {
+		return true
+	}
+	last.SrcStride, last.DstStride = ss, ds
+	if r.Count > 1 && (r.SrcStride != ss || r.DstStride != ds) {
+		last.Count++
+		*r = vec(r.SrcOff+r.SrcStride, r.DstOff+r.DstStride, r.N, r.Count-1, r.SrcStride, r.DstStride)
+		return true
+	}
+	last.Count += r.Count
+	return false
+}
+
+// runBuilder assembles one pair's runs from blocks and vectors given in
+// packed order. Blocks contiguous on both sides merge into one, and each
+// maximal block then joins the run before it when it continues that run's
+// progression. Every planner builds its plans through one, so a plan's
+// runs are a function of its packed element order alone: the closed-form
+// planner's vectors and the enumerators' blocks come out identical.
+type runBuilder struct {
+	out   []Run // the runs so far; nil in a pass that only counts them
+	last  Run   // the last run committed
+	n     int   // runs committed
+	pend  Run   // the block still growing, if pend.N > 0
+	elems int
+}
+
+// add appends r — a block, or a vector as vec makes it — to the packed
+// order.
+func (w *runBuilder) add(r Run) {
+	w.elems += r.Len()
+	p := &w.pend
+	if p.N > 0 && p.SrcOff+p.N == r.SrcOff && p.DstOff+p.N == r.DstOff {
+		p.N += r.N
+		if r.Count == 1 {
+			return
+		}
+		w.commit(p)
+		r = vec(r.SrcOff+r.SrcStride, r.DstOff+r.DstStride, r.N, r.Count-1, r.SrcStride, r.DstStride)
+	} else {
+		w.commit(p)
+	}
+	// A vector's blocks are not contiguous on both sides with the ones
+	// before them (vec would have made it one block), so all but its last
+	// are maximal as they stand; the last may still grow.
+	k := r.Count - 1
+	if k > 0 {
+		head := vec(r.SrcOff, r.DstOff, r.N, k, r.SrcStride, r.DstStride)
+		w.commit(&head)
+	}
+	*p = Run{SrcOff: r.SrcOff + k*r.SrcStride, DstOff: r.DstOff + k*r.DstStride, N: r.N, Count: 1}
+}
+
+// commit appends a maximal block (or a vector of them) to the runs.
+func (w *runBuilder) commit(r *Run) {
+	if r.N == 0 {
+		return
+	}
+	if w.n > 0 {
+		more := extend(&w.last, r)
+		if w.out != nil {
+			w.out[w.n-1] = w.last
+		}
+		if !more {
+			return
+		}
+	}
+	w.last = *r
+	if w.out != nil {
+		w.out = append(w.out, *r)
+	}
+	w.n++
+}
+
+// finish commits the block still growing and returns the runs (nil when
+// only counting).
+func (w *runBuilder) finish() []Run {
+	w.commit(&w.pend)
+	w.pend = Run{}
+	return w.out
 }
 
 // PairPlan is everything one (source rank, destination rank) pair must
-// exchange: a list of contiguous runs totalling Elems elements.
+// exchange: a list of runs totalling Elems elements, in packed order.
 type PairPlan struct {
 	SrcRank, DstRank int
 	Runs             []Run
@@ -154,10 +266,10 @@ func (s *Schedule) buildAxiswise() {
 		srcIvs := make([][]dad.Interval, sx.Procs)
 		dstIvs := make([][]dad.Interval, dx.Procs)
 		for c := 0; c < sx.Procs; c++ {
-			srcIvs[c] = axisIntervals(sx, dims[a], c)
+			srcIvs[c] = sx.Intervals(dims[a], c)
 		}
 		for c := 0; c < dx.Procs; c++ {
-			dstIvs[c] = axisIntervals(dx, dims[a], c)
+			dstIvs[c] = dx.Intervals(dims[a], c)
 		}
 		for cs := 0; cs < sx.Procs; cs++ {
 			tab[cs] = make([][]dad.Interval, dx.Procs)
@@ -204,55 +316,37 @@ func (s *Schedule) buildAxiswise() {
 }
 
 // buildPairFromIntervalProduct converts the per-axis interval intersection
-// lists of one rank pair into contiguous runs. Every cartesian product of
-// one interval per axis is a region; each last-axis row of a region is
-// one contiguous run in both local layouts (see the layout contiguity
-// argument in internal/dad: within one owned interval, local indices
-// advance by one per global index for every distribution kind).
+// lists of one rank pair into runs, walking the intersection in global
+// row-major order (the closed-form planner's packed order): every
+// last-axis interval of a row is one contiguous block in both local
+// layouts (see the layout contiguity argument in internal/dad: within one
+// owned interval, local indices advance by one per global index for every
+// distribution kind).
 func (s *Schedule) buildPairFromIntervalProduct(srcRank, dstRank int, ivLists [][]dad.Interval) PairPlan {
-	plan := PairPlan{SrcRank: srcRank, DstRank: dstRank}
+	b := runBuilder{out: []Run{}}
 	na := len(ivLists)
-	sel := make([]int, na)
 	idx := make([]int, na)
-	for {
-		// Region = product of ivLists[a][sel[a]]; iterate its rows.
-		rowLen := ivLists[na-1][sel[na-1]].Len()
-		for a := 0; a < na; a++ {
-			idx[a] = ivLists[a][sel[a]].Lo
-		}
-		for {
-			srcOff := s.Src.LocalOffset(srcRank, idx)
-			dstOff := s.Dst.LocalOffset(dstRank, idx)
-			plan.Runs = append(plan.Runs, Run{SrcOff: srcOff, DstOff: dstOff, N: rowLen})
-			plan.Elems += rowLen
-			// Advance to the next row: bump axes na-2..0 within the region.
-			a := na - 2
-			for a >= 0 {
-				idx[a]++
-				if idx[a] < ivLists[a][sel[a]].Hi {
-					break
-				}
-				idx[a] = ivLists[a][sel[a]].Lo
-				a--
+	var walk func(a int)
+	walk = func(a int) {
+		for _, iv := range ivLists[a] {
+			if a == na-1 {
+				idx[a] = iv.Lo
+				b.add(Run{
+					SrcOff: s.Src.LocalOffset(srcRank, idx),
+					DstOff: s.Dst.LocalOffset(dstRank, idx),
+					N:      iv.Len(),
+					Count:  1,
+				})
+				continue
 			}
-			if a < 0 {
-				break
+			for g := iv.Lo; g < iv.Hi; g++ {
+				idx[a] = g
+				walk(a + 1)
 			}
-		}
-		// Advance to the next region.
-		a := na - 1
-		for a >= 0 {
-			sel[a]++
-			if sel[a] < len(ivLists[a]) {
-				break
-			}
-			sel[a] = 0
-			a--
-		}
-		if a < 0 {
-			return plan
 		}
 	}
+	walk(0)
+	return PairPlan{SrcRank: srcRank, DstRank: dstRank, Runs: b.finish(), Elems: b.elems}
 }
 
 // buildGeneric handles template pairs involving explicit distributions by
@@ -318,36 +412,33 @@ func (s *Schedule) planDstRank(dstRank, ns int) []*PairPlan {
 	row := make([]*PairPlan, ns)
 	for srcRank := 0; srcRank < ns; srcRank++ {
 		srcPatches := s.Src.Patches(srcRank)
+		b := runBuilder{out: []Run{}}
 		for _, dp := range dstPatches {
 			for _, sp := range srcPatches {
-				region, ok := sp.Intersect(dp)
-				if !ok {
-					continue
+				if region, ok := sp.Intersect(dp); ok {
+					addRegionRuns(&b, s.Src, s.Dst, srcRank, dstRank, region, na)
 				}
-				plan := row[srcRank]
-				if plan == nil {
-					plan = &PairPlan{SrcRank: srcRank, DstRank: dstRank}
-					row[srcRank] = plan
-				}
-				appendRegionRuns(plan, s.Src, s.Dst, srcRank, dstRank, region, na)
 			}
+		}
+		if b.elems > 0 {
+			row[srcRank] = &PairPlan{SrcRank: srcRank, DstRank: dstRank, Runs: b.finish(), Elems: b.elems}
 		}
 	}
 	return row
 }
 
-// appendRegionRuns emits one run per last-axis row of the region.
-func appendRegionRuns(plan *PairPlan, src, dst *dad.Template, srcRank, dstRank int, region dad.Patch, na int) {
+// addRegionRuns adds one block per last-axis row of the region.
+func addRegionRuns(b *runBuilder, src, dst *dad.Template, srcRank, dstRank int, region dad.Patch, na int) {
 	rowLen := region.Hi[na-1] - region.Lo[na-1]
 	idx := make([]int, na)
 	copy(idx, region.Lo)
 	for {
-		plan.Runs = append(plan.Runs, Run{
+		b.add(Run{
 			SrcOff: src.LocalOffset(srcRank, idx),
 			DstOff: dst.LocalOffset(dstRank, idx),
 			N:      rowLen,
+			Count:  1,
 		})
-		plan.Elems += rowLen
 		a := na - 2
 		for a >= 0 {
 			idx[a]++
@@ -361,22 +452,6 @@ func appendRegionRuns(plan *PairPlan, src, dst *dad.Template, srcRank, dstRank i
 			return
 		}
 	}
-}
-
-// axisIntervals adapts dad's internal per-axis interval computation, which
-// is exposed through Patches; recomputing from the public surface keeps
-// the dependency one-way.
-func axisIntervals(ax dad.AxisDist, n, c int) []dad.Interval {
-	// A single-axis template gives exactly the per-axis intervals.
-	t, err := dad.NewTemplate([]int{n}, []dad.AxisDist{ax})
-	if err != nil {
-		panic(fmt.Sprintf("schedule: invalid axis: %v", err))
-	}
-	var out []dad.Interval
-	for _, p := range t.Patches(c) {
-		out = append(out, dad.Interval{Lo: p.Lo[0], Hi: p.Hi[0]})
-	}
-	return out
 }
 
 // intersectIntervals merges two sorted disjoint interval lists.
@@ -477,10 +552,14 @@ func UnpackSlice[T any](plan PairPlan, local, data []T) { UnpackSliceRange(plan,
 // at the same instant) runs the planner exactly once per pair.
 type Cache struct {
 	mu sync.Mutex
-	m  map[string]*cacheEntry
+	m  map[cacheKey]*cacheEntry
 
 	hits, misses, builds int
 }
+
+// cacheKey identifies a template pair by the templates' stored keys, so a
+// lookup neither formats nor concatenates anything.
+type cacheKey struct{ src, dst string }
 
 // cacheEntry is one resident or in-flight schedule. ready is closed when
 // the build completes; done mirrors it under the cache mutex so Get can
@@ -493,14 +572,14 @@ type cacheEntry struct {
 }
 
 // NewCache returns an empty schedule cache.
-func NewCache() *Cache { return &Cache{m: map[string]*cacheEntry{}} }
+func NewCache() *Cache { return &Cache{m: map[cacheKey]*cacheEntry{}} }
 
 // Get returns the schedule for (src, dst), building and retaining it on
 // first use. Callers that arrive while another goroutine is building the
 // same pair block until that build completes and receive its schedule
 // (counted as misses — the plan was not resident when they asked).
 func (c *Cache) Get(src, dst *dad.Template) (*Schedule, error) {
-	key := src.Key() + "\x00" + dst.Key()
+	key := cacheKey{src.Key(), dst.Key()}
 	c.mu.Lock()
 	if e, ok := c.m[key]; ok {
 		if e.done {

@@ -81,7 +81,7 @@ func verifyRedistribution(t *testing.T, dst *dad.Template, dstLocals [][]float64
 	})
 }
 
-func mustBuild(t *testing.T, src, dst *dad.Template) *Schedule {
+func mustBuild(t testing.TB, src, dst *dad.Template) *Schedule {
 	t.Helper()
 	s, err := Build(src, dst)
 	if err != nil {
@@ -90,7 +90,7 @@ func mustBuild(t *testing.T, src, dst *dad.Template) *Schedule {
 	return s
 }
 
-func tpl(t *testing.T, dims []int, axes ...dad.AxisDist) *dad.Template {
+func tpl(t testing.TB, dims []int, axes ...dad.AxisDist) *dad.Template {
 	t.Helper()
 	out, err := dad.NewTemplate(dims, axes)
 	if err != nil {
@@ -442,7 +442,7 @@ func TestPackSliceGenericMatchesFloat64(t *testing.T) {
 		}
 		UnpackSlice(p, dstLocal, data)
 		k := 0
-		for _, r := range p.Runs {
+		for _, r := range blocksOf(p) {
 			for j := 0; j < r.N; j++ {
 				if dstLocal[r.DstOff+j] != data[k] {
 					t.Fatalf("pair %d→%d complex unpack misplaced element", p.SrcRank, p.DstRank)

@@ -4,44 +4,52 @@
 // The transfer engine moves a message as consecutive chunks, each
 // covering the window [off, off+len(chunk)) of the packed element order;
 // a whole message is the one window at offset 0. The kernels walk the
-// plan's runs, skipping off elements and splitting a run mid-way when a
-// window boundary lands inside it, so chunked and whole-message
+// plan's vector runs, skipping off elements arithmetically (whole runs by
+// their length, then whole blocks by N) and splitting a block mid-way
+// when a window boundary lands inside it, so chunked and whole-message
 // transfers touch exactly the same local elements in exactly the same
 // order.
+//
+// A block of more than one element is one copy, and so is a whole vector
+// whose blocks abut in the buffer being walked (the contiguous side of a
+// cyclic↔block pair). A vector of one-element blocks that does not — what
+// a cyclic axis plans to on its strided side — is one tight strided loop:
+// a copy call per element costs several times the move.
 package schedule
-
-// skipRuns drops the runs that lie wholly before packed offset off and
-// returns the rest with the offset left inside its first run. At off 0
-// it is straight through.
-func skipRuns(runs []Run, off int) ([]Run, int) {
-	for off > 0 && len(runs) > 0 && off >= runs[0].N {
-		off -= runs[0].N
-		runs = runs[1:]
-	}
-	return runs, off
-}
 
 // PackSliceRange gathers the window [off, off+len(out)) of plan's
 // packed element order from the source rank's local buffer. Packing
 // consecutive windows that tile [0, plan.Elems) is equivalent to one
 // PackSlice of the whole message. A window reaching past plan.Elems
 // panics, as indexing past the end of a slice does.
-//
-// A run of one element is assigned directly: cyclic layouts produce nothing
-// but unit runs, and a copy call per element costs several times the move.
 func PackSliceRange[T any](plan PairPlan, local, out []T, off int) {
-	runs, off := skipRuns(plan.Runs, off)
-	for i, k := 0, 0; k < len(out); i++ {
-		r := runs[i]
-		if r.N == 1 {
-			out[k] = local[r.SrcOff]
-			k++
+	for i := 0; len(out) > 0; i++ {
+		r := plan.Runs[i]
+		if off >= r.Len() {
+			off -= r.Len()
 			continue
 		}
-		n := min(r.N-off, len(out)-k)
-		copy(out[k:k+n], local[r.SrcOff+off:r.SrcOff+off+n])
-		k += n
+		n, count, stride := r.N, r.Count, r.SrcStride
+		if stride == n { // the blocks abut in the source buffer: one copy
+			n, count = n*count, 1
+		}
+		k, o := off/n, off%n
 		off = 0
+		if n == 1 {
+			m := min(count-k, len(out))
+			src := r.SrcOff + k*stride
+			for j := range out[:m] {
+				out[j] = local[src]
+				src += stride
+			}
+			out = out[m:]
+			continue
+		}
+		for ; k < count && len(out) > 0; k++ {
+			b := r.SrcOff + k*stride
+			out = out[copy(out, local[b+o:b+n]):]
+			o = 0
+		}
 	}
 }
 
@@ -49,17 +57,32 @@ func PackSliceRange[T any](plan PairPlan, local, out []T, off int) {
 // [off, off+len(data)) of plan's packed element order into the
 // destination rank's local buffer.
 func UnpackSliceRange[T any](plan PairPlan, local, data []T, off int) {
-	runs, off := skipRuns(plan.Runs, off)
-	for i, k := 0, 0; k < len(data); i++ {
-		r := runs[i]
-		if r.N == 1 {
-			local[r.DstOff] = data[k]
-			k++
+	for i := 0; len(data) > 0; i++ {
+		r := plan.Runs[i]
+		if off >= r.Len() {
+			off -= r.Len()
 			continue
 		}
-		n := min(r.N-off, len(data)-k)
-		copy(local[r.DstOff+off:r.DstOff+off+n], data[k:k+n])
-		k += n
+		n, count, stride := r.N, r.Count, r.DstStride
+		if stride == n { // the blocks abut in the destination buffer: one copy
+			n, count = n*count, 1
+		}
+		k, o := off/n, off%n
 		off = 0
+		if n == 1 {
+			m := min(count-k, len(data))
+			dst := r.DstOff + k*stride
+			for _, v := range data[:m] {
+				local[dst] = v
+				dst += stride
+			}
+			data = data[m:]
+			continue
+		}
+		for ; k < count && len(data) > 0; k++ {
+			b := r.DstOff + k*stride
+			data = data[copy(local[b+o:b+n], data):]
+			o = 0
+		}
 	}
 }
