@@ -105,7 +105,11 @@ func TestChaosResizeOnlineGrowShrink(t *testing.T) {
 	// Exactly-once PRMI traffic over a session whose physical conns keep
 	// dying, in flight for the whole resize lifecycle: the non-idempotent
 	// counter must run once per call no matter how the scheduler
-	// interleaves it with the migrations.
+	// interleaves it with the migrations. The resizes can finish before
+	// the link has flapped, so the calls go on until the session has
+	// reconnected — or until maxPRMICalls, should it never — and only then
+	// stop when asked.
+	const maxPRMICalls = 500
 	reconnects := obs.Default().Counter("session.reconnects")
 	reconnectsBefore := reconnects.Value()
 	cli, srv := flappingSession(t, 41, 8)
@@ -115,11 +119,13 @@ func TestChaosResizeOnlineGrowShrink(t *testing.T) {
 	go func() {
 		calls := 0
 		for {
-			select {
-			case <-stopPRMI:
-				prmiCalls <- calls
-				return
-			default:
+			if reconnects.Value() != reconnectsBefore || calls >= maxPRMICalls {
+				select {
+				case <-stopPRMI:
+					prmiCalls <- calls
+					return
+				default:
+				}
 			}
 			res, err := port.CallIndependent(0, "bump", prmi.Simple("x", 1.0))
 			if err != nil {

@@ -4,16 +4,23 @@
 // pool removes every per-transfer allocation (guarded by the redist
 // alloc tests) and keeps the garbage collector out of the message loop.
 //
-// Buffers are handed out in power-of-two size classes and their backing
-// arrays are 8-byte aligned, so a buffer can be reinterpreted as a slice
-// of any supported element type (float64, complex128, ...) without
-// violating alignment. Ownership is transferable: the common pattern is
-// that a sender Gets and packs a buffer, the in-process runtime carries it
-// to the receiver, and the receiver Puts it back after unpacking — the
-// pool is safe for that cross-goroutine round trip. Across a connection
-// the receive side mirrors this with frames: the transport reads each
-// message into a GetFrame buffer, and whoever ends up holding it (a
-// decoded transfer message, a PRMI message) returns it with PutFrame.
+// Buffers are handed out in size classes: powers of two below 4 KiB, and
+// from 4 KiB up a power of two plus headroom bytes. The headroom is room
+// for the envelope a payload travels in — comm's head, the message head,
+// the encoder's alignment padding and the session trailer — so a pooled
+// 2^k-byte payload and the received frame that carries it fall in one
+// class: a frame the receiver has unpacked and freed serves its next send,
+// and a payload freed by an ack serves the next frame it receives.
+// Backing arrays are 8-byte aligned, so a buffer can be reinterpreted as
+// a slice of any supported element type (float64, complex128, ...)
+// without violating alignment. Ownership is transferable: the common
+// pattern is that a sender Gets and packs a buffer, the in-process
+// runtime carries it to the receiver, and the receiver Puts it back after
+// unpacking — the pool is safe for that cross-goroutine round trip.
+// Across a connection the receive side mirrors this with frames: the
+// transport reads each message into a GetFrame buffer, and whoever ends
+// up holding it (a decoded transfer message, a PRMI message) returns it
+// with PutFrame.
 //
 // The implementation is a mutex-guarded free list rather than sync.Pool:
 // Get and Put never allocate in steady state (sync.Pool's victim cache can
@@ -24,6 +31,7 @@ package bufpool
 
 import (
 	"sync"
+	"sync/atomic"
 	"unsafe"
 
 	"mxn/internal/obs"
@@ -31,11 +39,18 @@ import (
 
 const (
 	// minClassBits..maxClassBits bound the pooled size classes:
-	// 64 B .. 16 MiB. Requests above the largest class are allocated
-	// directly and never retained.
+	// 64 B .. 16 MiB + headroom. Requests above the largest class are
+	// allocated directly and never retained.
 	minClassBits = 6
 	maxClassBits = 24
 	numClasses   = maxClassBits - minClassBits + 1
+
+	// Classes of 2^headroomBits bytes and up hold headroom bytes beyond
+	// their power of two: room for a payload's envelope (comm head,
+	// message head, alignment padding, session trailer), so that the
+	// frame carrying a 2^k-byte payload fits the payload's own class.
+	headroomBits = 12
+	headroom     = 256
 
 	// maxPerClass bounds retained buffers per class; surplus Puts are
 	// dropped for the collector.
@@ -58,22 +73,42 @@ var (
 	mFramePuts = obs.Default().Counter("bufpool.frame_puts")
 )
 
+// The attribution gauges read the process-default pool: retained_bytes is
+// what sits on its free lists, footprint_bytes every class buffer it has
+// allocated and not dropped — retained plus what callers hold.
+func init() {
+	obs.Default().RegisterFunc("bufpool.retained_bytes", defaultPool.retainedBytes)
+	obs.Default().RegisterFunc("bufpool.footprint_bytes", defaultPool.footprint.Load)
+}
+
 // Pool is a size-classed buffer pool. The zero value is ready to use; all
 // methods are safe for concurrent use.
 type Pool struct {
 	mu      sync.Mutex
 	classes [numClasses][][]byte
+	// footprint is the bytes of class buffers this pool has allocated
+	// and not dropped.
+	footprint atomic.Int64
 }
 
 // defaultPool serves the package-level Get/Put used by the transfer
 // engine; distinct Pools exist only for tests.
 var defaultPool Pool
 
+// classSize returns the byte size of class c's buffers.
+func classSize(c int) int {
+	k := minClassBits + c
+	if k < headroomBits {
+		return 1 << k
+	}
+	return 1<<k + headroom
+}
+
 // classFor returns the class index whose buffers hold at least n bytes,
 // or -1 when n exceeds the largest class.
 func classFor(n int) int {
 	c := 0
-	for 1<<(minClassBits+c) < n {
+	for classSize(c) < n {
 		c++
 		if c >= numClasses {
 			return -1
@@ -111,7 +146,13 @@ func (p *Pool) Get(n int) []byte {
 		return b[:n]
 	}
 	mMisses.Inc()
-	return alignedBytes(1 << (minClassBits + c))[:n]
+	return p.alloc(c)[:n]
+}
+
+// alloc allocates a new buffer of class c, counted in the footprint.
+func (p *Pool) alloc(c int) []byte {
+	p.footprint.Add(int64(classSize(c)))
+	return alignedBytes(classSize(c))
 }
 
 // take pops a retained buffer of class c, nil when none is free.
@@ -159,7 +200,7 @@ func (p *Pool) GetFrame(n int) []byte {
 	if b := p.take(c); b != nil {
 		return b[:n]
 	}
-	return alignedBytes(1 << (minClassBits + c))[:n]
+	return p.alloc(c)[:n]
 }
 
 // TryGetFrame is GetFrame when it needs no new memory: a retained buffer
@@ -192,7 +233,7 @@ func (p *Pool) PutFrame(b []byte) {
 // capacity is not a class size or the list is full.
 func (p *Pool) retain(b []byte) {
 	c := classFor(cap(b))
-	if c < 0 || 1<<(minClassBits+c) != cap(b) {
+	if c < 0 || classSize(c) != cap(b) {
 		mDropped.Inc()
 		return
 	}
@@ -203,7 +244,19 @@ func (p *Pool) retain(b []byte) {
 		return
 	}
 	p.mu.Unlock()
+	p.footprint.Add(-int64(cap(b)))
 	mDropped.Inc()
+}
+
+// retainedBytes returns the bytes on p's free lists.
+func (p *Pool) retainedBytes() int64 {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	var n int64
+	for c, stack := range p.classes {
+		n += int64(len(stack) * classSize(c))
+	}
+	return n
 }
 
 // Outstanding returns the number of Get calls not yet matched by a Put.

@@ -6,10 +6,15 @@ import (
 	"unsafe"
 )
 
+// Below 4 KiB the classes are powers of two; from 4 KiB up each holds
+// headroom bytes more, so the largest pooled request is 16 MiB + 256.
 func TestClassFor(t *testing.T) {
 	cases := []struct{ n, class int }{
 		{1, 0}, {64, 0}, {65, 1}, {128, 1}, {129, 2},
-		{1 << 24, numClasses - 1}, {1<<24 + 1, -1},
+		{2048, 5}, {2049, 6}, {4096, 6}, {4096 + headroom, 6}, {4096 + headroom + 1, 7},
+		{1 << 21, 15}, {1<<21 + 80, 15}, {1<<21 + headroom, 15}, {1<<21 + headroom + 1, 16},
+		{1 << 24, numClasses - 1}, {1<<24 + 1, numClasses - 1},
+		{1<<24 + headroom, numClasses - 1}, {1<<24 + headroom + 1, -1},
 	}
 	for _, c := range cases {
 		if got := classFor(c.n); got != c.class {
@@ -40,7 +45,7 @@ func TestGetPutRoundTrip(t *testing.T) {
 
 func TestAlignment(t *testing.T) {
 	var p Pool
-	for _, n := range []int{1, 7, 64, 100, 4096, 1<<24 + 3} {
+	for _, n := range []int{1, 7, 64, 100, 4096, 1<<24 + headroom + 3} {
 		b := p.Get(n)
 		if addr := uintptr(unsafe.Pointer(unsafe.SliceData(b))); addr%8 != 0 {
 			t.Errorf("Get(%d): backing array at %#x not 8-byte aligned", n, addr)
@@ -51,8 +56,8 @@ func TestAlignment(t *testing.T) {
 
 func TestOversizeNotRetained(t *testing.T) {
 	var p Pool
-	b := p.Get(1<<24 + 1)
-	if len(b) != 1<<24+1 {
+	b := p.Get(1<<24 + headroom + 1)
+	if len(b) != 1<<24+headroom+1 {
 		t.Fatalf("oversize len = %d", len(b))
 	}
 	p.Put(b) // dropped, must not panic or corrupt a class
@@ -121,4 +126,56 @@ func TestConcurrentUse(t *testing.T) {
 		}(byte(g))
 	}
 	wg.Wait()
+}
+
+// A payload and the frame that carries it share a class: a frame of a
+// 2^k-byte payload plus its envelope reuses the payload's buffer.
+func TestPayloadAndFrameShareClass(t *testing.T) {
+	var p Pool
+	for _, k := range []int{12, 16, 21} {
+		b := p.Get(1 << k)
+		if want := 1<<k + headroom; cap(b) != want {
+			t.Fatalf("Get(1<<%d): cap = %d, want %d", k, cap(b), want)
+		}
+		p.Put(b)
+		f := p.GetFrame(1<<k + 80)
+		if unsafe.SliceData(f) != unsafe.SliceData(b) {
+			t.Errorf("k=%d: the frame of a freed payload's envelope did not reuse its buffer", k)
+		}
+		p.PutFrame(f)
+	}
+}
+
+// The attribution gauges: footprint counts every class buffer allocated
+// and not dropped, retained what sits on the free lists.
+func TestFootprintAndRetained(t *testing.T) {
+	var p Pool
+	a, b := p.Get(100), p.GetFrame(5000)
+	size := int64(128 + 8192 + headroom)
+	if got := p.footprint.Load(); got != size {
+		t.Fatalf("footprint with two buffers out = %d, want %d", got, size)
+	}
+	if got := p.retainedBytes(); got != 0 {
+		t.Fatalf("retained with nothing returned = %d, want 0", got)
+	}
+	p.Put(a)
+	p.PutFrame(b)
+	if got := p.retainedBytes(); got != size {
+		t.Fatalf("retained after both returned = %d, want %d", got, size)
+	}
+	p.Put(p.Get(70)) // a hit allocates nothing
+	if got := p.footprint.Load(); got != size {
+		t.Fatalf("footprint after a hit = %d, want %d", got, size)
+	}
+	// A drop for a full list leaves the footprint.
+	bufs := make([][]byte, maxPerClass+1)
+	for i := range bufs {
+		bufs[i] = p.Get(64)
+	}
+	for _, b := range bufs {
+		p.Put(b)
+	}
+	if got, want := p.footprint.Load(), size+maxPerClass*64; got != want {
+		t.Fatalf("footprint after a dropped Put = %d, want %d", got, want)
+	}
 }

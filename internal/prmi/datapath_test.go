@@ -753,3 +753,71 @@ func TestCallCollectiveRemoteSteadyStateAlloc(t *testing.T) {
 	wait()
 	f.close()
 }
+
+// frameLink records the payload length and frame capacity of every
+// message it receives from a connection.
+type frameLink struct {
+	Link
+	mu   sync.Mutex
+	seen [][2]int // {payload bytes, frame capacity}
+}
+
+func (l *frameLink) Recv(d time.Duration) (int, *Msg, error) {
+	from, m, err := l.Link.Recv(d)
+	if err == nil && m.frame != nil {
+		l.mu.Lock()
+		l.seen = append(l.seen, [2]int{len(m.payload), cap(m.frame)})
+		l.mu.Unlock()
+	}
+	return from, m, err
+}
+
+// TestRemoteFrameSharesPayloadClass pins the pool's headroom to PRMI's
+// envelope: a collective call whose parallel argument packs 2^k bytes for
+// each callee — and whose reply packs as many back — crosses comm and a
+// session over TCP in frames of the payload's own class, the call head
+// with its plan key (and, on the first call, the template) included.
+func TestRemoteFrameSharesPayloadClass(t *testing.T) {
+	for _, k := range []int{12, 16, 21} {
+		f := sessionFabric(t, 2, 2, 0, false)
+		var links []*frameLink
+		for _, side := range [][]Link{f.callers, f.callees} {
+			for i := range side {
+				l := &frameLink{Link: side[i]}
+				side[i], links = l, append(links, l)
+			}
+		}
+		// Cyclic(2) callers, Block(2) callees: each caller packs a quarter
+		// of the field, 2 bytes per element, for each callee.
+		c := newPair22N(t, f, 1<<(k-1))
+		wait := c.serve()
+		for i := 0; i < 2; i++ {
+			for r, err := range c.callBoth([2]float64{1, 1}) {
+				if err != nil {
+					t.Fatalf("k=%d caller %d: %v", k, r, err)
+				}
+			}
+		}
+		c.closePorts(t)
+		wait()
+		f.close()
+		b := bufpool.Get(1 << k)
+		want := cap(b)
+		bufpool.Put(b)
+		payloads := 0
+		for _, l := range links {
+			for _, s := range l.seen {
+				if s[0] != 1<<k {
+					continue
+				}
+				payloads++
+				if s[1] != want {
+					t.Errorf("k=%d: a %d-byte parallel payload arrived in a frame of capacity %d, want its class's %d", k, s[0], s[1], want)
+				}
+			}
+		}
+		if payloads != 16 { // 2 calls × 2 callers × 2 callees, each way
+			t.Errorf("k=%d: saw %d frames with a %d-byte payload, want 16", k, payloads, 1<<k)
+		}
+	}
+}

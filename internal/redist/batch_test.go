@@ -78,7 +78,7 @@ func TestRemoteRoundIsOneWritePerSendingRank(t *testing.T) {
 	}
 	t.Cleanup(func() { cli.Close(); srv.Close() })
 
-	w := newRemoteWorld(t, cli, srv, s)
+	w := newRemoteWorld(t, cli, srv, s, false)
 	for i := 0; i < 5; i++ {
 		w.step(t)
 	}

@@ -39,6 +39,7 @@ import (
 	"sort"
 	"sync"
 	"time"
+	"unsafe"
 
 	"mxn/internal/bufpool"
 	"mxn/internal/comm"
@@ -95,33 +96,79 @@ func (e *ElemCountError) Error() string {
 // srcLocals[i] and unpacking into dstLocals[j]. It is the reference
 // executor: the parallel paths must produce identical results.
 //
-// Every pair is packed before any pair is unpacked: srcLocals and
-// dstLocals may alias (a self-redistribution such as an in-place
-// transpose, the Layout{SrcBase == DstBase} analogue), and an interleaved
-// pack/unpack would read elements an earlier pair's unpack had already
-// overwritten. The staging buffer is drawn from the buffer pool, so
-// repeated local executions allocate nothing.
+// The transfer is staged through a window of the pairs' concatenated
+// packed order, localWindow bytes of elements: each window packs every
+// pair segment it covers, then unpacks them, so the staging buffer is the
+// window's size rather than the whole transfer's. When any source slice
+// overlaps any destination slice — a self-redistribution such as an
+// in-place transpose, the Layout{SrcBase == DstBase} analogue — the
+// window is the whole transfer: every pair is packed before any pair is
+// unpacked, since an interleaved pack/unpack would read elements an
+// earlier unpack had already overwritten. The staging buffer is drawn
+// from the buffer pool, so repeated local executions allocate nothing.
 func ExecuteLocalT[T Elem](s *schedule.Schedule, srcLocals, dstLocals [][]T) {
-	total := 0
-	for _, p := range s.Pairs {
-		total += p.Elems
+	window := localWindow / elemSize[T]()
+	if overlapping(srcLocals, dstLocals) {
+		window = s.TotalElems()
 	}
-	raw := bufpool.Get(total * elemSize[T]())
-	backing := elemsOf[T](raw, total)
-	off := 0
-	for _, p := range s.Pairs {
-		schedule.PackSlice(p, srcLocals[p.SrcRank], backing[off:off+p.Elems])
-		off += p.Elems
-	}
-	off = 0
-	for _, p := range s.Pairs {
-		schedule.UnpackSlice(p, dstLocals[p.DstRank], backing[off:off+p.Elems])
-		off += p.Elems
+	executeLocal(s, srcLocals, dstLocals, window)
+}
+
+// localWindow is ExecuteLocalT's staging window in bytes.
+const localWindow = 64 << 10
+
+// executeLocal is ExecuteLocalT staged through a window of the given
+// number of elements.
+func executeLocal[T Elem](s *schedule.Schedule, srcLocals, dstLocals [][]T, window int) {
+	total := s.TotalElems()
+	window = min(window, total)
+	raw := bufpool.Get(window * elemSize[T]())
+	backing := elemsOf[T](raw, window)
+	for i, off := 0, 0; window > 0 && i < len(s.Pairs); {
+		j, o := stageWindow(s.Pairs, i, off, backing, srcLocals, true)
+		stageWindow(s.Pairs, i, off, backing, dstLocals, false)
+		i, off = j, o
 	}
 	bufpool.Put(raw)
 	mLocalExecs.Inc()
 	mElemsPacked.Add(uint64(total))
 	mElemsUnpack.Add(uint64(total))
+}
+
+// stageWindow packs (pack) or unpacks the window of the pairs'
+// concatenated packed order that starts at element off of pairs[i] and
+// fills buf, or ends with the last pair, and returns the position after
+// it.
+func stageWindow[T Elem](pairs []schedule.PairPlan, i, off int, buf []T, locals [][]T, pack bool) (int, int) {
+	for n := 0; i < len(pairs) && n < len(buf); {
+		p := pairs[i]
+		seg := buf[n : n+min(p.Elems-off, len(buf)-n)]
+		if pack {
+			schedule.PackSliceRange(p, locals[p.SrcRank], seg, off)
+		} else {
+			schedule.UnpackSliceRange(p, locals[p.DstRank], seg, off)
+		}
+		n += len(seg)
+		if off += len(seg); off == p.Elems {
+			i, off = i+1, 0
+		}
+	}
+	return i, off
+}
+
+// overlapping reports whether any slice of a shares memory with any slice
+// of b.
+func overlapping[T Elem](a, b [][]T) bool {
+	sz := uintptr(elemSize[T]())
+	for _, x := range a {
+		for _, y := range b {
+			x0, y0 := uintptr(unsafe.Pointer(unsafe.SliceData(x))), uintptr(unsafe.Pointer(unsafe.SliceData(y)))
+			if len(x) > 0 && len(y) > 0 && x0 < y0+uintptr(len(y))*sz && y0 < x0+uintptr(len(x))*sz {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // Layout places the two cohorts of a transfer within one communicator

@@ -16,35 +16,38 @@ import (
 // Regression: ExecuteLocalT with aliased source and destination buffers (a
 // self-redistribution in place). The interleaved pack/unpack it used to do
 // read source elements that an earlier pair's unpack had already
-// overwritten; all pairs must be packed before any is unpacked.
+// overwritten; all pairs must be packed before any is unpacked — also when
+// the transfer is larger than the staging window.
 func TestExecuteLocalAliasedBuffers(t *testing.T) {
-	src := tpl(t, []int{16}, dad.BlockAxis(2))
-	dst := tpl(t, []int{16}, dad.CyclicAxis(2))
-	s, err := schedule.Build(src, dst)
-	if err != nil {
-		t.Fatal(err)
-	}
+	for _, n := range []int{16, 4 * localWindow / 8} {
+		src := tpl(t, []int{n}, dad.BlockAxis(2))
+		dst := tpl(t, []int{n}, dad.CyclicAxis(2))
+		s, err := schedule.Build(src, dst)
+		if err != nil {
+			t.Fatal(err)
+		}
 
-	// Reference result with disjoint buffers.
-	want := make([][]float64, dst.NumProcs())
-	for r := range want {
-		want[r] = make([]float64, dst.LocalCount(r))
-	}
-	ExecuteLocalT(s, fillByGlobal(src), want)
+		// Reference result with disjoint buffers.
+		want := make([][]float64, dst.NumProcs())
+		for r := range want {
+			want[r] = make([]float64, dst.LocalCount(r))
+		}
+		ExecuteLocalT(s, fillByGlobal(src), want)
 
-	// In-place: the same slices serve as source and destination. Local
-	// counts match (8 elements per rank on both sides), so this is the
-	// legal aliased case.
-	locals := fillByGlobal(src)
-	ExecuteLocalT(s, locals, locals)
-	for r := range want {
-		for i := range want[r] {
-			if locals[r][i] != want[r][i] {
-				t.Fatalf("aliased rank %d elem %d: got %v, want %v", r, i, locals[r][i], want[r][i])
+		// In-place: the same slices serve as source and destination. Local
+		// counts match (n/2 elements per rank on both sides), so this is
+		// the legal aliased case.
+		locals := fillByGlobal(src)
+		ExecuteLocalT(s, locals, locals)
+		for r := range want {
+			for i := range want[r] {
+				if locals[r][i] != want[r][i] {
+					t.Fatalf("n=%d aliased rank %d elem %d: got %v, want %v", n, r, i, locals[r][i], want[r][i])
+				}
 			}
 		}
+		verify(t, dst, locals)
 	}
-	verify(t, dst, locals)
 }
 
 // Regression: a destination that detects a bad message mid-transfer must

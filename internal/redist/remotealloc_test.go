@@ -1,12 +1,14 @@
 package redist
 
 import (
+	"math"
 	"runtime"
 	"slices"
 	"testing"
 	"time"
 
 	"mxn/internal/bufpool"
+	"mxn/internal/bufpool/pooltest"
 	"mxn/internal/comm"
 	"mxn/internal/dad"
 	"mxn/internal/obs"
@@ -64,14 +66,15 @@ func tcpSessionPair(t *testing.T) (cli, srv transport.Conn) {
 // ConnectPeer over (a, b): the sources live in one world, the destinations
 // in the other, so every data message crosses the connection. Each rank
 // holds one persistent handle on a worker goroutine, so a Run can be
-// repeated and measured.
+// repeated and measured. A round-trip world also moves the destinations'
+// data back to the sources every step, the way a coupling exchanges it.
 type remoteWorld struct {
 	start []chan struct{}
 	done  chan error
 	dst   [][]float64
 }
 
-func newRemoteWorld(t *testing.T, a, b transport.Conn, s *schedule.Schedule) *remoteWorld {
+func newRemoteWorld(t *testing.T, a, b transport.Conn, s *schedule.Schedule, roundTrip bool) *remoteWorld {
 	t.Helper()
 	const m, n = 2, 2
 	all := []int{0, 1, 2, 3}
@@ -85,6 +88,10 @@ func newRemoteWorld(t *testing.T, a, b transport.Conn, s *schedule.Schedule) *re
 	})
 	csA, csB := wa.SharedGroup(1, all), wb.SharedGroup(1, all)
 	src := fillByGlobal(s.Src)
+	back, err := schedule.Build(s.Dst, s.Src)
+	if err != nil {
+		t.Fatal(err)
+	}
 	w := &remoteWorld{done: make(chan error, m+n)}
 	for r := 0; r < m+n; r++ {
 		c, sl, dl := csA[r], []float64(nil), []float64(nil)
@@ -98,11 +105,20 @@ func newRemoteWorld(t *testing.T, a, b transport.Conn, s *schedule.Schedule) *re
 		if err != nil {
 			t.Fatal(err)
 		}
+		var bt *Transfer[float64]
+		if roundTrip {
+			if bt, err = New[float64](c, back, Layout{SrcBase: m, DstBase: 0}, 1, TransferOpts{}); err != nil {
+				t.Fatal(err)
+			}
+		}
 		ch := make(chan struct{}, 1)
 		w.start = append(w.start, ch)
 		go func() {
 			for range ch {
 				_, err := xt.Run(sl, dl)
+				if err == nil && bt != nil {
+					_, err = bt.Run(dl, sl)
+				}
 				w.done <- err
 			}
 		}()
@@ -151,7 +167,7 @@ func TestRemoteReceiveSteadyStateAlloc(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			a, b := tc.pair(t)
-			w := newRemoteWorld(t, a, b, s)
+			w := newRemoteWorld(t, a, b, s, false)
 			for i := 0; i < 10; i++ {
 				w.step(t) // warm the pool classes, mailboxes and worker stacks
 			}
@@ -162,6 +178,83 @@ func TestRemoteReceiveSteadyStateAlloc(t *testing.T) {
 			}
 			verify(t, dst, w.dst)
 		})
+	}
+}
+
+// TestRemoteFootprintFollowsMessages: a warm 2+2 exchange of 2 MiB
+// messages over a TCP session — there and back every step — keeps the
+// pool's footprint within 12 messages. The payloads the session retains
+// until they are acked and the frames the receivers hold share one class,
+// so a frame freed by unpack serves a later payload and a payload freed by
+// an ack a later frame; with each frame a class above its payload the same
+// exchange needs about 16.
+// Every free buffer of the message's class and above is held aside first,
+// so each one the transfer uses is an allocation the footprint counts.
+func TestRemoteFootprintFollowsMessages(t *testing.T) {
+	const msg = 2 << 20
+	if err := pooltest.Balanced(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	var held [][]byte
+	for k := 20; k <= 24; k++ {
+		for b := bufpool.TryGetFrame(1 << k); b != nil; b = bufpool.TryGetFrame(1 << k) {
+			held = append(held, b)
+		}
+	}
+	defer func() {
+		for _, b := range held {
+			bufpool.PutFrame(b)
+		}
+	}()
+	footprint := func() int64 { return obs.Default().Snapshot().Gauges["bufpool.footprint_bytes"] }
+	before := footprint()
+
+	src := tpl(t, []int{1024, 1024}, dad.BlockAxis(2), dad.CollapsedAxis())
+	dst := tpl(t, []int{1024, 1024}, dad.CollapsedAxis(), dad.BlockAxis(2))
+	s, err := schedule.Build(src, dst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := tcpSessionPair(t)
+	w := newRemoteWorld(t, a, b, s, true)
+	for i := 0; i < 10; i++ {
+		w.step(t)
+	}
+	verify(t, dst, w.dst)
+	grown := footprint() - before
+	t.Logf("footprint grew %.1f MiB (%.1f messages of %d MiB)", float64(grown)/(1<<20), float64(grown)/msg, msg>>20)
+	if grown > 12*msg {
+		t.Errorf("warm 2+2 exchange of %d MiB messages grew the pool footprint by %d bytes, over 12 messages", msg>>20, grown)
+	}
+}
+
+// TestRemoteFrameSharesPayloadClass pins the pool's headroom to the real
+// envelope: a transfer message with a 2^k-byte payload, sent through comm
+// and a session over TCP, arrives in a frame of the payload's own class —
+// comm's head, the message head, the alignment padding and the session
+// trailer all fit.
+func TestRemoteFrameSharesPayloadClass(t *testing.T) {
+	a, b := tcpSessionPair(t)
+	all := []int{0, 1}
+	wa, wb := comm.NewWorld(2), comm.NewWorld(2)
+	pa, pb := wa.ConnectPeer(a, all[1:]), wb.ConnectPeer(b, all[:1])
+	t.Cleanup(func() {
+		pa.Close()
+		pb.Close()
+		<-pa.Done()
+		<-pb.Done()
+	})
+	ca, cb := wa.SharedGroup(1, all), wb.SharedGroup(1, all)
+	for _, k := range []int{12, 16, 21} {
+		m := newMsg[float64](math.MaxUint64, (1<<k)/8)
+		want := cap(m.data)
+		ca[0].Send(1, math.MaxInt32, m)
+		got, _ := cb[1].Recv(0, math.MaxInt32)
+		rm := got.(*xferMsg)
+		if cap(rm.frame) != want {
+			t.Errorf("a %d-byte payload arrived in a frame of capacity %d, want its class's %d", 1<<k, cap(rm.frame), want)
+		}
+		recycle(rm)
 	}
 }
 

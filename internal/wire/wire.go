@@ -821,7 +821,7 @@ func writeFrames(w io.Writer, msgs []net.Buffers, path *obs.Counter) error {
 
 // frameStart is what the frame reader commits before any payload byte has
 // arrived when no free buffer of the frame's class is pooled; from there
-// the buffer doubles as bytes arrive.
+// the buffer doubles as bytes arrive, within its capacity first.
 const frameStart = 64 << 10
 
 // ReadFrame reads one frame written by WriteFrame, verifying its checksum.
@@ -879,10 +879,14 @@ func (fr *FrameReader) ReadFrame() ([]byte, error) {
 	var crc uint32
 	for got := 0; got < n; {
 		if got == len(buf) {
-			grown := bufpool.GetFrame(min(n, 2*len(buf)))
-			copy(grown, buf)
-			bufpool.PutFrame(buf)
-			buf = grown
+			if next := min(n, 2*len(buf)); next <= cap(buf) {
+				buf = buf[:next]
+			} else {
+				grown := bufpool.GetFrame(next)
+				copy(grown, buf)
+				bufpool.PutFrame(buf)
+				buf = grown
+			}
 		}
 		k, err := fr.read(buf[got:])
 		crc = crc32.Update(crc, frameTable, buf[got:got+k])

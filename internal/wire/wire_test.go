@@ -347,3 +347,41 @@ func TestQuickDecoderRobustness(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestReadFrameColdGrowthDrawsOneBufferOfItsClass: a cold read of a 2 MiB
+// payload in its envelope grows through the classes as bytes arrive, and
+// its last step — past 2 MiB by the envelope's few bytes — reslices the
+// top buffer within its class's headroom instead of drawing a second
+// buffer of the same class and copying 2 MiB into it.
+func TestReadFrameColdGrowthDrawsOneBufferOfItsClass(t *testing.T) {
+	const n = 2<<20 + 80
+	payload := bytes.Repeat([]byte{0x5A}, n)
+	var stream bytes.Buffer
+	if err := WriteFrame(&stream, payload); err != nil {
+		t.Fatal(err)
+	}
+	// Hold every free buffer of the frame's class, so the read is cold and
+	// the class's free list afterwards holds exactly what the read drew.
+	drain := func() (bufs [][]byte) {
+		for b := bufpool.TryGetFrame(n); b != nil; b = bufpool.TryGetFrame(n) {
+			bufs = append(bufs, b)
+		}
+		return bufs
+	}
+	held := drain()
+	defer func() {
+		for _, b := range held {
+			bufpool.PutFrame(b)
+		}
+	}()
+	got, err := ReadFrame(&stream)
+	if err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("read: %v", err)
+	}
+	bufpool.PutFrame(got)
+	drawn := drain()
+	held = append(held, drawn...)
+	if len(drawn) != 1 {
+		t.Errorf("a cold read of a %d-byte frame drew %d buffers of its class, want 1", n, len(drawn))
+	}
+}
