@@ -373,12 +373,13 @@ func (c *Comm) Send(to, tag int, payload any) {
 // DeliverableLocal reports whether a message sent now to group rank "to"
 // would be enqueued into an in-process mailbox: the destination resolves
 // locally (no remote peer binding) and neither end is currently marked
-// dead. The zero-copy transfer fast path uses it to decide whether a
-// payload may be lent to the receiver by reference — an in-process
-// mailbox delivers the same slice, so borrowing is sound; a remote or
+// dead. The transfer engine uses it to decide whether a chunk may be lent
+// instead of packed — the receiver reads the sender's source through the
+// payload, which an in-process mailbox delivers by reference; a remote or
 // dead destination is not eligible. The answer is advisory: world state
-// can change between the check and the send, with the same
-// dropped-message consequences any unfenced transfer already accepts.
+// can change between the check and the send. A destination that dies in
+// between has the payload dropped and released (Releaser), and ranks are
+// bound to remote peers before they run (ConnectPeer).
 func (c *Comm) DeliverableLocal(to int) bool {
 	if to < 0 || to >= len(c.group.ranks) {
 		return false

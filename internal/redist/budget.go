@@ -13,16 +13,30 @@
 // matched one-to-one with arrivals. With no budget both caps are
 // unbounded: one chunk per message, one round per transfer.
 //
-// Flow control. A budgeted receiver acknowledges every data chunk after
-// disposal (unpack, drain or discard — credit is flow control, not
-// correctness), and round N+1 is sent only once every chunk of round N
-// has been acknowledged. A chunk packed while this rank is owed no
+// Flow control. A budgeted receiver acknowledges every packed data chunk
+// after disposal (unpack, drain or discard — credit is flow control, not
+// correctness), and round N+1 is sent only once every packed chunk of
+// round N has been acknowledged. A chunk packed while this rank is owed no
 // credit goes out at once; only the round after it is staged, packed
 // while its predecessor is in flight — the pipelining overlap — so a
 // rank holds at most two rounds of packed buffers and its resident
 // packed bytes stay bounded by B. Acks are pooled marker messages on the
 // same data tag. An unbudgeted transfer sends no acks and is never owed
 // any, so its single round is packed and posted message by message.
+//
+// Lending. A budgeted transfer, or one with ZeroCopyLocal set, lends the
+// chunks bound for an in-process rank instead of packing them: the chunk
+// carries the caller's whole source buffer and its window of the pair's
+// packed order, and the receiver copies that window straight into its
+// destination — one copy where packing costs two. A lent chunk holds no
+// pooled buffer, so it is owed no credit: its sender books none and its
+// receiver sends none back, both knowing it by the lent mark the chunk
+// carries. The decomposition, the epochs and the checks are the packed
+// chunk's. What lending costs is the rendezvous: Run does not return
+// until every lent chunk has been copied or discarded by its receiver
+// (see awaitLent), and fenced, a destination declared dead has its chunks
+// revoked rather than waited on — atomically, so that a receiver either
+// takes a chunk before it copies or finds it revoked and never reads it.
 //
 // Symmetry. Both sides derive the identical chunk decomposition from
 // (budget, element size, message element count), so no negotiation
@@ -105,8 +119,14 @@ type stagedChunk struct {
 	rank  int
 }
 
+// lentChunk is one chunk a run lent, and the group rank it was lent to.
+type lentChunk struct {
+	m     *xferMsg
+	group int
+}
+
 // recvProgress tracks one expected pairwise message's chunked arrival.
-// The first four fields are fixed at New; the last two are reset by Run.
+// The first four fields are fixed at New; the last three are reset by Run.
 type recvProgress struct {
 	group      int
 	rank       int
@@ -114,12 +134,22 @@ type recvProgress struct {
 	chunks     int
 	elemsDone  int
 	chunksLeft int
+	lost       bool // FailRedistribute has invalidated it
 }
 
 // abandon stops expecting the rest of the i'th incoming message.
 func (t *Transfer[T]) abandon(i int) {
 	t.recvChunks -= t.recv[i].chunksLeft
 	t.recv[i].chunksLeft = 0
+}
+
+// lose applies FailRedistribute to the i'th incoming message, once.
+func (t *Transfer[T]) lose(i int) {
+	if rp := &t.recv[i]; !rp.lost {
+		rp.lost = true
+		t.pl.lose(i, t.out, &t.opts)
+	}
+	t.lost = true
 }
 
 // sendAck returns one chunk's transfer credit to its sender.
@@ -143,19 +173,18 @@ func sendAck(c *comm.Comm, to, tag int, epoch uint64) {
 // later transfer, and drained chunks are still acknowledged so live peers
 // are never wedged waiting for credit.
 func (t *Transfer[T]) run() error {
-	defer t.zcWait.Wait()
 	tr := obs.Trace()
 	c, pl, fenced := t.c, t.pl, t.out != nil
 	esz := elemSize[T]()
 
 	nSend := pl.sends()
-	t.staged, t.pendAck, t.pendingAcks, t.recvChunks = t.staged[:0], t.pendAck[:0], 0, 0
+	t.staged, t.pendAck, t.pendingAcks, t.recvChunks, t.lost = t.staged[:0], t.pendAck[:0], 0, 0, false
 	for i := 0; i < nSend; i++ {
 		t.pendAck = append(t.pendAck, 0)
 	}
 	for i := range t.recv {
 		rp := &t.recv[i]
-		rp.elemsDone, rp.chunksLeft = 0, rp.chunks
+		rp.elemsDone, rp.chunksLeft, rp.lost = 0, rp.chunks, false
 		t.recvChunks += rp.chunks
 	}
 	if fenced && pl.dstRank() >= 0 {
@@ -166,20 +195,19 @@ func (t *Transfer[T]) run() error {
 		curOp, curOff int // chunking cursor over the send ops
 		nextRecv      int // first expectation that may still be open
 		firstErr      error
-		lost          bool
 		discarded     bool
 		waited        time.Duration // silence since the last arrival
 	)
 	// post sends one chunk and, on a budgeted transfer, books the credit
-	// its receiver now owes.
+	// its receiver now owes for a packed one.
 	post := func(sc stagedChunk) {
 		var start time.Time
 		if tr != nil {
 			start = time.Now()
 		}
-		elems := sc.m.elems
+		elems, lent := sc.m.elems, sc.m.lender != nil
 		c.Send(sc.group, t.tag, sc.m)
-		if t.budgeted {
+		if t.budgeted && !lent {
 			t.pendAck[sc.op]++
 			t.pendingAcks++
 		}
@@ -187,11 +215,12 @@ func (t *Transfer[T]) run() error {
 		mChunksSent.Inc()
 		tr.Span(obs.EvSend, "", pl.srcRank(), sc.rank, int64(elems), start)
 	}
-	// packNext packs the chunk at the send cursor — or lends it, see lend —
-	// and advances the cursor past it and past dead destinations. It
-	// reports false once the cursor is exhausted (a strict abort retires
-	// it) or the chunk would overflow a round already holding roundSoFar
-	// bytes (a lone chunk always fits: roundBytes >= capElems*esz).
+	// packNext packs the chunk at the send cursor — or lends it to an
+	// in-process rank, see lend — and advances the cursor past it and past
+	// dead destinations. It reports false once the cursor is exhausted (a
+	// strict abort retires it) or the chunk would overflow a round already
+	// holding roundSoFar bytes (a lone chunk always fits: roundBytes >=
+	// capElems*esz).
 	packNext := func(roundSoFar int) (stagedChunk, bool) {
 		for curOp < nSend {
 			op := pl.sendOp(curOp)
@@ -211,8 +240,10 @@ func (t *Transfer[T]) run() error {
 			if roundSoFar+n*esz > t.roundBytes {
 				break
 			}
-			sc := stagedChunk{op: curOp, group: op.group, rank: op.rank, m: t.lend(curOp, op)}
-			if sc.m == nil {
+			sc := stagedChunk{op: curOp, group: op.group, rank: op.rank}
+			if t.lendView != nil && c.DeliverableLocal(op.group) {
+				sc.m = t.lend(op.group, curOff, n)
+			} else {
 				start := time.Now()
 				sc.m = newMsg[T](t.epoch, n)
 				pl.packRange(curOp, curOff, elemsOf[T](sc.m.data, n))
@@ -279,7 +310,7 @@ func (t *Transfer[T]) run() error {
 					if !ok {
 						break
 					}
-					bytes += len(sc.m.data)
+					bytes += sc.m.elems * esz
 					post(sc)
 					posted++
 				}
@@ -293,7 +324,7 @@ func (t *Transfer[T]) run() error {
 				if !ok {
 					break
 				}
-				bytes += len(sc.m.data)
+				bytes += sc.m.elems * esz
 				t.staged = append(t.staged, sc)
 			}
 			continue
@@ -317,8 +348,7 @@ func (t *Transfer[T]) run() error {
 				} else {
 					// Invalidate the whole pairwise message, chunks already
 					// delivered included: validity stays a safe lower bound.
-					pl.lose(i, t.out, &t.opts)
-					lost = true
+					t.lose(i)
 				}
 				t.abandon(i)
 			}
@@ -442,18 +472,20 @@ func (t *Transfer[T]) run() error {
 		}
 		if isMsg {
 			// Whatever its fate the chunk is disposed of, and when
-			// budgeted its credit returned: a stale or failing sender may
-			// be draining on flow control, and credit is never a
-			// correctness input.
+			// budgeted a packed chunk's credit returned: a stale or
+			// failing sender may be draining on flow control, and credit
+			// is never a correctness input.
+			lent := m.lender != nil
 			recycle(m)
-			if t.budgeted {
+			if t.budgeted && !lent {
 				sendAck(c, from, t.tag, t.epoch)
 			}
 		}
 	}
 
+	t.awaitLent(&firstErr)
 	if firstErr == nil {
-		firstErr = pl.finish(lost)
+		firstErr = pl.finish(t.lost)
 	}
 	if firstErr != nil {
 		mErrors.Inc()
@@ -472,30 +504,86 @@ func (t *Transfer[T]) run() error {
 	return nil
 }
 
-// lend returns the i'th outgoing message as a view of the caller's own
-// source slice — zero pack, zero copy — or nil when it must be packed.
-// The plan offers views only for whole messages of unfenced, unbudgeted
-// transfers with ZeroCopyLocal set; they are lent only to in-process
-// peers (a mailbox delivers the same slice) and never to self: packing
-// keeps aliased src/dst safe there.
-func (t *Transfer[T]) lend(i int, op pairOp) *xferMsg {
-	view := t.pl.sendView(i)
-	if view == nil {
-		return nil
-	}
-	if op.group == t.c.Rank() || !t.c.DeliverableLocal(op.group) {
-		mZeroCopyMisses.Inc()
-		return nil
-	}
-	t.zcWait.Add(1)
+// lend makes the chunk [off, off+n) of the current send op, bound for
+// group rank group, a lent chunk: the run's whole source buffer, which the
+// receiver copies the window out of, booked on the run's rendezvous.
+func (t *Transfer[T]) lend(group, off, n int) *xferMsg {
 	m := getMsg()
+	m.epoch = t.epoch
 	m.kind = kindOf[T]()
-	m.elems = op.elems
-	m.data = view
-	m.done = &t.zcWait
+	m.elems = n
+	m.data = t.lendView
+	m.off = off
+	m.lender = &t.zc
+	m.state.Store(chunkLent)
+	t.zc.left.Add(1)
+	t.lent = append(t.lent, lentChunk{m: m, group: group})
 	mZeroCopyHits.Inc()
-	mElemsLent.Add(uint64(op.elems))
+	mElemsLent.Add(uint64(n))
 	return m
+}
+
+// awaitLent is the rendezvous of the run's lent chunks: it returns once
+// every one has been copied or discarded by its receiver, dropped by
+// comm, or revoked, and then pools them again. Unfenced, it waits.
+// Fenced, it polls the membership as the loop does: the chunks still
+// queued for a destination declared dead are revoked instead of waited
+// on — under FailStrict an abort, as a dead destination owing acks is —
+// a destination that holds chunks through SuspectAfter of silence is
+// marked down, and a rank draining after an error gives up on silent
+// holders after the drain timeout by revoking what they hold.
+func (t *Transfer[T]) awaitLent(firstErr *error) {
+	z, o := &t.zc, &t.opts
+	var waited time.Duration // silence since the last chunk was released
+	for left := z.left.Load(); left > 0; left = z.left.Load() {
+		if t.out == nil {
+			<-z.wake
+			continue
+		}
+		tm := time.NewTimer(o.PollInterval)
+		select {
+		case <-z.wake:
+		case <-tm.C:
+			waited += o.PollInterval
+		}
+		tm.Stop()
+		if z.left.Load() < left {
+			waited = 0
+		}
+		suspect := o.SuspectAfter > 0 && waited >= o.SuspectAfter
+		giveUp := *firstErr != nil && waited >= max(o.SuspectAfter, 10*o.PollInterval)
+		for _, lc := range t.lent {
+			if lc.m.state.Load() != chunkLent {
+				continue
+			}
+			if suspect {
+				o.Membership.MarkDown(lc.group)
+			}
+			dead := !o.Membership.IsAlive(lc.group)
+			if !(dead || giveUp) || !lc.m.state.CompareAndSwap(chunkLent, chunkRevoked) {
+				continue
+			}
+			z.release()
+			if dead {
+				t.noteDown(lc.group)
+				if t.abortOnDeadSend && o.Policy == FailStrict && *firstErr == nil {
+					mRankdownAborts.Inc()
+					*firstErr = &core.ErrRankDown{Rank: lc.group, Epoch: o.Membership.Epoch()}
+				}
+			}
+		}
+		if suspect {
+			waited = 0
+		}
+	}
+	for i, lc := range t.lent {
+		if lc.m.state.Load() != chunkRevoked {
+			*lc.m = xferMsg{}
+			putMsg(lc.m)
+		}
+		t.lent[i] = lentChunk{}
+	}
+	t.lent = t.lent[:0]
 }
 
 // unpackChunk validates one arrived chunk against the ri'th open
@@ -514,8 +602,9 @@ func (t *Transfer[T]) unpackChunk(ri int, m *xferMsg, tr *obs.Tracer) error {
 	if want := kindOf[T](); m.kind != want {
 		return &ElemKindError{Transfer: pl.proto(), DstRank: pl.dstRank(), SrcRank: rp.rank, Got: m.kind, Want: want}
 	}
+	esz, lent := elemSize[T](), m.lender != nil
 	expect := nextChunkElems(rp.elems, rp.elemsDone, t.capElems)
-	if m.elems != expect || len(m.data) != m.elems*elemSize[T]() {
+	if m.elems != expect || (lent && m.off != rp.elemsDone) || (!lent && len(m.data) != m.elems*esz) {
 		return &ElemCountError{Transfer: pl.proto(), DstRank: pl.dstRank(), SrcRank: rp.rank, Got: m.elems, Want: expect}
 	}
 	if rp.elemsDone == 0 {
@@ -524,10 +613,34 @@ func (t *Transfer[T]) unpackChunk(ri int, m *xferMsg, tr *obs.Tracer) error {
 		}
 	}
 	start := time.Now()
-	pl.unpackRange(ri, rp.elemsDone, elemsOf[T](m.data, m.elems))
+	switch {
+	case !lent:
+		pl.unpackRange(ri, rp.elemsDone, elemsOf[T](m.data, m.elems))
+	case !m.take():
+		return t.revoked(ri, m)
+	default:
+		if err := pl.copyRange(ri, rp.elemsDone, elemsOf[T](m.data, len(m.data)/esz), m.elems); err != nil {
+			return err
+		}
+	}
 	mUnpackNS.ObserveSince(start)
 	mElemsUnpack.Add(uint64(m.elems))
 	tr.Span(obs.EvUnpack, "", pl.dstRank(), rp.rank, int64(m.elems), start)
 	rp.elemsDone += m.elems
+	return nil
+}
+
+// revoked settles a lent chunk its sender took back after declaring this
+// rank dead: under the fencing policy the chunk is lost, as one from a
+// dead source is, and its data is never read.
+func (t *Transfer[T]) revoked(ri int, m *xferMsg) error {
+	me := t.c.Rank()
+	t.noteDown(me)
+	if t.opts.Policy == FailStrict {
+		mRankdownAborts.Inc()
+		return &core.ErrRankDown{Rank: me, Epoch: t.opts.Membership.Epoch()}
+	}
+	t.lose(ri)
+	t.recv[ri].elemsDone += m.elems
 	return nil
 }

@@ -117,6 +117,73 @@ func runBudgetExchangeT[T Elem](t *testing.T, src, dst *dad.Template, conv func(
 	return dstLocals
 }
 
+// runBudgetAcrossWorlds is runBudgetExchangeT for float64 with the source
+// cohort in one world and the destination cohort in another, coupled over
+// an in-memory transport pipe (crossWorlds): no destination is in-process,
+// so every chunk is packed and every packed chunk acknowledged.
+func runBudgetAcrossWorlds(t *testing.T, src, dst *dad.Template, budget int) [][]float64 {
+	t.Helper()
+	s, err := schedule.Build(src, dst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, n := src.NumProcs(), dst.NumProcs()
+	csA, csB := crossWorlds(t, m, n)
+	srcLocals := fillByGlobal(src)
+	dstLocals := make([][]float64, n)
+	var wg sync.WaitGroup
+	wg.Add(m + n)
+	for r := 0; r < m+n; r++ {
+		c := csB[r]
+		if r < m {
+			c = csA[r]
+		}
+		go func(r int, c *comm.Comm) {
+			defer wg.Done()
+			var sl, dl []float64
+			if r < m {
+				sl = srcLocals[r]
+			} else {
+				dl = make([]float64, dst.LocalCount(r-m))
+				dstLocals[r-m] = dl
+			}
+			if _, err := xfer(c, s, Layout{SrcBase: 0, DstBase: m}, sl, dl, 0, TransferOpts{MaxBytesInFlight: budget}); err != nil {
+				t.Errorf("rank %d (budget=%d): %v", r, budget, err)
+			}
+		}(r, c)
+	}
+	wg.Wait()
+	return dstLocals
+}
+
+// checkInProcessLends states what a budgeted transfer does when every
+// destination is in-process, beside the same transfer across worlds: the
+// same chunks, wantChunks of them, but each lent instead of packed — no
+// packed byte resident, no element packed, no acknowledgement — and a
+// bit-identical result.
+func checkInProcessLends(t *testing.T, src, dst *dad.Template, budget int, wantChunks uint64, want [][]float64) {
+	t.Helper()
+	ResetPackedBytesHighWater()
+	base := PackedBytesHighWater()
+	chunks, packed, acks := mChunksSent.Value(), mElemsPacked.Value(), mAcksSent.Value()
+	order := rand.New(rand.NewSource(5)).Perm(src.NumProcs() + dst.NumProcs())
+	got := runBudgetExchangeT(t, src, dst, func(v float64) float64 { return v }, budget, false, order)
+	if d := mChunksSent.Value() - chunks; d != wantChunks {
+		t.Errorf("in-process: %d chunks, want %d, as across worlds", d, wantChunks)
+	}
+	if peak, d := PackedBytesHighWater()-base, mElemsPacked.Value()-packed; peak != 0 || d != 0 {
+		t.Errorf("in-process: %d packed bytes resident at peak and %d elements packed, want none", peak, d)
+	}
+	if d := mAcksSent.Value() - acks; d != 0 {
+		t.Errorf("in-process: %d acks, want 0: a lent chunk owes no credit", d)
+	}
+	for r := range want {
+		if !bitsEqual(got[r], want[r]) {
+			t.Errorf("in-process: dst rank %d differs from the transfer across worlds", r)
+		}
+	}
+}
+
 // The tentpole differential guarantee: a budgeted transfer fills
 // destination buffers bit-identical to the unbudgeted engine, for every
 // element kind, fenced and unfenced, across budgets from degenerate
@@ -232,15 +299,17 @@ func TestBudgetedMatchesUnbudgetedLinear(t *testing.T) {
 // The budget's reason to exist: resident packed bytes stay bounded by
 // MaxBytesInFlight per sending rank, measured by the engine's own
 // packed-bytes watermark (counted from newMsg until recycle, wherever
-// the chunk sits — staged, queued or being unpacked).
+// the chunk sits — staged, queued or being unpacked). The destinations
+// are in another world, so the chunks are packed; in-process, the same
+// chunks are lent and the watermark does not move at all.
 func TestBudgetedPeakBytesBounded(t *testing.T) {
 	src := tpl(t, []int{1 << 12}, dad.BlockAxis(2))
 	dst := tpl(t, []int{1 << 12}, dad.CyclicAxis(2))
 	const budget = 1 << 10
 	ResetPackedBytesHighWater()
 	base := PackedBytesHighWater()
-	conv := func(v float64) float64 { return v }
-	got := runBudgetExchangeT(t, src, dst, conv, budget, false, []int{0, 1, 2, 3})
+	chunks := mChunksSent.Value()
+	got := runBudgetAcrossWorlds(t, src, dst, budget)
 	verify(t, dst, got)
 	peak := PackedBytesHighWater() - base
 	if limit := int64(2 * budget); peak > limit { // two sending ranks
@@ -249,6 +318,7 @@ func TestBudgetedPeakBytesBounded(t *testing.T) {
 	if peak <= 0 {
 		t.Fatalf("watermark did not move (peak %d); accounting broken", peak)
 	}
+	checkInProcessLends(t, src, dst, budget, mChunksSent.Value()-chunks, got)
 }
 
 // The steady-state budgeted path allocates nothing: chunk buffers and
@@ -323,8 +393,9 @@ func TestExchangeBudgetedSteadyStateZeroAlloc(t *testing.T) {
 
 // An unbudgeted transfer is the chunked protocol with an infinite budget:
 // exactly one data message per planned pair, one round per sending rank,
-// and no credit traffic at all. A budgeted one still acknowledges every
-// chunk it sends.
+// and no credit traffic at all. A budgeted one to another world still
+// acknowledges every chunk it sends; in-process it lends the same chunks
+// and acknowledges none.
 func TestUnbudgetedIsOneRoundWithoutAcks(t *testing.T) {
 	src := tpl(t, []int{256}, dad.BlockAxis(2))
 	dst := tpl(t, []int{256}, dad.CyclicAxis(3))
@@ -333,9 +404,15 @@ func TestUnbudgetedIsOneRoundWithoutAcks(t *testing.T) {
 		t.Fatal(err)
 	}
 	conv := func(v float64) float64 { return v }
+	var got [][]float64
 	deltas := func(budget int) (msgs, chunks, rounds, acks uint64) {
 		m0, c0, r0, a0 := mMsgsSent.Value(), mChunksSent.Value(), mRoundsSent.Value(), mAcksSent.Value()
-		verify(t, dst, runBudgetExchangeT(t, src, dst, conv, budget, false, []int{4, 2, 0, 3, 1}))
+		if budget == 0 {
+			got = runBudgetExchangeT(t, src, dst, conv, budget, false, []int{4, 2, 0, 3, 1})
+		} else {
+			got = runBudgetAcrossWorlds(t, src, dst, budget)
+		}
+		verify(t, dst, got)
 		return mMsgsSent.Value() - m0, mChunksSent.Value() - c0, mRoundsSent.Value() - r0, mAcksSent.Value() - a0
 	}
 	msgs, chunks, rounds, acks := deltas(0)
@@ -356,6 +433,7 @@ func TestUnbudgetedIsOneRoundWithoutAcks(t *testing.T) {
 	if rounds <= uint64(src.NumProcs()) {
 		t.Errorf("budgeted: %d rounds, want more than one per sending rank", rounds)
 	}
+	checkInProcessLends(t, src, dst, 256, chunks, got)
 }
 
 // One handle per rank, Run back to back on one tag with skewed ranks and

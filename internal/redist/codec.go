@@ -58,28 +58,14 @@ func elemsOf[T Elem](b []byte, n int) []T {
 }
 
 // bytesOf is the inverse of elemsOf: a byte view over the caller's
-// element slice, no copy. The view aliases s — the zero-copy fast path
-// sends it and must not let the caller mutate s until the receiver has
-// unpacked.
+// element slice, no copy. The view aliases s — a lent chunk carries it,
+// and its sender must not let the caller mutate s until every receiver
+// has copied out of it.
 func bytesOf[T Elem](s []T) []byte {
 	if len(s) == 0 {
 		return nil
 	}
 	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(s))), len(s)*elemSize[T]())
-}
-
-// alignedFor reports whether p satisfies the alignment bufpool buffers
-// guarantee (8 bytes). User slices of any Elem type are naturally
-// aligned to their element size, but a slice carved out of a
-// reinterpreted byte buffer might not be — the fast path refuses those
-// rather than ship a view a receiver-side reinterpret could not legally
-// produce.
-func alignedFor[T Elem](s []T) bool {
-	if len(s) == 0 {
-		return true
-	}
-	align := min(elemSize[T](), 8)
-	return uintptr(unsafe.Pointer(unsafe.SliceData(s)))%uintptr(align) == 0
 }
 
 // ElemKindError reports a received fragment whose element kind tag does

@@ -34,7 +34,9 @@ import (
 // Messages are pooled: senders obtain one with newMsg, receivers return it
 // with recycle after unpacking. A message comm drops in transit (a dead
 // end of the pair, a mailbox emptied by Kill, a torn-down remote peer) is
-// recycled through Release, the comm.Releaser hook.
+// recycled through Release, the comm.Releaser hook. A lent chunk (see
+// lender) is the exception: its sender keeps it, and recycle only hands
+// it back.
 type xferMsg struct {
 	epoch uint64
 	kind  dad.ElemKind
@@ -49,13 +51,48 @@ type xferMsg struct {
 	// back to a chunk's sender on the same data tag after the chunk is
 	// disposed of (see budget.go).
 	ack bool
-	// done, when non-nil, marks a zero-copy message: data is a borrowed
-	// view of the sender's source slice, not a pooled buffer. recycle
-	// signals done instead of returning data to the pool, and the sending
-	// engine waits on it before returning to the caller — the rendezvous
-	// that makes lending the caller's memory safe.
-	done *sync.WaitGroup
+	// lender, when non-nil, marks a lent chunk: data is the sender's whole
+	// source slice, not a pooled buffer, and the chunk is the window
+	// [off, off+elems) of the pair's packed order, which the receiver
+	// copies straight into its destination. It holds no pooled buffer, so
+	// it owes no credit. state settles who may still read data: a chunk is
+	// chunkLent until the receiver takes it to copy (or to discard it) or
+	// the sender revokes it, and either way the lender's rendezvous is
+	// released exactly once. The sender owns the message throughout and
+	// pools it again after the rendezvous — except a revoked one, which a
+	// late receiver may still inspect, and which the GC takes instead.
+	lender *rendezvous
+	off    int
+	state  atomic.Int32
 }
+
+// Lent-chunk states.
+const (
+	chunkLent int32 = iota + 1
+	chunkTaken
+	chunkRevoked
+)
+
+// rendezvous counts a run's lent chunks still readable by a receiver and
+// wakes the lending rank when the count reaches zero. A wake token left
+// over from an earlier run only makes the lender check the count again.
+type rendezvous struct {
+	left atomic.Int64
+	wake chan struct{}
+}
+
+func (z *rendezvous) release() {
+	if z.left.Add(-1) == 0 {
+		select {
+		case z.wake <- struct{}{}:
+		default:
+		}
+	}
+}
+
+// take claims a lent chunk for reading; false means its sender revoked it
+// and its data must not be read.
+func (m *xferMsg) take() bool { return m.state.CompareAndSwap(chunkLent, chunkTaken) }
 
 // maxFreeMsgs bounds the message free list; surplus puts go to the GC.
 const maxFreeMsgs = 256
@@ -117,14 +154,6 @@ var (
 func init() {
 	obs.Default().RegisterFunc("redist.packed_bytes_in_flight", bytesInFlight.Load)
 	obs.Default().RegisterFunc("redist.packed_bytes_high_water", bytesHighWater.Load)
-	obs.Default().RegisterFunc("redist.zerocopy_hit_rate_pct", func() int64 {
-		h := int64(mZeroCopyHits.Value())
-		m := int64(mZeroCopyMisses.Value())
-		if h+m == 0 {
-			return 0
-		}
-		return h * 100 / (h + m)
-	})
 }
 
 func addInFlight(n int) {
@@ -149,15 +178,15 @@ func PackedBytesHighWater() int64 { return bytesHighWater.Load() }
 // currently in flight, so a measurement phase sees only its own peak.
 func ResetPackedBytesHighWater() { bytesHighWater.Store(bytesInFlight.Load()) }
 
-// recycle returns a message and its buffer to their pools. A zero-copy
-// message's data is the sender's own memory, not a pooled buffer: it is
-// released by signalling the rendezvous (after the message itself is
-// back in the pool, so the sender's Wait orders after all receiver work).
+// recycle returns a message and its buffer to their pools. A lent chunk's
+// data is the sender's own memory and the message is the sender's too:
+// recycle releases the sender's rendezvous — unless the sender revoked the
+// chunk, which released it already — and touches the message no more.
 func recycle(m *xferMsg) {
-	if done := m.done; done != nil {
-		*m = xferMsg{}
-		putMsg(m)
-		done.Done()
+	if z := m.lender; z != nil {
+		if m.state.Load() == chunkTaken || m.take() {
+			z.release()
+		}
 		return
 	}
 	bytesInFlight.Add(-int64(len(m.data)))
@@ -182,14 +211,10 @@ func putMsg(m *xferMsg) {
 	msgPool.mu.Unlock()
 }
 
-// Zero-copy fast-path instruments: hits are messages sent directly from
-// the caller's source slice (no pack, no copy), misses are messages that
-// were eligible for consideration (opt-in set) but had to fall back to
-// packing. The derived gauge exposes the hit rate in Snapshot/expvar.
+// Lending instruments: chunks lent instead of packed, and their elements.
 var (
-	mZeroCopyHits   = obs.Default().Counter("redist.zerocopy_hits")
-	mZeroCopyMisses = obs.Default().Counter("redist.zerocopy_misses")
-	mElemsLent      = obs.Default().Counter("redist.elems_lent")
+	mZeroCopyHits = obs.Default().Counter("redist.zerocopy_hits")
+	mElemsLent    = obs.Default().Counter("redist.elems_lent")
 )
 
 // pairOp describes one pairwise message of a plan from the local rank's
@@ -221,13 +246,10 @@ type plan[T Elem] interface {
 	// sendSet returns position metadata to attach to the i'th outgoing
 	// message (linear replies); nil for schedule-driven messages.
 	sendSet(i int) linear.Set
-	// sendView returns a byte view taken directly from the caller's
-	// source slice for the i'th outgoing message when that message is a
-	// single run contiguous (and suitably aligned) in it and the plan's
-	// zero-copy opt-in is set; nil when the message must be packed. The
-	// view aliases the caller's memory — the engine only lends it to
-	// in-process receivers and rendezvouses before returning.
-	sendView(i int) []byte
+	// lendSrc returns the source buffer the engine may lend to in-process
+	// receivers instead of packing chunks of it; nil when the plan cannot
+	// lend, as a receiver copies a lent chunk through its own pair plan.
+	lendSrc() []T
 	// packRange packs the window [elemOff, elemOff+len(out)) of the
 	// i'th outgoing message's packed element order: one chunk. Windows
 	// tiling the message in order produce its whole packed form; an
@@ -243,6 +265,10 @@ type plan[T Elem] interface {
 	// unpackRange unpacks a chunk holding the window
 	// [elemOff, elemOff+len(data)) of the i'th incoming message.
 	unpackRange(i, elemOff int, data []T)
+	// copyRange copies the window [elemOff, elemOff+n) of the i'th
+	// incoming message straight from its sender's whole source buffer: a
+	// lent chunk.
+	copyRange(i, elemOff int, src []T, n int) error
 
 	// lose applies FailRedistribute to the i'th incoming message whose
 	// source is dead: invalidate what it would have delivered in out,
@@ -263,7 +289,6 @@ type schedPlan[T Elem] struct {
 	wantSrc, wantDst int // the templates' local counts for this rank
 	srcLocal         []T
 	dstLocal         []T
-	zc               bool // TransferOpts.ZeroCopyLocal, where it applies: offer contiguous-run views
 }
 
 func (p *schedPlan[T]) proto() string { return "exchange" }
@@ -299,29 +324,9 @@ func (p *schedPlan[T]) sendOp(i int) pairOp {
 
 func (p *schedPlan[T]) sendSet(i int) linear.Set { return nil }
 
-// sendView offers the contiguous-run fast path: a message whose schedule
-// entry is a single contiguous run (one run of Count 1) in srcLocal can
-// be sent as a view of the caller's slice, skipping pack and buffer
-// entirely. Gated on the ZeroCopyLocal opt-in, on single-block shape, and
-// on the element view meeting the alignment bufpool buffers guarantee (so
-// the receive-side reinterpret sees no difference from a pooled buffer).
-func (p *schedPlan[T]) sendView(i int) []byte {
-	if !p.zc {
-		return nil
-	}
-	pp := p.s.OutgoingAt(p.src, i)
-	if len(pp.Runs) != 1 || pp.Runs[0].Count != 1 {
-		mZeroCopyMisses.Inc()
-		return nil
-	}
-	run := pp.Runs[0]
-	view := p.srcLocal[run.SrcOff : run.SrcOff+run.N]
-	if !alignedFor(view) {
-		mZeroCopyMisses.Inc()
-		return nil
-	}
-	return bytesOf(view)
-}
+// lendSrc lends the whole source buffer: every pair of a schedule,
+// whatever its run shape, can be copied from it by the receiver.
+func (p *schedPlan[T]) lendSrc() []T { return p.srcLocal }
 
 func (p *schedPlan[T]) packRange(i, elemOff int, out []T) {
 	schedule.PackSliceRange(p.s.OutgoingAt(p.src, i), p.srcLocal, out, elemOff)
@@ -345,6 +350,17 @@ func (p *schedPlan[T]) checkHave(i int, m *xferMsg) error { return nil }
 
 func (p *schedPlan[T]) unpackRange(i, elemOff int, data []T) {
 	schedule.UnpackSliceRange(p.s.IncomingAt(p.dst, i), p.dstLocal, data, elemOff)
+}
+
+// copyRange checks the lent buffer against the source template — the one
+// thing a packed chunk's length would have told — and copies the window.
+func (p *schedPlan[T]) copyRange(i, elemOff int, src []T, n int) error {
+	pp := p.s.IncomingAt(p.dst, i)
+	if want := p.s.Src.LocalCount(pp.SrcRank); len(src) != want {
+		return &ElemCountError{Transfer: "exchange", DstRank: p.dst, SrcRank: pp.SrcRank, Got: len(src), Want: want}
+	}
+	schedule.CopySliceRange(pp, src, p.dstLocal, elemOff, n)
+	return nil
 }
 
 // lose invalidates the elements the dead pair would have delivered, block
@@ -433,9 +449,9 @@ func (p *linPlan[T]) sendOp(i int) pairOp {
 
 func (p *linPlan[T]) sendSet(i int) linear.Set { return p.outSets[i] }
 
-// sendView is always nil: linear replies are gathered through a
-// Linearizer and have no contiguous-run representation to borrow.
-func (p *linPlan[T]) sendView(i int) []byte { return nil }
+// lendSrc is nil: linear replies are gathered through a Linearizer, and a
+// receiver has no pair plan to copy one through.
+func (p *linPlan[T]) lendSrc() []T { return nil }
 
 func (p *linPlan[T]) packRange(i, elemOff int, out []T) {
 	set := p.outSets[i]
@@ -474,6 +490,12 @@ func (p *linPlan[T]) unpackRange(i, elemOff int, data []T) {
 		set = p.unpackSub
 	}
 	p.dstLin.Unpack(p.dst, p.dstLocal, set, data)
+}
+
+// copyRange rejects a lent chunk: only a schedule plan lends, so one here
+// comes from a sender running a different plan on this tag.
+func (p *linPlan[T]) copyRange(i, elemOff int, src []T, n int) error {
+	return fmt.Errorf("redist: linear transfer: destination rank %d received a lent chunk from source rank %d", p.dst, i)
 }
 
 // lose invalidates the destination positions the dead source owned:

@@ -229,13 +229,15 @@ func TestReceiveMetricsConsistent(t *testing.T) {
 
 	t.Run("budgeted-chunks-and-acks", func(t *testing.T) {
 		// Single pair, 8 elements, budget 32 → 2-element chunks, one
-		// chunk per round: 4 chunks, 4 rounds, 4 acks, all matched.
+		// chunk per round: 4 chunks, 4 rounds, 4 acks, all matched. The
+		// destination is in another world, so the chunks are packed and
+		// acknowledged; in-process they are lent and owe no acks.
 		src1 := tpl(t, []int{8}, dad.BlockAxis(1))
 		dst1 := tpl(t, []int{8}, dad.BlockAxis(1))
 		chunks0, rounds0 := mChunksSent.Value(), mRoundsSent.Value()
 		ackS0, ackR0 := mAcksSent.Value(), mAcksRecv.Value()
 		recv0 := mMsgsRecv.Value()
-		got := runBudgetExchangeT(t, src1, dst1, func(v float64) float64 { return v }, 32, false, []int{0, 1})
+		got := runBudgetAcrossWorlds(t, src1, dst1, 32)
 		verify(t, dst1, got)
 		if d := mChunksSent.Value() - chunks0; d != 4 {
 			t.Errorf("chunks sent = %d, want 4", d)
@@ -248,6 +250,11 @@ func TestReceiveMetricsConsistent(t *testing.T) {
 		}
 		if d := mMsgsRecv.Value() - recv0; d != 4 {
 			t.Errorf("data messages received = %d, want 4 (acks are counted separately)", d)
+		}
+		rounds0, recv0 = mRoundsSent.Value(), mMsgsRecv.Value()
+		checkInProcessLends(t, src1, dst1, 32, 4, got)
+		if dRounds, dRecv := mRoundsSent.Value()-rounds0, mMsgsRecv.Value()-recv0; dRounds != 4 || dRecv != 4 {
+			t.Errorf("in-process: %d rounds, %d data messages received, want 4 and 4", dRounds, dRecv)
 		}
 	})
 }

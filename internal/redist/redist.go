@@ -17,11 +17,11 @@
 //     schedule is ever computed. The per-transfer request traffic is the
 //     price.
 //
-// Everything else — fencing under a liveness view, a memory budget, the
-// zero-copy fast path, a resize migration pinned to its prepare epoch —
-// is a TransferOpts field, and every combination runs the one loop in
-// budget.go. ExecuteLocalT is the single-goroutine reference executor the
-// parallel paths must match.
+// Everything else — fencing under a liveness view, a memory budget,
+// lending to in-process ranks, a resize migration pinned to its prepare
+// epoch — is a TransferOpts field, and every combination runs the one
+// loop in budget.go. ExecuteLocalT is the single-goroutine reference
+// executor the parallel paths must match.
 //
 // Error hygiene: a destination that detects a malformed or mis-sized
 // message still consumes every message its transfer expects before
@@ -37,7 +37,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 	"time"
 	"unsafe"
 
@@ -92,42 +91,40 @@ func (e *ElemCountError) Error() string {
 		e.Transfer, e.DstRank, e.Got, e.SrcRank, e.Want)
 }
 
-// ExecuteLocalT runs a whole schedule within one goroutine, packing from
-// srcLocals[i] and unpacking into dstLocals[j]. It is the reference
-// executor: the parallel paths must produce identical results.
+// ExecuteLocalT runs a whole schedule within one goroutine, moving each
+// pair from srcLocals[i] into dstLocals[j]. It is the reference executor:
+// the parallel paths must produce identical results.
 //
-// The transfer is staged through a window of the pairs' concatenated
-// packed order, localWindow bytes of elements: each window packs every
-// pair segment it covers, then unpacks them, so the staging buffer is the
-// window's size rather than the whole transfer's. When any source slice
-// overlaps any destination slice — a self-redistribution such as an
-// in-place transpose, the Layout{SrcBase == DstBase} analogue — the
-// window is the whole transfer: every pair is packed before any pair is
-// unpacked, since an interleaved pack/unpack would read elements an
-// earlier unpack had already overwritten. The staging buffer is drawn
-// from the buffer pool, so repeated local executions allocate nothing.
+// Each pair is copied straight from source to destination, with no
+// staging buffer. When any source slice overlaps any destination slice —
+// a self-redistribution such as an in-place transpose, the
+// Layout{SrcBase == DstBase} analogue — the whole transfer is staged
+// instead: every pair is packed before any pair is unpacked, since a
+// pair-by-pair copy would read elements an earlier pair had already
+// overwritten. The staging buffer is drawn from the buffer pool, so
+// repeated local executions allocate nothing.
 func ExecuteLocalT[T Elem](s *schedule.Schedule, srcLocals, dstLocals [][]T) {
-	window := localWindow / elemSize[T]()
-	if overlapping(srcLocals, dstLocals) {
-		window = s.TotalElems()
-	}
-	executeLocal(s, srcLocals, dstLocals, window)
-}
-
-// localWindow is ExecuteLocalT's staging window in bytes.
-const localWindow = 64 << 10
-
-// executeLocal is ExecuteLocalT staged through a window of the given
-// number of elements.
-func executeLocal[T Elem](s *schedule.Schedule, srcLocals, dstLocals [][]T, window int) {
 	total := s.TotalElems()
-	window = min(window, total)
-	raw := bufpool.Get(window * elemSize[T]())
-	backing := elemsOf[T](raw, window)
-	for i, off := 0, 0; window > 0 && i < len(s.Pairs); {
-		j, o := stageWindow(s.Pairs, i, off, backing, srcLocals, true)
-		stageWindow(s.Pairs, i, off, backing, dstLocals, false)
-		i, off = j, o
+	if !overlapping(srcLocals, dstLocals) {
+		for _, p := range s.Pairs {
+			schedule.CopySliceRange(p, srcLocals[p.SrcRank], dstLocals[p.DstRank], 0, p.Elems)
+		}
+		mLocalExecs.Inc()
+		mElemsLent.Add(uint64(total))
+		mElemsUnpack.Add(uint64(total))
+		return
+	}
+	raw := bufpool.Get(total * elemSize[T]())
+	staged := elemsOf[T](raw, total)
+	rest := staged
+	for _, p := range s.Pairs {
+		schedule.PackSlice(p, srcLocals[p.SrcRank], rest[:p.Elems])
+		rest = rest[p.Elems:]
+	}
+	rest = staged
+	for _, p := range s.Pairs {
+		schedule.UnpackSlice(p, dstLocals[p.DstRank], rest[:p.Elems])
+		rest = rest[p.Elems:]
 	}
 	bufpool.Put(raw)
 	mLocalExecs.Inc()
@@ -135,40 +132,24 @@ func executeLocal[T Elem](s *schedule.Schedule, srcLocals, dstLocals [][]T, wind
 	mElemsUnpack.Add(uint64(total))
 }
 
-// stageWindow packs (pack) or unpacks the window of the pairs'
-// concatenated packed order that starts at element off of pairs[i] and
-// fills buf, or ends with the last pair, and returns the position after
-// it.
-func stageWindow[T Elem](pairs []schedule.PairPlan, i, off int, buf []T, locals [][]T, pack bool) (int, int) {
-	for n := 0; i < len(pairs) && n < len(buf); {
-		p := pairs[i]
-		seg := buf[n : n+min(p.Elems-off, len(buf)-n)]
-		if pack {
-			schedule.PackSliceRange(p, locals[p.SrcRank], seg, off)
-		} else {
-			schedule.UnpackSliceRange(p, locals[p.DstRank], seg, off)
-		}
-		n += len(seg)
-		if off += len(seg); off == p.Elems {
-			i, off = i+1, 0
-		}
-	}
-	return i, off
-}
-
 // overlapping reports whether any slice of a shares memory with any slice
 // of b.
 func overlapping[T Elem](a, b [][]T) bool {
-	sz := uintptr(elemSize[T]())
 	for _, x := range a {
 		for _, y := range b {
-			x0, y0 := uintptr(unsafe.Pointer(unsafe.SliceData(x))), uintptr(unsafe.Pointer(unsafe.SliceData(y)))
-			if len(x) > 0 && len(y) > 0 && x0 < y0+uintptr(len(y))*sz && y0 < x0+uintptr(len(x))*sz {
+			if overlap(x, y) {
 				return true
 			}
 		}
 	}
 	return false
+}
+
+// overlap reports whether x and y share memory.
+func overlap[T Elem](x, y []T) bool {
+	sz := uintptr(elemSize[T]())
+	x0, y0 := uintptr(unsafe.Pointer(unsafe.SliceData(x))), uintptr(unsafe.Pointer(unsafe.SliceData(y)))
+	return len(x) > 0 && len(y) > 0 && x0 < y0+uintptr(len(y))*sz && y0 < x0+uintptr(len(x))*sz
 }
 
 // Layout places the two cohorts of a transfer within one communicator
@@ -186,7 +167,9 @@ type TransferOpts struct {
 	// payload bytes this rank holds resident at once: pairwise messages
 	// are split into chunks and moved in acknowledged rounds of at most
 	// half the budget each, the next round packing while the previous
-	// one is in flight (see budget.go). Every rank of one transfer must
+	// one is in flight (see budget.go). A chunk for an in-process rank is
+	// lent instead of packed (see ZeroCopyLocal): it holds no packed
+	// bytes and owes no acknowledgement. Every rank of one transfer must
 	// pass the same value — both sides derive the identical chunk
 	// decomposition from it instead of negotiating. Zero or negative
 	// means no bound: the same protocol with one chunk per message, one
@@ -209,16 +192,20 @@ type TransferOpts struct {
 	// may Run back to back.
 	MaxBytesInFlight int
 
-	// ZeroCopyLocal opts this rank's sends into the contiguous-run fast
-	// path: an outgoing pairwise message that is a single run contiguous
-	// in the source buffer is lent to in-process receivers as a view of
-	// the caller's slice — zero pack, zero copy. Run rendezvouses with
-	// those receivers before it returns, so the caller may mutate the
-	// source immediately afterwards, exactly as on the copying path; the
-	// cost is that a source rank no longer returns before its in-process
-	// destinations have unpacked. Remote destinations, fenced transfers
-	// and budgeted transfers always use the copying path regardless of
-	// this flag.
+	// ZeroCopyLocal makes an unbudgeted transfer lend, as a budgeted one
+	// always does: a schedule-driven chunk for an in-process rank — or
+	// for this rank itself, when its source and destination buffers do
+	// not overlap — is not packed but lent, as the caller's whole source
+	// slice and the chunk's window of the pair's packed order, and the
+	// receiver copies the window straight into its destination through
+	// its own pair plan, whatever the run shape: one copy instead of a
+	// pack and an unpack. Run rendezvouses with those receivers before it
+	// returns, so the caller may mutate the source immediately afterwards,
+	// exactly as on the copying path; the cost is that a source rank no
+	// longer returns before its in-process destinations have copied.
+	// Fenced, a destination declared dead has its chunks revoked instead
+	// of waited on. Remote destinations, linear transfers and a rank
+	// whose source overlaps its destination always pack.
 	ZeroCopyLocal bool
 
 	// Membership, when set, fences the transfer under this shared
@@ -268,7 +255,8 @@ type TransferOpts struct {
 // once with New or NewLinear, then Run every step. It owns the rank's
 // validated cohort placement, the budget's chunk and round caps, and the
 // per-run state (expectation table, credit counters, staged chunks, the
-// zero-copy rendezvous), so a steady-state Run allocates nothing.
+// lent chunks and their rendezvous), so a steady-state Run allocates
+// nothing.
 //
 // Every member of the communicator group hosting a source or destination
 // rank builds a handle on the same plan, options and element type, and
@@ -302,13 +290,18 @@ type Transfer[T Elem] struct {
 	pendAck     []int // per send op: chunks sent but not yet acknowledged
 	pendingAcks int   // sum of pendAck
 	recv        []recvProgress
-	recvChunks  int // sum of recv[i].chunksLeft
-	// zcWait is the rendezvous of a run's zero-copy sends: Run holds this
-	// rank until every lent view has been unpacked and recycled, so the
+	recvChunks  int  // sum of recv[i].chunksLeft
+	lost        bool // an incoming message was lost to a dead rank
+	// lendView is the source buffer this run lends, nil when it lends
+	// nothing; lent lists the chunks lent, in send order.
+	lendView []byte
+	lent     []lentChunk
+	// zc is the rendezvous of a run's lent chunks: Run holds this rank
+	// until every one has been copied, discarded or revoked, so the
 	// caller may mutate its source the moment Run returns — error paths
-	// included, since receivers recycle every expected message even
+	// included, since receivers dispose of every expected message even
 	// while draining.
-	zcWait sync.WaitGroup
+	zc rendezvous
 }
 
 // New builds this rank's handle on a schedule-driven transfer: sources
@@ -316,8 +309,7 @@ type Transfer[T Elem] struct {
 // consumes exactly the messages addressed to it. No barrier is involved
 // on either side.
 func New[T Elem](c *comm.Comm, s *schedule.Schedule, lay Layout, baseTag int, opts TransferOpts) (*Transfer[T], error) {
-	p := &schedPlan[T]{s: s, lay: lay, src: -1, dst: -1,
-		zc: opts.ZeroCopyLocal && opts.Membership == nil && opts.MaxBytesInFlight <= 0}
+	p := &schedPlan[T]{s: s, lay: lay, src: -1, dst: -1}
 	nSrc, nDst := s.Src.NumProcs(), s.Dst.NumProcs()
 	if r := c.Rank() - lay.SrcBase; r >= 0 && r < nSrc {
 		p.src = r
@@ -390,6 +382,9 @@ func newTransfer[T Elem](c *comm.Comm, pl plan[T], lay Layout, dataTag int, opts
 		op := pl.recvOp(i)
 		t.recv = append(t.recv, recvProgress{group: op.group, rank: op.rank, elems: op.elems, chunks: chunkCount(op.elems, t.capElems)})
 	}
+	if t.budgeted || opts.ZeroCopyLocal {
+		t.zc.wake = make(chan struct{}, 1)
+	}
 	return t, nil
 }
 
@@ -412,6 +407,12 @@ func (t *Transfer[T]) Run(src, dst []T) (*Outcome, error) {
 	}
 	if err := t.pl.bind(src, dst); err != nil {
 		return t.out, err
+	}
+	// Lend only a source no receiver can overwrite: this rank writes its
+	// destination while its lent chunks are still being read.
+	t.lendView = nil
+	if lsrc := t.pl.lendSrc(); t.zc.wake != nil && !overlap(lsrc, dst) {
+		t.lendView = bytesOf(lsrc)
 	}
 	start := time.Now()
 	err := t.request()

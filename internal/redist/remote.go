@@ -34,12 +34,12 @@ func init() {
 // exactly as the far side's decode re-opens it.
 //
 // The element bytes are the final field, lent to the connection
-// (wire.LendPayload): the message's own pooled buffer as is, a view — a
-// zero-copy source slice that raced its way to a remote peer, or a
-// received frame — as a pooled copy. Either way no element byte is copied
+// (wire.LendPayload): the message's own pooled buffer as is, a received
+// frame's view as a pooled copy. Either way no element byte is copied
 // into the frame encoding, and the elements start 8-byte aligned in the
 // wire bytes, which is what lets the far side unpack straight from the
-// received frame.
+// received frame. A lent chunk never comes here: the engine lends only to
+// ranks of its own world, and ConnectPeer binds ranks before they run.
 func encodeXferMsg(e *wire.Encoder, v any) bool {
 	m, ok := v.(*xferMsg)
 	if !ok {
@@ -50,7 +50,7 @@ func encodeXferMsg(e *wire.Encoder, v any) bool {
 	e.PutUvarint(uint64(m.elems))
 	e.PutBool(m.ack)
 	putLinearSet(e, m.have)
-	owned := m.done == nil && m.frame == nil
+	owned := m.lender == nil && m.frame == nil
 	e.LendPayload(m.data, owned)
 	if owned {
 		// The connection returns the buffer now: detach it before recycle

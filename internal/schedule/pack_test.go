@@ -79,6 +79,111 @@ func TestPackUnitRunFastPathMatchesCopyKernel(t *testing.T) {
 	}
 }
 
+// copyAllWindows is the largest pair whose every window
+// TestCopySliceRangeMatchesPackUnpack copies: checking all of a pair's
+// windows costs the cube of its size.
+const copyAllWindows = 48
+
+// CopySliceRange is PackSliceRange followed by UnpackSliceRange in one
+// pass. Over every pair of the randomized layout corpus (same generator and
+// seed as TestDifferentialFastVsEnumerator) and for every element kind,
+// each window [off, off+n) the copy kernel moves lands where packing and
+// unpacking that window puts it, and nothing else in the destination is
+// written. A pair of up to copyAllWindows elements is checked on every
+// window, with every one of its destination elements compared after each;
+// a larger one on every window of one to three elements and on the windows
+// tiling it at widths around its block size, half its size plus one and
+// its whole size, with the window and the elements either side of it
+// compared after each. Each pair's destination is scanned whole at the end
+// for a write no window accounts for.
+func TestCopySliceRangeMatchesPackUnpack(t *testing.T) {
+	testCopyWindows(t, func(i int) float64 { return float64(i) + 0.5 })
+	testCopyWindows(t, func(i int) float32 { return float32(i) + 0.5 })
+	testCopyWindows(t, func(i int) int64 { return int64(i) + 1 })
+	testCopyWindows(t, func(i int) int32 { return int32(i) + 1 })
+	testCopyWindows(t, func(i int) complex128 { return complex(float64(i), -1) })
+}
+
+func testCopyWindows[T comparable](t *testing.T, val func(int) T) {
+	rng := rand.New(rand.NewSource(7))
+	var zero T
+	windows := 0
+	for trial := 0; trial < 400; trial++ {
+		src, dst := randomPair(t, rng)
+		s := mustBuild(t, src, dst)
+		for _, p := range s.Pairs {
+			local := make([]T, src.LocalCount(p.SrcRank))
+			for i := range local {
+				local[i] = val(i) // never the zero value, which marks "unwritten"
+			}
+			// dpos[k] is where packed element k lands in the destination,
+			// by the reference kernels.
+			seq, at := make([]int, p.Elems), make([]int, dst.LocalCount(p.DstRank))
+			for k := range seq {
+				seq[k] = k + 1
+			}
+			UnpackSlice(p, at, seq)
+			dpos := make([]int, p.Elems)
+			for d, k := range at {
+				if k > 0 {
+					dpos[k-1] = d
+				}
+			}
+			got, want, buf := make([]T, len(at)), make([]T, len(at)), make([]T, p.Elems)
+			check := func(off, n int) {
+				CopySliceRange(p, local, got, off, n)
+				PackSliceRange(p, local, buf[:n], off)
+				UnpackSliceRange(p, want, buf[:n], off)
+				lo, hi := 0, p.Elems // the packed positions compared
+				if p.Elems > copyAllWindows {
+					lo, hi = max(off-1, 0), min(off+n+1, p.Elems)
+				}
+				for _, d := range dpos[lo:hi] {
+					if got[d] != want[d] {
+						t.Fatalf("trial %d (%s → %s) pair %d→%d window [%d, %d): dst[%d] = %v, pack+unpack gives %v",
+							trial, src.Key(), dst.Key(), p.SrcRank, p.DstRank, off, off+n, d, got[d], want[d])
+					}
+				}
+				for _, d := range dpos[off : off+n] {
+					got[d], want[d] = zero, zero
+				}
+				windows++
+			}
+			if p.Elems <= copyAllWindows {
+				for off := 0; off <= p.Elems; off++ {
+					for n := 0; off+n <= p.Elems; n++ {
+						check(off, n)
+					}
+				}
+			} else {
+				for off := 0; off < p.Elems; off++ {
+					for n := 1; n <= 3 && off+n <= p.Elems; n++ {
+						check(off, n)
+					}
+				}
+				block := 0
+				for _, r := range p.Runs {
+					block = max(block, r.N)
+				}
+				for _, w := range []int{block - 1, block, block + 1, p.Elems/2 + 1, p.Elems} {
+					for off := 0; w > 0 && off < p.Elems; off += w {
+						check(off, min(w, p.Elems-off))
+					}
+				}
+			}
+			for d, v := range got {
+				if v != zero {
+					t.Fatalf("trial %d (%s → %s) pair %d→%d: dst[%d] = %v written by no window's pack+unpack",
+						trial, src.Key(), dst.Key(), p.SrcRank, p.DstRank, d, v)
+				}
+			}
+		}
+	}
+	if windows < 100_000 {
+		t.Fatalf("only %d windows checked — the corpus drifted", windows)
+	}
+}
+
 // workloadShapes are the layouts of the coupling benchmark's workloads,
 // two ranks a side: prmi_tcp's 64 KiB field (cyclic → block), small_tcp's
 // 16 KiB array (block → cyclic) and bulk_tcp's 8 MiB matrix (block rows →
@@ -121,8 +226,9 @@ func TestWorkloadShapesPlanOneRunPerPair(t *testing.T) {
 	}
 }
 
-// The two kernels over every pair of each workload shape's plan: the
-// per-step pack and unpack cost of a reused schedule.
+// The kernels over every pair of each workload shape's plan: the per-step
+// pack and unpack cost of a reused schedule, and the one-pass copy that
+// replaces both where the receiver can read the source.
 func BenchmarkPackSlice(b *testing.B) {
 	for _, w := range workloadShapes(b) {
 		s := mustBuild(b, w.src, w.dst)
@@ -151,6 +257,14 @@ func BenchmarkPackSlice(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				for j, p := range s.Pairs {
 					UnpackSlice(p, dstLocals[p.DstRank], bufs[j])
+				}
+			}
+		})
+		b.Run(w.name+"/copy", func(b *testing.B) {
+			b.SetBytes(8 * int64(s.TotalElems()))
+			for i := 0; i < b.N; i++ {
+				for _, p := range s.Pairs {
+					CopySliceRange(p, srcLocals[p.SrcRank], dstLocals[p.DstRank], 0, p.Elems)
 				}
 			}
 		})

@@ -1,5 +1,5 @@
-// The pack and unpack kernels: element-boundary windows over a pairwise
-// message's packed order.
+// The pack, unpack and copy kernels: element-boundary windows over a
+// pairwise message's packed order.
 //
 // The transfer engine moves a message as consecutive chunks, each
 // covering the window [off, off+len(chunk)) of the packed element order;
@@ -15,6 +15,12 @@
 // cyclic↔block pair). A vector of one-element blocks that does not — what
 // a cyclic axis plans to on its strided side — is one tight strided loop:
 // a copy call per element costs several times the move.
+//
+// CopySliceRange is the pack and the unpack of one window in a single
+// pass: it moves the window straight from the source rank's buffer to the
+// destination rank's, with no packed buffer between them. It is how a
+// receiver that can read its sender's memory — an in-process rank, or the
+// local executor — moves a pair.
 package schedule
 
 // PackSliceRange gathers the window [off, off+len(out)) of plan's
@@ -83,6 +89,58 @@ func UnpackSliceRange[T any](plan PairPlan, local, data []T, off int) {
 			b := r.DstOff + k*stride
 			data = data[copy(local[b+o:b+n], data):]
 			o = 0
+		}
+	}
+}
+
+// CopySliceRange moves the window [off, off+n) of plan's packed element
+// order from the source rank's local buffer straight into the destination
+// rank's: the same elements to the same places as PackSliceRange into a
+// buffer of n elements followed by UnpackSliceRange of it, in one pass.
+// src and dst must not overlap.
+func CopySliceRange[T any](plan PairPlan, src, dst []T, off, n int) {
+	for i := 0; n > 0; i++ {
+		r := plan.Runs[i]
+		if off >= r.Len() {
+			off -= r.Len()
+			continue
+		}
+		bn, count, ss, ds := r.N, r.Count, r.SrcStride, r.DstStride
+		if ss == bn && ds == bn { // the blocks abut on both sides: one copy
+			bn, count = bn*count, 1
+		}
+		k, o := off/bn, off%bn
+		off = 0
+		s, d := r.SrcOff+k*ss, r.DstOff+k*ds
+		if bn == 1 {
+			m := min(count-k, n)
+			switch {
+			case ss == 1: // contiguous in the source: read it as unpack reads a chunk
+				for _, v := range src[s : s+m] {
+					dst[d] = v
+					d += ds
+				}
+			case ds == 1: // contiguous in the destination: fill it as pack fills a chunk
+				out := dst[d : d+m]
+				for j := range out {
+					out[j] = src[s]
+					s += ss
+				}
+			default:
+				for range m {
+					dst[d] = src[s]
+					s += ss
+					d += ds
+				}
+			}
+			n -= m
+			continue
+		}
+		for ; k < count && n > 0; k++ {
+			n -= copy(dst[d+o:d+min(bn, o+n)], src[s+o:s+bn])
+			o = 0
+			s += ss
+			d += ds
 		}
 	}
 }

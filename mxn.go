@@ -176,11 +176,12 @@ type Layout = redist.Layout
 type Elem = redist.Elem
 
 // TransferOpts holds every transfer setting: a MaxBytesInFlight memory
-// budget (acknowledged rounds of chunks instead of whole messages, with
-// identical destination contents), the ZeroCopyLocal fast path, a
-// Membership to fence on with its failure Policy and detection knobs, and
-// the Resize a migration runs inside. Every rank of one transfer must
-// pass the same MaxBytesInFlight.
+// budget (acknowledged rounds of packed chunks instead of whole messages,
+// with identical destination contents), ZeroCopyLocal (lend chunks to
+// in-process ranks, which copy them straight from the source, as a
+// budgeted transfer always does), a Membership to fence on with its
+// failure Policy and detection knobs, and the Resize a migration runs
+// inside. Every rank of one transfer must pass the same MaxBytesInFlight.
 type TransferOpts = redist.TransferOpts
 
 // Transfer is one rank's persistent redistribution handle: build it once
