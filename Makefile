@@ -7,6 +7,7 @@ FUZZ_TARGETS := \
 	./internal/wire:FuzzReadFrame \
 	./internal/wire:FuzzWireFrameV \
 	./internal/wire:FuzzFrameStream \
+	./internal/wire:FuzzPlacedFrameStream \
 	./internal/dad:FuzzDecodeTemplate \
 	./internal/dad:FuzzDecodeDescriptor \
 	./internal/schedule:FuzzPlanEquivalence \
@@ -73,8 +74,10 @@ bench-once:
 # that `go test ./...` at the root does not see, so a product signature
 # change that breaks it would otherwise surface only when the benchmark is
 # next run. Vet and test it against this checkout, then run all four
-# workloads for three seconds each, traced: bulk_tcp's 2 MiB frames take
-# the pooled receive path through its largest classes, and bulk_tcp,
+# workloads for three seconds each, traced: bulk_tcp's 2 MiB messages are
+# lent as views of their source and read with readv(2) straight into
+# their destination (a message that arrives before its receive is posted
+# takes the pooled receive path through the largest classes), and bulk_tcp,
 # small_tcp and resize_inproc reach the engine through its deprecated
 # one-shot wrappers (redist.ExchangeT, redist.ReconfigureFencedT). Each
 # result must be correct and every pooled buffer must be back at the end.

@@ -525,3 +525,101 @@ func TestChaosNetBudgetExhaustionResolvesTyped(t *testing.T) {
 		}
 	}
 }
+
+// TestChaosNetFencedLongRunsOverFlaps is the fenced soak in the shape
+// where nothing is packed: 256 KiB messages of 2 KiB runs there and back,
+// so every chunk is lent as views of its source and every receive on the
+// dialing side — whose physical conns are plain TCP — is posted and read
+// straight into the destination, while the listener's physical conns die
+// every few frames. Flaps tear lent frames, which are replayed from the
+// same views, and placed ones, whose postings spoil and whose replays are
+// unpacked; every round still comes back bit-identical, with nobody
+// marked down.
+func TestChaosNetFencedLongRunsOverFlaps(t *testing.T) {
+	defer watchdog(t, 60*time.Second)()
+	const n, rounds = 2, 8
+	dims := []int{256, 512}
+	rowsT, err := dad.NewTemplate(dims, []dad.AxisDist{dad.BlockAxis(n), dad.CollapsedAxis()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	colsT, err := dad.NewTemplate(dims, []dad.AxisDist{dad.CollapsedAxis(), dad.BlockAxis(n)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fwd, err := schedule.Build(rowsT, colsT)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rev, err := schedule.Build(colsT, rowsT)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	lst := flappingListener(t, 7)
+	cli, srv := sessionPair(t, lst)
+	all := []int{0, 1, 2, 3}
+	wa, wb := comm.NewWorld(2*n), comm.NewWorld(2*n)
+	pa, pb := wa.ConnectPeer(cli, all[n:]), wb.ConnectPeer(srv, all[:n])
+	t.Cleanup(func() { pa.Close(); pb.Close() })
+	csA, csB := wa.SharedGroup(1, all), wb.SharedGroup(1, all)
+	memA, memB := core.NewMembership(2*n), core.NewMembership(2*n)
+
+	src := make([][]float64, n)
+	for r := range src {
+		src[r] = make([]float64, rowsT.LocalCount(r))
+		for i := range src[r] {
+			src[r][i] = fingerprint(r<<20 + i)
+		}
+	}
+	lent, placed := obs.Default().Counter("redist.remote_bytes_lent").Value(), obs.Default().Counter("wire.bytes_placed").Value()
+	reconnects := obs.Default().Counter("session.reconnects").Value()
+	var wg sync.WaitGroup
+	body := func(c *comm.Comm, mem *core.Membership) {
+		defer wg.Done()
+		opts := redist.TransferOpts{Membership: mem, Policy: redist.FailStrict, PollInterval: time.Millisecond}
+		r := c.Rank()
+		mid := make([]float64, colsT.LocalCount(r%n))
+		back := make([]float64, rowsT.LocalCount(r%n))
+		for e := 0; e < rounds; e++ {
+			var err error
+			if r < n {
+				if _, err = fencedOnce(c, fwd, redist.Layout{SrcBase: 0, DstBase: n}, src[r], nil, 2*e, opts); err == nil {
+					_, err = fencedOnce(c, rev, redist.Layout{SrcBase: n, DstBase: 0}, nil, back, 2*e+1, opts)
+				}
+			} else {
+				if _, err = fencedOnce(c, fwd, redist.Layout{SrcBase: 0, DstBase: n}, nil, mid, 2*e, opts); err == nil {
+					_, err = fencedOnce(c, rev, redist.Layout{SrcBase: n, DstBase: 0}, mid, nil, 2*e+1, opts)
+				}
+			}
+			if err != nil {
+				t.Errorf("round %d rank %d: %v", e, r, err)
+				return
+			}
+			if r < n {
+				for i := range back {
+					if back[i] != src[r][i] {
+						t.Errorf("round %d rank %d: element %d came back %v, sent %v", e, r, i, back[i], src[r][i])
+						return
+					}
+				}
+				clear(back)
+			}
+		}
+	}
+	wg.Add(2 * n)
+	for r := 0; r < n; r++ {
+		go body(csA[r], memA)
+		go body(csB[n+r], memB)
+	}
+	wg.Wait()
+	if memA.Epoch() != 1 || memB.Epoch() != 1 {
+		t.Fatalf("membership changed under pure link chaos: epochs %d/%d", memA.Epoch(), memB.Epoch())
+	}
+	if obs.Default().Counter("redist.remote_bytes_lent").Value() == lent || obs.Default().Counter("wire.bytes_placed").Value() == placed {
+		t.Error("the soak lent or placed nothing: its shape no longer exercises the zero-copy path")
+	}
+	if obs.Default().Counter("session.reconnects").Value() == reconnects {
+		t.Error("the link never flapped")
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"mxn/internal/transport"
+	"mxn/internal/wire"
 )
 
 // batchCounter counts the batches a RemotePeer hands its connection.
@@ -16,11 +17,11 @@ type batchCounter struct {
 	batches []int // messages per SendBatch call
 }
 
-func (c *batchCounter) SendBatch(msgs []net.Buffers, owned bool) error {
+func (c *batchCounter) SendBatch(msgs []net.Buffers, owned bool, loans []wire.Loan) error {
 	c.mu.Lock()
 	c.batches = append(c.batches, len(msgs))
 	c.mu.Unlock()
-	return c.Conn.SendBatch(msgs, owned)
+	return c.Conn.SendBatch(msgs, owned, loans)
 }
 
 func (c *batchCounter) take() []int {

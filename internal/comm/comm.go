@@ -147,6 +147,18 @@ func (mb *mailbox) takeTimeout(gid uint64, from, tag int, d time.Duration) (mess
 	}
 }
 
+// has reports whether a message matching (group, from, tag) is queued.
+func (mb *mailbox) has(gid uint64, from, tag int) bool {
+	mb.mu.Lock()
+	defer mb.mu.Unlock()
+	for _, m := range mb.msgs {
+		if m.gid == gid && m.from == from && m.tag == tag {
+			return true
+		}
+	}
+	return false
+}
+
 // tryTake is the non-blocking variant of take.
 func (mb *mailbox) tryTake(gid uint64, from, tag int) (message, bool) {
 	mb.mu.Lock()

@@ -185,6 +185,7 @@ type RemotePeer struct {
 	done   chan struct{}
 	errMu  sync.Mutex
 	err    error
+	reg    registry // receives posted ahead of their frames (Post)
 }
 
 // errPeerDetached marks a deliberate Close, distinguishing it from a
@@ -212,6 +213,11 @@ func (w *World) ConnectPeer(conn transport.Conn, ranks []int) *RemotePeer {
 		conn:  conn,
 		ranks: append([]int(nil), ranks...),
 		done:  make(chan struct{}),
+	}
+	rp.reg.cond = sync.NewCond(&rp.reg.mu)
+	if pc, ok := conn.(placingConn); ok {
+		pc.SetPlacer(&rp.reg)
+		rp.reg.placing = true
 	}
 	w.growMu.Lock()
 	cur := w.st()
@@ -292,6 +298,7 @@ type sendBatch struct {
 	bytes  int           // head and payload bytes queued
 	segs   [][]byte      // one SendBatch's head and payload segments
 	msgs   []net.Buffers // one SendBatch's messages, cut from segs
+	loans  []wire.Loan   // one SendBatch's loans, nil where a message has none
 }
 
 // batchBytes is where a corked batch stops growing and goes out at once:
@@ -305,8 +312,10 @@ const batchBytes = 64 << 10
 // queued is one encoded message waiting in a sendBatch.
 type queued struct {
 	rp      *RemotePeer
-	end     int    // the head is heads[previous end : end]
-	payload []byte // the lent payload, owned until sent
+	end     int       // the head is heads[previous end : end]
+	payload []byte    // the lent payload, owned until sent
+	loan    wire.Loan // or the payload's loan, held until sent
+	bytes   int       // payload bytes
 }
 
 // Cork starts a send batch on this handle. Until Flush, the messages it
@@ -343,7 +352,10 @@ func (c *Comm) Flush() {
 // prmi.Msg codecs do) leaves that slice out of the head encoding, and the
 // frame goes out as head + lent payload with ownership of the payload
 // buffer transferred to the conn. No payload byte is copied between the
-// pack buffer and the socket.
+// pack buffer and the socket. A codec that lends views of the sender's
+// memory instead (wire.PutLoan; a transfer's remote chunk with long runs
+// does) hands the loan to the conn the same way: no payload byte is
+// copied before the socket.
 func (b *sendBatch) add(rp *RemotePeer, from, to, tag int, gid uint64, payload any) {
 	if rp.closed.Load() {
 		drop(payload)
@@ -362,9 +374,16 @@ func (b *sendBatch) add(rp *RemotePeer, from, to, tag int, gid uint64, payload a
 	e.PutUint64(gid)
 	encodeRemotePayload(e, payload)
 	head, lent := e.Vector()
+	q := queued{rp: rp, payload: lent, loan: e.Loan(), bytes: len(lent)}
+	if q.loan != nil {
+		for _, s := range q.loan.Segs() {
+			q.bytes += len(s)
+		}
+	}
 	b.heads = append(b.heads, head...)
-	b.queue = append(b.queue, queued{rp: rp, end: len(b.heads), payload: lent})
-	if b.bytes += len(head) + len(lent); !b.corked || b.bytes >= batchBytes {
+	q.end = len(b.heads)
+	b.queue = append(b.queue, q)
+	if b.bytes += len(head) + q.bytes; !b.corked || b.bytes >= batchBytes {
 		b.flushLocked()
 	}
 }
@@ -377,34 +396,52 @@ func (b *sendBatch) flushLocked() {
 		if rp == nil {
 			continue // sent with an earlier message's peer
 		}
+		lent := false
 		for j := i; j < len(b.queue); j++ {
 			if q := &b.queue[j]; q.rp == rp {
 				start := 0
 				if j > 0 {
 					start = b.queue[j-1].end
 				}
-				b.segs = append(b.segs, b.heads[start:q.end], q.payload)
+				// A lent message is its head alone, the loan following.
+				b.segs = append(b.segs, b.heads[start:q.end])
+				if q.loan == nil {
+					b.segs = append(b.segs, q.payload)
+				}
+				b.loans = append(b.loans, q.loan)
+				lent = lent || q.loan != nil
 				q.rp = nil
 			}
 		}
-		for k := 0; k < len(b.segs); k += 2 {
-			b.msgs = append(b.msgs, b.segs[k:k+2:k+2])
+		for k, m := 0, 0; k < len(b.segs); m++ {
+			n := 2
+			if b.loans[m] != nil {
+				n = 1
+			}
+			b.msgs = append(b.msgs, b.segs[k:k+n:k+n])
+			k += n
 		}
-		rp.send(b.msgs)
+		loans := b.loans
+		if !lent {
+			loans = nil
+		}
+		rp.send(b.msgs, loans)
 		clear(b.segs)
 		clear(b.msgs)
-		b.segs, b.msgs = b.segs[:0], b.msgs[:0]
+		clear(b.loans)
+		b.segs, b.msgs, b.loans = b.segs[:0], b.msgs[:0], b.loans[:0]
 	}
 	clear(b.queue)
 	b.queue, b.heads, b.bytes = b.queue[:0], b.heads[:0], 0
 }
 
 // send hands one batch of messages to the connection, which owns their
-// payloads from then on; a failed send tears the binding down. The
-// connection orders concurrent batches itself (a session sequences and
-// writes frames in one order), so nothing here serializes them.
-func (rp *RemotePeer) send(msgs []net.Buffers) {
-	if err := rp.conn.SendBatch(msgs, true); err != nil {
+// payloads and holds their loans from then on; a failed send tears the
+// binding down. The connection orders concurrent batches itself (a
+// session sequences and writes frames in one order), so nothing here
+// serializes them.
+func (rp *RemotePeer) send(msgs []net.Buffers, loans []wire.Loan) {
+	if err := rp.conn.SendBatch(msgs, true, loans); err != nil {
 		rp.fail(err)
 		return
 	}
@@ -431,13 +468,23 @@ func (rp *RemotePeer) serve() {
 // deliver decodes one received frame into a local mailbox. The frame is
 // returned to the pool here, unless the payload codec kept it (a decoded
 // message viewing its bytes in place owns the frame from then on).
+//
+// A frame whose payload tail was placed (see Post) arrives without it;
+// the decoder is told how many bytes the tail had.
 func (rp *RemotePeer) deliver(buf []byte) error {
 	d := wire.NewDecoder(buf)
+	placed, lost := rp.reg.landed(buf)
+	d.SetPlaced(placed)
 	defer func() {
+		rp.reg.delivered(buf)
 		if !d.Kept() {
 			bufpool.PutFrame(buf)
 		}
 	}()
+	if lost {
+		mDroppedDead.Inc()
+		return nil
+	}
 	from := int(d.Uvarint())
 	to := int(d.Uvarint())
 	tag := int(d.Int64())

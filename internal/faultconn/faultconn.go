@@ -23,6 +23,7 @@ import (
 
 	"mxn/internal/bufpool"
 	"mxn/internal/transport"
+	"mxn/internal/wire"
 )
 
 // ErrPartitioned is returned by operations on a partitioned connection.
@@ -252,12 +253,8 @@ func (c *Conn) Send(msg []byte) error {
 	return c.SendContext(context.Background(), msg)
 }
 
-func (c *Conn) SendV(segs net.Buffers) error {
-	return c.SendBatch([]net.Buffers{segs}, false)
-}
-
 func (c *Conn) SendOwned(head, payload []byte) error {
-	return c.SendBatch([]net.Buffers{{head, payload}}, true)
+	return c.SendBatch([]net.Buffers{{head, payload}}, true, nil)
 }
 
 // SendBatch runs every message, flattened, through the per-message fault
@@ -266,14 +263,26 @@ func (c *Conn) SendOwned(head, payload []byte) error {
 // drop/corrupt/duplicate/flap semantics flat callers do. The plan copies
 // every message it keeps, so whatever it does — deliver, drop, duplicate,
 // hold until Close — it does to its own copies, and each owned payload
-// goes back to the pool exactly once on every outcome.
-func (c *Conn) SendBatch(msgs []net.Buffers, owned bool) error {
+// goes back to the pool, and each loan is released, exactly once on every
+// outcome — once the message is copied.
+func (c *Conn) SendBatch(msgs []net.Buffers, owned bool, loans []wire.Loan) error {
 	var err error
-	for _, segs := range msgs {
-		if err == nil {
-			err = c.SendContext(context.Background(), bytes.Join(segs, nil))
+	for i, segs := range msgs {
+		var loan wire.Loan
+		if loans != nil {
+			loan = loans[i]
 		}
-		if owned && len(segs) > 0 {
+		if err == nil {
+			msg := bytes.Join(segs, nil)
+			if loan != nil {
+				msg = append(msg, bytes.Join(loan.Segs(), nil)...)
+			}
+			err = c.SendContext(context.Background(), msg)
+		}
+		switch {
+		case loan != nil:
+			loan.Release()
+		case owned && len(segs) > 0:
 			bufpool.Put(segs[len(segs)-1])
 		}
 	}

@@ -10,6 +10,7 @@ import (
 	"mxn/internal/schedule"
 	"mxn/internal/session"
 	"mxn/internal/transport"
+	"mxn/internal/wire"
 )
 
 // writeCounter counts the frame writes a session makes on its physical
@@ -20,12 +21,12 @@ type writeCounter struct {
 	writes, frames int
 }
 
-func (c *writeCounter) SendBatch(msgs []net.Buffers, owned bool) error {
+func (c *writeCounter) SendBatch(msgs []net.Buffers, owned bool, loans []wire.Loan) error {
 	c.mu.Lock()
 	c.writes++
 	c.frames += len(msgs)
 	c.mu.Unlock()
-	return c.Conn.SendBatch(msgs, owned)
+	return c.Conn.SendBatch(msgs, owned, loans)
 }
 
 func (c *writeCounter) take() (writes, frames int) {

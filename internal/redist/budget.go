@@ -68,6 +68,7 @@ import (
 	"mxn/internal/core"
 	"mxn/internal/dad"
 	"mxn/internal/obs"
+	"mxn/internal/wire"
 )
 
 var (
@@ -190,6 +191,11 @@ func (t *Transfer[T]) run() error {
 	if fenced && pl.dstRank() >= 0 {
 		t.out.Validity = dad.NewValidity(pl.dstLen())
 	}
+	// Receives are posted before the first send, so that a peer answering
+	// at once still finds them.
+	if pl.dstRank() >= 0 && !t.aliased {
+		t.postRecvs()
+	}
 
 	var (
 		curOp, curOff int // chunking cursor over the send ops
@@ -205,7 +211,9 @@ func (t *Transfer[T]) run() error {
 		if tr != nil {
 			start = time.Now()
 		}
-		elems, lent := sc.m.elems, sc.m.lender != nil
+		// Only an in-process lent chunk owes no credit: one that crosses a
+		// connection arrives as any other remote chunk does.
+		elems, lent := sc.m.elems, sc.m.lender != nil && sc.m.segs == nil
 		c.Send(sc.group, t.tag, sc.m)
 		if t.budgeted && !lent {
 			t.pendAck[sc.op]++
@@ -241,9 +249,13 @@ func (t *Transfer[T]) run() error {
 				break
 			}
 			sc := stagedChunk{op: curOp, group: op.group, rank: op.rank}
-			if t.lendView != nil && c.DeliverableLocal(op.group) {
+			switch {
+			case t.lendView != nil && t.lendLocal && c.DeliverableLocal(op.group):
 				sc.m = t.lend(op.group, curOff, n)
-			} else {
+			case t.lendView != nil && n*esz >= wire.PlaceMin && !c.DeliverableLocal(op.group) &&
+				pl.sendRun(curOp) >= t.lendMin:
+				sc.m = t.lendRemote(curOp, op.group, curOff, n)
+			default:
 				start := time.Now()
 				sc.m = newMsg[T](t.epoch, n)
 				pl.packRange(curOp, curOff, elemsOf[T](sc.m.data, n))
@@ -451,6 +463,10 @@ func (t *Transfer[T]) run() error {
 			for ri < len(t.recv) && (t.recv[ri].group != from || t.recv[ri].chunksLeft == 0) {
 				ri++
 			}
+			// A chunk of a posted message ends the posting first: arriving
+			// unplaced, it is unpacked over the whole region, and no frame
+			// may still be landing there meanwhile.
+			t.withdraw(ri)
 			var err error
 			switch {
 			case ri == len(t.recv):
@@ -483,7 +499,14 @@ func (t *Transfer[T]) run() error {
 		}
 	}
 
+	for i := range t.posts {
+		t.withdraw(i)
+	}
 	t.awaitLent(&firstErr)
+	if t.arenaTaken {
+		putSegs(t.segArena)
+		t.segArena, t.arenaTaken = nil, false
+	}
 	if firstErr == nil {
 		firstErr = pl.finish(t.lost)
 	}
@@ -560,10 +583,20 @@ func (t *Transfer[T]) awaitLent(firstErr *error) {
 				o.Membership.MarkDown(lc.group)
 			}
 			dead := !o.Membership.IsAlive(lc.group)
-			if !(dead || giveUp) || !lc.m.state.CompareAndSwap(chunkLent, chunkRevoked) {
+			if !(dead || giveUp) {
 				continue
 			}
-			z.release()
+			if lc.m.segs != nil {
+				// A remote chunk's views are the connection's to give back:
+				// it copies them and releases the chunk (session.Reclaim).
+				if !t.c.Reclaim(lc.group, lc.m) {
+					continue
+				}
+			} else if lc.m.state.CompareAndSwap(chunkLent, chunkRevoked) {
+				z.release()
+			} else {
+				continue
+			}
 			if dead {
 				t.noteDown(lc.group)
 				if t.abortOnDeadSend && o.Policy == FailStrict && *firstErr == nil {
@@ -604,7 +637,7 @@ func (t *Transfer[T]) unpackChunk(ri int, m *xferMsg, tr *obs.Tracer) error {
 	}
 	esz, lent := elemSize[T](), m.lender != nil
 	expect := nextChunkElems(rp.elems, rp.elemsDone, t.capElems)
-	if m.elems != expect || (lent && m.off != rp.elemsDone) || (!lent && len(m.data) != m.elems*esz) {
+	if m.elems != expect || (lent && m.off != rp.elemsDone) || (!lent && (len(m.data)+m.placedBytes != m.elems*esz || m.placedBytes%esz != 0)) {
 		return &ElemCountError{Transfer: pl.proto(), DstRank: pl.dstRank(), SrcRank: rp.rank, Got: m.elems, Want: expect}
 	}
 	if rp.elemsDone == 0 {
@@ -615,7 +648,9 @@ func (t *Transfer[T]) unpackChunk(ri int, m *xferMsg, tr *obs.Tracer) error {
 	start := time.Now()
 	switch {
 	case !lent:
-		pl.unpackRange(ri, rp.elemsDone, elemsOf[T](m.data, m.elems))
+		// A placed chunk's tail is in place already; the part of it read
+		// before its posting took the frame is unpacked.
+		pl.unpackRange(ri, rp.elemsDone, elemsOf[T](m.data, len(m.data)/esz))
 	case !m.take():
 		return t.revoked(ri, m)
 	default:

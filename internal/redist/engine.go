@@ -64,6 +64,15 @@ type xferMsg struct {
 	lender *rendezvous
 	off    int
 	state  atomic.Int32
+	// segs, when non-nil, makes a lent chunk a remote one (remotelend.go):
+	// views of the window's runs in the sender's source, loanBytes in all,
+	// lent to the connection as a wire.Loan instead of to a receiver.
+	segs      [][]byte
+	loanBytes int
+	// placedBytes is how much of a received remote chunk's payload was
+	// read straight into its destination (a posted receive): data holds
+	// only the part before it.
+	placedBytes int
 }
 
 // Lent-chunk states.
@@ -250,6 +259,15 @@ type plan[T Elem] interface {
 	// receivers instead of packing chunks of it; nil when the plan cannot
 	// lend, as a receiver copies a lent chunk through its own pair plan.
 	lendSrc() []T
+	// sendRun and recvRun are the average contiguous block, in bytes, of
+	// the i'th outgoing message in the source buffer and of the i'th
+	// incoming one in the destination; 0 where the plan has no runs to
+	// lend or post. sendSegs and recvSegs append the byte views of the
+	// window [off, off+n) of those messages, in packed order.
+	sendRun(i int) int
+	recvRun(i int) int
+	sendSegs(i, off, n int, segs [][]byte) [][]byte
+	recvSegs(i, off, n int, segs [][]byte) [][]byte
 	// packRange packs the window [elemOff, elemOff+len(out)) of the
 	// i'th outgoing message's packed element order: one chunk. Windows
 	// tiling the message in order produce its whole packed form; an
@@ -327,6 +345,22 @@ func (p *schedPlan[T]) sendSet(i int) linear.Set { return nil }
 // lendSrc lends the whole source buffer: every pair of a schedule,
 // whatever its run shape, can be copied from it by the receiver.
 func (p *schedPlan[T]) lendSrc() []T { return p.srcLocal }
+
+func (p *schedPlan[T]) sendRun(i int) int {
+	return runBlockBytes(p.s.OutgoingAt(p.src, i), true, elemSize[T]())
+}
+
+func (p *schedPlan[T]) recvRun(i int) int {
+	return runBlockBytes(p.s.IncomingAt(p.dst, i), false, elemSize[T]())
+}
+
+func (p *schedPlan[T]) sendSegs(i, off, n int, segs [][]byte) [][]byte {
+	return appendRunSegs(segs, p.s.OutgoingAt(p.src, i), p.srcLocal, true, off, n)
+}
+
+func (p *schedPlan[T]) recvSegs(i, off, n int, segs [][]byte) [][]byte {
+	return appendRunSegs(segs, p.s.IncomingAt(p.dst, i), p.dstLocal, false, off, n)
+}
 
 func (p *schedPlan[T]) packRange(i, elemOff int, out []T) {
 	schedule.PackSliceRange(p.s.OutgoingAt(p.src, i), p.srcLocal, out, elemOff)
@@ -452,6 +486,12 @@ func (p *linPlan[T]) sendSet(i int) linear.Set { return p.outSets[i] }
 // lendSrc is nil: linear replies are gathered through a Linearizer, and a
 // receiver has no pair plan to copy one through.
 func (p *linPlan[T]) lendSrc() []T { return nil }
+
+// A linear plan has no runs: its messages are always packed.
+func (p *linPlan[T]) sendRun(int) int                              { return 0 }
+func (p *linPlan[T]) recvRun(int) int                              { return 0 }
+func (p *linPlan[T]) sendSegs(_, _, _ int, segs [][]byte) [][]byte { return segs }
+func (p *linPlan[T]) recvSegs(_, _, _ int, segs [][]byte) [][]byte { return segs }
 
 func (p *linPlan[T]) packRange(i, elemOff int, out []T) {
 	set := p.outSets[i]

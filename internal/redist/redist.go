@@ -47,6 +47,7 @@ import (
 	"mxn/internal/linear"
 	"mxn/internal/obs"
 	"mxn/internal/schedule"
+	"mxn/internal/wire"
 )
 
 // Redistribution instruments, registered in the process-default registry.
@@ -204,8 +205,14 @@ type TransferOpts struct {
 	// exactly as on the copying path; the cost is that a source rank no
 	// longer returns before its in-process destinations have copied.
 	// Fenced, a destination declared dead has its chunks revoked instead
-	// of waited on. Remote destinations, linear transfers and a rank
-	// whose source overlaps its destination always pack.
+	// of waited on. Linear transfers and a rank whose source overlaps its
+	// destination always pack. Remote destinations do not depend on this
+	// field: a chunk of at least 64 KiB that crosses a connection
+	// (comm.ConnectPeer) is lent as views of the source when its runs
+	// average 2 KiB or more, and such a message expected from across one
+	// is read straight into the destination (remotelend.go). A remote lend
+	// waits only for the peer's session to acknowledge the frame, never
+	// for the peer rank's Run, so it needs no opt-in.
 	ZeroCopyLocal bool
 
 	// Membership, when set, fences the transfer under this shared
@@ -293,9 +300,21 @@ type Transfer[T Elem] struct {
 	recvChunks  int  // sum of recv[i].chunksLeft
 	lost        bool // an incoming message was lost to a dead rank
 	// lendView is the source buffer this run lends, nil when it lends
-	// nothing; lent lists the chunks lent, in send order.
-	lendView []byte
-	lent     []lentChunk
+	// nothing; lent lists the chunks lent, in send order. lendLocal is
+	// whether chunks for in-process ranks are lent (budgeted or
+	// ZeroCopyLocal); chunks for ranks behind a connection are lent when
+	// they qualify (remotelend.go).
+	lendView  []byte
+	lent      []lentChunk
+	lendLocal bool
+	// posts holds one posting per expectation; one with a nil Body never
+	// qualifies. segArena holds this run's remote lent and posted views,
+	// drawn from the pool on first use (arenaTaken).
+	posts      []recvPost
+	segArena   [][]byte
+	arenaTaken bool
+	lendMin    int  // lendMinRun when the handle was built
+	aliased    bool // this run's source and destination share memory
 	// zc is the rendezvous of a run's lent chunks: Run holds this rank
 	// until every one has been copied, discarded or revoked, so the
 	// caller may mutate its source the moment Run returns — error paths
@@ -380,9 +399,21 @@ func newTransfer[T Elem](c *comm.Comm, pl plan[T], lay Layout, dataTag int, opts
 	}
 	for i, n := 0, pl.recvs(); i < n; i++ {
 		op := pl.recvOp(i)
-		t.recv = append(t.recv, recvProgress{group: op.group, rank: op.rank, elems: op.elems, chunks: chunkCount(op.elems, t.capElems)})
+		rp := recvProgress{group: op.group, rank: op.rank, elems: op.elems, chunks: chunkCount(op.elems, t.capElems)}
+		t.recv = append(t.recv, rp)
+		// A message of one chunk with long destination runs from a rank
+		// behind a connection is posted when that connection places.
+		if rp.chunks == 1 && op.elems*esz >= wire.PlaceMin && !c.DeliverableLocal(op.group) && pl.recvRun(i) >= postMinRun {
+			if t.posts == nil {
+				t.posts = make([]recvPost, n)
+			}
+			p := &t.posts[i]
+			p.cp = comm.Posting{From: op.group, Tag: dataTag, Codec: xferCodec, Body: p, Bytes: op.elems * esz, Align: esz}
+			p.kind = kindOf[T]()
+		}
 	}
-	if t.budgeted || opts.ZeroCopyLocal {
+	t.lendMin = lendMinRun
+	if t.lendLocal = t.budgeted || opts.ZeroCopyLocal; t.lendLocal {
 		t.zc.wake = make(chan struct{}, 1)
 	}
 	return t, nil
@@ -409,9 +440,11 @@ func (t *Transfer[T]) Run(src, dst []T) (*Outcome, error) {
 		return t.out, err
 	}
 	// Lend only a source no receiver can overwrite: this rank writes its
-	// destination while its lent chunks are still being read.
-	t.lendView = nil
-	if lsrc := t.pl.lendSrc(); t.zc.wake != nil && !overlap(lsrc, dst) {
+	// destination while its lent chunks are still being read. Likewise
+	// post no receive into a destination that is also the source: a
+	// posted frame lands while this rank still packs from it.
+	t.lendView, t.aliased = nil, overlap(src, dst)
+	if lsrc := t.pl.lendSrc(); !overlap(lsrc, dst) {
 		t.lendView = bytesOf(lsrc)
 	}
 	start := time.Now()

@@ -66,7 +66,7 @@ func verify(t *testing.T, dst *dad.Template, dstLocals [][]float64) {
 	})
 }
 
-func tpl(t *testing.T, dims []int, axes ...dad.AxisDist) *dad.Template {
+func tpl(t testing.TB, dims []int, axes ...dad.AxisDist) *dad.Template {
 	t.Helper()
 	out, err := dad.NewTemplate(dims, axes)
 	if err != nil {

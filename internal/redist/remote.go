@@ -38,18 +38,21 @@ func init() {
 // frame's view as a pooled copy. Either way no element byte is copied
 // into the frame encoding, and the elements start 8-byte aligned in the
 // wire bytes, which is what lets the far side unpack straight from the
-// received frame. A lent chunk never comes here: the engine lends only to
-// ranks of its own world, and ConnectPeer binds ranks before they run.
+// received frame. A remote lent chunk (remotelend.go) lends its views of
+// the sender's source instead (wire.PutLoan) and is not retired here: the
+// connection releases it. An in-process lent chunk never comes here: the
+// engine lends those only to ranks of its own world, and ConnectPeer
+// binds ranks before they run.
 func encodeXferMsg(e *wire.Encoder, v any) bool {
 	m, ok := v.(*xferMsg)
 	if !ok {
 		return false
 	}
-	e.PutUint64(m.epoch)
-	e.PutByte(byte(m.kind))
-	e.PutUvarint(uint64(m.elems))
-	e.PutBool(m.ack)
-	putLinearSet(e, m.have)
+	putXferHead(e, m.epoch, m.kind, m.elems, m.ack, m.have)
+	if m.segs != nil {
+		e.PutLoan(m, m.loanBytes)
+		return true
+	}
 	owned := m.lender == nil && m.frame == nil
 	e.LendPayload(m.data, owned)
 	if owned {
@@ -62,9 +65,20 @@ func encodeXferMsg(e *wire.Encoder, v any) bool {
 	return true
 }
 
+// putXferHead writes a transfer message's fields ahead of its payload.
+func putXferHead(e *wire.Encoder, epoch uint64, kind dad.ElemKind, elems int, ack bool, have linear.Set) {
+	e.PutUint64(epoch)
+	e.PutByte(byte(kind))
+	e.PutUvarint(uint64(elems))
+	e.PutBool(ack)
+	putLinearSet(e, have)
+}
+
 // decodeXferMsg rebuilds a transfer message that views its elements in
 // the received frame and owns the frame (recycle returns it), so no
-// payload byte is copied between the socket and unpack.
+// payload byte is copied between the socket and unpack. A placed message
+// (comm.Post) views only the part of its payload read before its posting
+// took the frame; placedBytes is the rest, already in its destination.
 func decodeXferMsg(d *wire.Decoder) (any, error) {
 	m := getMsg()
 	m.epoch = d.Uint64()
@@ -78,7 +92,7 @@ func decodeXferMsg(d *wire.Decoder) (any, error) {
 		recycle(m)
 		return nil, fmt.Errorf("redist: corrupt remote transfer message: %w", d.Err())
 	}
-	m.data, m.frame = data, frame
+	m.data, m.frame, m.placedBytes = data, frame, d.Placed()
 	addInFlight(len(m.data))
 	return m, nil
 }

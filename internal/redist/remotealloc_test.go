@@ -39,7 +39,7 @@ func allocBytesPerRun(batches, runs int, f func()) uint64 {
 
 // tcpSessionPair is one session over loopback TCP: the path a coupling of
 // two processes runs on.
-func tcpSessionPair(t *testing.T) (cli, srv transport.Conn) {
+func tcpSessionPair(t testing.TB) (cli, srv transport.Conn) {
 	t.Helper()
 	lst, err := session.Listen("tcp", "127.0.0.1:0", session.Config{})
 	if err != nil {
@@ -160,10 +160,10 @@ func TestRemoteReceiveSteadyStateAlloc(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name string
-		pair func(t *testing.T) (transport.Conn, transport.Conn)
+		pair func(t testing.TB) (transport.Conn, transport.Conn)
 	}{
 		{"tcp-session", tcpSessionPair},
-		{"pipe", func(*testing.T) (transport.Conn, transport.Conn) { return transport.Pipe() }},
+		{"pipe", func(testing.TB) (transport.Conn, transport.Conn) { return transport.Pipe() }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			a, b := tc.pair(t)

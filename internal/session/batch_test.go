@@ -16,6 +16,7 @@ import (
 	"mxn/internal/faultconn"
 	"mxn/internal/obs"
 	"mxn/internal/transport"
+	"mxn/internal/wire"
 )
 
 // TestConcurrentSendersKeepSequenceOrder: frames that several goroutines
@@ -91,12 +92,12 @@ type batchCountingConn struct {
 	batches, msgs int
 }
 
-func (c *batchCountingConn) SendBatch(msgs []net.Buffers, owned bool) error {
+func (c *batchCountingConn) SendBatch(msgs []net.Buffers, owned bool, loans []wire.Loan) error {
 	c.mu.Lock()
 	c.batches++
 	c.msgs += len(msgs)
 	c.mu.Unlock()
-	return c.Conn.SendBatch(msgs, owned)
+	return c.Conn.SendBatch(msgs, owned, loans)
 }
 
 func (c *batchCountingConn) counts() (batches, msgs int) {
@@ -146,7 +147,7 @@ func TestSendBatchIsOneWrite(t *testing.T) {
 	}
 	before := writes.Value()
 	batches0, msgs0 := phys.counts()
-	if err := a.SendBatch(batch, true); err != nil {
+	if err := a.SendBatch(batch, true, nil); err != nil {
 		t.Fatal(err)
 	}
 	batches, msgs := phys.counts()
@@ -216,7 +217,7 @@ func TestSendBatchAcrossFlap(t *testing.T) {
 			i := k*per + j
 			batch[j] = net.Buffers{[]byte(fmt.Sprintf("h%04d", i)), ownedPayload(byte(i), 48+i%7)}
 		}
-		if err := c.SendBatch(batch, true); err != nil {
+		if err := c.SendBatch(batch, true, nil); err != nil {
 			t.Fatalf("SendBatch %d: %v", k, err)
 		}
 	}

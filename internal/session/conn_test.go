@@ -3,11 +3,14 @@ package session
 import (
 	"bytes"
 	"net"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"mxn/internal/bufpool"
 	"mxn/internal/faultconn"
 	"mxn/internal/transport"
+	"mxn/internal/wire"
 )
 
 // The transport.Conn send contract, stated once and run over every
@@ -60,13 +63,20 @@ func sessionConnPair(t *testing.T) (a, b transport.Conn) {
 	return a, b
 }
 
-// sendPathsIdentical: Send, SendV (with empty and nil segments) and
-// SendOwned (a lent payload, and a nil one) deliver identical bytes.
+// sendPathsIdentical: Send, a one-message SendBatch (with empty and nil
+// segments), SendOwned (an owned payload, and a nil one) and a lent
+// payload deliver identical bytes.
 func sendPathsIdentical(t *testing.T, a, b transport.Conn) {
 	msg := payloadBytes(0x5a, 300)
 	sends := []func() error{
 		func() error { return a.Send(msg) },
-		func() error { return a.SendV(net.Buffers{msg[:1], nil, msg[1:100], {}, msg[100:]}) },
+		func() error {
+			return a.SendBatch([]net.Buffers{{msg[:1], nil, msg[1:100], {}, msg[100:]}}, false, nil)
+		},
+		func() error {
+			l := newTestLoan(msg[17:200], nil, msg[200:])
+			return a.SendBatch([]net.Buffers{{msg[:17]}}, true, []wire.Loan{l})
+		},
 		func() error {
 			payload := bufpool.Get(len(msg) - 17)
 			copy(payload, msg[17:])
@@ -121,7 +131,7 @@ func batchMatchesSingles(t *testing.T, a, b transport.Conn) {
 				batch[i] = net.Buffers{m[:h], nil, m[h:]}
 			}
 		}
-		if err := a.SendBatch(batch, owned); err != nil {
+		if err := a.SendBatch(batch, owned, nil); err != nil {
 			t.Fatalf("owned=%v: %v", owned, err)
 		}
 		for i, want := range msgs {
@@ -143,12 +153,96 @@ func ownedBatchOnClosedConn(t *testing.T, a, _ transport.Conn) {
 	a.Close()
 	baseline := bufpool.Outstanding()
 	batch := []net.Buffers{{[]byte("h1"), bufpool.Get(64)}, {[]byte("h2"), nil}, {[]byte("h3"), bufpool.Get(300)}}
-	if err := a.SendBatch(batch, true); err == nil {
+	if err := a.SendBatch(batch, true, nil); err == nil {
 		t.Fatal("SendBatch on a closed conn succeeded")
 	}
 	if d := bufpool.Outstanding() - baseline; d != 0 {
 		t.Fatalf("refused SendBatch left %+d buffers outstanding, want 0", d)
 	}
+}
+
+// testLoan is a wire.Loan over fixed segments that counts its releases
+// and closes released on the first.
+type testLoan struct {
+	segs     net.Buffers
+	n        atomic.Int32
+	released chan struct{}
+}
+
+func newTestLoan(segs ...[]byte) *testLoan {
+	return &testLoan{segs: segs, released: make(chan struct{})}
+}
+
+func (l *testLoan) Segs() net.Buffers { return l.segs }
+
+func (l *testLoan) Release() {
+	if l.n.Add(1) == 1 {
+		close(l.released)
+	}
+}
+
+// wait blocks until the loan is released, and fails unless it was
+// released exactly once.
+func (l *testLoan) wait(t *testing.T, what string) {
+	t.Helper()
+	select {
+	case <-l.released:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("%s: loan never released", what)
+	}
+	if n := l.n.Load(); n != 1 {
+		t.Fatalf("%s: loan released %d times, want 1", what, n)
+	}
+}
+
+// lentDelivered: a batch mixing lent, owned and plain messages delivers
+// their bytes in order, and each loan is released exactly once — on a
+// session only once the peer acknowledges it, which its ack-now mark
+// makes immediate.
+func lentDelivered(t *testing.T, a, b transport.Conn) {
+	big := payloadBytes(9, 5000)
+	l1, l2 := newTestLoan(big[:1000], big[1000:4096], nil, big[4096:]), newTestLoan()
+	batch := []net.Buffers{{[]byte("lent|")}, {[]byte("own|"), ownedPayload(6, 33)}, {[]byte("empty loan")}}
+	if err := a.SendBatch(batch, true, []wire.Loan{l1, nil, l2}); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range [][]byte{append([]byte("lent|"), big...), append([]byte("own|"), payloadBytes(6, 33)...), []byte("empty loan")} {
+		got, err := b.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("delivered %d bytes, want %d", len(got), len(want))
+		}
+		bufpool.PutFrame(got)
+	}
+	l1.wait(t, "delivered")
+	l2.wait(t, "delivered empty")
+}
+
+// lentOnClosedConn: a refused lent send releases its loan, once, before
+// it returns.
+func lentOnClosedConn(t *testing.T, a, _ transport.Conn) {
+	a.Close()
+	l := newTestLoan(payloadBytes(1, 100))
+	if err := a.SendBatch([]net.Buffers{{[]byte("h")}}, true, []wire.Loan{l}); err == nil {
+		t.Fatal("lent SendBatch on a closed conn succeeded")
+	}
+	if n := l.n.Load(); n != 1 {
+		t.Fatalf("refused lent send released its loan %d times, want 1", n)
+	}
+}
+
+// lentTeardown: a loan outstanding when both ends close is released
+// exactly once, whichever of the ack and the teardown comes first.
+func lentTeardown(t *testing.T, a, b transport.Conn) {
+	l := newTestLoan(payloadBytes(2, 70000))
+	if err := a.SendBatch([]net.Buffers{{[]byte("h")}}, true, []wire.Loan{l}); err != nil {
+		t.Fatal(err)
+	}
+	a.Close()
+	b.Close()
+	l.wait(t, "teardown")
 }
 
 func TestConnConformance(t *testing.T) {
@@ -171,6 +265,9 @@ func TestConnConformance(t *testing.T) {
 		{"owned_on_closed_conn", ownedOnClosedConn},
 		{"batch_matches_singles", batchMatchesSingles},
 		{"owned_batch_on_closed_conn", ownedBatchOnClosedConn},
+		{"lent_delivered", lentDelivered},
+		{"lent_on_closed_conn", lentOnClosedConn},
+		{"lent_teardown", lentTeardown},
 	}
 	for _, p := range pairs {
 		t.Run(p.name, func(t *testing.T) {
@@ -229,7 +326,7 @@ func TestConnConformance(t *testing.T) {
 			defer b.Close()
 			defer a.Close()
 			batch := []net.Buffers{{[]byte("one|"), ownedPayload(4, 64)}, {[]byte("two|"), ownedPayload(5, 32)}}
-			if err := a.SendBatch(batch, true); err != nil {
+			if err := a.SendBatch(batch, true, nil); err != nil {
 				t.Fatal(err)
 			}
 			if d := bufpool.Outstanding() - baseline; d != 0 {

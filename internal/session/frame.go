@@ -10,6 +10,10 @@
 //	data    [payload bytes...][seq u64][ack u64][kind u8]
 //	ack     [ack u64][kind u8]
 //
+// A data frame whose kind is dataAckNow is a data frame that asks for an
+// acknowledgement at once: its payload is lent, and its sender's lender
+// waits for the ack to get its memory back.
+//
 // Because the payload leads, a received data frame's payload is a prefix
 // of the frame buffer the transport handed up: the session passes the
 // frame on to its own receiver without copying, and that receiver returns
@@ -37,6 +41,8 @@ const (
 	kindReject  byte = 0x03
 	kindData    byte = 0x04
 	kindAck     byte = 0x05
+	// kindDataAckNow is kindData with the ack-now mark.
+	kindDataAckNow byte = 0x06
 )
 
 const (
@@ -64,6 +70,7 @@ type frame struct {
 	seq     uint64 // data
 	ack     uint64 // data, ack; hello/welcome: last delivered
 	resume  bool   // hello
+	ackNow  bool   // data: acknowledge at once
 	payload []byte // data payload (a prefix of the input); reject reason
 }
 
@@ -106,7 +113,7 @@ func decodeFrame(b []byte) (frame, error) {
 			id:      binary.LittleEndian.Uint64(b[n:]),
 			payload: b[:n],
 		}, nil
-	case kindData:
+	case kindData, kindDataAckNow:
 		if len(b) < dataTrailerLen {
 			return frame{}, fmt.Errorf("%w: data length %d", ErrBadFrame, len(b))
 		}
@@ -115,6 +122,7 @@ func decodeFrame(b []byte) (frame, error) {
 			kind:    kindData,
 			seq:     binary.LittleEndian.Uint64(b[n:]),
 			ack:     binary.LittleEndian.Uint64(b[n+8:]),
+			ackNow:  kind == kindDataAckNow,
 			payload: b[:n],
 		}, nil
 	case kindAck:
@@ -154,11 +162,15 @@ func encodeReject(dst []byte, id uint64, reason string) []byte {
 
 // putDataTrailer writes the data frame trailer into buf[:dataTrailerLen];
 // the payload precedes it. In-place so the send path can fill a pooled
-// buffer without a second copy or an allocation.
-func putDataTrailer(buf []byte, seq, ack uint64) {
+// buffer without a second copy or an allocation. ackNow sets the ack-now
+// mark.
+func putDataTrailer(buf []byte, seq, ack uint64, ackNow bool) {
 	binary.LittleEndian.PutUint64(buf, seq)
 	binary.LittleEndian.PutUint64(buf[8:], ack)
 	buf[16] = kindData
+	if ackNow {
+		buf[16] = kindDataAckNow
+	}
 }
 
 // putAck writes an ack frame into buf[:ackLen].

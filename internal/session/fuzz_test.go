@@ -7,9 +7,9 @@ import (
 
 // dataFrame builds a data frame the way the send path does: payload, then
 // the trailer written in place.
-func dataFrame(payload string, seq, ack uint64) []byte {
+func dataFrame(payload string, seq, ack uint64, ackNow bool) []byte {
 	b := make([]byte, len(payload)+dataTrailerLen)
-	putDataTrailer(b[copy(b, payload):], seq, ack)
+	putDataTrailer(b[copy(b, payload):], seq, ack, ackNow)
 	return b
 }
 
@@ -25,7 +25,8 @@ func FuzzSessionFrame(f *testing.F) {
 	f.Add(encodeWelcome(nil, 7, 99))
 	f.Add(encodeReject(nil, 7, "unknown session"))
 	f.Add(encodeReject(nil, 0, ""))
-	f.Add(dataFrame("hello", 3, 2))
+	f.Add(dataFrame("hello", 3, 2, false))
+	f.Add(dataFrame("lent", 4, 2, true))
 	ack := make([]byte, ackLen)
 	putAck(ack, 12)
 	f.Add(ack)
@@ -46,7 +47,7 @@ func FuzzSessionFrame(f *testing.F) {
 		case kindReject:
 			re = encodeReject(nil, fr.id, string(fr.payload))
 		case kindData:
-			re = dataFrame(string(fr.payload), fr.seq, fr.ack)
+			re = dataFrame(string(fr.payload), fr.seq, fr.ack, fr.ackNow)
 			if len(fr.payload) > 0 && &fr.payload[0] != &b[0] {
 				t.Fatalf("data payload is not a prefix of the frame")
 			}

@@ -42,6 +42,7 @@ import (
 	"mxn/internal/bufpool"
 	"mxn/internal/obs"
 	"mxn/internal/transport"
+	"mxn/internal/wire"
 )
 
 // Session instruments, registered in the process-default registry (and so
@@ -58,6 +59,9 @@ var (
 	mPeerLost          = obs.Default().Counter("session.peer_lost")
 	mRejects           = obs.Default().Counter("session.rejects")
 	mReplayDepth       = obs.Default().Gauge("session.replay_depth")
+	mLentFrames        = obs.Default().Counter("session.lent_frames")
+	mReclaims          = obs.Default().Counter("session.lent_reclaimed")
+	mPlacedSpoiled     = obs.Default().Counter("session.placed_spoiled")
 )
 
 // ErrPeerLost is matched (via errors.Is) by the *PeerLostError every
@@ -164,21 +168,25 @@ func (c Config) ackEvery() int { return max(min(16, c.MaxReplayFrames/2), 1) }
 func (c Config) ackBytes() int { return max(min(256<<10, c.MaxReplayBytes/2), 1) }
 
 // replayEntry is one unacknowledged sent frame, keyed by its sequence
-// number. own is a pooled buffer holding the message (Send, SendV) or the
-// caller's head bytes (SendOwned), followed by the data trailer; data,
-// when non-nil, is a pooled payload buffer retained by reference
-// (SendOwned) rather than re-copied into the frame. The frame's wire bytes
-// are own's message part, then data, then own's trailer. Both buffers
-// return to the pool exactly once, when the peer's cumulative ack covers
-// the entry or the session tears down.
+// number. own is a pooled buffer holding the message (Send) or the
+// caller's head bytes (an owned or lent message), followed by the data
+// trailer; data, when non-nil, is a pooled payload buffer retained by
+// reference rather than re-copied into the frame, and loan, when non-nil,
+// a lent payload of lent bytes retained the same way. The frame's wire
+// bytes are own's message part, then data or the loan's segments, then
+// own's trailer. Both buffers return to the pool, and the loan is
+// released, exactly once: when the peer's cumulative ack covers the entry
+// or the session tears down.
 type replayEntry struct {
 	seq  uint64
 	own  []byte
 	data []byte
+	loan wire.Loan
+	lent int
 }
 
 // size is the entry's contribution to the replay-byte budget.
-func (e replayEntry) size() int { return len(e.own) + len(e.data) }
+func (e replayEntry) size() int { return len(e.own) + len(e.data) + e.lent }
 
 // replayRing is a circular queue of replay entries. It starts small and
 // doubles when full — flow control bounds its depth at MaxReplayFrames —
@@ -193,7 +201,10 @@ type replayRing struct {
 func (r *replayRing) len() int { return r.n }
 
 // at returns the i-th oldest entry.
-func (r *replayRing) at(i int) replayEntry { return r.ents[(r.head+i)%len(r.ents)] }
+func (r *replayRing) at(i int) replayEntry { return *r.ptr(i) }
+
+// ptr returns the i-th oldest entry in place.
+func (r *replayRing) ptr(i int) *replayEntry { return &r.ents[(r.head+i)%len(r.ents)] }
 
 // push appends an entry, growing the ring when it is full.
 func (r *replayRing) push(e replayEntry) {
@@ -268,6 +279,17 @@ type Conn struct {
 	// the wire.
 	installing  bool
 	pendingFree [][]byte
+	pendingLent []wire.Loan
+	// placer is where the physical conns offer large frames as they
+	// arrive (SetPlacer); nil places nothing.
+	placer wire.Placer
+	// The frames the writer is writing, first and last sequence numbers
+	// (0 when none), and the conn it writes them to: Reclaim must not copy
+	// a loan away from under a write.
+	wlo, whi uint64
+	wbusy    transport.Conn
+	wends    uint64 // writes ended, so a Reclaim can wait for the next
+	reclaims int    // Reclaim calls waiting for a write to end
 	// The conn an install is promoting, and the error its pump reported
 	// if it died before the promotion: connFailed only recovers from the
 	// loss of the live conn, so without this a conn that fails between
@@ -428,6 +450,9 @@ func (c *Conn) installConn(nc transport.Conn, peerDelivered uint64) error {
 	c.installing, c.incoming, c.incomingErr = true, nc, nil
 	c.ackUpToLocked(peerDelivered)
 	c.wconn, c.written = nc, peerDelivered
+	if pc, ok := nc.(placingConn); ok && c.placer != nil {
+		pc.SetPlacer(c.placer)
+	}
 	c.mu.Unlock()
 	go c.pump(nc)
 	for {
@@ -477,6 +502,11 @@ func (c *Conn) finishInstallLocked(failed bool) {
 		c.pendingFree[i] = nil
 	}
 	c.pendingFree = c.pendingFree[:0]
+	for i, l := range c.pendingLent {
+		l.Release()
+		c.pendingLent[i] = nil
+	}
+	c.pendingLent = c.pendingLent[:0]
 }
 
 // connFailed records the loss of a physical connection and starts
@@ -671,9 +701,15 @@ func (c *Conn) ackUpToLocked(ack uint64) {
 			if e.data != nil {
 				c.pendingFree = append(c.pendingFree, e.data)
 			}
+			if e.loan != nil {
+				c.pendingLent = append(c.pendingLent, e.loan)
+			}
 		} else {
 			bufpool.Put(e.own)
 			bufpool.Put(e.data)
+			if e.loan != nil {
+				e.loan.Release()
+			}
 		}
 		mReplayDepth.Add(-1)
 		freed = true
@@ -700,14 +736,26 @@ func (c *Conn) replayFullLocked() bool {
 // inbox, drops replay duplicates, and volunteers standalone acks when
 // one-sided traffic crosses the ack thresholds. A frame whose payload goes
 // to the inbox moves there; every other frame returns to the pool here.
+//
+// A frame the physical conn placed (see SetPlacer) is delivered like any
+// other when its sequence number is the next one; any other fate spoils
+// its placement, so the posting it landed in never completes.
 func (c *Conn) pump(conn transport.Conn) {
+	pc, _ := conn.(placingConn)
 	for {
 		msg, err := conn.Recv()
 		if err != nil {
 			c.connFailed(conn, err)
 			return
 		}
+		var placed wire.Placement
+		if pc != nil {
+			placed = pc.TakePlaced()
+		}
 		f, derr := decodeFrame(msg)
+		if derr != nil || f.kind != kindData {
+			spoil(placed)
+		}
 		if derr != nil {
 			bufpool.PutFrame(msg)
 			c.connFailed(conn, derr)
@@ -727,15 +775,23 @@ func (c *Conn) pump(conn transport.Conn) {
 				// Close has already returned the inbox; nothing will
 				// receive this.
 				c.mu.Unlock()
+				spoil(placed)
 				bufpool.PutFrame(msg)
 			case f.seq == c.lastDelivered+1:
 				c.lastDelivered = f.seq
 				c.inbox = append(c.inbox, f.payload)
 				c.recvSinceAck++
 				c.bytesSinceAck += len(f.payload)
+				if placed != nil {
+					// The placed bytes count toward the ack threshold as
+					// much as bytes in the frame: the sender retains them
+					// just the same.
+					off, n, _ := placed.Region()
+					c.bytesSinceAck += off + n - len(f.payload)
+				}
 				var ackNow uint64
 				sendAck := false
-				if c.recvSinceAck >= c.cfg.ackEvery() || c.bytesSinceAck >= c.cfg.ackBytes() {
+				if f.ackNow || c.recvSinceAck >= c.cfg.ackEvery() || c.bytesSinceAck >= c.cfg.ackBytes() {
 					ackNow, sendAck = c.lastDelivered, true
 					c.recvSinceAck, c.bytesSinceAck = 0, 0
 				}
@@ -748,6 +804,7 @@ func (c *Conn) pump(conn transport.Conn) {
 				// A replay duplicate: the peer resumed from an offset we
 				// had already passed. Exactly-once is enforced here.
 				c.mu.Unlock()
+				spoil(placed)
 				bufpool.PutFrame(msg)
 				mDupDropped.Inc()
 			default:
@@ -756,6 +813,7 @@ func (c *Conn) pump(conn transport.Conn) {
 				// failure so a reconnect re-synchronizes both sides.
 				delivered := c.lastDelivered
 				c.mu.Unlock()
+				spoil(placed)
 				bufpool.PutFrame(msg)
 				c.connFailed(conn, fmt.Errorf("session: sequence gap: got %d, delivered %d", f.seq, delivered))
 				return
@@ -765,6 +823,36 @@ func (c *Conn) pump(conn transport.Conn) {
 			c.connFailed(conn, fmt.Errorf("session: unexpected frame kind %#02x on established session", f.kind))
 			return
 		}
+	}
+}
+
+// placingConn is a physical conn that can read large frames straight into
+// posted memory (transport's TCP conn).
+type placingConn interface {
+	SetPlacer(wire.Placer)
+	TakePlaced() wire.Placement
+}
+
+// spoil rejects a placed frame the session does not deliver.
+func spoil(p wire.Placement) {
+	if p != nil {
+		p.Spoil()
+		mPlacedSpoiled.Inc()
+	}
+}
+
+// SetPlacer has every physical conn that can place frames (TCP) offer
+// its large frames to p as they arrive, this one and those later resumes
+// install; nil stops it. A placed frame is delivered by Recv without its
+// placed bytes, and only when its sequence number is the next in order —
+// a duplicate, a gap or a closed session spoils the placement instead.
+func (c *Conn) SetPlacer(p wire.Placer) {
+	c.mu.Lock()
+	c.placer = p
+	cur := c.cur
+	c.mu.Unlock()
+	if pc, ok := cur.(placingConn); ok {
+		pc.SetPlacer(p)
 	}
 }
 
@@ -800,14 +888,7 @@ func (c *Conn) Send(msg []byte) error {
 func (c *Conn) SendContext(ctx context.Context, msg []byte) error {
 	seg := [1][]byte{msg}
 	one := [1]net.Buffers{seg[:]}
-	return c.send(ctx, one[:], false)
-}
-
-// SendV is Send of the concatenation of segs: the segments are flattened
-// once into the pooled buffer the replay ring retains.
-func (c *Conn) SendV(segs net.Buffers) error {
-	one := [1]net.Buffers{segs}
-	return c.send(context.Background(), one[:], false)
+	return c.send(ctx, one[:], false, nil)
 }
 
 // SendOwned is Send of head followed by payload, with ownership of
@@ -820,28 +901,40 @@ func (c *Conn) SendV(segs net.Buffers) error {
 func (c *Conn) SendOwned(head, payload []byte) error {
 	seg := [2][]byte{head, payload}
 	one := [1]net.Buffers{seg[:]}
-	return c.send(context.Background(), one[:], true)
+	return c.send(context.Background(), one[:], true, nil)
 }
 
 // SendBatch is Send (or, owned, SendOwned) of every message in order, each
 // its own frame with its own sequence number — replay, acks and duplicate
 // dropping see no difference — and all of them written to the physical
-// connection together: one writev over TCP.
-func (c *Conn) SendBatch(msgs []net.Buffers, owned bool) error {
-	return c.send(context.Background(), msgs, owned)
+// connection together: one writev over TCP. A lent message's segments are
+// kept by reference in the replay ring, like an owned payload, and its
+// frame asks the peer for an immediate acknowledgement, which releases
+// the loan; a resume replays the same views.
+func (c *Conn) SendBatch(msgs []net.Buffers, owned bool, loans []wire.Loan) error {
+	return c.send(context.Background(), msgs, owned, loans)
 }
 
 // send is the session's one send path, one call at a time (smu). Each
 // message becomes one replay entry: a pooled buffer holding its bytes —
-// all but the last segment when owned — with room for the data trailer
-// after them, and, when owned, the last segment retained by reference.
-func (c *Conn) send(ctx context.Context, msgs []net.Buffers, owned bool) error {
+// all but the last segment when owned, the head when lent — with room for
+// the data trailer after them, and, when owned or lent, the payload
+// retained by reference.
+func (c *Conn) send(ctx context.Context, msgs []net.Buffers, owned bool, loans []wire.Loan) error {
 	c.smu.Lock()
 	defer c.smu.Unlock()
 	ents := c.ents[:0]
-	for _, segs := range msgs {
+	for i, segs := range msgs {
 		var data []byte
-		if owned && len(segs) > 0 {
+		var loan wire.Loan
+		lent := 0
+		if loans != nil && loans[i] != nil {
+			loan = loans[i]
+			for _, s := range loan.Segs() {
+				lent += len(s)
+			}
+			mLentFrames.Inc()
+		} else if owned && len(segs) > 0 {
 			segs, data = segs[:len(segs)-1], segs[len(segs)-1]
 			if len(data) == 0 {
 				data = nil
@@ -856,7 +949,7 @@ func (c *Conn) send(ctx context.Context, msgs []net.Buffers, owned bool) error {
 		for _, s := range segs {
 			n += copy(own[n:], s)
 		}
-		ents = append(ents, replayEntry{own: own, data: data})
+		ents = append(ents, replayEntry{own: own, data: data, loan: loan, lent: lent})
 	}
 	err := c.enqueue(ctx, ents)
 	clear(ents)
@@ -906,6 +999,9 @@ func (c *Conn) enqueue(ctx context.Context, ents []replayEntry) error {
 			for _, e := range ents {
 				bufpool.Put(e.own)
 				bufpool.Put(e.data)
+				if e.loan != nil {
+					e.loan.Release()
+				}
 			}
 			return err
 		}
@@ -914,7 +1010,7 @@ func (c *Conn) enqueue(ctx context.Context, ents []replayEntry) error {
 			ents = ents[1:]
 			c.nextSeq++
 			e.seq = c.nextSeq
-			putDataTrailer(e.own[len(e.own)-dataTrailerLen:], e.seq, c.lastDelivered)
+			putDataTrailer(e.own[len(e.own)-dataTrailerLen:], e.seq, c.lastDelivered, e.loan != nil)
 			c.replay.push(e)
 			c.replayBytes += e.size()
 			mReplayDepth.Add(1)
@@ -947,30 +1043,39 @@ func (c *Conn) write() int {
 		}
 		c.written = c.nextSeq
 	}
+	if len(batch) > 0 {
+		c.wlo, c.whi, c.wbusy = batch[0].seq, batch[len(batch)-1].seq, conn
+	}
 	c.mu.Unlock()
 	if len(batch) == 0 {
 		return 0
 	}
 	// An entry with a retained payload is three segments — head, payload,
-	// trailer — and one otherwise.
-	segs := c.segs[:0]
+	// trailer — one with a loan the head, the lent segments and the
+	// trailer, and one otherwise.
+	segs, iovs := c.segs[:0], c.iovs[:0]
 	for _, e := range batch {
-		if e.data == nil {
-			segs = append(segs, e.own)
-		} else {
+		k := len(segs)
+		switch {
+		case e.loan != nil:
+			segs = append(segs, e.own[:len(e.own)-dataTrailerLen])
+			segs = append(segs, e.loan.Segs()...)
+			segs = append(segs, e.own[len(e.own)-dataTrailerLen:])
+		case e.data != nil:
 			segs = append(segs, e.own[:len(e.own)-dataTrailerLen], e.data, e.own[len(e.own)-dataTrailerLen:])
+		default:
+			segs = append(segs, e.own)
 		}
+		iovs = append(iovs, segs[k:len(segs):len(segs)])
 	}
-	iovs, k := c.iovs[:0], 0
-	for _, e := range batch {
-		n := 1
-		if e.data != nil {
-			n = 3
-		}
-		iovs = append(iovs, segs[k:k+n:k+n])
-		k += n
+	err := conn.SendBatch(iovs, false, nil)
+	c.mu.Lock()
+	c.wlo, c.whi, c.wbusy = 0, 0, nil
+	c.wends++
+	if c.reclaims > 0 {
+		c.cond.Broadcast()
 	}
-	err := conn.SendBatch(iovs, false)
+	c.mu.Unlock()
 	n := len(batch)
 	clear(batch)
 	clear(segs)
@@ -980,6 +1085,53 @@ func (c *Conn) write() int {
 		c.connFailed(conn, err)
 	}
 	return n
+}
+
+// Reclaim takes a loan back from the session before its frame is
+// acknowledged: the lent views are copied into a pooled buffer the replay
+// ring keeps in their place, and the loan is released; a resume replays
+// the copy. No write is reading the views meanwhile: when the frame is
+// part of the write in progress — its peer silent, so the link is most
+// likely stalled — that write is forced off by closing its physical conn,
+// which the session recovers from like any other loss, and Reclaim waits
+// for it to return. It reports whether the session still held the loan.
+// A lender that gives up on a silent peer reclaims, so that it can return
+// while the frame is still unacknowledged.
+func (c *Conn) Reclaim(l wire.Loan) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for {
+		var e *replayEntry
+		for i := 0; i < c.replay.len() && e == nil; i++ {
+			if p := c.replay.ptr(i); p.loan == l {
+				e = p
+			}
+		}
+		if e == nil {
+			return false
+		}
+		if c.whi == 0 || e.seq < c.wlo || e.seq > c.whi {
+			data, n := bufpool.Get(e.lent), 0
+			for _, s := range l.Segs() {
+				n += copy(data[n:], s)
+			}
+			e.data, e.loan, e.lent = data, nil, 0
+			l.Release()
+			mReclaims.Inc()
+			return true
+		}
+		c.reclaims++
+		ends := c.wends
+		if busy := c.wbusy; busy != nil {
+			c.mu.Unlock()
+			busy.Close()
+			c.mu.Lock()
+		}
+		for c.wends == ends {
+			c.cond.Wait()
+		}
+		c.reclaims--
+	}
 }
 
 // Recv blocks until the next in-order message is available and returns

@@ -14,6 +14,7 @@ import (
 	"mxn/internal/bufpool"
 	"mxn/internal/faultconn"
 	"mxn/internal/transport"
+	"mxn/internal/wire"
 )
 
 // fastCfg keeps reconnect machinery snappy for tests.
@@ -339,12 +340,13 @@ func TestSessionListenerCloseUnblocksAccept(t *testing.T) {
 type nullConn struct{}
 
 func (nullConn) Send([]byte) error                 { return nil }
-func (nullConn) SendV(net.Buffers) error           { return nil }
 func (nullConn) SendOwned(_, payload []byte) error { bufpool.Put(payload); return nil }
 func (nullConn) Recv() ([]byte, error)             { select {} }
-func (nullConn) SendBatch(msgs []net.Buffers, owned bool) error {
-	for _, m := range msgs {
-		if owned && len(m) > 0 {
+func (nullConn) SendBatch(msgs []net.Buffers, owned bool, loans []wire.Loan) error {
+	for i, m := range msgs {
+		if loans != nil && loans[i] != nil {
+			loans[i].Release()
+		} else if owned && len(m) > 0 {
 			bufpool.Put(m[len(m)-1])
 		}
 	}
@@ -656,7 +658,7 @@ func (c *diesAfterHandshake) Send([]byte) error {
 }
 
 // SendBatch is the session writer's call; it waits like Send.
-func (c *diesAfterHandshake) SendBatch([]net.Buffers, bool) error { return c.Send(nil) }
+func (c *diesAfterHandshake) SendBatch([]net.Buffers, bool, []wire.Loan) error { return c.Send(nil) }
 
 // TestSessionConnLostDuringInstallIsRedialed: a connection that dies
 // between the resume handshake and its promotion must fail the install so

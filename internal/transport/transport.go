@@ -50,13 +50,6 @@ var ErrTimeout = errors.New("transport: timeout")
 type Conn interface {
 	// Send transmits one message. It may block for flow control.
 	Send(msg []byte) error
-	// SendV transmits one message whose bytes are the concatenation of
-	// segs, without the caller flattening them first: TCP hands the frame
-	// header and every segment to one writev. SendV never retains segs or
-	// its segments past the call. The parameter is a slice (not variadic)
-	// so hot callers can reuse a preallocated vector without the call
-	// escaping it to the heap.
-	SendV(segs net.Buffers) error
 	// SendOwned transmits one message whose bytes are head followed by
 	// payload. head is only read during the call; payload, a bufpool
 	// buffer or nil, belongs to the conn from the call on, whatever it
@@ -67,18 +60,27 @@ type Conn interface {
 	// This is what lets the transfer engine and PRMI lend their pack
 	// buffers to the wire instead of every layer re-copying them.
 	SendOwned(head, payload []byte) error
-	// SendBatch is the batch form of the three calls above, and each of
+	// SendBatch is the batch form of the two calls above, and each of
 	// them is its one-message case: it transmits one message per element
 	// of msgs, in order — message i is the concatenation of msgs[i] — and
 	// hands them all to the link in one call. TCP writes every frame with
 	// one writev, the pipe queues one frame per message, faultconn rolls
 	// its faults per message, and a session sequences each message as its
-	// own frame and writes them together. With owned unset nothing is
-	// retained past the call, as with SendV; with owned set the last
-	// segment of every message is a bufpool buffer (or nil) that belongs
-	// to the conn from the call on, as SendOwned's payload does — a
-	// refused or failed batch returns every one of them to the pool.
-	SendBatch(msgs []net.Buffers, owned bool) error
+	// own frame and writes them together. With owned unset nothing of
+	// msgs is retained past the call; with owned set the last segment of
+	// every message is a bufpool buffer (or nil) that belongs to the conn
+	// from the call on, as SendOwned's payload does — a refused or failed
+	// batch returns every one of them to the pool.
+	//
+	// loans, when non-nil, lends payloads by reference: a message i with
+	// loans[i] set is msgs[i] (its head, only read during the call; owned
+	// does not apply to it) followed by loans[i].Segs(), views of the
+	// lender's memory. The conn reads them until it releases the loan,
+	// exactly once on every outcome: right after the physical write on
+	// TCP, after the copy into the queued frame on a pipe or in faultconn,
+	// after the peer acknowledges the frame (or the session tears down) on
+	// a session — and at once when the send is refused.
+	SendBatch(msgs []net.Buffers, owned bool, loans []wire.Loan) error
 	// Recv blocks until the next message arrives. The message is a pooled
 	// frame (bufpool.GetFrame) that the caller owns from then on: it
 	// returns the frame, or any prefix of it, with bufpool.PutFrame once
@@ -208,51 +210,59 @@ func (c *chanConn) Send(msg []byte) error {
 func (c *chanConn) SendContext(ctx context.Context, msg []byte) error {
 	seg := [1][]byte{msg}
 	one := [1]net.Buffers{seg[:]}
-	return c.send(ctx, one[:], false)
-}
-
-func (c *chanConn) SendV(segs net.Buffers) error {
-	one := [1]net.Buffers{segs}
-	return c.send(context.Background(), one[:], false)
+	return c.send(ctx, one[:], false, nil)
 }
 
 func (c *chanConn) SendOwned(head, payload []byte) error {
 	seg := [2][]byte{head, payload}
 	one := [1]net.Buffers{seg[:]}
-	return c.send(context.Background(), one[:], true)
+	return c.send(context.Background(), one[:], true, nil)
 }
 
 // SendBatch queues one frame per message, in order. Each message is
-// flattened into the one frame copy a pipe makes, and an owned payload
-// returns to the pool at once — a pipe delivers by reference, so the bytes
+// flattened into the one frame copy a pipe makes, and an owned payload or
+// a loan is returned at once — a pipe delivers by reference, so the bytes
 // are private after that copy.
-func (c *chanConn) SendBatch(msgs []net.Buffers, owned bool) error {
-	return c.send(context.Background(), msgs, owned)
+func (c *chanConn) SendBatch(msgs []net.Buffers, owned bool, loans []wire.Loan) error {
+	return c.send(context.Background(), msgs, owned, loans)
 }
 
 // send is the pipe's one send path: sendSegs per message, the owned
-// payloads of messages after a failure returned unsent.
-func (c *chanConn) send(ctx context.Context, msgs []net.Buffers, owned bool) error {
+// payloads and loans of messages after a failure returned unsent.
+func (c *chanConn) send(ctx context.Context, msgs []net.Buffers, owned bool, loans []wire.Loan) error {
 	var err error
-	for _, segs := range msgs {
+	for i, segs := range msgs {
 		var own []byte
-		if owned && len(segs) > 0 {
+		var loan wire.Loan
+		if loans != nil {
+			loan = loans[i]
+		}
+		if owned && loan == nil && len(segs) > 0 {
 			own = segs[len(segs)-1]
 		}
 		if err == nil {
-			err = c.sendSegs(ctx, segs, own)
+			err = c.sendSegs(ctx, segs, own, loan)
 		} else {
 			bufpool.Put(own)
+			if loan != nil {
+				loan.Release()
+			}
 		}
 	}
 	return err
 }
 
-// sendSegs copies the concatenation of segs into a pooled frame and queues
-// it for the peer; owned, when non-nil, is a pooled buffer the call
-// returns to the pool whatever happens.
-func (c *chanConn) sendSegs(ctx context.Context, segs [][]byte, owned []byte) error {
+// sendSegs copies the concatenation of segs (and of loan's segments) into
+// a pooled frame and queues it for the peer; owned, when non-nil, is a
+// pooled buffer the call returns to the pool whatever happens, and loan,
+// when non-nil, is released whatever happens.
+func (c *chanConn) sendSegs(ctx context.Context, segs [][]byte, owned []byte, loan wire.Loan) error {
 	defer bufpool.Put(owned)
+	var lent net.Buffers
+	if loan != nil {
+		defer loan.Release()
+		lent = loan.Segs()
+	}
 	// Check closure first: with buffer space free the main select would
 	// otherwise pick randomly between the send and the closed arm, making
 	// Send on a closed pipe nondeterministic.
@@ -265,9 +275,15 @@ func (c *chanConn) sendSegs(ctx context.Context, segs [][]byte, owned []byte) er
 	for _, s := range segs {
 		total += len(s)
 	}
+	for _, s := range lent {
+		total += len(s)
+	}
 	frame := bufpool.GetFrame(total)
 	off := 0
 	for _, s := range segs {
+		off += copy(frame[off:], s)
+	}
+	for _, s := range lent {
 		off += copy(frame[off:], s)
 	}
 	select {
@@ -425,53 +441,70 @@ func (c *tcpConn) Send(msg []byte) error {
 	return c.SendContext(context.Background(), msg)
 }
 
-func (c *tcpConn) SendV(segs net.Buffers) error {
-	one := [1]net.Buffers{segs}
-	return c.SendBatch(one[:], false)
-}
-
 func (c *tcpConn) SendOwned(head, payload []byte) error {
 	seg := [2][]byte{head, payload}
 	one := [1]net.Buffers{seg[:]}
-	return c.SendBatch(one[:], true)
+	return c.SendBatch(one[:], true, nil)
 }
 
-// SendBatch hands every frame header and segment of the batch to the
-// socket in one writev (wire.WriteFrames), so no payload byte is copied on
-// the way out, and releases owned payloads as soon as the write returns,
-// since TCP has consumed the bytes by then.
-func (c *tcpConn) SendBatch(msgs []net.Buffers, owned bool) error {
-	return c.send(context.Background(), msgs, owned)
+// SendBatch hands every frame header and segment of the batch — lent
+// segments included — to the socket in one writev (wire.WriteFramesLent),
+// so no payload byte is copied on the way out, and releases owned payloads
+// and loans as soon as the write returns, since TCP has consumed the bytes
+// by then.
+func (c *tcpConn) SendBatch(msgs []net.Buffers, owned bool, loans []wire.Loan) error {
+	return c.send(context.Background(), msgs, owned, loans)
 }
 
 func (c *tcpConn) SendContext(ctx context.Context, msg []byte) error {
 	seg := [1][]byte{msg}
 	one := [1]net.Buffers{seg[:]}
-	return c.send(ctx, one[:], false)
+	return c.send(ctx, one[:], false, nil)
 }
 
 // send is the TCP conn's one send path.
-func (c *tcpConn) send(ctx context.Context, msgs []net.Buffers, owned bool) error {
-	if owned {
-		defer func() {
-			for _, segs := range msgs {
-				if len(segs) > 0 {
-					bufpool.Put(segs[len(segs)-1])
-				}
-			}
-		}()
+func (c *tcpConn) send(ctx context.Context, msgs []net.Buffers, owned bool, loans []wire.Loan) error {
+	if owned || loans != nil {
+		defer releaseBatch(msgs, owned, loans)
 	}
 	c.sMu.Lock()
 	defer c.sMu.Unlock()
 	if ctx.Done() == nil {
-		return wire.WriteFrames(c.nc, msgs)
+		return wire.WriteFramesLent(c.nc, msgs, loans)
 	}
 	if err := ctx.Err(); err != nil {
 		return ctxErr(ctx)
 	}
 	defer c.armDeadline(ctx, c.nc.SetWriteDeadline)()
-	return finishCtx(ctx, wire.WriteFrames(c.nc, msgs))
+	return finishCtx(ctx, wire.WriteFramesLent(c.nc, msgs, loans))
 }
+
+// releaseBatch gives back what a batch lent a conn that is done with it:
+// every loan, and with owned, the payload of every message without one.
+func releaseBatch(msgs []net.Buffers, owned bool, loans []wire.Loan) {
+	for i, segs := range msgs {
+		switch {
+		case loans != nil && loans[i] != nil:
+			loans[i].Release()
+		case owned && len(segs) > 0:
+			bufpool.Put(segs[len(segs)-1])
+		}
+	}
+}
+
+// SetPlacer has frames of wire.PlaceMin bytes or more offered to p as
+// they arrive, to be read straight into the memory a receiver posted for
+// them (see wire.Placer); nil stops it. The conn is the claims' kicker.
+func (c *tcpConn) SetPlacer(p wire.Placer) { c.rd.SetPlacer(p, c) }
+
+// Kick forces a reader inside a placed frame off it: the read fails with
+// a timeout and the conn's stream is lost.
+func (c *tcpConn) Kick() { c.nc.SetReadDeadline(time.Unix(1, 0)) }
+
+// TakePlaced returns the placement of the frame the last Recv returned,
+// nil when it was read whole into its pooled frame. The goroutine that
+// called that Recv calls it, before its next Recv.
+func (c *tcpConn) TakePlaced() wire.Placement { return c.rd.TakePlaced() }
 
 func (c *tcpConn) Recv() ([]byte, error) {
 	c.rMu.Lock()

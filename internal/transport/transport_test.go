@@ -408,20 +408,21 @@ func tcpPair(t *testing.T) (Conn, Conn) {
 	return cli, r.c
 }
 
-// testVectored drives the SendV contract on any pair: a vectored send is
-// received as the single concatenated message, regardless of segment
-// boundaries, interleaved with plain sends on the same conn.
+// testVectored drives the one-message SendBatch contract on any pair: a
+// message of several segments is received as the single concatenated
+// message, regardless of segment boundaries, interleaved with plain sends
+// on the same conn.
 func testVectored(t *testing.T, a, b Conn) {
 	t.Helper()
 	p1, p2, p3 := []byte("alpha-"), []byte("beta-"), []byte("gamma")
-	if err := a.SendV(net.Buffers{p1, nil, p2, p3}); err != nil {
-		t.Fatalf("SendV: %v", err)
+	if err := a.SendBatch([]net.Buffers{{p1, nil, p2, p3}}, false, nil); err != nil {
+		t.Fatalf("SendBatch: %v", err)
 	}
 	if err := a.Send([]byte("plain")); err != nil {
 		t.Fatalf("Send: %v", err)
 	}
-	if err := a.SendV(net.Buffers{[]byte("solo")}); err != nil {
-		t.Fatalf("SendV single: %v", err)
+	if err := a.SendBatch([]net.Buffers{{[]byte("solo")}}, false, nil); err != nil {
+		t.Fatalf("SendBatch single: %v", err)
 	}
 	for _, want := range []string{"alpha-beta-gamma", "plain", "solo"} {
 		got, err := b.Recv()
@@ -461,7 +462,7 @@ func testOwned(t *testing.T, a, b Conn) {
 	}
 }
 
-func TestPipeSendV(t *testing.T) {
+func TestPipeSendBatchSegments(t *testing.T) {
 	a, b := Pipe()
 	defer a.Close()
 	defer b.Close()
@@ -475,7 +476,7 @@ func TestPipeSendOwned(t *testing.T) {
 	testOwned(t, a, b)
 }
 
-func TestTCPSendV(t *testing.T) {
+func TestTCPSendBatchSegments(t *testing.T) {
 	cli, srv := tcpPair(t)
 	defer cli.Close()
 	defer srv.Close()
@@ -489,14 +490,14 @@ func TestTCPSendOwned(t *testing.T) {
 	testOwned(t, cli, srv)
 }
 
-// TestSendVDoesNotRetainSegments: like Send, SendV must not let the
-// receiver observe later mutations of the caller's segments — the pipe
-// copies them into the frame it queues.
-func TestSendVDoesNotRetainSegments(t *testing.T) {
+// TestSendBatchDoesNotRetainSegments: like Send, an unowned SendBatch
+// must not let the receiver observe later mutations of the caller's
+// segments — the pipe copies them into the frame it queues.
+func TestSendBatchDoesNotRetainSegments(t *testing.T) {
 	a, b := Pipe()
 	defer a.Close()
 	seg := []byte("before")
-	if err := a.SendV(net.Buffers{seg}); err != nil {
+	if err := a.SendBatch([]net.Buffers{{seg}}, false, nil); err != nil {
 		t.Fatal(err)
 	}
 	copy(seg, "AFTER!")

@@ -17,7 +17,9 @@ import (
 	"io"
 	"math"
 	"net"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"unsafe"
 
 	"mxn/internal/bufpool"
@@ -61,6 +63,7 @@ var ErrCorrupt = errors.New("wire: corrupt data")
 type Encoder struct {
 	buf     []byte
 	payload []byte
+	loan    Loan
 }
 
 // NewEncoder returns an encoder that appends to buf (which may be nil).
@@ -76,11 +79,16 @@ func (e *Encoder) Bytes() []byte { return e.buf }
 // concatenation head ++ payload.
 func (e *Encoder) Vector() (head, payload []byte) { return e.buf, e.payload }
 
-// Reset discards the accumulated encoding (and any recorded payload) but
-// keeps the capacity.
+// Loan returns the loan PutLoan recorded, nil when it recorded none. The
+// wire representation is then head ++ the loan's segments.
+func (e *Encoder) Loan() Loan { return e.loan }
+
+// Reset discards the accumulated encoding (and any recorded payload or
+// loan) but keeps the capacity.
 func (e *Encoder) Reset() {
 	e.buf = e.buf[:0]
 	e.payload = nil
+	e.loan = nil
 }
 
 // Len returns the current encoded length in bytes.
@@ -154,10 +162,36 @@ func (e *Encoder) PutBytesRef(b []byte) {
 	if len(b) == 0 {
 		return
 	}
-	if e.payload != nil {
-		panic("wire: second PutBytesRef in one encoding")
+	if e.payload != nil || e.loan != nil {
+		panic("wire: second payload in one encoding")
 	}
 	e.payload = b
+}
+
+// Loan is a payload lent to the wire by reference: segments of the
+// lender's own memory, which whoever holds the loan reads until it calls
+// Release, exactly once. A transfer's remote chunk travels as one, a view
+// per run of the caller's source array, so no byte of it is packed.
+type Loan interface {
+	Segs() net.Buffers
+	Release()
+}
+
+// PutLoan is PutBytesRef for a payload of n bytes that l lends: the length
+// prefix and padding land in the header buffer, and l is recorded in
+// place of a payload segment. The bytes on the wire are those PutBytesRef
+// writes for the concatenation of l's segments, which must total n. A nil
+// l writes the prefix and padding alone: the head a receiver posting for
+// such a payload expects.
+func (e *Encoder) PutLoan(l Loan, n int) {
+	e.PutUvarint(uint64(n))
+	for len(e.buf)%8 != 0 {
+		e.buf = append(e.buf, 0)
+	}
+	if e.payload != nil || e.loan != nil {
+		panic("wire: second payload in one encoding")
+	}
+	e.loan = l
 }
 
 // LendPayload writes b with PutBytesRef as the payload an encoding lends
@@ -298,10 +332,11 @@ func (e *Encoder) PutInts(v []int) {
 // errors are sticky: after the first failure every subsequent Get reports
 // the same error through Err, and zero values are returned.
 type Decoder struct {
-	buf  []byte
-	off  int
-	err  error
-	kept bool
+	buf    []byte
+	off    int
+	err    error
+	kept   bool
+	placed int // payload bytes missing from buf's end: placed elsewhere
 }
 
 // NewDecoder returns a decoder reading from buf.
@@ -314,6 +349,15 @@ func (d *Decoder) Err() error { return d.err }
 // the input is a pooled frame, whoever created the decoder returns the
 // frame itself unless a decoded value kept it.
 func (d *Decoder) Kept() bool { return d.kept }
+
+// SetPlaced tells the decoder that its input lacks its last n bytes: the
+// tail of a PutBytesRef payload that a placing frame reader read straight
+// into the receiver's memory instead of into the frame. KeepBytesRef then
+// accepts a view shorter than its length prefix by exactly n bytes.
+func (d *Decoder) SetPlaced(n int) { d.placed = n }
+
+// Placed returns the bytes SetPlaced declared missing.
+func (d *Decoder) Placed() int { return d.placed }
 
 // Remaining returns the number of unread bytes.
 func (d *Decoder) Remaining() int { return len(d.buf) - d.off }
@@ -441,15 +485,18 @@ func (d *Decoder) BorrowBytes() []byte {
 // returns a frame that starts at a pool-buffer boundary. A non-empty view
 // that is not aligned can only come from an input that does not; it is
 // corrupt (ErrCorrupt), and the input is left to the decoder's creator.
+//
+// After SetPlaced(p), the view is the payload's first n-p bytes, the part
+// the frame holds; the rest was placed.
 func (d *Decoder) KeepBytesRef() (view, frame []byte) {
 	n := d.Uvarint()
 	d.take(-d.off & 7)
-	if d.err != nil || n > uint64(d.Remaining()) {
+	if d.err != nil || n < uint64(d.placed) || n-uint64(d.placed) > uint64(d.Remaining()) {
 		d.fail()
 		return nil, nil
 	}
-	view = d.take(int(n))
-	if n > 0 && uintptr(unsafe.Pointer(unsafe.SliceData(view)))%8 != 0 {
+	view = d.take(int(n) - d.placed)
+	if len(view) > 0 && uintptr(unsafe.Pointer(unsafe.SliceData(view)))%8 != 0 {
 		d.fail()
 		return nil, nil
 	}
@@ -695,7 +742,7 @@ var frameTable = crc32.MakeTable(crc32.Castagnoli)
 func WriteFrame(w io.Writer, payload []byte) error {
 	seg := [1][]byte{payload}
 	msg := [1]net.Buffers{seg[:]}
-	return writeFrames(w, msg[:], mBytesCopied)
+	return writeFrames(w, msg[:], nil, mBytesCopied)
 }
 
 // vecState is the per-write scratch of the frame writer: the 8-byte frame
@@ -756,7 +803,7 @@ func putVecState(v *vecState) {
 // immediately.
 func WriteFrameV(w io.Writer, segs net.Buffers) error {
 	msg := [1]net.Buffers{segs}
-	return writeFrames(w, msg[:], mBytesVectored)
+	return writeFrames(w, msg[:], nil, mBytesVectored)
 }
 
 // WriteFrames writes one frame per message — message i is the
@@ -766,16 +813,35 @@ func WriteFrameV(w io.Writer, segs net.Buffers) error {
 // message exceeds MaxFrame nothing is written. WriteFrameV and WriteFrame
 // are its one-message case.
 func WriteFrames(w io.Writer, msgs []net.Buffers) error {
-	return writeFrames(w, msgs, mBytesVectored)
+	return writeFrames(w, msgs, nil, mBytesVectored)
+}
+
+// WriteFramesLent is WriteFrames with loans: when loans is non-nil and
+// loans[i] is not, message i is the concatenation of msgs[i] followed by
+// that of loans[i].Segs(). The loans are only read; releasing them is the
+// caller's business.
+func WriteFramesLent(w io.Writer, msgs []net.Buffers, loans []Loan) error {
+	return writeFrames(w, msgs, loans, mBytesVectored)
+}
+
+// loanSegs returns the lent segments of message i, nil when it has none.
+func loanSegs(loans []Loan, i int) net.Buffers {
+	if loans == nil || loans[i] == nil {
+		return nil
+	}
+	return loans[i].Segs()
 }
 
 // writeFrames is the one frame writer; path is the payload-bytes counter
 // of the caller's side of the copied/vectored split.
-func writeFrames(w io.Writer, msgs []net.Buffers, path *obs.Counter) error {
+func writeFrames(w io.Writer, msgs []net.Buffers, loans []Loan, path *obs.Counter) error {
 	payload := 0
-	for _, segs := range msgs {
+	for i, segs := range msgs {
 		total := 0
 		for _, s := range segs {
+			total += len(s)
+		}
+		for _, s := range loanSegs(loans, i) {
 			total += len(s)
 		}
 		if total > MaxFrame {
@@ -792,7 +858,12 @@ func writeFrames(w io.Writer, msgs []net.Buffers, path *obs.Counter) error {
 	for i, segs := range msgs {
 		total := 0
 		var crc uint32
+		lent := loanSegs(loans, i)
 		for _, s := range segs {
+			total += len(s)
+			crc = crc32.Update(crc, frameTable, s)
+		}
+		for _, s := range lent {
 			total += len(s)
 			crc = crc32.Update(crc, frameTable, s)
 		}
@@ -801,6 +872,7 @@ func writeFrames(w io.Writer, msgs []net.Buffers, path *obs.Counter) error {
 		binary.LittleEndian.PutUint32(hdr[4:], crc)
 		v.iov = append(v.iov, hdr)
 		v.iov = append(v.iov, segs...)
+		v.iov = append(v.iov, lent...)
 		mFrameBytes.Observe(int64(total))
 	}
 	// WriteTo advances (and so mutates) the vector it is invoked on;
@@ -853,6 +925,13 @@ type FrameReader struct {
 	r      io.Reader
 	buf    []byte // read-ahead; nil reads exactly one frame's bytes at a time
 	lo, hi int    // buf[lo:hi] has been read but not consumed
+	// Placing (see place.go): the placer frames of PlaceMin bytes and up
+	// are offered to, the placement of the last frame returned, and the
+	// scratch of the vectored reads.
+	place  atomic.Pointer[placing]
+	placed Placement
+	vr     vecReader
+	iov    [][]byte
 }
 
 // NewFrameReader returns a reader of r's frames with a read-ahead buffer
@@ -861,7 +940,9 @@ func NewFrameReader(r io.Reader, size int) *FrameReader {
 	return &FrameReader{r: r, buf: make([]byte, size)}
 }
 
-// ReadFrame reads the next frame, under ReadFrame's contract.
+// ReadFrame reads the next frame, under ReadFrame's contract. With a
+// placer set, a frame of PlaceMin bytes or more may be placed instead (see
+// SetPlacer): the frame returned then lacks the placed bytes.
 func (fr *FrameReader) ReadFrame() ([]byte, error) {
 	var hdr [8]byte
 	if err := fr.readFull(hdr[:]); err != nil {
@@ -872,23 +953,61 @@ func (fr *FrameReader) ReadFrame() ([]byte, error) {
 		return nil, fmt.Errorf("wire: frame of %d bytes exceeds max %d", n, MaxFrame)
 	}
 	sum := binary.LittleEndian.Uint32(hdr[4:])
+	fr.placed = nil
+	pl := fr.place.Load()
+	if n < PlaceMin || fr.buf == nil {
+		pl = nil
+	}
+	if pl != nil {
+		if fr.lo == fr.hi {
+			mReads.Inc()
+			k, err := fr.r.Read(fr.buf)
+			fr.lo, fr.hi = 0, k
+			if k == 0 {
+				if err == io.EOF {
+					err = io.ErrUnexpectedEOF
+				}
+				return nil, err
+			}
+		}
+		head := fr.buf[fr.lo:min(fr.hi, fr.lo+n)]
+		p := pl.p.Claim(head, n, pl.k)
+		if p == nil {
+			// The receiver of this frame may be runnable but not yet
+			// posted — woken by the frames before it, on this very
+			// goroutine's watch: let it run once before the payload is
+			// committed to a pooled frame.
+			runtime.Gosched()
+			p = pl.p.Claim(head, n, pl.k)
+		}
+		if p != nil {
+			return fr.readPlaced(p, n, sum, nil, 0, 0)
+		}
+	}
 	buf := bufpool.TryGetFrame(n)
 	if buf == nil {
 		buf = bufpool.GetFrame(min(n, frameStart))
 	}
 	var crc uint32
 	for got := 0; got < n; {
-		if got == len(buf) {
-			if next := min(n, 2*len(buf)); next <= cap(buf) {
-				buf = buf[:next]
-			} else {
-				grown := bufpool.GetFrame(next)
-				copy(grown, buf)
-				bufpool.PutFrame(buf)
-				buf = grown
+		end := len(buf)
+		if pl != nil && got > 0 {
+			// A receive posted while this frame arrives takes the rest: the
+			// frame is read placeStep bytes at a time, giving way between
+			// reads, so that a receiver that is runnable gets to post.
+			runtime.Gosched()
+			if p := pl.p.Claim(buf[:got], n, pl.k); p != nil {
+				return fr.readPlaced(p, n, sum, buf, got, crc)
 			}
 		}
-		k, err := fr.read(buf[got:])
+		if got == len(buf) {
+			buf = growFrame(buf, min(n, 2*len(buf)))
+			end = len(buf)
+		}
+		if pl != nil {
+			end = min(end, got+placeStep)
+		}
+		k, err := fr.read(buf[got:end])
 		crc = crc32.Update(crc, frameTable, buf[got:got+k])
 		got += k
 		if err != nil && got < n {
@@ -904,9 +1023,28 @@ func (fr *FrameReader) ReadFrame() ([]byte, error) {
 		mChecksumFailures.Inc()
 		return nil, fmt.Errorf("%w: frame checksum mismatch (got %08x, header says %08x)", ErrCorrupt, crc, sum)
 	}
+	if pl != nil {
+		pl.p.Unclaimed(buf)
+	}
 	mFramesRead.Inc()
 	mBytesRead.Add(uint64(8 + n))
 	return buf, nil
+}
+
+// placeStep bounds one read of a large frame no posting has claimed yet:
+// what a posting made while the frame arrives cannot take any more.
+const placeStep = 4 * PlaceMin
+
+// growFrame returns buf lengthened to next bytes: within its capacity, or
+// as a larger pooled frame its bytes are copied to.
+func growFrame(buf []byte, next int) []byte {
+	if next <= cap(buf) {
+		return buf[:next]
+	}
+	grown := bufpool.GetFrame(next)
+	copy(grown, buf)
+	bufpool.PutFrame(buf)
+	return grown
 }
 
 // read is io.Reader's Read over the read-ahead: bytes already buffered
