@@ -22,7 +22,6 @@ import (
 	"mxn/internal/dad"
 	"mxn/internal/dapkg"
 	"mxn/internal/intercomm"
-	"mxn/internal/linear"
 	"mxn/internal/mct"
 	"mxn/internal/meshsim"
 	"mxn/internal/pipeline"
@@ -448,67 +447,57 @@ func BenchmarkDistributionKinds(b *testing.B) {
 	}
 }
 
-// BenchmarkLinearizationVsDAD covers table B4: a receiver-driven
-// linearized transfer (no schedule, requests every time) against a DAD
-// schedule transfer, steady state and first (schedule built in the op).
+// BenchmarkLinearizationVsDAD covers table B4: a transfer planned from
+// two row-major linearizations (schedule.FromLinear) against one planned
+// from the two templates (schedule.Build), steady state and first (the
+// plan built in the op).
 func BenchmarkLinearizationVsDAD(b *testing.B) {
 	const n = 1 << 13
 	const m, nn = 2, 3
 	src := mustTemplate(b, []int{n}, dad.BlockAxis(m))
 	dst := mustTemplate(b, []int{n}, dad.CyclicAxis(nn))
-
-	for _, first := range []bool{false, true} {
-		name := "DADSchedule"
-		if first {
-			name = "DADScheduleFirst"
-		}
-		b.Run(name, func(b *testing.B) {
-			s, err := schedule.Build(src, dst)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.SetBytes(int64(n * 8))
-			for i := 0; i < b.N; i++ {
-				if first {
-					if s, err = schedule.Build(src, dst); err != nil {
-						b.Fatal(err)
-					}
-				}
-				runParallel(b, m+nn, func(rank int, c *comm.Comm) error {
-					lay := redist.Layout{SrcBase: 0, DstBase: m}
-					var sl, dl []float64
-					if rank < m {
-						sl = make([]float64, src.LocalCount(rank))
-					} else {
-						dl = make([]float64, dst.LocalCount(rank-m))
-					}
-					_, err := runOnce(c, s, lay, sl, dl, 0, TransferOpts{})
-					return err
-				})
-			}
-		})
+	planners := []struct {
+		name string
+		plan func() (*schedule.Schedule, error)
+	}{
+		{"DADSchedule", func() (*schedule.Schedule, error) { return schedule.Build(src, dst) }},
+		{"LinearSchedule", func() (*schedule.Schedule, error) {
+			return LinearSchedule(RowMajorLinearization(src), RowMajorLinearization(dst))
+		}},
 	}
-	b.Run("LinearReceiverDriven", func(b *testing.B) {
-		srcLin := linear.NewRowMajor(src)
-		dstLin := linear.NewRowMajor(dst)
-		b.SetBytes(int64(n * 8))
-		for i := 0; i < b.N; i++ {
-			runParallel(b, m+nn, func(rank int, c *comm.Comm) error {
-				lay := redist.Layout{SrcBase: 0, DstBase: m}
-				var sl, dl []float64
-				if rank < m {
-					sl = make([]float64, src.LocalCount(rank))
-				} else {
-					dl = make([]float64, dst.LocalCount(rank-m))
+	for _, pl := range planners {
+		for _, first := range []bool{false, true} {
+			name := pl.name
+			if first {
+				name += "First"
+			}
+			b.Run(name, func(b *testing.B) {
+				s, err := pl.plan()
+				if err != nil {
+					b.Fatal(err)
 				}
-				xt, err := NewLinearTransfer(c, srcLin, dstLin, lay, m, nn, 0, TransferOpts{})
-				if err == nil {
-					_, err = xt.Run(sl, dl)
+				b.SetBytes(int64(n * 8))
+				for i := 0; i < b.N; i++ {
+					if first {
+						if s, err = pl.plan(); err != nil {
+							b.Fatal(err)
+						}
+					}
+					runParallel(b, m+nn, func(rank int, c *comm.Comm) error {
+						lay := redist.Layout{SrcBase: 0, DstBase: m}
+						var sl, dl []float64
+						if rank < m {
+							sl = make([]float64, src.LocalCount(rank))
+						} else {
+							dl = make([]float64, dst.LocalCount(rank-m))
+						}
+						_, err := runOnce(c, s, lay, sl, dl, 0, TransferOpts{})
+						return err
+					})
 				}
-				return err
 			})
 		}
-	})
+	}
 }
 
 // runParallel spawns one goroutine per rank of a fresh world.

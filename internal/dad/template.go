@@ -319,18 +319,19 @@ func (t *Template) LocalOffset(rank int, idx []int) int {
 				return t.rankOffsets[rank][k] + rowMajorOffset(idx, p.Lo, p.Shape())
 			}
 		}
-		panic(fmt.Sprintf("dad: index %v not owned by rank %d", idx, rank))
+		// A copy, so that idx does not escape: callers keep it on the stack.
+		panic(fmt.Sprintf("dad: index %v not owned by rank %d", append([]int(nil), idx...), rank))
 	}
-	coords := t.Coords(rank)
 	off := 0
 	for a := range t.axes {
+		c := (rank / t.gridStride[a]) % t.axes[a].Procs // Coords(rank)[a]
 		var li int
 		if pos := t.axisPos[a]; pos != nil {
 			li = pos[idx[a]]
 		} else {
-			li = t.axes[a].localIndex(t.dims[a], idx[a], coords[a])
+			li = t.axes[a].localIndex(t.dims[a], idx[a], c)
 		}
-		off = off*t.axes[a].localCount(t.dims[a], coords[a]) + li
+		off = off*t.axes[a].localCount(t.dims[a], c) + li
 	}
 	return off
 }

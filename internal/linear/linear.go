@@ -7,9 +7,10 @@
 // which linear positions they own; the mapping between the two sides is
 // implicit — position k on the sender corresponds to position k on the
 // receiver. The linearization is purely logical: no serialized intermediate
-// copy of the data is ever produced, and transfers proceed fully in
-// parallel (the receiver-driven exchange built on this package lives in
-// internal/redist).
+// copy of the data is ever produced. schedule.FromLinear lowers a pair of
+// linearizers to an ordinary communication schedule once, when a coupling
+// is built, so a linearized transfer runs through the same engine, and at
+// the same per-step cost, as one planned from two templates.
 //
 // The package provides the interval-set algebra over linear positions and
 // linearizers for distributed arrays. Applications control the mapping by
@@ -69,12 +70,6 @@ func (s Set) Len() int {
 	return n
 }
 
-// Contains reports whether position p is in the set.
-func (s Set) Contains(p int) bool {
-	i := sort.Search(len(s), func(i int) bool { return s[i].Hi > p })
-	return i < len(s) && s[i].Lo <= p
-}
-
 // Intersect returns the positions common to s and t.
 func (s Set) Intersect(t Set) Set {
 	var out Set
@@ -94,78 +89,6 @@ func (s Set) Intersect(t Set) Set {
 	return out
 }
 
-// Union returns the positions in either set.
-func (s Set) Union(t Set) Set {
-	all := make([]Interval, 0, len(s)+len(t))
-	all = append(all, s...)
-	all = append(all, t...)
-	return NewSet(all...)
-}
-
-// Equal reports set equality.
-func (s Set) Equal(t Set) bool {
-	if len(s) != len(t) {
-		return false
-	}
-	for i := range s {
-		if s[i] != t[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// PositionRank returns the rank of position p within the set: the number
-// of set positions strictly below p. p must be in the set. This converts a
-// linear position to an offset within a packed buffer holding exactly the
-// set's positions in order.
-func (s Set) PositionRank(p int) int {
-	rank := 0
-	for _, iv := range s {
-		if p >= iv.Hi {
-			rank += iv.Len()
-			continue
-		}
-		if p >= iv.Lo {
-			return rank + p - iv.Lo
-		}
-		break
-	}
-	panic(fmt.Sprintf("linear: position %d not in set", p))
-}
-
-// Slice returns the sub-set covering the positions at packed ranks
-// [off, off+n): the window of the set a chunk of its packed buffer
-// holds when a reply is split at an element boundary (the
-// memory-bounded transfer engine's round decomposition). dst is reused
-// as backing storage, so a caller slicing repeatedly allocates only
-// while its scratch set grows.
-func (s Set) Slice(off, n int, dst Set) Set {
-	dst = dst[:0]
-	if n <= 0 {
-		return dst
-	}
-	for _, iv := range s {
-		l := iv.Len()
-		if off >= l {
-			off -= l
-			continue
-		}
-		lo := iv.Lo + off
-		take := l - off
-		if take > n {
-			take = n
-		}
-		dst = append(dst, Interval{lo, lo + take})
-		n -= take
-		off = 0
-		if n == 0 {
-			break
-		}
-	}
-	return dst
-}
-
 // String renders the set compactly.
 func (s Set) String() string {
 	out := "{"
@@ -178,42 +101,33 @@ func (s Set) String() string {
 	return out + "}"
 }
 
-// LinearizerT maps the elements of one side's distributed data structure to
+// Linearizer maps the elements of one side's distributed data structure to
 // linear positions. Implementations must agree between sender and receiver
 // for the transfer to be meaningful — that agreement is application
 // knowledge, not middleware knowledge (the linearization caveat the paper
-// highlights). The element type is a parameter: the position algebra is
-// independent of what is stored at each position.
-type LinearizerT[T any] interface {
-	// TotalLen returns the length of the linear space.
-	TotalLen() int
+// highlights). The position algebra is independent of the element type,
+// and so is a linearizer: it says where a position lives, never what is
+// stored there.
+type Linearizer interface {
+	// Template returns the template whose ranks' canonical local buffers
+	// the positions map into. Its size is the length of the linear space.
+	Template() *dad.Template
 	// OwnedBy returns the linear positions rank owns, as a normalized Set.
 	OwnedBy(rank int) Set
-	// Pack copies the elements at the given linear positions (in set
-	// order) out of rank's canonical local buffer into out, which must
-	// have length set.Len().
-	Pack(rank int, local []T, set Set, out []T)
-	// Unpack copies data (in set order) into rank's canonical local buffer
-	// at the given linear positions.
-	Unpack(rank int, local []T, set Set, data []T)
+	// Offset returns the offset of linear position p in rank's canonical
+	// local buffer; rank must own p.
+	Offset(rank, p int) int
 }
 
-// Linearizer is the float64 linearizer, the historical default element type.
-type Linearizer = LinearizerT[float64]
-
-// RowMajorT linearizes a distributed array template by the row-major order
+// RowMajor linearizes a distributed array template by the row-major order
 // of its global index space — the natural linearization for dense arrays.
-type RowMajorT[T any] struct {
-	T *dad.Template
-
+type RowMajor struct {
+	t       *dad.Template
 	strides []int
 }
 
-// RowMajor is the float64 instantiation of RowMajorT.
-type RowMajor = RowMajorT[float64]
-
-// NewRowMajorT builds a row-major linearizer for a template.
-func NewRowMajorT[T any](t *dad.Template) *RowMajorT[T] {
+// NewRowMajor builds a row-major linearizer for a template.
+func NewRowMajor(t *dad.Template) *RowMajor {
 	dims := t.Dims()
 	strides := make([]int, len(dims))
 	s := 1
@@ -221,17 +135,14 @@ func NewRowMajorT[T any](t *dad.Template) *RowMajorT[T] {
 		strides[a] = s
 		s *= dims[a]
 	}
-	return &RowMajorT[T]{T: t, strides: strides}
+	return &RowMajor{t: t, strides: strides}
 }
 
-// NewRowMajor builds a row-major float64 linearizer for a template.
-func NewRowMajor(t *dad.Template) *RowMajor { return NewRowMajorT[float64](t) }
-
-// TotalLen returns the template size.
-func (rm *RowMajorT[T]) TotalLen() int { return rm.T.Size() }
+// Template implements Linearizer.
+func (rm *RowMajor) Template() *dad.Template { return rm.t }
 
 // position returns the linear position of a global index.
-func (rm *RowMajorT[T]) position(idx []int) int {
+func (rm *RowMajor) position(idx []int) int {
 	p := 0
 	for a, i := range idx {
 		p += i * rm.strides[a]
@@ -241,9 +152,9 @@ func (rm *RowMajorT[T]) position(idx []int) int {
 
 // OwnedBy returns rank's linear positions: each row of each owned patch is
 // one interval.
-func (rm *RowMajorT[T]) OwnedBy(rank int) Set {
+func (rm *RowMajor) OwnedBy(rank int) Set {
 	var ivs []Interval
-	for _, p := range rm.T.Patches(rank) {
+	for _, p := range rm.t.Patches(rank) {
 		rowLen := p.Hi[len(p.Hi)-1] - p.Lo[len(p.Lo)-1]
 		forEachRow(p, func(rowStart []int) {
 			pos := rm.position(rowStart)
@@ -253,38 +164,20 @@ func (rm *RowMajorT[T]) OwnedBy(rank int) Set {
 	return NewSet(ivs...)
 }
 
-// Pack implements LinearizerT.
-func (rm *RowMajorT[T]) Pack(rank int, local []T, set Set, out []T) {
-	k := 0
-	idx := make([]int, rm.T.NumAxes())
-	for _, iv := range set {
-		for p := iv.Lo; p < iv.Hi; p++ {
-			rm.indexOf(p, idx)
-			out[k] = local[rm.T.LocalOffset(rank, idx)]
-			k++
-		}
+// Offset implements Linearizer: the global index of position p, placed
+// by the template.
+func (rm *RowMajor) Offset(rank, p int) int {
+	var buf [4]int // an index of up to four axes stays on the stack
+	idx := buf[:]
+	if len(rm.strides) > len(buf) {
+		idx = make([]int, len(rm.strides))
 	}
-}
-
-// Unpack implements LinearizerT.
-func (rm *RowMajorT[T]) Unpack(rank int, local []T, set Set, data []T) {
-	k := 0
-	idx := make([]int, rm.T.NumAxes())
-	for _, iv := range set {
-		for p := iv.Lo; p < iv.Hi; p++ {
-			rm.indexOf(p, idx)
-			local[rm.T.LocalOffset(rank, idx)] = data[k]
-			k++
-		}
+	idx = idx[:len(rm.strides)]
+	for a, s := range rm.strides {
+		idx[a] = p / s
+		p %= s
 	}
-}
-
-// indexOf writes the global index of linear position p into idx.
-func (rm *RowMajorT[T]) indexOf(p int, idx []int) {
-	for a := range rm.strides {
-		idx[a] = p / rm.strides[a]
-		p %= rm.strides[a]
-	}
+	return rm.t.LocalOffset(rank, idx)
 }
 
 // forEachRow invokes fn with the starting global index of every
@@ -310,71 +203,34 @@ func forEachRow(p dad.Patch, fn func(rowStart []int)) {
 	}
 }
 
-// LocalOrderT linearizes a template by the concatenation of each rank's
+// LocalOrder linearizes a template by the concatenation of each rank's
 // canonical local buffers in rank order. It demonstrates an
 // application-defined linearization where the sender's layout drives the
 // ordering: a receiver using LocalOrder of the *sender's* template can
 // reconstruct the data only with knowledge of that template — precisely
 // the implicit-knowledge coupling Section 2.2.1 warns about.
-type LocalOrderT[T any] struct {
-	T *dad.Template
-
+type LocalOrder struct {
+	t        *dad.Template
 	rankBase []int // starting linear position of each rank's block
 }
 
-// LocalOrder is the float64 instantiation of LocalOrderT.
-type LocalOrder = LocalOrderT[float64]
-
-// NewLocalOrderT builds a local-order linearizer for a template.
-func NewLocalOrderT[T any](t *dad.Template) *LocalOrderT[T] {
-	lo := &LocalOrderT[T]{T: t, rankBase: make([]int, t.NumProcs()+1)}
+// NewLocalOrder builds a local-order linearizer for a template.
+func NewLocalOrder(t *dad.Template) *LocalOrder {
+	lo := &LocalOrder{t: t, rankBase: make([]int, t.NumProcs()+1)}
 	for r := 0; r < t.NumProcs(); r++ {
 		lo.rankBase[r+1] = lo.rankBase[r] + t.LocalCount(r)
 	}
 	return lo
 }
 
-// NewLocalOrder builds a local-order float64 linearizer for a template.
-func NewLocalOrder(t *dad.Template) *LocalOrder { return NewLocalOrderT[float64](t) }
-
-// TotalLen returns the template size.
-func (l *LocalOrderT[T]) TotalLen() int { return l.rankBase[len(l.rankBase)-1] }
+// Template implements Linearizer.
+func (l *LocalOrder) Template() *dad.Template { return l.t }
 
 // OwnedBy returns rank's single contiguous interval.
-func (l *LocalOrderT[T]) OwnedBy(rank int) Set {
+func (l *LocalOrder) OwnedBy(rank int) Set {
 	return NewSet(Interval{l.rankBase[rank], l.rankBase[rank+1]})
 }
 
-// Pack implements LinearizerT: local order means a straight copy.
-func (l *LocalOrderT[T]) Pack(rank int, local []T, set Set, out []T) {
-	base := l.rankBase[rank]
-	k := 0
-	for _, iv := range set {
-		copy(out[k:k+iv.Len()], local[iv.Lo-base:iv.Hi-base])
-		k += iv.Len()
-	}
-}
-
-// Unpack implements LinearizerT.
-func (l *LocalOrderT[T]) Unpack(rank int, local []T, set Set, data []T) {
-	base := l.rankBase[rank]
-	k := 0
-	for _, iv := range set {
-		copy(local[iv.Lo-base:iv.Hi-base], data[k:k+iv.Len()])
-		k += iv.Len()
-	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
+// Offset implements Linearizer: local order means a position's offset is
+// its distance from the start of the rank's block.
+func (l *LocalOrder) Offset(rank, p int) int { return p - l.rankBase[rank] }

@@ -2,6 +2,7 @@ package linear
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -11,7 +12,7 @@ import (
 func TestNewSetNormalizes(t *testing.T) {
 	s := NewSet(Interval{5, 8}, Interval{0, 3}, Interval{3, 5}, Interval{10, 10}, Interval{12, 14})
 	want := Set{{0, 8}, {12, 14}}
-	if !s.Equal(want) {
+	if !reflect.DeepEqual(s, want) {
 		t.Errorf("got %v, want %v", s, want)
 	}
 	if s.Len() != 10 {
@@ -19,24 +20,16 @@ func TestNewSetNormalizes(t *testing.T) {
 	}
 }
 
-func TestSetContains(t *testing.T) {
-	s := NewSet(Interval{2, 5}, Interval{8, 10})
-	for p, want := range map[int]bool{1: false, 2: true, 4: true, 5: false, 8: true, 9: true, 10: false} {
-		if got := s.Contains(p); got != want {
-			t.Errorf("Contains(%d) = %v", p, got)
-		}
-	}
-}
-
 func TestSetIntersectUnion(t *testing.T) {
 	a := NewSet(Interval{0, 10}, Interval{20, 30})
 	b := NewSet(Interval{5, 25})
 	gotI := a.Intersect(b)
-	if !gotI.Equal(Set{{5, 10}, {20, 25}}) {
+	if !reflect.DeepEqual(gotI, Set{{5, 10}, {20, 25}}) {
 		t.Errorf("intersect = %v", gotI)
 	}
-	gotU := a.Union(b)
-	if !gotU.Equal(Set{{0, 30}}) {
+	// A union is NewSet over both sets' intervals.
+	gotU := NewSet(append(append([]Interval(nil), a...), b...)...)
+	if !reflect.DeepEqual(gotU, Set{{0, 30}}) {
 		t.Errorf("union = %v", gotU)
 	}
 	if got := a.Intersect(nil); len(got) != 0 {
@@ -44,23 +37,17 @@ func TestSetIntersectUnion(t *testing.T) {
 	}
 }
 
-func TestPositionRank(t *testing.T) {
-	s := NewSet(Interval{2, 5}, Interval{8, 10})
-	wants := map[int]int{2: 0, 3: 1, 4: 2, 8: 3, 9: 4}
-	for p, want := range wants {
-		if got := s.PositionRank(p); got != want {
-			t.Errorf("PositionRank(%d) = %d, want %d", p, got, want)
+// contains reports whether position p is in the set.
+func contains(s Set, p int) bool {
+	for _, iv := range s {
+		if iv.Lo <= p && p < iv.Hi {
+			return true
 		}
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("PositionRank outside set did not panic")
-		}
-	}()
-	s.PositionRank(6)
+	return false
 }
 
-// Property: intersect/union are consistent with membership, on random sets.
+// Property: intersect is consistent with membership, on random sets.
 func TestQuickSetAlgebra(t *testing.T) {
 	mk := func(seeds []uint8) Set {
 		var ivs []Interval
@@ -74,13 +61,8 @@ func TestQuickSetAlgebra(t *testing.T) {
 	f := func(x, y []uint8) bool {
 		a, b := mk(x), mk(y)
 		i := a.Intersect(b)
-		u := a.Union(b)
 		for p := 0; p < 80; p++ {
-			inA, inB := a.Contains(p), b.Contains(p)
-			if i.Contains(p) != (inA && inB) {
-				return false
-			}
-			if u.Contains(p) != (inA || inB) {
+			if contains(i, p) != (contains(a, p) && contains(b, p)) {
 				return false
 			}
 		}
@@ -103,9 +85,6 @@ func block2D(t *testing.T, dims []int, p, q int) *dad.Template {
 func TestRowMajorOwnedByPartition(t *testing.T) {
 	tpl := block2D(t, []int{6, 8}, 2, 2)
 	rm := NewRowMajor(tpl)
-	if rm.TotalLen() != 48 {
-		t.Fatalf("total = %d", rm.TotalLen())
-	}
 	var union Set
 	total := 0
 	for r := 0; r < tpl.NumProcs(); r++ {
@@ -113,27 +92,62 @@ func TestRowMajorOwnedByPartition(t *testing.T) {
 		if got := s.Intersect(union); got.Len() != 0 {
 			t.Errorf("rank %d overlaps earlier ranks: %v", r, got)
 		}
-		union = union.Union(s)
+		union = NewSet(append(union, s...)...)
 		total += s.Len()
 	}
-	if total != 48 || union.Len() != 48 {
-		t.Errorf("partition broken: total=%d union=%d", total, union.Len())
+	if total != 48 || !reflect.DeepEqual(union, Set{{0, 48}}) {
+		t.Errorf("partition broken: total=%d union=%v", total, union)
 	}
 }
 
+// pack gathers the elements at set's positions, in position order, out of
+// rank's local buffer, and unpack scatters them back: what a schedule
+// lowered from the linearizer moves for one pair.
+func pack(l Linearizer, rank int, local []float64, set Set) []float64 {
+	var out []float64
+	for _, iv := range set {
+		for p := iv.Lo; p < iv.Hi; p++ {
+			out = append(out, local[l.Offset(rank, p)])
+		}
+	}
+	return out
+}
+
+func unpack(l Linearizer, rank int, local []float64, set Set, data []float64) {
+	k := 0
+	for _, iv := range set {
+		for p := iv.Lo; p < iv.Hi; p++ {
+			local[l.Offset(rank, p)] = data[k]
+			k++
+		}
+	}
+}
+
+// Offset maps each rank's owned positions one-to-one onto its canonical
+// local buffer, each position to where the template keeps its global
+// index: packing a rank's whole set and unpacking it restores its buffer.
 func TestRowMajorPackUnpackRoundTrip(t *testing.T) {
 	tpl := block2D(t, []int{4, 6}, 2, 3)
 	rm := NewRowMajor(tpl)
 	for r := 0; r < tpl.NumProcs(); r++ {
 		owned := rm.OwnedBy(r)
+		for _, iv := range owned {
+			for p := iv.Lo; p < iv.Hi; p++ {
+				if got, want := rm.Offset(r, p), tpl.LocalOffset(r, []int{p / 6, p % 6}); got != want {
+					t.Fatalf("rank %d: Offset(%d) = %d, want %d", r, p, got, want)
+				}
+			}
+		}
 		local := make([]float64, tpl.LocalCount(r))
 		for i := range local {
 			local[i] = float64(r*100 + i)
 		}
-		packed := make([]float64, owned.Len())
-		rm.Pack(r, local, owned, packed)
+		packed := pack(rm, r, local, owned)
+		if len(packed) != len(local) {
+			t.Fatalf("rank %d: packed %d of %d elements", r, len(packed), len(local))
+		}
 		restored := make([]float64, len(local))
-		rm.Unpack(r, restored, owned, packed)
+		unpack(rm, r, restored, owned, packed)
 		for i := range local {
 			if restored[i] != local[i] {
 				t.Fatalf("rank %d: restored[%d] = %v, want %v", r, i, restored[i], local[i])
@@ -153,16 +167,12 @@ func TestRowMajorPackSubset(t *testing.T) {
 	local0 := []float64{0, 10, 20, 30}
 	local1 := []float64{40, 50, 60, 70}
 	want := NewSet(Interval{1, 3}, Interval{6, 7})
-	s0 := want.Intersect(rm.OwnedBy(0))
-	s1 := want.Intersect(rm.OwnedBy(1))
-	out0 := make([]float64, s0.Len())
-	out1 := make([]float64, s1.Len())
-	rm.Pack(0, local0, s0, out0)
-	rm.Pack(1, local1, s1, out1)
-	if out0[0] != 10 || out0[1] != 20 {
+	out0 := pack(rm, 0, local0, want.Intersect(rm.OwnedBy(0)))
+	out1 := pack(rm, 1, local1, want.Intersect(rm.OwnedBy(1)))
+	if !reflect.DeepEqual(out0, []float64{10, 20}) {
 		t.Errorf("rank 0 packed %v", out0)
 	}
-	if out1[0] != 60 {
+	if !reflect.DeepEqual(out1, []float64{60}) {
 		t.Errorf("rank 1 packed %v", out1)
 	}
 }
@@ -170,9 +180,6 @@ func TestRowMajorPackSubset(t *testing.T) {
 func TestLocalOrder(t *testing.T) {
 	tpl := block2D(t, []int{4, 4}, 2, 2)
 	lo := NewLocalOrder(tpl)
-	if lo.TotalLen() != 16 {
-		t.Fatalf("total = %d", lo.TotalLen())
-	}
 	// Each rank owns one contiguous interval of length 4.
 	base := 0
 	for r := 0; r < 4; r++ {
@@ -182,17 +189,17 @@ func TestLocalOrder(t *testing.T) {
 		}
 		base += 4
 	}
-	// Pack/unpack round trip.
+	// Pack/unpack round trip: local order means a straight copy.
 	local := []float64{1, 2, 3, 4}
 	owned := lo.OwnedBy(2)
-	out := make([]float64, 4)
-	lo.Pack(2, local, owned, out)
+	out := pack(lo, 2, local, owned)
+	if !reflect.DeepEqual(out, local) {
+		t.Fatalf("local order packed %v, want %v", out, local)
+	}
 	back := make([]float64, 4)
-	lo.Unpack(2, back, owned, out)
-	for i := range local {
-		if back[i] != local[i] {
-			t.Fatalf("local order round trip broke at %d", i)
-		}
+	unpack(lo, 2, back, owned, out)
+	if !reflect.DeepEqual(back, local) {
+		t.Fatalf("local order round trip gave %v", back)
 	}
 }
 
@@ -222,106 +229,10 @@ func TestRowMajorAgreesWithOwnership(t *testing.T) {
 			idx[1] = p % dims[1]
 			owner := tpl.OwnerOf(idx)
 			for r := 0; r < tpl.NumProcs(); r++ {
-				if got := rm.OwnedBy(r).Contains(p); got != (r == owner) {
+				if got := contains(rm.OwnedBy(r), p); got != (r == owner) {
 					t.Fatalf("%v: pos %d (idx %v): OwnedBy(%d)=%v, owner=%d", tpl, p, idx, r, got, owner)
 				}
 			}
-		}
-	}
-}
-
-func TestGenericLinearizersMatchFloat64(t *testing.T) {
-	// The generic instantiations must place every element exactly where the
-	// float64 linearizers do: same ownership sets, same pack order.
-	tpl := block2D(t, []int{6, 8}, 2, 2)
-	rm64 := NewRowMajor(tpl)
-	rm32 := NewRowMajorT[float32](tpl)
-	rmC := NewRowMajorT[complex128](tpl)
-	for r := 0; r < tpl.NumProcs(); r++ {
-		own := rm64.OwnedBy(r)
-		if !rm32.OwnedBy(r).Equal(own) || !rmC.OwnedBy(r).Equal(own) {
-			t.Fatalf("rank %d: generic OwnedBy disagrees with float64", r)
-		}
-		n := tpl.LocalCount(r)
-		loc64 := make([]float64, n)
-		loc32 := make([]float32, n)
-		locC := make([]complex128, n)
-		for i := range loc64 {
-			loc64[i] = float64(r*1000 + i)
-			loc32[i] = float32(loc64[i])
-			locC[i] = complex(loc64[i], -loc64[i])
-		}
-		out64 := make([]float64, own.Len())
-		out32 := make([]float32, own.Len())
-		outC := make([]complex128, own.Len())
-		rm64.Pack(r, loc64, own, out64)
-		rm32.Pack(r, loc32, own, out32)
-		rmC.Pack(r, locC, own, outC)
-		for i := range out64 {
-			if out32[i] != float32(out64[i]) || outC[i] != complex(out64[i], -out64[i]) {
-				t.Fatalf("rank %d pos %d: generic pack diverges (%v %v vs %v)", r, i, out32[i], outC[i], out64[i])
-			}
-		}
-		// Round trip back through Unpack.
-		back32 := make([]float32, n)
-		rm32.Unpack(r, back32, own, out32)
-		for i := range back32 {
-			if back32[i] != loc32[i] {
-				t.Fatalf("rank %d elem %d: float32 unpack round trip got %v want %v", r, i, back32[i], loc32[i])
-			}
-		}
-	}
-
-	lo32 := NewLocalOrderT[float32](tpl)
-	lo64 := NewLocalOrder(tpl)
-	for r := 0; r < tpl.NumProcs(); r++ {
-		if !lo32.OwnedBy(r).Equal(lo64.OwnedBy(r)) {
-			t.Fatalf("rank %d: LocalOrderT ownership disagrees", r)
-		}
-	}
-
-	// Generic instances satisfy the generic interface; the float64 alias is
-	// the same type as the instantiation.
-	var _ LinearizerT[float32] = rm32
-	var _ LinearizerT[complex128] = rmC
-	var _ Linearizer = rm64
-}
-
-// Slice must pick exactly the positions [off, off+n) in the set's own
-// position order, splitting intervals mid-way when the window demands it.
-func TestSetSlice(t *testing.T) {
-	s := NewSet(Interval{2, 5}, Interval{8, 10}, Interval{20, 26})
-	cases := []struct {
-		off, n int
-		want   Set
-	}{
-		{0, s.Len(), s},
-		{0, 2, Set{{2, 4}}},
-		{1, 3, Set{{3, 5}, {8, 9}}},
-		{3, 2, Set{{8, 10}}},
-		{4, 5, Set{{9, 10}, {20, 24}}},
-		{5, 100, Set{{20, 26}}},
-		{s.Len(), 4, nil},
-		{0, 0, nil},
-		{3, 0, nil},
-	}
-	for _, c := range cases {
-		got := s.Slice(c.off, c.n, nil)
-		if !got.Equal(c.want) {
-			t.Errorf("Slice(%d, %d) = %v, want %v", c.off, c.n, got, c.want)
-		}
-	}
-
-	// Tiling property: consecutive windows of any size reassemble the set.
-	for win := 1; win <= s.Len(); win++ {
-		var scratch Set
-		var parts []Interval
-		for off := 0; off < s.Len(); off += win {
-			scratch = s.Slice(off, win, scratch)
-			parts = append(parts, scratch...)
-		}
-		if got := NewSet(parts...); !got.Equal(s) {
-			t.Errorf("window %d: reassembled %v, want %v", win, got, s)
 		}
 	}
 }

@@ -1,7 +1,6 @@
-// The transfer loop. Every Transfer — schedule-driven or linear, fenced
-// or not, budgeted or not — runs Transfer.run below: the chunked,
-// credit-controlled protocol, of which an unbudgeted transfer is
-// the case with an infinite budget.
+// The transfer loop. Every Transfer — fenced or not, budgeted or not —
+// runs Transfer.run below: the chunked, credit-controlled protocol, of
+// which an unbudgeted transfer is the case with an infinite budget.
 //
 // Decomposition. Under a MaxBytesInFlight budget B each pairwise message
 // is split at element boundaries into chunks of at most B/2 bytes, and
@@ -68,6 +67,7 @@ import (
 	"mxn/internal/core"
 	"mxn/internal/dad"
 	"mxn/internal/obs"
+	"mxn/internal/schedule"
 	"mxn/internal/wire"
 )
 
@@ -144,13 +144,36 @@ func (t *Transfer[T]) abandon(i int) {
 	t.recv[i].chunksLeft = 0
 }
 
-// lose applies FailRedistribute to the i'th incoming message, once.
+// lose applies FailRedistribute to the i'th incoming message, once: it
+// invalidates the elements the dead pair would have delivered, block by
+// block, and (once per run) re-plans against the survivors, invalidating
+// the schedule cache entry so later transfers rebuild from current
+// templates.
 func (t *Transfer[T]) lose(i int) {
-	if rp := &t.recv[i]; !rp.lost {
-		rp.lost = true
-		t.pl.lose(i, t.out, &t.opts)
+	rp := &t.recv[i]
+	if rp.lost {
+		return
 	}
-	t.lost = true
+	rp.lost = true
+	pp, out, o := t.recvPair(i), t.out, &t.opts
+	for _, run := range pp.Runs {
+		for k := 0; k < run.Count; k++ {
+			out.Validity.InvalidateRange(run.DstOff+k*run.DstStride, run.N)
+		}
+	}
+	mElemsInvalidated.Add(uint64(pp.Elems))
+	if out.Replanned == nil {
+		start := time.Now()
+		if o.Cache != nil {
+			o.Cache.Invalidate(t.s.Src, t.s.Dst)
+		}
+		m := o.Membership
+		out.Replanned = schedule.Restrict(t.s,
+			func(r int) bool { return m.IsAlive(t.lay.SrcBase + r) },
+			func(r int) bool { return m.IsAlive(t.lay.DstBase + r) })
+		mReplanNS.ObserveSince(start)
+		mReplans.Inc()
+	}
 }
 
 // sendAck returns one chunk's transfer credit to its sender.
@@ -175,11 +198,11 @@ func sendAck(c *comm.Comm, to, tag int, epoch uint64) {
 // are never wedged waiting for credit.
 func (t *Transfer[T]) run() error {
 	tr := obs.Trace()
-	c, pl, fenced := t.c, t.pl, t.out != nil
+	c, fenced := t.c, t.out != nil
 	esz := elemSize[T]()
 
-	nSend := pl.sends()
-	t.staged, t.pendAck, t.pendingAcks, t.recvChunks, t.lost = t.staged[:0], t.pendAck[:0], 0, 0, false
+	nSend := t.sends()
+	t.staged, t.pendAck, t.pendingAcks, t.recvChunks = t.staged[:0], t.pendAck[:0], 0, 0
 	for i := 0; i < nSend; i++ {
 		t.pendAck = append(t.pendAck, 0)
 	}
@@ -188,12 +211,12 @@ func (t *Transfer[T]) run() error {
 		rp.elemsDone, rp.chunksLeft, rp.lost = 0, rp.chunks, false
 		t.recvChunks += rp.chunks
 	}
-	if fenced && pl.dstRank() >= 0 {
-		t.out.Validity = dad.NewValidity(pl.dstLen())
+	if fenced && t.dst >= 0 {
+		t.out.Validity = dad.NewValidity(len(t.dstLocal))
 	}
 	// Receives are posted before the first send, so that a peer answering
 	// at once still finds them.
-	if pl.dstRank() >= 0 && !t.aliased {
+	if t.dst >= 0 && !t.aliased {
 		t.postRecvs()
 	}
 
@@ -221,7 +244,7 @@ func (t *Transfer[T]) run() error {
 		}
 		mMsgsSent.Inc()
 		mChunksSent.Inc()
-		tr.Span(obs.EvSend, "", pl.srcRank(), sc.rank, int64(elems), start)
+		tr.Span(obs.EvSend, "", t.src, sc.rank, int64(elems), start)
 	}
 	// packNext packs the chunk at the send cursor — or lends it to an
 	// in-process rank, see lend — and advances the cursor past it and past
@@ -231,45 +254,41 @@ func (t *Transfer[T]) run() error {
 	// capElems*esz).
 	packNext := func(roundSoFar int) (stagedChunk, bool) {
 		for curOp < nSend {
-			op := pl.sendOp(curOp)
-			if fenced && !t.opts.Membership.IsAlive(op.group) {
-				t.noteDown(op.group)
+			pp := t.sendPair(curOp)
+			group := t.lay.DstBase + pp.DstRank
+			if fenced && !t.opts.Membership.IsAlive(group) {
+				t.noteDown(group)
 				mSendsSkippedDead.Inc()
-				if t.abortOnDeadSend && t.opts.Policy == FailStrict {
+				if t.opts.Policy == FailStrict {
 					mRankdownAborts.Inc()
-					firstErr = &core.ErrRankDown{Rank: op.group, Epoch: t.opts.Membership.Epoch()}
+					firstErr = &core.ErrRankDown{Rank: group, Epoch: t.opts.Membership.Epoch()}
 					curOp, curOff = nSend, 0
 					break
 				}
 				curOp, curOff = curOp+1, 0
 				continue
 			}
-			n := nextChunkElems(op.elems, curOff, t.capElems)
+			n := nextChunkElems(pp.Elems, curOff, t.capElems)
 			if roundSoFar+n*esz > t.roundBytes {
 				break
 			}
-			sc := stagedChunk{op: curOp, group: op.group, rank: op.rank}
+			sc := stagedChunk{op: curOp, group: group, rank: pp.DstRank}
 			switch {
-			case t.lendView != nil && t.lendLocal && c.DeliverableLocal(op.group):
-				sc.m = t.lend(op.group, curOff, n)
-			case t.lendView != nil && n*esz >= wire.PlaceMin && !c.DeliverableLocal(op.group) &&
-				pl.sendRun(curOp) >= t.lendMin:
-				sc.m = t.lendRemote(curOp, op.group, curOff, n)
+			case t.lendView != nil && t.lendLocal && c.DeliverableLocal(group):
+				sc.m = t.lend(group, curOff, n)
+			case t.lendView != nil && n*esz >= wire.PlaceMin && !c.DeliverableLocal(group) &&
+				runBlockBytes(pp, true, esz) >= t.lendMin:
+				sc.m = t.lendRemote(curOp, group, curOff, n)
 			default:
 				start := time.Now()
 				sc.m = newMsg[T](t.epoch, n)
-				pl.packRange(curOp, curOff, elemsOf[T](sc.m.data, n))
+				schedule.PackSliceRange(pp, t.srcLocal, elemsOf[T](sc.m.data, n), curOff)
 				mPackNS.ObserveSince(start)
 				mElemsPacked.Add(uint64(n))
-				tr.Span(obs.EvPack, "", pl.srcRank(), op.rank, int64(n), start)
-			}
-			if curOff == 0 {
-				// Only the opening chunk carries position metadata
-				// (the plan-owned full reply set on linear messages).
-				sc.m.have = pl.sendSet(curOp)
+				tr.Span(obs.EvPack, "", t.src, pp.DstRank, int64(n), start)
 			}
 			mMsgElems.Observe(int64(n))
-			if curOff += n; curOff >= op.elems {
+			if curOff += n; curOff >= pp.Elems {
 				curOp, curOff = curOp+1, 0
 			}
 			return sc, true
@@ -284,14 +303,14 @@ func (t *Transfer[T]) run() error {
 			if t.pendAck[i] == 0 {
 				continue
 			}
-			g := pl.sendOp(i).group
+			g := t.sendGroup(i)
 			if t.opts.Membership.IsAlive(g) {
 				continue
 			}
 			t.noteDown(g)
 			t.pendingAcks -= t.pendAck[i]
 			t.pendAck[i] = 0
-			if t.abortOnDeadSend && t.opts.Policy == FailStrict && firstErr == nil {
+			if t.opts.Policy == FailStrict && firstErr == nil {
 				mRankdownAborts.Inc()
 				firstErr = &core.ErrRankDown{Rank: g, Epoch: t.opts.Membership.Epoch()}
 			}
@@ -410,7 +429,7 @@ func (t *Transfer[T]) run() error {
 					}
 					for i := 0; i < nSend; i++ {
 						if t.pendAck[i] > 0 {
-							t.opts.Membership.MarkDown(pl.sendOp(i).group)
+							t.opts.Membership.MarkDown(t.sendGroup(i))
 						}
 					}
 					waited = 0
@@ -436,7 +455,7 @@ func (t *Transfer[T]) run() error {
 			recycle(m)
 			credited := false
 			for i := 0; i < nSend; i++ {
-				if t.pendAck[i] > 0 && pl.sendOp(i).group == from {
+				if t.pendAck[i] > 0 && t.sendGroup(i) == from {
 					t.pendAck[i]--
 					t.pendingAcks--
 					credited = true
@@ -470,9 +489,9 @@ func (t *Transfer[T]) run() error {
 			var err error
 			switch {
 			case ri == len(t.recv):
-				err = fmt.Errorf("redist: destination rank %d received unexpected %T from group rank %d", pl.dstRank(), payload, from)
+				err = fmt.Errorf("redist: destination rank %d received unexpected %T from group rank %d", t.dst, payload, from)
 			case !isMsg:
-				err = fmt.Errorf("redist: destination rank %d received %T, want transfer message", pl.dstRank(), payload)
+				err = fmt.Errorf("redist: destination rank %d received %T, want transfer message", t.dst, payload)
 			case firstErr == nil:
 				err = t.unpackChunk(ri, m, tr)
 			}
@@ -507,21 +526,18 @@ func (t *Transfer[T]) run() error {
 		putSegs(t.segArena)
 		t.segArena, t.arenaTaken = nil, false
 	}
-	if firstErr == nil {
-		firstErr = pl.finish(t.lost)
-	}
 	if firstErr != nil {
 		mErrors.Inc()
 		return firstErr
 	}
-	if fenced && pl.dstRank() >= 0 && t.opts.Desc != nil && !t.out.Validity.AllValid() {
-		t.opts.Desc.SetValidity(pl.dstRank(), t.out.Validity)
+	if fenced && t.dst >= 0 && t.opts.Desc != nil && !t.out.Validity.AllValid() {
+		t.opts.Desc.SetValidity(t.dst, t.out.Validity)
 	}
 	// One count per side this rank played, on success only.
-	if pl.srcRank() >= 0 {
+	if t.src >= 0 {
 		mTransfers.Inc()
 	}
-	if pl.dstRank() >= 0 {
+	if t.dst >= 0 {
 		mTransfers.Inc()
 	}
 	return nil
@@ -599,7 +615,7 @@ func (t *Transfer[T]) awaitLent(firstErr *error) {
 			}
 			if dead {
 				t.noteDown(lc.group)
-				if t.abortOnDeadSend && o.Policy == FailStrict && *firstErr == nil {
+				if o.Policy == FailStrict && *firstErr == nil {
 					mRankdownAborts.Inc()
 					*firstErr = &core.ErrRankDown{Rank: lc.group, Epoch: o.Membership.Epoch()}
 				}
@@ -622,7 +638,7 @@ func (t *Transfer[T]) awaitLent(firstErr *error) {
 // unpackChunk validates one arrived chunk against the ri'th open
 // expectation and unpacks it into place.
 func (t *Transfer[T]) unpackChunk(ri int, m *xferMsg, tr *obs.Tracer) error {
-	pl, rp := t.pl, &t.recv[ri]
+	rp := &t.recv[ri]
 	if t.out != nil && m.epoch > t.epoch {
 		// The peer already re-planned into a NEWER epoch than this rank
 		// entered at. Consuming its chunks against our stale plan would
@@ -630,37 +646,36 @@ func (t *Transfer[T]) unpackChunk(ri int, m *xferMsg, tr *obs.Tracer) error {
 		// match; reject with a typed error so the caller re-enters at
 		// the current epoch.
 		mStaleLocal.Inc()
-		return &StaleLocalEpochError{Transfer: pl.proto(), Rank: pl.dstRank(), Peer: rp.rank, Local: t.epoch, Remote: m.epoch}
+		return &StaleLocalEpochError{Rank: t.dst, Peer: rp.rank, Local: t.epoch, Remote: m.epoch}
 	}
 	if want := kindOf[T](); m.kind != want {
-		return &ElemKindError{Transfer: pl.proto(), DstRank: pl.dstRank(), SrcRank: rp.rank, Got: m.kind, Want: want}
+		return &ElemKindError{DstRank: t.dst, SrcRank: rp.rank, Got: m.kind, Want: want}
 	}
 	esz, lent := elemSize[T](), m.lender != nil
 	expect := nextChunkElems(rp.elems, rp.elemsDone, t.capElems)
 	if m.elems != expect || (lent && m.off != rp.elemsDone) || (!lent && (len(m.data)+m.placedBytes != m.elems*esz || m.placedBytes%esz != 0)) {
-		return &ElemCountError{Transfer: pl.proto(), DstRank: pl.dstRank(), SrcRank: rp.rank, Got: m.elems, Want: expect}
+		return &ElemCountError{DstRank: t.dst, SrcRank: rp.rank, Got: m.elems, Want: expect}
 	}
-	if rp.elemsDone == 0 {
-		if err := pl.checkHave(ri, m); err != nil {
-			return err
-		}
-	}
+	pp, data := t.recvPair(ri), elemsOf[T](m.data, len(m.data)/esz)
 	start := time.Now()
 	switch {
 	case !lent:
 		// A placed chunk's tail is in place already; the part of it read
 		// before its posting took the frame is unpacked.
-		pl.unpackRange(ri, rp.elemsDone, elemsOf[T](m.data, len(m.data)/esz))
+		schedule.UnpackSliceRange(pp, t.dstLocal, data, rp.elemsDone)
 	case !m.take():
 		return t.revoked(ri, m)
+	case len(data) != t.s.Src.LocalCount(pp.SrcRank):
+		// A lent chunk is its sender's whole source buffer: check it
+		// against the source template, the one thing a packed chunk's
+		// length would have told.
+		return &ElemCountError{DstRank: t.dst, SrcRank: rp.rank, Got: len(data), Want: t.s.Src.LocalCount(pp.SrcRank)}
 	default:
-		if err := pl.copyRange(ri, rp.elemsDone, elemsOf[T](m.data, len(m.data)/esz), m.elems); err != nil {
-			return err
-		}
+		schedule.CopySliceRange(pp, data, t.dstLocal, rp.elemsDone, m.elems)
 	}
 	mUnpackNS.ObserveSince(start)
 	mElemsUnpack.Add(uint64(m.elems))
-	tr.Span(obs.EvUnpack, "", pl.dstRank(), rp.rank, int64(m.elems), start)
+	tr.Span(obs.EvUnpack, "", t.dst, rp.rank, int64(m.elems), start)
 	rp.elemsDone += m.elems
 	return nil
 }

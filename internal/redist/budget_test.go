@@ -268,7 +268,7 @@ func TestBudgetedMatchesUnbudgetedLinear(t *testing.T) {
 					if fenced {
 						opts.Membership, opts.PollInterval = mem, time.Millisecond
 					}
-					if _, err := xferLinear(c, srcLin, dstLin, lay, m, n, sl, dl, 0, opts); err != nil {
+					if _, err := xferLinear(c, srcLin, dstLin, lay, sl, dl, 0, opts); err != nil {
 						t.Errorf("rank %d (budget=%d fenced=%v): %v", c.Rank(), budget, fenced, err)
 					}
 					if dl != nil {
@@ -445,9 +445,8 @@ func TestUnbudgetedIsOneRoundWithoutAcks(t *testing.T) {
 // this one. Budgeted, a rank receives from anyone, so one tag is safe only
 // where no step's chunk can land in a slower peer's still-running loop: a
 // schedule in which no destination has two sources (source 0 still runs
-// every step before source 1 starts), or a linear plan, whose request
-// phase holds a source's next replies until every destination has asked
-// for them — that is, finished the step before.
+// every step before source 1 starts). A linearization lowered to a
+// schedule follows the same rules.
 func TestSkewedBackToBackExchangesShareTag(t *testing.T) {
 	const steps = 50
 	cases := []struct {
@@ -459,7 +458,7 @@ func TestSkewedBackToBackExchangesShareTag(t *testing.T) {
 		{"schedule", tpl(t, []int{96}, dad.BlockAxis(2)), tpl(t, []int{96}, dad.CyclicAxis(2)), false, 0},
 		{"schedule-budgeted", tpl(t, []int{96}, dad.BlockAxis(2)), tpl(t, []int{96}, dad.BlockAxis(4)), false, 64},
 		{"linear", tpl(t, []int{96}, dad.BlockAxis(2)), tpl(t, []int{96}, dad.CyclicAxis(3)), true, 0},
-		{"linear-budgeted", tpl(t, []int{96}, dad.BlockAxis(2)), tpl(t, []int{96}, dad.CyclicAxis(3)), true, 64},
+		{"linear-budgeted", tpl(t, []int{96}, dad.BlockAxis(2)), tpl(t, []int{96}, dad.BlockAxis(4)), true, 64},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -487,24 +486,25 @@ func TestSkewedBackToBackExchangesShareTag(t *testing.T) {
 				if r == 0 {
 					defer close(ahead)
 				}
-				lay, opts := Layout{SrcBase: 0, DstBase: m}, TransferOpts{MaxBytesInFlight: tc.budget}
-				var xt *Transfer[float64]
-				var err error
+				plan := s
 				if tc.linear {
-					xt, err = NewLinear(c, linear.NewRowMajor(tc.src), linear.NewRowMajor(tc.dst), lay, m, n, 0, opts)
-				} else {
-					xt, err = New[float64](c, s, lay, 0, opts)
+					var err error
+					if plan, err = schedule.FromLinear(linear.NewRowMajor(tc.src), linear.NewRowMajor(tc.dst)); err != nil {
+						t.Error(err)
+						return
+					}
 				}
+				xt, err := New[float64](c, plan, Layout{SrcBase: 0, DstBase: m}, 0, TransferOpts{MaxBytesInFlight: tc.budget})
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				if r == 1 && !tc.linear {
+				if r == 1 {
 					<-ahead // source 0 is a whole run of transfers ahead
 				}
 				for k := 0; k < steps; k++ {
 					if (r == 1 && k%5 == 0) || (r == m+n-1 && k%7 == 0) {
-						time.Sleep(time.Millisecond) // a linear source cannot run ahead; jitter instead
+						time.Sleep(time.Millisecond) // jitter on top of the skew
 					}
 					var sl, dl []float64
 					if r < m {

@@ -72,14 +72,13 @@ func bytesOf[T Elem](s []T) []byte {
 // not match the destination buffer's element type — two cohorts disagreed
 // about the data type of the connected field.
 type ElemKindError struct {
-	Transfer string // "exchange" or "linear"
-	DstRank  int
-	SrcRank  int
-	Got      dad.ElemKind
-	Want     dad.ElemKind
+	DstRank int
+	SrcRank int
+	Got     dad.ElemKind
+	Want    dad.ElemKind
 }
 
 func (e *ElemKindError) Error() string {
-	return fmt.Sprintf("redist: %s transfer: destination rank %d received %v elements from source rank %d, expected %v",
-		e.Transfer, e.DstRank, e.Got, e.SrcRank, e.Want)
+	return fmt.Sprintf("redist: destination rank %d received %v elements from source rank %d, expected %v",
+		e.DstRank, e.Got, e.SrcRank, e.Want)
 }

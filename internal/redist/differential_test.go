@@ -172,9 +172,9 @@ func TestFencedMatchesUnfencedLinear(t *testing.T) {
 				}
 				var err error
 				if fenced {
-					_, err = xferLinear(c, srcLin, dstLin, lay, m, n, sl, dl, 0, TransferOpts{Membership: mem})
+					_, err = xferLinear(c, srcLin, dstLin, lay, sl, dl, 0, TransferOpts{Membership: mem})
 				} else {
-					_, err = xferLinear(c, srcLin, dstLin, lay, m, n, sl, dl, 0, TransferOpts{})
+					_, err = xferLinear(c, srcLin, dstLin, lay, sl, dl, 0, TransferOpts{})
 				}
 				if err != nil {
 					t.Errorf("trial %d rank %d (fenced=%v): %v", trial, c.Rank(), fenced, err)

@@ -37,16 +37,15 @@ var (
 // the caller should re-enter it at the current epoch — as should the
 // peer cohort, which will see this rank's own traffic as stale.
 type StaleLocalEpochError struct {
-	Transfer string // "exchange" or "linear"
-	Rank     int    // local cohort rank that found itself stale
-	Peer     int    // peer cohort rank whose message carried the newer epoch
-	Local    uint64 // this rank's entry epoch
-	Remote   uint64 // the epoch stamped on the peer's message
+	Rank   int    // local cohort rank that found itself stale
+	Peer   int    // peer cohort rank whose message carried the newer epoch
+	Local  uint64 // this rank's entry epoch
+	Remote uint64 // the epoch stamped on the peer's message
 }
 
 func (e *StaleLocalEpochError) Error() string {
-	return fmt.Sprintf("redist: %s transfer: rank %d entered at epoch %d but peer rank %d is at epoch %d; re-enter at the current epoch",
-		e.Transfer, e.Rank, e.Local, e.Peer, e.Remote)
+	return fmt.Sprintf("redist: rank %d entered at epoch %d but peer rank %d is at epoch %d; re-enter at the current epoch",
+		e.Rank, e.Local, e.Peer, e.Remote)
 }
 
 // FailPolicy selects what a fenced transfer does when a rank it depends on
@@ -86,7 +85,6 @@ type Outcome struct {
 	// that lost nothing.
 	Validity *dad.Validity
 	// Replanned is the restricted schedule the survivors executed, set
-	// only when a FailRedistribute re-plan happened (schedule-driven
-	// transfers only).
+	// only when a FailRedistribute re-plan happened.
 	Replanned *schedule.Schedule
 }

@@ -347,7 +347,7 @@ func runLinearFenced(t *testing.T, src, dst *dad.Template, policy FailPolicy,
 		} else {
 			dl = make([]float64, dst.LocalCount(c.Rank()-m))
 		}
-		out, err := xferLinear(c, srcLin, dstLin, lay, m, n, sl, dl, 0, fo)
+		out, err := xferLinear(c, srcLin, dstLin, lay, sl, dl, 0, fo)
 		if dl != nil {
 			mu.Lock()
 			dstLocals[c.Rank()-m] = dl

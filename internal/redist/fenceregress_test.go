@@ -93,14 +93,14 @@ func TestFencedRejectsFutureEpoch(t *testing.T) {
 	}
 	lay := Layout{SrcBase: 0, DstBase: 1}
 
-	checkErr := func(t *testing.T, err error, transfer string, rank, peer int) {
+	checkErr := func(t *testing.T, err error, rank, peer int) {
 		t.Helper()
 		var sle *StaleLocalEpochError
 		if !errors.As(err, &sle) {
 			t.Fatalf("err = %v, want *StaleLocalEpochError", err)
 		}
-		if sle.Transfer != transfer || sle.Rank != rank || sle.Peer != peer {
-			t.Errorf("error attribution = %+v, want Transfer=%q Rank=%d Peer=%d", sle, transfer, rank, peer)
+		if sle.Rank != rank || sle.Peer != peer {
+			t.Errorf("error attribution = %+v, want Rank=%d Peer=%d", sle, rank, peer)
 		}
 		if sle.Local != 1 || sle.Remote != 2 {
 			t.Errorf("epochs = local %d remote %d, want 1 and 2", sle.Local, sle.Remote)
@@ -119,7 +119,7 @@ func TestFencedRejectsFutureEpoch(t *testing.T) {
 		dl := []float64{-5, -5, -5, -5}
 		fo := TransferOpts{Membership: mem, PollInterval: time.Millisecond}
 		_, err := xfer(cs[1], s, lay, nil, dl, 0, fo)
-		checkErr(t, err, "exchange", 0, 0)
+		checkErr(t, err, 0, 0)
 		for _, v := range dl {
 			if v != -5 {
 				t.Fatalf("destination buffer modified by future-epoch message: %v", dl)
@@ -138,7 +138,7 @@ func TestFencedRejectsFutureEpoch(t *testing.T) {
 		dl := []float64{-5, -5, -5, -5}
 		fo := TransferOpts{Membership: mem, PollInterval: time.Millisecond, MaxBytesInFlight: 32}
 		_, err := xfer(cs[1], s, lay, nil, dl, 0, fo)
-		checkErr(t, err, "exchange", 0, 0)
+		checkErr(t, err, 0, 0)
 		for _, v := range dl {
 			if v != -5 {
 				t.Fatalf("destination buffer modified by future-epoch chunk: %v", dl)
@@ -146,20 +146,24 @@ func TestFencedRejectsFutureEpoch(t *testing.T) {
 		}
 	})
 
-	t.Run("linear-request", func(t *testing.T) {
-		// The receiver-driven request phase has the same hazard on the
-		// source side: a request stamped ahead of the source's entry
-		// epoch means the source's owned view is stale.
+	t.Run("linear", func(t *testing.T) {
+		// A linearization lowered to a schedule fences its data chunks
+		// exactly as a built schedule does.
 		srcLin := linear.NewRowMajor(src)
 		dstLin := linear.NewRowMajor(dst)
 		cs := comm.NewWorld(2).Comms()
 		mem := core.NewMembership(2)
-		cs[1].Send(0, 0, linRequest{dstRank: 0, need: linear.Set{{Lo: 0, Hi: 4}}, epoch: 2})
+		cs[0].Send(1, 0, newMsg[float64](2, 4))
 
+		dl := []float64{-5, -5, -5, -5}
 		fo := TransferOpts{Membership: mem, PollInterval: time.Millisecond}
-		sl := []float64{0, 1, 2, 3}
-		_, err := xferLinear(cs[0], srcLin, dstLin, lay, 1, 1, sl, nil, 0, fo)
-		checkErr(t, err, "linear", 0, 0)
+		_, err := xferLinear(cs[1], srcLin, dstLin, lay, nil, dl, 0, fo)
+		checkErr(t, err, 0, 0)
+		for _, v := range dl {
+			if v != -5 {
+				t.Fatalf("destination buffer modified by future-epoch message: %v", dl)
+			}
+		}
 	})
 }
 
@@ -301,10 +305,10 @@ func TestZeroElementRanksAndMessages(t *testing.T) {
 		verify(t, dst, got)
 	})
 
-	// The linear path always answers every request, so aligned
-	// Block→Block layouts make half the replies zero-element messages.
-	// Budgeted, each such reply is one zero-byte chunk and every round
-	// still carries at least one chunk: rounds ≤ chunks.
+	// Aligned Block→Block layouts leave half the source/destination
+	// pairs of a linearization with nothing to move. Lowered to a
+	// schedule, such a pair is absent: no zero-element message travels,
+	// and every round still carries at least one chunk: rounds ≤ chunks.
 	t.Run("linear-empty-replies-budgeted", func(t *testing.T) {
 		lsrc := tpl(t, []int{8}, dad.BlockAxis(2))
 		ldst := tpl(t, []int{8}, dad.BlockAxis(2))
@@ -325,7 +329,7 @@ func TestZeroElementRanksAndMessages(t *testing.T) {
 					dl = make([]float64, ldst.LocalCount(r-2))
 					dstLocals[r-2] = dl
 				}
-				_, err := xferLinear(cs[r], srcLin, dstLin, lay, 2, 2, sl, dl, 0, TransferOpts{MaxBytesInFlight: 32})
+				_, err := xferLinear(cs[r], srcLin, dstLin, lay, sl, dl, 0, TransferOpts{MaxBytesInFlight: 32})
 				done <- err
 			}(r)
 		}
@@ -336,55 +340,13 @@ func TestZeroElementRanksAndMessages(t *testing.T) {
 		}
 		verify(t, ldst, dstLocals)
 		dChunks, dRounds := mChunksSent.Value()-chunks0, mRoundsSent.Value()-rounds0
-		// Each source: one 4-element reply (2 chunks at 2 elems) plus one
-		// zero-element reply (1 chunk) = 3 chunks.
-		if dChunks != 6 {
-			t.Errorf("chunks sent = %d, want 6 (zero-element replies travel as one chunk)", dChunks)
+		// Each source: one 4-element message (2 chunks at 2 elems), and
+		// none for the destination it shares no position with.
+		if dChunks != 4 {
+			t.Errorf("chunks sent = %d, want 4 (an empty pair sends nothing)", dChunks)
 		}
 		if dRounds > dChunks {
 			t.Errorf("rounds %d > chunks %d: an empty round was flushed", dRounds, dChunks)
 		}
 	})
-}
-
-// Regression: the fenced linear request phase measured SuspectAfter as
-// total time since the source began waiting, not as silence since the
-// last arrival the way the transfer loop does. One source feeding two
-// destinations that enter 60 ms and 150 ms late never goes 100 ms without
-// an arrival, yet the source marked the live late destination down, which
-// then suspected the live source in turn: two live ranks down, and a
-// destination failing with ErrRankDown.
-func TestLinearRequestSuspicionIsSilenceSinceLastArrival(t *testing.T) {
-	src := tpl(t, []int{64}, dad.BlockAxis(1))
-	dst := tpl(t, []int{64}, dad.BlockAxis(2))
-	srcLin, dstLin := linear.NewRowMajor(src), linear.NewRowMajor(dst)
-	mem := core.NewMembership(3)
-	srcLocals := fillByGlobal(src)
-	got := make([][]float64, 2)
-	comm.Run(3, func(c *comm.Comm) {
-		fo := TransferOpts{Membership: mem, Policy: FailStrict, PollInterval: time.Millisecond, SuspectAfter: 100 * time.Millisecond}
-		var sl, dl []float64
-		switch c.Rank() {
-		case 0:
-			sl = srcLocals[0]
-		case 1:
-			time.Sleep(60 * time.Millisecond)
-			dl = make([]float64, dst.LocalCount(0))
-		case 2:
-			time.Sleep(150 * time.Millisecond)
-			dl = make([]float64, dst.LocalCount(1))
-		}
-		if _, err := xferLinear(c, srcLin, dstLin, Layout{SrcBase: 0, DstBase: 1}, 1, 2, sl, dl, 0, fo); err != nil {
-			t.Errorf("rank %d: %v", c.Rank(), err)
-		}
-		if dl != nil {
-			got[c.Rank()-1] = dl
-		}
-	})
-	for r := 0; r < 3; r++ {
-		if !mem.IsAlive(r) {
-			t.Errorf("live rank %d was marked down", r)
-		}
-	}
-	verify(t, dst, got)
 }

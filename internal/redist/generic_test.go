@@ -113,8 +113,8 @@ func TestExecuteLocalGeneric(t *testing.T) {
 func TestLinearExchangeFloat32(t *testing.T) {
 	src := tpl(t, []int{12}, dad.BlockAxis(3))
 	dst := tpl(t, []int{12}, dad.CyclicAxis(2))
-	srcLin := linear.NewRowMajorT[float32](src)
-	dstLin := linear.NewRowMajorT[float32](dst)
+	srcLin := linear.NewRowMajor(src)
+	dstLin := linear.NewRowMajor(dst)
 	conv := func(v float64) float32 { return float32(v) }
 	srcLocals := fillByGlobalT(src, conv)
 	dstLocals := make([][]float32, 2)
@@ -127,7 +127,7 @@ func TestLinearExchangeFloat32(t *testing.T) {
 		} else {
 			dl = make([]float32, dst.LocalCount(c.Rank()-3))
 		}
-		if _, err := xferLinear(c, srcLin, dstLin, lay, 3, 2, sl, dl, 0, TransferOpts{}); err != nil {
+		if _, err := xferLinear(c, srcLin, dstLin, lay, sl, dl, 0, TransferOpts{}); err != nil {
 			t.Errorf("rank %d: %v", c.Rank(), err)
 		}
 		if dl != nil {

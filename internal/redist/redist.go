@@ -1,21 +1,16 @@
 // Package redist executes parallel data redistribution: it moves the
-// elements named by a communication schedule (or by a linearization) from
-// source local buffers to destination local buffers, in parallel, with no
-// global synchronization and no central data-management process.
+// elements named by a communication schedule from source local buffers to
+// destination local buffers, in parallel, with no global synchronization
+// and no central data-management process.
 //
-// A rank builds one Transfer per coupling and runs it every step — the
-// paper's schedule reuse (§2.3) carried up to the executor, and the shape
-// of its M×N component: a connection built once, then driven by matched
-// dataReady() calls (§4.1). Two constructors pick the protocol:
-//
-//   - New: schedule-driven. Each pairwise message is independent — the
-//     asynchronous point-to-point structure the paper's M×N component
-//     achieves with matched dataReady() calls.
-//   - NewLinear: the receiver-driven protocol of the Indiana MPI-IO M×N
-//     device (Section 2.2.1): on every Run each receiver tells the
-//     senders which linear chunks it requires, and no communication
-//     schedule is ever computed. The per-transfer request traffic is the
-//     price.
+// A rank builds one Transfer per coupling with New and runs it every step
+// — the paper's schedule reuse (§2.3) carried up to the executor, and the
+// shape of its M×N component: a connection built once, then driven by
+// matched dataReady() calls (§4.1). Each pairwise message is independent
+// of the others: the asynchronous point-to-point structure that component
+// achieves. The schedule may come from two templates (schedule.Build) or
+// from two linearizations (schedule.FromLinear, Section 2.2.1); the engine
+// cannot tell them apart.
 //
 // Everything else — fencing under a liveness view, a memory budget,
 // lending to in-process ranks, a resize migration pinned to its prepare
@@ -44,7 +39,6 @@ import (
 	"mxn/internal/comm"
 	"mxn/internal/core"
 	"mxn/internal/dad"
-	"mxn/internal/linear"
 	"mxn/internal/obs"
 	"mxn/internal/schedule"
 	"mxn/internal/wire"
@@ -67,29 +61,21 @@ var (
 	mPackNS      = obs.Default().Histogram("redist.pack_ns")
 	mUnpackNS    = obs.Default().Histogram("redist.unpack_ns")
 	mMsgElems    = obs.Default().Histogram("redist.msg_elems")
-	mLinRequests = obs.Default().Counter("redist.linear_requests")
-	mLinReplies  = obs.Default().Counter("redist.linear_replies")
 )
 
-// ElemCountError reports a received fragment whose element count (or
-// position set) does not match what the schedule or linearization
-// intersection requires. It is a typed error so callers can distinguish a
-// data-integrity failure from transport-level trouble.
+// ElemCountError reports a received fragment whose element count does not
+// match what the schedule requires. It is a typed error so callers can
+// distinguish a data-integrity failure from transport-level trouble.
 type ElemCountError struct {
-	Transfer string // "exchange" or "linear"
-	DstRank  int    // destination cohort rank that detected the mismatch
-	SrcRank  int    // offending source cohort rank, or -1 for the whole transfer
-	Got      int
-	Want     int
+	DstRank int // destination cohort rank that detected the mismatch
+	SrcRank int // offending source cohort rank
+	Got     int
+	Want    int
 }
 
 func (e *ElemCountError) Error() string {
-	if e.SrcRank < 0 {
-		return fmt.Sprintf("redist: %s transfer: destination rank %d received %d elements, expected %d",
-			e.Transfer, e.DstRank, e.Got, e.Want)
-	}
-	return fmt.Sprintf("redist: %s transfer: destination rank %d received %d elements from source rank %d, expected %d",
-		e.Transfer, e.DstRank, e.Got, e.SrcRank, e.Want)
+	return fmt.Sprintf("redist: destination rank %d received %d elements from source rank %d, expected %d",
+		e.DstRank, e.Got, e.SrcRank, e.Want)
 }
 
 // ExecuteLocalT runs a whole schedule within one goroutine, moving each
@@ -187,16 +173,15 @@ type TransferOpts struct {
 	// barrier between them, a source that finishes early can land its
 	// next transfer's chunks inside a destination still waiting on a
 	// slower source. A budgeted handle therefore Runs back to back only
-	// where no destination has two sources, or on a linear plan, whose
-	// request phase is that barrier. An unbudgeted transfer receives from
-	// specific peers in plan order and tolerates tag reuse — one handle
-	// may Run back to back.
+	// where no destination has two sources. An unbudgeted transfer
+	// receives from specific peers in plan order and tolerates tag reuse —
+	// one handle may Run back to back.
 	MaxBytesInFlight int
 
 	// ZeroCopyLocal makes an unbudgeted transfer lend, as a budgeted one
-	// always does: a schedule-driven chunk for an in-process rank — or
-	// for this rank itself, when its source and destination buffers do
-	// not overlap — is not packed but lent, as the caller's whole source
+	// always does: a chunk for an in-process rank — or for this rank
+	// itself, when its source and destination buffers do not overlap — is
+	// not packed but lent, as the caller's whole source
 	// slice and the chunk's window of the pair's packed order, and the
 	// receiver copies the window straight into its destination through
 	// its own pair plan, whatever the run shape: one copy instead of a
@@ -205,8 +190,8 @@ type TransferOpts struct {
 	// exactly as on the copying path; the cost is that a source rank no
 	// longer returns before its in-process destinations have copied.
 	// Fenced, a destination declared dead has its chunks revoked instead
-	// of waited on. Linear transfers and a rank whose source overlaps its
-	// destination always pack. Remote destinations do not depend on this
+	// of waited on. A rank whose source overlaps its destination always
+	// packs. Remote destinations do not depend on this
 	// field: a chunk of at least 64 KiB that crosses a connection
 	// (comm.ConnectPeer) is lent as views of the source when its runs
 	// average 2 KiB or more, and such a message expected from across one
@@ -233,9 +218,8 @@ type TransferOpts struct {
 	// SuspectAfter, when positive, is receiver-side failure detection:
 	// a peer is marked down in Membership (and the policy applied) after
 	// this long of silence since the last arrival while it still owes
-	// this rank a message, even with no heartbeat detector running. The
-	// linear request phase and the transfer loop keep the same clock.
-	// Zero disables suspicion: only Membership declares deaths.
+	// this rank a message, even with no heartbeat detector running. Zero
+	// disables suspicion: only Membership declares deaths.
 	SuspectAfter time.Duration
 	// Cache, when set, has its (Src, Dst) entry invalidated whenever a
 	// death forces a re-plan, so later transfers rebuild from current
@@ -259,46 +243,38 @@ type TransferOpts struct {
 }
 
 // Transfer is one rank's persistent handle on a redistribution: built
-// once with New or NewLinear, then Run every step. It owns the rank's
-// validated cohort placement, the budget's chunk and round caps, and the
-// per-run state (expectation table, credit counters, staged chunks, the
-// lent chunks and their rendezvous), so a steady-state Run allocates
-// nothing.
+// once with New, then Run every step. It owns the rank's validated cohort
+// placement, the budget's chunk and round caps, and the per-run state
+// (expectation table, credit counters, staged chunks, the lent chunks and
+// their rendezvous), so a steady-state Run allocates nothing.
 //
 // Every member of the communicator group hosting a source or destination
-// rank builds a handle on the same plan, options and element type, and
-// runs it the same number of times (a kind mismatch surfaces as a typed
-// *ElemKindError on the destination). A handle serves one rank: Runs
-// must not overlap. baseTag reserves a tag namespace — a schedule-driven
-// transfer uses baseTag, a linear one baseTag (requests) and baseTag+1
-// (replies) — so concurrent transfers on one communicator must space
-// their base tags by one (two for linear).
+// rank builds a handle on the same schedule, options and element type,
+// and runs it the same number of times (a kind mismatch surfaces as a
+// typed *ElemKindError on the destination). A handle serves one rank:
+// Runs must not overlap. baseTag is the transfer's one tag, so concurrent
+// transfers on one communicator must use distinct base tags.
 type Transfer[T Elem] struct {
-	c    *comm.Comm
-	lay  Layout
-	pl   plan[T]
-	lin  *linPlan[T] // pl's linear form, nil on a schedule: runs the request phase
-	tag  int         // data tag
-	opts TransferOpts
-	// abortOnDeadSend: under FailStrict, a schedule-driven sender aborts
-	// on a dead destination (the missing message would wedge the
-	// collective protocol); receiver-driven replies just skip dead
-	// requesters.
-	abortOnDeadSend bool
-	total           int // elements the whole transfer moves (resize metric)
+	c        *comm.Comm
+	lay      Layout
+	s        *schedule.Schedule
+	src, dst int // this rank's cohort ranks, -1 outside the cohort
+	tag      int
+	opts     TransferOpts
 
 	capElems, roundBytes int  // chunk and round caps; unbounded without a budget
 	budgeted             bool // acks pace rounds
 
 	// Per-run state, reset by Run.
+	srcLocal    []T      // this run's source buffer
+	dstLocal    []T      // this run's destination buffer
 	epoch       uint64   // entry epoch; 0 unfenced
 	out         *Outcome // this run's report; nil unfenced
 	staged      []stagedChunk
 	pendAck     []int // per send op: chunks sent but not yet acknowledged
 	pendingAcks int   // sum of pendAck
 	recv        []recvProgress
-	recvChunks  int  // sum of recv[i].chunksLeft
-	lost        bool // an incoming message was lost to a dead rank
+	recvChunks  int // sum of recv[i].chunksLeft
 	// lendView is the source buffer this run lends, nil when it lends
 	// nothing; lent lists the chunks lent, in send order. lendLocal is
 	// whether chunks for in-process ranks are lent (budgeted or
@@ -323,64 +299,12 @@ type Transfer[T Elem] struct {
 	zc rendezvous
 }
 
-// New builds this rank's handle on a schedule-driven transfer: sources
-// pack and post all their sends without waiting, then each destination
+// New builds this rank's handle on a transfer of schedule s: sources pack
+// and post all their sends without waiting, then each destination
 // consumes exactly the messages addressed to it. No barrier is involved
 // on either side.
 func New[T Elem](c *comm.Comm, s *schedule.Schedule, lay Layout, baseTag int, opts TransferOpts) (*Transfer[T], error) {
-	p := &schedPlan[T]{s: s, lay: lay, src: -1, dst: -1}
 	nSrc, nDst := s.Src.NumProcs(), s.Dst.NumProcs()
-	if r := c.Rank() - lay.SrcBase; r >= 0 && r < nSrc {
-		p.src = r
-		p.wantSrc = s.Src.LocalCount(r)
-	}
-	if r := c.Rank() - lay.DstBase; r >= 0 && r < nDst {
-		p.dst = r
-		p.wantDst = s.Dst.LocalCount(r)
-	}
-	return newTransfer[T](c, p, lay, baseTag, opts, nSrc, nDst, s.TotalElems())
-}
-
-// NewLinear builds this rank's handle on a receiver-driven transfer that
-// uses linearization and no schedule. srcLin and dstLin must linearize
-// their respective templates into the same abstract linear space (same
-// TotalLen); the correspondence of positions is the implicit
-// source-to-destination mapping.
-//
-// Protocol per Run: every destination rank sends its needed interval set
-// to every (live) source rank on baseTag; every source intersects each
-// request with its owned set and replies with (positions, data) on
-// baseTag+1 through the transfer loop. Each reply is validated against
-// the intersection of its source's owned positions with this
-// destination's needs; a mismatch surfaces as an *ElemCountError after
-// the remaining expected replies have been drained.
-func NewLinear[T Elem](c *comm.Comm, srcLin, dstLin linear.LinearizerT[T], lay Layout, nSrc, nDst, baseTag int,
-	opts TransferOpts) (*Transfer[T], error) {
-	if srcLin.TotalLen() != dstLin.TotalLen() {
-		return nil, fmt.Errorf("redist: linearizations disagree on length: %d vs %d", srcLin.TotalLen(), dstLin.TotalLen())
-	}
-	p := &linPlan[T]{lay: lay, src: -1, dst: -1, nSrc: nSrc, nDst: nDst, srcLin: srcLin, dstLin: dstLin}
-	if r := c.Rank() - lay.SrcBase; r >= 0 && r < nSrc {
-		p.src = r
-		p.owned = srcLin.OwnedBy(r)
-	}
-	if r := c.Rank() - lay.DstBase; r >= 0 && r < nDst {
-		// Expect one reply per source. Sources dead at entry (or dying
-		// later) stay in the plan: the loop's liveness check settles them
-		// — under FailStrict as a typed abort, under FailRedistribute as
-		// invalidated positions — without ever blocking on them.
-		p.dst = r
-		p.need = dstLin.OwnedBy(r)
-		for sr := 0; sr < nSrc; sr++ {
-			set := srcLin.OwnedBy(sr).Intersect(p.need)
-			p.inSets = append(p.inSets, set)
-			p.covered += set.Len()
-		}
-	}
-	return newTransfer[T](c, p, lay, baseTag+1, opts, nSrc, nDst, srcLin.TotalLen())
-}
-
-func newTransfer[T Elem](c *comm.Comm, pl plan[T], lay Layout, dataTag int, opts TransferOpts, nSrc, nDst, total int) (*Transfer[T], error) {
 	if opts.Resize != nil {
 		if err := checkResize(c, lay, opts, nSrc, nDst); err != nil {
 			return nil, err
@@ -390,25 +314,29 @@ func newTransfer[T Elem](c *comm.Comm, pl plan[T], lay Layout, dataTag int, opts
 		opts.PollInterval = 2 * time.Millisecond
 	}
 	esz := elemSize[T]()
-	t := &Transfer[T]{c: c, lay: lay, pl: pl, tag: dataTag, opts: opts, total: total,
+	t := &Transfer[T]{c: c, lay: lay, s: s, src: -1, dst: -1, tag: baseTag, opts: opts,
 		capElems: chunkElemCap(opts.MaxBytesInFlight, esz), roundBytes: math.MaxInt}
-	t.lin, _ = pl.(*linPlan[T])
-	t.abortOnDeadSend = t.lin == nil
+	if r := c.Rank() - lay.SrcBase; r >= 0 && r < nSrc {
+		t.src = r
+	}
+	if r := c.Rank() - lay.DstBase; r >= 0 && r < nDst {
+		t.dst = r
+	}
 	if t.budgeted = t.capElems < math.MaxInt; t.budgeted {
 		t.roundBytes = max(t.capElems*esz, opts.MaxBytesInFlight/2)
 	}
-	for i, n := 0, pl.recvs(); i < n; i++ {
-		op := pl.recvOp(i)
-		rp := recvProgress{group: op.group, rank: op.rank, elems: op.elems, chunks: chunkCount(op.elems, t.capElems)}
+	for i, n := 0, t.recvs(); i < n; i++ {
+		pp := t.recvPair(i)
+		rp := recvProgress{group: lay.SrcBase + pp.SrcRank, rank: pp.SrcRank, elems: pp.Elems, chunks: chunkCount(pp.Elems, t.capElems)}
 		t.recv = append(t.recv, rp)
 		// A message of one chunk with long destination runs from a rank
 		// behind a connection is posted when that connection places.
-		if rp.chunks == 1 && op.elems*esz >= wire.PlaceMin && !c.DeliverableLocal(op.group) && pl.recvRun(i) >= postMinRun {
+		if rp.chunks == 1 && rp.elems*esz >= wire.PlaceMin && !c.DeliverableLocal(rp.group) && runBlockBytes(pp, false, esz) >= postMinRun {
 			if t.posts == nil {
 				t.posts = make([]recvPost, n)
 			}
 			p := &t.posts[i]
-			p.cp = comm.Posting{From: op.group, Tag: dataTag, Codec: xferCodec, Body: p, Bytes: op.elems * esz, Align: esz}
+			p.cp = comm.Posting{From: rp.group, Tag: baseTag, Codec: xferCodec, Body: p, Bytes: rp.elems * esz, Align: esz}
 			p.kind = kindOf[T]()
 		}
 	}
@@ -436,22 +364,26 @@ func (t *Transfer[T]) Run(src, dst []T) (*Outcome, error) {
 		}
 		t.out = &Outcome{Epoch: t.epoch}
 	}
-	if err := t.pl.bind(src, dst); err != nil {
-		return t.out, err
+	// Each buffer must match the template's local count on ranks that
+	// play that side (a nil buffer is fine where the template assigns the
+	// rank nothing).
+	if t.src >= 0 && len(src) != t.s.Src.LocalCount(t.src) {
+		return t.out, fmt.Errorf("redist: source rank %d buffer has %d elements, template says %d", t.src, len(src), t.s.Src.LocalCount(t.src))
 	}
+	if t.dst >= 0 && len(dst) != t.s.Dst.LocalCount(t.dst) {
+		return t.out, fmt.Errorf("redist: destination rank %d buffer has %d elements, template says %d", t.dst, len(dst), t.s.Dst.LocalCount(t.dst))
+	}
+	t.srcLocal, t.dstLocal = src, dst
 	// Lend only a source no receiver can overwrite: this rank writes its
 	// destination while its lent chunks are still being read. Likewise
 	// post no receive into a destination that is also the source: a
 	// posted frame lands while this rank still packs from it.
 	t.lendView, t.aliased = nil, overlap(src, dst)
-	if lsrc := t.pl.lendSrc(); !overlap(lsrc, dst) {
-		t.lendView = bytesOf(lsrc)
+	if !t.aliased {
+		t.lendView = bytesOf(src)
 	}
 	start := time.Now()
-	err := t.request()
-	if err == nil {
-		err = t.run()
-	}
+	err := t.run()
 	if t.out != nil {
 		sort.Ints(t.out.Down)
 	}
@@ -459,7 +391,7 @@ func (t *Transfer[T]) Run(src, dst []T) (*Outcome, error) {
 		mReconfigures.Inc()
 		mReconfigureNS.ObserveSince(start)
 		if err == nil {
-			mReconfigureElems.Add(uint64(t.total))
+			mReconfigureElems.Add(uint64(t.s.TotalElems()))
 		}
 		if rz.Disturbed() {
 			mReconfigDisturbed.Inc()
@@ -478,133 +410,7 @@ func (t *Transfer[T]) noteDown(group int) {
 	t.out.Down = append(t.out.Down, group)
 }
 
-// linRequest is a destination rank's chunk request in the receiver-driven
-// protocol.
-type linRequest struct {
-	dstRank int
-	need    linear.Set
-	epoch   uint64 // membership epoch stamp; 0 = unfenced transfer
-}
-
-// request runs a linear plan's negotiation on the request tag (one below
-// the data tag): destinations broadcast their needs to every live source
-// — the "small communication overhead" the paper attributes to the
-// Indiana approach — and sources collect one request per live
-// destination into this run's reply list. A schedule plan has no request
-// phase.
-func (t *Transfer[T]) request() error {
-	p := t.lin
-	if p == nil {
-		return nil
-	}
-	reqTag := t.tag - 1
-	if p.dst >= 0 {
-		t.c.Cork() // the requests leave as one batch per remote peer
-		for sr := 0; sr < p.nSrc; sr++ {
-			sg := t.lay.SrcBase + sr
-			if t.out != nil && !t.opts.Membership.IsAlive(sg) {
-				t.noteDown(sg)
-				mSendsSkippedDead.Inc()
-				continue
-			}
-			t.c.Send(sg, reqTag, linRequest{dstRank: p.dst, need: p.need, epoch: t.epoch})
-			mLinRequests.Inc()
-		}
-		t.c.Flush()
-	}
-	if p.src < 0 {
-		return nil
-	}
-	p.outDst, p.outSets = p.outDst[:0], p.outSets[:0]
-	// Requests are consumed first and validated second: a malformed
-	// request must not abandon the loop with later requests still queued
-	// under reqTag.
-	if t.out == nil {
-		var firstErr error
-		for i := 0; i < p.nDst; i++ {
-			payload, _ := t.c.Recv(comm.AnySource, reqTag)
-			req, ok := payload.(linRequest)
-			if !ok {
-				if firstErr == nil {
-					firstErr = fmt.Errorf("redist: source rank %d received %T, want request", p.src, payload)
-				}
-				mDrained.Inc()
-				continue
-			}
-			p.reply(req)
-		}
-		if firstErr != nil {
-			mErrors.Inc()
-		}
-		return firstErr
-	}
-
-	// Fenced: poll so a destination that dies before requesting does not
-	// hang the source; discard stale-epoch leftovers.
-	m := t.opts.Membership
-	pending := map[int]bool{}
-	for d := 0; d < p.nDst; d++ {
-		pending[t.lay.DstBase+d] = true
-	}
-	waited := time.Duration(0) // silence since the last arrival
-	var staleLocal error
-	for len(pending) > 0 {
-		for dg := range pending {
-			if !m.IsAlive(dg) {
-				t.noteDown(dg)
-				delete(pending, dg)
-			}
-		}
-		if len(pending) == 0 {
-			break
-		}
-		payload, from, ok := t.c.RecvTimeout(comm.AnySource, reqTag, t.opts.PollInterval)
-		if !ok {
-			waited += t.opts.PollInterval
-			if t.opts.SuspectAfter > 0 && waited >= t.opts.SuspectAfter {
-				for dg := range pending {
-					m.MarkDown(dg)
-				}
-				waited = 0
-			}
-			continue
-		}
-		waited = 0
-		req, isReq := payload.(linRequest)
-		if isReq && req.epoch != 0 && req.epoch < t.epoch {
-			mStaleEpoch.Inc()
-			continue
-		}
-		if !isReq {
-			mDrained.Inc()
-			continue
-		}
-		delete(pending, from)
-		if req.epoch > t.epoch {
-			// The requester already re-planned into a newer epoch: any
-			// reply this source packs against its stale view would be
-			// rejected over there as stale anyway. Keep consuming the
-			// remaining requests (tag hygiene), then surface a typed error
-			// so the caller re-enters the transfer at the current epoch.
-			if staleLocal == nil {
-				mStaleLocal.Inc()
-				staleLocal = &StaleLocalEpochError{Transfer: "linear", Rank: p.src, Peer: req.dstRank, Local: t.epoch, Remote: req.epoch}
-			}
-			continue
-		}
-		if staleLocal != nil {
-			mDrained.Inc()
-			continue
-		}
-		p.reply(req)
-	}
-	if staleLocal != nil {
-		mErrors.Inc()
-	}
-	return staleLocal
-}
-
-// ExchangeT builds a schedule-driven handle and runs it once.
+// ExchangeT builds a handle on s and runs it once.
 //
 // Deprecated: build the handle once with New and Run it every step. Kept
 // only because bench/, which may not be edited in the same change, calls

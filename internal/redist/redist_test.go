@@ -2,6 +2,7 @@ package redist
 
 import (
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -85,14 +86,15 @@ func xfer[T Elem](c *comm.Comm, s *schedule.Schedule, lay Layout, src, dst []T, 
 	return xt.Run(src, dst)
 }
 
-// xferLinear is xfer for a linear plan.
-func xferLinear[T Elem](c *comm.Comm, srcLin, dstLin linear.LinearizerT[T], lay Layout, nSrc, nDst int,
+// xferLinear is xfer on the schedule FromLinear lowers two linearizations
+// to.
+func xferLinear[T Elem](c *comm.Comm, srcLin, dstLin linear.Linearizer, lay Layout,
 	src, dst []T, tag int, opts TransferOpts) (*Outcome, error) {
-	xt, err := NewLinear(c, srcLin, dstLin, lay, nSrc, nDst, tag, opts)
+	s, err := schedule.FromLinear(srcLin, dstLin)
 	if err != nil {
 		return nil, err
 	}
-	return xt.Run(src, dst)
+	return xfer(c, s, lay, src, dst, tag, opts)
 }
 
 func TestExecuteLocal(t *testing.T) {
@@ -292,7 +294,7 @@ func TestLinearExchangeRowMajor(t *testing.T) {
 		} else {
 			dl = make([]float64, dst.LocalCount(c.Rank()-3))
 		}
-		if _, err := xferLinear(c, srcLin, dstLin, lay, 3, 2, sl, dl, 0, TransferOpts{}); err != nil {
+		if _, err := xferLinear(c, srcLin, dstLin, lay, sl, dl, 0, TransferOpts{}); err != nil {
 			t.Errorf("rank %d: %v", c.Rank(), err)
 		}
 		if dl != nil {
@@ -320,7 +322,7 @@ func TestLinearExchange2D(t *testing.T) {
 		} else {
 			dl = make([]float64, dst.LocalCount(c.Rank()-4))
 		}
-		if _, err := xferLinear(c, srcLin, dstLin, lay, 4, 3, sl, dl, 0, TransferOpts{}); err != nil {
+		if _, err := xferLinear(c, srcLin, dstLin, lay, sl, dl, 0, TransferOpts{}); err != nil {
 			t.Errorf("rank %d: %v", c.Rank(), err)
 		}
 		if dl != nil {
@@ -332,15 +334,53 @@ func TestLinearExchange2D(t *testing.T) {
 	verify(t, dst, dstLocals)
 }
 
-func TestLinearExchangeLengthMismatch(t *testing.T) {
-	src := tpl(t, []int{8}, dad.BlockAxis(2))
-	dst := tpl(t, []int{9}, dad.BlockAxis(2))
-	comm.Run(4, func(c *comm.Comm) {
-		_, err := NewLinear(c, linear.NewRowMajor(src), linear.NewRowMajor(dst), Layout{0, 2}, 2, 2, 0, TransferOpts{})
-		if err == nil {
-			t.Error("mismatched linearizations accepted")
+// claimed is a test-only linearization: each rank claims the positions
+// listed for it, at offsets in position order, free to leave a gap or to
+// overlap another rank's claim.
+type claimed struct {
+	t    *dad.Template
+	sets []linear.Set
+}
+
+func (c claimed) Template() *dad.Template     { return c.t }
+func (c claimed) OwnedBy(rank int) linear.Set { return c.sets[rank] }
+func (c claimed) Offset(rank, p int) int {
+	off := 0
+	for _, iv := range c.sets[rank] {
+		if p < iv.Hi {
+			return off + p - iv.Lo
 		}
-	})
+		off += iv.Len()
+	}
+	panic("position not claimed")
+}
+
+// A linearization pair that cannot deliver every destination position
+// exactly once is rejected when it is lowered to a schedule, before any
+// traffic moves: lengths that disagree, a position no source owns, and a
+// position two sources own.
+func TestLinearExchangeLengthMismatch(t *testing.T) {
+	b8 := tpl(t, []int{8}, dad.BlockAxis(2))
+	dst := linear.NewRowMajor(b8)
+	cases := []struct {
+		name     string
+		src, dst linear.Linearizer
+		want     string // in the error; "" for none
+	}{
+		{"length", dst, linear.NewRowMajor(tpl(t, []int{9}, dad.BlockAxis(2))), "length"},
+		{"gap", claimed{b8, []linear.Set{{{Lo: 0, Hi: 3}}, {{Lo: 4, Hi: 8}}}}, dst, "gap"},
+		{"overlap", claimed{b8, []linear.Set{{{Lo: 0, Hi: 5}}, {{Lo: 4, Hi: 8}}}}, dst, "overlap"},
+		{"exact", claimed{b8, []linear.Set{{{Lo: 0, Hi: 4}}, {{Lo: 4, Hi: 8}}}}, dst, ""},
+	}
+	for _, c := range cases {
+		_, err := schedule.FromLinear(c.src, c.dst)
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("%s: %v", c.name, err)
+		case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
+			t.Errorf("%s: err = %v, want one naming the %s", c.name, err, c.want)
+		}
+	}
 }
 
 // Property: a transfer agrees with ExecuteLocalT on random template pairs.

@@ -122,51 +122,45 @@ func TestExchangeDrainsAfterError(t *testing.T) {
 
 // Regression: the linear exchange used to discard the source result of
 // Recv(AnySource) and trust both arrival order and the reply's own claim
-// about which positions it carries. A reply must be attributed to its
-// actual sender and validated against that sender's owned∩needed
-// intersection; transfer 2 on the same base tag — through the same
-// handles — must still work after the failed transfer drained its
-// messages.
+// about which positions it carries. Lowered to a schedule, a chunk is
+// checked against the pair it belongs to: a source that sends one element
+// short is blamed by name, the destination drains, and transfer 2 on the
+// same base tag — through the same handles — still works.
 func TestLinearExchangeValidatesAndDrains(t *testing.T) {
 	src := tpl(t, []int{8}, dad.BlockAxis(2))
 	dst := tpl(t, []int{8}, dad.CyclicAxis(2))
 	srcLin := linear.NewRowMajor(src)
 	dstLin := linear.NewRowMajor(dst)
+	s, err := schedule.FromLinear(srcLin, dstLin)
+	if err != nil {
+		t.Fatal(err)
+	}
 	srcLocals := fillByGlobal(src)
 	dstLocals := make([][]float64, 2)
 	var mu sync.Mutex
 	comm.Run(4, func(c *comm.Comm) {
 		lay := Layout{SrcBase: 0, DstBase: 2}
 		const tag = 0
-		reqTag, dataTag := tag, tag+1
 		switch r := c.Rank(); {
 		case r == 0:
-			// Transfer 1, hand-played misbehaving source: answer
-			// destination rank 0 with a reply claiming one position fewer
-			// than the true intersection; answer destination rank 1
-			// honestly.
-			owned := srcLin.OwnedBy(0)
-			for i := 0; i < 2; i++ {
-				payload, _ := c.Recv(comm.AnySource, reqTag)
-				req := payload.(linRequest)
-				have := owned.Intersect(req.need)
-				if req.dstRank == 0 {
-					// Drop the last position of the last interval.
-					short := append(linear.Set(nil), have...)
-					short[len(short)-1].Hi--
-					have = short
+			// Transfer 1, hand-played misbehaving source: destination
+			// rank 0 gets one element fewer than its pair moves,
+			// destination rank 1 an honest message.
+			for _, p := range s.OutgoingFor(0) {
+				n := p.Elems
+				if p.DstRank == 0 {
+					n--
 				}
-				rep := newMsg[float64](0, have.Len())
-				srcLin.Pack(0, srcLocals[0], have, elemsOf[float64](rep.data, have.Len()))
-				rep.have = have
-				c.Send(lay.DstBase+req.dstRank, dataTag, rep)
+				m := newMsg[float64](0, n)
+				schedule.PackSliceRange(p, srcLocals[0], elemsOf[float64](m.data, n), 0)
+				c.Send(lay.DstBase+p.DstRank, tag, m)
 			}
 			// Transfer 2: honest protocol on the same base tag.
-			if _, err := xferLinear(c, srcLin, dstLin, lay, 2, 2, srcLocals[0], nil, tag, TransferOpts{}); err != nil {
+			if _, err := xferLinear(c, srcLin, dstLin, lay, srcLocals[0], nil, tag, TransferOpts{}); err != nil {
 				t.Errorf("source rank 0 transfer 2: %v", err)
 			}
 		case r == 1:
-			xt, err := NewLinear(c, srcLin, dstLin, lay, 2, 2, tag, TransferOpts{})
+			xt, err := New[float64](c, s, lay, tag, TransferOpts{})
 			if err != nil {
 				t.Error(err)
 				return
@@ -177,7 +171,7 @@ func TestLinearExchangeValidatesAndDrains(t *testing.T) {
 				}
 			}
 		default:
-			xt, err := NewLinear(c, srcLin, dstLin, lay, 2, 2, tag, TransferOpts{})
+			xt, err := New[float64](c, s, lay, tag, TransferOpts{})
 			if err != nil {
 				t.Error(err)
 				return
@@ -188,7 +182,7 @@ func TestLinearExchangeValidatesAndDrains(t *testing.T) {
 				var ece *ElemCountError
 				if !errors.As(err, &ece) {
 					t.Errorf("dst rank 0 transfer 1: got %v, want ElemCountError", err)
-				} else if ece.SrcRank != 0 && ece.SrcRank != -1 {
+				} else if ece.SrcRank != 0 {
 					t.Errorf("dst rank 0 transfer 1: blamed source rank %d", ece.SrcRank)
 				}
 			} else if err != nil {

@@ -9,7 +9,8 @@
 //
 //	0 — comm built-in generic (wire.PutValue types and int)
 //	1 — redist *xferMsg (this file)
-//	2 — redist linRequest (this file)
+//	2 — retired, not reused (linearizations are lowered to schedules and
+//	    send nothing of their own)
 //	3 — core heartbeatPing (internal/core)
 //	4 — prmi *Msg (internal/prmi/message.go)
 package redist
@@ -19,13 +20,11 @@ import (
 
 	"mxn/internal/comm"
 	"mxn/internal/dad"
-	"mxn/internal/linear"
 	"mxn/internal/wire"
 )
 
 func init() {
 	comm.RegisterRemotePayload(1, comm.RemoteCodec{Encode: encodeXferMsg, Decode: decodeXferMsg})
-	comm.RegisterRemotePayload(2, comm.RemoteCodec{Encode: encodeLinRequest, Decode: decodeLinRequest})
 }
 
 // encodeXferMsg serializes a transfer message and retires it: comm.Send
@@ -48,7 +47,7 @@ func encodeXferMsg(e *wire.Encoder, v any) bool {
 	if !ok {
 		return false
 	}
-	putXferHead(e, m.epoch, m.kind, m.elems, m.ack, m.have)
+	putXferHead(e, m.epoch, m.kind, m.elems, m.ack)
 	if m.segs != nil {
 		e.PutLoan(m, m.loanBytes)
 		return true
@@ -66,12 +65,11 @@ func encodeXferMsg(e *wire.Encoder, v any) bool {
 }
 
 // putXferHead writes a transfer message's fields ahead of its payload.
-func putXferHead(e *wire.Encoder, epoch uint64, kind dad.ElemKind, elems int, ack bool, have linear.Set) {
+func putXferHead(e *wire.Encoder, epoch uint64, kind dad.ElemKind, elems int, ack bool) {
 	e.PutUint64(epoch)
 	e.PutByte(byte(kind))
 	e.PutUvarint(uint64(elems))
 	e.PutBool(ack)
-	putLinearSet(e, have)
 }
 
 // decodeXferMsg rebuilds a transfer message that views its elements in
@@ -85,7 +83,6 @@ func decodeXferMsg(d *wire.Decoder) (any, error) {
 	m.kind = dad.ElemKind(d.Byte())
 	m.elems = int(d.Uvarint())
 	m.ack = d.Bool()
-	m.have = getLinearSet(d)
 	data, frame := d.KeepBytesRef()
 	if d.Err() != nil {
 		// m.data is still nil here, so recycle is pure pool bookkeeping.
@@ -95,54 +92,4 @@ func decodeXferMsg(d *wire.Decoder) (any, error) {
 	m.data, m.frame, m.placedBytes = data, frame, d.Placed()
 	addInFlight(len(m.data))
 	return m, nil
-}
-
-func encodeLinRequest(e *wire.Encoder, v any) bool {
-	req, ok := v.(linRequest)
-	if !ok {
-		return false
-	}
-	e.PutUvarint(uint64(req.dstRank))
-	e.PutUint64(req.epoch)
-	putLinearSet(e, req.need)
-	return true
-}
-
-func decodeLinRequest(d *wire.Decoder) (any, error) {
-	var req linRequest
-	req.dstRank = int(d.Uvarint())
-	req.epoch = d.Uint64()
-	req.need = getLinearSet(d)
-	if d.Err() != nil {
-		return nil, fmt.Errorf("redist: corrupt remote linear request: %w", d.Err())
-	}
-	return req, nil
-}
-
-func putLinearSet(e *wire.Encoder, s linear.Set) {
-	e.PutUvarint(uint64(len(s)))
-	for _, iv := range s {
-		e.PutInt64(int64(iv.Lo))
-		e.PutInt64(int64(iv.Hi))
-	}
-}
-
-func getLinearSet(d *wire.Decoder) linear.Set {
-	n := int(d.Uvarint())
-	if n <= 0 || d.Err() != nil {
-		return nil
-	}
-	// Grow by append rather than pre-sizing with the untrusted length
-	// prefix: each appended interval consumed 16 real bytes, so a hostile
-	// n poisons the decoder instead of forcing a huge allocation.
-	var s linear.Set
-	for i := 0; i < n && d.Err() == nil; i++ {
-		lo := int(d.Int64())
-		hi := int(d.Int64())
-		s = append(s, linear.Interval{Lo: lo, Hi: hi})
-	}
-	if d.Err() != nil {
-		return nil
-	}
-	return s
 }

@@ -70,8 +70,7 @@ func runCrossWorldExchange(t *testing.T, linearMode bool, budget int) {
 		var err error
 		opts := TransferOpts{MaxBytesInFlight: budget}
 		if linearMode {
-			_, err = xferLinear(c, linear.NewRowMajor(src), linear.NewRowMajor(dst),
-				lay, m, n, sl, dl, 0, opts)
+			_, err = xferLinear(c, linear.NewRowMajor(src), linear.NewRowMajor(dst), lay, sl, dl, 0, opts)
 		} else {
 			_, err = xfer(c, s, lay, sl, dl, 0, opts)
 		}
@@ -106,7 +105,7 @@ func TestExchangeAcrossConnectedWorldsBudgeted(t *testing.T) {
 }
 
 func TestLinearExchangeAcrossConnectedWorlds(t *testing.T) {
-	// Receiver-driven: requests cross B→A, replies (with position
-	// metadata) cross A→B.
+	// A linearization lowered to a schedule crosses the connection as a
+	// built schedule does.
 	runCrossWorldExchange(t, true, 0)
 }

@@ -172,7 +172,7 @@ func (t *Transfer[T]) lendRemote(i, group, off, n int) *xferMsg {
 	m.elems = n
 	m.loanBytes = n * elemSize[T]()
 	k := len(t.arena())
-	t.segArena = t.pl.sendSegs(i, off, n, t.segArena)
+	t.segArena = appendRunSegs(t.segArena, t.sendPair(i), t.srcLocal, true, off, n)
 	m.segs = t.segArena[k:len(t.segArena):len(t.segArena)]
 	if t.zc.wake == nil {
 		t.zc.wake = make(chan struct{}, 1)
@@ -201,7 +201,7 @@ type recvPost struct {
 // EncodePostBody implements comm.PostBody: the head encodeXferMsg writes
 // for a data chunk of this posting's message.
 func (p *recvPost) EncodePostBody(e *wire.Encoder) {
-	putXferHead(e, p.epoch, p.kind, p.elems, false, nil)
+	putXferHead(e, p.epoch, p.kind, p.elems, false)
 	e.PutLoan(nil, p.cp.Bytes)
 }
 
@@ -216,7 +216,7 @@ func (t *Transfer[T]) postRecvs() {
 		}
 		rp := &t.recv[i]
 		k := len(t.arena())
-		t.segArena = t.pl.recvSegs(i, 0, rp.elems, t.segArena)
+		t.segArena = appendRunSegs(t.segArena, t.recvPair(i), t.dstLocal, false, 0, rp.elems)
 		p.cp.Dst = t.segArena[k:len(t.segArena):len(t.segArena)]
 		p.epoch, p.elems = t.epoch, rp.elems
 		p.on = t.c.Post(&p.cp)

@@ -12,7 +12,6 @@ import (
 	"mxn/internal/comm"
 	"mxn/internal/core"
 	"mxn/internal/dad"
-	"mxn/internal/linear"
 	"mxn/internal/schedule"
 	"mxn/internal/wire"
 )
@@ -284,21 +283,17 @@ func TestXferMsgCodecBorrowBitIdentical(t *testing.T) {
 	m.kind = dad.Float64
 	m.elems = 4
 	m.ack = true
-	m.have = linear.Set{{Lo: 2, Hi: 6}}
 	m.data = bufpool.Get(len(payload))
 	copy(m.data, payload)
 	addInFlight(len(m.data))
 
 	// The reference encoding, spelled out independently of the encoder:
-	// epoch, kind, element count, ack flag, the linear set, then the
-	// payload's length, zero padding to an 8-byte offset and its bytes.
+	// epoch, kind, element count, ack flag, then the payload's length,
+	// zero padding to an 8-byte offset and its bytes.
 	ref := binary.LittleEndian.AppendUint64(nil, 3)
 	ref = append(ref, byte(dad.Float64))
 	ref = binary.AppendUvarint(ref, 4)
 	ref = append(ref, 1)
-	ref = binary.AppendUvarint(ref, 1)
-	ref = binary.LittleEndian.AppendUint64(ref, 2)
-	ref = binary.LittleEndian.AppendUint64(ref, 6)
 	ref = binary.AppendUvarint(ref, uint64(len(payload)))
 	for len(ref)%8 != 0 {
 		ref = append(ref, 0)
@@ -332,9 +327,6 @@ func TestXferMsgCodecBorrowBitIdentical(t *testing.T) {
 	m = v.(*xferMsg)
 	if m.epoch != 3 || m.kind != dad.Float64 || m.elems != 4 || !m.ack {
 		t.Fatalf("decoded fields: %+v", m)
-	}
-	if len(m.have) != 1 || m.have[0] != (linear.Interval{Lo: 2, Hi: 6}) {
-		t.Fatalf("decoded have: %v", m.have)
 	}
 	if !d.Kept() || !bytes.Equal(m.data, payload) || &m.data[0] != &frame[len(head)] {
 		t.Fatal("decoded payload does not view the frame in place")

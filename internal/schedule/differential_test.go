@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"mxn/internal/dad"
+	"mxn/internal/linear"
 )
 
 // The closed-form planner and the patch-enumeration planner are judged
@@ -152,6 +153,30 @@ func checkCoverage(t *testing.T, label string, s *Schedule) {
 	}
 }
 
+// checkLinear holds the linear planner to s: FromLinear over the row-major
+// linearizations of s's templates must move exactly what s moves, in the
+// same packed order and the same runs, and execute to the same result.
+func checkLinear(t *testing.T, label string, s *Schedule) {
+	t.Helper()
+	lin, err := FromLinear(linear.NewRowMajor(s.Src), linear.NewRowMajor(s.Dst))
+	if err != nil {
+		t.Fatalf("%s: FromLinear: %v", label, err)
+	}
+	diffSchedules(t, label+" (linear)", byRankPair(lin), byRankPair(s))
+	verifyRedistribution(t, s.Dst, executeLocally(lin, fillByGlobal(s.Src)))
+}
+
+// byRankPair returns s with its pairs in (source, destination) rank order:
+// planners agree on each pair, not on the order they list the pairs in.
+func byRankPair(s *Schedule) *Schedule {
+	out := &Schedule{Src: s.Src, Dst: s.Dst, Pairs: append([]PairPlan(nil), s.Pairs...)}
+	sort.Slice(out.Pairs, func(i, j int) bool {
+		a, b := out.Pairs[i], out.Pairs[j]
+		return a.SrcRank < b.SrcRank || (a.SrcRank == b.SrcRank && a.DstRank < b.DstRank)
+	})
+	return out
+}
+
 // randomRegularAxis draws from the regular distribution kinds only —
 // irregular kinds (Implicit, GenBlock is regular but interval-class) never
 // take the closed-form path, so the differential harness concentrates on
@@ -246,6 +271,7 @@ func TestDifferentialFastVsEnumerator(t *testing.T) {
 		}
 		diffSchedules(t, label, fast, ref)
 		checkCoverage(t, label, fast)
+		checkLinear(t, label, fast)
 
 		// The plan must also be executable: values survive the transfer.
 		verifyRedistribution(t, dst, executeLocally(fast, fillByGlobal(src)))
@@ -304,6 +330,7 @@ func TestDifferentialDirectedCases(t *testing.T) {
 			}
 			diffSchedules(t, c.name, fast, ref)
 			checkCoverage(t, c.name, fast)
+			checkLinear(t, c.name, fast)
 			verifyRedistribution(t, dst, executeLocally(fast, fillByGlobal(src)))
 		})
 	}

@@ -185,30 +185,18 @@ type Elem = redist.Elem
 type TransferOpts = redist.TransferOpts
 
 // Transfer is one rank's persistent redistribution handle: build it once
-// per coupling with NewTransfer or NewLinearTransfer, then Run(src, dst)
-// every step. Every rank of both cohorts builds one on the same plan and
-// options and runs it the same number of times. Run returns a
+// per coupling with NewTransfer, then Run(src, dst) every step. Every
+// rank of both cohorts builds one on the same schedule and options and
+// runs it the same number of times. Run returns a
 // *FenceOutcome when the transfer is fenced (TransferOpts.Membership
 // set), nil otherwise.
 type Transfer[T Elem] struct{ *redist.Transfer[T] }
 
-// NewTransfer builds this rank's handle on a schedule-driven parallel
-// transfer; baseTag reserves its tag namespace.
+// NewTransfer builds this rank's handle on a parallel transfer of
+// schedule s — built from two templates (BuildSchedule) or two
+// linearizations (LinearSchedule); baseTag is its tag.
 func NewTransfer[T Elem](c *Comm, s *Schedule, lay Layout, baseTag int, opts TransferOpts) (*Transfer[T], error) {
 	t, err := redist.New[T](c, s, lay, baseTag, opts)
-	if err != nil {
-		return nil, err
-	}
-	return &Transfer[T]{t}, nil
-}
-
-// NewLinearTransfer builds this rank's handle on a receiver-driven
-// transfer with no communication schedule (the Meta-Chaos / Indiana
-// MPI-IO approach); build the linearizers with RowMajorLinearization. It
-// uses baseTag and baseTag+1.
-func NewLinearTransfer[T Elem](c *Comm, srcLin, dstLin linear.LinearizerT[T], lay Layout, nSrc, nDst, baseTag int,
-	opts TransferOpts) (*Transfer[T], error) {
-	t, err := redist.NewLinear(c, srcLin, dstLin, lay, nSrc, nDst, baseTag, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -234,11 +222,23 @@ func Redistribute[T Elem](src, dst *Template, srcLocals, dstLocals [][]T) error 
 
 // ---- Linearization ----
 
+// Linearizer maps one side's elements to positions of an abstract
+// one-dimensional arrangement: the intermediate representation of the
+// Meta-Chaos / Indiana MPI-IO approach (Section 2.2.1).
+type Linearizer = linear.Linearizer
+
 // RowMajorLinearization linearizes a template by global row-major order:
 // the abstract one-dimensional intermediate representation of a
 // distributed array.
-func RowMajorLinearization[T Elem](t *Template) linear.LinearizerT[T] {
-	return linear.NewRowMajorT[T](t)
+func RowMajorLinearization(t *Template) Linearizer { return linear.NewRowMajor(t) }
+
+// LinearSchedule lowers two linearizations of the same length to a
+// schedule for NewTransfer: position k on the source side lands at
+// position k on the destination side. What the Indiana device's receivers
+// request on every transfer is computed here once; a position no source
+// owns, or two do, is an error.
+func LinearSchedule(srcLin, dstLin Linearizer) (*Schedule, error) {
+	return schedule.FromLinear(srcLin, dstLin)
 }
 
 // ---- The M×N component (the paper's Section 4.1) ----

@@ -54,40 +54,47 @@ func runOnce[T Elem](c *Comm, s *Schedule, lay Layout, src, dst []T, tag int, op
 }
 
 // TestFacadeParallelExchange runs the parallel executor through the
-// facade.
+// facade, on a schedule built from the templates and on one lowered from
+// their row-major linearizations.
 func TestFacadeParallelExchange(t *testing.T) {
 	src, _ := NewTemplate([]int{16}, []AxisDist{BlockAxis(2)})
 	dst, _ := NewTemplate([]int{16}, []AxisDist{CyclicAxis(3)})
-	s, err := BuildSchedule(src, dst)
+	built, err := BuildSchedule(src, dst)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := make([][]float64, 3)
-	var mu sync.Mutex
-	Run(5, func(c *Comm) {
-		lay := Layout{SrcBase: 0, DstBase: 2}
-		var sl, dl []float64
-		if c.Rank() < 2 {
-			sl = make([]float64, src.LocalCount(c.Rank()))
-			for i := range sl {
-				sl[i] = float64(c.Rank()*8 + i)
+	lowered, err := LinearSchedule(RowMajorLinearization(src), RowMajorLinearization(dst))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []*Schedule{built, lowered} {
+		got := make([][]float64, 3)
+		var mu sync.Mutex
+		Run(5, func(c *Comm) {
+			lay := Layout{SrcBase: 0, DstBase: 2}
+			var sl, dl []float64
+			if c.Rank() < 2 {
+				sl = make([]float64, src.LocalCount(c.Rank()))
+				for i := range sl {
+					sl[i] = float64(c.Rank()*8 + i)
+				}
+			} else {
+				dl = make([]float64, dst.LocalCount(c.Rank()-2))
 			}
-		} else {
-			dl = make([]float64, dst.LocalCount(c.Rank()-2))
-		}
-		if _, err := runOnce(c, s, lay, sl, dl, 0, TransferOpts{}); err != nil {
-			t.Errorf("rank %d: %v", c.Rank(), err)
-		}
-		if dl != nil {
-			mu.Lock()
-			got[c.Rank()-2] = dl
-			mu.Unlock()
-		}
-	})
-	for g := 0; g < 16; g++ {
-		r := dst.OwnerOf([]int{g})
-		if v := got[r][dst.LocalOffset(r, []int{g})]; v != float64(g) {
-			t.Errorf("global %d = %v", g, v)
+			if _, err := runOnce(c, s, lay, sl, dl, 0, TransferOpts{}); err != nil {
+				t.Errorf("rank %d: %v", c.Rank(), err)
+			}
+			if dl != nil {
+				mu.Lock()
+				got[c.Rank()-2] = dl
+				mu.Unlock()
+			}
+		})
+		for g := 0; g < 16; g++ {
+			r := dst.OwnerOf([]int{g})
+			if v := got[r][dst.LocalOffset(r, []int{g})]; v != float64(g) {
+				t.Errorf("%v: global %d = %v", s, g, v)
+			}
 		}
 	}
 }
