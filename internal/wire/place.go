@@ -9,7 +9,6 @@ package wire
 import (
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"net"
 
@@ -140,7 +139,7 @@ func (fr *FrameReader) readPlaced(p Placement, n int, sum uint32, buf []byte, go
 	// The frame bytes before what is placed.
 	for got < pre {
 		k, err := fr.read(buf[got:pre])
-		crc = crc32.Update(crc, frameTable, buf[got:got+k])
+		crc = crc32c(crc, buf[got:got+k])
 		if got += k; err != nil && got < pre {
 			return fail(err)
 		}
@@ -171,7 +170,7 @@ func (fr *FrameReader) readPlaced(p Placement, n int, sum uint32, buf []byte, go
 		}
 		for k > 0 {
 			m := min(k, len(iov[0]))
-			crc = crc32.Update(crc, frameTable, iov[0][:m])
+			crc = crc32c(crc, iov[0][:m])
 			if iov[0] = iov[0][m:]; len(iov[0]) == 0 {
 				iov = iov[1:]
 			}
@@ -186,7 +185,7 @@ func (fr *FrameReader) readPlaced(p Placement, n int, sum uint32, buf []byte, go
 	// The frame bytes after the region.
 	for got = pre; got < size; {
 		k, err := fr.read(buf[got:size])
-		crc = crc32.Update(crc, frameTable, buf[got:got+k])
+		crc = crc32c(crc, buf[got:got+k])
 		if got += k; err != nil && got < size {
 			return fail(err)
 		}

@@ -13,7 +13,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
 	"net"
@@ -727,14 +726,14 @@ func (d *Decoder) Value() any {
 }
 
 // Frame I/O: each frame is a 4-byte little-endian length, a 4-byte
-// little-endian CRC-32C checksum of the payload, then the payload. The
-// checksum lets the receiving end distinguish a corrupted link from a
-// merely slow one, which the PRMI retry layer depends on. MaxFrame bounds
-// a single frame to guard against corrupt peers.
+// little-endian CRC-32C checksum of the payload (crc32c), then the
+// payload. A frame whose checksum does not match fails its read with
+// ErrCorrupt, so a corrupted link is told from a merely slow one: over a
+// session, session.(*Conn).pump hands the failed read to connFailed, which
+// treats the link as lost, reconnects and replays what the peer has not
+// acknowledged. MaxFrame bounds a single frame to guard against corrupt
+// peers.
 const MaxFrame = 1 << 30
-
-// frameTable is the CRC-32C (Castagnoli) table used for frame checksums.
-var frameTable = crc32.MakeTable(crc32.Castagnoli)
 
 // WriteFrame writes one length-prefixed, checksummed frame to w: the
 // one-segment case of WriteFrameV, with the payload accounted as
@@ -861,11 +860,11 @@ func writeFrames(w io.Writer, msgs []net.Buffers, loans []Loan, path *obs.Counte
 		lent := loanSegs(loans, i)
 		for _, s := range segs {
 			total += len(s)
-			crc = crc32.Update(crc, frameTable, s)
+			crc = crc32c(crc, s)
 		}
 		for _, s := range lent {
 			total += len(s)
-			crc = crc32.Update(crc, frameTable, s)
+			crc = crc32c(crc, s)
 		}
 		hdr := hdrs[8*i : 8*i+8]
 		binary.LittleEndian.PutUint32(hdr[:4], uint32(total))
@@ -1008,7 +1007,7 @@ func (fr *FrameReader) ReadFrame() ([]byte, error) {
 			end = min(end, got+placeStep)
 		}
 		k, err := fr.read(buf[got:end])
-		crc = crc32.Update(crc, frameTable, buf[got:got+k])
+		crc = crc32c(crc, buf[got:got+k])
 		got += k
 		if err != nil && got < n {
 			bufpool.PutFrame(buf)
