@@ -12,9 +12,10 @@ FUZZ_TARGETS := \
 	./internal/dad:FuzzDecodeTemplate \
 	./internal/dad:FuzzDecodeDescriptor \
 	./internal/schedule:FuzzPlanEquivalence \
-	./internal/session:FuzzSessionFrame
+	./internal/session:FuzzSessionFrame \
+	./internal/comm:FuzzRemoteFrame
 
-.PHONY: all build test race chaos chaos-net fuzz-short vet loc bench-once bench-check staticcheck govulncheck
+.PHONY: all build test race chaos chaos-net fuzz-short vet loc bench-once bench-check examples staticcheck govulncheck
 
 all: build test
 
@@ -93,6 +94,15 @@ bench-check:
 			echo "$$out" | grep -qF "$$want" || { echo "bench-check: $$w result lacks $$want: $$out"; exit 1; }; \
 		done; \
 		echo "bench-check: $$w correct, no pooled buffer outstanding"; \
+	done
+
+# Run every example main and every mxnbench experiment once, each under a
+# timeout. Each exits non-zero when it fails (most also check their own
+# results), and `go test` builds none of them.
+examples:
+	@set -e; for p in $$(ls -d examples/*/) cmd/mxnbench; do \
+		echo "== go run ./$$p"; \
+		timeout 120 $(GO) run ./$$p || { echo "examples: $$p failed"; exit 1; }; \
 	done
 
 # Lint/vuln targets degrade to a notice when the tool isn't on PATH, so

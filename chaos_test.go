@@ -237,18 +237,26 @@ func chaosIface(t *testing.T) *sidl.Interface {
 	return iface
 }
 
-// chaosPRMI wires a 1×1 caller/callee pair over the two ends of a link
-// with a non-idempotent counter handler; count is callee-side ground
-// truth. Both ends close at cleanup.
+// chaosPRMI wires a 1×1 caller/callee pair, each in a world of its own,
+// with the worlds bound to the two ends of a link by ConnectPeer, and a
+// non-idempotent counter handler; count is callee-side ground truth. Both
+// bindings close, and both ranks die, at cleanup.
 func chaosPRMI(t *testing.T, caller, callee transport.Conn) (*prmi.CallerPort, *atomic.Int64) {
 	t.Helper()
 	iface := chaosIface(t)
+	all := []int{0, 1}
+	wa, wb := comm.NewWorld(2), comm.NewWorld(2)
+	pa, pb := wa.ConnectPeer(caller, all[1:]), wb.ConnectPeer(callee, all[:1])
 	t.Cleanup(func() {
-		caller.Close()
-		callee.Close()
+		pa.Close()
+		pb.Close()
+		<-pa.Done()
+		<-pb.Done()
+		wa.Kill(0)
+		wb.Kill(1)
 	})
 	var count atomic.Int64
-	ep := prmi.NewEndpoint(iface, prmi.NewConnLink([]transport.Conn{callee}, 0), 0, 1, 1)
+	ep := prmi.NewEndpoint(iface, prmi.NewCommLink(wb.SharedGroup(1, all)[1], 0, 0), 0, 1, 1)
 	if err := ep.Handle("bump", func(in *prmi.Incoming, out *prmi.Outgoing) error {
 		out.Return = float64(count.Add(1))
 		return nil
@@ -256,7 +264,7 @@ func chaosPRMI(t *testing.T, caller, callee transport.Conn) (*prmi.CallerPort, *
 		t.Fatal(err)
 	}
 	go ep.Serve()
-	port := prmi.NewCallerPort(iface, prmi.NewConnLink([]transport.Conn{caller}, 0), 0, 1, prmi.Eager)
+	port := prmi.NewCallerPort(iface, prmi.NewCommLink(wa.SharedGroup(1, all)[0], 1, 0), 0, 1, prmi.Eager)
 	return port, &count
 }
 

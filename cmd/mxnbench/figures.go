@@ -121,7 +121,7 @@ func forAll3D(n int, fn func(i, j, k int)) {
 // cost of the same port invocation in each: a direct-connected framework
 // (library call), a distributed framework co-located in one process
 // (PRMI over the in-process link), and a distributed framework over TCP
-// loopback (PRMI over sockets).
+// loopback (PRMI between two worlds coupled by ConnectPeer over a socket).
 func runE2() error {
 	const calls = 2000
 	direct := measureDirectCall(calls)
@@ -174,7 +174,9 @@ func measurePRMI(calls int, overTCP bool) (time.Duration, error) {
 	}
 	iface, _ := pkg.Interface("I")
 
-	var callerLink, calleeLink mxn.Link
+	// Caller rank 0 and callee rank 1 share one world, or live in two
+	// worlds coupled by ConnectPeer over one TCP connection.
+	var callerComm, calleeComm *mxn.Comm
 	if overTCP {
 		l, err := mxn.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
@@ -196,16 +198,19 @@ func measurePRMI(calls int, overTCP bool) (time.Duration, error) {
 		}
 		srv := <-ch
 		if srv.err != nil {
+			cli.Close()
 			return 0, srv.err
 		}
-		callerLink = mxn.NewConnLink([]mxn.Conn{cli}, 0)
-		calleeLink = mxn.NewConnLink([]mxn.Conn{srv.conn}, 0)
+		wa, wb := mxn.NewWorld(2), mxn.NewWorld(2)
+		pa, pb := wa.ConnectPeer(cli, []int{1}), wb.ConnectPeer(srv.conn, []int{0})
+		defer pb.Close()
+		defer pa.Close()
+		callerComm, calleeComm = wa.SharedGroup(1, []int{0, 1})[0], wb.SharedGroup(1, []int{0, 1})[1]
 	} else {
-		w := mxn.NewWorld(2)
-		cs := w.Comms()
-		callerLink = mxn.NewCommLink(cs[0], 1, 0)
-		calleeLink = mxn.NewCommLink(cs[1], 0, 0)
+		cs := mxn.NewWorld(2).Comms()
+		callerComm, calleeComm = cs[0], cs[1]
 	}
+	callerLink, calleeLink := mxn.NewCommLink(callerComm, 1, 0), mxn.NewCommLink(calleeComm, 0, 0)
 
 	done := make(chan error, 1)
 	go func() {

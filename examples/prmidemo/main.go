@@ -12,8 +12,10 @@
 //   - an independent (one-to-one) method;
 //   - a collective one-way method (fire and forget).
 //
-// Every rank pair communicates over its own TCP connection: nothing is
-// serialized through a coordinator.
+// The two components live in two worlds — two processes in a real
+// deployment — coupled by ConnectPeer over one TCP connection, the way a
+// distributed framework couples its address spaces: every PRMI message
+// between a driver rank and a solver rank crosses that socket.
 //
 // Run:
 //
@@ -63,77 +65,57 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// TCP mesh: solver rank j listens; driver rank i dials every j.
-	listeners := make([]mxn.Listener, n)
-	for j := range listeners {
-		l, err := mxn.Listen("tcp", "127.0.0.1:0")
+	// Both worlds number the ranks alike: drivers 0..m-1, then solvers
+	// m..m+n-1. Each binds the other side's ranks to its end of the
+	// connection, and a shared group spanning all of them carries PRMI.
+	l, err := mxn.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer l.Close()
+	accepted := make(chan mxn.Conn, 1)
+	go func() {
+		c, err := l.Accept()
 		if err != nil {
 			log.Fatal(err)
 		}
-		listeners[j] = l
+		accepted <- c
+	}()
+	cli, err := mxn.Dial("tcp", l.Addr())
+	if err != nil {
+		log.Fatal(err)
 	}
-	calleeConns := make([][]mxn.Conn, n) // [solver rank][driver rank]
-	callerConns := make([][]mxn.Conn, m) // [driver rank][solver rank]
-	for i := range callerConns {
-		callerConns[i] = make([]mxn.Conn, n)
+	all := make([]int, m+n)
+	for r := range all {
+		all[r] = r
 	}
-	var meshWG sync.WaitGroup
-	for j := 0; j < n; j++ {
-		calleeConns[j] = make([]mxn.Conn, m)
-		meshWG.Add(1)
-		go func(j int) {
-			defer meshWG.Done()
-			for k := 0; k < m; k++ {
-				c, err := listeners[j].Accept()
-				if err != nil {
-					log.Fatal(err)
-				}
-				// First frame identifies the dialing driver rank.
-				id, err := c.Recv()
-				if err != nil {
-					log.Fatal(err)
-				}
-				calleeConns[j][id[0]] = c
-				mxn.PutFrame(id)
-			}
-		}(j)
-	}
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			c, err := mxn.Dial("tcp", listeners[j].Addr())
-			if err != nil {
-				log.Fatal(err)
-			}
-			if err := c.Send([]byte{byte(i)}); err != nil {
-				log.Fatal(err)
-			}
-			callerConns[i][j] = c
-		}
-	}
-	meshWG.Wait()
+	driverWorld, solverWorld := mxn.NewWorld(m+n), mxn.NewWorld(m+n)
+	driverPeer := driverWorld.ConnectPeer(cli, all[m:])
+	solverPeer := solverWorld.ConnectPeer(<-accepted, all[:m])
+	defer solverPeer.Close()
+	defer driverPeer.Close()
+	driverSide, solverSide := driverWorld.SharedGroup(1, all), solverWorld.SharedGroup(1, all)
 
 	// Solver cohort: each rank serves its endpoint; the cohort cooperates
 	// out-of-band for the dot product's global reduction.
-	solverWorld := mxn.NewWorld(n)
-	solverCohort := solverWorld.Comms()
+	solverCohort := solverWorld.Group(all[m:])
 	var wg sync.WaitGroup
 	for j := 0; j < n; j++ {
 		wg.Add(1)
 		go func(j int) {
 			defer wg.Done()
-			runSolver(iface, calleeTpl, calleeConns[j], solverCohort[j], j)
+			runSolver(iface, calleeTpl, mxn.NewCommLink(solverSide[m+j], 0, 0), solverCohort[j], j)
 		}(j)
 	}
 
 	// Driver cohort.
-	driverWorld := mxn.NewWorld(m)
-	driverCohort := driverWorld.Comms()
+	driverCohort := driverWorld.Group(all[:m])
 	results := make([]string, 3)
 	for i := 0; i < m; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			runDriver(iface, callerTpl, calleeTpl, callerConns[i], driverCohort[i], i, results)
+			runDriver(iface, callerTpl, calleeTpl, mxn.NewCommLink(driverSide[i], m, 0), driverCohort[i], i, results)
 		}(i)
 	}
 	wg.Wait()
@@ -143,8 +125,8 @@ func main() {
 }
 
 // runSolver serves one solver rank.
-func runSolver(iface *mxn.SIDLInterface, calleeTpl *mxn.Template, conns []mxn.Conn, cohort *mxn.Comm, rank int) {
-	ep := mxn.NewEndpoint(iface, mxn.NewConnLink(conns, rank), rank, n, m)
+func runSolver(iface *mxn.SIDLInterface, calleeTpl *mxn.Template, link mxn.Link, cohort *mxn.Comm, rank int) {
+	ep := mxn.NewEndpoint(iface, link, rank, n, m)
 	for _, param := range []struct{ method, name string }{
 		{"dot", "x"}, {"dot", "y"}, {"normalize", "x"},
 	} {
@@ -185,9 +167,9 @@ func runSolver(iface *mxn.SIDLInterface, calleeTpl *mxn.Template, conns []mxn.Co
 
 // runDriver drives one caller rank.
 func runDriver(iface *mxn.SIDLInterface, callerTpl, calleeTpl *mxn.Template,
-	conns []mxn.Conn, cohort *mxn.Comm, rank int, results []string) {
+	link mxn.Link, cohort *mxn.Comm, rank int, results []string) {
 
-	port := mxn.NewCallerPort(iface, mxn.NewConnLink(conns, rank), rank, n, mxn.BarrierDelayed)
+	port := mxn.NewCallerPort(iface, link, rank, n, mxn.BarrierDelayed)
 	for _, p := range []struct{ method, name string }{
 		{"dot", "x"}, {"dot", "y"}, {"normalize", "x"},
 	} {

@@ -251,7 +251,8 @@ func TestChaosNetFencedExchangeOverFlaps(t *testing.T) {
 }
 
 // TestChaosNetPRMIExactlyOnceOverFlaps drives independent PRMI calls
-// through a session whose physical links keep dying. The session's
+// between two worlds coupled by ConnectPeer over a session whose physical
+// links keep dying. The session's
 // sequence numbers and replay buffer must deliver every invocation
 // exactly once: the callee-side execution counter equals the number of
 // calls, and every caller sees its own argument echoed back.
@@ -266,10 +267,22 @@ func TestChaosNetPRMIExactlyOnceOverFlaps(t *testing.T) {
 	lst := flappingListener(t, 15)
 	cli, srv := sessionPair(t, lst)
 
+	// Caller rank 0 and callee rank 1 live in two worlds coupled over the
+	// session.
+	all := []int{0, 1}
+	wa, wb := comm.NewWorld(2), comm.NewWorld(2)
+	pa, pb := wa.ConnectPeer(cli, all[1:]), wb.ConnectPeer(srv, all[:1])
+	defer func() {
+		pa.Close()
+		pb.Close()
+		<-pa.Done()
+		<-pb.Done()
+	}()
+
 	var executed atomic.Int64
 	serveErr := make(chan error, 1)
 	go func() {
-		ep := prmi.NewEndpoint(iface, prmi.NewConnLink([]transport.Conn{srv}, 0), 0, 1, 1)
+		ep := prmi.NewEndpoint(iface, prmi.NewCommLink(wb.SharedGroup(1, all)[1], 0, 0), 0, 1, 1)
 		ep.Handle("tally", func(in *prmi.Incoming, out *prmi.Outgoing) error {
 			executed.Add(1)
 			out.Return = in.Simple["x"].(float64) * 2
@@ -278,7 +291,7 @@ func TestChaosNetPRMIExactlyOnceOverFlaps(t *testing.T) {
 		serveErr <- ep.Serve()
 	}()
 
-	port := prmi.NewCallerPort(iface, prmi.NewConnLink([]transport.Conn{cli}, 0), 0, 1, prmi.Eager)
+	port := prmi.NewCallerPort(iface, prmi.NewCommLink(wa.SharedGroup(1, all)[0], 1, 0), 0, 1, prmi.Eager)
 	for k := 0; k < calls; k++ {
 		res, err := port.CallIndependent(0, "tally", prmi.Simple("x", float64(k)))
 		if err != nil {

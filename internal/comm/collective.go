@@ -60,7 +60,7 @@ func (c *Comm) BarrierTimeout(d time.Duration) ([]int, error) {
 	if c.rank != 0 {
 		c.send(0, tagBarrierArrive, nil)
 		wait := 2*d + 500*time.Millisecond
-		m, ok := c.group.world.st().boxes[wme].takeTimeout(c.group.gid, c.group.ranks[0], tagBarrierResult, wait)
+		m, ok, _ := c.group.world.st().boxes[wme].take(c.group.gid, c.group.ranks[0], tagBarrierResult, true, wait, nil)
 		if !ok {
 			mBarrierExpiry.Inc()
 			return nil, &BarrierTimeoutError{RootLost: true}
@@ -81,7 +81,7 @@ func (c *Comm) BarrierTimeout(d time.Duration) ([]int, error) {
 		if remain <= 0 {
 			break
 		}
-		m, ok := c.group.world.st().boxes[wme].takeTimeout(c.group.gid, AnySource, tagBarrierArrive, remain)
+		m, ok, _ := c.group.world.st().boxes[wme].take(c.group.gid, AnySource, tagBarrierArrive, true, remain, nil)
 		if !ok {
 			break
 		}
@@ -229,23 +229,6 @@ func (c *Comm) AlltoallvFloat64(send [][]float64) [][]float64 {
 	for i, g := range got {
 		if g != nil {
 			out[i] = g.([]float64)
-		}
-	}
-	return out
-}
-
-// AlltoallvBytes is AlltoallvFloat64 for raw byte payloads.
-func (c *Comm) AlltoallvBytes(send [][]byte) [][]byte {
-	mCollectives.Inc()
-	vals := make([]any, len(send))
-	for i, s := range send {
-		vals[i] = s
-	}
-	got := c.alltoall(vals)
-	out := make([][]byte, len(got))
-	for i, g := range got {
-		if g != nil {
-			out[i] = g.([]byte)
 		}
 	}
 	return out

@@ -98,50 +98,52 @@ func (mb *mailbox) put(m message, dead *atomic.Bool) {
 	mQueueDepth.Add(1)
 }
 
-// take removes and returns the first message matching (group, from, tag),
-// blocking until one arrives.
-func (mb *mailbox) take(gid uint64, from, tag int) message {
-	mb.mu.Lock()
-	defer mb.mu.Unlock()
-	for {
-		for i, m := range mb.msgs {
-			if m.gid == gid && (from == AnySource || m.from == from) && (tag == AnyTag || m.tag == tag) {
-				mb.msgs = append(mb.msgs[:i], mb.msgs[i+1:]...)
-				mMsgsRecv.Inc()
-				mQueueDepth.Add(-1)
-				return m
-			}
+// match removes and returns the first queued message matching (group,
+// from, tag); the caller holds mb.mu.
+func (mb *mailbox) match(gid uint64, from, tag int) (message, bool) {
+	for i, m := range mb.msgs {
+		if m.gid == gid && (from == AnySource || m.from == from) && (tag == AnyTag || m.tag == tag) {
+			mb.msgs = append(mb.msgs[:i], mb.msgs[i+1:]...)
+			mMsgsRecv.Inc()
+			mQueueDepth.Add(-1)
+			return m, true
 		}
-		mb.cond.Wait()
 	}
+	return message{}, false
 }
 
-// takeTimeout is take bounded by a deadline; ok reports whether a matching
-// message arrived in time.
-func (mb *mailbox) takeTimeout(gid uint64, from, tag int, d time.Duration) (message, bool) {
-	deadline := time.Now().Add(d)
-	// The waker takes the mutex so its broadcast cannot slip into the gap
-	// between the waiter's deadline check and its cond.Wait.
-	timer := time.AfterFunc(d, func() {
-		mb.mu.Lock()
-		mb.cond.Broadcast()
-		mb.mu.Unlock()
-	})
-	defer timer.Stop()
+// take removes and returns the first message matching (group, from, tag),
+// blocking until one arrives — for at most d when bounded and, when g is
+// set, only until a remote binding carrying one of g's ranks has failed.
+// A matching message already queued is returned first either way. ok
+// false with a nil error reports that d expired.
+func (mb *mailbox) take(gid uint64, from, tag int, bounded bool, d time.Duration, g *group) (m message, ok bool, err error) {
+	var deadline time.Time
+	if bounded {
+		deadline = time.Now().Add(d)
+		// The waker takes the mutex so its broadcast cannot slip into the
+		// gap between the waiter's deadline check and its cond.Wait.
+		timer := time.AfterFunc(d, func() {
+			mb.mu.Lock()
+			mb.cond.Broadcast()
+			mb.mu.Unlock()
+		})
+		defer timer.Stop()
+	}
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
 	for {
-		for i, m := range mb.msgs {
-			if m.gid == gid && (from == AnySource || m.from == from) && (tag == AnyTag || m.tag == tag) {
-				mb.msgs = append(mb.msgs[:i], mb.msgs[i+1:]...)
-				mMsgsRecv.Inc()
-				mQueueDepth.Add(-1)
-				return m, true
+		if m, ok := mb.match(gid, from, tag); ok {
+			return m, true, nil
+		}
+		if g != nil {
+			if err := g.peerErr(); err != nil {
+				return message{}, false, err
 			}
 		}
-		if !time.Now().Before(deadline) {
+		if bounded && !time.Now().Before(deadline) {
 			mRecvWaits.Inc()
-			return message{}, false
+			return message{}, false, nil
 		}
 		mb.cond.Wait()
 	}
@@ -163,15 +165,7 @@ func (mb *mailbox) has(gid uint64, from, tag int) bool {
 func (mb *mailbox) tryTake(gid uint64, from, tag int) (message, bool) {
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
-	for i, m := range mb.msgs {
-		if m.gid == gid && (from == AnySource || m.from == from) && (tag == AnyTag || m.tag == tag) {
-			mb.msgs = append(mb.msgs[:i], mb.msgs[i+1:]...)
-			mMsgsRecv.Inc()
-			mQueueDepth.Add(-1)
-			return m, true
-		}
-	}
-	return message{}, false
+	return mb.match(gid, from, tag)
 }
 
 // World is a set of ranks that can exchange messages. It plays the role
@@ -187,6 +181,7 @@ func (mb *mailbox) tryTake(gid uint64, from, tag int) (message, bool) {
 type World struct {
 	growMu sync.Mutex // serializes Grow
 	state  atomic.Pointer[worldState]
+	lost   atomic.Int32 // ConnectPeer bindings torn down so far
 }
 
 // worldState is one immutable snapshot of the world's rank array. remote
@@ -355,6 +350,24 @@ type group struct {
 	gid   uint64
 }
 
+// peerErr returns the error of a torn-down ConnectPeer binding carrying
+// one of g's ranks, nil if there is none. Until some binding of the world
+// fails it is one atomic load.
+func (g *group) peerErr() error {
+	if g.world.lost.Load() == 0 {
+		return nil
+	}
+	st := g.world.st()
+	for _, r := range g.ranks {
+		if rp := st.remote[r]; rp != nil {
+			if err := rp.Err(); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
 // Comm is one rank's handle on a communicator. All methods are relative to
 // the group: Send/Recv peer arguments and collective roots are group ranks.
 type Comm struct {
@@ -431,6 +444,14 @@ func (c *Comm) Recv(from, tag int) (payload any, source int) {
 }
 
 func (c *Comm) recv(from, tag int) message {
+	mb, wfrom := c.inbox(from)
+	m, _, _ := mb.take(c.group.gid, wfrom, tag, false, 0, nil)
+	return m
+}
+
+// inbox returns this rank's mailbox and the world rank a receive from
+// group rank from (or AnySource) matches.
+func (c *Comm) inbox(from int) (*mailbox, int) {
 	wfrom := from
 	if from != AnySource {
 		if from < 0 || from >= len(c.group.ranks) {
@@ -438,38 +459,45 @@ func (c *Comm) recv(from, tag int) message {
 		}
 		wfrom = c.group.ranks[from]
 	}
-	wr := c.group.ranks[c.rank]
-	return c.group.world.st().boxes[wr].take(c.group.gid, wfrom, tag)
+	return c.group.world.st().boxes[c.group.ranks[c.rank]], wfrom
 }
 
 // RecvTimeout is Recv bounded by a timeout: ok reports whether a matching
-// message arrived before it expired. It is the primitive the PRMI layer
-// uses to turn silent link failures into typed timeout errors.
+// message arrived before it expired.
 func (c *Comm) RecvTimeout(from, tag int, d time.Duration) (payload any, source int, ok bool) {
-	wfrom := from
-	if from != AnySource {
-		if from < 0 || from >= len(c.group.ranks) {
-			panic(fmt.Sprintf("comm: recv from rank %d outside group of size %d", from, len(c.group.ranks)))
-		}
-		wfrom = c.group.ranks[from]
-	}
-	wr := c.group.ranks[c.rank]
-	m, ok := c.group.world.st().boxes[wr].takeTimeout(c.group.gid, wfrom, tag, d)
+	mb, wfrom := c.inbox(from)
+	m, ok, _ := mb.take(c.group.gid, wfrom, tag, true, d, nil)
 	if !ok {
 		return nil, 0, false
 	}
 	return m.payload, c.groupRankOf(m.from), true
 }
 
+// RecvOrFail is Recv, bounded by d when d > 0, that also returns once a
+// ConnectPeer binding carrying a rank of c's group has failed: a matching
+// message already queued comes first, then the binding's error (PeerErr).
+// It waits on the mailbox alone — the failing binding wakes it — so a
+// receive on a healthy link costs what Recv or RecvTimeout does. ok false
+// with a nil error reports that d expired. PRMI's links receive with it.
+func (c *Comm) RecvOrFail(from, tag int, d time.Duration) (payload any, source int, ok bool, err error) {
+	mb, wfrom := c.inbox(from)
+	m, ok, err := mb.take(c.group.gid, wfrom, tag, d > 0, d, c.group)
+	if !ok {
+		return nil, 0, false, err
+	}
+	return m.payload, c.groupRankOf(m.from), true, nil
+}
+
+// PeerErr returns the error that tore down a ConnectPeer binding carrying
+// a rank of c's group (RemotePeer.Err), or nil while there is none. A
+// rank Killed in this world is not a failed binding.
+func (c *Comm) PeerErr() error { return c.group.peerErr() }
+
 // TryRecv is the non-blocking variant of Recv. ok reports whether a
 // matching message was available.
 func (c *Comm) TryRecv(from, tag int) (payload any, source int, ok bool) {
-	wfrom := from
-	if from != AnySource {
-		wfrom = c.group.ranks[from]
-	}
-	wr := c.group.ranks[c.rank]
-	m, ok := c.group.world.st().boxes[wr].tryTake(c.group.gid, wfrom, tag)
+	mb, wfrom := c.inbox(from)
+	m, ok := mb.tryTake(c.group.gid, wfrom, tag)
 	if !ok {
 		return nil, 0, false
 	}

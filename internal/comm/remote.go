@@ -263,9 +263,10 @@ func (rp *RemotePeer) Done() <-chan struct{} { return rp.done }
 // loss and does the same on its side).
 func (rp *RemotePeer) Close() { rp.fail(errPeerDetached) }
 
-// fail tears the binding down exactly once: close the connection (which
-// unblocks serve), record the cause, and Kill every bound rank so the
-// failure surfaces through the normal dead-rank machinery.
+// fail tears the binding down exactly once: record the cause, close the
+// connection (which unblocks serve), Kill every bound rank so the failure
+// surfaces through the normal dead-rank machinery, and wake every rank
+// blocked in a receive, so that one waiting in RecvOrFail sees the cause.
 func (rp *RemotePeer) fail(cause error) {
 	if rp.closed.Swap(true) {
 		return
@@ -273,12 +274,20 @@ func (rp *RemotePeer) fail(cause error) {
 	rp.errMu.Lock()
 	rp.err = cause
 	rp.errMu.Unlock()
+	rp.w.lost.Add(1)
 	rp.conn.Close()
 	if !errors.Is(cause, errPeerDetached) {
 		mRemotePeersLost.Inc()
 	}
 	for _, r := range rp.ranks {
 		rp.w.Kill(r)
+	}
+	// The waker takes each mailbox's mutex, so the broadcast cannot slip
+	// between a waiter's failure check and its cond.Wait.
+	for _, mb := range rp.w.st().boxes {
+		mb.mu.Lock()
+		mb.cond.Broadcast()
+		mb.mu.Unlock()
 	}
 }
 

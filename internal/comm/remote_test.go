@@ -212,3 +212,83 @@ func TestConnectPeerRejectsDoubleBinding(t *testing.T) {
 	}()
 	w.ConnectPeer(b, []int{1})
 }
+
+// TestRecvOrFailReportsLostBinding: messages that arrived before a binding
+// of the group failed are received first, then RecvOrFail and PeerErr
+// report the binding's cause — blocking or bounded, without waiting out
+// the bound.
+func TestRecvOrFailReportsLostBinding(t *testing.T) {
+	wa, wb, pa, pb := coupledWorlds(t, 1, 1)
+	csA, csB := sharedComms(wa, wb, 7)
+	csA[0].Send(1, 3, "one")
+	csA[0].Send(1, 3, "two")
+	pa.Close() // the pipe drains its queue before reporting the close
+	<-pb.Done()
+	for _, want := range []string{"one", "two"} {
+		if v, from, ok, err := csB[1].RecvOrFail(AnySource, 3, 0); !ok || err != nil || v != want || from != 0 {
+			t.Fatalf("queued %q: got %v from %d, ok %v, err %v", want, v, from, ok, err)
+		}
+	}
+	for _, d := range []time.Duration{0, time.Minute} {
+		start := time.Now()
+		_, _, ok, err := csB[1].RecvOrFail(AnySource, 3, d)
+		if ok || !errors.Is(err, transport.ErrClosed) {
+			t.Fatalf("RecvOrFail(%v) after the loss: ok %v, err %v, want transport.ErrClosed", d, ok, err)
+		}
+		if time.Since(start) > time.Second {
+			t.Fatalf("RecvOrFail(%v) waited %v for a lost binding", d, time.Since(start))
+		}
+	}
+	if err := csB[1].PeerErr(); !errors.Is(err, transport.ErrClosed) {
+		t.Fatalf("PeerErr = %v, want transport.ErrClosed", err)
+	}
+}
+
+// TestRecvOrFailWokenByLoss: a receive already blocked when the binding
+// fails is woken by the failure.
+func TestRecvOrFailWokenByLoss(t *testing.T) {
+	wa, wb, pa, _ := coupledWorlds(t, 1, 1)
+	_, csB := sharedComms(wa, wb, 8)
+	got := make(chan error, 1)
+	go func() {
+		_, _, _, err := csB[1].RecvOrFail(AnySource, AnyTag, 0)
+		got <- err
+	}()
+	time.Sleep(20 * time.Millisecond) // let the receive block
+	pa.Close()
+	select {
+	case err := <-got:
+		if !errors.Is(err, transport.ErrClosed) {
+			t.Fatalf("woken receive: %v, want transport.ErrClosed", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a blocked RecvOrFail slept through the binding's failure")
+	}
+}
+
+// TestRecvOrFailIgnoresKill: a rank Killed in this world is not a failed
+// binding — RecvOrFail waits out its bound and PeerErr stays nil — and a
+// healthy RecvOrFail allocates what Recv does.
+func TestRecvOrFailIgnoresKill(t *testing.T) {
+	w := NewWorld(3)
+	cs := w.Comms()
+	w.Kill(2)
+	if _, _, ok, err := cs[1].RecvOrFail(AnySource, 0, 10*time.Millisecond); ok || err != nil {
+		t.Fatalf("RecvOrFail with a killed in-world rank: ok %v, err %v, want expiry", ok, err)
+	}
+	if err := cs[1].PeerErr(); err != nil {
+		t.Fatalf("PeerErr = %v for an in-world kill", err)
+	}
+	payload := new(int)
+	recv := testing.AllocsPerRun(100, func() {
+		cs[0].Send(1, 0, payload)
+		cs[1].Recv(0, 0)
+	})
+	recvOrFail := testing.AllocsPerRun(100, func() {
+		cs[0].Send(1, 0, payload)
+		cs[1].RecvOrFail(0, 0, 0)
+	})
+	if recvOrFail > recv {
+		t.Fatalf("RecvOrFail allocates %.1f per message, Recv %.1f", recvOrFail, recv)
+	}
+}

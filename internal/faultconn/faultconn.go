@@ -253,10 +253,6 @@ func (c *Conn) Send(msg []byte) error {
 	return c.SendContext(context.Background(), msg)
 }
 
-func (c *Conn) SendOwned(head, payload []byte) error {
-	return c.SendBatch([]net.Buffers{{head, payload}}, true, nil)
-}
-
 // SendBatch runs every message, flattened, through the per-message fault
 // pipeline in order: the fault plan sees frames, never segment or batch
 // boundaries, so vectored and batched callers observe exactly the

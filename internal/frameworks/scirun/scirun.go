@@ -21,7 +21,6 @@ package scirun
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"mxn/internal/comm"
 	"mxn/internal/dad"
@@ -43,7 +42,6 @@ type Services struct {
 // world of processes partitioned among component cohorts.
 type Framework struct {
 	world *comm.World
-	all   []*comm.Comm
 
 	// Delivery selects invocation delivery for all caller ports. SCIRun2
 	// predates DCA's barrier rule, so the default is Eager with
@@ -55,7 +53,6 @@ type Framework struct {
 	components  map[string]*componentEntry
 	connections map[string]*connection // "user/usesPort"
 	rankOwner   map[int]string
-	nextTag     int
 	layouts     []layoutDecl
 }
 
@@ -68,9 +65,11 @@ type componentEntry struct {
 	uses     map[string]*sidl.Interface
 }
 
+// connection is one caller/callee PRMI pair. Its group holds the user's
+// ranks and then the provider's, so its traffic is a domain of its own.
 type connection struct {
 	user, usesPort, provider, provPort string
-	tag                                int
+	group                              []*comm.Comm
 }
 
 type layoutDecl struct {
@@ -80,10 +79,8 @@ type layoutDecl struct {
 
 // New creates a framework over worldSize processes.
 func New(worldSize int) *Framework {
-	w := comm.NewWorld(worldSize)
 	return &Framework{
-		world:       w,
-		all:         w.Comms(),
+		world:       comm.NewWorld(worldSize),
 		interfaces:  map[string]*sidl.Interface{},
 		components:  map[string]*componentEntry{},
 		connections: map[string]*connection{},
@@ -218,11 +215,10 @@ func (f *Framework) Connect(user, usesPort, provider, provPort string) error {
 			return fmt.Errorf("scirun: provides port %s.%s already connected", provider, provPort)
 		}
 	}
-	f.nextTag++
 	f.connections[key] = &connection{
 		user: user, usesPort: usesPort,
 		provider: provider, provPort: provPort,
-		tag: f.nextTag,
+		group: f.world.Group(append(append([]int(nil), ue.ranks...), pe.ranks...)),
 	}
 	return nil
 }
@@ -314,7 +310,7 @@ func (s *Services) GetPort(usesPort string) (*prmi.CallerPort, error) {
 	mode := f.Delivery
 	f.mu.Unlock()
 
-	link := newMappedLink(f.all[s.entry.ranks[s.rank]], prov.ranks, conn.tag)
+	link := prmi.NewCommLink(conn.group[s.rank], len(s.entry.ranks), 0)
 	port := prmi.NewCallerPort(iface, link, s.rank, len(prov.ranks), mode)
 	for _, l := range layouts {
 		if l.provider == conn.provider && l.port == conn.provPort {
@@ -355,7 +351,7 @@ func (s *Services) ProvidesPort(port string) (*prmi.Endpoint, error) {
 	layouts := append([]layoutDecl(nil), f.layouts...)
 	f.mu.Unlock()
 
-	link := newMappedLink(f.all[s.entry.ranks[s.rank]], user.ranks, conn.tag)
+	link := prmi.NewCommLink(conn.group[len(user.ranks)+s.rank], 0, 0)
 	ep := prmi.NewEndpoint(iface, link, s.rank, len(s.entry.ranks), len(user.ranks))
 	ep.StrictMatching = true
 	for _, l := range layouts {
@@ -375,55 +371,4 @@ func (s *Services) closePorts() {
 	for _, p := range s.callerPorts {
 		_ = p.Close()
 	}
-}
-
-// mappedLink adapts a world communicator to a prmi.Link where the peer
-// cohort occupies arbitrary (possibly non-contiguous) world ranks.
-type mappedLink struct {
-	c     *comm.Comm
-	peers []int       // peer cohort rank -> world rank
-	back  map[int]int // world rank -> peer cohort rank
-	tag   int
-}
-
-func newMappedLink(c *comm.Comm, peers []int, tag int) *mappedLink {
-	back := make(map[int]int, len(peers))
-	for i, wr := range peers {
-		back[wr] = i
-	}
-	return &mappedLink{c: c, peers: peers, back: back, tag: tag}
-}
-
-func (l *mappedLink) Send(peerRank int, m *prmi.Msg) error {
-	if peerRank < 0 || peerRank >= len(l.peers) {
-		m.Release()
-		return fmt.Errorf("scirun: peer rank %d outside cohort of %d", peerRank, len(l.peers))
-	}
-	l.c.Send(l.peers[peerRank], l.tag, m)
-	return nil
-}
-
-func (l *mappedLink) Recv(d time.Duration) (int, *prmi.Msg, error) {
-	if d <= 0 {
-		payload, src := l.c.Recv(comm.AnySource, l.tag)
-		return l.attribute(payload, src)
-	}
-	payload, src, ok := l.c.RecvTimeout(comm.AnySource, l.tag, d)
-	if !ok {
-		return 0, nil, fmt.Errorf("%w: no message within %v", prmi.ErrTimeout, d)
-	}
-	return l.attribute(payload, src)
-}
-
-func (l *mappedLink) attribute(payload any, src int) (int, *prmi.Msg, error) {
-	m, err := prmi.AsMsg(payload)
-	if err != nil {
-		return 0, nil, err
-	}
-	peer, ok := l.back[src]
-	if !ok {
-		m.Release()
-		return 0, nil, fmt.Errorf("scirun: message from world rank %d outside the peer cohort", src)
-	}
-	return peer, m, nil
 }

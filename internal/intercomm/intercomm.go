@@ -298,10 +298,9 @@ func (p *Program) Import(array string, time, rank int, buf []float64) (int, erro
 		return 0, err
 	}
 	locals := srcSet.byTime[srcTime]
+	// Export copied its input, so a source never overlaps buf.
 	for _, plan := range s.IncomingFor(rank) {
-		tmp := make([]float64, plan.Elems)
-		schedule.PackSlice(plan, locals[plan.SrcRank], tmp)
-		schedule.UnpackSlice(plan, buf, tmp)
+		schedule.CopySliceRange(plan, locals[plan.SrcRank], buf, 0, plan.Elems)
 	}
 	return srcTime, nil
 }

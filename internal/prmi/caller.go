@@ -286,7 +286,7 @@ func (p *CallerPort) CallIndependent(target int, method string, args ...Arg) (*R
 	defer mCallNS.ObserveSince(callStart)
 	defer p.releaseReplies()
 	p.seq++
-	if err := mapLinkErr(p.link.Send(target, p.callMsg(pl, target))); err != nil || m.OneWay {
+	if err := p.link.Send(target, p.callMsg(pl, target)); err != nil || m.OneWay {
 		return nil, err
 	}
 	want := [1]int{target}
@@ -368,7 +368,7 @@ func (p *CallerPort) CallCollective(method string, part Participation, args ...A
 
 	err = sendAll(p.link, func() error {
 		for j := 0; j < p.nCallee; j++ {
-			if err := mapLinkErr(p.link.Send(j, p.callMsg(pl, j))); err != nil {
+			if err := p.link.Send(j, p.callMsg(pl, j)); err != nil {
 				return err
 			}
 		}
@@ -516,7 +516,7 @@ func (p *CallerPort) collect(seq uint64, want []int) error {
 		if again {
 			continue
 		}
-		if err = mapLinkErr(err); errors.Is(err, ErrTimeout) {
+		if errors.Is(err, ErrTimeout) {
 			mTimeouts.Inc()
 			return fmt.Errorf("%w: no reply from %d of callees %v within %v", err, missing, want, p.timeout)
 		} else if err != nil {

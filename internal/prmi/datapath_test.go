@@ -65,26 +65,24 @@ func worldFabric(t testing.TB, m, n int) fabric {
 	return f
 }
 
-// pipeFabric meshes the cohorts with one transport.Pipe per rank pair.
+// pipeFabric puts each cohort in its own world and couples the worlds
+// with ConnectPeer over a transport.Pipe.
 func pipeFabric(t testing.TB, m, n int) fabric {
-	up, down := make([][]transport.Conn, m), make([][]transport.Conn, n)
-	var all []transport.Conn
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			a, b := transport.Pipe()
-			up[i], down[j], all = append(up[i], a), append(down[j], b), append(all, a, b)
-		}
-	}
+	a, b := transport.Pipe()
+	return couple(m, n, a, b).fabric(func() {})
+}
+
+// fabric returns c's links, closing c and then running after.
+func (c *coupling) fabric(after func()) fabric {
 	f := fabric{close: func() {
-		for _, c := range all {
-			c.Close()
-		}
+		c.close()
+		after()
 	}}
-	for i := 0; i < m; i++ {
-		f.callers = append(f.callers, NewConnLink(up[i], i))
+	for i := 0; i < c.m; i++ {
+		f.callers = append(f.callers, c.callerLink(i))
 	}
-	for j := 0; j < n; j++ {
-		f.callees = append(f.callees, NewConnLink(down[j], j))
+	for j := 0; j < c.n; j++ {
+		f.callees = append(f.callees, c.calleeLink(j))
 	}
 	return f
 }
@@ -130,32 +128,7 @@ func sessionFabric(t testing.TB, m, n, flapAfter int, lose bool) fabric {
 	if lose {
 		raw.Close()
 	}
-	var callerRanks, calleeRanks, all []int
-	for r := 0; r < m+n; r++ {
-		all = append(all, r)
-		if r < m {
-			callerRanks = append(callerRanks, r)
-		} else {
-			calleeRanks = append(calleeRanks, r)
-		}
-	}
-	wa, wb := comm.NewWorld(m+n), comm.NewWorld(m+n)
-	pa, pb := wa.ConnectPeer(cli, calleeRanks), wb.ConnectPeer(srv.c, callerRanks)
-	ca, cb := wa.SharedGroup(1, all), wb.SharedGroup(1, all)
-	f := fabric{close: func() {
-		pa.Close()
-		pb.Close()
-		lst.Close()
-		<-pa.Done()
-		<-pb.Done()
-	}}
-	for i := 0; i < m; i++ {
-		f.callers = append(f.callers, NewCommLink(ca[i], m, 0))
-	}
-	for j := 0; j < n; j++ {
-		f.callees = append(f.callees, NewCommLink(cb[m+j], 0, 0))
-	}
-	return f
+	return couple(m, n, cli, srv.c).fabric(func() { lst.Close() })
 }
 
 // awaitPool fails the test unless every pooled buffer handed out since
@@ -619,10 +592,6 @@ func TestPoolBalancedOnFailurePaths(t *testing.T) {
 		// redials go unanswered: the calls cannot complete. The lent
 		// payloads sit in the session's replay buffer until it gives up.
 		f := sessionFabric(t, 2, 2, 5, true)
-		stop := make(chan struct{})
-		for j := range f.callees {
-			f.callees[j] = stopLink{f.callees[j], stop}
-		}
 		c := newPair22(t, f)
 		for r, p := range c.ports {
 			p.SetTimeout(300 * time.Millisecond)
@@ -634,32 +603,10 @@ func TestPoolBalancedOnFailurePaths(t *testing.T) {
 				t.Errorf("caller %d completed a call over a dead link", i)
 			}
 		}
-		close(stop)
 		wait()
 		f.close()
 		awaitPool(t, baseline, "after losing the peer mid-call")
 	})
-}
-
-// stopLink makes an unbounded Recv give up once stop is closed, so a test
-// can end an endpoint whose callers are gone for good.
-type stopLink struct {
-	Link
-	stop chan struct{}
-}
-
-func (l stopLink) Recv(d time.Duration) (int, *Msg, error) {
-	for d <= 0 {
-		select {
-		case <-l.stop:
-			return 0, nil, ErrLinkDown
-		default:
-		}
-		if from, m, err := l.Link.Recv(20 * time.Millisecond); !errors.Is(err, ErrTimeout) {
-			return from, m, err
-		}
-	}
-	return l.Link.Recv(d)
 }
 
 // TestCallCollectiveSteadyStateAllocs pins the allocations of one warm

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"mxn/internal/comm"
 	"mxn/internal/core"
 	"mxn/internal/faultconn"
 	"mxn/internal/obs"
@@ -234,24 +235,21 @@ func TestDedupReplaySkipsHandler(t *testing.T) {
 	}
 }
 
-// recvReplyRaw reads one reply frame off the raw caller-side conn of a
-// connLink mesh and decodes its head.
-func recvReplyRaw(t *testing.T, c transport.Conn) reply {
+// recvReply receives one reply message at a caller rank and decodes its
+// head.
+func recvReply(t *testing.T, caller *comm.Comm) reply {
 	t.Helper()
-	raw, err := c.Recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, m, err := parseFrame(raw)
-	if err != nil || m.kind() != msgReply {
-		t.Fatalf("expected a reply frame, got % x (%v)", raw, err)
-	}
+	payload, _ := caller.Recv(comm.AnySource, 0)
+	m := payload.(*Msg)
 	defer m.Release()
+	if m.kind() != msgReply {
+		t.Fatalf("expected a reply, got % x", m.head)
+	}
 	var rep reply
 	if err := decodeReply(m, &rep); err != nil {
 		t.Fatal(err)
 	}
-	rep.msg, rep.simpleOut = nil, nil // views of the released frame
+	rep.msg, rep.simpleOut = nil, nil // views of the released message
 	return rep
 }
 
@@ -342,9 +340,8 @@ func TestPendingLimitDropsOldest(t *testing.T) {
 // the current epoch.
 func TestStaleEpochCallRejected(t *testing.T) {
 	iface := matrixIface(t)
-	a, b := transport.Pipe()
-	defer a.Close()
-	ep := NewEndpoint(iface, NewConnLink([]transport.Conn{a}, 0), 0, 1, 2)
+	cs := comm.NewWorld(2).Comms()
+	ep := NewEndpoint(iface, NewCommLink(cs[1], 0, 0), 0, 1, 2)
 	var runs atomic.Int64
 	ep.Handle("f", func(in *Incoming, out *Outgoing) error {
 		out.Return = float64(runs.Add(1))
@@ -358,7 +355,7 @@ func TestStaleEpochCallRejected(t *testing.T) {
 	if _, err := ep.dispatch(0, testCall("f", 1, 1, 1.0)); err != nil {
 		t.Fatal(err)
 	}
-	rep := recvReplyRaw(t, b)
+	rep := recvReply(t, cs[0])
 	if !strings.Contains(rep.errText, "stale epoch") {
 		t.Fatalf("stale call got %q, want a stale-epoch refusal", rep.errText)
 	}
@@ -372,7 +369,7 @@ func TestStaleEpochCallRejected(t *testing.T) {
 	if _, err := ep.dispatch(0, testCall("f", 2, 2, 1.0)); err != nil {
 		t.Fatal(err)
 	}
-	if rep := recvReplyRaw(t, b); rep.errText != "" || runs.Load() != 1 {
+	if rep := recvReply(t, cs[0]); rep.errText != "" || runs.Load() != 1 {
 		t.Fatalf("current-epoch call rejected: %q (runs=%d)", rep.errText, runs.Load())
 	}
 }
@@ -424,10 +421,9 @@ func TestNextFromFailsFastOnDeadParticipant(t *testing.T) {
 // a blocking call whose target dies mid-wait returns the typed error
 // instead of hanging on a reply that will never come.
 func TestCallRankDownFailsFastMidWait(t *testing.T) {
-	a, b := transport.Pipe()
-	defer a.Close()
-	defer b.Close() // returns the unanswered call's frame
-	port := NewCallerPort(matrixIface(t), NewConnLink([]transport.Conn{a}, 0), 0, 1, Eager)
+	w := comm.NewWorld(2)
+	defer w.Kill(1) // releases the unanswered call
+	port := NewCallerPort(matrixIface(t), NewCommLink(w.Comms()[0], 1, 0), 0, 1, Eager)
 	mem := core.NewMembership(1)
 	port.SetMembership(mem)
 	go func() {

@@ -5,15 +5,13 @@ package prmi
 // errors rather than hangs or panics.
 
 import (
-	"context"
 	"errors"
+	"net"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"mxn/internal/bufpool"
 	"mxn/internal/comm"
 	"mxn/internal/faultconn"
 	"mxn/internal/obs"
@@ -79,97 +77,84 @@ func TestEndpointRejectsEmptyFrame(t *testing.T) {
 	}
 }
 
+// TestConnLinkPeerDeathSurfacesToServe: the caller's process "dies" — its
+// end of the connection closes with no shutdown message — and the
+// endpoint's Serve, a CommLink over the callee world's binding, returns
+// ErrLinkDown with the binding's cause in the chain.
 func TestConnLinkPeerDeathSurfacesToServe(t *testing.T) {
 	iface := simpleIface(t)
 	a, b := transport.Pipe()
+	c := couple(1, 1, a, b)
+	t.Cleanup(c.close)
 	serveErr := make(chan error, 1)
 	go func() {
-		ep := NewEndpoint(iface, NewConnLink([]transport.Conn{b}, 0), 0, 1, 1)
+		ep := NewEndpoint(iface, c.calleeLink(0), 0, 1, 1)
 		serveErr <- ep.Serve()
 	}()
-	// The caller's process "dies": its connection closes with no shutdown
-	// message.
 	a.Close()
 	err := <-serveErr
-	if err == nil {
-		t.Fatal("Serve returned nil after peer death")
-	}
-	if !errors.Is(err, transport.ErrClosed) && !strings.Contains(err.Error(), "closed") {
-		t.Fatalf("err = %v, want a closed-connection error", err)
+	if !errors.Is(err, ErrLinkDown) || !errors.Is(err, transport.ErrClosed) {
+		t.Fatalf("Serve after peer death: %v, want ErrLinkDown over transport.ErrClosed", err)
 	}
 }
 
+// TestConnLinkPeerDeathSurfacesToCaller: the callee world takes the call
+// and dies without replying. The waiting call fails with ErrLinkDown over
+// the binding's cause as soon as the binding fails, not at its timeout.
 func TestConnLinkPeerDeathSurfacesToCaller(t *testing.T) {
 	iface := simpleIface(t)
-	a, b := transport.Pipe()
-	port := NewCallerPort(iface, NewConnLink([]transport.Conn{a}, 0), 0, 1, Eager)
-	var wg sync.WaitGroup
-	wg.Add(1)
+	c, calleeEnd := pipeCoupling(t)
+	port := NewCallerPort(iface, c.callerLink(0), 0, 1, Eager)
+	port.SetTimeout(500 * time.Millisecond)
 	go func() {
-		defer wg.Done()
-		// The callee consumes the call, then dies without replying.
-		m, err := b.Recv()
-		if err != nil {
-			t.Errorf("callee recv: %v", err)
-		}
-		bufpool.PutFrame(m)
-		b.Close()
+		call, _ := c.callees[1].Recv(comm.AnySource, 0)
+		call.(*Msg).Release()
+		calleeEnd.Close()
 	}()
+	start := time.Now()
 	_, err := port.CallIndependent(0, "f", Simple("x", 1.0))
-	if err == nil {
-		t.Fatal("caller got a result from a dead callee")
+	if !errors.Is(err, ErrLinkDown) || !errors.Is(err, transport.ErrClosed) {
+		t.Fatalf("call to a callee that died: %v, want ErrLinkDown over transport.ErrClosed", err)
 	}
-	wg.Wait()
+	if elapsed := time.Since(start); elapsed > 100*time.Millisecond {
+		t.Fatalf("ErrLinkDown took %v", elapsed)
+	}
 }
 
 func TestCallerRejectsCorruptReply(t *testing.T) {
 	iface := simpleIface(t)
-	a, b := transport.Pipe()
-	port := NewCallerPort(iface, NewConnLink([]transport.Conn{a}, 0), 0, 1, Eager)
-	var wg sync.WaitGroup
-	wg.Add(1)
+	c, _ := pipeCoupling(t)
+	port := NewCallerPort(iface, c.callerLink(0), 0, 1, Eager)
 	go func() {
-		defer wg.Done()
-		m, err := b.Recv()
-		if err != nil {
-			return
-		}
-		bufpool.PutFrame(m)
-		// Reply with a valid src prefix and framing but a corrupt head.
-		var frame wire.Encoder
-		frame.PutUvarint(0)
-		frame.PutBytes([]byte{msgReply, 0xDE, 0xAD})
-		frame.PutBytesRef(nil)
-		b.Send(frame.Bytes())
+		call, _ := c.callees[1].Recv(comm.AnySource, 0)
+		call.(*Msg).Release()
+		// A reply that crosses the connection intact but whose head is
+		// corrupt.
+		c.callees[1].Send(0, 0, newMsg([]byte{msgReply, 0xDE, 0xAD}, nil))
 	}()
-	_, err := port.CallIndependent(0, "f", Simple("x", 1.0))
-	if err == nil {
+	if _, err := port.CallIndependent(0, "f", Simple("x", 1.0)); err == nil {
 		t.Fatal("corrupt reply accepted")
 	}
-	wg.Wait()
-	a.Close()
-	b.Close()
 }
 
+// TestMeshShortFrame: a frame cut short inside comm's header fails the
+// binding it arrives on, and the link reports ErrLinkDown over comm's
+// decode error — not a panic.
 func TestMeshShortFrame(t *testing.T) {
-	// A frame cut short inside its header must error, not panic.
-	a, b := transport.Pipe()
-	defer a.Close()
-	link := NewConnLink([]transport.Conn{b}, 0)
-	if err := a.Send([]byte{1, 2}); err != nil {
+	c, calleeEnd := pipeCoupling(t)
+	if err := calleeEnd.Send([]byte{1, 2}); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := link.Recv(0); err == nil {
-		t.Fatal("short frame accepted")
+	_, _, err := c.callerLink(0).Recv(0)
+	if !errors.Is(err, ErrLinkDown) || !strings.Contains(err.Error(), "corrupt remote frame") {
+		t.Fatalf("short frame: %v, want ErrLinkDown over a corrupt-frame error", err)
 	}
 }
 
 func TestIndependentCallTimesOutTyped(t *testing.T) {
 	iface := simpleIface(t)
-	a, b := transport.Pipe()
-	defer a.Close()
-	defer b.Close() // callee never answers; closing returns the calls
-	port := NewCallerPort(iface, NewConnLink([]transport.Conn{a}, 0), 0, 1, Eager)
+	c, _ := pipeCoupling(t) // the callee never answers
+	port := NewCallerPort(iface, c.callerLink(0), 0, 1, Eager)
 	port.SetTimeout(50 * time.Millisecond)
 	start := time.Now()
 	_, err := port.CallIndependent(0, "f", Simple("x", 1.0))
@@ -228,14 +213,12 @@ func TestIndependentCallExhaustsRetries(t *testing.T) {
 }
 
 // silentCalleeTimesOutOnce makes call against a callee that reads nothing:
-// it must fail with ErrTimeout after one timeout, and the callee end of the
-// link must hold exactly one call frame.
+// it must fail with ErrTimeout after one timeout, and the callee world
+// must hold exactly one call message.
 func silentCalleeTimesOutOnce(t *testing.T, call func(*CallerPort) error) {
 	t.Helper()
-	a, b := transport.Pipe()
-	defer a.Close()
-	defer b.Close()
-	port := NewCallerPort(matrixIface(t), NewConnLink([]transport.Conn{a}, 0), 0, 1, Eager)
+	c, _ := pipeCoupling(t)
+	port := NewCallerPort(matrixIface(t), c.callerLink(0), 0, 1, Eager)
 	const timeout = 40 * time.Millisecond
 	port.SetTimeout(timeout)
 	start := time.Now()
@@ -247,27 +230,21 @@ func silentCalleeTimesOutOnce(t *testing.T, call func(*CallerPort) error) {
 	if elapsed < timeout || elapsed > time.Second {
 		t.Fatalf("call gave up after %v, want one timeout of %v", elapsed, timeout)
 	}
-	if n := callFrames(t, b); n != 1 {
-		t.Fatalf("the callee end received %d call frames, want 1", n)
+	if n := callMessages(c.callees[1]); n != 1 {
+		t.Fatalf("the callee world received %d call messages, want 1", n)
 	}
 }
 
-// callFrames counts the call frames waiting at the callee end of a
-// connLink mesh, releasing them.
-func callFrames(t *testing.T, c transport.Conn) int {
-	t.Helper()
+// callMessages counts the call messages waiting for a callee rank,
+// releasing them.
+func callMessages(callee *comm.Comm) int {
 	n := 0
 	for {
-		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-		raw, err := c.RecvContext(ctx)
-		cancel()
-		if err != nil {
+		payload, _, ok := callee.RecvTimeout(comm.AnySource, 0, 50*time.Millisecond)
+		if !ok {
 			return n
 		}
-		_, m, err := parseFrame(raw)
-		if err != nil {
-			t.Fatal(err)
-		}
+		m := payload.(*Msg)
 		if m.kind() == msgCall {
 			n++
 		}
@@ -275,17 +252,14 @@ func callFrames(t *testing.T, c transport.Conn) int {
 	}
 }
 
+// TestLinkDownIsTyped: the caller world's binding has lost its connection
+// (the callee's end closed) before a call. The call reports ErrLinkDown at
+// once, with the binding's cause, transport.ErrClosed, in the chain.
 func TestLinkDownIsTyped(t *testing.T) {
-	iface := simpleIface(t)
-	a, b := transport.Pipe()
-	b.Close()
-	port := NewCallerPort(iface, NewConnLink([]transport.Conn{a}, 0), 0, 1, Eager)
-	port.SetTimeout(50 * time.Millisecond)
-	_, err := port.CallIndependent(0, "f", Simple("x", 1.0))
-	if !errors.Is(err, ErrLinkDown) {
-		t.Fatalf("call over closed link: %v, want ErrLinkDown", err)
-	}
-	if !errors.Is(err, transport.ErrClosed) {
+	c, calleeEnd := pipeCoupling(t)
+	calleeEnd.Close()
+	<-c.pa.Done()
+	if err := lostCall(t, c); !errors.Is(err, transport.ErrClosed) {
 		t.Fatalf("link-down error %v lost the link's own error", err)
 	}
 }
@@ -295,45 +269,29 @@ func TestLinkDownIsTyped(t *testing.T) {
 // first call's sequence number and is discarded.
 func TestStaleReplyDiscarded(t *testing.T) {
 	iface := simpleIface(t)
-	a, b := transport.Pipe()
-	defer a.Close()
-	defer b.Close()
-	port := NewCallerPort(iface, NewConnLink([]transport.Conn{a}, 0), 0, 1, Eager)
+	c, _ := pipeCoupling(t)
+	port := NewCallerPort(iface, c.callerLink(0), 0, 1, Eager)
 	port.SetTimeout(100 * time.Millisecond)
 
 	// The callee answers the first call only once the second has arrived
 	// — long after the first gave up — and then answers the second.
+	callee := c.callees[1]
 	go func() {
-		raw1, err := b.Recv()
-		if err != nil {
-			return
+		// The sequence number follows the kind byte of the head.
+		seqOf := func() uint64 {
+			payload, _ := callee.Recv(comm.AnySource, 0)
+			m := payload.(*Msg)
+			defer m.Release()
+			return wire.NewDecoder(m.head[1:]).Uint64()
 		}
-		raw2, err := b.Recv()
-		if err != nil {
-			bufpool.PutFrame(raw1)
-			return
-		}
-		// The sequence number follows the kind byte of the head, which
-		// follows the frame's rank prefix.
-		seqOf := func(raw []byte) uint64 {
-			defer bufpool.PutFrame(raw)
-			d := wire.NewDecoder(raw)
-			d.Uvarint()
-			return wire.NewDecoder(d.BorrowBytes()[1:]).Uint64()
-		}
-		seq1, seq2 := seqOf(raw1), seqOf(raw2)
+		seq1, seq2 := seqOf(), seqOf()
 		for _, r := range []struct {
 			seq uint64
 			ret float64
 		}{{seq1, -1}, {seq2, 42}} {
-			var e, frame wire.Encoder
+			var e wire.Encoder
 			putReplyHead(&e, r.seq, &replyMsg{ret: r.ret})
-			frame.PutUvarint(0)
-			frame.PutBytes(e.Bytes())
-			frame.PutBytesRef(nil)
-			if b.Send(frame.Bytes()) != nil {
-				return
-			}
+			callee.Send(0, 0, newMsg(e.Bytes(), nil))
 		}
 	}()
 	if _, err := port.CallIndependent(0, "f", Simple("x", 1.0)); !errors.Is(err, ErrTimeout) {
@@ -352,13 +310,13 @@ func TestStaleReplyDiscarded(t *testing.T) {
 	}
 }
 
-// countingConn counts the messages a connLink sends through it.
+// countingConn counts the messages comm sends through it.
 type countingConn struct {
 	transport.Conn
 	sends atomic.Int64
 }
 
-func (c *countingConn) SendOwned(head, payload []byte) error {
-	c.sends.Add(1)
-	return c.Conn.SendOwned(head, payload)
+func (c *countingConn) SendBatch(msgs []net.Buffers, owned bool, loans []wire.Loan) error {
+	c.sends.Add(int64(len(msgs)))
+	return c.Conn.SendBatch(msgs, owned, loans)
 }

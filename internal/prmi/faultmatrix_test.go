@@ -14,9 +14,10 @@ import (
 )
 
 // The failure matrix: fault scenarios crossed with every SIDL invocation
-// kind, over two links. The contract under test is the one DESIGN.md's
-// failure model promises: a call is sent once and terminates within a
-// bounded time, never a hang, never a panic.
+// kind, over two links, each under a ConnectPeer binding and a CommLink —
+// the path the benchmark measures. The contract under test is the one
+// DESIGN.md's failure model promises: a call is sent once and terminates
+// within a bounded time, never a hang, never a panic.
 //
 //   - Over a raw pipe nothing recovers a lost message: the call succeeds
 //     or fails with the matching typed sentinel (ErrTimeout for lost
@@ -57,14 +58,16 @@ type harness struct {
 	done chan struct{} // closed when Serve returns
 }
 
-// newHarness serves the callee end and builds the port on the caller end.
-// Both ends are closed, and what the caller's link still holds released,
-// at cleanup.
+// newHarness couples a caller world and a callee world over the two ends
+// of a link (comm.ConnectPeer), serves the callee and builds the port on
+// the caller. At cleanup both bindings close and every rank is killed,
+// which releases what the mailboxes still hold.
 func newHarness(t *testing.T, caller, callee transport.Conn) *harness {
 	t.Helper()
 	iface := matrixIface(t)
 	h := &harness{done: make(chan struct{})}
-	ep := NewEndpoint(iface, NewConnLink([]transport.Conn{callee}, 0), 0, 1, 1)
+	c := couple(1, 1, caller, callee)
+	ep := NewEndpoint(iface, c.calleeLink(0), 0, 1, 1)
 	double := func(in *Incoming, out *Outgoing) error {
 		h.runs.Add(1)
 		out.Return = in.Simple["x"].(float64) * 2
@@ -80,28 +83,12 @@ func newHarness(t *testing.T, caller, callee transport.Conn) *harness {
 		defer close(h.done)
 		ep.Serve()
 	}()
-	link := NewConnLink([]transport.Conn{caller}, 0)
 	t.Cleanup(func() {
-		caller.Close()
-		callee.Close()
+		c.close()
 		<-h.done
-		drainLink(link)
 	})
-	h.port = NewCallerPort(iface, link, 0, 1, Eager)
+	h.port = NewCallerPort(iface, c.callerLink(0), 0, 1, Eager)
 	return h
-}
-
-// drainLink releases the messages a link whose connections are closed
-// still holds — duplicates and stale replies nobody asked for — up to the
-// error its pump reports on the way out.
-func drainLink(l Link) {
-	for {
-		_, m, err := l.Recv(time.Second)
-		if err != nil {
-			return
-		}
-		m.Release()
-	}
 }
 
 // boundedCall runs call with a hard termination deadline; a hang fails the
@@ -143,8 +130,8 @@ func checkOutcome(t *testing.T, want string, res *Result, err error) {
 		}
 	case wantTerminate:
 		// Bounded termination without panic is the whole assertion; both
-		// success and error are legal (a corrupted frame may still parse —
-		// e.g. a flipped bit in the rank prefix — or may draw any
+		// success and error are legal (a corrupted frame may still parse,
+		// may fail the binding with comm's decode error, or may draw any
 		// application-level decode error).
 		t.Logf("terminated: res=%v err=%v", res, err)
 	}

@@ -37,17 +37,11 @@
 package prmi
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
-	"sync"
 	"time"
 
-	"mxn/internal/bufpool"
 	"mxn/internal/comm"
-	"mxn/internal/transport"
-	"mxn/internal/wire"
 )
 
 // ErrTimeout reports that a bounded wait for a remote reply (or message)
@@ -69,12 +63,14 @@ var ErrLinkDown = errors.New("prmi: link down")
 // pair of ranks arrive in order.
 //
 // Ownership moves with the message: Send takes m over on every path —
-// delivered, refused, link down — like transport.Conn.SendOwned,
-// and a received message belongs to the receiver, who must Release it.
+// delivered, refused, link down — like the owned payloads of
+// transport.Conn.SendBatch, and a received message belongs to the
+// receiver, who must Release it.
 type Link interface {
 	Send(peerRank int, m *Msg) error
 	// Recv blocks for the next message, for at most d when d > 0; expiry
-	// reports an error matching ErrTimeout.
+	// reports an error matching ErrTimeout, a failed link one matching
+	// ErrLinkDown.
 	Recv(d time.Duration) (peerRank int, m *Msg, err error)
 }
 
@@ -100,28 +96,12 @@ func recvPoll(l Link, deadline time.Time, poll bool) (from int, m *Msg, again bo
 	return from, m, slice != remain && errors.Is(err, ErrTimeout), err
 }
 
-// mapLinkErr rewrites transport-level failures into the package's typed
-// errors so callers can branch on errors.Is without knowing the link kind.
-func mapLinkErr(err error) error {
-	switch {
-	case err == nil:
-		return nil
-	case errors.Is(err, ErrTimeout), errors.Is(err, ErrLinkDown):
-		return err
-	case errors.Is(err, transport.ErrClosed):
-		return fmt.Errorf("%w: %w", ErrLinkDown, err)
-	case errors.Is(err, transport.ErrTimeout):
-		return fmt.Errorf("%w: %w", ErrTimeout, err)
-	default:
-		return err
-	}
-}
-
 // commLink connects two cohorts that live in one communicator group:
 // peer rank j is group rank peerBase+j. Within one world the message
 // crosses the mailbox by reference — no byte of it is copied or encoded;
 // when the peer rank is bound to a connection (comm.ConnectPeer) the
-// registered remote codec ships head and lent payload.
+// registered remote codec ships head and lent payload, and a failed
+// binding of the group is the link going down (comm.Comm.PeerErr).
 type commLink struct {
 	c        *comm.Comm
 	peerBase int
@@ -135,43 +115,62 @@ func NewCommLink(c *comm.Comm, peerBase, tag int) Link {
 	return &commLink{c: c, peerBase: peerBase, tag: tag}
 }
 
+// Send hands m to comm, which releases it if its destination is gone; a
+// binding of the group that has failed, before or during the send,
+// reports ErrLinkDown.
 func (l *commLink) Send(peerRank int, m *Msg) error {
 	l.c.Send(l.peerBase+peerRank, l.tag, m)
-	return nil
+	return l.down()
 }
 
 func (l *commLink) Recv(d time.Duration) (int, *Msg, error) {
-	var payload any
-	var src int
-	if d > 0 {
-		var ok bool
-		if payload, src, ok = l.c.RecvTimeout(comm.AnySource, l.tag, d); !ok {
-			return 0, nil, fmt.Errorf("%w: no message within %v", ErrTimeout, d)
-		}
-	} else {
-		payload, src = l.c.Recv(comm.AnySource, l.tag)
+	payload, src, ok, err := l.c.RecvOrFail(comm.AnySource, l.tag, d)
+	switch {
+	case err != nil:
+		return 0, nil, linkDown(err)
+	case !ok:
+		return 0, nil, fmt.Errorf("%w: no message within %v", ErrTimeout, d)
 	}
-	m, err := AsMsg(payload)
+	m, err := asMsg(payload)
 	return src - l.peerBase, m, err
 }
+
+// down reports a failed binding of the link's group as ErrLinkDown.
+func (l *commLink) down() error {
+	if err := l.c.PeerErr(); err != nil {
+		return linkDown(err)
+	}
+	return nil
+}
+
+// linkDown wraps a binding's cause — session.ErrPeerLost,
+// transport.ErrClosed, a decode error — in ErrLinkDown.
+func linkDown(cause error) error { return fmt.Errorf("%w: %w", ErrLinkDown, cause) }
 
 // sendAll runs send — a loop of Sends on l — as one send phase: on a link
 // over a communicator the messages bound for a remote peer are held until
 // send returns and then leave as one batch per peer (comm.Comm.Cork), so
 // a call's fragments, or a collective's replies, reach the connection in
-// one call. Other links send as they go.
+// one call, and a binding that fails on that flush reports ErrLinkDown.
+// Other links send as they go.
 func sendAll(l Link, send func() error) error {
-	if cl, ok := l.(*commLink); ok {
-		cl.c.Cork()
-		defer cl.c.Flush()
+	cl, ok := l.(*commLink)
+	if !ok {
+		return send()
 	}
-	return send()
+	cl.c.Cork()
+	err := send()
+	cl.c.Flush()
+	if err == nil {
+		err = cl.down()
+	}
+	return err
 }
 
-// AsMsg recovers the message from a mailbox payload, for Links built on
-// comm. Raw bytes from a sender outside this package are taken as a bare
-// head, which the receiving port or endpoint then rejects or decodes.
-func AsMsg(payload any) (*Msg, error) {
+// asMsg recovers the message from a mailbox payload. Raw bytes from a
+// sender outside this package are taken as a bare head, which the
+// receiving port or endpoint then rejects or decodes.
+func asMsg(payload any) (*Msg, error) {
 	switch x := payload.(type) {
 	case *Msg:
 		return x, nil
@@ -179,106 +178,4 @@ func AsMsg(payload any) (*Msg, error) {
 		return &Msg{head: x}, nil
 	}
 	return nil, fmt.Errorf("prmi: link received %T", payload)
-}
-
-// connLink is a mesh of transport connections, one per peer rank: the
-// genuinely distributed deployment. Each frame is the sender's rank (a
-// uvarint, so the peer can attribute it) followed by the message in the
-// remote codec's encoding (encodeRemoteMsg); a pump goroutine per
-// connection funnels received messages into one queue so Recv can present
-// a single stream. No coordinator serializes traffic: each pairwise
-// connection is its own.
-type connLink struct {
-	conns  []transport.Conn
-	myRank int
-
-	inbox chan inMsg
-	once  sync.Once
-}
-
-type inMsg struct {
-	src int
-	msg *Msg
-	err error
-}
-
-// NewConnLink builds a Link from per-peer connections. conns[j] must be
-// connected to peer rank j. myRank is this side's cohort rank, prefixed
-// onto outgoing messages so the peer can attribute them.
-func NewConnLink(conns []transport.Conn, myRank int) Link {
-	// Buffered so a burst from several peers does not stall their pumps
-	// behind one slow Recv; the depth is not load-bearing.
-	return &connLink{conns: conns, myRank: myRank, inbox: make(chan inMsg, 64)}
-}
-
-// Send frames m for peer peerRank, with the payload lent to the
-// connection behind the frame head.
-func (l *connLink) Send(peerRank int, m *Msg) error {
-	if peerRank < 0 || peerRank >= len(l.conns) {
-		m.Release()
-		return fmt.Errorf("prmi: peer rank %d outside mesh of %d", peerRank, len(l.conns))
-	}
-	// The frame head: rank and head length uvarints, the head, the
-	// payload's length uvarint and up to 7 bytes of alignment padding.
-	buf := bufpool.Get(3*binary.MaxVarintLen64 + 7 + len(m.head))
-	e := wire.NewEncoder(buf[:0])
-	e.PutUvarint(uint64(l.myRank))
-	encodeRemoteMsg(e, m)
-	err := l.conns[peerRank].SendOwned(e.Vector())
-	bufpool.Put(buf)
-	return err
-}
-
-// parseFrame splits a received frame into the sender's rank and a message
-// viewing the frame's bytes, which takes the frame over.
-func parseFrame(frame []byte) (int, *Msg, error) {
-	d := wire.NewDecoder(frame)
-	src := d.Uvarint()
-	if d.Err() != nil || src > math.MaxInt32 {
-		bufpool.PutFrame(frame)
-		return 0, nil, fmt.Errorf("prmi: corrupt frame: %w", wire.ErrCorrupt)
-	}
-	m, err := decodeRemoteMsg(d)
-	if err != nil {
-		bufpool.PutFrame(frame)
-		return 0, nil, err
-	}
-	return int(src), m.(*Msg), nil
-}
-
-func (l *connLink) start() {
-	l.once.Do(func() {
-		for j, conn := range l.conns {
-			go func(j int, conn transport.Conn) {
-				for {
-					frame, err := conn.Recv()
-					if err != nil {
-						l.inbox <- inMsg{src: j, err: err}
-						return
-					}
-					src, m, err := parseFrame(frame)
-					l.inbox <- inMsg{src: src, msg: m, err: err}
-					if err != nil {
-						return
-					}
-				}
-			}(j, conn)
-		}
-	})
-}
-
-func (l *connLink) Recv(d time.Duration) (int, *Msg, error) {
-	l.start()
-	var expired <-chan time.Time
-	if d > 0 {
-		t := time.NewTimer(d)
-		defer t.Stop()
-		expired = t.C
-	}
-	select {
-	case in := <-l.inbox:
-		return in.src, in.msg, in.err
-	case <-expired:
-		return 0, nil, fmt.Errorf("%w: no message within %v", ErrTimeout, d)
-	}
 }

@@ -761,34 +761,43 @@ func TestFigure5(t *testing.T) {
 	})
 }
 
+// TestConnLinkMesh is the genuinely distributed deployment: 2 callers and
+// 2 callees, each rank in a world of its own, and every caller/callee
+// pair of worlds joined by its own in-memory pipe (comm.ConnectPeer binds
+// the one peer rank behind each). A CommLink over the shared group routes
+// each message to its pair's connection.
 func TestConnLinkMesh(t *testing.T) {
-	// The genuinely distributed deployment: 2 callers and 2 callees joined
-	// by a full mesh of in-memory pipes.
 	iface := calcInterface(t)
 	const M, N = 2, 2
-	// conns[i][j]: caller i <-> callee j.
-	callerConns := make([][]transport.Conn, M)
-	calleeConns := make([][]transport.Conn, N)
-	for j := 0; j < N; j++ {
-		calleeConns[j] = make([]transport.Conn, M)
+	all := []int{0, 1, 2, 3} // callers, then callees
+	worlds := make([]*comm.World, M+N)
+	groups := make([][]*comm.Comm, M+N)
+	for r := range worlds {
+		worlds[r] = comm.NewWorld(M + N)
 	}
+	var peers []*comm.RemotePeer
 	for i := 0; i < M; i++ {
-		callerConns[i] = make([]transport.Conn, N)
-		for j := 0; j < N; j++ {
+		for j := M; j < M+N; j++ {
 			a, b := transport.Pipe()
-			callerConns[i][j] = a
-			calleeConns[j][i] = b
+			peers = append(peers, worlds[i].ConnectPeer(a, []int{j}), worlds[j].ConnectPeer(b, []int{i}))
 		}
 	}
-	callerWorld := comm.NewWorld(M)
-	callerCohort := callerWorld.Comms()
+	for r := range worlds {
+		groups[r] = worlds[r].SharedGroup(1, all)
+	}
+	defer func() {
+		for _, p := range peers {
+			p.Close()
+		}
+	}()
+	callerCohort := comm.NewWorld(M).Comms()
 	var wg sync.WaitGroup
 	serveErrs := make([]error, N)
 	for j := 0; j < N; j++ {
 		wg.Add(1)
 		go func(j int) {
 			defer wg.Done()
-			ep := NewEndpoint(iface, NewConnLink(calleeConns[j], j), j, N, M)
+			ep := NewEndpoint(iface, NewCommLink(groups[M+j][M+j], 0, 0), j, N, M)
 			ep.Handle("tally", func(in *Incoming, out *Outgoing) error {
 				out.Return = in.Simple["x"].(float64) + 1
 				return nil
@@ -800,7 +809,7 @@ func TestConnLinkMesh(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			p := NewCallerPort(iface, NewConnLink(callerConns[i], i), i, N, BarrierDelayed)
+			p := NewCallerPort(iface, NewCommLink(groups[i][i], M, 0), i, N, BarrierDelayed)
 			res, err := p.CallCollective("tally", FullParticipation(callerCohort[i]), Simple("x", 41.0))
 			if err != nil {
 				t.Errorf("caller %d: %v", i, err)

@@ -64,7 +64,7 @@ func sessionConnPair(t *testing.T) (a, b transport.Conn) {
 }
 
 // sendPathsIdentical: Send, a one-message SendBatch (with empty and nil
-// segments), SendOwned (an owned payload, and a nil one) and a lent
+// segments), an owned one (an owned payload, and a nil one) and a lent
 // payload deliver identical bytes.
 func sendPathsIdentical(t *testing.T, a, b transport.Conn) {
 	msg := payloadBytes(0x5a, 300)
@@ -80,9 +80,9 @@ func sendPathsIdentical(t *testing.T, a, b transport.Conn) {
 		func() error {
 			payload := bufpool.Get(len(msg) - 17)
 			copy(payload, msg[17:])
-			return a.SendOwned(msg[:17], payload)
+			return sendOwned(a, msg[:17], payload)
 		},
-		func() error { return a.SendOwned(msg, nil) },
+		func() error { return sendOwned(a, msg, nil) },
 	}
 	for i, send := range sends {
 		if err := send(); err != nil {
@@ -99,16 +99,16 @@ func sendPathsIdentical(t *testing.T, a, b transport.Conn) {
 	}
 }
 
-// ownedOnClosedConn: a refused SendOwned still takes its payload and
+// ownedOnClosedConn: a refused owned send still takes its payload and
 // returns it to the pool, once.
 func ownedOnClosedConn(t *testing.T, a, _ transport.Conn) {
 	a.Close()
 	baseline := bufpool.Outstanding()
-	if err := a.SendOwned([]byte("head"), bufpool.Get(64)); err == nil {
-		t.Fatal("SendOwned on a closed conn succeeded")
+	if err := sendOwned(a, []byte("head"), bufpool.Get(64)); err == nil {
+		t.Fatal("owned send on a closed conn succeeded")
 	}
 	if d := bufpool.Outstanding() - baseline; d != 0 {
-		t.Fatalf("refused SendOwned left %+d buffers outstanding, want 0", d)
+		t.Fatalf("refused owned send left %+d buffers outstanding, want 0", d)
 	}
 }
 
@@ -284,7 +284,7 @@ func TestConnConformance(t *testing.T) {
 		})
 	}
 
-	// faultconn decides a message's fate after SendOwned has taken the
+	// faultconn decides a message's fate after an owned send has taken the
 	// payload; whatever it decides, the payload is back in the pool exactly
 	// once when the call returns, and what is delivered is intact.
 	for _, f := range []struct {
@@ -301,11 +301,11 @@ func TestConnConformance(t *testing.T) {
 			a, b := faultconn.Pipe(faultconn.Scenario{Seed: 1, Send: f.faults})
 			defer b.Close()
 			defer a.Close()
-			if err := a.SendOwned([]byte("head|"), ownedPayload(3, 64)); err != nil {
+			if err := sendOwned(a, []byte("head|"), ownedPayload(3, 64)); err != nil {
 				t.Fatal(err)
 			}
 			if d := bufpool.Outstanding() - baseline; d != 0 {
-				t.Fatalf("%s: %+d buffers outstanding after SendOwned, want 0", f.name, d)
+				t.Fatalf("%s: %+d buffers outstanding after an owned send, want 0", f.name, d)
 			}
 			want := append([]byte("head|"), payloadBytes(3, 64)...)
 			for i := 0; i < f.delivered; i++ {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"net"
 	"testing"
 	"time"
 
@@ -32,7 +33,12 @@ func poolBalanced(t *testing.T, baseline int64) {
 	}
 }
 
-// ownedPayload builds a pooled payload the way SendOwned callers do.
+// sendOwned is an owned SendBatch of one message, head then payload.
+func sendOwned(c transport.Conn, head, payload []byte) error {
+	return c.SendBatch([]net.Buffers{{head, payload}}, true, nil)
+}
+
+// ownedPayload builds a pooled payload the way owned senders do.
 func ownedPayload(pattern byte, n int) []byte {
 	p := bufpool.Get(n)
 	copy(p, payloadBytes(pattern, n))
@@ -49,10 +55,10 @@ func payloadBytes(pattern byte, n int) []byte {
 	return p
 }
 
-// TestSendOwnedRoundTrip: the happy path returns every lent payload to
+// TestSendBatchOwnedRoundTrip: the happy path returns every lent payload to
 // the pool once the peer acknowledges (or the session closes), and the
 // peer observes head and payload as one contiguous message.
-func TestSendOwnedRoundTrip(t *testing.T) {
+func TestSendBatchOwnedRoundTrip(t *testing.T) {
 	baseline := bufpool.Outstanding()
 
 	l, err := Listen("tcp", "127.0.0.1:0", fastCfg())
@@ -71,8 +77,8 @@ func TestSendOwnedRoundTrip(t *testing.T) {
 		head := []byte(fmt.Sprintf("hdr-%03d|", i))
 		payload := ownedPayload(byte(i), 100+i)
 		want := append(append([]byte(nil), head...), payload...)
-		if err := c.SendOwned(head, payload); err != nil {
-			t.Fatalf("SendOwned %d: %v", i, err)
+		if err := sendOwned(c, head, payload); err != nil {
+			t.Fatalf("owned send %d: %v", i, err)
 		}
 		// payload is no longer ours — verify via the echo only.
 		got, err := c.Recv()
@@ -91,10 +97,10 @@ func TestSendOwnedRoundTrip(t *testing.T) {
 	poolBalanced(t, baseline)
 }
 
-// TestSendOwnedReplayAcrossFlap: payloads lent to the session survive in
+// TestSendBatchOwnedReplayAcrossFlap: payloads lent to the session survive in
 // the replay buffer across a physical-link death and are retransmitted
 // bit-identically; the pool balances once the session winds down.
-func TestSendOwnedReplayAcrossFlap(t *testing.T) {
+func TestSendBatchOwnedReplayAcrossFlap(t *testing.T) {
 	baseline := bufpool.Outstanding()
 
 	l, err := Listen("tcp", "127.0.0.1:0", fastCfg())
@@ -128,8 +134,8 @@ func TestSendOwnedReplayAcrossFlap(t *testing.T) {
 		recvErr <- nil
 	}()
 	for i := 0; i < n; i++ {
-		if err := c.SendOwned([]byte(fmt.Sprintf("h%04d", i)), ownedPayload(byte(i), 64)); err != nil {
-			t.Fatalf("SendOwned %d: %v", i, err)
+		if err := sendOwned(c, []byte(fmt.Sprintf("h%04d", i)), ownedPayload(byte(i), 64)); err != nil {
+			t.Fatalf("owned send %d: %v", i, err)
 		}
 		if i%29 == 11 {
 			d.kill() // sever the physical link mid-stream; replay must refill
@@ -148,10 +154,10 @@ func TestSendOwnedReplayAcrossFlap(t *testing.T) {
 	poolBalanced(t, baseline)
 }
 
-// TestSendOwnedOnClosedConn: a refused send still consumes the payload —
+// TestSendBatchOwnedOnClosedConn: a refused send still consumes the payload —
 // the ownership transfer is unconditional, so the caller never has to
 // branch on the error to decide who frees.
-func TestSendOwnedOnClosedConn(t *testing.T) {
+func TestSendBatchOwnedOnClosedConn(t *testing.T) {
 	l, err := Listen("tcp", "127.0.0.1:0", fastCfg())
 	if err != nil {
 		t.Fatalf("Listen: %v", err)
@@ -164,17 +170,17 @@ func TestSendOwnedOnClosedConn(t *testing.T) {
 	c.Close()
 
 	baseline := bufpool.Outstanding()
-	if err := c.SendOwned([]byte("head"), ownedPayload(7, 256)); err == nil {
-		t.Fatal("SendOwned on closed conn succeeded")
+	if err := sendOwned(c, []byte("head"), ownedPayload(7, 256)); err == nil {
+		t.Fatal("owned send on closed conn succeeded")
 	}
 	poolBalanced(t, baseline)
 	l.Close()
 }
 
-// TestSendOwnedPeerLostTeardown: when the redial budget is spent and the
+// TestSendBatchOwnedPeerLostTeardown: when the redial budget is spent and the
 // session declares the peer lost, every payload parked in the replay
 // buffer is returned to the pool by the teardown path.
-func TestSendOwnedPeerLostTeardown(t *testing.T) {
+func TestSendBatchOwnedPeerLostTeardown(t *testing.T) {
 	cfg := fastCfg()
 	cfg.MaxAttempts = 3
 	cfg.MaxElapsed = 2 * time.Second
@@ -194,8 +200,8 @@ func TestSendOwnedPeerLostTeardown(t *testing.T) {
 	// Lend a few payloads, then take the listener away for good: the
 	// replay buffer now holds borrowed payloads that can never be acked.
 	for i := 0; i < 8; i++ {
-		if err := c.SendOwned([]byte{byte(i)}, ownedPayload(byte(i), 512)); err != nil {
-			t.Fatalf("SendOwned %d: %v", i, err)
+		if err := sendOwned(c, []byte{byte(i)}, ownedPayload(byte(i), 512)); err != nil {
+			t.Fatalf("owned send %d: %v", i, err)
 		}
 	}
 	l.Close()
@@ -205,10 +211,10 @@ func TestSendOwnedPeerLostTeardown(t *testing.T) {
 	// consume their payloads.
 	deadline := time.Now().Add(15 * time.Second)
 	for {
-		err := c.SendOwned([]byte("x"), ownedPayload(0xEE, 128))
+		err := sendOwned(c, []byte("x"), ownedPayload(0xEE, 128))
 		if err != nil {
 			if !errors.Is(err, ErrPeerLost) && !errors.Is(err, transport.ErrClosed) {
-				t.Fatalf("SendOwned error = %v, want peer-lost", err)
+				t.Fatalf("owned send error = %v, want peer-lost", err)
 			}
 			break
 		}

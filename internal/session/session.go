@@ -71,8 +71,8 @@ var ErrPeerLost = errors.New("session: peer lost")
 // PeerLostError reports an unrecoverable session: the reconnect budget
 // was spent without re-establishing the link. It matches both ErrPeerLost
 // and transport.ErrClosed, so layers written against the transport error
-// contract (PRMI's ErrLinkDown mapping, the bridge, comm remote peers)
-// see a dead link without importing this package.
+// contract (the bridge, comm remote peers and, through them, PRMI's
+// ErrLinkDown) see a dead link without importing this package.
 type PeerLostError struct {
 	SessionID uint64
 	Attempts  int           // reconnect attempts spent (0: passive side)
@@ -891,26 +891,19 @@ func (c *Conn) SendContext(ctx context.Context, msg []byte) error {
 	return c.send(ctx, one[:], false, nil)
 }
 
-// SendOwned is Send of head followed by payload, with ownership of
-// payload (a bufpool buffer) transferring to the session on the call.
-// head and the session trailer go into one small pooled buffer; payload is
-// retained by reference in the replay ring, and no payload byte is copied
-// between here and the socket. The payload returns to the pool exactly
-// once: when the peer's cumulative ack covers the frame, when the session
-// tears down (Close, circuit open), or right here if the send is refused.
-func (c *Conn) SendOwned(head, payload []byte) error {
-	seg := [2][]byte{head, payload}
-	one := [1]net.Buffers{seg[:]}
-	return c.send(context.Background(), one[:], true, nil)
-}
-
-// SendBatch is Send (or, owned, SendOwned) of every message in order, each
-// its own frame with its own sequence number — replay, acks and duplicate
-// dropping see no difference — and all of them written to the physical
-// connection together: one writev over TCP. A lent message's segments are
-// kept by reference in the replay ring, like an owned payload, and its
-// frame asks the peer for an immediate acknowledgement, which releases
-// the loan; a resume replays the same views.
+// SendBatch is Send of every message in order, each its own frame with
+// its own sequence number — replay, acks and duplicate dropping see no
+// difference — and all of them written to the physical connection
+// together: one writev over TCP. With owned set, each message's head and
+// the session trailer go into one small pooled buffer, its payload (a
+// bufpool buffer) is retained by reference in the replay ring, and no
+// payload byte is copied between here and the socket; the payload returns
+// to the pool exactly once: when the peer's cumulative ack covers the
+// frame, when the session tears down (Close, circuit open), or right here
+// if the send is refused. A lent message's segments are kept by reference
+// in the replay ring, like an owned payload, and its frame asks the peer
+// for an immediate acknowledgement, which releases the loan; a resume
+// replays the same views.
 func (c *Conn) SendBatch(msgs []net.Buffers, owned bool, loans []wire.Loan) error {
 	return c.send(context.Background(), msgs, owned, loans)
 }

@@ -339,9 +339,8 @@ func TestSessionListenerCloseUnblocksAccept(t *testing.T) {
 // nullConn is a do-nothing physical connection for the allocation guard.
 type nullConn struct{}
 
-func (nullConn) Send([]byte) error                 { return nil }
-func (nullConn) SendOwned(_, payload []byte) error { bufpool.Put(payload); return nil }
-func (nullConn) Recv() ([]byte, error)             { select {} }
+func (nullConn) Send([]byte) error     { return nil }
+func (nullConn) Recv() ([]byte, error) { select {} }
 func (nullConn) SendBatch(msgs []net.Buffers, owned bool, loans []wire.Loan) error {
 	for i, m := range msgs {
 		if loans != nil && loans[i] != nil {

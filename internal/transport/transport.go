@@ -50,27 +50,23 @@ var ErrTimeout = errors.New("transport: timeout")
 type Conn interface {
 	// Send transmits one message. It may block for flow control.
 	Send(msg []byte) error
-	// SendOwned transmits one message whose bytes are head followed by
-	// payload. head is only read during the call; payload, a bufpool
-	// buffer or nil, belongs to the conn from the call on, whatever it
-	// returns, and the conn returns it to the pool exactly once when the
-	// bytes can no longer be needed: right after the physical write on
-	// TCP, after the copy into the queued frame on a pipe, after the peer
-	// acknowledges the frame (or the session tears down) on a session.
-	// This is what lets the transfer engine and PRMI lend their pack
-	// buffers to the wire instead of every layer re-copying them.
-	SendOwned(head, payload []byte) error
-	// SendBatch is the batch form of the two calls above, and each of
-	// them is its one-message case: it transmits one message per element
-	// of msgs, in order — message i is the concatenation of msgs[i] — and
-	// hands them all to the link in one call. TCP writes every frame with
-	// one writev, the pipe queues one frame per message, faultconn rolls
-	// its faults per message, and a session sequences each message as its
-	// own frame and writes them together. With owned unset nothing of
-	// msgs is retained past the call; with owned set the last segment of
-	// every message is a bufpool buffer (or nil) that belongs to the conn
-	// from the call on, as SendOwned's payload does — a refused or failed
-	// batch returns every one of them to the pool.
+	// SendBatch is the batch form of Send, and Send is its one-message
+	// case: it transmits one message per element of msgs, in order —
+	// message i is the concatenation of msgs[i] — and hands them all to
+	// the link in one call. TCP writes every frame with one writev, the
+	// pipe queues one frame per message, faultconn rolls its faults per
+	// message, and a session sequences each message as its own frame and
+	// writes them together. With owned unset nothing of msgs is retained
+	// past the call. With owned set the last segment of every message is
+	// a bufpool buffer (or nil) that belongs to the conn from the call on,
+	// whatever it returns, and the conn returns it to the pool exactly
+	// once when the bytes can no longer be needed: right after the
+	// physical write on TCP, after the copy into the queued frame on a
+	// pipe, after the peer acknowledges the frame (or the session tears
+	// down) on a session — a refused or failed batch returns every one of
+	// them at once. This is what lets comm lend the transfer engine's and
+	// PRMI's pack buffers to the wire instead of every layer re-copying
+	// them.
 	//
 	// loans, when non-nil, lends payloads by reference: a message i with
 	// loans[i] set is msgs[i] (its head, only read during the call; owned
@@ -211,12 +207,6 @@ func (c *chanConn) SendContext(ctx context.Context, msg []byte) error {
 	seg := [1][]byte{msg}
 	one := [1]net.Buffers{seg[:]}
 	return c.send(ctx, one[:], false, nil)
-}
-
-func (c *chanConn) SendOwned(head, payload []byte) error {
-	seg := [2][]byte{head, payload}
-	one := [1]net.Buffers{seg[:]}
-	return c.send(context.Background(), one[:], true, nil)
 }
 
 // SendBatch queues one frame per message, in order. Each message is
@@ -439,12 +429,6 @@ func newTCPConn(nc net.Conn) *tcpConn {
 
 func (c *tcpConn) Send(msg []byte) error {
 	return c.SendContext(context.Background(), msg)
-}
-
-func (c *tcpConn) SendOwned(head, payload []byte) error {
-	seg := [2][]byte{head, payload}
-	one := [1]net.Buffers{seg[:]}
-	return c.SendBatch(one[:], true, nil)
 }
 
 // SendBatch hands every frame header and segment of the batch — lent

@@ -436,8 +436,8 @@ func testVectored(t *testing.T, a, b Conn) {
 	}
 }
 
-// testOwned drives the SendOwned contract: head+payload arrive as one
-// message and the pooled payload is returned exactly once.
+// testOwned drives the owned case of the SendBatch contract: head+payload
+// arrive as one message and the pooled payload is returned exactly once.
 func testOwned(t *testing.T, a, b Conn) {
 	t.Helper()
 	baseline := bufpool.Outstanding()
@@ -446,8 +446,8 @@ func testOwned(t *testing.T, a, b Conn) {
 		payload[i] = byte(i)
 	}
 	want := append([]byte("head|"), payload...)
-	if err := a.SendOwned([]byte("head|"), payload); err != nil {
-		t.Fatalf("SendOwned: %v", err)
+	if err := a.SendBatch([]net.Buffers{{[]byte("head|"), payload}}, true, nil); err != nil {
+		t.Fatalf("SendBatch: %v", err)
 	}
 	got, err := b.Recv()
 	if err != nil {
@@ -469,7 +469,7 @@ func TestPipeSendBatchSegments(t *testing.T) {
 	testVectored(t, a, b)
 }
 
-func TestPipeSendOwned(t *testing.T) {
+func TestPipeSendBatchOwned(t *testing.T) {
 	a, b := Pipe()
 	defer a.Close()
 	defer b.Close()
@@ -483,7 +483,7 @@ func TestTCPSendBatchSegments(t *testing.T) {
 	testVectored(t, cli, srv)
 }
 
-func TestTCPSendOwned(t *testing.T) {
+func TestTCPSendBatchOwned(t *testing.T) {
 	cli, srv := tcpPair(t)
 	defer cli.Close()
 	defer srv.Close()
@@ -511,15 +511,15 @@ func TestSendBatchDoesNotRetainSegments(t *testing.T) {
 	bufpool.PutFrame(got)
 }
 
-// TestSendOwnedClosedReturnsPayload: ownership transfers even when the
-// send is refused — the conn must Put the payload before reporting the
+// TestSendBatchOwnedClosedReturnsPayload: ownership transfers even when
+// the send is refused — the conn must Put the payload before reporting the
 // error, on both transports.
-func TestSendOwnedClosedReturnsPayload(t *testing.T) {
+func TestSendBatchOwnedClosedReturnsPayload(t *testing.T) {
 	run := func(t *testing.T, c Conn) {
 		c.Close()
 		baseline := bufpool.Outstanding()
-		if err := c.SendOwned([]byte("h"), bufpool.Get(64)); err == nil {
-			t.Fatal("SendOwned on closed conn succeeded")
+		if err := c.SendBatch([]net.Buffers{{[]byte("h"), bufpool.Get(64)}}, true, nil); err == nil {
+			t.Fatal("owned SendBatch on closed conn succeeded")
 		}
 		if d := bufpool.Outstanding() - baseline; d > 0 {
 			t.Fatalf("payload leaked on refused send: %+d outstanding", d)

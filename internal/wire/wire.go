@@ -56,8 +56,8 @@ var ErrCorrupt = errors.New("wire: corrupt data")
 //
 // PutBytesRef records its slice by reference instead of copying it into
 // the buffer, and Vector returns the (header, payload) pair for a
-// scatter-gather send (transport.Conn.SendOwned, WriteFrameV), so large
-// payloads travel from the pack buffer to the socket without an
+// scatter-gather send (an owned transport.Conn.SendBatch, WriteFrames),
+// so large payloads travel from the pack buffer to the socket without an
 // intermediate flatten.
 type Encoder struct {
 	buf     []byte
@@ -194,7 +194,8 @@ func (e *Encoder) PutLoan(l Loan, n int) {
 }
 
 // LendPayload writes b with PutBytesRef as the payload an encoding lends
-// to transport.Conn.SendOwned, which returns it to the pool once sent. It
+// to an owned transport.Conn.SendBatch, which returns it to the pool once
+// sent. It
 // is the one rule for who owns a lent payload: an owned b is the caller's
 // own bufpool buffer and is lent as is, and the caller forgets it; any
 // other b is a view of memory the caller cannot give away (a zero-copy

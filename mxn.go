@@ -331,7 +331,8 @@ var ErrPeerLost = session.ErrPeerLost
 // WrapSessionListener peer. The returned Conn transparently redials
 // (jittered exponential backoff) and replays unacknowledged messages
 // across physical connection loss, so everything layered on it — a net
-// bridge, a PRMI link, a ConnectPeer coupling — survives link flaps.
+// bridge, or a ConnectPeer coupling and the PRMI links over it — survives
+// link flaps.
 func DialSession(network, addr string, cfg SessionConfig) (Conn, error) {
 	return session.Dial(network, addr, cfg)
 }
@@ -413,9 +414,6 @@ func NewEndpoint(iface *SIDLInterface, link Link, rank, nCallee, nCaller int) *E
 
 // NewCommLink builds a PRMI link over a shared communicator.
 func NewCommLink(c *Comm, peerBase, tag int) Link { return prmi.NewCommLink(c, peerBase, tag) }
-
-// NewConnLink builds a PRMI link over a mesh of transport connections.
-func NewConnLink(conns []Conn, myRank int) Link { return prmi.NewConnLink(conns, myRank) }
 
 // Simple builds a simple (replicated) argument.
 func Simple(name string, v any) Arg { return prmi.Simple(name, v) }
