@@ -64,7 +64,7 @@ vet:
 # for the whole module (bench/ is its own module and is not counted).
 loc:
 	@count() { find "$$@" -name '*.go' ! -name '*_test.go' ! -path './bench/*' -print0 | xargs -0 cat | wc -l; }; \
-	for d in internal/redist mxn.go internal/schedule internal/linear internal/wire internal/prmi internal/transport internal/session internal/comm internal/core cmd; do \
+	for d in internal/redist mxn.go internal/schedule internal/linear internal/wire internal/prmi internal/transport internal/session internal/comm internal/core internal/cca internal/frameworks cmd; do \
 		printf '%-20s %6d\n' $$d $$(count $$d); \
 	done; \
 	printf '%-20s %6d\n' module $$(count .)
@@ -96,11 +96,11 @@ bench-check:
 		echo "bench-check: $$w correct, no pooled buffer outstanding"; \
 	done
 
-# Run every example main and every mxnbench experiment once, each under a
-# timeout. Each exits non-zero when it fails (most also check their own
-# results), and `go test` builds none of them.
+# Run every example main, every mxnbench experiment and the Figure 4
+# feature probes once, each under a timeout. Each checks its own results
+# and exits non-zero when it fails, and `go test` builds none of them.
 examples:
-	@set -e; for p in $$(ls -d examples/*/) cmd/mxnbench; do \
+	@set -e; for p in $$(ls -d examples/*/) cmd/mxnbench cmd/featurematrix; do \
 		echo "== go run ./$$p"; \
 		timeout 120 $(GO) run ./$$p || { echo "examples: $$p failed"; exit 1; }; \
 	done

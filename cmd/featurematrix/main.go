@@ -2,7 +2,8 @@
 // projects and their features — by probing the reimplemented frameworks
 // at run time: every capability cell is backed by a smoke scenario that
 // actually executes against the corresponding package, so the table
-// reports what the code does, not what a comment claims.
+// reports what the code does, not what a comment claims. It exits 1
+// when any probe fails.
 //
 // Run:
 //
@@ -11,6 +12,7 @@ package main
 
 import (
 	"fmt"
+	"os"
 	"strings"
 	"sync"
 
@@ -80,12 +82,17 @@ func main() {
 	fmt.Println(strings.Repeat("-", 118))
 	fmt.Printf("%-24s %-44s %-6s %-10s %s\n", "Project", "Parallel Data", "PRMI", "Redist.", "Notes")
 	fmt.Println(strings.Repeat("-", 118))
+	failed := false
 	for _, r := range rows {
-		fmt.Printf("%-24s %-44s %-6s %-10s %s\n",
-			r.project, r.parallelData, probe(r.prmi), probe(r.redist), r.extra)
+		prmi, redist := probe(r.prmi), probe(r.redist)
+		failed = failed || strings.HasPrefix(prmi, "FAIL") || strings.HasPrefix(redist, "FAIL")
+		fmt.Printf("%-24s %-44s %-6s %-10s %s\n", r.project, r.parallelData, prmi, redist, r.extra)
 	}
 	fmt.Println(strings.Repeat("-", 118))
 	fmt.Println("PRMI = parallel remote method invocation offered and verified; Redist. = M≠N parallel data redistribution verified.")
+	if failed {
+		os.Exit(1)
+	}
 }
 
 // probe renders a capability cell: "No" when not offered, "Yes" when its

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"mxn"
+	"mxn/internal/cca"
 	"mxn/internal/prmi"
 )
 
@@ -124,7 +125,10 @@ func forAll3D(n int, fn func(i, j, k int)) {
 // loopback (PRMI between two worlds coupled by ConnectPeer over a socket).
 func runE2() error {
 	const calls = 2000
-	direct := measureDirectCall(calls)
+	direct, err := measureDirectCall(calls)
+	if err != nil {
+		return err
+	}
 	inproc, err := measurePRMI(calls, false)
 	if err != nil {
 		return err
@@ -149,22 +153,67 @@ func ratio(a, b time.Duration) string {
 	return fmt.Sprintf("%.0f×", float64(a)/float64(b))
 }
 
-// directPort is the provider object of the direct-call measurement.
+// squarePort is the port type of the direct-call measurement.
+const squarePort cca.PortType = "e2.Square"
+
+// directPort is the provider component of the direct-call measurement.
 type directPort struct{ acc float64 }
+
+func (p *directPort) SetServices(svc cca.Services) error {
+	return svc.AddProvidesPort("square", squarePort, p)
+}
 
 func (p *directPort) Square(x float64) float64 {
 	p.acc += x
 	return x * x
 }
 
-func measureDirectCall(calls int) time.Duration {
-	p := &directPort{}
-	var port interface{ Square(float64) float64 } = p // through the port interface
+// directDriver is the user component: its Go port resolves the uses port
+// once, then times the calls.
+type directDriver struct {
+	svc   cca.Services
+	calls int
+	per   time.Duration
+}
+
+func (d *directDriver) SetServices(svc cca.Services) error {
+	d.svc = svc
+	if err := svc.RegisterUsesPort("square", squarePort); err != nil {
+		return err
+	}
+	return svc.AddProvidesPort("go", cca.GoPortType, d)
+}
+
+func (d *directDriver) Go() error {
+	p, err := d.svc.GetPort("square") // the provider's own object
+	if err != nil {
+		return err
+	}
+	port := p.(interface{ Square(float64) float64 })
 	start := time.Now()
-	for i := 0; i < calls; i++ {
+	for i := 0; i < d.calls; i++ {
 		_ = port.Square(float64(i))
 	}
-	return time.Since(start) / time.Duration(calls)
+	d.per = time.Since(start) / time.Duration(d.calls)
+	return nil
+}
+
+// measureDirectCall times a port call in a direct-connected framework
+// (cca.DirectFramework): a library call on the provider's object.
+func measureDirectCall(calls int) (time.Duration, error) {
+	f := cca.NewDirectFramework(1)
+	driver := &directDriver{calls: calls}
+	if err := f.AddComponent("solver", func(int) cca.Component { return &directPort{} }); err != nil {
+		return 0, err
+	}
+	if err := f.AddComponent("driver", func(int) cca.Component { return driver }); err != nil {
+		return 0, err
+	}
+	if err := f.Connect("driver", "square", "solver", "square"); err != nil {
+		return 0, err
+	}
+	err := f.Run()
+	return driver.per, err
 }
 
 func measurePRMI(calls int, overTCP bool) (time.Duration, error) {

@@ -112,6 +112,9 @@ func main() {
 	fmt.Printf("  fused execution:    %8s  (%d messages, one data movement, one filter pass)\n",
 		fusedTime.Round(time.Microsecond), fusedSched.NumMessages())
 	fmt.Printf("  outputs identical:  %v (%d differing elements)\n", diff == 0, diff)
+	if diff != 0 {
+		log.Fatalf("pipeline: chained and fused outputs differ in %d elements", diff)
+	}
 	sample := fused[0][0]
 	fmt.Printf("  spot check: sink[0] = %.4f (source 273.15 K → 0 °C → 0.0000)\n", sample)
 }

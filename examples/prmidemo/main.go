@@ -15,7 +15,8 @@
 // The two components live in two worlds — two processes in a real
 // deployment — coupled by ConnectPeer over one TCP connection, the way a
 // distributed framework couples its address spaces: every PRMI message
-// between a driver rank and a solver rank crosses that socket.
+// between a driver rank and a solver rank crosses that socket. The demo
+// checks the three results and exits 1 if one is wrong.
 //
 // Run:
 //
@@ -194,6 +195,9 @@ func runDriver(iface *mxn.SIDLInterface, callerTpl, calleeTpl *mxn.Template,
 		log.Fatalf("driver %d: %v", rank, err)
 	}
 	dot := res.Return.(float64)
+	if dot != 4900 {
+		log.Fatalf("driver %d: dot(x,x) = %v, want 4900", rank, dot)
+	}
 	if rank == 0 {
 		results[0] = fmt.Sprintf("collective dot(x,x) over M=%d→N=%d ranks: %.0f (exact: %d·%d·%d/6 = 4900)",
 			m, n, dot, d, d+1, 2*d+1)
@@ -204,6 +208,9 @@ func runDriver(iface *mxn.SIDLInterface, callerTpl, calleeTpl *mxn.Template,
 		mxn.Parallel("x", callerTpl, x), mxn.Simple("norm", dot)); err != nil {
 		log.Fatalf("driver %d: %v", rank, err)
 	}
+	if rank == 0 && x[0] != 1.0/4900 {
+		log.Fatalf("driver 0: normalized x[0] = %v, want 1/4900", x[0])
+	}
 	if rank == 0 {
 		results[1] = fmt.Sprintf("after inout normalize: x[0] = %.6f (want %d/%.0f = %.6f)", x[0], 1, dot, 1/dot)
 	}
@@ -212,6 +219,9 @@ func runDriver(iface *mxn.SIDLInterface, callerTpl, calleeTpl *mxn.Template,
 		r, err := port.CallIndependent(1, "element", mxn.Simple("i", 5))
 		if err != nil {
 			log.Fatalf("driver %d: %v", rank, err)
+		}
+		if r.Return != 6.0 {
+			log.Fatalf("driver 0: element(5) = %v, want 6", r.Return)
 		}
 		results[2] = fmt.Sprintf("independent element(5) on solver rank 1: %v", r.Return)
 	}

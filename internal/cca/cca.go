@@ -4,17 +4,16 @@
 // ports connected by a framework, and Go ports launched concurrently at
 // startup.
 //
-// This package provides the direct-connected framework, in which all
-// components of one process live in the same address space and a port
-// invocation is "a refined form of library call": GetPort hands the user
-// the provider's port object itself. Distributed frameworks — where ports
-// become parallel remote method invocations — are built on the same
-// component model by internal/prmi and internal/frameworks.
+// Registry is the model's one implementation. The direct-connected
+// framework here is a policy over it, in which all components of one
+// process share an address space and a port invocation is "a refined form
+// of library call": GetPort hands the user the provider's port object
+// itself. The distributed frameworks in internal/frameworks, whose ports
+// become parallel remote method invocations, are policies over it too.
 package cca
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"mxn/internal/comm"
@@ -63,246 +62,140 @@ type Services interface {
 	Cohort() *comm.Comm
 }
 
-// instance is one cohort member of one component.
-type instance struct {
-	comp     Component
-	services *services
-}
-
-// componentEntry is a named parallel component: a cohort of instances.
-type componentEntry struct {
-	name      string
-	instances []*instance
-}
-
-// connection wires a uses port to a provides port between two components.
-type connection struct {
-	provider *componentEntry
-	provPort string
-}
-
-// DirectFramework is a direct-connected CCA framework: all components are
-// instantiated as cohorts over the same set of processes, one instance of
-// each component per process, and port invocations stay in-process.
+// DirectFramework is a direct-connected CCA framework: every component is
+// a cohort over the same np processes, one instance per process, and port
+// invocations stay in-process.
 type DirectFramework struct {
-	np    int
-	world *comm.World
+	reg   *Registry
+	ranks []int // 0..np-1, the ranks of every cohort
 
-	mu         sync.Mutex
-	components map[string]*componentEntry
-	running    bool
+	mu   sync.Mutex
+	svcs map[string][]*services // per component, per rank
 }
 
 // NewDirectFramework creates a framework whose components will run as
 // cohorts of np parallel processes.
 func NewDirectFramework(np int) *DirectFramework {
-	return &DirectFramework{
-		np:         np,
-		world:      comm.NewWorld(np),
-		components: map[string]*componentEntry{},
+	f := &DirectFramework{reg: NewRegistry(np), ranks: make([]int, np), svcs: map[string][]*services{}}
+	f.reg.shared = true
+	for r := range f.ranks {
+		f.ranks[r] = r
 	}
+	return f
 }
 
 // NumProcs returns the framework's cohort width.
-func (f *DirectFramework) NumProcs() int { return f.np }
+func (f *DirectFramework) NumProcs() int { return len(f.ranks) }
 
 // AddComponent instantiates a component cohort: factory is called once per
 // rank and each instance immediately receives SetServices. The factory
 // runs on the caller's goroutine; components needing rank-parallel setup
 // do it in their Go port.
 func (f *DirectFramework) AddComponent(name string, factory func(rank int) Component) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.running {
-		return fmt.Errorf("cca: framework is running")
+	svcs := make([]*services, len(f.ranks))
+	c, err := f.reg.Place(name, f.ranks, func(_ *Cohort, rank int) error { return svcs[rank].goAll() })
+	if err != nil {
+		return err
 	}
-	if _, dup := f.components[name]; dup {
-		return fmt.Errorf("cca: component %q already exists", name)
-	}
-	cohortComms := f.world.Comms()
-	entry := &componentEntry{name: name}
-	for r := 0; r < f.np; r++ {
-		comp := factory(r)
-		svc := &services{
-			framework: f,
-			owner:     entry,
-			rank:      r,
-			cohort:    cohortComms[r],
-			provides:  map[string]providesEntry{},
-			uses:      map[string]usesEntry{},
-		}
-		inst := &instance{comp: comp, services: svc}
-		entry.instances = append(entry.instances, inst)
-		if err := comp.SetServices(svc); err != nil {
+	for r := range svcs {
+		svcs[r] = &services{f: f, c: c, rank: r, ports: map[string]any{}}
+		if err := factory(r).SetServices(svcs[r]); err != nil {
+			f.reg.mu.Lock()
+			delete(f.reg.cohorts, name)
+			f.reg.mu.Unlock()
 			return fmt.Errorf("cca: %s rank %d setServices: %w", name, r, err)
 		}
 	}
-	f.components[name] = entry
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.svcs[name] = svcs
 	return nil
 }
 
 // Connect attaches component user's uses port to component provider's
 // provides port, for every rank of the cohorts. Port types must match.
 func (f *DirectFramework) Connect(user, usesPort, provider, providesPort string) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	ue, ok := f.components[user]
-	if !ok {
-		return fmt.Errorf("cca: no component %q", user)
-	}
-	pe, ok := f.components[provider]
-	if !ok {
-		return fmt.Errorf("cca: no component %q", provider)
-	}
-	for r := 0; r < f.np; r++ {
-		us := ue.instances[r].services
-		ps := pe.instances[r].services
-		u, ok := us.uses[usesPort]
-		if !ok {
-			return fmt.Errorf("cca: %s has no uses port %q", user, usesPort)
-		}
-		p, ok := ps.provides[providesPort]
-		if !ok {
-			return fmt.Errorf("cca: %s has no provides port %q", provider, providesPort)
-		}
-		if u.typ != p.typ {
-			return fmt.Errorf("cca: port type mismatch: %s.%s is %q, %s.%s is %q",
-				user, usesPort, u.typ, provider, providesPort, p.typ)
-		}
-		u.conn = &connection{provider: pe, provPort: providesPort}
-		us.uses[usesPort] = u
-	}
-	return nil
+	return f.reg.Connect(user, usesPort, provider, providesPort)
 }
 
 // Run launches the application: every provided Go port of every component
 // starts concurrently on every rank, and Run returns once all have
 // finished, reporting the first error.
-func (f *DirectFramework) Run() error {
-	f.mu.Lock()
-	if f.running {
-		f.mu.Unlock()
-		return fmt.Errorf("cca: framework already running")
-	}
-	f.running = true
-	type job struct {
-		label string
-		port  GoPort
-	}
-	var jobs []job
-	names := make([]string, 0, len(f.components))
-	for name := range f.components {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		entry := f.components[name]
-		for r, inst := range entry.instances {
-			for portName, p := range inst.services.provides {
-				gp, ok := p.port.(GoPort)
-				if !ok || p.typ != GoPortType {
-					continue
-				}
-				jobs = append(jobs, job{
-					label: fmt.Sprintf("%s.%s[rank %d]", name, portName, r),
-					port:  gp,
-				})
-			}
-		}
-	}
-	f.mu.Unlock()
-
-	errs := make(chan error, len(jobs))
-	var wg sync.WaitGroup
-	for _, j := range jobs {
-		wg.Add(1)
-		go func(j job) {
-			defer wg.Done()
-			if err := j.port.Go(); err != nil {
-				errs <- fmt.Errorf("cca: %s: %w", j.label, err)
-			}
-		}(j)
-	}
-	wg.Wait()
-	close(errs)
-	f.mu.Lock()
-	f.running = false
-	f.mu.Unlock()
-	return <-errs // nil if channel drained empty
-}
-
-// providesEntry is one published port of one instance.
-type providesEntry struct {
-	typ  PortType
-	port any
-}
-
-// usesEntry is one declared connection end point of one instance.
-type usesEntry struct {
-	typ  PortType
-	conn *connection
-}
+func (f *DirectFramework) Run() error { return f.reg.Run() }
 
 // services implements Services for a direct-connected framework.
 type services struct {
-	framework *DirectFramework
-	owner     *componentEntry
-	rank      int
-	cohort    *comm.Comm
+	f       *DirectFramework
+	c       *Cohort
+	rank    int
+	ports   map[string]any // this instance's provides ports, guarded by f.mu
+	goPorts []GoPort
+}
 
-	mu       sync.Mutex
-	provides map[string]providesEntry
-	uses     map[string]usesEntry
+// goAll is a rank's body: every Go port of its instance, started at once.
+func (s *services) goAll() error {
+	errs := make(chan error, len(s.goPorts))
+	for _, gp := range s.goPorts {
+		go func() { errs <- gp.Go() }()
+	}
+	var first error
+	for range s.goPorts {
+		if err := <-errs; first == nil {
+			first = err
+		}
+	}
+	return first
 }
 
 func (s *services) AddProvidesPort(name string, typ PortType, port any) error {
 	if port == nil {
 		return fmt.Errorf("cca: provides port %q is nil", name)
 	}
+	gp, isGo := port.(GoPort)
+	if typ == GoPortType && !isGo {
+		return fmt.Errorf("cca: port %q declared %q but does not implement GoPort", name, typ)
+	}
+	if err := s.declare(true, name, typ); err != nil {
+		return err
+	}
 	if typ == GoPortType {
-		if _, ok := port.(GoPort); !ok {
-			return fmt.Errorf("cca: port %q declared %q but does not implement GoPort", name, typ)
-		}
+		s.goPorts = append(s.goPorts, gp)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, dup := s.provides[name]; dup {
-		return fmt.Errorf("cca: provides port %q already registered", name)
-	}
-	s.provides[name] = providesEntry{typ: typ, port: port}
+	s.f.mu.Lock()
+	defer s.f.mu.Unlock()
+	s.ports[name] = port
 	return nil
 }
 
 func (s *services) RegisterUsesPort(name string, typ PortType) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, dup := s.uses[name]; dup {
-		return fmt.Errorf("cca: uses port %q already registered", name)
+	return s.declare(false, name, typ)
+}
+
+// declare records a port of the cohort. The instances of a component are
+// alike: rank 0 declares the cohort's ports and every other rank repeats.
+func (s *services) declare(provides bool, name string, typ PortType) error {
+	if s.rank == 0 {
+		return s.f.reg.Declare(s.c.Name, provides, name, typ)
 	}
-	s.uses[name] = usesEntry{typ: typ}
+	if _, t, err := s.f.reg.Port(s.c.Name, provides, name); err != nil || t != typ {
+		return fmt.Errorf("cca: %s rank %d declares port %q unlike rank 0", s.c.Name, s.rank, name)
+	}
 	return nil
 }
 
 func (s *services) GetPort(name string) (any, error) {
-	s.mu.Lock()
-	u, ok := s.uses[name]
-	s.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("cca: no uses port %q", name)
+	k, err := s.f.reg.ConnOf(s.c, false, name)
+	if err != nil {
+		return nil, err
 	}
-	if u.conn == nil {
-		return nil, fmt.Errorf("cca: uses port %q is not connected", name)
+	s.f.mu.Lock()
+	defer s.f.mu.Unlock()
+	if p, ok := s.f.svcs[k.Provider.Name][s.rank].ports[k.ProvPort]; ok {
+		return p, nil
 	}
-	provInst := u.conn.provider.instances[s.rank]
-	provInst.services.mu.Lock()
-	p, ok := provInst.services.provides[u.conn.provPort]
-	provInst.services.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("cca: provider dropped port %q", u.conn.provPort)
-	}
-	return p.port, nil
+	return nil, fmt.Errorf("cca: %s rank %d provides no port %q", k.Provider.Name, s.rank, k.ProvPort)
 }
 
 func (s *services) Rank() int          { return s.rank }
-func (s *services) CohortSize() int    { return s.framework.np }
-func (s *services) Cohort() *comm.Comm { return s.cohort }
+func (s *services) CohortSize() int    { return len(s.c.Ranks) }
+func (s *services) Cohort() *comm.Comm { return s.c.Comms[s.rank] }

@@ -24,10 +24,10 @@
 package dca
 
 import (
-	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
+	"mxn/internal/cca"
 	"mxn/internal/comm"
 )
 
@@ -50,83 +50,34 @@ type GoFunc func(svc *Services) error
 // Go implements GoComponent.
 func (f GoFunc) Go(svc *Services) error { return f(svc) }
 
-// componentEntry is one component cohort. Handler tables are per rank:
-// every cohort member provides its own implementation instance, exactly
-// as every process of a DCA component runs the same generated skeleton.
-type componentEntry struct {
-	name   string
-	ranks  []int // world ranks, ascending
-	comp   func(rank int) GoComponent
-	cohort []*comm.Comm
-
-	mu       sync.Mutex
-	handlers []map[string]Handler // per cohort rank: "port\x00method" -> handler
-}
-
-// connection wires a uses port name to a provider component's port.
-type connection struct {
-	provider *componentEntry
-	provPort string
-}
-
-// Framework is a DCA instance: a world of processes partitioned among
-// component cohorts, with port connections between them.
+// Framework is a DCA instance: a cca.Registry of component cohorts and
+// connections over one world of processes.
 type Framework struct {
-	world *comm.World
-	all   []*comm.Comm
+	reg *cca.Registry
+	all []*comm.Comm // world-spanning handles, which carry the DCA protocol
 
-	mu            sync.Mutex
-	components    map[string]*componentEntry
-	connections   map[string]*connection // "component/usesPort"
-	rankOwner     map[int]string
-	onewayMethods map[string]bool // "provider/port\x00method"
+	mu     sync.Mutex
+	oneway map[string]bool // "provider/port\x00method"
 }
 
 // New creates a framework over worldSize processes.
 func New(worldSize int) *Framework {
-	w := comm.NewWorld(worldSize)
-	return &Framework{
-		world:         w,
-		all:           w.Comms(),
-		components:    map[string]*componentEntry{},
-		connections:   map[string]*connection{},
-		rankOwner:     map[int]string{},
-		onewayMethods: map[string]bool{},
-	}
+	reg := cca.NewRegistry(worldSize)
+	return &Framework{reg: reg, all: reg.World().Comms(), oneway: map[string]bool{}}
 }
 
-// AddComponent places a component cohort on the given world ranks.
-// factory is invoked once per cohort rank at launch.
+// AddComponent places a component cohort on the given world ranks, in
+// ascending order. factory is invoked once per cohort rank at launch; when
+// a rank's body returns, the framework sends its shutdown notices, so that
+// provider Serve loops can drain and return.
 func (f *Framework) AddComponent(name string, worldRanks []int, factory func(rank int) GoComponent) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if _, dup := f.components[name]; dup {
-		return fmt.Errorf("dca: component %q already exists", name)
-	}
-	if len(worldRanks) == 0 {
-		return fmt.Errorf("dca: component %q has no ranks", name)
-	}
-	ranks := append([]int(nil), worldRanks...)
-	sort.Ints(ranks)
-	for _, wr := range ranks {
-		if wr < 0 || wr >= f.world.Size() {
-			return fmt.Errorf("dca: rank %d outside world of %d", wr, f.world.Size())
-		}
-		if owner, taken := f.rankOwner[wr]; taken {
-			return fmt.Errorf("dca: rank %d already hosts %q", wr, owner)
-		}
-	}
-	for _, wr := range ranks {
-		f.rankOwner[wr] = name
-	}
-	f.components[name] = &componentEntry{
-		name:     name,
-		ranks:    ranks,
-		comp:     factory,
-		cohort:   f.world.Group(ranks),
-		handlers: make([]map[string]Handler, len(ranks)),
-	}
-	return nil
+	ranks := slices.Clone(worldRanks)
+	slices.Sort(ranks)
+	_, err := f.reg.Place(name, ranks, func(c *cca.Cohort, rank int) error {
+		defer f.sendShutdowns(c, rank)
+		return factory(rank).Go(&Services{fw: f, c: c, rank: rank, handlers: map[string]Handler{}})
+	})
+	return err
 }
 
 // DeclareOneWay marks a provider method as one-way. In DCA this property
@@ -134,80 +85,26 @@ func (f *Framework) AddComponent(name string, worldRanks []int, factory func(ran
 // framework configuration, set before Run: callers consult it to skip
 // waiting for replies.
 func (f *Framework) DeclareOneWay(provider, port, method string) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if _, ok := f.components[provider]; !ok {
-		return fmt.Errorf("dca: no component %q", provider)
+	if _, err := f.reg.Cohort(provider); err != nil {
+		return err
 	}
-	f.onewayMethods[provider+"/"+port+"\x00"+method] = true
-	return nil
-}
-
-// isOneWay reports a method's one-way declaration.
-func (f *Framework) isOneWay(provider, port, method string) bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.onewayMethods[provider+"/"+port+"\x00"+method]
+	f.oneway[provider+"/"+port+"\x00"+method] = true
+	return nil
 }
 
 // Connect wires component user's uses port to component provider's
-// provides port.
+// provides port. DCA ports are untyped and declared by connecting; a port
+// already declared stays, and an unknown component fails in Connect.
 func (f *Framework) Connect(user, usesPort, provider, provPort string) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if _, ok := f.components[user]; !ok {
-		return fmt.Errorf("dca: no component %q", user)
-	}
-	pe, ok := f.components[provider]
-	if !ok {
-		return fmt.Errorf("dca: no component %q", provider)
-	}
-	key := user + "/" + usesPort
-	if _, dup := f.connections[key]; dup {
-		return fmt.Errorf("dca: uses port %s already connected", key)
-	}
-	f.connections[key] = &connection{provider: pe, provPort: provPort}
-	return nil
+	_ = f.reg.Declare(user, false, usesPort, "")
+	_ = f.reg.Declare(provider, true, provPort, "")
+	return f.reg.Connect(user, usesPort, provider, provPort)
 }
 
 // Run launches every component's Go body concurrently on every cohort
 // rank (the DCA startup rule) and returns the first error after all
-// terminate. Provider components typically register handlers and then
-// call Services.Serve; pure callers return when done, which shuts their
-// outgoing ports down.
-func (f *Framework) Run() error {
-	f.mu.Lock()
-	type job struct {
-		entry *componentEntry
-		rank  int
-	}
-	var jobs []job
-	for _, entry := range f.components {
-		for r := range entry.ranks {
-			jobs = append(jobs, job{entry, r})
-		}
-	}
-	f.mu.Unlock()
-
-	errs := make(chan error, len(jobs))
-	var wg sync.WaitGroup
-	for _, j := range jobs {
-		wg.Add(1)
-		go func(j job) {
-			defer wg.Done()
-			svc := &Services{fw: f, entry: j.entry, rank: j.rank}
-			body := j.entry.comp(j.rank)
-			err := body.Go(svc)
-			// A terminated rank releases its providers: the framework
-			// signals the shutdown on the component's behalf so provider
-			// Serve loops can drain and return.
-			f.sendShutdowns(j.entry.name, j.rank)
-			if err != nil {
-				errs <- fmt.Errorf("dca: %s rank %d: %w", j.entry.name, j.rank, err)
-			}
-		}(j)
-	}
-	wg.Wait()
-	close(errs)
-	return <-errs
-}
+// terminate. Providers typically register handlers and call Serve;
+// callers return when done, which shuts their outgoing ports down.
+func (f *Framework) Run() error { return f.reg.Run() }

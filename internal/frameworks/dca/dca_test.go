@@ -1,9 +1,13 @@
 package dca
 
 import (
+	"errors"
 	"fmt"
 	"sync/atomic"
 	"testing"
+	"time"
+
+	"mxn/internal/core"
 )
 
 // TestEndToEndCollectiveCall couples a 3-rank driver to a 2-rank solver:
@@ -303,5 +307,88 @@ func TestMultipleUsersOneProvider(t *testing.T) {
 	}
 	if calls.Load() != 6 {
 		t.Errorf("calls = %d", calls.Load())
+	}
+}
+
+// TestCallToExitedProviderFails runs a provider whose body returns an
+// error before it serves: the caller's call must fail with
+// *core.ErrRankDown at once instead of waiting for a reply that never
+// comes, and Run must report the provider's error.
+func TestCallToExitedProviderFails(t *testing.T) {
+	f := New(2)
+	boom := errors.New("provider failed before serving")
+	f.AddComponent("p", []int{1}, func(rank int) GoComponent {
+		return GoFunc(func(svc *Services) error { return boom })
+	})
+	type outcome struct {
+		err  error
+		took time.Duration
+	}
+	called := make(chan outcome, 1)
+	f.AddComponent("u", []int{0}, func(rank int) GoComponent {
+		return GoFunc(func(svc *Services) error {
+			start := time.Now()
+			_, _, err := svc.Call("x", "m", svc.Cohort(), nil, nil)
+			called <- outcome{err, time.Since(start)}
+			return nil
+		})
+	})
+	if err := f.Connect("u", "x", "p", "x"); err != nil {
+		t.Fatal(err)
+	}
+	ran := make(chan error, 1)
+	go func() { ran <- f.Run() }()
+	select {
+	case err := <-ran:
+		if !errors.Is(err, boom) {
+			t.Errorf("Run = %v, want the provider's error", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Run did not return: the call to an exited provider is still waiting")
+	}
+	got := <-called
+	var down *core.ErrRankDown
+	if !errors.As(got.err, &down) || down.Rank != 0 {
+		t.Fatalf("call error = %v, want *core.ErrRankDown for provider rank 0", got.err)
+	}
+	if got.took > 100*time.Millisecond {
+		t.Errorf("call took %v to fail, want at most 100ms", got.took)
+	}
+}
+
+// TestHandlerErrorLeavesNoStaleReply fails the first call on provider rank
+// 0 only: the caller must still take rank 1's reply to that call, so the
+// second call's chunks are the second call's.
+func TestHandlerErrorLeavesNoStaleReply(t *testing.T) {
+	f := New(3)
+	f.AddComponent("p", []int{1, 2}, func(rank int) GoComponent {
+		return GoFunc(func(svc *Services) error {
+			svc.Provide("x", "m", func(r int, simple []any, chunks [][]float64) ([]any, [][]float64, error) {
+				if r == 0 && simple[0] == 1 {
+					return nil, nil, fmt.Errorf("rank 0 refuses call 1")
+				}
+				return nil, [][]float64{{float64(simple[0].(int))}}, nil
+			})
+			return svc.Serve()
+		})
+	})
+	f.AddComponent("u", []int{0}, func(rank int) GoComponent {
+		return GoFunc(func(svc *Services) error {
+			if _, _, err := svc.Call("x", "m", svc.Cohort(), []any{1}, nil); err == nil {
+				return fmt.Errorf("call 1: handler error not reported")
+			}
+			_, recv, err := svc.Call("x", "m", svc.Cohort(), []any{2}, nil)
+			if err != nil {
+				return err
+			}
+			if recv[0][0] != 2 || recv[1][0] != 2 {
+				return fmt.Errorf("call 2 got chunks %v, want [[2] [2]]", recv)
+			}
+			return nil
+		})
+	})
+	f.Connect("u", "x", "p", "x")
+	if err := f.Run(); err != nil {
+		t.Fatal(err)
 	}
 }

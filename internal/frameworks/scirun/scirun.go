@@ -12,16 +12,18 @@
 // (prmi.Participation) changes the processes participating in a call when
 // a component's needs change.
 //
-// The framework wires components' uses and provides ports to
-// prmi.CallerPort/prmi.Endpoint pairs over per-connection links; argument
-// layouts are framework configuration announced before any call is
-// received (the paper's "special framework service" strategy).
+// The framework is a policy over cca.Registry: port types are SIDL
+// interfaces, and each connection is a prmi.CallerPort/prmi.Endpoint pair
+// over the connection's own communicator group; argument layouts are
+// framework configuration announced before any call is received (the
+// paper's "special framework service" strategy).
 package scirun
 
 import (
 	"fmt"
 	"sync"
 
+	"mxn/internal/cca"
 	"mxn/internal/comm"
 	"mxn/internal/dad"
 	"mxn/internal/prmi"
@@ -30,9 +32,9 @@ import (
 
 // Services is one cohort rank's handle on the framework.
 type Services struct {
-	fw    *Framework
-	entry *componentEntry
-	rank  int
+	fw   *Framework
+	c    *cca.Cohort
+	rank int
 
 	mu          sync.Mutex
 	callerPorts []*prmi.CallerPort
@@ -41,51 +43,28 @@ type Services struct {
 // Framework is a SCIRun2-style distributed framework instance over a
 // world of processes partitioned among component cohorts.
 type Framework struct {
-	world *comm.World
+	reg *cca.Registry
 
 	// Delivery selects invocation delivery for all caller ports. SCIRun2
 	// predates DCA's barrier rule, so the default is Eager with
 	// fail-fast order checking on endpoints.
 	Delivery prmi.DeliveryMode
 
-	mu          sync.Mutex
-	interfaces  map[string]*sidl.Interface
-	components  map[string]*componentEntry
-	connections map[string]*connection // "user/usesPort"
-	rankOwner   map[int]string
-	layouts     []layoutDecl
-}
-
-type componentEntry struct {
-	name     string
-	ranks    []int
-	cohort   []*comm.Comm
-	body     func(svc *Services) error
-	provides map[string]*sidl.Interface // port name -> interface
-	uses     map[string]*sidl.Interface
-}
-
-// connection is one caller/callee PRMI pair. Its group holds the user's
-// ranks and then the provider's, so its traffic is a domain of its own.
-type connection struct {
-	user, usesPort, provider, provPort string
-	group                              []*comm.Comm
+	mu         sync.Mutex
+	interfaces map[string]*sidl.Interface
+	layouts    map[string][]layoutDecl // "provider/port"
 }
 
 type layoutDecl struct {
-	provider, port, method, param string
-	tpl                           *dad.Template
+	method, param string
+	tpl           *dad.Template
 }
 
 // New creates a framework over worldSize processes.
 func New(worldSize int) *Framework {
-	return &Framework{
-		world:       comm.NewWorld(worldSize),
-		interfaces:  map[string]*sidl.Interface{},
-		components:  map[string]*componentEntry{},
-		connections: map[string]*connection{},
-		rankOwner:   map[int]string{},
-	}
+	reg := cca.NewRegistry(worldSize)
+	reg.Exclusive = true // each connection is one caller/callee PRMI pair
+	return &Framework{reg: reg, interfaces: map[string]*sidl.Interface{}, layouts: map[string][]layoutDecl{}}
 }
 
 // DefineInterfaces parses SIDL source and registers every interface it
@@ -107,120 +86,49 @@ func (f *Framework) DefineInterfaces(src string) error {
 	return nil
 }
 
-// AddComponent places a component cohort on the given world ranks with a
-// per-rank body started at launch.
-func (f *Framework) AddComponent(name string, worldRanks []int, body func(svc *Services) error) error {
+// iface returns the interface a port type names, nil if none.
+func (f *Framework) iface(typ cca.PortType) *sidl.Interface {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if _, dup := f.components[name]; dup {
-		return fmt.Errorf("scirun: component %q already exists", name)
-	}
-	if len(worldRanks) == 0 {
-		return fmt.Errorf("scirun: component %q has no ranks", name)
-	}
-	for _, wr := range worldRanks {
-		if wr < 0 || wr >= f.world.Size() {
-			return fmt.Errorf("scirun: rank %d outside world of %d", wr, f.world.Size())
-		}
-		if owner, taken := f.rankOwner[wr]; taken {
-			return fmt.Errorf("scirun: rank %d already hosts %q", wr, owner)
-		}
-	}
-	for _, wr := range worldRanks {
-		f.rankOwner[wr] = name
-	}
-	f.components[name] = &componentEntry{
-		name:     name,
-		ranks:    append([]int(nil), worldRanks...),
-		cohort:   f.world.Group(worldRanks),
-		body:     body,
-		provides: map[string]*sidl.Interface{},
-		uses:     map[string]*sidl.Interface{},
-	}
-	return nil
+	return f.interfaces[string(typ)]
+}
+
+// AddComponent places a component cohort on the given world ranks with a
+// per-rank body started at launch. Caller ports created through GetPort
+// are closed when their body returns.
+func (f *Framework) AddComponent(name string, worldRanks []int, body func(svc *Services) error) error {
+	_, err := f.reg.Place(name, worldRanks, func(c *cca.Cohort, rank int) error {
+		svc := &Services{fw: f, c: c, rank: rank}
+		defer svc.closePorts()
+		return body(svc)
+	})
+	return err
 }
 
 // AddProvidesPort declares that a component provides a port of the named
 // SIDL interface.
 func (f *Framework) AddProvidesPort(component, port, ifaceName string) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	e, ok := f.components[component]
-	if !ok {
-		return fmt.Errorf("scirun: no component %q", component)
-	}
-	iface, ok := f.interfaces[ifaceName]
-	if !ok {
-		return fmt.Errorf("scirun: no interface %q", ifaceName)
-	}
-	if _, dup := e.provides[port]; dup {
-		return fmt.Errorf("scirun: %s already provides %q", component, port)
-	}
-	e.provides[port] = iface
-	return nil
+	return f.declare(component, true, port, ifaceName)
 }
 
 // AddUsesPort declares a component's connection end point of the named
 // SIDL interface.
 func (f *Framework) AddUsesPort(component, port, ifaceName string) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	e, ok := f.components[component]
-	if !ok {
-		return fmt.Errorf("scirun: no component %q", component)
-	}
-	iface, ok := f.interfaces[ifaceName]
-	if !ok {
+	return f.declare(component, false, port, ifaceName)
+}
+
+func (f *Framework) declare(component string, provides bool, port, ifaceName string) error {
+	if f.iface(cca.PortType(ifaceName)) == nil {
 		return fmt.Errorf("scirun: no interface %q", ifaceName)
 	}
-	if _, dup := e.uses[port]; dup {
-		return fmt.Errorf("scirun: %s already uses %q", component, port)
-	}
-	e.uses[port] = iface
-	return nil
+	return f.reg.Declare(component, provides, port, cca.PortType(ifaceName))
 }
 
 // Connect wires a uses port to a provides port. Interfaces must match,
 // and a provides port accepts exactly one connection (each connection is
 // one caller/callee PRMI pair).
 func (f *Framework) Connect(user, usesPort, provider, provPort string) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	ue, ok := f.components[user]
-	if !ok {
-		return fmt.Errorf("scirun: no component %q", user)
-	}
-	pe, ok := f.components[provider]
-	if !ok {
-		return fmt.Errorf("scirun: no component %q", provider)
-	}
-	ui, ok := ue.uses[usesPort]
-	if !ok {
-		return fmt.Errorf("scirun: %s has no uses port %q", user, usesPort)
-	}
-	pi, ok := pe.provides[provPort]
-	if !ok {
-		return fmt.Errorf("scirun: %s has no provides port %q", provider, provPort)
-	}
-	if ui != pi {
-		return fmt.Errorf("scirun: interface mismatch: %s.%s is %q, %s.%s is %q",
-			user, usesPort, ui.Name, provider, provPort, pi.Name)
-	}
-	key := user + "/" + usesPort
-	if _, dup := f.connections[key]; dup {
-		return fmt.Errorf("scirun: uses port %s already connected", key)
-	}
-	for _, c := range f.connections {
-		if c.provider == provider && c.provPort == provPort {
-			return fmt.Errorf("scirun: provides port %s.%s already connected", provider, provPort)
-		}
-	}
-	f.connections[key] = &connection{
-		user: user, usesPort: usesPort,
-		provider: provider, provPort: provPort,
-		group: f.world.Group(append(append([]int(nil), ue.ranks...), pe.ranks...)),
-	}
-	return nil
+	return f.reg.Connect(user, usesPort, provider, provPort)
 }
 
 // SetArgLayout declares the callee-side distribution of a parallel
@@ -228,95 +136,61 @@ func (f *Framework) Connect(user, usesPort, provider, provPort string) error {
 // to both the endpoint and every connected caller before any call is
 // received.
 func (f *Framework) SetArgLayout(provider, port, method, param string, tpl *dad.Template) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	pe, ok := f.components[provider]
-	if !ok {
-		return fmt.Errorf("scirun: no component %q", provider)
+	c, typ, err := f.reg.Port(provider, true, port)
+	if err != nil {
+		return err
 	}
-	iface, ok := pe.provides[port]
-	if !ok {
-		return fmt.Errorf("scirun: %s has no provides port %q", provider, port)
-	}
+	iface := f.iface(typ)
 	if _, ok := iface.Method(method); !ok {
 		return fmt.Errorf("scirun: interface %s has no method %q", iface.Name, method)
 	}
-	if tpl.NumProcs() != len(pe.ranks) {
-		return fmt.Errorf("scirun: layout spans %d ranks, %s has %d", tpl.NumProcs(), provider, len(pe.ranks))
+	if tpl.NumProcs() != len(c.Ranks) {
+		return fmt.Errorf("scirun: layout spans %d ranks, %s has %d", tpl.NumProcs(), provider, len(c.Ranks))
 	}
-	f.layouts = append(f.layouts, layoutDecl{provider, port, method, param, tpl})
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	key := provider + "/" + port
+	f.layouts[key] = append(f.layouts[key], layoutDecl{method, param, tpl})
 	return nil
 }
 
-// Run launches every component body concurrently on every cohort rank and
-// returns the first error after all terminate. Caller ports created
-// through GetPort are closed automatically when their body returns.
-func (f *Framework) Run() error {
+// layoutsOf returns the argument layouts declared for a connection's
+// provides port.
+func (f *Framework) layoutsOf(k *cca.Conn) []layoutDecl {
 	f.mu.Lock()
-	type job struct {
-		entry *componentEntry
-		rank  int
-	}
-	var jobs []job
-	for _, entry := range f.components {
-		for r := range entry.ranks {
-			jobs = append(jobs, job{entry, r})
-		}
-	}
-	f.mu.Unlock()
-
-	errs := make(chan error, len(jobs))
-	var wg sync.WaitGroup
-	for _, j := range jobs {
-		wg.Add(1)
-		go func(j job) {
-			defer wg.Done()
-			svc := &Services{fw: f, entry: j.entry, rank: j.rank}
-			err := j.entry.body(svc)
-			svc.closePorts()
-			if err != nil {
-				errs <- fmt.Errorf("scirun: %s rank %d: %w", j.entry.name, j.rank, err)
-			}
-		}(j)
-	}
-	wg.Wait()
-	close(errs)
-	return <-errs
+	defer f.mu.Unlock()
+	return f.layouts[k.Provider.Name+"/"+k.ProvPort]
 }
+
+// Run launches every component body concurrently on every cohort rank and
+// returns the first error after all terminate.
+func (f *Framework) Run() error { return f.reg.Run() }
 
 // Rank returns this instance's cohort rank.
 func (s *Services) Rank() int { return s.rank }
 
 // CohortSize returns the component's cohort width.
-func (s *Services) CohortSize() int { return len(s.entry.ranks) }
+func (s *Services) CohortSize() int { return len(s.c.Ranks) }
 
 // Cohort returns the intra-component communicator.
-func (s *Services) Cohort() *comm.Comm { return s.entry.cohort[s.rank] }
+func (s *Services) Cohort() *comm.Comm { return s.c.Comms[s.rank] }
 
 // GetPort resolves a connected uses port to its PRMI caller proxy — the
 // distributed analogue of the direct framework's library-call reference.
-// Callee argument layouts declared through SetArgLayout are pre-applied.
+// Callee argument layouts declared through SetArgLayout are pre-applied,
+// and the proxy watches the provider's exited ranks (cca.Cohort.Gone), so
+// a call to one fails with *core.ErrRankDown.
 func (s *Services) GetPort(usesPort string) (*prmi.CallerPort, error) {
-	f := s.fw
-	f.mu.Lock()
-	conn := f.connections[s.entry.name+"/"+usesPort]
-	if conn == nil {
-		f.mu.Unlock()
-		return nil, fmt.Errorf("scirun: uses port %s.%s is not connected", s.entry.name, usesPort)
+	k, err := s.fw.reg.ConnOf(s.c, false, usesPort)
+	if err != nil {
+		return nil, err
 	}
-	iface := s.entry.uses[usesPort]
-	prov := f.components[conn.provider]
-	layouts := append([]layoutDecl(nil), f.layouts...)
-	mode := f.Delivery
-	f.mu.Unlock()
-
-	link := prmi.NewCommLink(conn.group[s.rank], len(s.entry.ranks), 0)
-	port := prmi.NewCallerPort(iface, link, s.rank, len(prov.ranks), mode)
-	for _, l := range layouts {
-		if l.provider == conn.provider && l.port == conn.provPort {
-			if err := port.SetCalleeLayout(l.method, l.param, l.tpl); err != nil {
-				return nil, err
-			}
+	link := prmi.NewCommLink(k.Group[s.rank], len(s.c.Ranks), 0)
+	port := prmi.NewCallerPort(s.fw.iface(k.Type), link, s.rank, len(k.Provider.Ranks), s.fw.Delivery)
+	port.SetMembership(k.Provider.Gone)
+	for _, l := range s.fw.layoutsOf(k) {
+		if err := port.SetCalleeLayout(l.method, l.param, l.tpl); err != nil {
+			return nil, err
 		}
 	}
 	s.mu.Lock()
@@ -325,40 +199,22 @@ func (s *Services) GetPort(usesPort string) (*prmi.CallerPort, error) {
 	return port, nil
 }
 
-// ProvidesPort builds this rank's PRMI endpoint for a provides port.
-// Declared argument layouts are pre-registered; the body registers
+// ProvidesPort builds this rank's PRMI endpoint for a connected provides
+// port. Declared argument layouts are pre-registered; the body registers
 // handlers and then calls Serve. The endpoint uses fail-fast order
 // checking under eager delivery.
 func (s *Services) ProvidesPort(port string) (*prmi.Endpoint, error) {
-	f := s.fw
-	f.mu.Lock()
-	iface, ok := s.entry.provides[port]
-	if !ok {
-		f.mu.Unlock()
-		return nil, fmt.Errorf("scirun: %s has no provides port %q", s.entry.name, port)
+	k, err := s.fw.reg.ConnOf(s.c, true, port)
+	if err != nil {
+		return nil, err
 	}
-	var conn *connection
-	for _, c := range f.connections {
-		if c.provider == s.entry.name && c.provPort == port {
-			conn = c
-		}
-	}
-	if conn == nil {
-		f.mu.Unlock()
-		return nil, fmt.Errorf("scirun: provides port %s.%s has no connection", s.entry.name, port)
-	}
-	user := f.components[conn.user]
-	layouts := append([]layoutDecl(nil), f.layouts...)
-	f.mu.Unlock()
-
-	link := prmi.NewCommLink(conn.group[len(user.ranks)+s.rank], 0, 0)
-	ep := prmi.NewEndpoint(iface, link, s.rank, len(s.entry.ranks), len(user.ranks))
+	nUser := len(k.User.Ranks)
+	link := prmi.NewCommLink(k.Group[nUser+s.rank], 0, 0)
+	ep := prmi.NewEndpoint(s.fw.iface(k.Type), link, s.rank, len(s.c.Ranks), nUser)
 	ep.StrictMatching = true
-	for _, l := range layouts {
-		if l.provider == s.entry.name && l.port == port {
-			if err := ep.RegisterArgLayout(l.method, l.param, l.tpl); err != nil {
-				return nil, err
-			}
+	for _, l := range s.fw.layoutsOf(k) {
+		if err := ep.RegisterArgLayout(l.method, l.param, l.tpl); err != nil {
+			return nil, err
 		}
 	}
 	return ep, nil

@@ -1,9 +1,12 @@
 package scirun
 
 import (
+	"errors"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"mxn/internal/core"
 	"mxn/internal/dad"
 	"mxn/internal/prmi"
 )
@@ -311,5 +314,51 @@ func TestUnconnectedPorts(t *testing.T) {
 	}
 	if err := <-gotErr; err == nil {
 		t.Error("undeclared provides port resolved")
+	}
+}
+
+// TestCallToExitedProviderFails runs a provider whose body returns an
+// error before it serves: each caller's call must fail with
+// *core.ErrRankDown at once instead of waiting for a reply that never
+// comes, and Run must report the provider's error.
+func TestCallToExitedProviderFails(t *testing.T) {
+	boom := errors.New("provider failed before serving")
+	type outcome struct {
+		err  error
+		took time.Duration
+	}
+	called := make(chan outcome, 3)
+	f := build(t,
+		func(svc *Services) error {
+			port, err := svc.GetPort("calc")
+			if err != nil {
+				return err
+			}
+			start := time.Now()
+			_, err = port.CallIndependent(svc.Rank()%2, "square", prmi.Simple("x", 2.0))
+			called <- outcome{err, time.Since(start)}
+			return nil
+		},
+		func(svc *Services) error { return boom },
+	)
+	ran := make(chan error, 1)
+	go func() { ran <- f.Run() }()
+	select {
+	case err := <-ran:
+		if !errors.Is(err, boom) {
+			t.Errorf("Run = %v, want the provider's error", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Run did not return: a call to an exited provider is still waiting")
+	}
+	for i := 0; i < 3; i++ {
+		got := <-called
+		var down *core.ErrRankDown
+		if !errors.As(got.err, &down) {
+			t.Fatalf("call error = %v, want *core.ErrRankDown", got.err)
+		}
+		if got.took > 100*time.Millisecond {
+			t.Errorf("call took %v to fail, want at most 100ms", got.took)
+		}
 	}
 }
