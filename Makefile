@@ -80,12 +80,14 @@ bench-once:
 # change that breaks it would otherwise surface only when the benchmark is
 # next run. Vet and test it against this checkout, then run all four
 # workloads for three seconds each, traced: bulk_tcp's 2 MiB messages are
-# lent as views of their source and read with readv(2) straight into
-# their destination (a message that arrives before its receive is posted
-# takes the pooled receive path through the largest classes), and bulk_tcp,
+# lent as views of their source, and each is sent only once its receiver
+# has posted its destination and said so with a ready token, so every one
+# is read with readv(2) straight into that destination; bulk_tcp,
 # small_tcp and resize_inproc reach the engine through its deprecated
 # one-shot wrappers (redist.ExchangeT, redist.ReconfigureFencedT). Each
-# result must be correct and every pooled buffer must be back at the end.
+# result must be correct and every pooled buffer must be back at the end,
+# and on bulk_tcp no 2 MiB message may have been packed or read into a
+# pooled buffer: redist.peak_packed_bytes stays below 2 MiB.
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 	@for w in prmi_tcp bulk_tcp small_tcp resize_inproc; do \
@@ -93,6 +95,12 @@ bench-check:
 		for want in '"correct":true' '"bufpool.outstanding_end":{"value":0,'; do \
 			echo "$$out" | grep -qF "$$want" || { echo "bench-check: $$w result lacks $$want: $$out"; exit 1; }; \
 		done; \
+		if [ $$w = bulk_tcp ]; then \
+			peak=$$(echo "$$out" | sed -n 's/.*"redist.peak_packed_bytes":{"value":\([^,}]*\).*/\1/p'); \
+			awk -v p="$$peak" 'BEGIN { exit !(p != "" && p + 0 < 2097152) }' || \
+				{ echo "bench-check: bulk_tcp redist.peak_packed_bytes = $$peak: a 2 MiB message arrived unplaced"; exit 1; }; \
+			echo "bench-check: bulk_tcp redist.peak_packed_bytes = $$peak, every 2 MiB message placed"; \
+		fi; \
 		echo "bench-check: $$w correct, no pooled buffer outstanding"; \
 	done
 

@@ -17,7 +17,7 @@
 //     weights (the MCT Merge),
 //  5. both sides compute area-weighted global averages (MCT spatial
 //     integrals) and the conservation drift of the interpolation is
-//     reported.
+//     reported; a drift beyond 1e-9 K exits 1 (it is about 1e-12).
 //
 // Run:
 //
@@ -175,6 +175,9 @@ func runAtmosphere(world, atmComm *mxn.Comm, reg *mct.Registry, atm *meshsim.Atm
 		ocnSST := payload.(float64)
 		drift := math.Abs(sstAvgOnFine - ocnSST)
 		if rank == 0 {
+			if drift > 1e-9 {
+				log.Fatalf("climate: interval %d drifts %.2e K, more than 1e-9 K", interval, drift)
+			}
 			mu.Lock()
 			report[interval] = fmt.Sprintf("%-8d %-14.4f %-14.4f %-14.4f %-12.2e",
 				interval, tAvg, ocnSST, mergedAvg, drift)

@@ -141,6 +141,9 @@ func runViewer(bridge mxn.Bridge) {
 	fmt.Printf("frame at epoch %d (after steering alpha to 0.24):\n%s\n", last, render(lastFrame, dims))
 	fmt.Printf("diffusion accelerated: peak %.1f → %.1f (interior heat %.0f → %.0f leaks through the cold boundary)\n",
 		peakBefore, peak(lastFrame), totalBefore, total(lastFrame))
+	if peak(lastFrame) >= peakBefore || total(lastFrame) >= totalBefore {
+		log.Fatal("steering: the steered frame's peak and heat are not both below the unsteered frame's")
+	}
 	if err := viewer.Stop(); err != nil {
 		log.Fatal(err)
 	}

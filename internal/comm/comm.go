@@ -149,18 +149,6 @@ func (mb *mailbox) take(gid uint64, from, tag int, bounded bool, d time.Duration
 	}
 }
 
-// has reports whether a message matching (group, from, tag) is queued.
-func (mb *mailbox) has(gid uint64, from, tag int) bool {
-	mb.mu.Lock()
-	defer mb.mu.Unlock()
-	for _, m := range mb.msgs {
-		if m.gid == gid && m.from == from && m.tag == tag {
-			return true
-		}
-	}
-	return false
-}
-
 // tryTake is the non-blocking variant of take.
 func (mb *mailbox) tryTake(gid uint64, from, tag int) (message, bool) {
 	mb.mu.Lock()
@@ -413,6 +401,13 @@ func (c *Comm) DeliverableLocal(to int) bool {
 	wr := c.group.ranks[to]
 	wme := c.group.ranks[c.rank]
 	return st.remote[wr] == nil && !st.dead[wr].Load() && !st.dead[wme].Load()
+}
+
+// Remote reports whether group rank to lives across a ConnectPeer
+// binding. Unlike DeliverableLocal it does not change while ranks run:
+// ranks are bound before they run, and a binding lost later stays bound.
+func (c *Comm) Remote(to int) bool {
+	return c.group.world.st().remote[c.group.ranks[to]] != nil
 }
 
 func (c *Comm) send(to, tag int, payload any) {

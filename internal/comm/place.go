@@ -7,6 +7,10 @@
 // read straight into the posted memory: the kernel's socket copy is the
 // payload's only copy on the receive side.
 //
+// A frame is offered once, as it starts, so its posting must exist by
+// then: the receiver posts before it tells the sender to send (redist's
+// ready tokens). A frame no posting claims arrives pooled.
+//
 // The session trailer follows the payload, so a frame's bytes land before
 // anyone knows it is intact and in sequence. A posting is therefore
 // claimed by at most one reader and completes only when that frame
@@ -59,8 +63,7 @@ const (
 	postArmed          // posted, no frame claimed it
 	postClaimed        // a reader is placing a frame into it
 	postLanded         // the frame arrived whole; awaiting delivery
-	postDone           // delivered
-	postSpoiled        // a claimed frame failed or was rejected
+	postSpent          // delivered, or its frame failed or was rejected
 )
 
 // Posting is a receive posted ahead of its message. The caller fills the
@@ -72,16 +75,14 @@ type Posting struct {
 	Codec     byte        // payload codec tag (RegisterRemotePayload)
 	Body      PostBody    // the codec's head fields
 	Bytes     int         // payload bytes
-	Align     int         // element size: a mid-frame claim places whole elements
 	Dst       net.Buffers // where the payload goes, in order
 
 	reg       *registry // set by the first Post
 	head      []byte    // the expected frame head
 	state     int
 	kick      wire.Kicker
-	seq       uint64 // the claimed frame's place in the read order
-	frame     *byte  // the landed frame's first byte
-	landedLen int    // the landed frame's length, the link's trailer included
+	frame     *byte // the landed frame's first byte
+	landedLen int   // the landed frame's length, the link's trailer included
 }
 
 // registry is one remote peer's postings; it is the wire.Placer of the
@@ -92,33 +93,17 @@ type registry struct {
 	placing bool // the connection offers frames (SetPlacer took)
 	posts   []*Posting
 	enc     wire.Encoder
-	// passed are the heads of large frames read unplaced and not yet
-	// delivered, and lost the frames that landed in a posting withdrawn
-	// before their delivery; both are short, and bounded.
-	passed []passedFrame
-	lost   []lostFrame
-	seq    uint64 // large frames read: claimed or passed
-	// busy is len(posts)+len(passed)+len(lost), so that delivering a
-	// frame while there are none costs no lock.
+	// lost are the frames that landed in a posting withdrawn before their
+	// delivery; short, and bounded.
+	lost []lostFrame
+	// busy is len(posts)+len(lost), so that delivering a frame while there
+	// are none costs no lock.
 	busy atomic.Int32
 }
 
 // count refreshes busy; the caller holds mu and has just changed one of
 // the lists.
-func (g *registry) count() { g.busy.Store(int32(len(g.posts) + len(g.passed) + len(g.lost))) }
-
-// passedFrame is a large frame read into a pooled frame: its first bytes,
-// and the frame, to forget it by at delivery.
-type passedFrame struct {
-	head  [passedHead]byte
-	n     int
-	frame *byte
-	seq   uint64
-}
-
-// passedHead bounds the head bytes a passed frame keeps; a posting whose
-// head is longer is compared on this prefix.
-const passedHead = 96
+func (g *registry) count() { g.busy.Store(int32(len(g.posts) + len(g.lost))) }
 
 // lostFrame is a landed frame whose posting was withdrawn first.
 type lostFrame struct {
@@ -126,19 +111,18 @@ type lostFrame struct {
 	n     int // the frame's length as read
 }
 
-// maxPassed bounds passed and lost; the oldest entry goes first.
-const maxPassed = 16
+// maxLost bounds lost; the oldest entry goes first.
+const maxLost = 16
 
 // Post registers p for the message its fields describe, sent to this
 // rank. It reports false — and registers nothing — when the sender is not
 // behind a connection that places frames; the message then arrives as any
-// other. A posted message may still arrive unplaced (sent before Post, too
-// small a frame, a spoiled posting): the receiver handles both forms.
+// other. A posted message may still arrive unplaced (a spoiled posting, a
+// resend after a reconnect): the receiver handles both forms.
 //
-// A posting takes the first matching frame the connection reads after it,
-// so Post refuses when a message it would match has been read already —
-// it is in this rank's mailbox, or read and on its way there — since the
-// frame it would take is then a later message's.
+// A posting takes the first matching frame the connection reads after it:
+// the caller posts before its sender may send the message, and withdraws
+// before it may send the next one with the same head.
 func (c *Comm) Post(p *Posting) bool {
 	st := c.group.world.st()
 	from, me := c.group.ranks[p.From], c.group.ranks[c.rank]
@@ -158,15 +142,6 @@ func (c *Comm) Post(p *Posting) bool {
 	e.PutByte(p.Codec)
 	p.Body.EncodePostBody(e)
 	p.head = append(p.head[:0], e.Bytes()...)
-	for i := range g.passed {
-		f := &g.passed[i]
-		if k := min(len(p.head), passedHead); f.n >= k && bytes.Equal(f.head[:k], p.head[:k]) {
-			return false
-		}
-	}
-	if st.boxes[me].has(c.group.gid, from, p.Tag) {
-		return false
-	}
 	p.reg, p.state, p.kick, p.frame = g, postArmed, nil, nil
 	g.posts = append(g.posts, p)
 	g.count()
@@ -206,7 +181,7 @@ func (c *Comm) Withdraw(p *Posting) {
 	if p.state == postLanded {
 		// Its frame is on its way up without its payload, which it left
 		// in memory that is no longer posted: it is dropped on delivery.
-		if len(g.lost) == maxPassed {
+		if len(g.lost) == maxLost {
 			g.lost = append(g.lost[:0], g.lost[1:]...)
 		}
 		g.lost = append(g.lost, lostFrame{frame: p.frame, n: p.landedLen})
@@ -235,8 +210,7 @@ func (g *registry) Claim(head []byte, n int, k wire.Kicker) wire.Placement {
 	defer g.mu.Unlock()
 	for _, p := range g.posts {
 		if p.state == postArmed && p.fits(head, n) {
-			g.seq++
-			p.state, p.kick, p.seq = postClaimed, k, g.seq
+			p.state, p.kick = postClaimed, k
 			return p
 		}
 	}
@@ -255,30 +229,6 @@ func (p *Posting) fits(head []byte, n int) bool {
 // the link's own trailer (a session's is 17 bytes).
 const maxTrailer = 64
 
-// Unclaimed implements wire.Placer: the frame's head is kept until the
-// frame is delivered, for Post to see. A posting the frame would have
-// fitted was armed after the reader's last Claim, while the frame's last
-// bytes arrived; it is spoiled, in the same step, so that it cannot take
-// a later frame with the same head (the next message of an unfenced
-// transfer has one): its message is this frame, which arrives pooled.
-func (g *registry) Unclaimed(frame []byte) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	for _, p := range g.posts {
-		if p.state == postArmed && p.fits(frame, len(frame)) {
-			p.state = postSpoiled
-		}
-	}
-	if len(g.passed) == maxPassed {
-		g.passed = append(g.passed[:0], g.passed[1:]...)
-	}
-	g.seq++
-	f := passedFrame{frame: &frame[0], seq: g.seq}
-	f.n = copy(f.head[:], frame)
-	g.passed = append(g.passed, f)
-	g.count()
-}
-
 // landed returns the placed payload bytes of buf, a delivered frame,
 // when a posting landed it, and marks that posting delivered; 0 when it
 // was not placed. lost reports a frame whose posting was withdrawn before
@@ -291,9 +241,8 @@ func (g *registry) landed(buf []byte) (placed int, lost bool) {
 	defer g.mu.Unlock()
 	for _, p := range g.posts {
 		if p.state == postLanded && p.frame == &buf[0] && len(buf) <= p.landedLen && bytes.HasPrefix(buf, p.head) {
-			p.state = postDone
+			p.state = postSpent
 			mPostingsPlaced.Inc()
-			g.forgetBefore(p.seq)
 			return len(p.head) + p.Bytes - len(buf), false
 		}
 	}
@@ -307,39 +256,8 @@ func (g *registry) landed(buf []byte) (placed int, lost bool) {
 	return 0, false
 }
 
-// delivered forgets buf's passed head once its message is in a mailbox
-// (or dropped): from then on, Post sees the mailbox instead.
-func (g *registry) delivered(buf []byte) {
-	if g.busy.Load() == 0 || len(buf) == 0 {
-		return
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	for _, f := range g.passed {
-		if f.frame == &buf[0] {
-			g.forgetBefore(f.seq + 1)
-			return
-		}
-	}
-}
-
-// forgetBefore drops the passed heads read before the frame seq: frames
-// are delivered in the order they are read, so one not delivered by now
-// never will be (the link dropped it as a duplicate).
-func (g *registry) forgetBefore(seq uint64) {
-	k := 0
-	for _, f := range g.passed {
-		if f.seq >= seq {
-			g.passed[k] = f
-			k++
-		}
-	}
-	g.passed = g.passed[:k]
-	g.count()
-}
-
 // Region implements wire.Placement.
-func (p *Posting) Region() (off, n, align int) { return len(p.head), p.Bytes, max(p.Align, 1) }
+func (p *Posting) Region() (off, n int) { return len(p.head), p.Bytes }
 
 // Segs implements wire.Placement.
 func (p *Posting) Segs() net.Buffers { return p.Dst }
@@ -355,7 +273,7 @@ func (p *Posting) Finish(frame []byte, ok bool) bool {
 	}
 	p.kick = nil
 	if !ok {
-		p.state = postSpoiled
+		p.state = postSpent
 		return false
 	}
 	p.state, p.frame, p.landedLen = postLanded, &frame[0], len(frame)
@@ -367,7 +285,7 @@ func (p *Posting) Spoil() {
 	g := p.reg
 	g.mu.Lock()
 	if p.state == postLanded {
-		p.state = postSpoiled
+		p.state = postSpent
 	}
 	g.mu.Unlock()
 }

@@ -485,7 +485,6 @@ func (rp *RemotePeer) deliver(buf []byte) error {
 	placed, lost := rp.reg.landed(buf)
 	d.SetPlaced(placed)
 	defer func() {
-		rp.reg.delivered(buf)
 		if !d.Kept() {
 			bufpool.PutFrame(buf)
 		}

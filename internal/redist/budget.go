@@ -44,6 +44,11 @@
 // derives a different chunk count cannot re-synchronize with its
 // sender.
 //
+// Ready tokens (remotelend.go) travel on the data tag like acks. The send
+// cursor holds at a posted message until its token has come: an
+// unbudgeted rank takes it from that destination before any data receive,
+// a budgeted one as it comes.
+//
 // Liveness. Sending and receiving interleave in one event loop per rank
 // (a rank blocked waiting for acks must keep consuming its own incoming
 // chunks, or two mutually-sending ranks deadlock). A budgeted rank
@@ -180,7 +185,7 @@ func (t *Transfer[T]) lose(i int) {
 func sendAck(c *comm.Comm, to, tag int, epoch uint64) {
 	a := getMsg()
 	a.epoch = epoch
-	a.ack = true
+	a.mark = markAck
 	c.Send(to, tag, a)
 	mAcksSent.Inc()
 }
@@ -214,9 +219,9 @@ func (t *Transfer[T]) run() error {
 	if fenced && t.dst >= 0 {
 		t.out.Validity = dad.NewValidity(len(t.dstLocal))
 	}
-	// Receives are posted before the first send, so that a peer answering
-	// at once still finds them.
-	if t.dst >= 0 && !t.aliased {
+	// Receives are posted, and their ready tokens sent, before anything
+	// else: no rank waits before its tokens are on their way.
+	if t.posts != nil {
 		t.postRecvs()
 	}
 
@@ -269,8 +274,11 @@ func (t *Transfer[T]) run() error {
 				continue
 			}
 			n := nextChunkElems(pp.Elems, curOff, t.capElems)
-			if roundSoFar+n*esz > t.roundBytes {
+			if roundSoFar+n*esz > t.roundBytes || t.awaits(curOp) {
 				break
+			}
+			if t.ready != nil && t.ready[curOp] > 1 {
+				t.ready[curOp]--
 			}
 			sc := stagedChunk{op: curOp, group: group, rank: pp.DstRank}
 			switch {
@@ -324,7 +332,8 @@ func (t *Transfer[T]) run() error {
 		// the budget. An unfenced rank keeps sending even after an error:
 		// its peers block for exactly the chunks the decomposition
 		// promised them.
-		if (!fenced || firstErr == nil) && t.pendingAcks == 0 && (len(t.staged) > 0 || curOp < nSend) {
+		held := curOp < nSend && t.awaits(curOp)
+		if (!fenced || firstErr == nil) && t.pendingAcks == 0 && (len(t.staged) > 0 || (curOp < nSend && !held)) {
 			// The round leaves as one batch per remote peer: held while it
 			// is posted, flushed once it is — before the next round is
 			// staged, so the peer unpacks while this rank packs.
@@ -386,12 +395,8 @@ func (t *Transfer[T]) run() error {
 			if firstErr != nil && !discarded {
 				// Fenced abort semantics: unsent rounds are dropped, the
 				// cursor is retired, and the loop degrades to draining.
-				for i := range t.staged {
-					recycle(t.staged[i].m)
-					t.staged[i] = stagedChunk{}
-				}
-				t.staged = t.staged[:0]
-				curOp, curOff = nSend, 0
+				t.dropStaged()
+				curOp, curOff, held = nSend, 0, false
 				discarded = true
 			}
 		}
@@ -400,11 +405,16 @@ func (t *Transfer[T]) run() error {
 			break
 		}
 
-		// Receive: budgeted, from anyone (acks and chunks of every source
-		// are taken as they come); otherwise from the next expected peer
+		// Receive: budgeted, from anyone (tokens, acks and chunks of every
+		// source are taken as they come); otherwise the held message's
+		// token from its destination, or else from the next expected peer
 		// in plan order.
 		from := comm.AnySource
-		if !t.budgeted {
+		switch {
+		case t.budgeted:
+		case held:
+			from = t.sendGroup(curOp)
+		default:
 			for t.recv[nextRecv].chunksLeft == 0 {
 				nextRecv++
 			}
@@ -412,7 +422,15 @@ func (t *Transfer[T]) run() error {
 		}
 		var payload any
 		if !fenced {
-			payload, from = c.Recv(from, t.tag)
+			// A lost connection ends the run: nothing more will come.
+			p, fr, _, err := c.RecvOrFail(from, t.tag, 0)
+			if err != nil {
+				if firstErr == nil {
+					firstErr = fmt.Errorf("redist: rank %d: connection lost: %w", c.Rank(), err)
+				}
+				break
+			}
+			payload, from = p, fr
 		} else {
 			p, fr, ok := c.RecvTimeout(from, t.tag, t.opts.PollInterval)
 			if !ok {
@@ -428,8 +446,8 @@ func (t *Transfer[T]) run() error {
 						}
 					}
 					for i := 0; i < nSend; i++ {
-						if t.pendAck[i] > 0 {
-							t.opts.Membership.MarkDown(t.sendGroup(i))
+						if g := t.sendGroup(i); t.pendAck[i] > 0 || (t.awaits(i) && (from == comm.AnySource || from == g)) {
+							t.opts.Membership.MarkDown(g)
 						}
 					}
 					waited = 0
@@ -450,7 +468,18 @@ func (t *Transfer[T]) run() error {
 		}
 
 		m, isMsg := payload.(*xferMsg)
-		if isMsg && m.ack {
+		if isMsg && m.mark == markReady {
+			mReadyRecv.Inc()
+			switch {
+			case fenced && m.epoch < t.epoch:
+				mStaleEpoch.Inc()
+			case !t.takeReady(from):
+				mDrained.Inc() // a leftover of an earlier aborted transfer
+			}
+			recycle(m)
+			continue
+		}
+		if isMsg && m.mark == markAck {
 			mAcksRecv.Inc()
 			recycle(m)
 			credited := false
@@ -521,6 +550,7 @@ func (t *Transfer[T]) run() error {
 	for i := range t.posts {
 		t.withdraw(i)
 	}
+	t.dropStaged() // a lost connection leaves a round unsent
 	t.awaitLent(&firstErr)
 	if t.arenaTaken {
 		putSegs(t.segArena)
@@ -541,6 +571,15 @@ func (t *Transfer[T]) run() error {
 		mTransfers.Inc()
 	}
 	return nil
+}
+
+// dropStaged recycles the staged round, unsent.
+func (t *Transfer[T]) dropStaged() {
+	for i := range t.staged {
+		recycle(t.staged[i].m)
+		t.staged[i] = stagedChunk{}
+	}
+	t.staged = t.staged[:0]
 }
 
 // lend makes the chunk [off, off+n) of the current send op, bound for
@@ -564,7 +603,8 @@ func (t *Transfer[T]) lend(group, off, n int) *xferMsg {
 
 // awaitLent is the rendezvous of the run's lent chunks: it returns once
 // every one has been copied or discarded by its receiver, dropped by
-// comm, or revoked, and then pools them again. Unfenced, it waits.
+// comm, or revoked, and then pools them again. Unfenced, it waits, unless
+// a connection of the group is lost: then it gives up on every chunk.
 // Fenced, it polls the membership as the loop does: the chunks still
 // queued for a destination declared dead are revoked instead of waited
 // on — under FailStrict an abort, as a dead destination owing acks is —
@@ -575,22 +615,26 @@ func (t *Transfer[T]) awaitLent(firstErr *error) {
 	z, o := &t.zc, &t.opts
 	var waited time.Duration // silence since the last chunk was released
 	for left := z.left.Load(); left > 0; left = z.left.Load() {
-		if t.out == nil {
-			<-z.wake
-			continue
-		}
-		tm := time.NewTimer(o.PollInterval)
-		select {
-		case <-z.wake:
-		case <-tm.C:
+		if !z.sleep(o.PollInterval) {
 			waited += o.PollInterval
 		}
-		tm.Stop()
 		if z.left.Load() < left {
 			waited = 0
 		}
-		suspect := o.SuspectAfter > 0 && waited >= o.SuspectAfter
-		giveUp := *firstErr != nil && waited >= max(o.SuspectAfter, 10*o.PollInterval)
+		suspect, giveUp := false, false
+		if t.out == nil {
+			err := t.c.PeerErr()
+			if err == nil {
+				continue
+			}
+			if *firstErr == nil {
+				*firstErr = fmt.Errorf("redist: rank %d: connection lost: %w", t.c.Rank(), err)
+			}
+			giveUp = true
+		} else {
+			suspect = o.SuspectAfter > 0 && waited >= o.SuspectAfter
+			giveUp = *firstErr != nil && waited >= max(o.SuspectAfter, 10*o.PollInterval)
+		}
 		for _, lc := range t.lent {
 			if lc.m.state.Load() != chunkLent {
 				continue
@@ -598,7 +642,7 @@ func (t *Transfer[T]) awaitLent(firstErr *error) {
 			if suspect {
 				o.Membership.MarkDown(lc.group)
 			}
-			dead := !o.Membership.IsAlive(lc.group)
+			dead := t.out != nil && !o.Membership.IsAlive(lc.group)
 			if !(dead || giveUp) {
 				continue
 			}
@@ -653,15 +697,15 @@ func (t *Transfer[T]) unpackChunk(ri int, m *xferMsg, tr *obs.Tracer) error {
 	}
 	esz, lent := elemSize[T](), m.lender != nil
 	expect := nextChunkElems(rp.elems, rp.elemsDone, t.capElems)
-	if m.elems != expect || (lent && m.off != rp.elemsDone) || (!lent && (len(m.data)+m.placedBytes != m.elems*esz || m.placedBytes%esz != 0)) {
+	if m.elems != expect || (lent && m.off != rp.elemsDone) || (!lent && len(m.data)+m.placedBytes != m.elems*esz) {
 		return &ElemCountError{DstRank: t.dst, SrcRank: rp.rank, Got: m.elems, Want: expect}
 	}
 	pp, data := t.recvPair(ri), elemsOf[T](m.data, len(m.data)/esz)
 	start := time.Now()
 	switch {
+	case m.placedBytes > 0:
+		// A placed chunk is in its destination already.
 	case !lent:
-		// A placed chunk's tail is in place already; the part of it read
-		// before its posting took the frame is unpacked.
 		schedule.UnpackSliceRange(pp, t.dstLocal, data, rp.elemsDone)
 	case !m.take():
 		return t.revoked(ri, m)
@@ -685,6 +729,9 @@ func (t *Transfer[T]) unpackChunk(ri int, m *xferMsg, tr *obs.Tracer) error {
 // dead source is, and its data is never read.
 func (t *Transfer[T]) revoked(ri int, m *xferMsg) error {
 	me := t.c.Rank()
+	if t.out == nil { // unfenced, only a lost connection revokes
+		return fmt.Errorf("redist: destination rank %d: lent chunk revoked after a lost connection", t.dst)
+	}
 	t.noteDown(me)
 	if t.opts.Policy == FailStrict {
 		mRankdownAborts.Inc()

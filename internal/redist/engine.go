@@ -11,6 +11,7 @@ package redist
 import (
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"mxn/internal/bufpool"
 	"mxn/internal/dad"
@@ -37,10 +38,10 @@ type xferMsg struct {
 	// decoded from: data views the elements in place and recycle returns
 	// the frame to the pool instead of data.
 	frame []byte
-	// ack marks a credit message of a budgeted transfer: no data, sent
-	// back to a chunk's sender on the same data tag after the chunk is
-	// disposed of (see budget.go).
-	ack bool
+	// mark sets apart the data-less messages on the data tag: a budgeted
+	// transfer's ack, sent back once a chunk is disposed of (budget.go),
+	// and a receiver's ready token (remotelend.go).
+	mark byte
 	// lender, when non-nil, marks a lent chunk: data is the sender's whole
 	// source slice, not a pooled buffer, and the chunk is the window
 	// [off, off+elems) of the pair's packed order, which the receiver
@@ -60,10 +61,17 @@ type xferMsg struct {
 	segs      [][]byte
 	loanBytes int
 	// placedBytes is how much of a received remote chunk's payload was
-	// read straight into its destination (a posted receive): data holds
-	// only the part before it.
+	// read straight into its destination (a posted receive): all of it,
+	// and data holds none.
 	placedBytes int
 }
+
+// Message marks, the byte that follows a transfer message's element count.
+const (
+	markData = iota
+	markAck
+	markReady
+)
 
 // Lent-chunk states.
 const (
@@ -78,6 +86,25 @@ const (
 type rendezvous struct {
 	left atomic.Int64
 	wake chan struct{}
+	tick *time.Timer // the lender's poll, made on first use
+}
+
+// sleep waits until the rendezvous is woken or d has passed, and reports
+// whether it was woken. A tick that fires as it is woken may end the next
+// sleep early.
+func (z *rendezvous) sleep(d time.Duration) bool {
+	if z.tick == nil {
+		z.tick = time.NewTimer(d)
+	} else {
+		z.tick.Reset(d)
+	}
+	select {
+	case <-z.wake:
+		z.tick.Stop()
+		return true
+	case <-z.tick.C:
+		return false
+	}
 }
 
 func (z *rendezvous) release() {

@@ -385,37 +385,6 @@ func TestPlacedFrameHazards(t *testing.T) {
 		}
 	})
 
-	// A receive posted after its frame's head arrived takes the rest of
-	// the frame: what was read before is unpacked from the frame, the
-	// remainder is placed.
-	t.Run("posted_mid_frame", func(t *testing.T) {
-		held, release := make(chan struct{}), make(chan struct{})
-		w := newHazardWorld(t, func(conn, frame int, b []byte) []relayStep {
-			if conn == 0 && frame == 0 {
-				return []relayStep{{bytes: b[:100<<10]}, {held: held, wait: release, bytes: b[100<<10:]}}
-			}
-			return nil
-		})
-		placed, frames := counterValue("wire.bytes_placed"), counterValue("bufpool.frame_gets")
-		src := w.start([]int{0, 1}, nil)
-		<-held
-		// The reader has found no posting and taken a pooled frame for the
-		// payload: it is past the head when the receives are posted.
-		waitCounter(t, "bufpool.frame_gets", frames, 1)
-		base := counterValue("comm.postings")
-		dst := w.start([]int{2, 3}, nil)
-		waitCounter(t, "comm.postings", base, 4)
-		close(release)
-		if err := errors.Join(wait(t, src, 2), wait(t, dst, 2)); err != nil {
-			t.Fatal(err)
-		}
-		w.check(t)
-		got, all := counterValue("wire.bytes_placed")-placed, uint64(w.s.TotalElems()*8)
-		if got == 0 || got >= all {
-			t.Errorf("%d of %d bytes placed; want all but a prefix of the first frame", got, all)
-		}
-	})
-
 	// A fenced destination whose link stalls in the middle of a placed
 	// frame gives up with ErrRankDown and withdraws its posting, which
 	// forces the reader off the frame: its buffer may be written the

@@ -41,7 +41,6 @@ import (
 	"mxn/internal/dad"
 	"mxn/internal/obs"
 	"mxn/internal/schedule"
-	"mxn/internal/wire"
 )
 
 // Redistribution instruments, registered in the process-default registry.
@@ -196,8 +195,8 @@ type TransferOpts struct {
 	// (comm.ConnectPeer) is lent as views of the source when its runs
 	// average 2 KiB or more, and such a message expected from across one
 	// is read straight into the destination (remotelend.go). A remote lend
-	// waits only for the peer's session to acknowledge the frame, never
-	// for the peer rank's Run, so it needs no opt-in.
+	// waits only for the receiver's ready token and its session's ack,
+	// never for the peer rank's Run to end, so it needs no opt-in.
 	ZeroCopyLocal bool
 
 	// Membership, when set, fences the transfer under this shared
@@ -283,10 +282,13 @@ type Transfer[T Elem] struct {
 	lendView  []byte
 	lent      []lentChunk
 	lendLocal bool
-	// posts holds one posting per expectation; one with a nil Body never
-	// qualifies. segArena holds this run's remote lent and posted views,
-	// drawn from the pool on first use (arenaTaken).
+	// posts holds one posting per expectation; one with a nil Body is not
+	// posted. ready is, per send op, 1 + the ready tokens in hand for a
+	// posted message, 0 for another; nil when none is (remotelend.go).
+	// segArena holds this run's remote lent and posted views, drawn from
+	// the pool on first use (arenaTaken).
 	posts      []recvPost
+	ready      []int
 	segArena   [][]byte
 	arenaTaken bool
 	lendMin    int  // lendMinRun when the handle was built
@@ -329,15 +331,21 @@ func New[T Elem](c *comm.Comm, s *schedule.Schedule, lay Layout, baseTag int, op
 		pp := t.recvPair(i)
 		rp := recvProgress{group: lay.SrcBase + pp.SrcRank, rank: pp.SrcRank, elems: pp.Elems, chunks: chunkCount(pp.Elems, t.capElems)}
 		t.recv = append(t.recv, rp)
-		// A message of one chunk with long destination runs from a rank
-		// behind a connection is posted when that connection places.
-		if rp.chunks == 1 && rp.elems*esz >= wire.PlaceMin && !c.DeliverableLocal(rp.group) && runBlockBytes(pp, false, esz) >= postMinRun {
+		if t.posted(pp, rp.group) {
 			if t.posts == nil {
 				t.posts = make([]recvPost, n)
 			}
 			p := &t.posts[i]
-			p.cp = comm.Posting{From: rp.group, Tag: baseTag, Codec: xferCodec, Body: p, Bytes: rp.elems * esz, Align: esz}
+			p.cp = comm.Posting{From: rp.group, Tag: baseTag, Codec: xferCodec, Body: p, Bytes: rp.elems * esz}
 			p.kind = kindOf[T]()
+		}
+	}
+	for i, n := 0, t.sends(); i < n; i++ {
+		if t.posted(t.sendPair(i), t.sendGroup(i)) {
+			if t.ready == nil {
+				t.ready = make([]int, n)
+			}
+			t.ready[i] = 1
 		}
 	}
 	t.lendMin = lendMinRun

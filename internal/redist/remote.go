@@ -47,7 +47,7 @@ func encodeXferMsg(e *wire.Encoder, v any) bool {
 	if !ok {
 		return false
 	}
-	putXferHead(e, m.epoch, m.kind, m.elems, m.ack)
+	putXferHead(e, m.epoch, m.kind, m.elems, m.mark)
 	if m.segs != nil {
 		e.PutLoan(m, m.loanBytes)
 		return true
@@ -65,24 +65,24 @@ func encodeXferMsg(e *wire.Encoder, v any) bool {
 }
 
 // putXferHead writes a transfer message's fields ahead of its payload.
-func putXferHead(e *wire.Encoder, epoch uint64, kind dad.ElemKind, elems int, ack bool) {
+func putXferHead(e *wire.Encoder, epoch uint64, kind dad.ElemKind, elems int, mark byte) {
 	e.PutUint64(epoch)
 	e.PutByte(byte(kind))
 	e.PutUvarint(uint64(elems))
-	e.PutBool(ack)
+	e.PutByte(mark)
 }
 
 // decodeXferMsg rebuilds a transfer message that views its elements in
 // the received frame and owns the frame (recycle returns it), so no
 // payload byte is copied between the socket and unpack. A placed message
-// (comm.Post) views only the part of its payload read before its posting
-// took the frame; placedBytes is the rest, already in its destination.
+// (comm.Post) has its payload in its destination already: it views none,
+// and placedBytes says how much there is.
 func decodeXferMsg(d *wire.Decoder) (any, error) {
 	m := getMsg()
 	m.epoch = d.Uint64()
 	m.kind = dad.ElemKind(d.Byte())
 	m.elems = int(d.Uvarint())
-	m.ack = d.Bool()
+	m.mark = d.Byte()
 	data, frame := d.KeepBytesRef()
 	if d.Err() != nil {
 		// m.data is still nil here, so recycle is pure pool bookkeeping.

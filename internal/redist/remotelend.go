@@ -3,11 +3,18 @@
 // lent to the connection as a list of views into the caller's source
 // slice, one per run of its window (wire.Loan), and the connection writes
 // them with the frame header in one writev. On the other side the
-// destination posts each such expected message before its first send —
-// its exact frame head and the destination views of the pair's runs
-// (comm.Post) — and a placing connection reads the payload with readv(2)
-// straight into them. Either half keeps the frame's bytes, its CRC, its
-// sequence number and its acknowledgement exactly as a packed chunk's.
+// destination posts each such expected message — its exact frame head and
+// the destination views of the pair's runs (comm.Post) — and a placing
+// connection reads the payload with readv(2) straight into them. Either
+// half keeps the frame's bytes, its CRC, its sequence number and its
+// acknowledgement exactly as a packed chunk's.
+//
+// Placement is by protocol, as an MPI rendezvous send is. Both ends pick
+// the posted messages from the schedule (posted). The destination posts
+// them when Run starts and sends a ready token for each, even one it
+// could not post (an aliased run, a connection that does not place); the
+// source sends a posted message only with its token in hand, so the frame
+// never arrives before its posting, and every other message at once.
 //
 // Lending holds the source until the connection gives the views back:
 // over a session, when the peer acknowledges the frame (the frame asks
@@ -46,9 +53,23 @@ var lendMinRun, postMinRun = 2 << 10, 2 << 10
 // xferCodec is the remote payload tag of *xferMsg (codec.go's registry).
 const xferCodec = 1
 
-// mRemoteBytesLent counts payload bytes lent to a connection; the bytes
-// placed on the other side are wire.bytes_placed.
-var mRemoteBytesLent = obs.Default().Counter("redist.remote_bytes_lent")
+var (
+	// mRemoteBytesLent counts payload bytes lent to a connection; the bytes
+	// placed on the other side are wire.bytes_placed.
+	mRemoteBytesLent = obs.Default().Counter("redist.remote_bytes_lent")
+	mReadySent       = obs.Default().Counter("redist.ready_sent")
+	mReadyRecv       = obs.Default().Counter("redist.ready_recv")
+)
+
+// posted is the rule both ends of pairwise message pp, exchanged with
+// group rank peer, decide by whether its receiver posts it: it is one
+// chunk of at least wire.PlaceMin bytes, it crosses a connection, and its
+// destination runs average postMinRun bytes or more.
+func (t *Transfer[T]) posted(pp schedule.PairPlan, peer int) bool {
+	esz := elemSize[T]()
+	return chunkCount(pp.Elems, t.capElems) == 1 && pp.Elems*esz >= wire.PlaceMin &&
+		t.c.Remote(peer) && runBlockBytes(pp, false, esz) >= postMinRun
+}
 
 // runBlockBytes is the average bytes per contiguous block of pair pp on
 // one side (the source side when src), adjacent blocks merged: what a
@@ -201,26 +222,53 @@ type recvPost struct {
 // EncodePostBody implements comm.PostBody: the head encodeXferMsg writes
 // for a data chunk of this posting's message.
 func (p *recvPost) EncodePostBody(e *wire.Encoder) {
-	putXferHead(e, p.epoch, p.kind, p.elems, false)
+	putXferHead(e, p.epoch, p.kind, p.elems, markData)
 	e.PutLoan(nil, p.cp.Bytes)
 }
 
-// postRecvs posts every expected remote message that qualifies: one chunk of
-// at least wire.PlaceMin bytes, from a rank behind a placing connection,
-// into destination runs of postMinRun bytes or more on average.
+// postRecvs posts every posted expected message, and sends each its
+// ready token.
 func (t *Transfer[T]) postRecvs() {
+	t.c.Cork()
 	for i := range t.posts {
 		p := &t.posts[i]
 		if p.cp.Body == nil {
 			continue
 		}
 		rp := &t.recv[i]
-		k := len(t.arena())
-		t.segArena = appendRunSegs(t.segArena, t.recvPair(i), t.dstLocal, false, 0, rp.elems)
-		p.cp.Dst = t.segArena[k:len(t.segArena):len(t.segArena)]
-		p.epoch, p.elems = t.epoch, rp.elems
-		p.on = t.c.Post(&p.cp)
+		if !t.aliased {
+			k := len(t.arena())
+			t.segArena = appendRunSegs(t.segArena, t.recvPair(i), t.dstLocal, false, 0, rp.elems)
+			p.cp.Dst = t.segArena[k:len(t.segArena):len(t.segArena)]
+			p.epoch, p.elems = t.epoch, rp.elems
+			p.on = t.c.Post(&p.cp)
+		}
+		m := getMsg()
+		m.epoch, m.mark = t.epoch, markReady
+		t.c.Send(rp.group, t.tag, m)
+		mReadySent.Inc()
 	}
+	t.c.Flush()
+}
+
+// awaits reports whether send op i is held for its receiver's ready
+// token: its message is posted, no token for it is in hand, and — fenced
+// — its destination is alive (a dead one's message is skipped).
+func (t *Transfer[T]) awaits(i int) bool {
+	return t.ready != nil && t.ready[i] == 1 && (t.out == nil || t.opts.Membership.IsAlive(t.sendGroup(i)))
+}
+
+// takeReady books a ready token from group rank from on the send op it
+// readies, and reports false when no op waits on one. Tokens are counted:
+// one that comes after this run's message went is the handle's next run's.
+func (t *Transfer[T]) takeReady(from int) bool {
+	for i, n := range t.ready {
+		if n > 0 && t.sendGroup(i) == from {
+			t.ready[i]++
+			return true
+		}
+	}
+	return false
 }
 
 // withdraw ends the i'th expectation's posting, if it is posted: after

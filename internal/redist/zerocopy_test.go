@@ -282,7 +282,7 @@ func TestXferMsgCodecBorrowBitIdentical(t *testing.T) {
 	m.epoch = 3
 	m.kind = dad.Float64
 	m.elems = 4
-	m.ack = true
+	m.mark = markAck
 	m.data = bufpool.Get(len(payload))
 	copy(m.data, payload)
 	addInFlight(len(m.data))
@@ -325,7 +325,7 @@ func TestXferMsgCodecBorrowBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	m = v.(*xferMsg)
-	if m.epoch != 3 || m.kind != dad.Float64 || m.elems != 4 || !m.ack {
+	if m.epoch != 3 || m.kind != dad.Float64 || m.elems != 4 || m.mark != markAck {
 		t.Fatalf("decoded fields: %+v", m)
 	}
 	if !d.Kept() || !bytes.Equal(m.data, payload) || &m.data[0] != &frame[len(head)] {

@@ -786,7 +786,7 @@ func (c *Conn) pump(conn transport.Conn) {
 					// The placed bytes count toward the ack threshold as
 					// much as bytes in the frame: the sender retains them
 					// just the same.
-					off, n, _ := placed.Region()
+					off, n := placed.Region()
 					c.bytesSinceAck += off + n - len(f.payload)
 				}
 				var ackNow uint64

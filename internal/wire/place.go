@@ -29,21 +29,18 @@ var ErrWithdrawn = errors.New("wire: placed frame's posting was withdrawn")
 // placement could take effect.
 const PlaceMin = 64 << 10
 
+// PlaceHead is how many of a frame's first bytes a placing reader offers,
+// once: a posting whose head is longer is never claimed.
+const PlaceHead = 128
+
 // A Placer knows where posted frames go: the posting registry of the
 // receiving side.
 type Placer interface {
-	// Claim offers head, the first bytes of a frame of n bytes — what has
-	// been read of it so far — and returns the placement that claims the
-	// frame for this reader, or nil. k forces the reader off the frame
-	// should the placement be withdrawn while the reader is placing it.
+	// Claim offers head, the first PlaceHead bytes of a frame of n bytes,
+	// once, and returns the placement that claims the frame for this
+	// reader, or nil. k forces the reader off the frame should the
+	// placement be withdrawn while the reader is placing it.
 	Claim(head []byte, n int, k Kicker) Placement
-	// Unclaimed reports a frame of PlaceMin bytes or more that was read
-	// whole into a pooled frame: its message is on its way up, and no
-	// later posting may take a frame meant for that message's receiver.
-	// Its last bytes were read after the last Claim, so a posting made
-	// since then may be waiting for this very frame: the Placer must
-	// decide that in the same step as it records the frame.
-	Unclaimed(frame []byte)
 }
 
 // A Kicker forces a reader blocked inside a placed frame to give it up:
@@ -52,12 +49,10 @@ type Kicker interface{ Kick() }
 
 // A Placement is a claimed posting: where a frame's region goes.
 type Placement interface {
-	// Region returns the frame byte range [off, off+n) that is placed, and
-	// the alignment a region read starting mid-frame keeps (an element
-	// size): the frame bytes before the region, and when the claim came
-	// mid-frame, the region's bytes already read rounded up to align, stay
-	// in the frame the reader returns. What follows the region does too.
-	Region() (off, n, align int)
+	// Region returns the frame byte range [off, off+n) that is placed:
+	// the frame bytes before and after it stay in the frame the reader
+	// returns.
+	Region() (off, n int)
 	// Segs returns where the region's bytes go, in order; they total n.
 	Segs() net.Buffers
 	// Finish ends the reader's part: ok, the frame arrived whole with a
@@ -91,9 +86,8 @@ type plainVec struct{ r io.Reader }
 func (v plainVec) readv(bufs [][]byte) (int, error) { return v.r.Read(bufs[0]) }
 
 // SetPlacer makes the reader offer frames of PlaceMin bytes or more to p
-// (nil stops it), before reading their payload and again before each
-// later read of it; k is handed to every claim. It may be called while
-// another goroutine reads.
+// (nil stops it) once their first PlaceHead bytes have arrived; k is
+// handed to every claim. It may be called while another goroutine reads.
 func (fr *FrameReader) SetPlacer(p Placer, k Kicker) {
 	if p == nil {
 		fr.place.Store(nil)
@@ -110,24 +104,34 @@ func (fr *FrameReader) TakePlaced() Placement {
 	return p
 }
 
-// readPlaced reads the rest of a claimed frame of n bytes: got bytes of it
-// are already in buf (nil when none are) with crc folded over them. The
+// claim holds the first PlaceHead bytes of a frame of n bytes in the
+// read-ahead and offers them to pl.
+func (fr *FrameReader) claim(pl *placing, n int) (Placement, error) {
+	k := min(n, PlaceHead, len(fr.buf))
+	if fr.hi-fr.lo < k {
+		fr.lo, fr.hi = 0, copy(fr.buf, fr.buf[fr.lo:fr.hi])
+		for fr.hi < k {
+			mReads.Inc()
+			got, err := fr.r.Read(fr.buf[fr.hi:])
+			if fr.hi += got; err != nil && fr.hi < k {
+				if err == io.EOF {
+					err = io.ErrUnexpectedEOF
+				}
+				return nil, err
+			}
+		}
+	}
+	return pl.p.Claim(fr.buf[fr.lo:fr.lo+k], n, pl.k), nil
+}
+
+// readPlaced reads a claimed frame of n bytes whose header says sum: the
 // bytes before the region go to the frame, the region to the placement's
 // segments — what the read-ahead holds by copy, the rest by readv — and
 // the bytes after it to the frame again.
-func (fr *FrameReader) readPlaced(p Placement, n int, sum uint32, buf []byte, got int, crc uint32) ([]byte, error) {
-	off, plen, align := p.Region()
-	pre := max(off, got)
-	if r := (pre - off) % align; r != 0 {
-		pre += align - r
-	}
-	pre = min(pre, off+plen)
-	size := pre + n - off - plen
-	if buf == nil {
-		buf = bufpool.GetFrame(size)
-	} else if len(buf) < size {
-		buf = growFrame(buf, size)
-	}
+func (fr *FrameReader) readPlaced(p Placement, n int, sum uint32) ([]byte, error) {
+	off, plen := p.Region()
+	size := n - plen
+	buf := bufpool.GetFrame(size)
 	fail := func(err error) ([]byte, error) {
 		p.Finish(nil, false)
 		bufpool.PutFrame(buf)
@@ -137,22 +141,16 @@ func (fr *FrameReader) readPlaced(p Placement, n int, sum uint32, buf []byte, go
 		return nil, err
 	}
 	// The frame bytes before what is placed.
-	for got < pre {
-		k, err := fr.read(buf[got:pre])
-		crc = crc32c(crc, buf[got:got+k])
-		if got += k; err != nil && got < pre {
-			return fail(err)
-		}
+	if err := fr.readFull(buf[:off]); err != nil {
+		return fail(err)
 	}
-	// The region from pre on, segment by segment.
-	iov, skip := fr.iov[:0], pre-off
+	crc := crc32c(0, buf[:off])
+	// The region, segment by segment.
+	iov := fr.iov[:0]
 	for _, seg := range p.Segs() {
-		if skip >= len(seg) {
-			skip -= len(seg)
-			continue
+		if len(seg) > 0 {
+			iov = append(iov, seg)
 		}
-		iov = append(iov, seg[skip:])
-		skip = 0
 	}
 	fr.iov = iov[:0] // the scratch a persistent reader reuses
 	for len(iov) > 0 {
@@ -183,14 +181,10 @@ func (fr *FrameReader) readPlaced(p Placement, n int, sum uint32, buf []byte, go
 	}
 	clear(fr.iov[:cap(fr.iov)])
 	// The frame bytes after the region.
-	for got = pre; got < size; {
-		k, err := fr.read(buf[got:size])
-		crc = crc32c(crc, buf[got:got+k])
-		if got += k; err != nil && got < size {
-			return fail(err)
-		}
+	if err := fr.readFull(buf[off:size]); err != nil {
+		return fail(err)
 	}
-	if crc != sum {
+	if crc = crc32c(crc, buf[off:size]); crc != sum {
 		mChecksumFailures.Inc()
 		return fail(fmt.Errorf("%w: frame checksum mismatch (got %08x, header says %08x)", ErrCorrupt, crc, sum))
 	}
@@ -202,6 +196,6 @@ func (fr *FrameReader) readPlaced(p Placement, n int, sum uint32, buf []byte, go
 	fr.placed = p
 	mFramesRead.Inc()
 	mBytesRead.Add(uint64(8 + n))
-	mBytesPlaced.Add(uint64(off + plen - pre))
+	mBytesPlaced.Add(uint64(plen))
 	return buf, nil
 }

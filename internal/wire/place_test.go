@@ -25,21 +25,20 @@ type testPosting struct {
 	ok       bool
 }
 
-func (p *testPosting) Region() (off, n, align int) { return placeHead, len(p.dst), 8 }
-func (p *testPosting) Segs() net.Buffers           { return p.segs }
-func (p *testPosting) Spoil()                      {}
+func (p *testPosting) Region() (off, n int) { return placeHead, len(p.dst) }
+func (p *testPosting) Segs() net.Buffers    { return p.segs }
+func (p *testPosting) Spoil()               {}
 func (p *testPosting) Finish(frame []byte, ok bool) bool {
 	p.finished++
 	p.ok = ok
 	return ok
 }
 
-// testPlacer arms frame i's posting once it has been offered armAfter[i]
-// claims for frames, so postings made mid-frame are exercised too.
+// testPlacer holds frame i's posting, when it has one, from the start;
+// it counts the offers of each frame.
 type testPlacer struct {
-	posts    []*testPosting
-	armAfter []int
-	offers   []int
+	posts  []*testPosting
+	offers []int
 }
 
 func (pl *testPlacer) Claim(head []byte, n int, _ Kicker) Placement {
@@ -47,10 +46,10 @@ func (pl *testPlacer) Claim(head []byte, n int, _ Kicker) Placement {
 		return nil
 	}
 	i := int(binary.LittleEndian.Uint64(head))
-	if i >= len(pl.posts) || pl.posts[i] == nil || pl.posts[i].claimed > 0 {
+	if i >= len(pl.posts) {
 		return nil
 	}
-	if pl.offers[i]++; pl.offers[i] <= pl.armAfter[i] {
+	if pl.offers[i]++; pl.posts[i] == nil || pl.posts[i].claimed > 0 {
 		return nil
 	}
 	p := pl.posts[i]
@@ -61,14 +60,11 @@ func (pl *testPlacer) Claim(head []byte, n int, _ Kicker) Placement {
 	return p
 }
 
-func (pl *testPlacer) Unclaimed([]byte) {}
-
 // FuzzPlacedFrameStream reads a random stream of frames, some of them
-// posted — armed from the start or only after the reader has asked about
-// them a few times, so mid-frame postings take their rest — through a
-// placing reader over a stream of short reads. Every posted frame that
-// arrives is bit-identical across its returned frame (head and any prefix
-// read before the claim) and its destination, every other frame comes
+// posted before the stream starts, through a placing reader over a stream
+// of short reads. Each large frame is offered once, with its whole head;
+// every posted frame that arrives is bit-identical across its returned
+// frame (the head alone) and its destination, every other frame comes
 // back whole, a flipped byte fails the frame with ErrCorrupt and spoils
 // its posting, no posting is claimed twice, and every frame returns to
 // the pool.
@@ -83,7 +79,7 @@ func FuzzPlacedFrameStream(f *testing.F) {
 		}
 		// Each plan byte is one frame: its payload length (some at
 		// PlaceMin and beyond, in whole elements), whether it is posted,
-		// how many claims arm its posting, and its destination's cuts.
+		// and its destination's cuts.
 		var frames [][]byte
 		pl := &testPlacer{}
 		for i, b := range plan {
@@ -107,7 +103,6 @@ func FuzzPlacedFrameStream(f *testing.F) {
 				}
 			}
 			pl.posts = append(pl.posts, p)
-			pl.armAfter = append(pl.armAfter, int(b>>2)%4)
 			pl.offers = append(pl.offers, 0)
 		}
 		msgs := make([]net.Buffers, len(frames))
@@ -153,6 +148,13 @@ func FuzzPlacedFrameStream(f *testing.F) {
 				t.Fatalf("frame %d: %v", i, err)
 			}
 			placed := fr.TakePlaced()
+			offers := 0
+			if len(want) >= PlaceMin {
+				offers = 1
+			}
+			if pl.offers[i] != offers {
+				t.Fatalf("frame %d of %d bytes offered %d times, want %d", i, len(want), pl.offers[i], offers)
+			}
 			switch {
 			case placed == nil:
 				if !bytes.Equal(got, want) {
@@ -161,8 +163,7 @@ func FuzzPlacedFrameStream(f *testing.F) {
 			case p == nil || placed != Placement(p) || p.finished != 1 || !p.ok:
 				t.Fatalf("frame %d: placement not its own posting, or not finished ok once", i)
 			default:
-				k := len(got) - placeHead // the prefix read before the claim
-				if k < 0 || k%8 != 0 || !bytes.Equal(got, want[:len(got)]) || !bytes.Equal(p.dst[k:], want[len(got):]) {
+				if !bytes.Equal(got, want[:placeHead]) || !bytes.Equal(p.dst, want[placeHead:]) {
 					t.Fatalf("frame %d placed: %d bytes in the frame, destination differs", i, len(got))
 				}
 			}

@@ -16,7 +16,6 @@ import (
 	"io"
 	"math"
 	"net"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -954,34 +953,13 @@ func (fr *FrameReader) ReadFrame() ([]byte, error) {
 	}
 	sum := binary.LittleEndian.Uint32(hdr[4:])
 	fr.placed = nil
-	pl := fr.place.Load()
-	if n < PlaceMin || fr.buf == nil {
-		pl = nil
-	}
-	if pl != nil {
-		if fr.lo == fr.hi {
-			mReads.Inc()
-			k, err := fr.r.Read(fr.buf)
-			fr.lo, fr.hi = 0, k
-			if k == 0 {
-				if err == io.EOF {
-					err = io.ErrUnexpectedEOF
-				}
-				return nil, err
-			}
-		}
-		head := fr.buf[fr.lo:min(fr.hi, fr.lo+n)]
-		p := pl.p.Claim(head, n, pl.k)
-		if p == nil {
-			// The receiver of this frame may be runnable but not yet
-			// posted — woken by the frames before it, on this very
-			// goroutine's watch: let it run once before the payload is
-			// committed to a pooled frame.
-			runtime.Gosched()
-			p = pl.p.Claim(head, n, pl.k)
+	if pl := fr.place.Load(); pl != nil && n >= PlaceMin && fr.buf != nil {
+		p, err := fr.claim(pl, n)
+		if err != nil {
+			return nil, err
 		}
 		if p != nil {
-			return fr.readPlaced(p, n, sum, nil, 0, 0)
+			return fr.readPlaced(p, n, sum)
 		}
 	}
 	buf := bufpool.TryGetFrame(n)
@@ -990,24 +968,10 @@ func (fr *FrameReader) ReadFrame() ([]byte, error) {
 	}
 	var crc uint32
 	for got := 0; got < n; {
-		end := len(buf)
-		if pl != nil && got > 0 {
-			// A receive posted while this frame arrives takes the rest: the
-			// frame is read placeStep bytes at a time, giving way between
-			// reads, so that a receiver that is runnable gets to post.
-			runtime.Gosched()
-			if p := pl.p.Claim(buf[:got], n, pl.k); p != nil {
-				return fr.readPlaced(p, n, sum, buf, got, crc)
-			}
-		}
 		if got == len(buf) {
 			buf = growFrame(buf, min(n, 2*len(buf)))
-			end = len(buf)
 		}
-		if pl != nil {
-			end = min(end, got+placeStep)
-		}
-		k, err := fr.read(buf[got:end])
+		k, err := fr.read(buf[got:])
 		crc = crc32c(crc, buf[got:got+k])
 		got += k
 		if err != nil && got < n {
@@ -1023,17 +987,10 @@ func (fr *FrameReader) ReadFrame() ([]byte, error) {
 		mChecksumFailures.Inc()
 		return nil, fmt.Errorf("%w: frame checksum mismatch (got %08x, header says %08x)", ErrCorrupt, crc, sum)
 	}
-	if pl != nil {
-		pl.p.Unclaimed(buf)
-	}
 	mFramesRead.Inc()
 	mBytesRead.Add(uint64(8 + n))
 	return buf, nil
 }
-
-// placeStep bounds one read of a large frame no posting has claimed yet:
-// what a posting made while the frame arrives cannot take any more.
-const placeStep = 4 * PlaceMin
 
 // growFrame returns buf lengthened to next bytes: within its capacity, or
 // as a larger pooled frame its bytes are copied to.
