@@ -15,7 +15,7 @@ FUZZ_TARGETS := \
 	./internal/session:FuzzSessionFrame \
 	./internal/comm:FuzzRemoteFrame
 
-.PHONY: all build test race chaos chaos-net fuzz-short vet loc bench-once bench-check examples staticcheck govulncheck
+.PHONY: all build test test-cpu race chaos chaos-net fuzz-short vet loc bench-once bench-check examples staticcheck govulncheck
 
 all: build test
 
@@ -26,6 +26,13 @@ build:
 # test cache so every run actually executes.
 test:
 	$(GO) test -shuffle=on -count=1 ./...
+
+# The engine and session packages at one P and at two. At one P the
+# session's group commit decides which sends share a write (a small send
+# yields once before writing), and goroutine interleavings differ from two
+# Ps, so every test of these packages runs in both regimes.
+test-cpu:
+	$(GO) test -cpu 1,2 -count=1 ./internal/session ./internal/comm ./internal/redist ./internal/prmi ./internal/chaosnet
 
 # The concurrency-heavy packages (comm, transport, faultconn, prmi, core)
 # are race-clean; run the whole tree under the detector.

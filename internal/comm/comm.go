@@ -488,6 +488,10 @@ func (c *Comm) RecvOrFail(from, tag int, d time.Duration) (payload any, source i
 // rank Killed in this world is not a failed binding.
 func (c *Comm) PeerErr() error { return c.group.peerErr() }
 
+// Alive reports whether group rank to has not been killed. A lost
+// ConnectPeer binding kills every rank behind it.
+func (c *Comm) Alive(to int) bool { return c.group.world.Alive(c.group.ranks[to]) }
+
 // TryRecv is the non-blocking variant of Recv. ok reports whether a
 // matching message was available.
 func (c *Comm) TryRecv(from, tag int) (payload any, source int, ok bool) {

@@ -461,13 +461,14 @@ func (rp *RemotePeer) send(msgs []net.Buffers, loans []wire.Loan) {
 // until the connection dies, then tear the binding down.
 func (rp *RemotePeer) serve() {
 	defer close(rp.done)
+	var d wire.Decoder
 	for {
 		msg, err := rp.conn.Recv()
 		if err != nil {
 			rp.fail(err)
 			return
 		}
-		if err := rp.deliver(msg); err != nil {
+		if err := rp.deliver(&d, msg); err != nil {
 			rp.fail(err)
 			return
 		}
@@ -479,9 +480,10 @@ func (rp *RemotePeer) serve() {
 // message viewing its bytes in place owns the frame from then on).
 //
 // A frame whose payload tail was placed (see Post) arrives without it;
-// the decoder is told how many bytes the tail had.
-func (rp *RemotePeer) deliver(buf []byte) error {
-	d := wire.NewDecoder(buf)
+// the decoder is told how many bytes the tail had. d is serve's decoder,
+// reset to buf here: no codec keeps it past its Decode.
+func (rp *RemotePeer) deliver(d *wire.Decoder, buf []byte) error {
+	d.Reset(buf)
 	placed, lost := rp.reg.landed(buf)
 	d.SetPlaced(placed)
 	defer func() {

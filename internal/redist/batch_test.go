@@ -3,6 +3,7 @@ package redist
 import (
 	"context"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -45,6 +46,33 @@ func (c *writeCounter) take() (writes, frames int) {
 // own frame, with one writev. Without the batch it was one write per
 // message.
 func TestRemoteRoundIsOneWritePerSendingRank(t *testing.T) {
+	const runs, sending = 20, 2
+	writes, msgs := remoteRoundWrites(t, runs)
+	if writes > runs*sending {
+		t.Fatalf("%d frame writes for %d Runs: more than one per sending rank (%d messages per Run)", writes, runs, msgs)
+	}
+}
+
+// TestRemoteRoundsShareWrite is the session's group commit seen from the
+// engine: on one processor the two sending ranks of a world flush their
+// rounds of the same Run together, and the session puts both on the wire
+// with one write, so 20 warm Runs write at most 25 times rather than once
+// per sending rank, 40 times.
+func TestRemoteRoundsShareWrite(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const runs = 20
+	if writes, _ := remoteRoundWrites(t, runs); writes > runs*5/4 {
+		t.Fatalf("%d frame writes for %d Runs: the sending ranks' rounds did not share writes", writes, runs)
+	}
+}
+
+// remoteRoundWrites runs a warm 2+2 transfer of 16 KiB, 4 KiB messages,
+// from one world to another over a TCP session, runs times, and returns
+// the frame writes the sending world made on its physical connection and
+// the messages of one Run. Every message must arrive as its own frame,
+// and the result must be right.
+func remoteRoundWrites(t *testing.T, runs int) (writes, msgs int) {
+	t.Helper()
 	src := tpl(t, []int{2048}, dad.BlockAxis(2))
 	dst := tpl(t, []int{2048}, dad.CyclicAxis(2))
 	s, err := schedule.Build(src, dst)
@@ -84,7 +112,6 @@ func TestRemoteRoundIsOneWritePerSendingRank(t *testing.T) {
 		w.step(t)
 	}
 	phys.take()
-	const runs, sending = 20, 2
 	for i := 0; i < runs; i++ {
 		w.step(t)
 	}
@@ -92,9 +119,7 @@ func TestRemoteRoundIsOneWritePerSendingRank(t *testing.T) {
 	if frames != runs*s.NumMessages() {
 		t.Fatalf("%d frames for %d Runs of %d messages", frames, runs, s.NumMessages())
 	}
-	if writes > runs*sending {
-		t.Fatalf("%d frame writes for %d Runs: more than one per sending rank (%d messages per Run)", writes, runs, s.NumMessages())
-	}
 	t.Logf("%d Runs: %d messages in %d frame writes", runs, frames, writes)
 	verify(t, dst, w.dst)
+	return writes, s.NumMessages()
 }

@@ -434,6 +434,7 @@ func (t *Transfer[T]) run() error {
 		} else {
 			p, fr, ok := c.RecvTimeout(from, t.tag, t.opts.PollInterval)
 			if !ok {
+				t.markLost()
 				waited += t.opts.PollInterval
 				if t.opts.SuspectAfter > 0 && waited >= t.opts.SuspectAfter {
 					// Silence long enough: suspect the awaited peer, or —
@@ -573,6 +574,39 @@ func (t *Transfer[T]) run() error {
 	return nil
 }
 
+// markLost is a fenced rank's reading of a lost ConnectPeer binding: comm
+// kills the ranks behind it, and markLost marks down in the membership
+// every one this rank still waits on — for chunks, acks, a ready token or
+// a lent chunk — so that the liveness sweeps apply the policy, as they
+// would to a rank the membership declared dead itself. Without it, and
+// with SuspectAfter 0, the rank would poll for them forever.
+func (t *Transfer[T]) markLost() {
+	c, m := t.c, t.opts.Membership
+	if c.PeerErr() == nil {
+		return
+	}
+	down := func(g int) {
+		if !c.Alive(g) {
+			m.MarkDown(g)
+		}
+	}
+	for i := range t.recv {
+		if t.recv[i].chunksLeft > 0 {
+			down(t.recv[i].group)
+		}
+	}
+	for i := range t.pendAck {
+		if t.pendAck[i] > 0 || t.awaits(i) {
+			down(t.sendGroup(i))
+		}
+	}
+	for _, lc := range t.lent {
+		if lc.m.state.Load() == chunkLent {
+			down(lc.group)
+		}
+	}
+}
+
 // dropStaged recycles the staged round, unsent.
 func (t *Transfer[T]) dropStaged() {
 	for i := range t.staged {
@@ -608,7 +642,8 @@ func (t *Transfer[T]) lend(group, off, n int) *xferMsg {
 // Fenced, it polls the membership as the loop does: the chunks still
 // queued for a destination declared dead are revoked instead of waited
 // on — under FailStrict an abort, as a dead destination owing acks is —
-// a destination that holds chunks through SuspectAfter of silence is
+// a holder killed with a lost binding is marked down (markLost), a
+// destination that holds chunks through SuspectAfter of silence is
 // marked down, and a rank draining after an error gives up on silent
 // holders after the drain timeout by revoking what they hold.
 func (t *Transfer[T]) awaitLent(firstErr *error) {
@@ -632,6 +667,7 @@ func (t *Transfer[T]) awaitLent(firstErr *error) {
 			}
 			giveUp = true
 		} else {
+			t.markLost()
 			suspect = o.SuspectAfter > 0 && waited >= o.SuspectAfter
 			giveUp = *firstErr != nil && waited >= max(o.SuspectAfter, 10*o.PollInterval)
 		}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"mxn/internal/comm"
+	"mxn/internal/core"
 	"mxn/internal/dad"
 	"mxn/internal/schedule"
 	"mxn/internal/transport"
@@ -48,12 +49,15 @@ func TestEveryPostedMessagePlaced(t *testing.T) {
 	}
 }
 
-// TestLostBindingEndsRun: an unfenced Run whose peers sit behind a
-// ConnectPeer binding that is lost returns an error wrapping the
-// binding's cause instead of waiting forever — whether it waits for a
-// message from across it, for a ready token from across it, or for an
-// in-process receiver that gave up on it to take a lent chunk. The other
-// world's ranks never run, and the pipe under the binding is closed.
+// TestLostBindingEndsRun: a Run whose peers sit behind a ConnectPeer
+// binding that is lost ends instead of waiting forever — whether it waits
+// for a message from across it, for a ready token from across it, or for
+// an in-process receiver that gave up on it to take a lent chunk. The
+// other world's ranks never run, and the pipe under the binding is closed.
+// Unfenced, the Run returns an error wrapping the binding's cause. Fenced
+// (SuspectAfter 0, so only the membership declares deaths), the ranks the
+// lost binding killed are marked down and the policy applies: FailStrict
+// returns *core.ErrRankDown, FailRedistribute completes on the survivors.
 func TestLostBindingEndsRun(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -78,20 +82,31 @@ func TestLostBindingEndsRun(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, budget := range []int{0, 64} {
-			t.Run(fmt.Sprintf("%s/budget=%d", tc.name, budget), func(t *testing.T) {
-				opts := TransferOpts{MaxBytesInFlight: budget, ZeroCopyLocal: true}
-				if budget > 0 && tc.name == "ready_token" {
-					opts.MaxBytesInFlight = 1 << 20 // the message stays one chunk
-				}
-				runLost(t, s, tc.here, opts)
-			})
+			for _, mode := range []string{"", "/strict", "/redistribute"} {
+				t.Run(fmt.Sprintf("%s/budget=%d%s", tc.name, budget, mode), func(t *testing.T) {
+					opts := TransferOpts{MaxBytesInFlight: budget, ZeroCopyLocal: true}
+					if budget > 0 && tc.name == "ready_token" {
+						opts.MaxBytesInFlight = 1 << 20 // the message stays one chunk
+					}
+					if mode != "" {
+						opts.Membership = core.NewMembership(4)
+						if mode == "/redistribute" {
+							opts.Policy = FailRedistribute
+						}
+					}
+					runLost(t, s, tc.here, opts)
+				})
+			}
 		}
 	}
 }
 
 // runLost runs s on the group ranks here of a world coupled to another
-// over a pipe, closes the pipe once they are under way, and checks that
-// each Run returns the pipe's error.
+// over a pipe, closes the pipe once they are under way, and checks how
+// each Run ends: unfenced with the pipe's error; fenced under FailStrict
+// with *core.ErrRankDown from at least one rank and no other error; fenced
+// under FailRedistribute with no error, the other world's ranks observed
+// down.
 func runLost(t *testing.T, s *schedule.Schedule, here []int, opts TransferOpts) {
 	a, b := transport.Pipe()
 	defer b.Close()
@@ -112,7 +127,11 @@ func runLost(t *testing.T, s *schedule.Schedule, here []int, opts TransferOpts) 
 	defer a.Close()
 	cs := w.SharedGroup(1, []int{0, 1, 2, 3})
 	lay := Layout{SrcBase: 0, DstBase: 2}
-	done := make(chan error, len(here))
+	type result struct {
+		out *Outcome
+		err error
+	}
+	done := make(chan result, len(here))
 	for _, r := range here {
 		go func(r int) {
 			var sl, dl []float64
@@ -121,25 +140,58 @@ func runLost(t *testing.T, s *schedule.Schedule, here []int, opts TransferOpts) 
 			} else {
 				dl = make([]float64, s.Dst.LocalCount(r-2))
 			}
-			_, err := xfer(cs[r], s, lay, sl, dl, 0, opts)
-			done <- err
+			out, err := xfer(cs[r], s, lay, sl, dl, 0, opts)
+			done <- result{out, err}
 		}(r)
 	}
 	time.Sleep(50 * time.Millisecond)
 	select {
-	case err := <-done:
-		t.Fatalf("a rank returned before the binding was lost: %v", err)
+	case res := <-done:
+		t.Fatalf("a rank returned before the binding was lost: %v", res.err)
 	default:
 	}
 	a.Close()
+	aborted, down := 0, map[int]bool{}
 	for range here {
+		var res result
 		select {
-		case err := <-done:
-			if !errors.Is(err, transport.ErrClosed) {
-				t.Errorf("Run returned %v, want an error wrapping transport.ErrClosed", err)
-			}
+		case res = <-done:
 		case <-time.After(5 * time.Second):
 			t.Fatal("Run still blocked 5 s after its binding was lost")
+		}
+		var rd *core.ErrRankDown
+		switch {
+		case opts.Membership == nil:
+			if !errors.Is(res.err, transport.ErrClosed) {
+				t.Errorf("Run returned %v, want an error wrapping transport.ErrClosed", res.err)
+			}
+		case opts.Policy == FailStrict:
+			if errors.As(res.err, &rd) {
+				aborted++
+				down[rd.Rank] = true
+			} else if res.err != nil {
+				t.Errorf("Run returned %v, want nil or *core.ErrRankDown", res.err)
+			}
+		case res.err != nil:
+			t.Errorf("Run returned %v, want the survivors' transfer to complete", res.err)
+		default:
+			for _, g := range res.out.Down {
+				down[g] = true
+			}
+		}
+	}
+	if opts.Membership == nil {
+		return
+	}
+	if opts.Policy == FailStrict && aborted == 0 {
+		t.Error("no rank aborted with *core.ErrRankDown")
+	}
+	if len(down) == 0 {
+		t.Error("no rank observed a peer down")
+	}
+	for g := range down {
+		if g == here[0] || g == here[1] {
+			t.Errorf("group rank %d, in the world that ran, was reported down", g)
 		}
 	}
 }

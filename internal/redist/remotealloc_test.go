@@ -181,6 +181,47 @@ func TestRemoteReceiveSteadyStateAlloc(t *testing.T) {
 	}
 }
 
+// TestRemoteRoundTripSteadyStateAllocs: a warm 2+2 round trip between two
+// worlds over a TCP session — there and back, every frame through comm,
+// the session, the transport and the wire in both directions — makes next
+// to no heap allocation per step, in the small-message shape (4 KiB
+// messages) and the bulk one (2 MiB messages, lent and placed). Every
+// frame's writev vector, header read, standalone ack and remote decoder
+// used to be one allocation each: 20 per small and 68 per bulk round trip.
+func TestRemoteRoundTripSteadyStateAllocs(t *testing.T) {
+	obs.DisableTracing()
+	for _, tc := range []struct {
+		name     string
+		dims     []int
+		src, dst []dad.AxisDist
+		runs     int
+	}{
+		{"small", []int{2048}, []dad.AxisDist{dad.BlockAxis(2)}, []dad.AxisDist{dad.CyclicAxis(2)}, 200},
+		{"bulk", []int{1024, 1024}, []dad.AxisDist{dad.BlockAxis(2), dad.CollapsedAxis()},
+			[]dad.AxisDist{dad.CollapsedAxis(), dad.BlockAxis(2)}, 20},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			src, dst := tpl(t, tc.dims, tc.src...), tpl(t, tc.dims, tc.dst...)
+			s, err := schedule.Build(src, dst)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a, b := tcpSessionPair(t)
+			w := newRemoteWorld(t, a, b, s, true)
+			for i := 0; i < 20; i++ {
+				w.step(t) // warm the pool classes, mailboxes and worker stacks
+			}
+			const budget = 2
+			allocs := testing.AllocsPerRun(tc.runs, func() { w.step(t) })
+			t.Logf("%s: %.1f allocations per round trip", tc.name, allocs)
+			if allocs > budget {
+				t.Errorf("warm remote round trip allocates %.1f times, budget %d", allocs, budget)
+			}
+			verify(t, dst, w.dst)
+		})
+	}
+}
+
 // TestRemoteFootprintFollowsMessages: a warm 2+2 exchange of 2 MiB
 // messages over a TCP session — there and back every step — keeps the
 // pool's footprint within 12 messages. The payloads the session retains

@@ -106,22 +106,22 @@ func (c *batchCountingConn) counts() (batches, msgs int) {
 	return c.batches, c.msgs
 }
 
-// TestSendBatchIsOneWrite: a batch is one write of its frames on the
-// physical connection — one writev over TCP — with every message still its
-// own frame at the peer.
-func TestSendBatchIsOneWrite(t *testing.T) {
+// countedPair is a session over loopback TCP whose dialing side a writes
+// through phys, which counts its writes; b is the accepting side. Both
+// close when the test ends.
+func countedPair(t *testing.T) (a *Conn, b transport.Conn, phys *batchCountingConn) {
+	t.Helper()
 	l, err := Listen("tcp", "127.0.0.1:0", fastCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer l.Close()
+	t.Cleanup(func() { l.Close() })
 	acc := make(chan transport.Conn, 1)
 	go func() {
 		c, _ := l.Accept()
 		acc <- c
 	}()
-	var phys *batchCountingConn
-	a, err := NewConn(func(ctx context.Context) (transport.Conn, error) {
+	a, err = NewConn(func(ctx context.Context) (transport.Conn, error) {
 		nc, err := transport.DialContext(ctx, "tcp", l.Addr())
 		if err != nil {
 			return nil, err
@@ -132,12 +132,19 @@ func TestSendBatchIsOneWrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer a.Close()
-	b := <-acc
-	if b == nil {
+	t.Cleanup(func() { a.Close() })
+	if b = <-acc; b == nil {
 		t.Fatal("accept failed")
 	}
-	defer b.Close()
+	t.Cleanup(func() { b.Close() })
+	return a, b, phys
+}
+
+// TestSendBatchIsOneWrite: a batch is one write of its frames on the
+// physical connection — one writev over TCP — with every message still its
+// own frame at the peer.
+func TestSendBatchIsOneWrite(t *testing.T) {
+	a, b, phys := countedPair(t)
 
 	writes := obs.Default().Counter("wire.writes")
 	const n = 8
@@ -167,6 +174,79 @@ func TestSendBatchIsOneWrite(t *testing.T) {
 			t.Fatalf("message %d arrived as % x, want % x", i, got, want)
 		}
 		bufpool.PutFrame(got)
+	}
+}
+
+// TestConcurrentSmallSendsShareWrite is group commit: two goroutines that
+// send on one session in the same round put their frames on the wire
+// with one write. A send of less than wire.PlaceMin bytes yields once
+// between sequencing its frame and writing, so on one processor the other
+// sender sequences its frame meanwhile, and whichever writes first writes
+// both. Each of 1,000 rounds releases two senders of one 4 KiB frame;
+// without the yield every send is a write of its own, 2,000 in all.
+func TestConcurrentSmallSendsShareWrite(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	a, b, phys := countedPair(t)
+
+	const rounds, senders, size = 1000, 2, 4 << 10
+	recvErr := make(chan error, 1)
+	go func() {
+		for i := 0; i < rounds*senders; i++ {
+			m, err := b.Recv()
+			if err != nil {
+				recvErr <- fmt.Errorf("Recv %d: %w", i, err)
+				return
+			}
+			ok := len(m) == size && m[0] == m[size-1]
+			bufpool.PutFrame(m)
+			if !ok {
+				recvErr <- fmt.Errorf("message %d arrived garbled", i)
+				return
+			}
+		}
+		recvErr <- nil
+	}()
+	var start [senders]chan struct{}
+	done := make(chan error, senders)
+	for s := range start {
+		start[s] = make(chan struct{})
+		go func(s int) {
+			msg := bytes.Repeat([]byte{byte(s)}, size)
+			for range start[s] {
+				done <- a.Send(msg)
+			}
+		}(s)
+	}
+	batches0, msgs0 := phys.counts()
+	for r := 0; r < rounds; r++ {
+		for s := range start {
+			start[s] <- struct{}{}
+		}
+		for range start {
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for s := range start {
+		close(start[s])
+	}
+	batches, msgs := phys.counts()
+	batches, msgs = batches-batches0, msgs-msgs0
+	if msgs != rounds*senders {
+		t.Fatalf("%d frames written for %d sends", msgs, rounds*senders)
+	}
+	t.Logf("%d rounds of %d concurrent sends: %d writes", rounds, senders, batches)
+	if batches > rounds*11/10 {
+		t.Errorf("%d writes for %d rounds of %d concurrent sends: the senders of a round did not share a write", batches, rounds, senders)
+	}
+	select {
+	case err := <-recvErr:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("not every message arrived")
 	}
 }
 

@@ -35,6 +35,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -239,8 +240,9 @@ type Conn struct {
 	dial DialFunc  // nil on the passive (listener-owned) side
 	lst  *Listener // non-nil on the passive side
 
-	// smu serializes sends and guards their entry scratch; it is taken
-	// before wmu and mu. wmu serializes writes to the physical connection:
+	// smu serializes the sequencing of sends and guards their entry
+	// scratch; it is taken before wmu and mu, and released before a send's
+	// own write. wmu serializes writes to the physical connection:
 	// the one writer (write), and standalone acks. It is taken before mu,
 	// never after, and mu is never held across a blocking operation.
 	smu  sync.Mutex
@@ -860,11 +862,12 @@ func (c *Conn) SetPlacer(p wire.Placer) {
 // failure is handled as a link failure, and the resume handshake carries
 // the offset anyway.
 func (c *Conn) sendAck(conn transport.Conn, ack uint64) {
-	var b [ackLen]byte
-	putAck(b[:], ack)
+	b := bufpool.Get(ackLen) // a stack array would escape through Send
+	putAck(b, ack)
 	c.wmu.Lock()
-	err := conn.Send(b[:])
+	err := conn.Send(b)
 	c.wmu.Unlock()
+	bufpool.Put(b)
 	if err != nil {
 		c.connFailed(conn, err)
 		return
@@ -908,15 +911,20 @@ func (c *Conn) SendBatch(msgs []net.Buffers, owned bool, loans []wire.Loan) erro
 	return c.send(context.Background(), msgs, owned, loans)
 }
 
-// send is the session's one send path, one call at a time (smu). Each
-// message becomes one replay entry: a pooled buffer holding its bytes —
-// all but the last segment when owned, the head when lent — with room for
-// the data trailer after them, and, when owned or lent, the payload
-// retained by reference.
+// send is the session's one send path. Each message becomes one replay
+// entry: a pooled buffer holding its bytes — all but the last segment when
+// owned, the head when lent — with room for the data trailer after them,
+// and, when owned or lent, the payload retained by reference. Sends are
+// sequenced one call at a time (smu), but written after smu is released:
+// a send of less than wire.PlaceMin bytes first yields once, so that
+// another goroutine ready to send sequences its frames too and the writer
+// puts both sends on the wire with one write (group commit). A larger send
+// — every lent one among them — writes at once. Either way send returns
+// only once its frames are written, by this call or by the writer that
+// took them (write), or the conn has gone down.
 func (c *Conn) send(ctx context.Context, msgs []net.Buffers, owned bool, loans []wire.Loan) error {
 	c.smu.Lock()
-	defer c.smu.Unlock()
-	ents := c.ents[:0]
+	ents, size := c.ents[:0], 0
 	for i, segs := range msgs {
 		var data []byte
 		var loan wire.Loan
@@ -942,16 +950,26 @@ func (c *Conn) send(ctx context.Context, msgs []net.Buffers, owned bool, loans [
 		for _, s := range segs {
 			n += copy(own[n:], s)
 		}
-		ents = append(ents, replayEntry{own: own, data: data, loan: loan, lent: lent})
+		e := replayEntry{own: own, data: data, loan: loan, lent: lent}
+		size += e.size()
+		ents = append(ents, e)
 	}
 	err := c.enqueue(ctx, ents)
 	clear(ents)
 	c.ents = ents[:0]
-	return err
+	c.smu.Unlock()
+	if err != nil {
+		return err
+	}
+	if size < wire.PlaceMin {
+		runtime.Gosched()
+	}
+	c.write()
+	return nil
 }
 
-// enqueue sequences data frames into the replay ring and has the writer
-// put them on the wire. Each entry's own is a pooled buffer ending in
+// enqueue sequences data frames into the replay ring; the caller has the
+// writer put them on the wire. Each entry's own is a pooled buffer ending in
 // dataTrailerLen bytes for the trailer, and data a retained payload or
 // nil; both belong to the session from the call on, and a refused send
 // returns those of the entries not yet sequenced to the pool. Flow control
@@ -1011,7 +1029,6 @@ func (c *Conn) enqueue(ctx context.Context, ents []replayEntry) error {
 		c.recvSinceAck, c.bytesSinceAck = 0, 0 // the trailers piggyback the ack
 		c.mu.Unlock()
 	}
-	c.write()
 	return nil
 }
 

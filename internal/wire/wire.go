@@ -341,6 +341,10 @@ type Decoder struct {
 // NewDecoder returns a decoder reading from buf.
 func NewDecoder(buf []byte) *Decoder { return &Decoder{buf: buf} }
 
+// Reset makes d a decoder reading from buf, as NewDecoder(buf) is: a
+// reader of many frames decodes them all with one Decoder.
+func (d *Decoder) Reset(buf []byte) { *d = Decoder{buf: buf} }
+
 // Err returns the first decode error, if any.
 func (d *Decoder) Err() error { return d.err }
 
@@ -750,7 +754,7 @@ func WriteFrame(w io.Writer, payload []byte) error {
 // performs no allocations.
 type vecState struct {
 	hdrs []byte
-	iov  [][]byte
+	iov  net.Buffers
 	next *vecState
 }
 
@@ -874,11 +878,14 @@ func writeFrames(w io.Writer, msgs []net.Buffers, loans []Loan, path *obs.Counte
 		v.iov = append(v.iov, lent...)
 		mFrameBytes.Observe(int64(total))
 	}
-	// WriteTo advances (and so mutates) the vector it is invoked on;
-	// give it a local slice header over the pooled backing array so the
-	// array's full capacity survives for the next frame.
-	bufs := net.Buffers(v.iov)
-	_, err := bufs.WriteTo(w)
+	// WriteTo advances (and so mutates) the vector it is invoked on, and
+	// takes its address: invoke it on the pooled state's own slice header,
+	// which costs no allocation as a local one would, and restore the
+	// header afterwards so the array's full capacity survives for the next
+	// frame.
+	iov := v.iov
+	_, err := v.iov.WriteTo(w)
+	v.iov = iov
 	putVecState(v)
 	if err != nil {
 		return err
@@ -943,15 +950,13 @@ func NewFrameReader(r io.Reader, size int) *FrameReader {
 // placer set, a frame of PlaceMin bytes or more may be placed instead (see
 // SetPlacer): the frame returned then lacks the placed bytes.
 func (fr *FrameReader) ReadFrame() ([]byte, error) {
-	var hdr [8]byte
-	if err := fr.readFull(hdr[:]); err != nil {
+	n, sum, err := fr.header()
+	if err != nil {
 		return nil, err
 	}
-	n := int(binary.LittleEndian.Uint32(hdr[:4]))
 	if n > MaxFrame {
 		return nil, fmt.Errorf("wire: frame of %d bytes exceeds max %d", n, MaxFrame)
 	}
-	sum := binary.LittleEndian.Uint32(hdr[4:])
 	fr.placed = nil
 	if pl := fr.place.Load(); pl != nil && n >= PlaceMin && fr.buf != nil {
 		p, err := fr.claim(pl, n)
@@ -1023,6 +1028,39 @@ func (fr *FrameReader) read(p []byte) (int, error) {
 	k := copy(p, fr.buf[fr.lo:fr.hi])
 	fr.lo += k
 	return k, nil
+}
+
+// header reads the next frame's header: its length and checksum. With a
+// read-ahead buffer the header is read into the buffer and parsed there —
+// one that straddles two reads is first moved to the buffer's front — so
+// a frame needs no header scratch of its own.
+func (fr *FrameReader) header() (n int, sum uint32, err error) {
+	var hdr []byte
+	if len(fr.buf) < 8 {
+		var b [8]byte
+		if err := fr.readFull(b[:]); err != nil {
+			return 0, 0, err
+		}
+		hdr = b[:]
+	} else {
+		for fr.hi-fr.lo < 8 {
+			if fr.lo > 0 {
+				fr.hi, fr.lo = copy(fr.buf, fr.buf[fr.lo:fr.hi]), 0
+			}
+			mReads.Inc()
+			k, err := fr.r.Read(fr.buf[fr.hi:])
+			fr.hi += k
+			if err != nil && fr.hi < 8 {
+				if fr.hi > 0 && err == io.EOF {
+					err = io.ErrUnexpectedEOF
+				}
+				return 0, 0, err
+			}
+		}
+		hdr = fr.buf[fr.lo : fr.lo+8]
+		fr.lo += 8
+	}
+	return int(binary.LittleEndian.Uint32(hdr[:4])), binary.LittleEndian.Uint32(hdr[4:]), nil
 }
 
 // readFull is io.ReadFull over read.
