@@ -18,9 +18,13 @@
 // runtime carries it to the receiver, and the receiver Puts it back after
 // unpacking — the pool is safe for that cross-goroutine round trip.
 // Across a connection the receive side mirrors this with frames: the
-// transport reads each message into a GetFrame buffer, and whoever ends
-// up holding it (a decoded transfer message, a PRMI message) returns it
-// with PutFrame.
+// transport hands each message up as a frame, and whoever ends up holding
+// it (a decoded transfer message, a PRMI message) returns it with
+// PutFrame. A frame is a GetFrame buffer of its own, or a view of a Slab:
+// a class buffer a frame reader reads many frames into at once, handing
+// each up in place. PutFrame tells the two apart by address, and a slab
+// returns to its class once its reader has let it go and its last view
+// is back.
 //
 // The implementation is a mutex-guarded free list rather than sync.Pool:
 // Get and Put never allocate in steady state (sync.Pool's victim cache can
@@ -30,6 +34,8 @@
 package bufpool
 
 import (
+	"cmp"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -86,6 +92,10 @@ func init() {
 type Pool struct {
 	mu      sync.Mutex
 	classes [numClasses][][]byte
+	// slabs are the slabs out, sorted by base address, so that PutFrame
+	// finds the one a view lies in; free recycles their records.
+	slabs []*Slab
+	free  *Slab
 	// footprint is the bytes of class buffers this pool has allocated
 	// and not dropped.
 	footprint atomic.Int64
@@ -220,7 +230,7 @@ func (p *Pool) TryGetFrame(n int) []byte {
 }
 
 // PutFrame returns a frame obtained from GetFrame or TryGetFrame, or a
-// prefix of one; PutFrame(nil) is a no-op.
+// view from Slab.View, or a prefix of either; PutFrame(nil) is a no-op.
 func (p *Pool) PutFrame(b []byte) {
 	if cap(b) == 0 {
 		return
@@ -229,23 +239,154 @@ func (p *Pool) PutFrame(b []byte) {
 	p.retain(b)
 }
 
-// retain pushes b onto its class's free list, dropping it when its
+// retain takes b back: a view is dropped from its slab, and a buffer of
+// its own is pushed onto its class's free list, or dropped when its
 // capacity is not a class size or the list is full.
 func (p *Pool) retain(b []byte) {
-	c := classFor(cap(b))
-	if c < 0 || classSize(c) != cap(b) {
-		mDropped.Inc()
-		return
-	}
 	p.mu.Lock()
-	if len(p.classes[c]) < maxPerClass {
-		p.classes[c] = append(p.classes[c], b[:cap(b)])
+	if s := p.slabAt(unsafe.SliceData(b)); s != nil {
+		if s.refs.Add(-1) == 0 {
+			p.retireLocked(s)
+		}
 		p.mu.Unlock()
 		return
 	}
+	kept := p.pushLocked(b)
 	p.mu.Unlock()
+	if !kept {
+		mDropped.Inc()
+	}
+}
+
+// pushLocked pushes b onto its class's free list and reports whether it
+// did; a buffer it drops from a full list leaves the footprint.
+func (p *Pool) pushLocked(b []byte) bool {
+	c := classFor(cap(b))
+	if c < 0 || classSize(c) != cap(b) {
+		return false
+	}
+	if len(p.classes[c]) < maxPerClass {
+		p.classes[c] = append(p.classes[c], b[:cap(b)])
+		return true
+	}
 	p.footprint.Add(-int64(cap(b)))
-	mDropped.Inc()
+	return false
+}
+
+// A Slab is a class buffer that a frame reader reads many frames into,
+// handing each up in place as a view (View). The reader holds one
+// reference and every view one more; the slab goes back to its class
+// when the last is dropped — the reader's with Release, a view's with
+// PutFrame, from any goroutine.
+type Slab struct {
+	pool   *Pool
+	buf    []byte
+	base   uintptr
+	refs   atomic.Int64
+	pinned *atomic.Int32 // counts the slab while its reader has left it with views out
+	next   *Slab         // the record free list
+}
+
+// Slabs taken and retired, for SlabsOutstanding.
+var slabGets, slabPuts atomic.Int64
+
+// GetSlab returns a slab whose buffer is a class buffer of at least n
+// bytes (n within the largest class), held by the caller.
+func (p *Pool) GetSlab(n int) *Slab {
+	c := classFor(n)
+	if n == 0 || c < 0 {
+		panic("bufpool: slab size out of range")
+	}
+	b := p.take(c)
+	if b == nil {
+		b = p.alloc(c)
+	}
+	p.mu.Lock()
+	s := p.free
+	if s != nil {
+		p.free = s.next
+	} else {
+		s = new(Slab)
+	}
+	*s = Slab{pool: p, buf: b[:cap(b)], base: uintptr(unsafe.Pointer(unsafe.SliceData(b)))}
+	s.refs.Store(1)
+	i, _ := p.slabIndex(s.base)
+	p.slabs = slices.Insert(p.slabs, i, s)
+	p.mu.Unlock()
+	slabGets.Add(1)
+	return s
+}
+
+// Bytes returns the slab's whole buffer.
+func (s *Slab) Bytes() []byte { return s.buf }
+
+// View hands up s's bytes [off, off+n) as a frame, capacity n so that no
+// append reaches the bytes after it; its holder returns it with PutFrame.
+// Only the slab's holder calls View.
+func (s *Slab) View(off, n int) []byte {
+	s.refs.Add(1)
+	mFrameGets.Inc()
+	return s.buf[off : off+n : off+n]
+}
+
+// Viewed reports whether a view of s is still out. Only its holder asks:
+// views only come back meanwhile, so false stays false until its next
+// View, and until then the holder may write any byte of s.
+func (s *Slab) Viewed() bool { return s.refs.Load() > 1 }
+
+// Release ends the holder's use of s. With views still out, s counts
+// itself in *pinned (when pinned is not nil) until the last comes back.
+func (s *Slab) Release(pinned *atomic.Int32) {
+	if pinned != nil && s.Viewed() {
+		pinned.Add(1)
+		s.pinned = pinned
+	}
+	if s.refs.Add(-1) == 0 {
+		p := s.pool
+		p.mu.Lock()
+		p.retireLocked(s)
+		p.mu.Unlock()
+	}
+}
+
+// retireLocked returns a slab nothing references to its class and its
+// record to the free list.
+func (p *Pool) retireLocked(s *Slab) {
+	if s.pinned != nil {
+		s.pinned.Add(-1)
+	}
+	i, _ := p.slabIndex(s.base)
+	p.slabs = slices.Delete(p.slabs, i, i+1)
+	if !p.pushLocked(s.buf) {
+		mDropped.Inc()
+	}
+	*s = Slab{next: p.free}
+	p.free = s
+	slabPuts.Add(1)
+}
+
+// slabIndex returns where a slab based at a is, or would be, in p.slabs.
+func (p *Pool) slabIndex(a uintptr) (int, bool) {
+	return slices.BinarySearchFunc(p.slabs, a, func(t *Slab, a uintptr) int { return cmp.Compare(t.base, a) })
+}
+
+// slabAt returns the slab out whose buffer holds the byte at ptr, or nil.
+func (p *Pool) slabAt(ptr *byte) *Slab {
+	if len(p.slabs) == 0 {
+		return nil
+	}
+	a := uintptr(unsafe.Pointer(ptr))
+	i, found := p.slabIndex(a)
+	if !found {
+		if i == 0 {
+			return nil
+		}
+		i--
+	}
+	if s := p.slabs[i]; a < s.base+uintptr(len(s.buf)) {
+		return s
+	}
+	return nil
 }
 
 // retainedBytes returns the bytes on p's free lists.
@@ -277,6 +418,25 @@ func FramesOutstanding() int64 {
 	return int64(mFrameGets.Value()) - int64(mFramePuts.Value())
 }
 
+// SlabsOutstanding returns the slabs taken (GetSlab) and not yet back in
+// their class: held by a reader, or left by one with views still out.
+func SlabsOutstanding() int64 { return slabGets.Load() - slabPuts.Load() }
+
+// ViewSlab returns the whole buffer of the slab out that b is a view of,
+// or nil when b is a frame of its own (or nil).
+func ViewSlab(b []byte) []byte {
+	if cap(b) == 0 {
+		return nil
+	}
+	p := &defaultPool
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if s := p.slabAt(unsafe.SliceData(b)); s != nil {
+		return s.buf
+	}
+	return nil
+}
+
 // Get returns a length-n buffer from the process-default pool.
 func Get(n int) []byte { return defaultPool.Get(n) }
 
@@ -292,3 +452,7 @@ func TryGetFrame(n int) []byte { return defaultPool.TryGetFrame(n) }
 
 // PutFrame returns a frame to the process-default pool.
 func PutFrame(b []byte) { defaultPool.PutFrame(b) }
+
+// GetSlab returns a slab of at least n bytes from the process-default
+// pool.
+func GetSlab(n int) *Slab { return defaultPool.GetSlab(n) }

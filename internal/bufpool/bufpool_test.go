@@ -2,6 +2,7 @@ package bufpool
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"unsafe"
 )
@@ -177,5 +178,57 @@ func TestFootprintAndRetained(t *testing.T) {
 	}
 	if got, want := p.footprint.Load(), size+maxPerClass*64; got != want {
 		t.Fatalf("footprint after a dropped Put = %d, want %d", got, want)
+	}
+}
+
+// TestSlabReturnsWithLastReference: a slab's views are frames of capacity
+// their length that PutFrame finds by address, prefixes included; the slab
+// stays out while its holder or any view keeps it, counts itself pinned
+// while only views do, and returns to its class with the last of them —
+// whichever goroutine drops it.
+func TestSlabReturnsWithLastReference(t *testing.T) {
+	var p Pool
+	s := p.GetSlab(1000)
+	buf := s.Bytes()
+	if cap(buf) != 1024 {
+		t.Fatalf("slab of 1000 bytes has capacity %d, want its class's 1024", cap(buf))
+	}
+	frames := FramesOutstanding()
+	v1, v2 := s.View(0, 16), s.View(16, 8)
+	if cap(v1) != len(v1) || cap(v2) != len(v2) || !s.Viewed() {
+		t.Fatal("views reach past their bytes, or the slab does not know it is viewed")
+	}
+	var pinned atomic.Int32
+	s.Release(&pinned)
+	if pinned.Load() != 1 || p.slabAt(unsafe.SliceData(buf)) == nil {
+		t.Fatal("a slab left with views out is not pinned and out")
+	}
+	p.PutFrame(v1)
+	p.PutFrame(v2[:3])
+	if pinned.Load() != 0 || p.slabAt(unsafe.SliceData(buf)) != nil {
+		t.Fatal("the slab is still out after its last view came back")
+	}
+	if d := FramesOutstanding() - frames; d != 0 {
+		t.Fatalf("%d views outstanding", d)
+	}
+	if b := p.take(classFor(1024)); unsafe.SliceData(b) != unsafe.SliceData(buf) {
+		t.Fatal("the slab did not return to its class")
+	}
+
+	// Views put back from many goroutines while the holder lets go.
+	s = p.GetSlab(4096)
+	var wg sync.WaitGroup
+	for i := 0; i < 64; i++ {
+		v := s.View(64*i, 64)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			p.PutFrame(v)
+		}()
+	}
+	s.Release(&pinned)
+	wg.Wait()
+	if pinned.Load() != 0 || len(p.slabs) != 0 {
+		t.Fatalf("pinned %d, %d slabs out after every reference was dropped", pinned.Load(), len(p.slabs))
 	}
 }

@@ -311,11 +311,13 @@ type sendBatch struct {
 }
 
 // batchBytes is where a corked batch stops growing and goes out at once:
-// past it a batch no longer arrives with one read of the receiving TCP
-// conn's read-ahead buffer, and its bytes, not its system calls, set its
-// cost. Holding more would only delay the first message and keep several
-// packed buffers resident — a 2 MiB bulk message still leaves alone, as
-// soon as it is posted.
+// past it a batch's bytes, not its system calls, set its cost. Holding
+// more would only delay the first message and keep several packed buffers
+// resident — a 2 MiB bulk message still leaves alone, as soon as it is
+// posted. It is not tied to the receiving TCP conn's read-ahead (128 KiB),
+// which a batch of this size always fits: 128 KiB here read bulk_tcp 3 %
+// slower and left prmi_tcp, whose ranks batch 32 KiB a round, unchanged
+// (EXPERIMENTS.md B28).
 const batchBytes = 64 << 10
 
 // queued is one encoded message waiting in a sendBatch.

@@ -701,19 +701,20 @@ func TestCallCollectiveRemoteSteadyStateAlloc(t *testing.T) {
 	f.close()
 }
 
-// frameLink records the payload length and frame capacity of every
+// frameLink records the payload length, frame capacity and, for a frame
+// that is a view of a read-ahead slab, the slab's capacity of every
 // message it receives from a connection.
 type frameLink struct {
 	Link
 	mu   sync.Mutex
-	seen [][2]int // {payload bytes, frame capacity}
+	seen [][3]int // {payload bytes, frame capacity, slab capacity or 0}
 }
 
 func (l *frameLink) Recv(d time.Duration) (int, *Msg, error) {
 	from, m, err := l.Link.Recv(d)
 	if err == nil && m.frame != nil {
 		l.mu.Lock()
-		l.seen = append(l.seen, [2]int{len(m.payload), cap(m.frame)})
+		l.seen = append(l.seen, [3]int{len(m.payload), cap(m.frame), cap(bufpool.ViewSlab(m.frame))})
 		l.mu.Unlock()
 	}
 	return from, m, err
@@ -722,9 +723,18 @@ func (l *frameLink) Recv(d time.Duration) (int, *Msg, error) {
 // TestRemoteFrameSharesPayloadClass pins the pool's headroom to PRMI's
 // envelope: a collective call whose parallel argument packs 2^k bytes for
 // each callee — and whose reply packs as many back — crosses comm and a
-// session over TCP in frames of the payload's own class, the call head
-// with its plan key (and, on the first call, the template) included.
+// session over TCP in a class buffer, the call head with its plan key
+// (and, on the first call, the template) included. A frame that fits the
+// TCP conn's read-ahead is a view of its slab, which is the class buffer
+// and returns to the pool once the connections have closed and every
+// view is back; a larger frame is a frame of the payload's own class.
 func TestRemoteFrameSharesPayloadClass(t *testing.T) {
+	isClass := func(n int) bool {
+		b := bufpool.Get(n)
+		defer bufpool.Put(b)
+		return cap(b) == n
+	}
+	slabs := bufpool.SlabsOutstanding()
 	for _, k := range []int{12, 16, 21} {
 		f := sessionFabric(t, 2, 2, 0, false)
 		var links []*frameLink
@@ -758,13 +768,23 @@ func TestRemoteFrameSharesPayloadClass(t *testing.T) {
 					continue
 				}
 				payloads++
-				if s[1] != want {
+				switch {
+				case s[2] != 0:
+					if !isClass(s[2]) {
+						t.Errorf("k=%d: a %d-byte parallel payload arrived in a view of a slab of %d bytes, not a class buffer", k, s[0], s[2])
+					}
+				case s[1] != want:
 					t.Errorf("k=%d: a %d-byte parallel payload arrived in a frame of capacity %d, want its class's %d", k, s[0], s[1], want)
 				}
 			}
 		}
 		if payloads != 16 { // 2 calls × 2 callers × 2 callees, each way
 			t.Errorf("k=%d: saw %d frames with a %d-byte payload, want 16", k, payloads, 1<<k)
+		}
+	}
+	for deadline := time.Now().Add(5 * time.Second); bufpool.SlabsOutstanding() > slabs; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d read-ahead slabs still out after every connection closed", bufpool.SlabsOutstanding()-slabs)
 		}
 	}
 }

@@ -107,7 +107,10 @@ func (r *relay) forward(conn int, cli, srv net.Conn) {
 		if _, err := io.ReadFull(cli, hdr[:]); err != nil {
 			return
 		}
-		b := make([]byte, 8+int(binary.LittleEndian.Uint32(hdr[:4])))
+		// A frame is its header, its payload and the zero padding that
+		// makes it a multiple of 8 bytes.
+		n := int(binary.LittleEndian.Uint32(hdr[:4]))
+		b := make([]byte, 8+n+(-n&7))
 		copy(b, hdr[:])
 		if _, err := io.ReadFull(cli, b[8:]); err != nil {
 			return

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 	"time"
+	"unsafe"
 
 	"mxn/internal/bufpool"
 	"mxn/internal/bufpool/pooltest"
@@ -271,31 +272,83 @@ func TestRemoteFootprintFollowsMessages(t *testing.T) {
 
 // TestRemoteFrameSharesPayloadClass pins the pool's headroom to the real
 // envelope: a transfer message with a 2^k-byte payload, sent through comm
-// and a session over TCP, arrives in a frame of the payload's own class —
-// comm's head, the message head, the alignment padding and the session
-// trailer all fit.
+// and a session over TCP, arrives in a class buffer — comm's head, the
+// message head, the alignment padding and the session trailer all fit. A
+// frame that fits the TCP conn's read-ahead arrives as a view of its
+// slab, and the slab is the class buffer: it stays out while the view
+// does, after the connection has closed, and returns to its class when
+// the view is put back. A larger frame arrives in a frame of the
+// payload's own class.
 func TestRemoteFrameSharesPayloadClass(t *testing.T) {
 	a, b := tcpSessionPair(t)
 	all := []int{0, 1}
 	wa, wb := comm.NewWorld(2), comm.NewWorld(2)
 	pa, pb := wa.ConnectPeer(a, all[1:]), wb.ConnectPeer(b, all[:1])
-	t.Cleanup(func() {
+	closeAll := func() {
 		pa.Close()
 		pb.Close()
 		<-pa.Done()
 		<-pb.Done()
-	})
+		a.Close()
+		b.Close()
+	}
+	t.Cleanup(closeAll)
+	isClass := func(n int) bool {
+		b := bufpool.Get(n)
+		defer bufpool.Put(b)
+		return cap(b) == n
+	}
 	ca, cb := wa.SharedGroup(1, all), wb.SharedGroup(1, all)
+	var held *xferMsg // the view, kept past the close
 	for _, k := range []int{12, 16, 21} {
 		m := newMsg[float64](math.MaxUint64, (1<<k)/8)
 		want := cap(m.data)
 		ca[0].Send(1, math.MaxInt32, m)
 		got, _ := cb[1].Recv(0, math.MaxInt32)
 		rm := got.(*xferMsg)
-		if cap(rm.frame) != want {
+		if slab := bufpool.ViewSlab(rm.frame); slab != nil {
+			if !isClass(cap(slab)) {
+				t.Errorf("a %d-byte payload arrived in a view of a slab of %d bytes, not a class buffer", 1<<k, cap(slab))
+			}
+			if held == nil {
+				held = rm
+				continue
+			}
+		} else if cap(rm.frame) != want {
 			t.Errorf("a %d-byte payload arrived in a frame of capacity %d, want its class's %d", 1<<k, cap(rm.frame), want)
 		}
 		recycle(rm)
+	}
+	if held == nil {
+		t.Fatal("no payload arrived as a view of the read-ahead slab")
+	}
+	closeAll()
+	slab := bufpool.ViewSlab(held.frame)
+	if slab == nil {
+		t.Fatal("the slab went back with its view still out")
+	}
+	recycle(held)
+	for deadline := time.Now().Add(5 * time.Second); bufpool.ViewSlab(slab[:1]) != nil; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the slab is still out after its last view was put back")
+		}
+	}
+	// Back in its class: drawing the class's free buffers finds it.
+	var drawn [][]byte
+	found := false
+	for !found {
+		b := bufpool.TryGetFrame(cap(slab))
+		if b == nil {
+			break
+		}
+		drawn = append(drawn, b)
+		found = unsafe.SliceData(b) == unsafe.SliceData(slab)
+	}
+	for _, b := range drawn {
+		bufpool.PutFrame(b)
+	}
+	if !found {
+		t.Error("the slab did not return to its class")
 	}
 }
 

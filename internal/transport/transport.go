@@ -406,7 +406,7 @@ func (l *inprocListener) Addr() string { return l.addr }
 
 // tcpConn frames messages over a net.Conn using the wire framing. Every
 // send is one wire.WriteFrames call — one writev — and every receive reads
-// through a read-ahead buffer of readAhead bytes.
+// through a read-ahead slab of readAhead bytes, which Close releases.
 type tcpConn struct {
 	nc   net.Conn
 	rd   *wire.FrameReader // guarded by rMu
@@ -415,12 +415,14 @@ type tcpConn struct {
 	once sync.Once
 }
 
-// readAhead is a TCP conn's receive buffer: one read returns every frame
-// of up to this many bytes the socket holds, so the frames a peer wrote
-// with one writev usually arrive with one read. A larger frame costs at
-// most this many bytes of copying out of the buffer; the rest of it is
-// read straight into its pooled frame.
-const readAhead = 64 << 10
+// readAhead is a TCP conn's receive slab: one read returns every frame of
+// up to this many bytes the socket holds, so the frames a peer wrote with
+// one writev usually arrive with one read, and each is handed up where it
+// was read, as a view of the slab. A larger frame costs at most this many
+// bytes of copying out of the slab; the rest of it is read straight into
+// its pooled frame or placed. 128 KiB holds a prmi_tcp round's 66 KiB
+// batch whole, where 64 KiB split it across two reads.
+const readAhead = 128 << 10
 
 func newTCPConn(nc net.Conn) *tcpConn {
 	mTCPConnsOpen.Add(1)
@@ -549,11 +551,16 @@ func (c *tcpConn) armDeadline(ctx context.Context, set func(time.Time) error) fu
 	}
 }
 
+// Close closes the socket, which ends a Recv in progress, then releases
+// the reader's slab; the frames Recv handed up stay valid until returned.
 func (c *tcpConn) Close() error {
 	var err error
 	c.once.Do(func() {
 		mTCPConnsOpen.Add(-1)
 		err = c.nc.Close()
+		c.rMu.Lock()
+		c.rd.Close()
+		c.rMu.Unlock()
 	})
 	return err
 }

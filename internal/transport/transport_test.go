@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"mxn/internal/bufpool"
+	"mxn/internal/obs"
 )
 
 func testConnPair(t *testing.T, a, b Conn) {
@@ -535,4 +536,53 @@ func TestSendBatchOwnedClosedReturnsPayload(t *testing.T) {
 		defer srv.Close()
 		run(t, cli)
 	})
+}
+
+// TestTCPBatchInOneSlabCopiesNothing: a batch of frames that fits the
+// conn's read-ahead slab is received as views of it, with no byte copied
+// out; the views outlive Close, which releases the slab to them, and the
+// slab returns once the last is back.
+func TestTCPBatchInOneSlabCopiesNothing(t *testing.T) {
+	cli, srv := tcpPair(t)
+	defer cli.Close()
+	msgs := make([]net.Buffers, 8)
+	for i := range msgs {
+		msgs[i] = net.Buffers{bytes.Repeat([]byte{byte(i + 1)}, 1000*i+3)}
+	}
+	copied := func() uint64 { return obs.Default().Counter("wire.bytes_read_copied").Value() }
+	before := copied()
+	if err := cli.SendBatch(msgs, false, nil); err != nil {
+		t.Fatal(err)
+	}
+	var got [][]byte
+	for i := range msgs {
+		m, err := srv.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(m, msgs[i][0]) {
+			t.Fatalf("message %d differs", i)
+		}
+		if bufpool.ViewSlab(m) == nil {
+			t.Fatalf("message %d is not a view of the read-ahead slab", i)
+		}
+		got = append(got, m)
+	}
+	if d := copied() - before; d != 0 {
+		t.Errorf("%d bytes copied out of the read-ahead, want 0", d)
+	}
+	srv.Close()
+	slab := bufpool.ViewSlab(got[0])
+	if slab == nil {
+		t.Fatal("Close returned the slab with views still out")
+	}
+	for i, m := range got {
+		if !bytes.Equal(m, msgs[i][0]) {
+			t.Fatalf("message %d changed after Close", i)
+		}
+		bufpool.PutFrame(m)
+	}
+	if bufpool.ViewSlab(slab[:1]) != nil {
+		t.Error("the slab is still out with every view back")
+	}
 }

@@ -64,15 +64,19 @@ func FuzzDecoder(f *testing.F) {
 // FuzzReadFrame feeds arbitrary byte streams to the frame reader: it must
 // never panic; whenever it accepts a frame (so the checksum matched) both
 // writers re-encode the payload to exactly the header+payload prefix of
-// the input; and every input, accepted or not, leaves the pool balanced —
-// the reader returns its frame on every error, and the caller's PutFrame
-// of an accepted one settles the rest.
+// the input, followed by the padding the reader skipped; and every input,
+// accepted or not, leaves the pool balanced — the reader returns its
+// frame on every error, and the caller's PutFrame of an accepted one
+// settles the rest.
 func FuzzReadFrame(f *testing.F) {
-	var buf bytes.Buffer
-	if err := WriteFrame(&buf, []byte("seed payload")); err != nil {
-		f.Fatal(err)
+	for _, p := range []string{"seed payload", "", "8 bytes!", "seven b", "nine byte"} {
+		var buf bytes.Buffer
+		if err := WriteFrame(&buf, []byte(p)); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+		f.Add(buf.Bytes()[:buf.Len()-padding(len(p))]) // its padding cut off
 	}
-	f.Add(buf.Bytes())
 	f.Add([]byte{})
 	f.Add([]byte{1, 0, 0, 0})
 	f.Add([]byte{0, 0, 0, 0x40, 0, 0, 0, 0, 1, 2, 3}) // claims 1 GiB, sends 3 bytes
@@ -87,6 +91,10 @@ func FuzzReadFrame(f *testing.F) {
 			return
 		}
 		prefix := data[:8+len(payload)]
+		pad := padding(len(payload))
+		if len(data) < len(prefix)+pad {
+			t.Fatalf("accepted a frame whose padding was cut off")
+		}
 		var flat, vec bytes.Buffer
 		if err := WriteFrame(&flat, payload); err != nil {
 			t.Fatalf("re-encode of accepted frame failed: %v", err)
@@ -95,7 +103,8 @@ func FuzzReadFrame(f *testing.F) {
 		if err := WriteFrameV(&vec, net.Buffers{payload[:half], payload[half:]}); err != nil {
 			t.Fatalf("vectored re-encode of accepted frame failed: %v", err)
 		}
-		if !bytes.Equal(flat.Bytes(), prefix) || !bytes.Equal(vec.Bytes(), prefix) {
+		want := append(bytes.Clone(prefix), make([]byte, pad)...)
+		if !bytes.Equal(flat.Bytes(), want) || !bytes.Equal(vec.Bytes(), want) {
 			t.Fatalf("accepted frame does not round-trip")
 		}
 		bufpool.PutFrame(payload)
@@ -115,6 +124,10 @@ func FuzzWireFrameV(f *testing.F) {
 	f.Add([]byte{}, uint16(0))
 	f.Add([]byte{0}, uint16(1))
 	f.Add(bytes.Repeat([]byte{0xAB}, 300), uint16(17))
+	// Payloads of every length modulo 8, so of every padding.
+	for n := 1; n <= 8; n++ {
+		f.Add(bytes.Repeat([]byte{byte(n)}, 64+n), uint16(n))
+	}
 
 	f.Fuzz(func(t *testing.T, payload []byte, chop uint16) {
 		// Derive a segmentation from chop: cut every (chop%31)+1 bytes,

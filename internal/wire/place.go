@@ -25,8 +25,8 @@ var mBytesPlaced = obs.Default().Counter("wire.bytes_placed")
 var ErrWithdrawn = errors.New("wire: placed frame's posting was withdrawn")
 
 // PlaceMin is the smallest frame a placing reader offers its Placer: a
-// smaller frame fits the read-ahead, which has it copied before any
-// placement could take effect.
+// smaller frame is read whole with the frames around it and handed up
+// in place, which costs less than a placement would save.
 const PlaceMin = 64 << 10
 
 // PlaceHead is how many of a frame's first bytes a placing reader offers,
@@ -104,30 +104,24 @@ func (fr *FrameReader) TakePlaced() Placement {
 	return p
 }
 
-// claim holds the first PlaceHead bytes of a frame of n bytes in the
-// read-ahead and offers them to pl.
+// claim holds the header and first PlaceHead bytes of a frame of n bytes
+// in the read-ahead and offers those bytes to pl.
 func (fr *FrameReader) claim(pl *placing, n int) (Placement, error) {
-	k := min(n, PlaceHead, len(fr.buf))
-	if fr.hi-fr.lo < k {
-		fr.lo, fr.hi = 0, copy(fr.buf, fr.buf[fr.lo:fr.hi])
-		for fr.hi < k {
-			mReads.Inc()
-			got, err := fr.r.Read(fr.buf[fr.hi:])
-			if fr.hi += got; err != nil && fr.hi < k {
-				if err == io.EOF {
-					err = io.ErrUnexpectedEOF
-				}
-				return nil, err
-			}
+	k := min(n, PlaceHead, fr.size-8)
+	if err := fr.fill(8 + k); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
 		}
+		return nil, err
 	}
-	return pl.p.Claim(fr.buf[fr.lo:fr.lo+k], n, pl.k), nil
+	return pl.p.Claim(fr.buf[fr.lo+8:fr.lo+8+k], n, pl.k), nil
 }
 
 // readPlaced reads a claimed frame of n bytes whose header says sum: the
 // bytes before the region go to the frame, the region to the placement's
 // segments — what the read-ahead holds by copy, the rest by readv — and
-// the bytes after it to the frame again.
+// the bytes after it to the frame again; the padding is left for the next
+// header.
 func (fr *FrameReader) readPlaced(p Placement, n int, sum uint32) ([]byte, error) {
 	off, plen := p.Region()
 	size := n - plen
@@ -159,12 +153,14 @@ func (fr *FrameReader) readPlaced(p Placement, n int, sum uint32) ([]byte, error
 		if fr.lo < fr.hi {
 			k = copy(iov[0], fr.buf[fr.lo:fr.hi])
 			fr.lo += k
+			mBytesReadCopied.Add(uint64(k))
 		} else {
 			if fr.vr == nil {
 				fr.vr = newVecReader(fr.r)
 			}
 			mReads.Inc()
 			k, err = fr.vr.readv(iov)
+			fr.skew = (fr.skew + k) & 7
 		}
 		for k > 0 {
 			m := min(k, len(iov[0]))
@@ -181,6 +177,7 @@ func (fr *FrameReader) readPlaced(p Placement, n int, sum uint32) ([]byte, error
 	}
 	clear(fr.iov[:cap(fr.iov)])
 	// The frame bytes after the region.
+	fr.short = true
 	if err := fr.readFull(buf[off:size]); err != nil {
 		return fail(err)
 	}
@@ -188,6 +185,7 @@ func (fr *FrameReader) readPlaced(p Placement, n int, sum uint32) ([]byte, error
 		mChecksumFailures.Inc()
 		return fail(fmt.Errorf("%w: frame checksum mismatch (got %08x, header says %08x)", ErrCorrupt, crc, sum))
 	}
+	fr.skip = padding(n)
 	buf = buf[:size]
 	if !p.Finish(buf, true) {
 		bufpool.PutFrame(buf)

@@ -119,7 +119,7 @@ func FuzzPlacedFrameStream(f *testing.F) {
 			bad = int(flip) % len(frames)
 			start := 0
 			for _, fr := range frames[:bad] {
-				start += 8 + len(fr)
+				start += 8 + len(fr) + padding(len(fr))
 			}
 			// A byte of the payload, past the head that decides the claim.
 			if n := len(frames[bad]) - placeHead; n > 0 {
@@ -221,5 +221,49 @@ func TestPutLoanMatchesPutBytesRef(t *testing.T) {
 	}
 	if l.released != 0 {
 		t.Fatal("writing a frame released its loan")
+	}
+}
+
+// TestPlacedFramesNotReadAhead: the read that ends a placed frame takes
+// no more than the head of the frame after it, so a stream of posted
+// frames is copied out of the read-ahead only where its first read landed
+// — not a read-ahead's worth of each next frame's payload, which its
+// posting would have to take by copy.
+func TestPlacedFramesNotReadAhead(t *testing.T) {
+	const n, size = 4, 256 << 10
+	pl := &testPlacer{offers: make([]int, n)}
+	msgs := make([]net.Buffers, n)
+	for i := range msgs {
+		f := make([]byte, size)
+		binary.LittleEndian.PutUint64(f, uint64(i))
+		for j := placeHead; j < size; j++ {
+			f[j] = byte(i + j)
+		}
+		p := &testPosting{head: f[:placeHead], dst: make([]byte, size-placeHead)}
+		p.segs = net.Buffers{p.dst}
+		pl.posts = append(pl.posts, p)
+		msgs[i] = net.Buffers{f}
+	}
+	var stream bytes.Buffer
+	if err := WriteFrames(&stream, msgs); err != nil {
+		t.Fatal(err)
+	}
+	const ahead = 128 << 10
+	fr := NewFrameReader(&stream, ahead)
+	defer fr.Close()
+	fr.SetPlacer(pl, nil)
+	copied := mBytesReadCopied.Value()
+	for i := range msgs {
+		got, err := fr.ReadFrame()
+		if err != nil || fr.TakePlaced() == nil {
+			t.Fatalf("frame %d: %v, or not placed", i, err)
+		}
+		if !bytes.Equal(pl.posts[i].dst, msgs[i][0][placeHead:]) {
+			t.Fatalf("frame %d placed wrong", i)
+		}
+		bufpool.PutFrame(got)
+	}
+	if d := mBytesReadCopied.Value() - copied; d > ahead+n*(16+PlaceHead) {
+		t.Errorf("%d placed frames had %d bytes copied out of the read-ahead, want at most %d", n, d, ahead+n*(16+PlaceHead))
 	}
 }

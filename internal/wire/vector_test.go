@@ -16,10 +16,11 @@ import (
 // (Castagnoli) of the payload, then the payload. WriteFrame and
 // WriteFrameV share one writer, so neither can vouch for the other.
 func referenceFrame(payload []byte) []byte {
-	out := make([]byte, 8, 8+len(payload))
+	out := make([]byte, 8, 8+len(payload)+7)
 	binary.LittleEndian.PutUint32(out[:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(out[4:], crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
-	return append(out, payload...)
+	out = append(out, payload...)
+	return append(out, make([]byte, -len(payload)&7)...)
 }
 
 // splitAt cuts b into segments at the given offsets (sorted, within

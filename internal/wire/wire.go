@@ -47,6 +47,17 @@ var (
 	mReads  = obs.Default().Counter("wire.reads")
 )
 
+// bytes_read_copied counts received bytes a frame reader copied out of its
+// read-ahead, into a frame's own buffer or a placed region: a frame that
+// fits the read-ahead is handed up in place and adds none.
+// bytes_read_moved counts the unread bytes it moved within or between
+// read-ahead slabs to make room for a read, at most one partial frame a
+// read.
+var (
+	mBytesReadCopied = obs.Default().Counter("wire.bytes_read_copied")
+	mBytesReadMoved  = obs.Default().Counter("wire.bytes_read_moved")
+)
+
 // ErrCorrupt reports a malformed buffer.
 var ErrCorrupt = errors.New("wire: corrupt data")
 
@@ -731,11 +742,14 @@ func (d *Decoder) Value() any {
 
 // Frame I/O: each frame is a 4-byte little-endian length, a 4-byte
 // little-endian CRC-32C checksum of the payload (crc32c), then the
-// payload. A frame whose checksum does not match fails its read with
-// ErrCorrupt, so a corrupted link is told from a merely slow one: over a
-// session, session.(*Conn).pump hands the failed read to connFailed, which
-// treats the link as lost, reconnects and replays what the peer has not
-// acknowledged. MaxFrame bounds a single frame to guard against corrupt
+// payload, then zero padding to a multiple of 8 bytes (at most 7, outside
+// the length and the checksum), so that every frame of a stream starts
+// 8-byte aligned relative to the stream's start and a reader can hand a
+// payload up where it was read. A frame whose checksum does not match
+// fails its read with ErrCorrupt, so a corrupted link is told from a
+// merely slow one: over a session, session.(*Conn).pump hands the failed
+// read to connFailed, which treats the link as lost, reconnects and
+// replays what the peer has not acknowledged. MaxFrame bounds a single frame to guard against corrupt
 // peers.
 const MaxFrame = 1 << 30
 
@@ -852,6 +866,7 @@ func writeFrames(w io.Writer, msgs []net.Buffers, loans []Loan, path *obs.Counte
 		}
 		payload += total
 	}
+	pads := 0
 	v := getVecState()
 	if cap(v.hdrs) < 8*len(msgs) {
 		v.hdrs = make([]byte, 8*len(msgs))
@@ -876,6 +891,10 @@ func writeFrames(w io.Writer, msgs []net.Buffers, loans []Loan, path *obs.Counte
 		v.iov = append(v.iov, hdr)
 		v.iov = append(v.iov, segs...)
 		v.iov = append(v.iov, lent...)
+		if pad := padding(total); pad > 0 {
+			v.iov = append(v.iov, zeros[:pad])
+			pads += pad
+		}
 		mFrameBytes.Observe(int64(total))
 	}
 	// WriteTo advances (and so mutates) the vector it is invoked on, and
@@ -892,10 +911,13 @@ func writeFrames(w io.Writer, msgs []net.Buffers, loans []Loan, path *obs.Counte
 	}
 	mWrites.Inc()
 	mFramesWritten.Add(uint64(len(msgs)))
-	mBytesWritten.Add(uint64(8*len(msgs) + payload))
+	mBytesWritten.Add(uint64(8*len(msgs) + payload + pads))
 	path.Add(uint64(payload))
 	return nil
 }
+
+// zeros is the padding writeFrames appends after a payload.
+var zeros [7]byte
 
 // frameStart is what the frame reader commits before any payload byte has
 // arrived when no free buffer of the frame's class is pooled; from there
@@ -904,7 +926,7 @@ const frameStart = 64 << 10
 
 // ReadFrame reads one frame written by WriteFrame, verifying its checksum.
 // A checksum mismatch reports ErrCorrupt (wrapped). It reads exactly the
-// frame's bytes from r, nothing beyond them.
+// frame's bytes from r, its padding included, nothing beyond them.
 //
 // The payload is read straight into a pooled frame (bufpool.GetFrame)
 // with the CRC-32C folded into the read, one pass over the bytes. The
@@ -919,18 +941,43 @@ func ReadFrame(r io.Reader) ([]byte, error) {
 	return fr.ReadFrame()
 }
 
+// pinMax bounds the slabs a FrameReader has left with views still out:
+// at the bound it copies each frame out of its current slab instead of
+// handing up a view, so a receiver that holds every frame it is handed
+// pins at most pinMax+1 slabs of one reader.
+const pinMax = 4
+
 // FrameReader reads frames from a stream through a read-ahead buffer, so
 // that the frames a peer wrote together — a WriteFrames batch — arrive
-// with one read rather than a header read and a payload read each. Every
-// frame still lands in a pooled frame of its own, exactly as ReadFrame
-// returns it: the part already read ahead is copied there, and whatever a
-// frame has beyond that is read straight into it. The reader may hold
-// bytes of the frames that follow, so it owns the read side of its
-// stream; it is used by one goroutine at a time.
+// with one read rather than a header read and a payload read each. The
+// read-ahead is a pooled slab (bufpool.Slab), and a frame that fits it is
+// handed up in place, as a view of the slab, once its CRC-32C checks out:
+// no byte of it is copied. A larger frame lands in a pooled frame of its
+// own: the part already read ahead is copied there, and whatever it has
+// beyond that is read straight into it. The reader may hold bytes of the
+// frames that follow, so it owns the read side of its stream; it is used
+// by one goroutine at a time.
+//
+// No byte under a view is written again. When the reader needs more bytes
+// and no view of its slab is out, it moves the unread tail to the slab's
+// front and reads after it; with views out, it reads into the slab's free
+// end, or moves the tail to a fresh slab and leaves the old one to its
+// views, which return it to the pool. Past pinMax slabs left that way,
+// frames are copied out.
 type FrameReader struct {
 	r      io.Reader
-	buf    []byte // read-ahead; nil reads exactly one frame's bytes at a time
-	lo, hi int    // buf[lo:hi] has been read but not consumed
+	size   int           // read-ahead bytes; 0 reads exactly one frame's bytes at a time
+	slab   *bufpool.Slab // taken at the first read, nil after Close
+	buf    []byte        // the slab's first size bytes
+	lo, hi int           // buf[lo:hi] has been read but not consumed
+	// skew is the stream offset of buf[lo] minus lo, modulo 8: non-zero
+	// only while the read-ahead is empty after bytes were read past it.
+	// skip is the padding of the last frame, still to be consumed; short
+	// caps the next read after a placed frame's region (readEnd).
+	skew, skip int
+	short      bool
+	pinned     atomic.Int32 // slabs left with views out
+	closed     bool
 	// Placing (see place.go): the placer frames of PlaceMin bytes and up
 	// are offered to, the placement of the last frame returned, and the
 	// scratch of the vectored reads.
@@ -940,16 +987,37 @@ type FrameReader struct {
 	iov    [][]byte
 }
 
-// NewFrameReader returns a reader of r's frames with a read-ahead buffer
-// of size bytes.
+// NewFrameReader returns a reader of r's frames with a read-ahead of size
+// bytes (at least 16): a slab of that class, taken at the first read and
+// let go by Close.
 func NewFrameReader(r io.Reader, size int) *FrameReader {
-	return &FrameReader{r: r, buf: make([]byte, size)}
+	return &FrameReader{r: r, size: max(size, 16)}
 }
 
-// ReadFrame reads the next frame, under ReadFrame's contract. With a
-// placer set, a frame of PlaceMin bytes or more may be placed instead (see
-// SetPlacer): the frame returned then lacks the placed bytes.
+// Close releases the reader's slab; the views it handed up stay valid
+// until they are returned. Reading after Close fails with net.ErrClosed.
+// It is not called concurrently with ReadFrame.
+func (fr *FrameReader) Close() {
+	fr.closed = true
+	if fr.slab != nil {
+		fr.slab.Release(nil)
+		fr.slab, fr.buf = nil, nil
+	}
+	fr.lo, fr.hi = 0, 0
+}
+
+// padding returns the zero bytes that follow a payload of n bytes.
+func padding(n int) int { return -n & 7 }
+
+// ReadFrame reads the next frame, under ReadFrame's contract, except that
+// a frame that fits the read-ahead is a view of the reader's slab (see
+// FrameReader); bufpool.PutFrame takes either back. With a placer set, a
+// frame of PlaceMin bytes or more may be placed instead (see SetPlacer):
+// the frame returned then lacks the placed bytes.
 func (fr *FrameReader) ReadFrame() ([]byte, error) {
+	if fr.closed {
+		return nil, net.ErrClosed
+	}
 	n, sum, err := fr.header()
 	if err != nil {
 		return nil, err
@@ -958,18 +1026,69 @@ func (fr *FrameReader) ReadFrame() ([]byte, error) {
 		return nil, fmt.Errorf("wire: frame of %d bytes exceeds max %d", n, MaxFrame)
 	}
 	fr.placed = nil
-	if pl := fr.place.Load(); pl != nil && n >= PlaceMin && fr.buf != nil {
+	if pl := fr.place.Load(); pl != nil && n >= PlaceMin && fr.size > 0 {
 		p, err := fr.claim(pl, n)
 		if err != nil {
 			return nil, err
 		}
 		if p != nil {
+			fr.lo += 8
 			return fr.readPlaced(p, n, sum)
 		}
 	}
+	if total := 8 + n + padding(n); fr.size > 0 && total <= fr.size {
+		return fr.readInPlace(n, sum, total)
+	}
+	if fr.size > 0 {
+		fr.lo += 8
+	}
+	return fr.readOwn(n, sum)
+}
+
+// readInPlace reads a frame whose header is at buf[lo:] and whose total
+// bytes, header and padding included, fit the read-ahead: it reads them
+// all into the slab, checks the CRC there and hands the payload up as a
+// view — or, with pinMax slabs pinned, as a copy.
+func (fr *FrameReader) readInPlace(n int, sum uint32, total int) ([]byte, error) {
+	if err := fr.fill(total); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return nil, err
+	}
+	off := fr.lo + 8
+	fr.lo += total
+	if crc := crc32c(0, fr.buf[off:off+n]); crc != sum {
+		mChecksumFailures.Inc()
+		return nil, fmt.Errorf("%w: frame checksum mismatch (got %08x, header says %08x)", ErrCorrupt, crc, sum)
+	}
+	mFramesRead.Inc()
+	mBytesRead.Add(uint64(total))
+	if n == 0 {
+		return nil, nil
+	}
+	if fr.pinned.Load() >= pinMax {
+		b := bufpool.GetFrame(n)
+		copy(b, fr.buf[off:off+n])
+		mBytesReadCopied.Add(uint64(n))
+		return b, nil
+	}
+	return fr.slab.View(off, n), nil
+}
+
+// readOwn reads a frame of n bytes, its header consumed, into a pooled
+// frame of its own.
+func (fr *FrameReader) readOwn(n int, sum uint32) ([]byte, error) {
 	buf := bufpool.TryGetFrame(n)
 	if buf == nil {
 		buf = bufpool.GetFrame(min(n, frameStart))
+	}
+	fail := func(err error) ([]byte, error) {
+		bufpool.PutFrame(buf)
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return nil, err
 	}
 	var crc uint32
 	for got := 0; got < n; {
@@ -980,21 +1099,31 @@ func (fr *FrameReader) ReadFrame() ([]byte, error) {
 		crc = crc32c(crc, buf[got:got+k])
 		got += k
 		if err != nil && got < n {
-			bufpool.PutFrame(buf)
-			if err == io.EOF {
-				err = io.ErrUnexpectedEOF
-			}
-			return nil, err
+			return fail(err)
 		}
 	}
 	if crc != sum {
-		bufpool.PutFrame(buf)
 		mChecksumFailures.Inc()
-		return nil, fmt.Errorf("%w: frame checksum mismatch (got %08x, header says %08x)", ErrCorrupt, crc, sum)
+		return fail(fmt.Errorf("%w: frame checksum mismatch (got %08x, header says %08x)", ErrCorrupt, crc, sum))
+	}
+	if err := fr.endPayload(n); err != nil {
+		return fail(err)
 	}
 	mFramesRead.Inc()
-	mBytesRead.Add(uint64(8 + n))
+	mBytesRead.Add(uint64(8 + n + padding(n)))
 	return buf, nil
+}
+
+// endPayload consumes the padding after a payload of n bytes: at once
+// when the reader reads exactly one frame's bytes, before the next header
+// otherwise.
+func (fr *FrameReader) endPayload(n int) error {
+	if fr.size > 0 {
+		fr.skip = padding(n)
+		return nil
+	}
+	var pad [8]byte
+	return fr.readFull(pad[:padding(n)])
 }
 
 // growFrame returns buf lengthened to next bytes: within its capacity, or
@@ -1010,55 +1139,123 @@ func growFrame(buf []byte, next int) []byte {
 }
 
 // read is io.Reader's Read over the read-ahead: bytes already buffered
-// first; with none, a p at least as long as the buffer is read into
-// directly, and a shorter one refills the buffer with whatever the stream
-// has ready.
+// first, copied out; with none, a p at least as long as the read-ahead is
+// read into directly, and a shorter one refills the read-ahead with
+// whatever the stream has ready.
 func (fr *FrameReader) read(p []byte) (int, error) {
 	if fr.lo == fr.hi {
 		mReads.Inc()
-		if len(p) >= len(fr.buf) {
-			return fr.r.Read(p)
+		if len(p) >= fr.size {
+			k, err := fr.r.Read(p)
+			fr.skew = (fr.skew + k) & 7
+			return k, err
 		}
-		k, err := fr.r.Read(fr.buf)
-		fr.lo, fr.hi = 0, k
+		fr.room(1)
+		k, err := fr.r.Read(fr.buf[fr.hi:fr.readEnd(len(p))])
+		fr.hi += k
 		if k == 0 {
 			return 0, err
 		}
 	}
 	k := copy(p, fr.buf[fr.lo:fr.hi])
 	fr.lo += k
+	mBytesReadCopied.Add(uint64(k))
 	return k, nil
 }
 
-// header reads the next frame's header: its length and checksum. With a
-// read-ahead buffer the header is read into the buffer and parsed there —
-// one that straddles two reads is first moved to the buffer's front — so
-// a frame needs no header scratch of its own.
+// fill reads until the read-ahead holds need bytes from lo; need is at
+// most size less lo's offset within its 8 bytes. It returns the stream's
+// error when the stream ends or fails first.
+func (fr *FrameReader) fill(need int) error {
+	for fr.hi-fr.lo < need {
+		fr.room(need)
+		mReads.Inc()
+		k, err := fr.r.Read(fr.buf[fr.hi:fr.readEnd(need-(fr.hi-fr.lo))])
+		fr.hi += k
+		if err != nil && fr.hi-fr.lo < need {
+			return err
+		}
+	}
+	return nil
+}
+
+// room readies the read-ahead for a read after buf[lo:hi] that brings it
+// to need bytes, keeping every byte at an offset congruent to its stream
+// offset modulo 8, so that a frame's payload starts 8-byte aligned. With
+// no view out it moves the unread bytes to the slab's front; with views
+// out it leaves the slab as is when the frame fits its free end and a
+// quarter of the slab is free, and otherwise moves them to a fresh slab.
+func (fr *FrameReader) room(need int) {
+	if fr.slab == nil {
+		fr.slab = bufpool.GetSlab(fr.size)
+		fr.buf = fr.slab.Bytes()[:fr.size]
+	}
+	t := (fr.lo + fr.skew) & 7
+	fr.skew = 0
+	if !fr.slab.Viewed() {
+		fr.move(fr.buf, t)
+		return
+	}
+	if fr.lo == fr.hi {
+		if p := fr.lo + (t-fr.lo)&7; p+need <= len(fr.buf) && len(fr.buf)-p >= len(fr.buf)/4 {
+			fr.lo, fr.hi = p, p
+			return
+		}
+	} else if fr.lo+need <= len(fr.buf) && len(fr.buf)-fr.hi >= len(fr.buf)/4 {
+		return
+	}
+	s := bufpool.GetSlab(fr.size)
+	fr.move(s.Bytes()[:fr.size], t)
+	fr.slab.Release(&fr.pinned)
+	fr.slab, fr.buf = s, s.Bytes()[:fr.size]
+}
+
+// readEnd returns where a read into the read-ahead that wants want more
+// bytes ends: at the slab's end, except for the first read after a placed
+// frame's region, which takes at most what it wants and a frame header
+// and posting head beyond: the frame after a placed one is usually placed
+// too, and whatever of its payload the read-ahead held would be copied
+// into its posting.
+func (fr *FrameReader) readEnd(want int) int {
+	if !fr.short {
+		return len(fr.buf)
+	}
+	fr.short = false
+	return min(len(fr.buf), fr.hi+want+16+PlaceHead)
+}
+
+// move copies the unread bytes to dst[t:] and makes dst the read-ahead's
+// bytes.
+func (fr *FrameReader) move(dst []byte, t int) {
+	if &dst[0] == &fr.buf[0] && fr.lo == t {
+		return
+	}
+	k := copy(dst[t:], fr.buf[fr.lo:fr.hi])
+	mBytesReadMoved.Add(uint64(k))
+	fr.lo, fr.hi = t, t+k
+}
+
+// header reads the next frame's header, its length and checksum, after
+// the last frame's padding. With a read-ahead the header stays in it,
+// unconsumed, so a frame that fits is read whole after it.
 func (fr *FrameReader) header() (n int, sum uint32, err error) {
 	var hdr []byte
-	if len(fr.buf) < 8 {
+	if fr.size == 0 {
 		var b [8]byte
 		if err := fr.readFull(b[:]); err != nil {
 			return 0, 0, err
 		}
 		hdr = b[:]
 	} else {
-		for fr.hi-fr.lo < 8 {
-			if fr.lo > 0 {
-				fr.hi, fr.lo = copy(fr.buf, fr.buf[fr.lo:fr.hi]), 0
+		if err := fr.fill(fr.skip + 8); err != nil {
+			if err == io.EOF && fr.hi-fr.lo != fr.skip {
+				err = io.ErrUnexpectedEOF
 			}
-			mReads.Inc()
-			k, err := fr.r.Read(fr.buf[fr.hi:])
-			fr.hi += k
-			if err != nil && fr.hi < 8 {
-				if fr.hi > 0 && err == io.EOF {
-					err = io.ErrUnexpectedEOF
-				}
-				return 0, 0, err
-			}
+			return 0, 0, err
 		}
+		fr.lo += fr.skip
+		fr.skip = 0
 		hdr = fr.buf[fr.lo : fr.lo+8]
-		fr.lo += 8
 	}
 	return int(binary.LittleEndian.Uint32(hdr[:4])), binary.LittleEndian.Uint32(hdr[4:]), nil
 }
