@@ -12,6 +12,7 @@ FUZZ_TARGETS := \
 	./internal/dad:FuzzDecodeTemplate \
 	./internal/dad:FuzzDecodeDescriptor \
 	./internal/schedule:FuzzPlanEquivalence \
+	./internal/schedule:FuzzStridedKernels \
 	./internal/session:FuzzSessionFrame \
 	./internal/comm:FuzzRemoteFrame
 

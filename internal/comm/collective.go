@@ -130,13 +130,8 @@ func (c *Comm) bcast(root int, v any) any {
 	return m.payload
 }
 
-// Gather collects one value from every rank at root. At the root the
+// gather collects one value from every rank at root. At the root the
 // returned slice is indexed by group rank; at other ranks it is nil.
-func (c *Comm) Gather(root int, v any) []any {
-	mCollectives.Inc()
-	return c.gather(root, v)
-}
-
 func (c *Comm) gather(root int, v any) []any {
 	if c.rank != root {
 		c.send(root, tagGather, v)
@@ -165,26 +160,6 @@ func (c *Comm) allgather(v any) []any {
 	all := c.gather(0, v)
 	got := c.bcast(0, all)
 	return got.([]any)
-}
-
-// Scatter distributes values[i] from root to group rank i and returns the
-// caller's element. At the root, values must have length Size(); elsewhere
-// it is ignored.
-func (c *Comm) Scatter(root int, values []any) any {
-	mCollectives.Inc()
-	if c.rank == root {
-		if len(values) != c.Size() {
-			panic(fmt.Sprintf("comm: Scatter needs %d values, got %d", c.Size(), len(values)))
-		}
-		for peer := 0; peer < c.Size(); peer++ {
-			if peer != root {
-				c.send(peer, tagScatter, values[peer])
-			}
-		}
-		return values[root]
-	}
-	m := c.recv(root, tagScatter)
-	return m.payload
 }
 
 // Alltoall sends values[j] to group rank j and returns the values received
@@ -234,7 +209,7 @@ func (c *Comm) AlltoallvFloat64(send [][]float64) [][]float64 {
 	return out
 }
 
-// ReduceOp names a reduction operator for ReduceFloat64/AllreduceFloat64.
+// ReduceOp names a reduction operator for AllreduceFloat64/AllreduceInt.
 type ReduceOp int
 
 // Supported reduction operators.
@@ -262,13 +237,8 @@ func (op ReduceOp) apply(a, b float64) float64 {
 	panic(fmt.Sprintf("comm: unknown reduce op %d", op))
 }
 
-// ReduceFloat64 folds one float64 per rank at root. Non-root callers
+// reduceFloat64 folds one float64 per rank at root. Non-root callers
 // receive 0 and ok=false.
-func (c *Comm) ReduceFloat64(root int, v float64, op ReduceOp) (float64, bool) {
-	mCollectives.Inc()
-	return c.reduceFloat64(root, v, op)
-}
-
 func (c *Comm) reduceFloat64(root int, v float64, op ReduceOp) (float64, bool) {
 	all := c.gather(root, v)
 	if all == nil {

@@ -149,13 +149,6 @@ func (mb *mailbox) take(gid uint64, from, tag int, bounded bool, d time.Duration
 	}
 }
 
-// tryTake is the non-blocking variant of take.
-func (mb *mailbox) tryTake(gid uint64, from, tag int) (message, bool) {
-	mb.mu.Lock()
-	defer mb.mu.Unlock()
-	return mb.match(gid, from, tag)
-}
-
 // World is a set of ranks that can exchange messages. It plays the role
 // of MPI_COMM_WORLD's underlying process set, except that — unlike MPI —
 // it can grow: Grow admits new ranks at the top of the rank space so an
@@ -492,17 +485,6 @@ func (c *Comm) PeerErr() error { return c.group.peerErr() }
 // ConnectPeer binding kills every rank behind it.
 func (c *Comm) Alive(to int) bool { return c.group.world.Alive(c.group.ranks[to]) }
 
-// TryRecv is the non-blocking variant of Recv. ok reports whether a
-// matching message was available.
-func (c *Comm) TryRecv(from, tag int) (payload any, source int, ok bool) {
-	mb, wfrom := c.inbox(from)
-	m, ok := mb.tryTake(c.group.gid, wfrom, tag)
-	if !ok {
-		return nil, 0, false
-	}
-	return m.payload, c.groupRankOf(m.from), true
-}
-
 func (c *Comm) groupRankOf(worldRank int) int {
 	for g, wr := range c.group.ranks {
 		if wr == worldRank {
@@ -611,7 +593,6 @@ const (
 	tagSplit
 	tagBcast
 	tagGather
-	tagScatter
 	tagAlltoall
 	tagBarrierArrive
 	tagBarrierResult

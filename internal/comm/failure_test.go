@@ -21,13 +21,13 @@ func TestKillDropsTraffic(t *testing.T) {
 	if w.Alive(1) {
 		t.Fatal("rank 1 reported alive after Kill")
 	}
-	if _, _, ok := cs[1].TryRecv(AnySource, AnyTag); ok {
+	if tryRecv(cs[1], AnySource, AnyTag) {
 		t.Fatal("queued message survived Kill")
 	}
 
 	// New traffic to the dead rank vanishes.
 	cs[0].Send(1, 7, "late")
-	if _, _, ok := cs[1].TryRecv(AnySource, AnyTag); ok {
+	if tryRecv(cs[1], AnySource, AnyTag) {
 		t.Fatal("message delivered to dead rank")
 	}
 

@@ -75,10 +75,10 @@ func TestWorldKillSurvivesGrow(t *testing.T) {
 	post := w.Group([]int{0, 1, 2, 3, 4})
 	post[2].Send(1, 5, "lost")
 	post[0].Send(2, 5, "from the dead")
-	if _, _, ok := post[1].TryRecv(2, 5); ok {
+	if tryRecv(post[1], 2, 5) {
 		t.Fatal("message delivered to dead rank")
 	}
-	if _, _, ok := post[2].TryRecv(0, 5); ok {
+	if tryRecv(post[2], 0, 5) {
 		t.Fatal("message delivered from dead rank")
 	}
 	_ = pre

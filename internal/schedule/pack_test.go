@@ -3,6 +3,7 @@ package schedule
 import (
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"mxn/internal/dad"
 )
@@ -185,21 +186,27 @@ func testCopyWindows[T comparable](t *testing.T, val func(int) T) {
 }
 
 // workloadShapes are the layouts of the coupling benchmark's workloads,
-// two ranks a side: prmi_tcp's 64 KiB field (cyclic → block), small_tcp's
-// 16 KiB array (block → cyclic) and bulk_tcp's 8 MiB matrix (block rows →
-// block columns).
+// two ranks a side: prmi_tcp's 64 KiB field (cyclic → block, and block →
+// cyclic for the reply), small_tcp's 16 KiB array (block → cyclic) and
+// bulk_tcp's 8 MiB matrix (block rows → block columns), plus a 64 KiB
+// float32 field cyclic → block. A cyclic → block pair unpacks with a
+// stride of 2 and a block → cyclic pair packs with one.
 func workloadShapes(t testing.TB) []struct {
 	name     string
 	src, dst *dad.Template
+	float32  bool // the benchmark moves float32 elements, not float64
 } {
 	return []struct {
 		name     string
 		src, dst *dad.Template
+		float32  bool
 	}{
-		{"prmi-cyclic-block", tpl(t, []int{8192}, dad.CyclicAxis(2)), tpl(t, []int{8192}, dad.BlockAxis(2))},
-		{"small-block-cyclic", tpl(t, []int{2048}, dad.BlockAxis(2)), tpl(t, []int{2048}, dad.CyclicAxis(2))},
+		{"prmi-cyclic-block", tpl(t, []int{8192}, dad.CyclicAxis(2)), tpl(t, []int{8192}, dad.BlockAxis(2)), false},
+		{"prmi-block-cyclic", tpl(t, []int{8192}, dad.BlockAxis(2)), tpl(t, []int{8192}, dad.CyclicAxis(2)), false},
+		{"small-block-cyclic", tpl(t, []int{2048}, dad.BlockAxis(2)), tpl(t, []int{2048}, dad.CyclicAxis(2)), false},
 		{"bulk-rows-cols", tpl(t, []int{1024, 1024}, dad.BlockAxis(2), dad.CollapsedAxis()),
-			tpl(t, []int{1024, 1024}, dad.CollapsedAxis(), dad.BlockAxis(2))},
+			tpl(t, []int{1024, 1024}, dad.CollapsedAxis(), dad.BlockAxis(2)), false},
+		{"f32-cyclic-block", tpl(t, []int{16384}, dad.CyclicAxis(2)), tpl(t, []int{16384}, dad.BlockAxis(2)), true},
 	}
 }
 
@@ -232,41 +239,50 @@ func TestWorkloadShapesPlanOneRunPerPair(t *testing.T) {
 func BenchmarkPackSlice(b *testing.B) {
 	for _, w := range workloadShapes(b) {
 		s := mustBuild(b, w.src, w.dst)
-		srcLocals := make([][]float64, w.src.NumProcs())
-		for r := range srcLocals {
-			srcLocals[r] = make([]float64, w.src.LocalCount(r))
+		if w.float32 {
+			benchPackSlice[float32](b, w.name, s)
+		} else {
+			benchPackSlice[float64](b, w.name, s)
 		}
-		dstLocals := make([][]float64, w.dst.NumProcs())
-		for r := range dstLocals {
-			dstLocals[r] = make([]float64, w.dst.LocalCount(r))
-		}
-		bufs := make([][]float64, len(s.Pairs))
-		for i, p := range s.Pairs {
-			bufs[i] = make([]float64, p.Elems)
-		}
-		b.Run(w.name+"/pack", func(b *testing.B) {
-			b.SetBytes(8 * int64(s.TotalElems()))
-			for i := 0; i < b.N; i++ {
-				for j, p := range s.Pairs {
-					PackSlice(p, srcLocals[p.SrcRank], bufs[j])
-				}
-			}
-		})
-		b.Run(w.name+"/unpack", func(b *testing.B) {
-			b.SetBytes(8 * int64(s.TotalElems()))
-			for i := 0; i < b.N; i++ {
-				for j, p := range s.Pairs {
-					UnpackSlice(p, dstLocals[p.DstRank], bufs[j])
-				}
-			}
-		})
-		b.Run(w.name+"/copy", func(b *testing.B) {
-			b.SetBytes(8 * int64(s.TotalElems()))
-			for i := 0; i < b.N; i++ {
-				for _, p := range s.Pairs {
-					CopySliceRange(p, srcLocals[p.SrcRank], dstLocals[p.DstRank], 0, p.Elems)
-				}
-			}
-		})
 	}
+}
+
+func benchPackSlice[T float32 | float64](b *testing.B, name string, s *Schedule) {
+	size := int64(unsafe.Sizeof(T(0))) * int64(s.TotalElems())
+	srcLocals := make([][]T, s.Src.NumProcs())
+	for r := range srcLocals {
+		srcLocals[r] = make([]T, s.Src.LocalCount(r))
+	}
+	dstLocals := make([][]T, s.Dst.NumProcs())
+	for r := range dstLocals {
+		dstLocals[r] = make([]T, s.Dst.LocalCount(r))
+	}
+	bufs := make([][]T, len(s.Pairs))
+	for i, p := range s.Pairs {
+		bufs[i] = make([]T, p.Elems)
+	}
+	b.Run(name+"/pack", func(b *testing.B) {
+		b.SetBytes(size)
+		for i := 0; i < b.N; i++ {
+			for j, p := range s.Pairs {
+				PackSlice(p, srcLocals[p.SrcRank], bufs[j])
+			}
+		}
+	})
+	b.Run(name+"/unpack", func(b *testing.B) {
+		b.SetBytes(size)
+		for i := 0; i < b.N; i++ {
+			for j, p := range s.Pairs {
+				UnpackSlice(p, dstLocals[p.DstRank], bufs[j])
+			}
+		}
+	})
+	b.Run(name+"/copy", func(b *testing.B) {
+		b.SetBytes(size)
+		for i := 0; i < b.N; i++ {
+			for _, p := range s.Pairs {
+				CopySliceRange(p, srcLocals[p.SrcRank], dstLocals[p.DstRank], 0, p.Elems)
+			}
+		}
+	})
 }

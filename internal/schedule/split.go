@@ -8,13 +8,18 @@
 // their length, then whole blocks by N) and splitting a block mid-way
 // when a window boundary lands inside it, so chunked and whole-message
 // transfers touch exactly the same local elements in exactly the same
-// order.
+// order. A window at offset 0 skips the divide that finds its first
+// block: a 64-bit divide costs about as much as moving a short run.
 //
 // A block of more than one element is one copy, and so is a whole vector
 // whose blocks abut in the buffer being walked (the contiguous side of a
 // cyclic↔block pair). A vector of one-element blocks that does not — what
-// a cyclic axis plans to on its strided side — is one tight strided loop:
-// a copy call per element costs several times the move.
+// a cyclic axis plans to on its strided side — goes through the strided
+// kernels of stride.go, gather on the pack side and scatter on the unpack
+// side. They check the walk's bounds once and move a word-sized element
+// type eight words an iteration; a copy call per element would cost
+// several times the move. A walk strided on both sides, which only
+// CopySliceRange meets, stays a plain loop.
 //
 // CopySliceRange is the pack and the unpack of one window in a single
 // pass: it moves the window straight from the source rank's buffer to the
@@ -39,15 +44,14 @@ func PackSliceRange[T any](plan PairPlan, local, out []T, off int) {
 		if stride == n { // the blocks abut in the source buffer: one copy
 			n, count = n*count, 1
 		}
-		k, o := off/n, off%n
+		k, o := 0, 0
+		if off > 0 {
+			k, o = off/n, off%n
+		}
 		off = 0
 		if n == 1 {
 			m := min(count-k, len(out))
-			src := r.SrcOff + k*stride
-			for j := range out[:m] {
-				out[j] = local[src]
-				src += stride
-			}
+			gather(out[:m], local, r.SrcOff+k*stride, stride)
 			out = out[m:]
 			continue
 		}
@@ -73,15 +77,14 @@ func UnpackSliceRange[T any](plan PairPlan, local, data []T, off int) {
 		if stride == n { // the blocks abut in the destination buffer: one copy
 			n, count = n*count, 1
 		}
-		k, o := off/n, off%n
+		k, o := 0, 0
+		if off > 0 {
+			k, o = off/n, off%n
+		}
 		off = 0
 		if n == 1 {
 			m := min(count-k, len(data))
-			dst := r.DstOff + k*stride
-			for _, v := range data[:m] {
-				local[dst] = v
-				dst += stride
-			}
+			scatter(local, data[:m], r.DstOff+k*stride, stride)
 			data = data[m:]
 			continue
 		}
@@ -109,23 +112,19 @@ func CopySliceRange[T any](plan PairPlan, src, dst []T, off, n int) {
 		if ss == bn && ds == bn { // the blocks abut on both sides: one copy
 			bn, count = bn*count, 1
 		}
-		k, o := off/bn, off%bn
+		k, o := 0, 0
+		if off > 0 {
+			k, o = off/bn, off%bn
+		}
 		off = 0
 		s, d := r.SrcOff+k*ss, r.DstOff+k*ds
 		if bn == 1 {
 			m := min(count-k, n)
 			switch {
 			case ss == 1: // contiguous in the source: read it as unpack reads a chunk
-				for _, v := range src[s : s+m] {
-					dst[d] = v
-					d += ds
-				}
+				scatter(dst, src[s:s+m], d, ds)
 			case ds == 1: // contiguous in the destination: fill it as pack fills a chunk
-				out := dst[d : d+m]
-				for j := range out {
-					out[j] = src[s]
-					s += ss
-				}
+				gather(dst[d:d+m], src, s, ss)
 			default:
 				for range m {
 					dst[d] = src[s]
