@@ -13,6 +13,7 @@ FUZZ_TARGETS := \
 	./internal/dad:FuzzDecodeDescriptor \
 	./internal/schedule:FuzzPlanEquivalence \
 	./internal/schedule:FuzzStridedKernels \
+	./internal/redist:FuzzFromLinear \
 	./internal/session:FuzzSessionFrame \
 	./internal/comm:FuzzRemoteFrame
 
@@ -74,7 +75,7 @@ vet:
 # for the whole module (bench/ is its own module and is not counted).
 loc:
 	@count() { find "$$@" -name '*.go' ! -name '*_test.go' ! -path './bench/*' -print0 | xargs -0 cat | wc -l; }; \
-	for d in internal/redist mxn.go internal/schedule internal/linear internal/wire internal/prmi internal/transport internal/session internal/comm internal/core internal/cca internal/frameworks cmd; do \
+	for d in internal/redist mxn.go internal/schedule internal/wire internal/prmi internal/transport internal/session internal/comm internal/core internal/cca internal/frameworks cmd; do \
 		printf '%-20s %6d\n' $$d $$(count $$d); \
 	done; \
 	printf '%-20s %6d\n' module $$(count .)

@@ -450,7 +450,8 @@ func BenchmarkDistributionKinds(b *testing.B) {
 // BenchmarkLinearizationVsDAD covers table B4: a transfer planned from
 // two row-major linearizations (schedule.FromLinear) against one planned
 // from the two templates (schedule.Build), steady state and first (the
-// plan built in the op).
+// plan built in the op), and then the plan alone on two blocked 2-D
+// shapes, whose rows are long runs of positions.
 func BenchmarkLinearizationVsDAD(b *testing.B) {
 	const n = 1 << 13
 	const m, nn = 2, 3
@@ -477,6 +478,7 @@ func BenchmarkLinearizationVsDAD(b *testing.B) {
 					b.Fatal(err)
 				}
 				b.SetBytes(int64(n * 8))
+				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					if first {
 						if s, err = pl.plan(); err != nil {
@@ -497,6 +499,33 @@ func BenchmarkLinearizationVsDAD(b *testing.B) {
 				}
 			})
 		}
+	}
+	shapes := []struct {
+		name     string
+		src, dst *dad.Template
+	}{
+		{"512sq-block2xcollapsed-to-collapsedxblock2",
+			mustTemplate(b, []int{512, 512}, dad.BlockAxis(2), dad.CollapsedAxis()),
+			mustTemplate(b, []int{512, 512}, dad.CollapsedAxis(), dad.BlockAxis(2))},
+		{"1024sq-block2xblock2-to-block4xcollapsed",
+			mustTemplate(b, []int{1024, 1024}, dad.BlockAxis(2), dad.BlockAxis(2)),
+			mustTemplate(b, []int{1024, 1024}, dad.BlockAxis(4), dad.CollapsedAxis())},
+	}
+	for _, sh := range shapes {
+		b.Run("Plan/"+sh.name+"/FromLinear", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := LinearSchedule(RowMajorLinearization(sh.src), RowMajorLinearization(sh.dst)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run("Plan/"+sh.name+"/Build", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := schedule.Build(sh.src, sh.dst); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

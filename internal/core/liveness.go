@@ -202,10 +202,13 @@ func (m *Membership) DownError() error {
 // communicator: a responder goroutine echoes pings, and one prober
 // goroutine per peer sends a ping every Interval and waits up to Interval
 // for the echo. MissThreshold consecutive silent intervals mark the peer
-// down in the shared Membership. Detection latency is therefore about
-// Interval × MissThreshold; with the in-process comm runtime an RTT is
-// microseconds, so missed echoes mean the peer stopped serving (crashed,
-// killed via World.Kill, or wedged), not congestion.
+// down in the shared Membership. An interval is silent only if no echo
+// at all comes back in it: a late echo of an earlier ping also shows the
+// peer alive, so a live peer on a loaded host whose echoes all come back
+// a little late is not marked down. Detection latency is therefore about
+// Interval × MissThreshold, and at most one interval more when an echo
+// was still on its way as the peer crashed: a crashed peer (killed via
+// World.Kill, or wedged) sends no echoes at all.
 
 // HeartbeatConfig tunes a rank's failure detector. The zero value is not
 // usable: Interval and MissThreshold must be positive (start from
@@ -269,7 +272,7 @@ type Heartbeater struct {
 }
 
 // Stop terminates the responder and all probers and waits for them to
-// exit. Safe to call once.
+// exit; once it is called, no prober marks a peer down. Safe to call once.
 func (h *Heartbeater) Stop() {
 	close(h.stop)
 	h.wg.Wait()
@@ -344,28 +347,33 @@ func StartHeartbeats(c *comm.Comm, m *Membership, cfg HeartbeatConfig, peers []i
 				start := time.Now()
 				c.Send(peer, cfg.Tag, heartbeatPing{From: c.Rank(), Seq: seq})
 				mHeartbeatsSent.Inc()
-				// Wait for the echo of *this* ping; older echoes
-				// arriving late are drained and ignored.
+				// Wait for the echo of this ping. Any echo shows the
+				// peer alive, a late one of an earlier ping too; only
+				// this ping's own echo times the round trip.
 				answered := false
 				deadline := time.Now().Add(cfg.Interval)
-				for {
-					remain := time.Until(deadline)
-					if remain <= 0 {
-						break
-					}
+				for remain := cfg.Interval; remain > 0; remain = time.Until(deadline) {
 					v, _, ok := c.RecvTimeout(peer, cfg.Tag+1, remain)
 					if !ok {
 						break
 					}
+					answered = true
 					if v.(uint64) == seq {
-						answered = true
+						mHeartbeatRTT.Observe(time.Since(start).Nanoseconds())
 						break
 					}
 				}
 				if answered {
 					misses = 0
-					mHeartbeatRTT.Observe(time.Since(start).Nanoseconds())
 					continue
+				}
+				// Stopped while waiting: a stopped detector (its rank
+				// crashed or shut down) hears no echoes, so it declares
+				// no one.
+				select {
+				case <-h.stop:
+					return
+				default:
 				}
 				misses++
 				mHeartbeatMisses.Inc()

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
@@ -106,6 +107,74 @@ func TestHeartbeatsDetectKilledRank(t *testing.T) {
 	}
 	if m.Epoch() < 2 {
 		t.Fatalf("epoch = %d after a death", m.Epoch())
+	}
+}
+
+// A live peer whose echoes all come back after 1.5 intervals answers
+// every interval with the echo of the ping before, so it stays alive; a
+// prober that counted only each ping's own echo would mark it down after
+// MissThreshold intervals.
+func TestHeartbeatsTolerateLateEchoes(t *testing.T) {
+	w := comm.NewWorld(2)
+	cs := w.Comms()
+	m := NewMembership(2)
+	cfg := HeartbeatConfig{Interval: 20 * time.Millisecond, MissThreshold: 3}.withDefaults()
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() { // rank 1's slow responder
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			v, _, ok := cs[1].RecvTimeout(0, cfg.Tag, cfg.Interval)
+			if !ok {
+				continue
+			}
+			ping := v.(heartbeatPing)
+			wg.Add(1)
+			time.AfterFunc(3*cfg.Interval/2, func() {
+				defer wg.Done()
+				cs[1].Send(ping.From, cfg.Tag+1, ping.Seq)
+			})
+		}
+	}()
+	hb, err := StartHeartbeats(cs[0], m, cfg, []int{1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(12 * cfg.Interval)
+	alive := m.IsAlive(1)
+	hb.Stop()
+	close(stop)
+	wg.Wait()
+	if !alive {
+		t.Fatalf("peer echoing 1.5 intervals late marked down: alive=%v", m.Alive())
+	}
+}
+
+// A detector stopped while it waits for an echo declares no one dead: a
+// crashed rank's probers, stopped with it, hear no echoes, and must not
+// mark its live peers down on their way out (how TestHeartbeatsDetectKilledRank
+// and the chaos rank-crash test saw false positives). Rank 0 never
+// answers, so rank 1's first wait, from one interval to two, ends in the
+// miss that would reach MissThreshold; Stop comes in the middle of it.
+func TestStoppedHeartbeaterDeclaresNoOne(t *testing.T) {
+	cs := comm.NewWorld(2).Comms()
+	m := NewMembership(2)
+	cfg := HeartbeatConfig{Interval: 40 * time.Millisecond, MissThreshold: 1}
+	hb, err := StartHeartbeats(cs[1], m, cfg, []int{0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(3 * cfg.Interval / 2)
+	hb.Stop()
+	if !m.IsAlive(0) {
+		t.Fatalf("stopped detector marked a peer down: alive=%v", m.Alive())
 	}
 }
 

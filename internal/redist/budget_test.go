@@ -10,7 +10,6 @@ import (
 	"mxn/internal/comm"
 	"mxn/internal/core"
 	"mxn/internal/dad"
-	"mxn/internal/linear"
 	"mxn/internal/obs"
 	"mxn/internal/schedule"
 )
@@ -246,8 +245,8 @@ func TestBudgetedMatchesUnbudgetedLinear(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			srcLin := linear.NewRowMajor(tc.src)
-			dstLin := linear.NewRowMajor(tc.dst)
+			srcLin := schedule.NewRowMajor(tc.src)
+			dstLin := schedule.NewRowMajor(tc.dst)
 			m, n := tc.src.NumProcs(), tc.dst.NumProcs()
 			srcLocals := fillByGlobal(tc.src)
 			rng := rand.New(rand.NewSource(17))
@@ -489,7 +488,7 @@ func TestSkewedBackToBackExchangesShareTag(t *testing.T) {
 				plan := s
 				if tc.linear {
 					var err error
-					if plan, err = schedule.FromLinear(linear.NewRowMajor(tc.src), linear.NewRowMajor(tc.dst)); err != nil {
+					if plan, err = schedule.FromLinear(schedule.NewRowMajor(tc.src), schedule.NewRowMajor(tc.dst)); err != nil {
 						t.Error(err)
 						return
 					}

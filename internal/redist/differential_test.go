@@ -9,7 +9,6 @@ import (
 	"mxn/internal/comm"
 	"mxn/internal/core"
 	"mxn/internal/dad"
-	"mxn/internal/linear"
 	"mxn/internal/schedule"
 )
 
@@ -152,8 +151,8 @@ func TestFencedMatchesUnfencedLinear(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		srcLin := linear.NewRowMajor(src)
-		dstLin := linear.NewRowMajor(dst)
+		srcLin := schedule.NewRowMajor(src)
+		dstLin := schedule.NewRowMajor(dst)
 		m, n := src.NumProcs(), dst.NumProcs()
 		lay := Layout{SrcBase: 0, DstBase: m}
 		srcLocals := fillByGlobal(src)

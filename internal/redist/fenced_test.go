@@ -11,7 +11,6 @@ import (
 	"mxn/internal/comm"
 	"mxn/internal/core"
 	"mxn/internal/dad"
-	"mxn/internal/linear"
 	"mxn/internal/schedule"
 )
 
@@ -321,8 +320,8 @@ func TestExchangeFencedRejectsStaleEpoch(t *testing.T) {
 func runLinearFenced(t *testing.T, src, dst *dad.Template, policy FailPolicy,
 	deadAtEntry []int) ([][]float64, []*Outcome, []error) {
 	t.Helper()
-	srcLin := linear.NewRowMajor(src)
-	dstLin := linear.NewRowMajor(dst)
+	srcLin := schedule.NewRowMajor(src)
+	dstLin := schedule.NewRowMajor(dst)
 	m, n := src.NumProcs(), dst.NumProcs()
 	mem := core.NewMembership(m + n)
 	dead := map[int]bool{}

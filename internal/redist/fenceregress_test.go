@@ -8,7 +8,6 @@ import (
 	"mxn/internal/comm"
 	"mxn/internal/core"
 	"mxn/internal/dad"
-	"mxn/internal/linear"
 	"mxn/internal/schedule"
 )
 
@@ -149,8 +148,8 @@ func TestFencedRejectsFutureEpoch(t *testing.T) {
 	t.Run("linear", func(t *testing.T) {
 		// A linearization lowered to a schedule fences its data chunks
 		// exactly as a built schedule does.
-		srcLin := linear.NewRowMajor(src)
-		dstLin := linear.NewRowMajor(dst)
+		srcLin := schedule.NewRowMajor(src)
+		dstLin := schedule.NewRowMajor(dst)
 		cs := comm.NewWorld(2).Comms()
 		mem := core.NewMembership(2)
 		cs[0].Send(1, 0, newMsg[float64](2, 4))
@@ -312,8 +311,8 @@ func TestZeroElementRanksAndMessages(t *testing.T) {
 	t.Run("linear-empty-replies-budgeted", func(t *testing.T) {
 		lsrc := tpl(t, []int{8}, dad.BlockAxis(2))
 		ldst := tpl(t, []int{8}, dad.BlockAxis(2))
-		srcLin := linear.NewRowMajor(lsrc)
-		dstLin := linear.NewRowMajor(ldst)
+		srcLin := schedule.NewRowMajor(lsrc)
+		dstLin := schedule.NewRowMajor(ldst)
 		srcLocals := fillByGlobal(lsrc)
 		chunks0, rounds0 := mChunksSent.Value(), mRoundsSent.Value()
 		dstLocals := make([][]float64, 2)

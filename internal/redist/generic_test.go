@@ -8,7 +8,6 @@ import (
 
 	"mxn/internal/comm"
 	"mxn/internal/dad"
-	"mxn/internal/linear"
 	"mxn/internal/schedule"
 )
 
@@ -113,8 +112,8 @@ func TestExecuteLocalGeneric(t *testing.T) {
 func TestLinearExchangeFloat32(t *testing.T) {
 	src := tpl(t, []int{12}, dad.BlockAxis(3))
 	dst := tpl(t, []int{12}, dad.CyclicAxis(2))
-	srcLin := linear.NewRowMajor(src)
-	dstLin := linear.NewRowMajor(dst)
+	srcLin := schedule.NewRowMajor(src)
+	dstLin := schedule.NewRowMajor(dst)
 	conv := func(v float64) float32 { return float32(v) }
 	srcLocals := fillByGlobalT(src, conv)
 	dstLocals := make([][]float32, 2)

@@ -8,7 +8,6 @@ import (
 
 	"mxn/internal/comm"
 	"mxn/internal/dad"
-	"mxn/internal/linear"
 	"mxn/internal/schedule"
 )
 
@@ -88,7 +87,7 @@ func xfer[T Elem](c *comm.Comm, s *schedule.Schedule, lay Layout, src, dst []T, 
 
 // xferLinear is xfer on the schedule FromLinear lowers two linearizations
 // to.
-func xferLinear[T Elem](c *comm.Comm, srcLin, dstLin linear.Linearizer, lay Layout,
+func xferLinear[T Elem](c *comm.Comm, srcLin, dstLin schedule.Linearizer, lay Layout,
 	src, dst []T, tag int, opts TransferOpts) (*Outcome, error) {
 	s, err := schedule.FromLinear(srcLin, dstLin)
 	if err != nil {
@@ -281,8 +280,8 @@ func TestConcurrentTransfersDistinctTags(t *testing.T) {
 func TestLinearExchangeRowMajor(t *testing.T) {
 	src := tpl(t, []int{12}, dad.BlockAxis(3))
 	dst := tpl(t, []int{12}, dad.CyclicAxis(2))
-	srcLin := linear.NewRowMajor(src)
-	dstLin := linear.NewRowMajor(dst)
+	srcLin := schedule.NewRowMajor(src)
+	dstLin := schedule.NewRowMajor(dst)
 	srcLocals := fillByGlobal(src)
 	dstLocals := make([][]float64, 2)
 	var mu sync.Mutex
@@ -309,8 +308,8 @@ func TestLinearExchangeRowMajor(t *testing.T) {
 func TestLinearExchange2D(t *testing.T) {
 	src := tpl(t, []int{6, 8}, dad.BlockAxis(2), dad.BlockAxis(2))
 	dst := tpl(t, []int{6, 8}, dad.CollapsedAxis(), dad.BlockAxis(3))
-	srcLin := linear.NewRowMajor(src)
-	dstLin := linear.NewRowMajor(dst)
+	srcLin := schedule.NewRowMajor(src)
+	dstLin := schedule.NewRowMajor(dst)
 	srcLocals := fillByGlobal(src)
 	dstLocals := make([][]float64, 3)
 	var mu sync.Mutex
@@ -334,43 +333,34 @@ func TestLinearExchange2D(t *testing.T) {
 	verify(t, dst, dstLocals)
 }
 
-// claimed is a test-only linearization: each rank claims the positions
-// listed for it, at offsets in position order, free to leave a gap or to
-// overlap another rank's claim.
+// claimed is a test-only linearization: each rank claims the segments
+// listed for it, free to leave a gap, to overlap another rank's claim, or
+// to reach past its buffer.
 type claimed struct {
 	t    *dad.Template
-	sets []linear.Set
+	segs [][]schedule.Segment
 }
 
-func (c claimed) Template() *dad.Template     { return c.t }
-func (c claimed) OwnedBy(rank int) linear.Set { return c.sets[rank] }
-func (c claimed) Offset(rank, p int) int {
-	off := 0
-	for _, iv := range c.sets[rank] {
-		if p < iv.Hi {
-			return off + p - iv.Lo
-		}
-		off += iv.Len()
-	}
-	panic("position not claimed")
-}
+func (c claimed) Template() *dad.Template              { return c.t }
+func (c claimed) Segments(rank int) []schedule.Segment { return c.segs[rank] }
 
 // A linearization pair that cannot deliver every destination position
 // exactly once is rejected when it is lowered to a schedule, before any
-// traffic moves: lengths that disagree, a position no source owns, and a
-// position two sources own.
+// traffic moves: lengths that disagree, a position no source owns, a
+// position two sources own, and a claim past a rank's buffer.
 func TestLinearExchangeLengthMismatch(t *testing.T) {
 	b8 := tpl(t, []int{8}, dad.BlockAxis(2))
-	dst := linear.NewRowMajor(b8)
+	dst := schedule.NewRowMajor(b8)
 	cases := []struct {
 		name     string
-		src, dst linear.Linearizer
+		src, dst schedule.Linearizer
 		want     string // in the error; "" for none
 	}{
-		{"length", dst, linear.NewRowMajor(tpl(t, []int{9}, dad.BlockAxis(2))), "length"},
-		{"gap", claimed{b8, []linear.Set{{{Lo: 0, Hi: 3}}, {{Lo: 4, Hi: 8}}}}, dst, "gap"},
-		{"overlap", claimed{b8, []linear.Set{{{Lo: 0, Hi: 5}}, {{Lo: 4, Hi: 8}}}}, dst, "overlap"},
-		{"exact", claimed{b8, []linear.Set{{{Lo: 0, Hi: 4}}, {{Lo: 4, Hi: 8}}}}, dst, ""},
+		{"length", dst, schedule.NewRowMajor(tpl(t, []int{9}, dad.BlockAxis(2))), "length"},
+		{"gap", claimed{b8, [][]schedule.Segment{{{Pos: 0, Off: 0, N: 3}}, {{Pos: 4, Off: 0, N: 4}}}}, dst, "gap"},
+		{"overlap", claimed{b8, [][]schedule.Segment{{{Pos: 0, Off: 0, N: 4}}, {{Pos: 3, Off: 0, N: 4}}}}, dst, "overlap"},
+		{"past buffer", claimed{b8, [][]schedule.Segment{{{Pos: 0, Off: 0, N: 5}}, {{Pos: 4, Off: 0, N: 4}}}}, dst, "malformed"},
+		{"exact", claimed{b8, [][]schedule.Segment{{{Pos: 0, Off: 0, N: 4}}, {{Pos: 4, Off: 0, N: 4}}}}, dst, ""},
 	}
 	for _, c := range cases {
 		_, err := schedule.FromLinear(c.src, c.dst)

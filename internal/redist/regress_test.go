@@ -8,7 +8,6 @@ import (
 
 	"mxn/internal/comm"
 	"mxn/internal/dad"
-	"mxn/internal/linear"
 	"mxn/internal/obs"
 	"mxn/internal/schedule"
 )
@@ -129,8 +128,8 @@ func TestExchangeDrainsAfterError(t *testing.T) {
 func TestLinearExchangeValidatesAndDrains(t *testing.T) {
 	src := tpl(t, []int{8}, dad.BlockAxis(2))
 	dst := tpl(t, []int{8}, dad.CyclicAxis(2))
-	srcLin := linear.NewRowMajor(src)
-	dstLin := linear.NewRowMajor(dst)
+	srcLin := schedule.NewRowMajor(src)
+	dstLin := schedule.NewRowMajor(dst)
 	s, err := schedule.FromLinear(srcLin, dstLin)
 	if err != nil {
 		t.Fatal(err)

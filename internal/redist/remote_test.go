@@ -6,7 +6,6 @@ import (
 
 	"mxn/internal/comm"
 	"mxn/internal/dad"
-	"mxn/internal/linear"
 	"mxn/internal/schedule"
 	"mxn/internal/transport"
 )
@@ -70,7 +69,7 @@ func runCrossWorldExchange(t *testing.T, linearMode bool, budget int) {
 		var err error
 		opts := TransferOpts{MaxBytesInFlight: budget}
 		if linearMode {
-			_, err = xferLinear(c, linear.NewRowMajor(src), linear.NewRowMajor(dst), lay, sl, dl, 0, opts)
+			_, err = xferLinear(c, schedule.NewRowMajor(src), schedule.NewRowMajor(dst), lay, sl, dl, 0, opts)
 		} else {
 			_, err = xfer(c, s, lay, sl, dl, 0, opts)
 		}

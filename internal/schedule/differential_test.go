@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"mxn/internal/dad"
-	"mxn/internal/linear"
 )
 
 // The closed-form planner and the patch-enumeration planner are judged
@@ -158,7 +157,7 @@ func checkCoverage(t *testing.T, label string, s *Schedule) {
 // same packed order and the same runs, and execute to the same result.
 func checkLinear(t *testing.T, label string, s *Schedule) {
 	t.Helper()
-	lin, err := FromLinear(linear.NewRowMajor(s.Src), linear.NewRowMajor(s.Dst))
+	lin, err := FromLinear(NewRowMajor(s.Src), NewRowMajor(s.Dst))
 	if err != nil {
 		t.Fatalf("%s: FromLinear: %v", label, err)
 	}

@@ -405,8 +405,8 @@ func (l *inprocListener) Close() error {
 func (l *inprocListener) Addr() string { return l.addr }
 
 // tcpConn frames messages over a net.Conn using the wire framing. Every
-// send is one wire.WriteFrames call — one writev — and every receive reads
-// through a read-ahead slab of readAhead bytes, which Close releases.
+// send is one wire.WriteFramesLent call — one writev — and every receive
+// reads through a read-ahead slab of readAhead bytes, which Close releases.
 type tcpConn struct {
 	nc   net.Conn
 	rd   *wire.FrameReader // guarded by rMu

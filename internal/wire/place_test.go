@@ -110,7 +110,7 @@ func FuzzPlacedFrameStream(f *testing.F) {
 			msgs[i] = net.Buffers{fr}
 		}
 		var stream bytes.Buffer
-		if err := WriteFrames(&stream, msgs); err != nil {
+		if err := WriteFramesLent(&stream, msgs, nil); err != nil {
 			t.Fatal(err)
 		}
 		wire := stream.Bytes()
@@ -207,7 +207,7 @@ func TestPutLoanMatchesPutBytesRef(t *testing.T) {
 	posted.PutLoan(nil, len(payload))
 	head, p := ref.Vector()
 	var want, got bytes.Buffer
-	if err := WriteFrames(&want, []net.Buffers{{head, p}}); err != nil {
+	if err := WriteFramesLent(&want, []net.Buffers{{head, p}}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := WriteFramesLent(&got, []net.Buffers{{lent.Bytes()}}, []Loan{lent.Loan()}); err != nil {
@@ -245,7 +245,7 @@ func TestPlacedFramesNotReadAhead(t *testing.T) {
 		msgs[i] = net.Buffers{f}
 	}
 	var stream bytes.Buffer
-	if err := WriteFrames(&stream, msgs); err != nil {
+	if err := WriteFramesLent(&stream, msgs, nil); err != nil {
 		t.Fatal(err)
 	}
 	const ahead = 128 << 10

@@ -47,7 +47,7 @@ func TestWriteFramesMatchesFrameByFrame(t *testing.T) {
 		want = append(want, referenceFrame(flat)...)
 	}
 	var got bytes.Buffer
-	if err := WriteFrames(&got, msgs); err != nil {
+	if err := WriteFramesLent(&got, msgs, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got.Bytes(), want) {
@@ -56,7 +56,7 @@ func TestWriteFramesMatchesFrameByFrame(t *testing.T) {
 
 	half := make([]byte, MaxFrame/2+1)
 	var none bytes.Buffer
-	if err := WriteFrames(&none, []net.Buffers{{payload}, {half, half}}); err == nil {
+	if err := WriteFramesLent(&none, []net.Buffers{{payload}, {half, half}}, nil); err == nil {
 		t.Fatal("batch with an oversize message accepted")
 	}
 	if none.Len() != 0 {
@@ -75,7 +75,7 @@ func TestFrameReaderReadsBatchInOneRead(t *testing.T) {
 		msgs[i] = net.Buffers{bytes.Repeat([]byte{byte(i)}, 512*i)}
 	}
 	var stream bytes.Buffer
-	if err := WriteFrames(&stream, msgs); err != nil {
+	if err := WriteFramesLent(&stream, msgs, nil); err != nil {
 		t.Fatal(err)
 	}
 	frames := bufpool.FramesOutstanding()
@@ -142,7 +142,7 @@ func FuzzFrameStream(f *testing.F) {
 			msgs = append(msgs, net.Buffers{p[:cut], nil, p[cut:]})
 		}
 		var stream bytes.Buffer
-		if err := WriteFrames(&stream, msgs); err != nil {
+		if err := WriteFramesLent(&stream, msgs, nil); err != nil {
 			t.Fatal(err)
 		}
 		wire := stream.Bytes()
@@ -234,7 +234,7 @@ func TestHeldViewSurvivesRefill(t *testing.T) {
 		msgs[i] = net.Buffers{payload(i)}
 	}
 	var stream bytes.Buffer
-	if err := WriteFrames(&stream, msgs); err != nil {
+	if err := WriteFramesLent(&stream, msgs, nil); err != nil {
 		t.Fatal(err)
 	}
 	frames := bufpool.FramesOutstanding()
@@ -287,7 +287,7 @@ func TestPinnedSlabsBounded(t *testing.T) {
 	for i := range msgs {
 		msgs[i] = net.Buffers{bytes.Repeat([]byte{byte(i)}, 100+i%200)}
 	}
-	if err := WriteFrames(&stream, msgs); err != nil {
+	if err := WriteFramesLent(&stream, msgs, nil); err != nil {
 		t.Fatal(err)
 	}
 	wire := stream.Bytes()

@@ -66,7 +66,7 @@ var ErrCorrupt = errors.New("wire: corrupt data")
 //
 // PutBytesRef records its slice by reference instead of copying it into
 // the buffer, and Vector returns the (header, payload) pair for a
-// scatter-gather send (an owned transport.Conn.SendBatch, WriteFrames),
+// scatter-gather send (an owned transport.Conn.SendBatch, WriteFramesLent),
 // so large payloads travel from the pack buffer to the socket without an
 // intermediate flatten.
 type Encoder struct {
@@ -823,20 +823,13 @@ func WriteFrameV(w io.Writer, segs net.Buffers) error {
 	return writeFrames(w, msg[:], nil, mBytesVectored)
 }
 
-// WriteFrames writes one frame per message — message i is the
-// concatenation of msgs[i] — with a single write of every header and
-// segment, which net.TCPConn turns into one writev for the whole batch.
+// WriteFramesLent writes one frame per message with a single write of
+// every header and segment, which net.TCPConn turns into one writev for
+// the whole batch. Message i is the concatenation of msgs[i], followed,
+// when loans is non-nil and loans[i] is not, by that of loans[i].Segs().
 // The bytes on the wire are those of len(msgs) WriteFrameV calls; when any
-// message exceeds MaxFrame nothing is written. WriteFrameV and WriteFrame
-// are its one-message case.
-func WriteFrames(w io.Writer, msgs []net.Buffers) error {
-	return writeFrames(w, msgs, nil, mBytesVectored)
-}
-
-// WriteFramesLent is WriteFrames with loans: when loans is non-nil and
-// loans[i] is not, message i is the concatenation of msgs[i] followed by
-// that of loans[i].Segs(). The loans are only read; releasing them is the
-// caller's business.
+// message exceeds MaxFrame nothing is written. The loans are only read;
+// releasing them is the caller's business.
 func WriteFramesLent(w io.Writer, msgs []net.Buffers, loans []Loan) error {
 	return writeFrames(w, msgs, loans, mBytesVectored)
 }
@@ -948,7 +941,7 @@ func ReadFrame(r io.Reader) ([]byte, error) {
 const pinMax = 4
 
 // FrameReader reads frames from a stream through a read-ahead buffer, so
-// that the frames a peer wrote together — a WriteFrames batch — arrive
+// that the frames a peer wrote together — a WriteFramesLent batch — arrive
 // with one read rather than a header read and a payload read each. The
 // read-ahead is a pooled slab (bufpool.Slab), and a frame that fits it is
 // handed up in place, as a view of the slab, once its CRC-32C checks out:

@@ -50,7 +50,6 @@ import (
 	"mxn/internal/comm"
 	"mxn/internal/core"
 	"mxn/internal/dad"
-	"mxn/internal/linear"
 	"mxn/internal/prmi"
 	"mxn/internal/redist"
 	"mxn/internal/schedule"
@@ -225,12 +224,12 @@ func Redistribute[T Elem](src, dst *Template, srcLocals, dstLocals [][]T) error 
 // Linearizer maps one side's elements to positions of an abstract
 // one-dimensional arrangement: the intermediate representation of the
 // Meta-Chaos / Indiana MPI-IO approach (Section 2.2.1).
-type Linearizer = linear.Linearizer
+type Linearizer = schedule.Linearizer
 
 // RowMajorLinearization linearizes a template by global row-major order:
 // the abstract one-dimensional intermediate representation of a
 // distributed array.
-func RowMajorLinearization(t *Template) Linearizer { return linear.NewRowMajor(t) }
+func RowMajorLinearization(t *Template) Linearizer { return schedule.NewRowMajor(t) }
 
 // LinearSchedule lowers two linearizations of the same length to a
 // schedule for NewTransfer: position k on the source side lands at
