@@ -17,7 +17,7 @@ FUZZ_TARGETS := \
 	./internal/session:FuzzSessionFrame \
 	./internal/comm:FuzzRemoteFrame
 
-.PHONY: all build test test-cpu race chaos chaos-net fuzz-short vet loc bench-once bench-check examples staticcheck govulncheck
+.PHONY: all build test test-cpu race chaos chaos-net fuzz-short vet loc bench-once bench-plan bench-check examples staticcheck govulncheck
 
 all: build test
 
@@ -85,6 +85,12 @@ loc:
 # only as benchmarks, so this is what keeps them running.
 bench-once:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
+
+# The planner's tables: B1 (ScheduleBuild), B3's Build rows and B2
+# (ScheduleReuse), with allocations, at one P and two, five counts each,
+# so every planner change reports them the same way.
+bench-plan:
+	$(GO) test -run '^$$' -bench 'ScheduleBuild|DistributionKinds/.*/Build|ScheduleReuse' -benchmem -cpu 1,2 -count 5 .
 
 # The coupling benchmark (bench/, BENCHMARK.json) is a Go module of its own
 # that `go test ./...` at the root does not see, so a product signature

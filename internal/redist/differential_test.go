@@ -269,6 +269,5 @@ func TestFastPathMatchesEnumeratorExchange(t *testing.T) {
 			}
 		}
 		verify(t, dst, viaFast)
-		fast.Recycle()
 	}
 }

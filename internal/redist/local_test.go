@@ -101,7 +101,6 @@ func TestDirectExecuteLocalMatchesPackAll(t *testing.T) {
 					trial, src.Key(), dst.Key(), r, got[r], want[r])
 			}
 		}
-		s.Recycle()
 	}
 }
 

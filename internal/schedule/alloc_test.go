@@ -7,88 +7,34 @@ import (
 	"mxn/internal/obs"
 )
 
-// allocBudgetFast is the steady-state allocation budget for an uncached
-// closed-form Build. With the plan staged through a recycled arena the
-// measured cost is zero; the budget leaves no headroom on purpose — any
-// new allocation on this path is a regression the planner must justify.
-const allocBudgetFast = 0
-
-// Satellite guarantee for the planning fast path: once the arena free
-// list is warm, an uncached Build of a closed-form pair allocates within
-// allocBudgetFast, so first-contact planning does not thrash the heap
-// even when the schedule cache misses (new template pair, post-failure
-// re-plan). The enumerator path has no such guarantee — that asymmetry is
-// the point of the fast path.
-func TestFastPathBuildSteadyStateAllocs(t *testing.T) {
+// An uncached closed-form Build — a new template pair, or the re-plan
+// after a resize or a death — allocates as often for 2,048 communicating
+// pairs as for 4: its counting pass sizes the pair, run and index tables,
+// so each is one allocation whatever the number of pairs and runs. A
+// planner that grows any of them pair by pair fails this.
+func TestUncachedFastBuildAllocsIndependentOfPairs(t *testing.T) {
 	obs.DisableTracing()
-	src, err := dad.NewTemplate([]int{1 << 16}, []dad.AxisDist{dad.BlockAxis(8)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dst, err := dad.NewTemplate([]int{1 << 16}, []dad.AxisDist{dad.CyclicAxis(12)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Warm the arena: the first builds grow the slabs to this shape's
-	// high-water mark and park the arena on the free list.
-	for i := 0; i < 3; i++ {
-		s, err := Build(src, dst)
-		if err != nil {
-			t.Fatal(err)
-		}
+	const n = 1 << 14
+	allocs := func(m, nn int) float64 {
+		src := tpl(t, []int{n}, dad.BlockAxis(m))
+		dst := tpl(t, []int{n}, dad.CyclicAxis(nn))
+		s := mustBuild(t, src, dst)
 		if !s.FastPath() {
-			t.Fatal("closed-form pair did not take the fast path")
+			t.Fatalf("M%d×N%d: closed-form pair did not take the fast path", m, nn)
 		}
-		s.Recycle()
-	}
-	allocs := testing.AllocsPerRun(50, func() {
-		s, err := Build(src, dst)
-		if err != nil {
-			t.Fatal(err)
+		if s.NumMessages() != m*nn {
+			t.Fatalf("M%d×N%d: %d pairs, want %d", m, nn, s.NumMessages(), m*nn)
 		}
-		s.Recycle()
-	})
-	if allocs > allocBudgetFast {
-		t.Fatalf("steady-state fast-path Build allocates %v per plan, budget %d",
-			allocs, allocBudgetFast)
+		return testing.AllocsPerRun(50, func() {
+			if _, err := Build(src, dst); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
-}
-
-// A shape change between recycles must not break the steady state: the
-// slabs regrow once to the new high-water mark and then stay flat. This
-// pins the prepare/take growth contract (grow to last build's demand, not
-// incrementally per take).
-func TestFastPathArenaRegrowth(t *testing.T) {
-	obs.DisableTracing()
-	small, err := dad.NewTemplate([]int{1 << 8}, []dad.AxisDist{dad.BlockAxis(2)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	smallDst, err := dad.NewTemplate([]int{1 << 8}, []dad.AxisDist{dad.CyclicAxis(3)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	big, err := dad.NewTemplate([]int{1 << 14}, []dad.AxisDist{dad.BlockAxis(16)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bigDst, err := dad.NewTemplate([]int{1 << 14}, []dad.AxisDist{dad.CyclicAxis(24)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	build := func(s, d *dad.Template) {
-		sch, err := Build(s, d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sch.Recycle()
-	}
-	build(small, smallDst) // arena sized for the small shape
-	build(big, bigDst)     // forces regrowth
-	build(big, bigDst)     // high-water now covers the big shape
-	allocs := testing.AllocsPerRun(20, func() { build(big, bigDst) })
-	if allocs > allocBudgetFast {
-		t.Fatalf("post-regrowth fast-path Build allocates %v per plan, budget %d",
-			allocs, allocBudgetFast)
+	small, large := allocs(2, 2), allocs(32, 64)
+	t.Logf("uncached Build: %v allocations at M2×N2, %v at M32×N64", small, large)
+	if large != small {
+		t.Fatalf("uncached Build allocates %v times for 2,048 pairs but %v for 4: something is allocated per pair",
+			large, small)
 	}
 }

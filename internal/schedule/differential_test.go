@@ -277,7 +277,6 @@ func TestDifferentialFastVsEnumerator(t *testing.T) {
 		if t.Failed() {
 			t.Fatalf("trial %d failed: %s", trial, label)
 		}
-		fast.Recycle()
 	}
 	if planned < 100 {
 		t.Fatalf("only %d of 400 trials exercised the fast path — generator drifted", planned)
@@ -311,6 +310,11 @@ func TestDifferentialDirectedCases(t *testing.T) {
 			[]dad.AxisDist{dad.BlockAxis(2), dad.CollapsedAxis(), dad.CyclicAxis(3)},
 			[]dad.AxisDist{dad.CyclicAxis(2), dad.BlockAxis(2), dad.CyclicAxis(2)}},
 		{"single-element", []int{1}, []dad.AxisDist{dad.BlockAxis(3)}, []dad.AxisDist{dad.CyclicAxis(2)}},
+		{"block-cyclic-even", []int{64}, []dad.AxisDist{dad.BlockAxis(4)}, []dad.AxisDist{dad.CyclicAxis(3)}},
+		{"cyclic-block-short-tail", []int{9}, []dad.AxisDist{dad.CyclicAxis(2)}, []dad.AxisDist{dad.BlockAxis(5)}},
+		{"2d-cyclic-last-to-collapsed", []int{30, 7},
+			[]dad.AxisDist{dad.BlockAxis(2), dad.CyclicAxis(3)},
+			[]dad.AxisDist{dad.CyclicAxis(5), dad.CollapsedAxis()}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -332,33 +336,5 @@ func TestDifferentialDirectedCases(t *testing.T) {
 			checkLinear(t, c.name, fast)
 			verifyRedistribution(t, dst, executeLocally(fast, fillByGlobal(src)))
 		})
-	}
-}
-
-// Recycled arenas must not leak one build's state into the next: plan,
-// recycle, plan a different pair from the same arena, and verify both the
-// schedule and the coverage invariants.
-func TestFastPathArenaReuse(t *testing.T) {
-	pairs := []struct{ src, dst *dad.Template }{
-		{tpl(t, []int{64}, dad.BlockAxis(4)), tpl(t, []int{64}, dad.CyclicAxis(3))},
-		{tpl(t, []int{9}, dad.CyclicAxis(2)), tpl(t, []int{9}, dad.BlockAxis(5))},
-		{tpl(t, []int{30, 7}, dad.BlockAxis(2), dad.CyclicAxis(3)), tpl(t, []int{30, 7}, dad.CyclicAxis(5), dad.CollapsedAxis())},
-		{tpl(t, []int{64}, dad.BlockAxis(4)), tpl(t, []int{64}, dad.CyclicAxis(3))},
-	}
-	for round := 0; round < 3; round++ {
-		for i, p := range pairs {
-			fast := mustBuild(t, p.src, p.dst)
-			if !fast.FastPath() {
-				t.Fatalf("round %d pair %d: fast path did not engage", round, i)
-			}
-			ref, err := BuildWith(p.src, p.dst, BuildOpts{DisableFastPath: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			label := p.src.Key() + " → " + p.dst.Key()
-			diffSchedules(t, label, fast, ref)
-			checkCoverage(t, label, fast)
-			fast.Recycle()
-		}
 	}
 }

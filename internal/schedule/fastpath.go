@@ -28,12 +28,13 @@
 // interval, its unclipped intervals as one vector, its clipped last
 // interval — and when every row is a single block, the rows of one
 // interval of the next-to-last axis are one vector, so a cyclic↔block
-// pair or a block-rows↔block-columns pair is one run. All storage is
-// carved from a pooled planArena, so the uncached planning path
-// approaches zero steady-state allocations. Per source rank the
-// descriptor work is O(M+N) blocks of O(1) arithmetic; total output work
-// is proportional to the number of rows (or, for single-block rows, of
-// next-to-last-axis intervals), not of elements.
+// pair or a block-rows↔block-columns pair is one run. A first pass counts
+// the pairs and runs, so the second writes them into tables made at their
+// exact size: a build's allocations do not grow with the number of pairs
+// or runs. Each axis's descriptor table holds every coordinate pair of
+// that axis, each O(1) arithmetic; total output work is proportional to
+// the number of rows (or, for single-block rows, of next-to-last-axis
+// intervals), not of elements.
 //
 // Applicability is decided by dad.Template.ClosedFormPair; everything else
 // (Implicit axes, explicit patch templates, strided pairs with differing
@@ -181,15 +182,15 @@ func (s *axSide) lstride(stride int) int {
 	return stride / s.bp * s.b
 }
 
-// makeSide builds the per-coordinate tables for one axis of one template,
-// carving them from the arena. O(procs) arithmetic.
-func makeSide(ar *planArena, ax dad.AxisDist, n int) axSide {
+// makeSide builds the per-coordinate tables for one axis of one template.
+// O(procs) arithmetic.
+func makeSide(ax dad.AxisDist, n int) axSide {
 	s := axSide{class: ax.Class(), procs: ax.Procs, n: n}
-	s.cnt = ar.ints.take(ax.Procs)
+	s.cnt = make([]int, ax.Procs)
 	switch s.class {
 	case dad.ClassInterval:
-		s.lo = ar.ints.take(ax.Procs)
-		s.hi = ar.ints.take(ax.Procs)
+		s.lo = make([]int, ax.Procs)
+		s.hi = make([]int, ax.Procs)
 		switch ax.Kind {
 		case dad.Collapsed:
 			s.lo[0], s.hi[0] = 0, n
@@ -221,11 +222,7 @@ func makeSide(ar *planArena, ax dad.AxisDist, n int) axSide {
 		s.bp = s.b * ax.Procs
 		nBlocks := (n + s.b - 1) / s.b
 		clip := nBlocks*s.b - n // shortfall of the globally last block
-		for c := 0; c < ax.Procs; c++ {
-			if c >= nBlocks {
-				s.cnt[c] = 0
-				continue
-			}
+		for c := 0; c < ax.Procs && c < nBlocks; c++ {
 			nb := (nBlocks-1-c)/ax.Procs + 1
 			cntC := nb * s.b
 			if clip > 0 && (nBlocks-1)%ax.Procs == c {
@@ -253,38 +250,35 @@ func intersect(ss, ds *axSide, cs, cd int) ixDesc {
 }
 
 // buildFast computes the schedule arithmetically. The caller has verified
-// s.Src.ClosedFormPair(s.Dst) and attached an arena.
+// s.Src.ClosedFormPair(s.Dst).
 func (s *Schedule) buildFast() {
-	ar := s.ar
 	na := s.Src.NumAxes()
 
-	srcSides := ar.sides.take(na)
-	dstSides := ar.sides.take(na)
+	srcSides := make([]axSide, na)
+	dstSides := make([]axSide, na)
 	for a := 0; a < na; a++ {
-		srcSides[a] = makeSide(ar, s.Src.Axis(a), s.Src.Dim(a))
-		dstSides[a] = makeSide(ar, s.Dst.Axis(a), s.Dst.Dim(a))
+		srcSides[a] = makeSide(s.Src.Axis(a), s.Src.Dim(a))
+		dstSides[a] = makeSide(s.Dst.Axis(a), s.Dst.Dim(a))
 	}
 
 	// Per axis: the full coordinate-pair descriptor table and the packed
 	// list (cs·Q + cd) of nonempty pairs, in (cs, cd) lexicographic order.
-	descTab := ar.descRows.take(na)
-	pairTab := ar.slices.take(na)
+	descTab := make([][]ixDesc, na)
+	pairTab := make([][]int, na)
 	for a := 0; a < na; a++ {
 		p, q := srcSides[a].procs, dstSides[a].procs
-		descTab[a] = ar.descs.take(p * q)
-		pairs := ar.ints.take(p * q)
-		np := 0
+		descTab[a] = make([]ixDesc, p*q)
+		pairs := make([]int, 0, p*q)
 		for cs := 0; cs < p; cs++ {
 			for cd := 0; cd < q; cd++ {
 				d := intersect(&srcSides[a], &dstSides[a], cs, cd)
 				descTab[a][cs*q+cd] = d
 				if d.count > 0 {
-					pairs[np] = cs*q + cd
-					np++
+					pairs = append(pairs, cs*q+cd)
 				}
 			}
 		}
-		pairTab[a] = pairs[:np:np]
+		pairTab[a] = pairs
 	}
 
 	f := fastPlan{
@@ -293,15 +287,15 @@ func (s *Schedule) buildFast() {
 		dst:  dstSides,
 		desc: descTab,
 		nz:   pairTab,
-		srcC: ar.ints.take(na),
-		dstC: ar.ints.take(na),
-		cur:  ar.descPtrs.take(na),
+		srcC: make([]int, na),
+		dstC: make([]int, na),
+		cur:  make([]*ixDesc, na),
 	}
-	// Pass 1 counts pairs and runs (after merging) so the slabs can be
-	// carved exactly; pass 2 repeats the walk and writes them.
+	// Pass 1 counts pairs and runs (after merging) so the tables can be
+	// made at their exact size; pass 2 repeats the walk and writes them.
 	f.walk(0)
-	f.pairs = ar.pairs.take(f.nPairs)
-	f.runs = ar.runs.take(f.nRuns)
+	f.pairs = make([]PairPlan, f.nPairs)
+	f.runs = make([]Run, f.nRuns)
 	f.fill, f.nPairs, f.nRuns = true, 0, 0
 	f.walk(0)
 	s.Pairs = f.pairs
@@ -309,7 +303,7 @@ func (s *Schedule) buildFast() {
 
 // fastPlan is one closed-form build's walk state: the per-axis sides and
 // descriptor tables, the coordinate pair and descriptor chosen on each
-// axis, and the slabs the fill pass writes.
+// axis, and the tables the fill pass writes.
 type fastPlan struct {
 	s          *Schedule
 	src, dst   []axSide
@@ -341,7 +335,7 @@ func (f *fastPlan) walk(a int) {
 }
 
 // pair plans the current coordinate-pair combination: counts its runs,
-// or in the fill pass writes them (into the run slab, which the counting
+// or in the fill pass writes them (into the run table, which the counting
 // pass sized exactly) and its PairPlan.
 func (f *fastPlan) pair() {
 	f.b = runBuilder{}
@@ -421,48 +415,5 @@ func (f *fastPlan) emit(a, so, do int) {
 	}
 	if k1 < d.count {
 		clipped(last)
-	}
-}
-
-// indexArena is index() with the lookup tables carved from the arena.
-func (s *Schedule) indexArena() {
-	ar := s.ar
-	np, nq := s.Src.NumProcs(), s.Dst.NumProcs()
-	s.bySrc = ar.slices.take(np)
-	s.byDst = ar.slices.take(nq)
-	srcDeg := ar.ints.take(np)
-	dstDeg := ar.ints.take(nq)
-	for r := range srcDeg {
-		srcDeg[r] = 0
-	}
-	for r := range dstDeg {
-		dstDeg[r] = 0
-	}
-	for i := range s.Pairs {
-		srcDeg[s.Pairs[i].SrcRank]++
-		dstDeg[s.Pairs[i].DstRank]++
-	}
-	srcBack := ar.ints.take(len(s.Pairs))
-	dstBack := ar.ints.take(len(s.Pairs))
-	off := 0
-	for r := 0; r < np; r++ {
-		n := srcDeg[r]
-		s.bySrc[r] = srcBack[off : off+n : off+n]
-		off += n
-		srcDeg[r] = 0
-	}
-	off = 0
-	for r := 0; r < nq; r++ {
-		n := dstDeg[r]
-		s.byDst[r] = dstBack[off : off+n : off+n]
-		off += n
-		dstDeg[r] = 0
-	}
-	for i := range s.Pairs {
-		sr, dr := s.Pairs[i].SrcRank, s.Pairs[i].DstRank
-		s.bySrc[sr][srcDeg[sr]] = i
-		srcDeg[sr]++
-		s.byDst[dr][dstDeg[dr]] = i
-		dstDeg[dr]++
 	}
 }

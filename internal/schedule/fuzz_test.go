@@ -112,7 +112,6 @@ func FuzzPlanEquivalence(f *testing.F) {
 			t.Fatal(err)
 		}
 		diffSchedules(t, src.Key()+" → "+dst.Key(), fast, ref)
-		fast.Recycle()
 	})
 }
 

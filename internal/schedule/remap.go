@@ -33,9 +33,8 @@ var (
 // descriptors of different arrays).
 //
 // Closed-form planning applies automatically: a Block→Block width change
-// is interval×interval and plans arithmetically through the recycled
-// arena (the PR 5 fast path), so resize planning costs microseconds, not
-// an enumeration.
+// is interval×interval and plans arithmetically (the fast path), so
+// resize planning costs microseconds, not an enumeration.
 func Remap(old, next *dad.Template) (*Schedule, error) {
 	if !old.Conforms(next) {
 		return nil, fmt.Errorf("schedule: Remap templates do not conform: %v vs %v", old.Dims(), next.Dims())

@@ -18,9 +18,7 @@ package schedule
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"mxn/internal/dad"
@@ -179,8 +177,7 @@ type Schedule struct {
 	bySrc [][]int // source rank -> indices into Pairs
 	byDst [][]int // destination rank -> indices into Pairs
 
-	ar   *planArena // non-nil for arena-staged (fast path) schedules
-	fast bool       // built by the closed-form planner
+	fast bool // built by the closed-form planner
 }
 
 // BuildOpts tunes schedule construction. The zero value is the default:
@@ -197,9 +194,9 @@ type BuildOpts struct {
 // The templates must conform (describe the same global index space).
 //
 // Regular template pairs whose per-axis intersections have closed forms
-// (see dad.Template.ClosedFormPair) are planned arithmetically through a
-// pooled arena — the fast path that makes first contact between cohorts
-// cheap; everything else falls back to interval/patch enumeration.
+// (see dad.Template.ClosedFormPair) are planned arithmetically — the fast
+// path that makes first contact between cohorts cheap; everything else
+// falls back to interval/patch enumeration.
 func Build(src, dst *dad.Template) (*Schedule, error) {
 	return BuildWith(src, dst, BuildOpts{})
 }
@@ -210,23 +207,18 @@ func BuildWith(src, dst *dad.Template, opts BuildOpts) (*Schedule, error) {
 		return nil, fmt.Errorf("schedule: templates do not conform: %v vs %v", src.Dims(), dst.Dims())
 	}
 	start := time.Now()
-	var s *Schedule
-	if !opts.DisableFastPath && src.ClosedFormPair(dst) {
-		ar := getArena()
-		s = &ar.sched
-		*s = Schedule{Src: src, Dst: dst, ar: ar, fast: true}
+	s := &Schedule{Src: src, Dst: dst}
+	switch {
+	case !opts.DisableFastPath && src.ClosedFormPair(dst):
+		s.fast = true
 		s.buildFast()
-		s.indexArena()
 		mFastBuilds.Inc()
-	} else {
-		s = &Schedule{Src: src, Dst: dst}
-		if !src.IsExplicit() && !dst.IsExplicit() {
-			s.buildAxiswise()
-		} else {
-			s.buildGeneric()
-		}
-		s.index()
+	case !src.IsExplicit() && !dst.IsExplicit():
+		s.buildAxiswise()
+	default:
+		s.buildGeneric()
 	}
+	s.index()
 	mBuilds.Inc()
 	mBuildNS.ObserveSince(start)
 	mBuildElems.Observe(int64(s.TotalElems()))
@@ -238,14 +230,32 @@ func BuildWith(src, dst *dad.Template, opts BuildOpts) (*Schedule, error) {
 // planner (as opposed to the interval/patch enumerators).
 func (s *Schedule) FastPath() bool { return s.fast }
 
-// index builds the per-rank lookup tables.
+// index builds the per-rank lookup tables. Every constructor ends with it.
 func (s *Schedule) index() {
-	s.bySrc = make([][]int, s.Src.NumProcs())
-	s.byDst = make([][]int, s.Dst.NumProcs())
-	for i, p := range s.Pairs {
-		s.bySrc[p.SrcRank] = append(s.bySrc[p.SrcRank], i)
-		s.byDst[p.DstRank] = append(s.byDst[p.DstRank], i)
+	s.bySrc = indexBy(s.Pairs, s.Src.NumProcs(), func(p *PairPlan) int { return p.SrcRank })
+	s.byDst = indexBy(s.Pairs, s.Dst.NumProcs(), func(p *PairPlan) int { return p.DstRank })
+}
+
+// indexBy lists, for each of n ranks, the indices of the pairs whose
+// rank(pair) it is, in pair order. A counting pass sizes each rank's list,
+// so all n lists are windows of one exact table.
+func indexBy(pairs []PairPlan, n int, rank func(*PairPlan) int) [][]int {
+	deg := make([]int, n)
+	for i := range pairs {
+		deg[rank(&pairs[i])]++
 	}
+	out := make([][]int, n)
+	back := make([]int, len(pairs))
+	off := 0
+	for r, d := range deg {
+		out[r] = back[off : off : off+d]
+		off += d
+	}
+	for i := range pairs {
+		r := rank(&pairs[i])
+		out[r] = append(out[r], i)
+	}
+	return out
 }
 
 // buildAxiswise handles regular×regular template pairs. Because per-axis
@@ -350,81 +360,34 @@ func (s *Schedule) buildPairFromIntervalProduct(srcRank, dstRank int, ivLists []
 }
 
 // buildGeneric handles template pairs involving explicit distributions by
-// direct patch-list intersection. Destination ranks are planned
-// concurrently by a bounded worker pool — templates are read-only during
-// planning and each destination's plans are independent — then merged in
-// deterministic (src, dst) order, so the parallel build produces exactly
-// the schedule the sequential loop did.
+// direct patch-list intersection, one rank pair at a time in (src, dst)
+// order. Within a pair, destination patches are the outer loop and source
+// patches the inner one.
 func (s *Schedule) buildGeneric() {
-	ns := s.Src.NumProcs()
-	nd := s.Dst.NumProcs()
-
-	// plansByDst[dstRank][srcRank] is filled by exactly one worker.
-	plansByDst := make([][]*PairPlan, nd)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > nd {
-		workers = nd
-	}
-	if workers <= 1 {
-		for d := 0; d < nd; d++ {
-			plansByDst[d] = s.planDstRank(d, ns)
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				for {
-					d := int(next.Add(1)) - 1
-					if d >= nd {
-						return
-					}
-					plansByDst[d] = s.planDstRank(d, ns)
-				}
-			}()
-		}
-		wg.Wait()
-	}
-
-	for srcRank := 0; srcRank < ns; srcRank++ {
-		for dstRank := 0; dstRank < nd; dstRank++ {
-			if row := plansByDst[dstRank]; row != nil {
-				if plan := row[srcRank]; plan != nil && plan.Elems > 0 {
-					s.Pairs = append(s.Pairs, *plan)
-				}
-			}
-		}
-	}
-}
-
-// planDstRank intersects one destination rank's patches against every
-// source rank, returning per-source plans (nil entries for pairs that do
-// not communicate). Patch nesting matches the sequential enumerator:
-// destination patch outer, source patch inner.
-func (s *Schedule) planDstRank(dstRank, ns int) []*PairPlan {
-	dstPatches := s.Dst.Patches(dstRank)
-	if len(dstPatches) == 0 {
-		return nil
-	}
 	na := s.Src.NumAxes()
-	row := make([]*PairPlan, ns)
-	for srcRank := 0; srcRank < ns; srcRank++ {
-		srcPatches := s.Src.Patches(srcRank)
-		b := runBuilder{out: []Run{}}
-		for _, dp := range dstPatches {
-			for _, sp := range srcPatches {
-				if region, ok := sp.Intersect(dp); ok {
-					addRegionRuns(&b, s.Src, s.Dst, srcRank, dstRank, region, na)
+	srcPatches := make([][]dad.Patch, s.Src.NumProcs())
+	for r := range srcPatches {
+		srcPatches[r] = s.Src.Patches(r)
+	}
+	dstPatches := make([][]dad.Patch, s.Dst.NumProcs())
+	for r := range dstPatches {
+		dstPatches[r] = s.Dst.Patches(r)
+	}
+	for srcRank, sps := range srcPatches {
+		for dstRank, dps := range dstPatches {
+			b := runBuilder{out: []Run{}}
+			for _, dp := range dps {
+				for _, sp := range sps {
+					if region, ok := sp.Intersect(dp); ok {
+						addRegionRuns(&b, s.Src, s.Dst, srcRank, dstRank, region, na)
+					}
 				}
 			}
-		}
-		if b.elems > 0 {
-			row[srcRank] = &PairPlan{SrcRank: srcRank, DstRank: dstRank, Runs: b.finish(), Elems: b.elems}
+			if b.elems > 0 {
+				s.Pairs = append(s.Pairs, PairPlan{SrcRank: srcRank, DstRank: dstRank, Runs: b.finish(), Elems: b.elems})
+			}
 		}
 	}
-	return row
 }
 
 // addRegionRuns adds one block per last-axis row of the region.

@@ -250,34 +250,41 @@ func TestReadFrameCorruptLengthCostsBytesSent(t *testing.T) {
 
 // TestReadFrameReusesReturnedFrame: a frame returned to the pool is the
 // buffer the next frame of its class is read into, so a receiver that
-// returns what it reads needs no new memory.
+// returns what it reads needs no new memory. TotalAlloc counts every
+// goroutine of the process, so the bound holds the least of several
+// measured reads: an allocation elsewhere during one read cannot fail it,
+// while a reader that took a fresh frame would allocate 300 KiB on each.
 func TestReadFrameReusesReturnedFrame(t *testing.T) {
 	payload := bytes.Repeat([]byte{0xC3}, 300<<10) // beyond the reader's first commitment
-	var two bytes.Buffer
-	for i := 0; i < 2; i++ {
-		if err := WriteFrame(&two, payload); err != nil {
-			t.Fatal(err)
+	least := uint64(math.MaxUint64)
+	for try := 0; try < 5; try++ {
+		var two bytes.Buffer
+		for i := 0; i < 2; i++ {
+			if err := WriteFrame(&two, payload); err != nil {
+				t.Fatal(err)
+			}
 		}
+		first, err := ReadFrame(&two)
+		if err != nil || !bytes.Equal(first, payload) {
+			t.Fatalf("first frame: %v", err)
+		}
+		bufpool.PutFrame(first)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		second, err := ReadFrame(&two)
+		runtime.ReadMemStats(&after)
+		if err != nil || !bytes.Equal(second, payload) {
+			t.Fatalf("second frame: %v", err)
+		}
+		if unsafe.SliceData(second) != unsafe.SliceData(first) {
+			t.Error("second frame was not read into the returned one")
+		}
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+		bufpool.PutFrame(second)
 	}
-	first, err := ReadFrame(&two)
-	if err != nil || !bytes.Equal(first, payload) {
-		t.Fatalf("first frame: %v", err)
+	if least > 4<<10 {
+		t.Errorf("reading into a returned frame allocated %d bytes", least)
 	}
-	bufpool.PutFrame(first)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	second, err := ReadFrame(&two)
-	runtime.ReadMemStats(&after)
-	if err != nil || !bytes.Equal(second, payload) {
-		t.Fatalf("second frame: %v", err)
-	}
-	if unsafe.SliceData(second) != unsafe.SliceData(first) {
-		t.Error("second frame was not read into the returned one")
-	}
-	if d := after.TotalAlloc - before.TotalAlloc; d > 4<<10 {
-		t.Errorf("reading into a returned frame allocated %d bytes", d)
-	}
-	bufpool.PutFrame(second)
 }
 
 // Property: any sequence of primitive values round-trips.

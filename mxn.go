@@ -226,6 +226,11 @@ func Redistribute[T Elem](src, dst *Template, srcLocals, dstLocals [][]T) error 
 // Meta-Chaos / Indiana MPI-IO approach (Section 2.2.1).
 type Linearizer = schedule.Linearizer
 
+// Segment says that linear positions [Pos, Pos+N) live at offsets
+// [Off, Off+N) of a rank's canonical local buffer: what a Linearizer's
+// Segments returns.
+type Segment = schedule.Segment
+
 // RowMajorLinearization linearizes a template by global row-major order:
 // the abstract one-dimensional intermediate representation of a
 // distributed array.
