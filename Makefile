@@ -29,14 +29,16 @@ build:
 test:
 	$(GO) test -shuffle=on -count=1 ./...
 
-# The engine, session and frame-reading packages at one P and at two. At
+# The engine, session and frame-reading packages, and the frameworks that
+# serve through them (SCIRun2's components through a strict-matching PRMI
+# endpoint), at one P and at two. At
 # one P the session's group commit decides which sends share a write (a
 # small send yields once before writing), and a frame reader's choice
 # between refilling its slab and moving to a fresh one races with views
 # put back from other goroutines; goroutine interleavings differ from two
 # Ps, so every test of these packages runs in both regimes.
 test-cpu:
-	$(GO) test -cpu 1,2 -count=1 ./internal/session ./internal/comm ./internal/redist ./internal/prmi ./internal/chaosnet ./internal/wire ./internal/transport ./internal/bufpool
+	$(GO) test -cpu 1,2 -count=1 ./internal/session ./internal/comm ./internal/redist ./internal/prmi ./internal/chaosnet ./internal/wire ./internal/transport ./internal/bufpool ./internal/frameworks/...
 
 # The concurrency-heavy packages (comm, transport, faultconn, prmi, core)
 # are race-clean; run the whole tree under the detector.

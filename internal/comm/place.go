@@ -72,7 +72,7 @@ const (
 // without allocating.
 type Posting struct {
 	From, Tag int         // sender's group rank and the message tag
-	Codec     byte        // payload codec tag (RegisterRemotePayload)
+	Codec     byte        // payload codec tag (CodecXfer, ...)
 	Body      PostBody    // the codec's head fields
 	Bytes     int         // payload bytes
 	Dst       net.Buffers // where the payload goes, in order

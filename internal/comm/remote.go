@@ -17,10 +17,11 @@
 // both sides agree on a communicator identity explicitly (ordinary Group
 // identities are process-local counters and would collide blindly).
 //
-// Payloads cross the wire through a small codec registry. Plain values
-// (the wire.PutValue set, plus int round-tripping) need no registration;
-// packages whose message structs cross worlds register a RemoteCodec for
-// them (redist's transfer messages, core's heartbeat pings). Sub and
+// Payloads cross the wire as a codec tag and the payload's encoding. Plain
+// values (the wire.PutValue set, plus int round-tripping) take the generic
+// codec; a package whose message struct crosses worlds implements Remote
+// on it and registers its decoder (redist's transfer messages, core's
+// heartbeat pings, PRMI's messages). Sub and
 // Split are NOT remote-safe: they pass *Comm handles as payloads, which
 // are meaningless in another process image — build cross-world groups
 // with SharedGroup instead.
@@ -45,65 +46,49 @@ var (
 	mRemotePeersLost = obs.Default().Counter("comm.remote_peers_lost")
 )
 
-// RemoteCodec encodes and decodes one family of payload values for the
-// remote mailbox path. Encode reports whether it handled v (false lets
-// the next codec try, ending at the built-in generic codec); it must not
-// write anything when it returns false. Decode reverses Encode.
-type RemoteCodec struct {
-	Encode func(e *wire.Encoder, v any) bool
-	Decode func(d *wire.Decoder) (any, error)
+// Remote is a payload that encodes itself for the remote mailbox path:
+// RemoteTag names its codec, and PutRemote writes its encoding, which the
+// decoder registered for that tag reverses. comm.Send hands the payload
+// over, so PutRemote may retire it.
+type Remote interface {
+	RemoteTag() byte
+	PutRemote(e *wire.Encoder)
 }
 
-// codecGeneric is the built-in tag: wire.PutValue's dynamic set, with an
-// int sub-tag so int payloads round-trip as int rather than int64.
-const codecGeneric = 0
+// Remote payload codec tags. They are process-global and must match on
+// both peers.
+const (
+	codecGeneric   = 0 // wire.PutValue's dynamic set, with an int sub-tag
+	CodecXfer      = 1 // redist's transfer messages
+	_              = 2 // retired, not reused: linearizations send nothing of their own
+	CodecHeartbeat = 3 // core's heartbeat pings
+	CodecPRMI      = 4 // prmi's messages
+)
 
-var remoteCodecs struct {
-	mu    sync.RWMutex
-	byTag map[byte]RemoteCodec
-	order []byte // Encode trial order; generic always last
-}
+// remoteDecoders holds the decoder of each codec tag; written only by
+// RegisterRemoteDecoder during package initialization.
+var remoteDecoders = [256]func(*wire.Decoder) (any, error){codecGeneric: getGenericValue}
 
-// RegisterRemotePayload registers a codec for payload values crossing
-// ConnectPeer links under the given tag. Tags are process-global and must
-// match on both peers; tag 0 is the built-in generic codec. Intended to
-// be called from package init — registering a tag twice panics.
-func RegisterRemotePayload(tag byte, c RemoteCodec) {
-	if tag == codecGeneric {
-		panic("comm: remote payload tag 0 is reserved for the generic codec")
-	}
-	if c.Encode == nil || c.Decode == nil {
-		panic("comm: remote payload codec needs both Encode and Decode")
-	}
-	remoteCodecs.mu.Lock()
-	defer remoteCodecs.mu.Unlock()
-	if remoteCodecs.byTag == nil {
-		remoteCodecs.byTag = map[byte]RemoteCodec{}
-	}
-	if _, dup := remoteCodecs.byTag[tag]; dup {
+// RegisterRemoteDecoder registers the decoder of the payloads whose
+// RemoteTag is tag. Intended to be called from package init — registering
+// a tag twice (the generic tag is taken) panics.
+func RegisterRemoteDecoder(tag byte, dec func(*wire.Decoder) (any, error)) {
+	if remoteDecoders[tag] != nil {
 		panic(fmt.Sprintf("comm: remote payload tag %d registered twice", tag))
 	}
-	remoteCodecs.byTag[tag] = c
-	remoteCodecs.order = append(remoteCodecs.order, tag)
+	remoteDecoders[tag] = dec
 }
 
-// encodeRemotePayload writes [codec tag][payload] using the first
-// registered codec that claims v, falling back to the generic codec.
-// Unsupported payload types panic (same contract as wire.PutValue): a
-// payload silently dropped at the boundary would be a deadlock upstream.
+// encodeRemotePayload writes [codec tag][payload]: a Remote payload's own
+// encoding, or the generic codec's. Unsupported payload types panic (same
+// contract as wire.PutValue): a payload silently dropped at the boundary
+// would be a deadlock upstream.
 func encodeRemotePayload(e *wire.Encoder, v any) {
-	remoteCodecs.mu.RLock()
-	for _, tag := range remoteCodecs.order {
-		c := remoteCodecs.byTag[tag]
-		e.PutByte(tag)
-		if c.Encode(e, v) {
-			remoteCodecs.mu.RUnlock()
-			return
-		}
-		// Undo the speculative tag byte (Encode wrote nothing).
-		e.Unwrite(1)
+	if r, ok := v.(Remote); ok {
+		e.PutByte(r.RemoteTag())
+		r.PutRemote(e)
+		return
 	}
-	remoteCodecs.mu.RUnlock()
 	e.PutByte(codecGeneric)
 	putGenericValue(e, v)
 }
@@ -162,16 +147,10 @@ func getGenericValue(d *wire.Decoder) (any, error) {
 
 func decodeRemotePayload(d *wire.Decoder) (any, error) {
 	tag := d.Byte()
-	if tag == codecGeneric {
-		return getGenericValue(d)
+	if dec := remoteDecoders[tag]; dec != nil {
+		return dec(d)
 	}
-	remoteCodecs.mu.RLock()
-	c, ok := remoteCodecs.byTag[tag]
-	remoteCodecs.mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("comm: remote payload: no codec registered for tag %d", tag)
-	}
-	return c.Decode(d)
+	return nil, fmt.Errorf("comm: remote payload: no codec registered for tag %d", tag)
 }
 
 // RemotePeer is one ConnectPeer binding: a connection plus the world

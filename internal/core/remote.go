@@ -2,9 +2,8 @@ package core
 
 // Remote payload codec for heartbeat pings, so a failure detector can
 // probe ranks on the far side of a comm.ConnectPeer link: the ping
-// crosses the wire under tag 3 (see internal/redist/remote.go for the
-// module-wide tag registry) and the pong — a bare uint64 sequence number
-// — travels through comm's generic codec.
+// crosses the wire under comm.CodecHeartbeat and the pong — a bare uint64
+// sequence number — travels through comm's generic codec.
 
 import (
 	"fmt"
@@ -14,24 +13,22 @@ import (
 )
 
 func init() {
-	comm.RegisterRemotePayload(3, comm.RemoteCodec{
-		Encode: func(e *wire.Encoder, v any) bool {
-			p, ok := v.(heartbeatPing)
-			if !ok {
-				return false
-			}
-			e.PutUvarint(uint64(p.From))
-			e.PutUint64(p.Seq)
-			return true
-		},
-		Decode: func(d *wire.Decoder) (any, error) {
-			var p heartbeatPing
-			p.From = int(d.Uvarint())
-			p.Seq = d.Uint64()
-			if d.Err() != nil {
-				return nil, fmt.Errorf("core: corrupt remote heartbeat ping: %w", d.Err())
-			}
-			return p, nil
-		},
+	comm.RegisterRemoteDecoder(comm.CodecHeartbeat, func(d *wire.Decoder) (any, error) {
+		var p heartbeatPing
+		p.From = int(d.Uvarint())
+		p.Seq = d.Uint64()
+		if d.Err() != nil {
+			return nil, fmt.Errorf("core: corrupt remote heartbeat ping: %w", d.Err())
+		}
+		return p, nil
 	})
+}
+
+// RemoteTag implements comm.Remote.
+func (heartbeatPing) RemoteTag() byte { return comm.CodecHeartbeat }
+
+// PutRemote implements comm.Remote.
+func (p heartbeatPing) PutRemote(e *wire.Encoder) {
+	e.PutUvarint(uint64(p.From))
+	e.PutUint64(p.Seq)
 }

@@ -246,11 +246,11 @@ func (p *CallerPort) broadcast(kind byte) error {
 }
 
 // Depart announces that this caller rank is leaving the cohort — the
-// PRMI half of an online shrink. Unlike Close it also tells every callee
-// to drop this caller's deferred queue: links are FIFO, so by the time
-// the detach is dispatched every call this rank ever issued has been
-// serviced. The port must not be used after Depart; the endpoints' Serve
-// loops keep running for the remaining callers.
+// PRMI half of an online shrink. Every callee counts it closed, like
+// Close, and as a departure (prmi.caller_detaches): links are FIFO, so by
+// the time the detach is dispatched every call this rank ever issued has
+// been serviced. The port must not be used after Depart; the endpoints'
+// Serve loops keep running for the remaining callers.
 func (p *CallerPort) Depart() error { return p.broadcast(msgDetach) }
 
 // CallIndependent performs a one-to-one invocation of an independent
@@ -512,7 +512,7 @@ func (p *CallerPort) collect(seq uint64, want []int) error {
 				return &core.ErrRankDown{Rank: j, Epoch: mb.Epoch()}
 			}
 		}
-		from, m, again, err := recvPoll(p.link, deadline, p.members != nil)
+		from, m, again, err := recvPoll(p.link, AnyPeer, deadline, p.members != nil)
 		if again {
 			continue
 		}

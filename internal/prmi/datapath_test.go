@@ -529,62 +529,102 @@ func TestPoolBalancedOnFailurePaths(t *testing.T) {
 	// Caller 0 invokes upd while caller 1 invokes other — intersecting
 	// participant sets delivered inconsistently (Figure 5). A strict
 	// endpoint fails with the foreign call in hand; a faithful one holds
-	// it back and stalls. Either way nothing it holds may leak.
-	for _, strict := range []bool{true, false} {
-		t.Run(fmt.Sprintf("order violation strict=%v", strict), func(t *testing.T) {
-			baseline := bufpool.Outstanding()
-			c := newPair22(t, worldFabric(t, 2, 2))
-			for _, ep := range c.eps {
-				ep.StrictMatching, ep.StallTimeout = strict, 100*time.Millisecond
+	// it back and stalls. Either way nothing it holds may leak, in one
+	// world or across a session, where the endpoint's receive matched by
+	// source is served from the remote path's mailbox.
+	for _, fab := range testFabrics {
+		for _, strict := range []bool{true, false} {
+			name := fmt.Sprintf("order violation strict=%v", strict)
+			if fab.name != "world" {
+				name += " " + fab.name
 			}
-			wait := c.serve()
-			callErrs := c.both(func(i int) error {
-				c.ports[i].SetTimeout(500 * time.Millisecond)
-				part := Participation{Ranks: identityRanks(2)}
-				if i == 1 {
-					_, err := c.ports[1].CallCollective("other", part, Simple("k", 2.0))
+			t.Run(name, func(t *testing.T) {
+				baseline := bufpool.Outstanding()
+				f := fab.make(t, 2, 2)
+				c := newPair22(t, f)
+				for _, ep := range c.eps {
+					ep.StrictMatching, ep.StallTimeout = strict, 100*time.Millisecond
+				}
+				wait := c.serve()
+				callErrs := c.both(func(i int) error {
+					c.ports[i].SetTimeout(500 * time.Millisecond)
+					part := Participation{Ranks: identityRanks(2)}
+					if i == 1 {
+						_, err := c.ports[1].CallCollective("other", part, Simple("k", 2.0))
+						return err
+					}
+					_, err := c.ports[0].CallCollective("upd", part, Parallel("field", c.callerT, c.field[0]), Simple("k", 2.0))
 					return err
+				})
+				for i, err := range callErrs {
+					if !errors.Is(err, ErrTimeout) {
+						t.Errorf("caller %d: err = %v, want a timeout", i, err)
+					}
 				}
-				_, err := c.ports[0].CallCollective("upd", part, Parallel("field", c.callerT, c.field[0]), Simple("k", 2.0))
-				return err
+				for j, err := range wait() {
+					var ov *OrderViolationError
+					if strict && !errors.As(err, &ov) || !strict && !errors.Is(err, ErrStalled) {
+						t.Errorf("callee %d: serve err = %v", j, err)
+					}
+				}
+				f.close()
+				awaitPool(t, baseline, "after an order violation")
 			})
-			for i, err := range callErrs {
-				if !errors.Is(err, ErrTimeout) {
-					t.Errorf("caller %d: err = %v, want a timeout", i, err)
-				}
-			}
-			for j, err := range wait() {
-				var ov *OrderViolationError
-				if strict && !errors.As(err, &ov) || !strict && !errors.Is(err, ErrStalled) {
-					t.Errorf("callee %d: serve err = %v", j, err)
-				}
-			}
-			awaitPool(t, baseline, "after an order violation")
-		})
+		}
 	}
-	t.Run("pending overflow and departure", func(t *testing.T) {
+	// A faithful endpoint collecting tally holds caller 1's pulse and two
+	// pokes back; after tally it serves pulse, whose collection meets
+	// caller 2's departure instead of its call and fails with both pokes
+	// still held: Serve must release them.
+	t.Run("held calls and departure", func(t *testing.T) {
 		baseline := bufpool.Outstanding()
-		ep := NewEndpoint(pathIface(t), silentLink{}, 0, 1, 3)
-		ep.PendingLimit = 2
-		for i := 0; i < 5; i++ {
-			ep.enqueue(1, newMsg([]byte{msgCall}, bufpool.Get(64)))
-			ep.enqueue(2, newMsg([]byte{msgCall}, bufpool.Get(64)))
+		f := worldFabric(t, 3, 1)
+		link := &gatherSignal{Link: f.callees[0], waiting: make(chan struct{})}
+		ep := NewEndpoint(calcInterface(t), link, 0, 1, 3)
+		ep.StallTimeout = 5 * time.Second
+		pokes := 0
+		ep.Handle("tally", func(in *Incoming, out *Outgoing) error { out.Return = 1.0; return nil })
+		ep.Handle("poke", func(*Incoming, *Outgoing) error { pokes++; return nil })
+		served := make(chan error, 1)
+		go func() { served <- ep.Serve() }()
+		ports := make([]*CallerPort, 3)
+		for i := range ports {
+			ports[i] = NewCallerPort(calcInterface(t), f.callers[i], i, 1, Eager)
 		}
-		if n := len(ep.pending[1]) + len(ep.pending[2]); n != 4 {
-			t.Fatalf("%d messages queued, want 4", n)
-		}
-		// Caller 1 departs with messages queued; caller 2's are still
-		// queued when Serve gives up on the silent link.
-		if _, err := ep.dispatch(1, newMsg([]byte{msgDetach}, nil)); err != nil {
+		both := Participation{Ranks: []int{0, 1}}
+		first := make(chan error, 1)
+		go func() {
+			_, err := ports[0].CallCollective("tally", both, Simple("x", 1.0))
+			first <- err
+		}()
+		<-link.waiting
+		if _, err := ports[1].CallCollective("pulse", Participation{Ranks: []int{1, 2}}, Simple("n", 1)); err != nil {
 			t.Fatal(err)
 		}
-		if len(ep.pending[1]) != 0 {
-			t.Error("a departed caller's messages are still queued")
+		for n := 0; n < 2; n++ {
+			if _, err := ports[1].CallIndependent(0, "poke", Simple("n", n)); err != nil {
+				t.Fatal(err)
+			}
 		}
-		for src := range ep.pending {
-			ep.dropPending(src)
+		if _, err := ports[1].CallCollective("tally", both, Simple("x", 1.0)); err != nil {
+			t.Fatalf("caller 1 tally: %v", err)
 		}
-		awaitPool(t, baseline, "after overflow, detach and teardown")
+		if err := <-first; err != nil {
+			t.Fatalf("caller 0 tally: %v", err)
+		}
+		if err := ports[2].Depart(); err != nil {
+			t.Fatal(err)
+		}
+		if err := <-served; err == nil || !strings.Contains(err.Error(), "during collective") {
+			t.Fatalf("serve err = %v, want caller 2's departure during the pulse collection", err)
+		}
+		if pokes != 0 {
+			t.Errorf("%d held pokes ran; the pulse ahead of them never completed", pokes)
+		}
+		if len(ep.held) != 0 {
+			t.Errorf("%d calls still held after Serve returned", len(ep.held))
+		}
+		awaitPool(t, baseline, "after holding calls, a departure and teardown")
 	})
 	t.Run("peer lost mid-call", func(t *testing.T) {
 		baseline := bufpool.Outstanding()
@@ -710,8 +750,8 @@ type frameLink struct {
 	seen [][3]int // {payload bytes, frame capacity, slab capacity or 0}
 }
 
-func (l *frameLink) Recv(d time.Duration) (int, *Msg, error) {
-	from, m, err := l.Link.Recv(d)
+func (l *frameLink) Recv(src int, d time.Duration) (int, *Msg, error) {
+	from, m, err := l.Link.Recv(src, d)
 	if err == nil && m.frame != nil {
 		l.mu.Lock()
 		l.seen = append(l.seen, [3]int{len(m.payload), cap(m.frame), cap(bufpool.ViewSlab(m.frame))})

@@ -312,29 +312,6 @@ func TestCallerRefusesEvictedRetry(t *testing.T) {
 	})
 }
 
-// TestPendingLimitDropsOldest is the regression test for the deferred
-// queue cap: beyond PendingLimit the oldest held messages are shed and
-// counted, newest kept.
-func TestPendingLimitDropsOldest(t *testing.T) {
-	ep := NewEndpoint(matrixIface(t), nil, 0, 1, 1)
-	ep.PendingLimit = 4
-	before := mDeferredDropped.Value()
-	for i := 0; i < 6; i++ {
-		ep.enqueue(2, newMsg([]byte{byte(i)}, nil))
-	}
-	q := ep.pending[2]
-	if len(q) != 4 {
-		t.Fatalf("queue holds %d messages, limit is 4", len(q))
-	}
-	if q[0].head[0] != 2 || q[3].head[0] != 5 {
-		t.Fatalf("queue kept wrong messages: first=%d last=%d, want 2 and 5", q[0].head[0], q[3].head[0])
-	}
-	ep.dropPending(2)
-	if got := mDeferredDropped.Value() - before; got != 2 {
-		t.Fatalf("drop counter advanced by %d, want 2", got)
-	}
-}
-
 // TestStaleEpochCallRejected: an endpoint with a newer membership view
 // refuses a call stamped with an older epoch, and accepts one stamped with
 // the current epoch.
@@ -378,7 +355,7 @@ func TestStaleEpochCallRejected(t *testing.T) {
 type silentLink struct{}
 
 func (silentLink) Send(_ int, m *Msg) error { m.Release(); return nil }
-func (silentLink) Recv(d time.Duration) (int, *Msg, error) {
+func (silentLink) Recv(_ int, d time.Duration) (int, *Msg, error) {
 	if d <= 0 {
 		select {}
 	}
@@ -395,7 +372,7 @@ func TestNextFromFailsFastOnDeadParticipant(t *testing.T) {
 	ep.SetMembership(mem)
 	mem.MarkDown(1)
 	start := time.Now()
-	_, err := ep.nextFrom(1, 0) // unbounded wait, but the rank is dead
+	_, _, err := ep.nextFrom(1, 0) // unbounded wait, but the rank is dead
 	var rd *core.ErrRankDown
 	if !errors.As(err, &rd) || rd.Rank != 1 {
 		t.Fatalf("err = %v, want *core.ErrRankDown for rank 1", err)
@@ -411,7 +388,7 @@ func TestNextFromFailsFastOnDeadParticipant(t *testing.T) {
 		time.Sleep(30 * time.Millisecond)
 		mem2.MarkDown(1)
 	}()
-	_, err = ep.nextFrom(1, 0)
+	_, _, err = ep.nextFrom(1, 0)
 	if !errors.As(err, &rd) || rd.Rank != 1 {
 		t.Fatalf("mid-wait death: err = %v, want *core.ErrRankDown for rank 1", err)
 	}

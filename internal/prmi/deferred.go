@@ -149,7 +149,9 @@ func (ep *Endpoint) pullDeferred(pl *plan, hdrs []callHdr) func(string, *dad.Tem
 		local := make([]float64, layout.LocalCount(ep.rank))
 		for _, pair := range pairs {
 			callerRank := pl.participants[pair.SrcRank]
-			m, err := ep.nextFrom(callerRank, ep.StallTimeout)
+			// The caller sends nothing else while it serves pulls, and any
+			// call held back from it was sent before this invocation.
+			m, err := ep.recvFrom(callerRank, ep.StallTimeout)
 			if err != nil {
 				return nil, err
 			}

@@ -9,7 +9,7 @@ import (
 
 // TestCallerDepart covers the PRMI half of an online shrink: a departing
 // caller rank announces itself with Depart instead of Close, every callee
-// counts it closed and drops its deferred queue, and Serve still
+// counts it closed, nothing stays held for it, and Serve still
 // terminates once the remaining callers close normally.
 func TestCallerDepart(t *testing.T) {
 	iface := calcInterface(t)
@@ -70,10 +70,12 @@ func TestCallerDepart(t *testing.T) {
 		}
 	}
 	// Both callers are closed — one by departure, one by shutdown — and
-	// nothing stays queued for the departed one.
+	// nothing stays held for the departed one.
 	for j, ep := range eps {
-		if _, still := ep.pending[leaver]; still {
-			t.Errorf("callee %d still queues deferred messages for departed caller", j)
+		for _, h := range ep.held {
+			if h.src == leaver {
+				t.Errorf("callee %d still holds a call of the departed caller", j)
+			}
 		}
 		if !ep.closed[leaver] || !ep.closed[0] {
 			t.Errorf("callee %d: closed set incomplete: %v", j, ep.closed)

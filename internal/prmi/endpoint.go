@@ -102,18 +102,15 @@ type Endpoint struct {
 	// participant is treated while collecting a collective call. When
 	// true, the endpoint fails fast with an *OrderViolationError. When
 	// false — the faithful reproduction of Figure 5 — the mismatched call
-	// is held back and the endpoint keeps waiting for the committed call,
-	// blocking indefinitely (or until StallTimeout) exactly as the paper
-	// describes.
+	// is held back, to be served after the committed call, and the
+	// endpoint keeps waiting for the committed call, blocking indefinitely
+	// (or until StallTimeout) exactly as the paper describes. Calls from
+	// callers the collection is not waiting on are never read meanwhile:
+	// they wait in the link, in the order they arrived.
 	StrictMatching bool
-	// PendingLimit caps each per-caller deferred message queue (messages
-	// held back while collecting a collective invocation, or one-way
-	// calls queued behind it). Oldest messages are dropped beyond the
-	// limit. Zero means defaultPendingLimit.
-	PendingLimit int
 
 	plans   map[string]*plan // by plan key, see planFor
-	pending map[int][]*Msg   // held-back messages by caller rank
+	held    []heldMsg        // held-back calls, served before the link
 	closed  map[int]bool
 	members *core.Membership // caller-cohort view; nil disables fencing
 
@@ -125,8 +122,11 @@ type Endpoint struct {
 	arrays [][]byte
 }
 
-// defaultPendingLimit bounds each deferred queue when PendingLimit is zero.
-const defaultPendingLimit = 1024
+// heldMsg is a call held back while collecting a collective invocation.
+type heldMsg struct {
+	src int
+	m   *Msg
+}
 
 // NewEndpoint builds a callee-rank server. rank is this callee's cohort
 // rank, nCallee the callee cohort size, nCaller the caller cohort size.
@@ -142,7 +142,6 @@ func NewEndpoint(iface *sidl.Interface, link Link, rank, nCallee, nCaller int) *
 		scheds:   schedule.NewCache(),
 		tcache:   map[string]*dad.Template{},
 		plans:    map[string]*plan{},
-		pending:  map[int][]*Msg{},
 		closed:   map[int]bool{},
 	}
 }
@@ -200,30 +199,27 @@ func (ep *Endpoint) EncodeLayouts() []byte {
 }
 
 // Serve processes invocations until every caller rank has closed its
-// port, servicing calls strictly in arrival order at this rank. It
-// returns nil on clean shutdown, ErrStalled if a collective invocation
-// exceeded StallTimeout, or an *OrderViolationError if participants
-// delivered inconsistent calls. Messages still held back when it returns
-// are released.
+// port, servicing each caller's calls in the order that caller sent them:
+// calls held back while collecting a collective invocation first, in the
+// order they were read, then the link's in arrival order. It returns nil
+// on clean shutdown, ErrStalled if a collective invocation exceeded
+// StallTimeout, or an *OrderViolationError if participants delivered
+// inconsistent calls. Calls still held back when it returns are released.
 func (ep *Endpoint) Serve() error {
 	defer func() {
-		for src := range ep.pending {
-			ep.dropPending(src)
+		for _, h := range ep.held {
+			h.m.Release()
 		}
+		ep.held = nil
 	}()
 	for {
-		// Held-back messages first, then the link.
-		src, m, err := -1, (*Msg)(nil), error(nil)
-		for from, q := range ep.pending {
-			if len(q) > 0 {
-				src, m, ep.pending[from] = from, q[0], q[1:]
-				break
-			}
-		}
-		if m == nil {
-			src, m, err = ep.link.Recv(0)
-		}
-		if err != nil {
+		var src int
+		var m *Msg
+		var err error
+		if len(ep.held) > 0 {
+			src, m = ep.held[0].src, ep.held[0].m
+			ep.held = ep.held[1:]
+		} else if src, m, err = ep.link.Recv(AnyPeer, 0); err != nil {
 			return err
 		}
 		done, err := ep.dispatch(src, m)
@@ -319,24 +315,14 @@ func (ep *Endpoint) decodeCall(src int, m *Msg, hdr *callHdr) error {
 
 // detach retires a departing caller rank (an online shrink): it is
 // counted as closed, so Serve returns once the *remaining* callers shut
-// down, and its deferred queue is dropped. FIFO link delivery guarantees
-// every call the departing rank sent before its detach was already
-// dispatched here. Idempotent; a detach after a shutdown (or vice versa)
-// changes nothing.
+// down. FIFO link delivery guarantees every call the departing rank sent
+// before its detach was already dispatched here. Idempotent; a detach
+// after a shutdown (or vice versa) changes nothing.
 func (ep *Endpoint) detach(src int) {
 	if !ep.closed[src] {
 		ep.closed[src] = true
 		mDetaches.Inc()
 	}
-	ep.dropPending(src)
-}
-
-// dropPending releases and forgets the messages held back for one caller.
-func (ep *Endpoint) dropPending(src int) {
-	for _, m := range ep.pending[src] {
-		m.Release()
-	}
-	delete(ep.pending, src)
 }
 
 // serveIndependent services a one-to-one invocation: the handler runs
@@ -419,13 +405,13 @@ func (ep *Endpoint) serveCollective(first *callHdr) (err error) {
 	ep.hdrs = append(ep.hdrs[:0], make([]callHdr, len(pl.participants))...)
 	hdrs := ep.hdrs
 	hdrs[first.pos] = *first
-	var held []*Msg // foreign calls of the participant being awaited
+	var held []heldMsg // foreign calls of the participant being awaited
 	defer func() {
 		for k := range hdrs {
 			hdrs[k].msg.Release()
 		}
 		for _, h := range held {
-			h.Release()
+			h.m.Release()
 		}
 		for i, b := range ep.arrays {
 			bufpool.Put(b)
@@ -435,7 +421,7 @@ func (ep *Endpoint) serveCollective(first *callHdr) (err error) {
 	}()
 	for k, p := range pl.participants {
 		for hdrs[k].msg == nil {
-			msg, err := ep.nextFrom(p, ep.StallTimeout)
+			msg, at, err := ep.nextFrom(p, ep.StallTimeout)
 			if err != nil {
 				var rd *core.ErrRankDown
 				if errors.As(err, &rd) {
@@ -455,6 +441,11 @@ func (ep *Endpoint) serveCollective(first *callHdr) (err error) {
 			case err != nil:
 			case hdr.plan == pl:
 				hdrs[k] = hdr
+				// Hold the foreign calls where the committed one was, ahead
+				// of p's later ones, so that they are served after this
+				// invocation and in p's order; not before now, or nextFrom
+				// would hand them back to this collection.
+				ep.held, held = slices.Insert(ep.held, at, held...), held[:0]
 				continue
 			case hdr.plan.method == m && slices.Equal(hdr.plan.participants, pl.participants):
 				err = fmt.Errorf("prmi: callers %d and %d passed differently distributed arguments to %q", first.callerRank, p, m.Name)
@@ -472,11 +463,8 @@ func (ep *Endpoint) serveCollective(first *callHdr) (err error) {
 			// Faithful mode: hold the foreign call back and keep waiting for
 			// the committed one — if it can never arrive, this is the
 			// Figure 5 deadlock.
-			held = append(held, msg)
+			held = append(held, heldMsg{p, msg})
 		}
-		// Re-queue held calls in arrival order so they are serviced after
-		// this invocation completes.
-		ep.pending[p], held = append(held, ep.pending[p]...), nil
 	}
 
 	if ep.CheckSimpleArgs {
@@ -558,34 +546,26 @@ func (ep *Endpoint) serveCollective(first *callHdr) (err error) {
 	return ep.replyAll(hdrs, &replyMsg{ret: out.Return, simpleOut: simpleOutSection(m, out)}, out)
 }
 
-// enqueue defers a message from one caller, dropping (and releasing) the
-// oldest beyond PendingLimit. An unbounded queue here would let a single
-// stalled collective grow the heap without limit under a caller that keeps
-// firing one-way calls; bounded, the oldest deferred work is shed and
-// counted.
-func (ep *Endpoint) enqueue(src int, m *Msg) {
-	limit := ep.PendingLimit
-	if limit <= 0 {
-		limit = defaultPendingLimit
+// nextFrom returns the next message from caller src: the first call held
+// back for it, else recvFrom's. at is the index in ep.held it came from,
+// ep.held's length when it came from the link.
+func (ep *Endpoint) nextFrom(src int, timeout time.Duration) (m *Msg, at int, err error) {
+	for i, h := range ep.held {
+		if h.src == src {
+			ep.held = slices.Delete(ep.held, i, i+1)
+			return h.m, i, nil
+		}
 	}
-	q := append(ep.pending[src], m)
-	for len(q) > limit {
-		q[0].Release()
-		q = q[1:]
-		mDeferredDropped.Inc()
-	}
-	ep.pending[src] = q
+	m, err = ep.recvFrom(src, timeout)
+	return m, len(ep.held), err
 }
 
-// nextFrom returns the next message from a specific caller, queueing
-// others. timeout <= 0 blocks forever. With a membership view set, the
-// wait polls and fails fast with *core.ErrRankDown once src is marked
-// down — a crashed participant's collective message is never coming.
-func (ep *Endpoint) nextFrom(src int, timeout time.Duration) (*Msg, error) {
-	if q := ep.pending[src]; len(q) > 0 {
-		ep.pending[src] = q[1:]
-		return q[0], nil
-	}
+// recvFrom returns the link's next message from caller src, leaving every
+// other caller's messages in the link. timeout <= 0 blocks forever. With
+// a membership view set, the wait polls and fails fast with
+// *core.ErrRankDown once src is marked down — a crashed participant's
+// collective message is never coming.
+func (ep *Endpoint) recvFrom(src int, timeout time.Duration) (*Msg, error) {
 	deadline := time.Time{}
 	if timeout > 0 {
 		deadline = time.Now().Add(timeout)
@@ -595,18 +575,14 @@ func (ep *Endpoint) nextFrom(src int, timeout time.Duration) (*Msg, error) {
 			mRankdownErrors.Inc()
 			return nil, &core.ErrRankDown{Rank: src, Epoch: mb.Epoch()}
 		}
-		from, m, again, err := recvPoll(ep.link, deadline, ep.members != nil)
+		_, m, again, err := recvPoll(ep.link, src, deadline, ep.members != nil)
 		switch {
 		case again:
 		case errors.Is(err, ErrTimeout):
 			mEndpointStalls.Inc()
 			return nil, ErrStalled
-		case err != nil:
-			return nil, err
-		case from == src:
-			return m, nil
 		default:
-			ep.enqueue(from, m)
+			return m, err
 		}
 	}
 }

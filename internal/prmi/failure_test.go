@@ -145,7 +145,7 @@ func TestMeshShortFrame(t *testing.T) {
 	if err := calleeEnd.Send([]byte{1, 2}); err != nil {
 		t.Fatal(err)
 	}
-	_, _, err := c.callerLink(0).Recv(0)
+	_, _, err := c.callerLink(0).Recv(AnyPeer, 0)
 	if !errors.Is(err, ErrLinkDown) || !strings.Contains(err.Error(), "corrupt remote frame") {
 		t.Fatalf("short frame: %v, want ErrLinkDown over a corrupt-frame error", err)
 	}

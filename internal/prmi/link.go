@@ -59,8 +59,10 @@ var ErrLinkDown = errors.New("prmi: link down")
 
 // Link carries messages between the two sides of one port connection.
 // Rank numbering is the peer cohort's: Send(j, m) delivers to peer rank j;
-// Recv reports which peer rank sent the message. Messages between a fixed
-// pair of ranks arrive in order.
+// Recv(from, d) takes the next message from peer rank from, or from any
+// peer rank with AnyPeer, and reports which peer rank sent it. Messages
+// between a fixed pair of ranks arrive in order, and a message a receive
+// by source passes over waits in the link for a later receive.
 //
 // Ownership moves with the message: Send takes m over on every path —
 // delivered, refused, link down — like the owned payloads of
@@ -68,20 +70,24 @@ var ErrLinkDown = errors.New("prmi: link down")
 // receiver, who must Release it.
 type Link interface {
 	Send(peerRank int, m *Msg) error
-	// Recv blocks for the next message, for at most d when d > 0; expiry
-	// reports an error matching ErrTimeout, a failed link one matching
-	// ErrLinkDown.
-	Recv(d time.Duration) (peerRank int, m *Msg, err error)
+	// Recv blocks for the next message from peer rank from (AnyPeer: any),
+	// for at most d when d > 0; expiry reports an error matching
+	// ErrTimeout, a failed link one matching ErrLinkDown.
+	Recv(from int, d time.Duration) (peerRank int, m *Msg, err error)
 }
+
+// AnyPeer receives from whichever peer rank sent first.
+const AnyPeer = -1
 
 // livenessPoll is the receive slice used when a membership view is set, so
 // a blocked wait notices a peer being marked down promptly.
 const livenessPoll = 5 * time.Millisecond
 
-// recvPoll is Recv bounded by deadline (zero: none) and, when poll is set,
-// by livenessPoll, so that a wait can re-check its peers' liveness between
-// slices: again reports that only such a slice expired, not the deadline.
-func recvPoll(l Link, deadline time.Time, poll bool) (from int, m *Msg, again bool, err error) {
+// recvPoll is Recv from peer rank src bounded by deadline (zero: none)
+// and, when poll is set, by livenessPoll, so that a wait can re-check its
+// peers' liveness between slices: again reports that only such a slice
+// expired, not the deadline.
+func recvPoll(l Link, src int, deadline time.Time, poll bool) (from int, m *Msg, again bool, err error) {
 	remain := time.Duration(0)
 	if !deadline.IsZero() {
 		if remain = time.Until(deadline); remain <= 0 {
@@ -92,7 +98,7 @@ func recvPoll(l Link, deadline time.Time, poll bool) (from int, m *Msg, again bo
 	if poll && (slice <= 0 || slice > livenessPoll) {
 		slice = livenessPoll
 	}
-	from, m, err = l.Recv(slice)
+	from, m, err = l.Recv(src, slice)
 	return from, m, slice != remain && errors.Is(err, ErrTimeout), err
 }
 
@@ -123,8 +129,11 @@ func (l *commLink) Send(peerRank int, m *Msg) error {
 	return l.down()
 }
 
-func (l *commLink) Recv(d time.Duration) (int, *Msg, error) {
-	payload, src, ok, err := l.c.RecvOrFail(comm.AnySource, l.tag, d)
+func (l *commLink) Recv(from int, d time.Duration) (int, *Msg, error) {
+	if from != AnyPeer {
+		from += l.peerBase
+	}
+	payload, src, ok, err := l.c.RecvOrFail(from, l.tag, d)
 	switch {
 	case err != nil:
 		return 0, nil, linkDown(err)

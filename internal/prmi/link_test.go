@@ -120,7 +120,7 @@ func TestCommLinkQueuedBeforeLinkDown(t *testing.T) {
 	<-c.pa.Done()
 	link := c.callerLink(0)
 	for i := 0; i < 3; i++ {
-		from, m, err := link.Recv(0)
+		from, m, err := link.Recv(AnyPeer, 0)
 		if err != nil {
 			t.Fatalf("message %d queued before the loss: %v", i, err)
 		}
@@ -129,10 +129,10 @@ func TestCommLinkQueuedBeforeLinkDown(t *testing.T) {
 		}
 		m.Release()
 	}
-	if _, _, err := link.Recv(0); !errors.Is(err, ErrLinkDown) {
+	if _, _, err := link.Recv(AnyPeer, 0); !errors.Is(err, ErrLinkDown) {
 		t.Fatalf("blocking Recv after the queue drained: %v, want ErrLinkDown", err)
 	}
-	if _, _, err := link.Recv(time.Second); !errors.Is(err, ErrLinkDown) {
+	if _, _, err := link.Recv(AnyPeer, time.Second); !errors.Is(err, ErrLinkDown) {
 		t.Fatalf("bounded Recv after the queue drained: %v, want ErrLinkDown", err)
 	}
 	if err := link.Send(0, newMsg([]byte{msgCall}, nil)); !errors.Is(err, ErrLinkDown) {

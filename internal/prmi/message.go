@@ -17,10 +17,10 @@ const (
 	msgReply
 	msgShutdown
 	// msgDetach announces that a caller rank is leaving the cohort (an
-	// online shrink): the endpoint drops its deferred queue and stops
-	// expecting its shutdown. Links deliver each caller's messages in FIFO
-	// order, so by the time a detach is dispatched every call that caller
-	// ever sent has been serviced.
+	// online shrink): the endpoint stops expecting its shutdown. Links
+	// deliver each caller's messages in FIFO order, so by the time a
+	// detach is dispatched every call that caller ever sent has been
+	// serviced.
 	msgDetach
 )
 
@@ -89,28 +89,23 @@ func float64sOf(b []byte) []float64 {
 	return unsafe.Slice((*float64)(unsafe.Pointer(unsafe.SliceData(b))), len(b)/8)
 }
 
-func init() {
-	// Tag 4 of the module-wide table in internal/redist/remote.go.
-	comm.RegisterRemotePayload(4, comm.RemoteCodec{Encode: encodeRemoteMsg, Decode: decodeRemoteMsg})
-}
+func init() { comm.RegisterRemoteDecoder(comm.CodecPRMI, decodeRemoteMsg) }
 
-// encodeRemoteMsg puts a message on a connection and retires it: the head
-// is copied into the frame header, and the payload is the final field,
-// lent to the connection (wire.LendPayload) — the message's own buffer,
+// RemoteTag implements comm.Remote.
+func (m *Msg) RemoteTag() byte { return comm.CodecPRMI }
+
+// PutRemote puts a message on a connection and retires it: the head is
+// copied into the frame header, and the payload is the final field, lent
+// to the connection (wire.LendPayload) — the message's own buffer,
 // detached here, or a pooled copy of a payload it only views — and
 // aligned so the receiver can unpack it in place.
-func encodeRemoteMsg(e *wire.Encoder, v any) bool {
-	m, ok := v.(*Msg)
-	if !ok {
-		return false
-	}
+func (m *Msg) PutRemote(e *wire.Encoder) {
 	e.PutBytes(m.head)
 	e.LendPayload(m.payload, m.own)
 	if m.own {
 		m.payload = nil
 	}
 	m.Release()
-	return true
 }
 
 // decodeRemoteMsg rebuilds a message viewing head and payload in the

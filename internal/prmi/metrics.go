@@ -18,7 +18,6 @@ var (
 
 	// Failure-awareness instruments.
 	mStaleEpochCalls = obs.Default().Counter("prmi.stale_epoch_rejected")
-	mDeferredDropped = obs.Default().Counter("prmi.deferred_dropped")
 	mRankdownErrors  = obs.Default().Counter("prmi.rankdown_errors")
 
 	// Parallel-fragment data path. At quiescence every packed element has

@@ -336,7 +336,7 @@ func New[T Elem](c *comm.Comm, s *schedule.Schedule, lay Layout, baseTag int, op
 				t.posts = make([]recvPost, n)
 			}
 			p := &t.posts[i]
-			p.cp = comm.Posting{From: rp.group, Tag: baseTag, Codec: xferCodec, Body: p, Bytes: rp.elems * esz}
+			p.cp = comm.Posting{From: rp.group, Tag: baseTag, Codec: comm.CodecXfer, Body: p, Bytes: rp.elems * esz}
 			p.kind = kindOf[T]()
 		}
 	}

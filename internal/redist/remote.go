@@ -1,18 +1,8 @@
 // Remote payload codecs: what lets a redistribution span two comm.Worlds
 // coupled by comm.ConnectPeer. The transfer engine's messages are plain
 // in-process structs; when a destination rank lives across a connection,
-// comm's remote path serializes them with the codecs registered here and
+// comm's remote path serializes them with the codec here and
 // rebuilds them — pool accounting included — on the far side.
-//
-// Remote payload tags used across the module (the registry is
-// process-global, so tags must be unique and identical on both peers):
-//
-//	0 — comm built-in generic (wire.PutValue types and int)
-//	1 — redist *xferMsg (this file)
-//	2 — retired, not reused (linearizations are lowered to schedules and
-//	    send nothing of their own)
-//	3 — core heartbeatPing (internal/core)
-//	4 — prmi *Msg (internal/prmi/message.go)
 package redist
 
 import (
@@ -23,11 +13,12 @@ import (
 	"mxn/internal/wire"
 )
 
-func init() {
-	comm.RegisterRemotePayload(1, comm.RemoteCodec{Encode: encodeXferMsg, Decode: decodeXferMsg})
-}
+func init() { comm.RegisterRemoteDecoder(comm.CodecXfer, decodeXferMsg) }
 
-// encodeXferMsg serializes a transfer message and retires it: comm.Send
+// RemoteTag implements comm.Remote.
+func (m *xferMsg) RemoteTag() byte { return comm.CodecXfer }
+
+// PutRemote serializes a transfer message and retires it: comm.Send
 // transfers ownership to the receiver, and for a remote destination the
 // wire is the receiver — recycling here balances the newMsg accounting
 // exactly as the far side's decode re-opens it.
@@ -42,15 +33,11 @@ func init() {
 // connection releases it. An in-process lent chunk never comes here: the
 // engine lends those only to ranks of its own world, and ConnectPeer
 // binds ranks before they run.
-func encodeXferMsg(e *wire.Encoder, v any) bool {
-	m, ok := v.(*xferMsg)
-	if !ok {
-		return false
-	}
+func (m *xferMsg) PutRemote(e *wire.Encoder) {
 	putXferHead(e, m.epoch, m.kind, m.elems, m.mark)
 	if m.segs != nil {
 		e.PutLoan(m, m.loanBytes)
-		return true
+		return
 	}
 	owned := m.lender == nil && m.frame == nil
 	e.LendPayload(m.data, owned)
@@ -61,7 +48,6 @@ func encodeXferMsg(e *wire.Encoder, v any) bool {
 		m.data = nil
 	}
 	recycle(m)
-	return true
 }
 
 // putXferHead writes a transfer message's fields ahead of its payload.

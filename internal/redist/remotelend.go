@@ -50,9 +50,6 @@ import (
 // its own; a handle reads them when it is built.
 var lendMinRun, postMinRun = 2 << 10, 2 << 10
 
-// xferCodec is the remote payload tag of *xferMsg (codec.go's registry).
-const xferCodec = 1
-
 var (
 	// mRemoteBytesLent counts payload bytes lent to a connection; the bytes
 	// placed on the other side are wire.bytes_placed.
@@ -219,7 +216,7 @@ type recvPost struct {
 	on    bool // posted this run
 }
 
-// EncodePostBody implements comm.PostBody: the head encodeXferMsg writes
+// EncodePostBody implements comm.PostBody: the head xferMsg.PutRemote writes
 // for a data chunk of this posting's message.
 func (p *recvPost) EncodePostBody(e *wire.Encoder) {
 	putXferHead(e, p.epoch, p.kind, p.elems, markData)

@@ -302,9 +302,7 @@ func TestXferMsgCodecBorrowBitIdentical(t *testing.T) {
 
 	lent := m.data
 	e := wire.NewEncoder(nil)
-	if !encodeXferMsg(e, m) {
-		t.Fatal("encode refused an *xferMsg")
-	}
+	m.PutRemote(e)
 	head, data := e.Vector()
 	if data == nil || &data[0] != &lent[0] {
 		t.Fatal("encode did not lend the message's own payload buffer")
@@ -338,7 +336,7 @@ func TestXferMsgCodecBorrowBitIdentical(t *testing.T) {
 	// Forwarded again, the view is lent as one pooled copy, and the encode
 	// returns the frame.
 	e.Reset()
-	encodeXferMsg(e, m)
+	m.PutRemote(e)
 	if _, data = e.Vector(); &data[0] == &frame[len(head)] || !bytes.Equal(data, payload) {
 		t.Fatal("a received view was not lent as a pooled copy")
 	}

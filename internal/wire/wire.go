@@ -103,9 +103,6 @@ func (e *Encoder) Reset() {
 // Len returns the current encoded length in bytes.
 func (e *Encoder) Len() int { return len(e.buf) }
 
-// Unwrite removes the last n appended bytes, undoing a speculative write.
-func (e *Encoder) Unwrite(n int) { e.buf = e.buf[:len(e.buf)-n] }
-
 // PutUint64 appends a fixed-width 64-bit unsigned integer.
 func (e *Encoder) PutUint64(v uint64) {
 	e.buf = binary.LittleEndian.AppendUint64(e.buf, v)

@@ -400,11 +400,18 @@ var ErrStalled = prmi.ErrStalled
 
 // Link carries PRMI messages between the two sides of a port connection.
 // A custom Link passes each LinkMsg through unopened; ownership moves with
-// it (Send takes the message over, the receiver releases it).
+// it (Send takes the message over, the receiver releases it). Its Recv
+// takes the next message from one peer rank, or from any with AnyPeer;
+// messages from other peers wait in the link, in arrival order, for a
+// later Recv — an endpoint collecting a collective call receives from each
+// participant in turn.
 type (
 	Link    = prmi.Link
 	LinkMsg = prmi.Msg
 )
+
+// AnyPeer makes a Link's Recv take a message from any peer rank.
+const AnyPeer = prmi.AnyPeer
 
 // NewCallerPort builds a caller-side port proxy.
 func NewCallerPort(iface *SIDLInterface, link Link, rank, nCallee int, mode DeliveryMode) *CallerPort {
